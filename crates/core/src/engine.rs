@@ -62,10 +62,10 @@ pub enum StepOp {
     Migrate,
     /// Final top-k ranking (always CPU, per the Fig. 7 finding).
     TopK,
-    /// Whole-query execution on a single processor. The non-hybrid modes
-    /// run opaquely on one engine, so their trace is this coarse step
-    /// (plus the CPU ranking step for [`ExecMode::GpuOnly`]) rather than
-    /// per-operation detail.
+    /// Opaque execution on a single processor, without per-operation
+    /// detail: the whole query under [`ExecMode::CpuOnly`]; one chain
+    /// operator (or the fused pruned ranking) placed wholesale on one
+    /// engine otherwise, followed by its own CPU ranking step.
     Exec,
     /// Recovery from a device fault: the wasted GPU attempts (including
     /// retry backoff) plus the cost of re-establishing the intermediate
@@ -114,9 +114,9 @@ pub struct GriffinOutput {
     /// [`gpu_faults`](Self::gpu_faults), which counts every hiccup.
     pub gpu_abandoned: bool,
     /// Block-max pruning ledger, present when the query ran with
-    /// [`QueryRequest::pruned`] set and took a pruned path. `None` for
-    /// unpruned runs (and for query shapes the pruned path does not
-    /// cover, which fall back to unpruned execution).
+    /// [`QueryRequest::pruned`] set and ranked block-max. `None` for
+    /// unpruned runs (and for query shapes pruning does not cover, which
+    /// rank unpruned).
     pub pruning: Option<PruneStats>,
     /// Fleet coverage accounting, present only when the answer came
     /// through a scatter–gather coordinator (see [`crate::fleet`]). A
@@ -189,6 +189,26 @@ struct FaultLog {
     /// runs CPU-only (a faulting device rarely deserves more traffic
     /// within the same query).
     gpu_disabled: bool,
+}
+
+/// Everything one query accumulates while its plan is walked.
+#[derive(Default)]
+struct Run {
+    /// Set for [`ExecMode::CpuOnly`]: the whole tree's summed counters,
+    /// ranking included, are priced as one [`StepOp::Exec`] step once the
+    /// root has ranked. [`griffin_cpu::CpuCostModel::time`] is
+    /// `max(compute, bandwidth floor)` rounded to whole nanoseconds, so
+    /// it is not additive: pricing per operator would move the total.
+    /// The GPU-capable modes flush one step per operator instead.
+    coarse: bool,
+    /// The step trace; durations sum to `total`.
+    steps: Vec<StepTrace>,
+    total: VirtualNanos,
+    log: FaultLog,
+    /// Host work done since the last priced step.
+    host: WorkCounters,
+    /// Ledger of a fused block-max ranking, if one ran.
+    pruning: Option<PruneStats>,
 }
 
 /// The Griffin system: CPU engine + Griffin-GPU engine + scheduler.
@@ -466,23 +486,14 @@ impl<'g> Griffin<'g> {
         let time = hit.time.min(RESULT_CACHE_LOOKUP);
         self.telemetry
             .counter_add("griffin_result_cache_served_total", 1);
-        let steps = if time > VirtualNanos::ZERO {
-            vec![StepTrace {
-                op: StepOp::Exec,
-                proc: Proc::Cpu,
-                time,
-                inter_len: hit.topk.len(),
-            }]
-        } else {
-            Vec::new()
-        };
-        for s in &steps {
-            self.record_step(s);
+        let mut run = Run::default();
+        if time > VirtualNanos::ZERO {
+            self.step(&mut run, StepOp::Exec, Proc::Cpu, time, hit.topk.len());
         }
         Some(GriffinOutput {
             topk: hit.topk,
             time,
-            steps,
+            steps: run.steps,
             gpu_faults: 0,
             gpu_abandoned: false,
             pruning: None,
@@ -604,6 +615,38 @@ impl<'g> Griffin<'g> {
         });
     }
 
+    /// Appends one executed step to the query's trace, running total
+    /// and step telemetry. Every step of every mode is built here.
+    fn step(&self, run: &mut Run, op: StepOp, proc: Proc, time: VirtualNanos, inter_len: usize) {
+        let s = StepTrace {
+            op,
+            proc,
+            time,
+            inter_len,
+        };
+        self.record_step(&s);
+        run.total += time;
+        run.steps.push(s);
+    }
+
+    /// Prices (and folds into telemetry) the host work pending since
+    /// the last priced step.
+    fn price_host(&self, run: &mut Run) -> VirtualNanos {
+        let w = std::mem::take(&mut run.host);
+        self.record_cpu_work(&w);
+        self.cpu.model.time(&w)
+    }
+
+    /// Flushes the pending host work as one step. A coarse run keeps
+    /// accumulating instead: its single step is priced once the root
+    /// has ranked (see [`Run::coarse`]).
+    fn host_step(&self, run: &mut Run, op: StepOp, inter_len: usize) {
+        if !run.coarse {
+            let t = self.price_host(run);
+            self.step(run, op, Proc::Cpu, t, inter_len);
+        }
+    }
+
     /// Runs a GPU operation under the recovery policy: transient faults
     /// are retried with exponential virtual-time backoff; a fault that
     /// survives every retry (or a non-transient one) latches
@@ -611,7 +654,7 @@ impl<'g> Griffin<'g> {
     /// to migrate the work to the CPU.
     fn try_gpu<T>(
         &self,
-        log: &mut FaultLog,
+        run: &mut Run,
         mut attempt: impl FnMut() -> Result<T, GpuError>,
     ) -> Result<T, GpuError> {
         let mut backoff = self.recovery.initial_backoff;
@@ -620,7 +663,7 @@ impl<'g> Griffin<'g> {
             match attempt() {
                 Ok(v) => return Ok(v),
                 Err(e) => {
-                    log.faults += 1;
+                    run.log.faults += 1;
                     self.telemetry.counter_add(
                         &format!(
                             "griffin_fault_gpu_errors_total{{kind=\"{}\"}}",
@@ -635,9 +678,35 @@ impl<'g> Griffin<'g> {
                         backoff = backoff * self.recovery.backoff_multiplier;
                         continue;
                     }
-                    log.gpu_disabled = true;
+                    run.log.gpu_disabled = true;
                     return Err(e);
                 }
+            }
+        }
+    }
+
+    /// Runs a whole fused operator (a device chain, a pruned device
+    /// query) under [`Griffin::try_gpu`], returning its result and its
+    /// device-side span — retry backoff included, so steps still sum to
+    /// the total. `None` means the operator must run on the CPU from
+    /// scratch: the device is disabled for this query, or it just gave
+    /// up and the wasted attempts were billed as a
+    /// [`StepOp::FaultRecovery`] step.
+    fn on_device<T>(
+        &self,
+        run: &mut Run,
+        attempt: impl FnMut() -> Result<T, GpuError>,
+    ) -> Option<(T, VirtualNanos)> {
+        if run.log.gpu_disabled {
+            return None;
+        }
+        let start = self.device.now();
+        match self.try_gpu(run, attempt) {
+            Ok(v) => Some((v, self.device.now() - start)),
+            Err(_) => {
+                let wasted = self.device.now() - start;
+                self.recovery_step(run, wasted, 0);
+                None
             }
         }
     }
@@ -678,7 +747,7 @@ impl<'g> Griffin<'g> {
     /// the virtual time the recovery cost.
     fn salvage(
         &self,
-        log: &mut FaultLog,
+        run: &mut Run,
         index: &InvertedIndex,
         planned: &[TermId],
         completed: usize,
@@ -687,39 +756,63 @@ impl<'g> Griffin<'g> {
         let mut spent = VirtualNanos::ZERO;
         if let Some(dev) = dev {
             let start = self.device.now();
-            let drained = self.try_gpu(log, || self.gpu.download(&dev));
+            let drained = self.try_gpu(run, || self.gpu.download(&dev));
             dev.free(self.device);
             spent += self.device.now() - start;
             if let Ok(host) = drained {
                 return (host, spent);
             }
         }
-        let mut w = WorkCounters::default();
-        let host = self.rematerialize(index, planned, completed, &mut w);
-        self.record_cpu_work(&w);
-        (host, spent + self.cpu.model.time(&w))
+        let host = self.rematerialize(index, planned, completed, &mut run.host);
+        (host, spent + self.price_host(run))
+    }
+
+    /// Abandons the GPU lane after a failed device operation that
+    /// started at `start`: drains (or re-runs) the intermediate as it
+    /// stood after `completed` intersections and bills the wasted
+    /// attempts plus that salvage as one recovery step.
+    fn abandon(
+        &self,
+        run: &mut Run,
+        index: &InvertedIndex,
+        planned: &[TermId],
+        completed: usize,
+        dev: Option<DeviceIntermediate>,
+        start: VirtualNanos,
+    ) -> Intermediate {
+        let wasted = self.device.now() - start;
+        let (host, t_rec) = self.salvage(run, index, planned, completed, dev);
+        self.recovery_step(run, wasted + t_rec, host.len());
+        host
+    }
+
+    /// Moves a device-resident intermediate to the host: a plain
+    /// [`StepOp::Migrate`] when the download succeeds, a recovery step
+    /// when it took the device down with it.
+    fn bring_home(
+        &self,
+        run: &mut Run,
+        index: &InvertedIndex,
+        planned: &[TermId],
+        completed: usize,
+        dev: DeviceIntermediate,
+    ) -> Intermediate {
+        let (host, t) = self.salvage(run, index, planned, completed, Some(dev));
+        if run.log.gpu_disabled {
+            self.recovery_step(run, t, host.len());
+        } else {
+            self.step(run, StepOp::Migrate, Proc::Cpu, t, host.len());
+        }
+        host
     }
 
     /// Record a completed fault recovery into the trace and telemetry.
-    fn push_recovery_step(
-        &self,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
-        time: VirtualNanos,
-        inter_len: usize,
-    ) {
+    fn recovery_step(&self, run: &mut Run, time: VirtualNanos, inter_len: usize) {
         self.telemetry
             .counter_add("griffin_fault_migrations_total", 1);
         self.telemetry
             .observe_duration("griffin_fault_recovery_ns", time);
-        *total += time;
-        steps.push(StepTrace {
-            op: StepOp::FaultRecovery,
-            proc: Proc::Cpu,
-            time,
-            inter_len,
-        });
-        self.record_step(steps.last().expect("just pushed"));
+        self.step(run, StepOp::FaultRecovery, Proc::Cpu, time, inter_len);
     }
 
     /// Bracket one query's telemetry: QueryStart before, QueryEnd plus
@@ -794,32 +887,6 @@ impl<'g> Griffin<'g> {
         }
     }
 
-    /// Historical word-list entry point: every word missing from the
-    /// vocabulary yields an empty result instead of an error.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `query(index, text).lenient(true).run()` — the builder parses the full \
-                query grammar and folds the lenient behaviour into a setter"
-    )]
-    pub fn search_lenient(
-        &self,
-        index: &InvertedIndex,
-        words: &[&str],
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        let query = Query::And(
-            words
-                .iter()
-                .map(|w| match index.lookup(w) {
-                    Some(t) => Query::Term(t),
-                    None => Query::Nothing,
-                })
-                .collect(),
-        );
-        self.run(index, &QueryRequest::from_query(query).k(k).mode(mode))
-    }
-
     /// Processes one conjunctive query, returning the top-k and the
     /// virtual latency under the chosen mode. Thin shim over
     /// [`Griffin::run`] for positional-argument callers.
@@ -854,566 +921,285 @@ impl<'g> Griffin<'g> {
         out
     }
 
+    /// Every request takes the same route: result cache, planner, one
+    /// walk of the plan, one `finish`.
     fn run_inner(&self, index: &InvertedIndex, req: &QueryRequest) -> GriffinOutput {
         self.record_query(req.mode, req.query.num_terms(), || {
             // Top cache tier first: a repeat of a cached request is
-            // answered without touching either engine.
+            // answered without touching the planner or either engine.
             if let Some(hit) = self.result_cache_lookup(req) {
                 return hit;
             }
-            // Plain term conjunctions — the original query shape — take
-            // the fast path: the per-step AND-chain machinery (and the
-            // pruned variants) unchanged. Anything else lowers through
-            // the planner.
-            let out = match req.query.as_term_conjunction() {
-                Some(terms) if req.pruned => self.run_pruned(index, &terms, req.k, req.mode),
-                Some(terms) => self.run_flat(index, &terms, req.k, req.mode),
-                None => self.run_plan(index, &req.query, req.k, req.mode),
+            let planner = Planner {
+                index,
+                scheduler: &self.scheduler,
             };
-            self.result_cache_store(req, &out);
-            out
+            let plan = planner.plan(&req.query);
+            let mut run = Run {
+                coarse: req.mode == ExecMode::CpuOnly,
+                ..Run::default()
+            };
+            let topk = match &plan.root {
+                // Nothing runs: zero time and zero steps in every mode.
+                PlanNode::Empty => Vec::new(),
+                root => self.rank(index, root, req, &mut run),
+            };
+            self.finish(req, run, topk)
         })
     }
 
-    fn run_flat(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        match mode {
-            ExecMode::CpuOnly => {
-                let out = self.cpu.process_query(index, terms, k);
-                self.record_cpu_work(&out.counters);
-                let steps = if out.time > VirtualNanos::ZERO {
-                    vec![StepTrace {
-                        op: StepOp::Exec,
-                        proc: Proc::Cpu,
-                        time: out.time,
-                        inter_len: out.topk.len(),
-                    }]
-                } else {
-                    Vec::new()
-                };
-                for s in &steps {
-                    self.record_step(s);
-                }
-                GriffinOutput {
-                    topk: out.topk,
-                    time: out.time,
-                    steps,
-                    gpu_faults: 0,
-                    gpu_abandoned: false,
-                    pruning: None,
-                    fleet: None,
-                    result_cache_hit: false,
-                }
-            }
-            ExecMode::GpuOnly => {
-                let mut log = FaultLog::default();
-                let start = self.device.now();
-                match self.try_gpu(&mut log, || self.gpu.process_query(index, terms, k)) {
-                    Ok(out) => {
-                        let rank_time = self.cpu.model.time(&out.rank_work);
-                        self.record_cpu_work(&out.rank_work);
-                        let mut steps = Vec::new();
-                        // Retry backoff (if any) is part of the device-side
-                        // span; fold it into the Exec step so steps still
-                        // sum to the total.
-                        let exec_time = self.device.now() - start;
-                        if exec_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::Exec,
-                                proc: Proc::Gpu,
-                                time: exec_time,
-                                inter_len: out.topk.len(),
-                            });
-                        }
-                        if rank_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::TopK,
-                                proc: Proc::Cpu,
-                                time: rank_time,
-                                inter_len: out.topk.len(),
-                            });
-                        }
-                        for s in &steps {
-                            self.record_step(s);
-                        }
-                        GriffinOutput {
-                            topk: out.topk,
-                            time: exec_time + rank_time,
-                            steps,
-                            gpu_faults: log.faults,
-                            gpu_abandoned: log.gpu_disabled,
-                            pruning: None,
-                            fleet: None,
-                            result_cache_hit: false,
-                        }
-                    }
-                    Err(_) => {
-                        // The device gave up on the whole query: run it
-                        // on the CPU from scratch. The wasted GPU attempts
-                        // (plus backoff) become a FaultRecovery step.
-                        let wasted = self.device.now() - start;
-                        let mut steps = Vec::new();
-                        let mut total = VirtualNanos::ZERO;
-                        self.push_recovery_step(&mut steps, &mut total, wasted, 0);
-                        let out = self.cpu.process_query(index, terms, k);
-                        self.record_cpu_work(&out.counters);
-                        if out.time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::Exec,
-                                proc: Proc::Cpu,
-                                time: out.time,
-                                inter_len: out.topk.len(),
-                            });
-                            self.record_step(steps.last().expect("just pushed"));
-                        }
-                        GriffinOutput {
-                            topk: out.topk,
-                            time: total + out.time,
-                            steps,
-                            gpu_faults: log.faults,
-                            gpu_abandoned: log.gpu_disabled,
-                            pruning: None,
-                            fleet: None,
-                            result_cache_hit: false,
-                        }
-                    }
-                }
-            }
-            ExecMode::Hybrid => self.process_hybrid(index, terms, k),
-        }
+    /// Closes a query: the one place an executed [`GriffinOutput`] is
+    /// assembled, and where it enters the result cache.
+    fn finish(&self, req: &QueryRequest, run: Run, topk: Vec<(u32, f32)>) -> GriffinOutput {
+        let out = GriffinOutput {
+            topk,
+            time: run.total,
+            steps: run.steps,
+            gpu_faults: run.log.faults,
+            gpu_abandoned: run.log.gpu_disabled,
+            pruning: run.pruning,
+            fleet: None,
+            result_cache_hit: false,
+        };
+        self.result_cache_store(req, &out);
+        out
     }
 
-    /// Block-max pruned execution for term conjunctions: the CPU path
+    /// The root ranking operator. A root conjunction with
+    /// [`QueryRequest::pruned`] set runs the fused block-max operator;
+    /// every other shape evaluates the tree and selects the top-k on the
+    /// CPU (Fig. 7).
+    fn rank(
+        &self,
+        index: &InvertedIndex,
+        root: &PlanNode,
+        req: &QueryRequest,
+        run: &mut Run,
+    ) -> Vec<(u32, f32)> {
+        let topk = match root {
+            PlanNode::Chain { terms, .. } if req.pruned => self.rank_pruned(index, terms, req, run),
+            _ => {
+                let host = self.eval(index, root, req.mode, run);
+                let topk =
+                    griffin_cpu::topk::top_k(&host.docids, &host.scores, req.k, &mut run.host);
+                self.host_step(run, StepOp::TopK, topk.len());
+                topk
+            }
+        };
+        if run.coarse {
+            // Every operator deferred its flush to here: the summed
+            // counters of the whole tree, ranking included, are one step.
+            let time = self.price_host(run);
+            if time > VirtualNanos::ZERO {
+                self.step(run, StepOp::Exec, Proc::Cpu, time, topk.len());
+            }
+        }
+        topk
+    }
+
+    /// Block-max pruned ranking of a term conjunction: the CPU operator
     /// defers tf decoding behind per-block BM25 upper bounds; the GPU
-    /// path restricts uploads to the candidate hull's blocks. Both are
-    /// bit-exact with the unpruned paths (the property suite checks
-    /// this); under [`ExecMode::Hybrid`] the planner cost-picks one of
+    /// operator restricts uploads to the candidate hull's blocks. Both
+    /// are bit-exact with unpruned ranking (the property suite checks
+    /// this); under [`ExecMode::Hybrid`] the scheduler cost-picks one of
     /// the two wholesale — deferred scoring does not compose with
     /// per-step migration, so a pruned query does not migrate
     /// mid-chain.
-    fn run_pruned(
+    fn rank_pruned(
         &self,
         index: &InvertedIndex,
         terms: &[TermId],
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        let place = match mode {
+        req: &QueryRequest,
+        run: &mut Run,
+    ) -> Vec<(u32, f32)> {
+        let place = match req.mode {
             ExecMode::CpuOnly => Proc::Cpu,
             ExecMode::GpuOnly => Proc::Gpu,
             ExecMode::Hybrid => {
                 let mut by_df: Vec<TermId> = terms.to_vec();
                 by_df.sort_unstable_by_key(|&t| index.doc_freq(t));
-                match by_df.get(1) {
-                    Some(&second) => {
-                        let d = self.scheduler.decide_traced_resident(
-                            index.doc_freq(by_df[0]),
-                            index.doc_freq(second),
-                            Proc::Cpu,
-                            self.residency(second),
-                        );
-                        self.record_decision(&d);
-                        // A split decision maps to the host path: pruned
-                        // chains keep their intermediate host-resident.
-                        d.chosen.proc()
-                    }
-                    None => Proc::Cpu,
-                }
+                // A split decision maps to the host operator: pruned
+                // chains keep their intermediate host-resident.
+                self.place_chain(index, &by_df)
             }
         };
-        match place {
-            Proc::Cpu => self.run_pruned_cpu(index, terms, k),
-            Proc::Gpu => {
-                let mut log = FaultLog::default();
-                let start = self.device.now();
-                match self.try_gpu(&mut log, || self.gpu.process_query_pruned(index, terms, k)) {
-                    Ok(p) => {
-                        let rank_time = self.cpu.model.time(&p.out.rank_work);
-                        self.record_cpu_work(&p.out.rank_work);
-                        let exec_time = self.device.now() - start;
-                        let mut steps = Vec::new();
-                        if exec_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::Exec,
-                                proc: Proc::Gpu,
-                                time: exec_time,
-                                inter_len: p.out.topk.len(),
-                            });
-                        }
-                        if rank_time > VirtualNanos::ZERO {
-                            steps.push(StepTrace {
-                                op: StepOp::TopK,
-                                proc: Proc::Cpu,
-                                time: rank_time,
-                                inter_len: p.out.topk.len(),
-                            });
-                        }
-                        for s in &steps {
-                            self.record_step(s);
-                        }
-                        let matches = p.out.topk.len() as u64;
-                        GriffinOutput {
-                            topk: p.out.topk,
-                            time: exec_time + rank_time,
-                            steps,
-                            gpu_faults: log.faults,
-                            gpu_abandoned: log.gpu_disabled,
-                            pruning: Some(PruneStats {
-                                tf_blocks_total: p.blocks_total,
-                                tf_blocks_decoded: p.blocks_resident,
-                                candidates: matches,
-                                verified: matches,
-                            }),
-                            fleet: None,
-                            result_cache_hit: false,
-                        }
-                    }
-                    Err(_) => {
-                        // Whole-query fallback, like the unpruned GpuOnly
-                        // path: wasted device attempts become a recovery
-                        // step, then the CPU pruned path runs from scratch.
-                        let wasted = self.device.now() - start;
-                        let mut steps = Vec::new();
-                        let mut total = VirtualNanos::ZERO;
-                        self.push_recovery_step(&mut steps, &mut total, wasted, 0);
-                        let mut out = self.run_pruned_cpu(index, terms, k);
-                        out.time += total;
-                        steps.append(&mut out.steps);
-                        out.steps = steps;
-                        out.gpu_faults += log.faults;
-                        out.gpu_abandoned |= log.gpu_disabled;
-                        out
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_pruned_cpu(&self, index: &InvertedIndex, terms: &[TermId], k: usize) -> GriffinOutput {
-        let out = self.cpu.process_query_pruned(index, terms, k);
-        self.record_cpu_work(&out.counters);
-        let steps = if out.time > VirtualNanos::ZERO {
-            vec![StepTrace {
-                op: StepOp::Exec,
-                proc: Proc::Cpu,
-                time: out.time,
-                inter_len: out.topk.len(),
-            }]
-        } else {
-            Vec::new()
-        };
-        for s in &steps {
-            self.record_step(s);
-        }
-        GriffinOutput {
-            topk: out.topk,
-            time: out.time,
-            steps,
-            gpu_faults: 0,
-            gpu_abandoned: false,
-            pruning: Some(out.stats),
-            fleet: None,
-            result_cache_hit: false,
-        }
-    }
-
-    /// Executes a non-conjunctive query by lowering it through the
-    /// cost-based planner and walking the plan DAG. Chains (and the
-    /// chain part of phrases) run on the processor machinery the mode
-    /// allows — including the hybrid per-step scheduler with its
-    /// migrations and co-executed splits — while set operators run on
-    /// the host (see [`crate::plan`] for why).
-    fn run_plan(
-        &self,
-        index: &InvertedIndex,
-        query: &Query,
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        let planner = Planner {
-            index,
-            scheduler: &self.scheduler,
-        };
-        let plan = planner.plan(query);
-        for d in &plan.decisions {
-            self.record_decision(d);
-        }
-        if plan.root == PlanNode::Empty {
-            return GriffinOutput {
-                topk: Vec::new(),
-                time: VirtualNanos::ZERO,
-                steps: Vec::new(),
-                gpu_faults: 0,
-                gpu_abandoned: false,
-                pruning: None,
-                fleet: None,
-                result_cache_hit: false,
-            };
-        }
-        match mode {
-            ExecMode::CpuOnly => {
-                // Like the flat CpuOnly path, the whole tree runs
-                // opaquely on one engine: a single coarse Exec step.
-                let mut w = WorkCounters::default();
-                let host = {
-                    let mut scratch = self.scratch.borrow_mut();
-                    self.eval_plan_cpu(index, &plan.root, &mut w, &mut scratch)
-                };
-                let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, k, &mut w);
-                let time = self.cpu.model.time(&w);
-                self.record_cpu_work(&w);
-                let steps = if time > VirtualNanos::ZERO {
-                    vec![StepTrace {
-                        op: StepOp::Exec,
-                        proc: Proc::Cpu,
-                        time,
-                        inter_len: topk.len(),
-                    }]
-                } else {
-                    Vec::new()
-                };
-                for s in &steps {
-                    self.record_step(s);
-                }
-                GriffinOutput {
-                    topk,
-                    time,
-                    steps,
-                    gpu_faults: 0,
-                    gpu_abandoned: false,
-                    pruning: None,
-                    fleet: None,
-                    result_cache_hit: false,
-                }
-            }
-            ExecMode::GpuOnly | ExecMode::Hybrid => {
-                let mut steps = Vec::new();
-                let mut total = VirtualNanos::ZERO;
-                let mut log = FaultLog::default();
-                let host = self
-                    .eval_plan_traced(index, &plan.root, mode, &mut log, &mut steps, &mut total);
-                self.gpu.drain_prefetch();
-                let mut w = WorkCounters::default();
-                let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, k, &mut w);
-                let t_rank = self.cpu.model.time(&w);
-                self.record_cpu_work(&w);
-                total += t_rank;
-                steps.push(StepTrace {
-                    op: StepOp::TopK,
-                    proc: Proc::Cpu,
-                    time: t_rank,
-                    inter_len: topk.len(),
+        if place == Proc::Gpu {
+            let attempt =
+                self.on_device(run, || self.gpu.process_query_pruned(index, terms, req.k));
+            if let Some((p, exec_time)) = attempt {
+                let matches = p.out.topk.len() as u64;
+                run.pruning = Some(PruneStats {
+                    tf_blocks_total: p.blocks_total,
+                    tf_blocks_decoded: p.blocks_resident,
+                    candidates: matches,
+                    verified: matches,
                 });
-                self.record_step(steps.last().expect("just pushed"));
-                GriffinOutput {
-                    topk,
-                    time: total,
-                    steps,
-                    gpu_faults: log.faults,
-                    gpu_abandoned: log.gpu_disabled,
-                    pruning: None,
-                    fleet: None,
-                    result_cache_hit: false,
-                }
+                self.step(run, StepOp::Exec, Proc::Gpu, exec_time, p.out.topk.len());
+                run.host.add(&p.out.rank_work);
+                self.host_step(run, StepOp::TopK, p.out.topk.len());
+                return p.out.topk;
             }
         }
+        let out = self.cpu.process_query_pruned(index, terms, req.k);
+        run.host.add(&out.counters);
+        run.pruning = Some(out.stats);
+        self.host_step(run, StepOp::Exec, out.topk.len());
+        out.topk
     }
 
-    /// Pure-CPU plan walk: all operators accumulate into one counter set
-    /// (priced as a single coarse step by the caller).
-    fn eval_plan_cpu(
-        &self,
-        index: &InvertedIndex,
-        node: &PlanNode,
-        w: &mut WorkCounters,
-        scratch: &mut QueryScratch,
-    ) -> Intermediate {
-        match node {
-            PlanNode::Empty => Intermediate::default(),
-            PlanNode::Chain { terms, .. } => self.cpu.eval_chain(index, terms, w, scratch),
-            PlanNode::Phrase { terms, .. } => {
-                let inter = self.cpu.eval_chain(index, terms, w, scratch);
-                setops::phrase_filter(index, terms, &inter, w, scratch)
-            }
-            PlanNode::Intersect { children, .. } => {
-                let mut acc = self.eval_plan_cpu(index, &children[0], w, scratch);
-                for c in &children[1..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    let part = self.eval_plan_cpu(index, c, w, scratch);
-                    acc = setops::intersect_sets(&acc, &part, w);
-                }
-                acc
-            }
-            PlanNode::Union { children, .. } => {
-                let mut acc = self.eval_plan_cpu(index, &children[0], w, scratch);
-                for c in &children[1..] {
-                    let part = self.eval_plan_cpu(index, c, w, scratch);
-                    acc = setops::union(&acc, &part, w);
-                }
-                acc
-            }
-            PlanNode::Difference { left, right, .. } => {
-                let l = self.eval_plan_cpu(index, left, w, scratch);
-                if l.is_empty() {
-                    return l;
-                }
-                let r = self.eval_plan_cpu(index, right, w, scratch);
-                setops::difference(&l, &r, w)
-            }
-        }
-    }
-
-    /// Traced plan walk for the GPU-capable modes: chains run on the
-    /// device ([`ExecMode::GpuOnly`]) or through the hybrid per-step
-    /// scheduler ([`ExecMode::Hybrid`]); set operators run on the host,
-    /// each recorded as its own step so durations still sum to the
-    /// total.
-    fn eval_plan_traced(
+    /// Walks the plan. Chains (and the chain part of phrases) run where
+    /// the mode allows — including the hybrid per-step scheduler with
+    /// its migrations and co-executed splits — while set operators run
+    /// on the host (see [`crate::plan`] for why), each flushed as its
+    /// own step so durations still sum to the total.
+    fn eval(
         &self,
         index: &InvertedIndex,
         node: &PlanNode,
         mode: ExecMode,
-        log: &mut FaultLog,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
+        run: &mut Run,
     ) -> Intermediate {
-        let cpu_setop_step = |griffin: &Self,
-                              op: StepOp,
-                              out: &Intermediate,
-                              w: WorkCounters,
-                              total: &mut VirtualNanos,
-                              steps: &mut Vec<StepTrace>| {
-            let t = griffin.cpu.model.time(&w);
-            griffin.record_cpu_work(&w);
-            *total += t;
-            steps.push(StepTrace {
-                op,
-                proc: Proc::Cpu,
-                time: t,
-                inter_len: out.len(),
-            });
-            griffin.record_step(steps.last().expect("just pushed"));
-        };
         match node {
             PlanNode::Empty => Intermediate::default(),
-            PlanNode::Chain { terms, .. } => {
-                self.eval_chain_traced(index, terms, mode, log, steps, total)
-            }
+            PlanNode::Chain { terms, .. } => self.chain(index, terms, mode, run),
             PlanNode::Phrase { terms, .. } => {
-                let inter = self.eval_chain_traced(index, terms, mode, log, steps, total);
-                let mut w = WorkCounters::default();
+                let inter = self.chain(index, terms, mode, run);
                 let out = setops::phrase_filter(
                     index,
                     terms,
                     &inter,
-                    &mut w,
+                    &mut run.host,
                     &mut self.scratch.borrow_mut(),
                 );
-                cpu_setop_step(self, StepOp::PhraseCheck, &out, w, total, steps);
+                self.host_step(run, StepOp::PhraseCheck, out.len());
                 out
             }
             PlanNode::Intersect { children, .. } => {
-                let mut acc = self.eval_plan_traced(index, &children[0], mode, log, steps, total);
+                let mut acc = self.eval(index, &children[0], mode, run);
                 for c in &children[1..] {
                     if acc.is_empty() {
                         break;
                     }
-                    let part = self.eval_plan_traced(index, c, mode, log, steps, total);
-                    let mut w = WorkCounters::default();
-                    acc = setops::intersect_sets(&acc, &part, &mut w);
-                    cpu_setop_step(self, StepOp::IntersectSets, &acc, w, total, steps);
+                    let part = self.eval(index, c, mode, run);
+                    acc = setops::intersect_sets(&acc, &part, &mut run.host);
+                    self.host_step(run, StepOp::IntersectSets, acc.len());
                 }
                 acc
             }
             PlanNode::Union { children, .. } => {
-                let mut acc = self.eval_plan_traced(index, &children[0], mode, log, steps, total);
+                let mut acc = self.eval(index, &children[0], mode, run);
                 for c in &children[1..] {
-                    let part = self.eval_plan_traced(index, c, mode, log, steps, total);
-                    let mut w = WorkCounters::default();
-                    acc = setops::union(&acc, &part, &mut w);
-                    cpu_setop_step(self, StepOp::Union, &acc, w, total, steps);
+                    let part = self.eval(index, c, mode, run);
+                    acc = setops::union(&acc, &part, &mut run.host);
+                    self.host_step(run, StepOp::Union, acc.len());
                 }
                 acc
             }
             PlanNode::Difference { left, right, .. } => {
-                let l = self.eval_plan_traced(index, left, mode, log, steps, total);
+                let l = self.eval(index, left, mode, run);
                 if l.is_empty() {
                     return l;
                 }
-                let r = self.eval_plan_traced(index, right, mode, log, steps, total);
-                let mut w = WorkCounters::default();
-                let out = setops::difference(&l, &r, &mut w);
-                cpu_setop_step(self, StepOp::Difference, &out, w, total, steps);
+                let r = self.eval(index, right, mode, run);
+                let out = setops::difference(&l, &r, &mut run.host);
+                self.host_step(run, StepOp::Difference, out.len());
                 out
             }
         }
     }
 
-    /// One chain operator under a GPU-capable mode. GpuOnly runs the
-    /// whole chain on the device (falling back to the CPU on an
-    /// exhausted fault, like the flat GpuOnly path); Hybrid runs the
-    /// per-step scheduler — migrations, splits, and all.
-    fn eval_chain_traced(
+    /// The chain operator: a term conjunction evaluated to a scored,
+    /// host-resident intermediate. The mode is a placement constraint,
+    /// not a code path: [`ExecMode::Hybrid`] schedules every
+    /// intersection, [`ExecMode::GpuOnly`] places the whole chain on the
+    /// device (the host chain is its fault fallback), and
+    /// [`ExecMode::CpuOnly`] on the host.
+    fn chain(
         &self,
         index: &InvertedIndex,
         terms: &[TermId],
         mode: ExecMode,
-        log: &mut FaultLog,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
+        run: &mut Run,
     ) -> Intermediate {
-        if mode == ExecMode::Hybrid {
-            return self.hybrid_chain(log, index, terms, steps, total);
-        }
-        if !log.gpu_disabled {
-            let start = self.device.now();
-            let attempt = self.try_gpu(log, || self.gpu.eval_chain(index, terms));
-            match attempt {
-                Ok(host) => {
-                    self.device.stream_sync(StreamKind::Compute);
+        match mode {
+            ExecMode::Hybrid => return self.hybrid_chain(index, terms, run),
+            ExecMode::GpuOnly => {
+                let attempt = self.on_device(run, || {
+                    let host = self.gpu.eval_chain(index, terms);
+                    // Close the span, fault or not: leftover prefetches
+                    // (the chain can end early on an empty intermediate)
+                    // return to the cache's custody and all scheduled
+                    // work retires on the clock, so the step covers
+                    // everything this chain issued.
                     self.gpu.drain_prefetch();
-                    let t = self.device.now() - start;
-                    *total += t;
-                    steps.push(StepTrace {
-                        op: StepOp::Exec,
-                        proc: Proc::Gpu,
-                        time: t,
-                        inter_len: host.len(),
-                    });
-                    self.record_step(steps.last().expect("just pushed"));
+                    self.device.sync();
+                    host
+                });
+                if let Some((host, t)) = attempt {
+                    self.step(run, StepOp::Exec, Proc::Gpu, t, host.len());
                     return host;
                 }
-                Err(_) => {
-                    self.gpu.drain_prefetch();
-                    let wasted = self.device.now() - start;
-                    self.push_recovery_step(steps, total, wasted, 0);
-                }
             }
+            ExecMode::CpuOnly => {}
         }
-        // CPU fallback (device disabled for this query, or the chain's
-        // attempts were exhausted above).
-        let mut w = WorkCounters::default();
         let host = self
             .cpu
-            .eval_chain(index, terms, &mut w, &mut self.scratch.borrow_mut());
-        let t = self.cpu.model.time(&w);
-        self.record_cpu_work(&w);
-        *total += t;
-        steps.push(StepTrace {
-            op: StepOp::Exec,
-            proc: Proc::Cpu,
-            time: t,
-            inter_len: host.len(),
-        });
-        self.record_step(steps.last().expect("just pushed"));
+            .eval_chain(index, terms, &mut run.host, &mut self.scratch.borrow_mut());
+        self.host_step(run, StepOp::Exec, host.len());
         host
+    }
+
+    /// A chain's starting placement, decided on its first pairwise
+    /// ratio (`by_len` is the chain in execution order); a lone list
+    /// stays home on the CPU. A split keeps its intermediate
+    /// host-resident, so its residency view is the CPU too.
+    fn place_chain(&self, index: &InvertedIndex, by_len: &[TermId]) -> Proc {
+        let [first, second, ..] = *by_len else {
+            return Proc::Cpu;
+        };
+        let d = self.scheduler.decide_traced_resident(
+            index.doc_freq(first),
+            index.doc_freq(second),
+            Proc::Cpu,
+            self.residency(second),
+        );
+        self.record_decision(&d);
+        d.chosen.proc()
+    }
+
+    /// Pipelining: ships `next`'s list on the copy stream while the
+    /// kernels just scheduled run, if the scheduler will keep that
+    /// operation on the device. The prediction takes the same
+    /// (residency-aware) inputs as the next iteration's real decision.
+    fn prefetch_if_staying(&self, index: &InvertedIndex, inter_len: usize, next: TermId) {
+        let d = self.scheduler.decide_traced_resident(
+            inter_len,
+            index.doc_freq(next),
+            Proc::Gpu,
+            self.residency(next),
+        );
+        if d.chosen.proc() == Proc::Gpu {
+            self.gpu.prefetch(index, next);
+        }
+    }
+
+    /// One host-placed intersection of the hybrid chain.
+    fn host_intersect(
+        &self,
+        run: &mut Run,
+        index: &InvertedIndex,
+        host: &Intermediate,
+        term: TermId,
+    ) -> (Inter, VirtualNanos, Proc) {
+        let out = self.cpu.intersect_step_with(
+            index,
+            host,
+            term,
+            Strategy::Auto,
+            &mut run.host,
+            &mut self.scratch.borrow_mut(),
+        );
+        (Inter::Host(out), self.price_host(run), Proc::Cpu)
     }
 
     /// Executes one intersection as a CPU+GPU co-executed split.
@@ -1435,17 +1221,14 @@ impl<'g> Griffin<'g> {
     /// the split wastes only the device lane: the CPU lane's result is
     /// kept and only the device's range is re-run on the host (recorded
     /// as a [`StepOp::FaultRecovery`] step).
-    #[allow(clippy::too_many_arguments)]
     fn split_intersect(
         &self,
-        log: &mut FaultLog,
+        run: &mut Run,
         index: &InvertedIndex,
         i: usize,
         term: TermId,
         host: Intermediate,
         gpu_fraction: f64,
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
     ) -> Intermediate {
         let list = index.list(term);
         let nb = list.docs.num_blocks();
@@ -1476,10 +1259,10 @@ impl<'g> Griffin<'g> {
         let mut gpu_lane = VirtualNanos::ZERO;
         let mut gpu_wasted = VirtualNanos::ZERO;
         let mut gpu_part: Option<Intermediate> = None;
-        let run_gpu = split_block > 0 && cut > 0 && !log.gpu_disabled;
+        let run_gpu = split_block > 0 && cut > 0 && !run.log.gpu_disabled;
         if run_gpu {
             let start = self.device.now();
-            let attempt = self.try_gpu(log, || {
+            let attempt = self.try_gpu(run, || {
                 let score_bits: Vec<u32> = host.scores[..cut].iter().map(|s| s.to_bits()).collect();
                 let [docids, scores] = self
                     .device
@@ -1526,7 +1309,6 @@ impl<'g> Griffin<'g> {
 
         // CPU lane: blocks [split_block, nb) against the short suffix,
         // concurrent with the device lane on the host's own core.
-        let mut w = WorkCounters::default();
         let cpu_part = if cut < host.len() && split_block < nb {
             let tail = Intermediate {
                 docids: host.docids[cut..].to_vec(),
@@ -1537,14 +1319,13 @@ impl<'g> Griffin<'g> {
                 &tail,
                 term,
                 split_block..nb,
-                &mut w,
+                &mut run.host,
                 &mut self.scratch.borrow_mut(),
             ))
         } else {
             None
         };
-        let cpu_lane = self.cpu.model.time(&w);
-        self.record_cpu_work(&w);
+        let cpu_lane = self.price_host(run);
 
         // An abandoned device lane is re-run on the host — only its
         // range; the CPU lane's work is kept.
@@ -1555,50 +1336,35 @@ impl<'g> Griffin<'g> {
                 docids: host.docids[..cut].to_vec(),
                 scores: host.scores[..cut].to_vec(),
             };
-            let mut wr = WorkCounters::default();
             let rerun = self.cpu.intersect_step_range(
                 index,
                 &head,
                 term,
                 0..split_block,
-                &mut wr,
+                &mut run.host,
                 &mut self.scratch.borrow_mut(),
             );
-            recovery_time = self.cpu.model.time(&wr);
-            self.record_cpu_work(&wr);
+            recovery_time = self.price_host(run);
             gpu_part = Some(rerun);
         }
 
         // Concatenate: the lanes cover disjoint, ordered docID ranges.
-        let mut out = gpu_part.unwrap_or_else(|| Intermediate {
-            docids: Vec::new(),
-            scores: Vec::new(),
-        });
+        let mut out = gpu_part.unwrap_or_default();
         if let Some(mut tail) = cpu_part {
             out.docids.append(&mut tail.docids);
             out.scores.append(&mut tail.scores);
         }
 
         let gpu_busy = if gpu_failed { gpu_wasted } else { gpu_lane };
-        let step_time = if cpu_lane > gpu_busy {
-            cpu_lane
-        } else {
-            gpu_busy
+        let op = StepOp::SplitIntersect {
+            term: i + 1,
+            cpu_lane,
+            gpu_lane: gpu_busy,
         };
-        *total += step_time;
-        steps.push(StepTrace {
-            op: StepOp::SplitIntersect {
-                term: i + 1,
-                cpu_lane,
-                gpu_lane: gpu_busy,
-            },
-            proc: if run_gpu { Proc::Gpu } else { Proc::Cpu },
-            time: step_time,
-            inter_len: out.len(),
-        });
-        self.record_step(steps.last().expect("just pushed"));
+        let proc = if run_gpu { Proc::Gpu } else { Proc::Cpu };
+        self.step(run, op, proc, cpu_lane.max(gpu_busy), out.len());
         if gpu_failed {
-            self.push_recovery_step(steps, total, recovery_time, out.len());
+            self.recovery_step(run, recovery_time, out.len());
         }
 
         // Feedback and observability. The balancer only learns from real
@@ -1634,92 +1400,22 @@ impl<'g> Griffin<'g> {
         out
     }
 
-    fn process_hybrid(&self, index: &InvertedIndex, terms: &[TermId], k: usize) -> GriffinOutput {
-        let mut steps: Vec<StepTrace> = Vec::new();
-        let mut total = VirtualNanos::ZERO;
-        let mut log = FaultLog::default();
-        let host = self.hybrid_chain(&mut log, index, terms, &mut steps, &mut total);
-        if steps.is_empty() && host.is_empty() {
-            // Nothing ran (an empty query): keep the historical
-            // zero-time, zero-step output.
-            return GriffinOutput {
-                topk: Vec::new(),
-                time: VirtualNanos::ZERO,
-                steps,
-                gpu_faults: log.faults,
-                gpu_abandoned: log.gpu_disabled,
-                pruning: None,
-                fleet: None,
-                result_cache_hit: false,
-            };
-        }
-        let mut w = WorkCounters::default();
-        let topk = griffin_cpu::topk::top_k(&host.docids, &host.scores, k, &mut w);
-        let t_rank = self.cpu.model.time(&w);
-        self.record_cpu_work(&w);
-        total += t_rank;
-        steps.push(StepTrace {
-            op: StepOp::TopK,
-            proc: Proc::Cpu,
-            time: t_rank,
-            inter_len: topk.len(),
-        });
-        self.record_step(steps.last().expect("just pushed"));
-        GriffinOutput {
-            topk,
-            time: total,
-            steps,
-            gpu_faults: log.faults,
-            gpu_abandoned: log.gpu_disabled,
-            pruning: None,
-            fleet: None,
-            result_cache_hit: false,
-        }
-    }
-
-    /// The per-step hybrid AND-chain — the original engine's heart,
-    /// factored out so the plan executor can run it once per chain
-    /// operator. Plans the terms by document frequency, then decides
-    /// each pairwise intersection's processor (with migration, split
-    /// co-execution, prefetch, and fault recovery), and always returns
-    /// the intermediate host-resident (salvaging any device residency
-    /// at the end, like final ranking always did).
-    fn hybrid_chain(
-        &self,
-        log: &mut FaultLog,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        steps: &mut Vec<StepTrace>,
-        total: &mut VirtualNanos,
-    ) -> Intermediate {
+    /// The per-step hybrid AND-chain — the engine's heart, run once per
+    /// chain operator. Plans the terms by document frequency, then
+    /// decides each pairwise intersection's processor (with migration,
+    /// split co-execution, prefetch, and fault recovery), and always
+    /// returns the intermediate host-resident (salvaging any device
+    /// residency at the end, like final ranking always did).
+    fn hybrid_chain(&self, index: &InvertedIndex, terms: &[TermId], run: &mut Run) -> Intermediate {
         let planned = self.cpu.plan(index, terms);
         let Some((&first, rest)) = planned.split_first() else {
             return Intermediate::default();
         };
 
-        // Initial placement: decide on the first pairwise ratio (or the
-        // lone list's home if the query has a single term).
-        let first_len = index.doc_freq(first);
-        let initial = match rest.first() {
-            Some(&second) => {
-                let d = self.scheduler.decide_traced_resident(
-                    first_len,
-                    index.doc_freq(second),
-                    Proc::Cpu,
-                    self.residency(second),
-                );
-                self.record_decision(&d);
-                // A split keeps its intermediate host-resident, so its
-                // residency view places the init on the CPU.
-                d.chosen.proc()
-            }
-            None => Proc::Cpu,
-        };
-
-        let mut inter: Inter = match initial {
+        let mut inter: Inter = match self.place_chain(index, &planned) {
             Proc::Gpu => {
                 let start = self.device.now();
-                let attempt = self.try_gpu(log, || {
+                let attempt = self.try_gpu(run, || {
                     let postings = self.gpu.upload(index, first)?;
                     let dev = self.gpu.init_intermediate(&postings);
                     self.gpu.release(postings);
@@ -1727,59 +1423,24 @@ impl<'g> Griffin<'g> {
                 });
                 match attempt {
                     Ok(dev_inter) => {
-                        // Pipeline: ship the next list on the copy stream
-                        // while the init kernels run, if the scheduler
-                        // will keep that operation on the device.
                         if let Some(&second) = rest.first() {
-                            // The prediction mirrors the next iteration's
-                            // real (residency-aware) decision.
-                            let d = self.scheduler.decide_traced_resident(
-                                dev_inter.len,
-                                index.doc_freq(second),
-                                Proc::Gpu,
-                                self.residency(second),
-                            );
-                            if d.chosen.proc() == Proc::Gpu {
-                                self.gpu.prefetch(index, second);
-                            }
+                            self.prefetch_if_staying(index, dev_inter.len, second);
                         }
                         // End the span at a sync point so its duration
                         // covers the kernels this step scheduled.
                         self.device.stream_sync(StreamKind::Compute);
                         let t_up = self.device.now() - start;
-                        *total += t_up;
-                        steps.push(StepTrace {
-                            op: StepOp::Init,
-                            proc: Proc::Gpu,
-                            time: t_up,
-                            inter_len: dev_inter.len,
-                        });
-                        self.record_step(steps.last().expect("just pushed"));
+                        self.step(run, StepOp::Init, Proc::Gpu, t_up, dev_inter.len);
                         Inter::Device(dev_inter)
                     }
-                    Err(_) => {
-                        // Nothing materialized yet: the recovery is just
-                        // the wasted attempts plus a CPU init.
-                        let wasted = self.device.now() - start;
-                        let (host, t_rec) = self.salvage(log, index, &planned, 0, None);
-                        self.push_recovery_step(steps, total, wasted + t_rec, host.len());
-                        Inter::Host(host)
-                    }
+                    // Nothing materialized yet: the recovery is just the
+                    // wasted attempts plus a CPU init.
+                    Err(_) => Inter::Host(self.abandon(run, index, &planned, 0, None, start)),
                 }
             }
             Proc::Cpu => {
-                let mut w = WorkCounters::default();
-                let host = self.cpu.init_intermediate(index, first, &mut w);
-                let t = self.cpu.model.time(&w);
-                self.record_cpu_work(&w);
-                *total += t;
-                steps.push(StepTrace {
-                    op: StepOp::Init,
-                    proc: Proc::Cpu,
-                    time: t,
-                    inter_len: host.len(),
-                });
-                self.record_step(steps.last().expect("just pushed"));
+                let host = self.cpu.init_intermediate(index, first, &mut run.host);
+                self.host_step(run, StepOp::Init, host.len());
                 Inter::Host(host)
             }
         };
@@ -1789,7 +1450,7 @@ impl<'g> Griffin<'g> {
                 break;
             }
             let long_len = index.doc_freq(term);
-            let decision = if log.gpu_disabled {
+            let decision = if run.log.gpu_disabled {
                 Decision::Cpu
             } else {
                 let d = self.scheduler.decide_traced_resident(
@@ -1809,8 +1470,7 @@ impl<'g> Griffin<'g> {
                 let Inter::Host(host) = inter else {
                     unreachable!("split decisions require a host-resident intermediate")
                 };
-                let out =
-                    self.split_intersect(log, index, i, term, host, gpu_fraction, steps, total);
+                let out = self.split_intersect(run, index, i, term, host, gpu_fraction);
                 inter = Inter::Host(out);
                 continue;
             }
@@ -1821,7 +1481,7 @@ impl<'g> Griffin<'g> {
                 match (inter, target) {
                     (Inter::Host(h), Proc::Gpu) => {
                         let start = self.device.now();
-                        let shipped = self.try_gpu(log, || {
+                        let shipped = self.try_gpu(run, || {
                             let score_bits: Vec<u32> =
                                 h.scores.iter().map(|s| s.to_bits()).collect();
                             let [docids, scores] =
@@ -1841,40 +1501,20 @@ impl<'g> Griffin<'g> {
                         let t = self.device.now() - start;
                         match shipped {
                             Ok(dev) => {
+                                self.step(run, StepOp::Migrate, target, t, dev.len);
                                 inter = Inter::Device(dev);
-                                *total += t;
-                                steps.push(StepTrace {
-                                    op: StepOp::Migrate,
-                                    proc: target,
-                                    time: t,
-                                    inter_len: inter.len(),
-                                });
-                                self.record_step(steps.last().expect("just pushed"));
                             }
                             Err(_) => {
                                 // The intermediate never left the host:
                                 // stay there and run the op on the CPU.
-                                self.push_recovery_step(steps, total, t, h.len());
+                                self.recovery_step(run, t, h.len());
                                 inter = Inter::Host(h);
                                 target = Proc::Cpu;
                             }
                         }
                     }
                     (Inter::Device(dev), Proc::Cpu) => {
-                        let (host, t) = self.salvage(log, index, &planned, i, Some(dev));
-                        if log.gpu_disabled {
-                            self.push_recovery_step(steps, total, t, host.len());
-                        } else {
-                            *total += t;
-                            steps.push(StepTrace {
-                                op: StepOp::Migrate,
-                                proc: target,
-                                time: t,
-                                inter_len: host.len(),
-                            });
-                            self.record_step(steps.last().expect("just pushed"));
-                        }
-                        inter = Inter::Host(host);
+                        inter = Inter::Host(self.bring_home(run, index, &planned, i, dev));
                     }
                     (other, _) => inter = other,
                 }
@@ -1883,7 +1523,7 @@ impl<'g> Griffin<'g> {
             let (next, t, ran_on) = match (inter, target) {
                 (Inter::Device(dev), Proc::Gpu) => {
                     let start = self.device.now();
-                    let attempt = self.try_gpu(log, || {
+                    let attempt = self.try_gpu(run, || {
                         let postings = self.gpu.upload(index, term)?;
                         let out = self.gpu.intersect_step(
                             &dev,
@@ -1897,22 +1537,9 @@ impl<'g> Griffin<'g> {
                     match attempt {
                         Ok(out) => {
                             dev.free(self.device);
-                            // Pipeline: prefetch the term after this one
-                            // while this step's kernels run, if the
-                            // scheduler will keep it on the device. The
-                            // prediction uses the same inputs as the next
-                            // iteration's real decision.
                             if let Some(&next_term) = rest.get(i + 1) {
                                 if out.len > 0 {
-                                    let d = self.scheduler.decide_traced_resident(
-                                        out.len,
-                                        index.doc_freq(next_term),
-                                        Proc::Gpu,
-                                        self.residency(next_term),
-                                    );
-                                    if d.chosen.proc() == Proc::Gpu {
-                                        self.gpu.prefetch(index, next_term);
-                                    }
+                                    self.prefetch_if_staying(index, out.len, next_term);
                                 }
                             }
                             self.device.stream_sync(StreamKind::Compute);
@@ -1922,47 +1549,16 @@ impl<'g> Griffin<'g> {
                             // Abandon the GPU lane: drain (or re-run) the
                             // pre-step intermediate, then run this
                             // intersection on the CPU.
-                            let wasted = self.device.now() - start;
-                            let (host, t_rec) = self.salvage(log, index, &planned, i, Some(dev));
-                            self.push_recovery_step(steps, total, wasted + t_rec, host.len());
-                            let mut w = WorkCounters::default();
-                            let out = self.cpu.intersect_step_with(
-                                index,
-                                &host,
-                                term,
-                                Strategy::Auto,
-                                &mut w,
-                                &mut self.scratch.borrow_mut(),
-                            );
-                            self.record_cpu_work(&w);
-                            (Inter::Host(out), self.cpu.model.time(&w), Proc::Cpu)
+                            let host = self.abandon(run, index, &planned, i, Some(dev), start);
+                            self.host_intersect(run, index, &host, term)
                         }
                     }
                 }
-                (Inter::Host(host), Proc::Cpu) => {
-                    let mut w = WorkCounters::default();
-                    let out = self.cpu.intersect_step_with(
-                        index,
-                        &host,
-                        term,
-                        Strategy::Auto,
-                        &mut w,
-                        &mut self.scratch.borrow_mut(),
-                    );
-                    self.record_cpu_work(&w);
-                    (Inter::Host(out), self.cpu.model.time(&w), Proc::Cpu)
-                }
+                (Inter::Host(host), Proc::Cpu) => self.host_intersect(run, index, &host, term),
                 _ => unreachable!("intermediate was just migrated to the target"),
             };
             inter = next;
-            *total += t;
-            steps.push(StepTrace {
-                op: StepOp::Intersect(i + 1),
-                proc: ran_on,
-                time: t,
-                inter_len: inter.len(),
-            });
-            self.record_step(steps.last().expect("just pushed"));
+            self.step(run, StepOp::Intersect(i + 1), ran_on, t, inter.len());
         }
 
         // A prefetch predicted for a step that never ran on the device
@@ -1974,24 +1570,8 @@ impl<'g> Griffin<'g> {
         // The intermediate comes home: whatever follows the chain —
         // set operations, phrase checks, or final ranking — runs on
         // the CPU (Fig. 7).
-        let completed = rest.len();
         match inter {
-            Inter::Device(dev) => {
-                let (host, t) = self.salvage(log, index, &planned, completed, Some(dev));
-                if log.gpu_disabled {
-                    self.push_recovery_step(steps, total, t, host.len());
-                } else {
-                    *total += t;
-                    steps.push(StepTrace {
-                        op: StepOp::Migrate,
-                        proc: Proc::Cpu,
-                        time: t,
-                        inter_len: host.len(),
-                    });
-                    self.record_step(steps.last().expect("just pushed"));
-                }
-                host
-            }
+            Inter::Device(dev) => self.bring_home(run, index, &planned, rest.len(), dev),
             Inter::Host(h) => h,
         }
     }
@@ -2032,15 +1612,15 @@ impl Search<'_, '_> {
     }
 
     /// Opt into block-max top-k pruning (conjunctions only; other
-    /// query shapes ignore the flag and run the plan path).
+    /// query shapes ignore the flag and rank unpruned).
     pub fn pruned(mut self, pruned: bool) -> Self {
         self.pruned = pruned;
         self
     }
 
     /// Forgive out-of-vocabulary words: the parser maps them to a
-    /// match-nothing leaf instead of erroring, preserving the old
-    /// `search_lenient` behaviour. Syntax errors still error.
+    /// match-nothing leaf instead of erroring, so a conjunction with an
+    /// unknown word is empty. Syntax errors still error.
     pub fn lenient(mut self, lenient: bool) -> Self {
         self.lenient = lenient;
         self
@@ -2190,8 +1770,7 @@ mod tests {
             .search(&idx, "rust nonexistent", 10, ExecMode::Hybrid)
             .unwrap_err();
         assert_eq!(err, QueryError::UnknownTerm("nonexistent".into()));
-        // ...and an empty result from the lenient builder (which also
-        // preserves the deprecated `search_lenient` behaviour).
+        // ...and an empty result from the lenient builder.
         let none = griffin
             .query(&idx, "rust nonexistent")
             .lenient(true)
@@ -2199,11 +1778,7 @@ mod tests {
             .expect("lenient parses");
         assert!(none.topk.is_empty());
         assert_eq!(none.time, VirtualNanos::ZERO);
-        #[allow(deprecated)]
-        let legacy = griffin.search_lenient(&idx, &["rust", "nonexistent"], 10, ExecMode::Hybrid);
-        assert!(legacy.topk.is_empty());
-        assert_eq!(legacy.time, VirtualNanos::ZERO);
-        // The full grammar reaches the plan path: OR, negation, phrases.
+        // The full grammar: OR, negation, phrases.
         let planned = griffin
             .search(&idx, "\"rust gpu\" OR engine -cpu", 10, ExecMode::Hybrid)
             .expect("grammar parses");

@@ -174,27 +174,6 @@ impl Query {
         }
     }
 
-    /// If the query is a plain conjunction of terms — the original query
-    /// shape — returns the terms. This is the engine's fast path: such
-    /// queries run through the per-step AND-chain machinery (including
-    /// co-executed splits and block-max pruning) unchanged.
-    pub fn as_term_conjunction(&self) -> Option<Vec<TermId>> {
-        match self {
-            Query::Term(t) => Some(vec![*t]),
-            Query::And(children) => {
-                let mut terms = Vec::with_capacity(children.len());
-                for c in children {
-                    match c {
-                        Query::Term(t) => terms.push(*t),
-                        _ => return None,
-                    }
-                }
-                Some(terms)
-            }
-            _ => None,
-        }
-    }
-
     /// Total number of term occurrences in the tree (phrase terms count
     /// individually). Used for telemetry and planner sizing.
     pub fn num_terms(&self) -> usize {
@@ -633,30 +612,6 @@ mod tests {
             Query::Not(Box::new(Query::Nothing), Box::new(a.clone())).normalize(),
             Query::Nothing
         );
-    }
-
-    #[test]
-    fn as_term_conjunction_detects_the_fast_path() {
-        let i = idx();
-        let q = Query::parse(&i, "alpha beta gamma", false).unwrap();
-        assert_eq!(
-            q.as_term_conjunction(),
-            Some(vec![t(&i, "alpha"), t(&i, "beta"), t(&i, "gamma")])
-        );
-        assert_eq!(
-            Query::parse(&i, "alpha", false)
-                .unwrap()
-                .as_term_conjunction(),
-            Some(vec![t(&i, "alpha")])
-        );
-        assert!(Query::parse(&i, "alpha OR beta", false)
-            .unwrap()
-            .as_term_conjunction()
-            .is_none());
-        assert!(Query::parse(&i, "\"alpha beta\"", false)
-            .unwrap()
-            .as_term_conjunction()
-            .is_none());
     }
 
     #[test]

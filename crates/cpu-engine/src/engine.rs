@@ -650,21 +650,8 @@ impl CpuEngine {
     /// Full conjunctive query: SvS over all terms, BM25, top-k.
     pub fn process_query(&self, index: &InvertedIndex, terms: &[TermId], k: usize) -> QueryOutput {
         let mut w = WorkCounters::default();
-        let planned = self.plan(index, terms);
-        let Some((&first, rest)) = planned.split_first() else {
-            return QueryOutput {
-                topk: Vec::new(),
-                time: VirtualNanos::ZERO,
-                counters: w,
-            };
-        };
-        let mut inter = self.init_intermediate(index, first, &mut w);
-        for &t in rest {
-            if inter.is_empty() {
-                break;
-            }
-            inter = self.intersect_step(index, &inter, t, Strategy::Auto, &mut w);
-        }
+        let mut scratch = intersect::QueryScratch::default();
+        let inter = self.eval_chain(index, terms, &mut w, &mut scratch);
         let topk = topk::top_k(&inter.docids, &inter.scores, k, &mut w);
         QueryOutput {
             topk,
@@ -954,6 +941,9 @@ mod tests {
         let mut scratch = intersect::QueryScratch::default();
         let inter = engine.eval_chain(&idx, &q, &mut w, &mut scratch);
         let out = engine.process_query(&idx, &q, 100);
+        // The whole query is the chain's work plus the ranking's.
+        topk::top_k(&inter.docids, &inter.scores, 100, &mut w);
+        assert_eq!(out.counters, w);
         let mut expect: Vec<(u32, f32)> = inter.docids.into_iter().zip(inter.scores).collect();
         expect.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         assert_eq!(out.topk, expect);

@@ -21,9 +21,7 @@
 //! Set `GRIFFIN_FAULT_SEED` to vary the workload and fault schedule
 //! (the CI `cache-invariants` job sweeps a fixed set of seeds).
 
-use griffin_server::{
-    AdmissionConfig, GriffinServer, Outcome, OverloadPolicy, ServerConfig, SimConfig,
-};
+use griffin_server::{AdmissionConfig, GriffinServer, Outcome, OverloadPolicy, ServerConfig};
 use griffin_suite::griffin::{
     CachedResult, CostModel, QueryRequest, ResultCache, SplitConfig, RESULT_CACHE_LOOKUP,
 };
@@ -142,10 +140,10 @@ fn caches_off_with_noop_plans_and_forced_splits_stays_bit_exact() {
 
     let mut bits_baseline: Option<Vec<Vec<u32>>> = None;
     for split in [None, Some(forced(0.5))] {
-        let (bare, clock_bare) = run_requests(&fx, &reqs, ALL_OFF, split.clone(), None);
+        let (bare, clock_bare) = run_requests(&fx, &reqs, ALL_OFF, split, None);
         let plan = FaultPlan::seeded(seed);
         assert!(plan.is_noop(), "a freshly seeded plan must inject nothing");
-        let (armed, clock_armed) = run_requests(&fx, &reqs, ALL_OFF, split.clone(), Some(plan));
+        let (armed, clock_armed) = run_requests(&fx, &reqs, ALL_OFF, split, Some(plan));
 
         assert_eq!(clock_bare, clock_armed, "virtual clocks must agree");
         for (a, b) in bare.iter().zip(&armed) {

@@ -92,3 +92,88 @@ proptest! {
         prop_assert_eq!(got, reference);
     }
 }
+
+// ---------------------------------------------------------------------
+// Exact-nanosecond golden.
+// ---------------------------------------------------------------------
+
+/// Fixed text corpus (own xorshift, so no generator change can move it):
+/// 3 000 documents of Zipf-ish words, block length 32 so every list
+/// spans many blocks and block-max bounds discriminate.
+fn golden_index() -> InvertedIndex {
+    let mut b = griffin_index::IndexBuilder::new(Codec::EliasFano).with_block_len(32);
+    let mut state = 0x9e3779b97f4a7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for _ in 0..3_000 {
+        let len = 20 + (next() % 180) as usize;
+        let tokens: Vec<String> = (0..len)
+            .map(|_| {
+                let r = next() % 1000;
+                let word = if r < 500 {
+                    next() % 10
+                } else if r < 850 {
+                    10 + next() % 60
+                } else {
+                    70 + next() % 400
+                };
+                format!("w{word}")
+            })
+            .collect();
+        let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
+        b.add_document(&refs);
+    }
+    b.build()
+}
+
+/// `(mode, query shape, time in ns, "op@proc" per step)`, captured on
+/// the three-executor engine before it collapsed into one interpreter.
+/// `bench_diff`'s 5 % band cannot see a 1 ns drift; this can.
+#[rustfmt::skip]
+const GOLDEN: [(ExecMode, &str, u64, &str); 9] = [
+    (ExecMode::CpuOnly, "conjunction", 11894, "Exec@Cpu"),
+    (ExecMode::CpuOnly, "pruned", 10725, "Exec@Cpu"),
+    (ExecMode::CpuOnly, "tree", 4392561, "Exec@Cpu"),
+    (ExecMode::GpuOnly, "conjunction", 14644, "Exec@Gpu TopK@Cpu"),
+    (ExecMode::GpuOnly, "pruned", 15691, "Exec@Gpu TopK@Cpu"),
+    (ExecMode::GpuOnly, "tree", 4323064, "Exec@Gpu PhraseCheck@Cpu Exec@Gpu Exec@Gpu Difference@Cpu Union@Cpu Exec@Gpu Exec@Gpu Exec@Gpu Union@Cpu IntersectSets@Cpu Union@Cpu Exec@Gpu Union@Cpu TopK@Cpu"),
+    (ExecMode::Hybrid, "conjunction", 14207, "Init@Gpu Intersect(1)@Gpu Migrate@Cpu Intersect(2)@Cpu Intersect(3)@Cpu TopK@Cpu"),
+    (ExecMode::Hybrid, "pruned", 15691, "Exec@Gpu TopK@Cpu"),
+    (ExecMode::Hybrid, "tree", 4368192, "Init@Gpu Intersect(1)@Gpu Migrate@Cpu PhraseCheck@Cpu Init@Gpu Intersect(1)@Gpu Migrate@Cpu Init@Cpu Difference@Cpu Union@Cpu Init@Cpu Init@Cpu Init@Cpu Union@Cpu IntersectSets@Cpu Union@Cpu Init@Gpu Intersect(1)@Gpu Intersect(2)@Gpu Migrate@Cpu Union@Cpu TopK@Cpu"),
+];
+
+#[test]
+fn virtual_time_and_step_ops_match_the_golden_to_the_nanosecond() {
+    let idx = golden_index();
+    for (mode, shape, ns, ops) in GOLDEN {
+        // A fresh device per cell: cache residency never leaks across.
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let mut griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
+        // Pin the floor so these small lists reach the device.
+        griffin.scheduler.min_gpu_work = 64;
+        let search = match shape {
+            "conjunction" => griffin.query(&idx, "w75 w80 w12 w3"),
+            "pruned" => griffin.query(&idx, "w75 w80 w12 w3").pruned(true),
+            // Phrase, NOT, nested OR, and a chain that empties early.
+            _ => griffin.query(
+                &idx,
+                "\"w0 w1\" OR (w2 w14 -w30) OR (w5 (w80 OR w90)) OR (w75 w81 w92 w103 w3)",
+            ),
+        };
+        let out = search.k(10).mode(mode).run().expect("golden queries parse");
+        let got: Vec<String> = out
+            .steps
+            .iter()
+            .map(|s| format!("{:?}@{:?}", s.op, s.proc))
+            .collect();
+        assert_eq!(
+            (out.time.as_nanos(), got.join(" ").as_str()),
+            (ns, ops),
+            "{mode:?} {shape}"
+        );
+    }
+}

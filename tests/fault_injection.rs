@@ -13,7 +13,7 @@
 //! Set `GRIFFIN_FAULT_SEED` to explore other deterministic fault
 //! schedules (the CI chaos job sweeps a fixed set of seeds).
 
-use griffin_suite::griffin::StepOp;
+use griffin_suite::griffin::{Query, QueryRequest, StepOp};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::prelude::*;
 
@@ -26,7 +26,11 @@ fn fault_seed() -> u64 {
 
 struct Fixture {
     index: InvertedIndex,
-    queries: Vec<Vec<TermId>>,
+    /// Mode-less requests; every test stamps the mode it runs under.
+    /// The two shapes that take other operators than the flat chain — a
+    /// mixed AND/OR/NOT/phrase tree and a pruned conjunction — come
+    /// first, so low fault indices land inside them.
+    requests: Vec<QueryRequest>,
 }
 
 fn fixture() -> Fixture {
@@ -44,11 +48,52 @@ fn fixture() -> Fixture {
         ..Default::default()
     }
     .generate(&index, &mut rng);
-    Fixture { index, queries }
+    let and = |q: &[TermId]| Query::And(q.iter().copied().map(Query::Term).collect());
+    let (a, b) = (&queries[0], &queries[1]);
+    // Synthetic list indexes put term `i` at token position `i`, so a
+    // phrase of consecutive term ids can match.
+    let p = a[0].0.min(18);
+    let phrase = Query::Phrase(vec![TermId(p), TermId(p + 1)]);
+    let tree = Query::Or(vec![
+        Query::Not(Box::new(and(a)), Box::new(Query::Term(b[0]))),
+        Query::And(vec![and(b), Query::Or(vec![Query::Term(a[0]), phrase])]),
+    ]);
+    let mut requests = vec![
+        QueryRequest::from_query(tree),
+        QueryRequest::new(a.clone()).pruned(true),
+    ];
+    requests.extend(queries.into_iter().map(QueryRequest::new));
+    Fixture { index, requests }
 }
 
-fn ids(out: &GriffinOutput) -> Vec<u32> {
-    out.topk.iter().map(|&(d, _)| d).collect()
+/// (docid, score bits): answers must agree to the last ulp.
+fn bits(out: &GriffinOutput) -> Vec<(u32, u32)> {
+    out.topk.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+}
+
+/// The CPU-only answers, computed once on a healthy device.
+fn cpu_truth(fx: &Fixture) -> Vec<Vec<(u32, u32)>> {
+    let gpu = Gpu::new(DeviceConfig::test_tiny());
+    let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    fx.requests
+        .iter()
+        .map(|r| bits(&griffin.run(&fx.index, &r.clone().mode(ExecMode::CpuOnly))))
+        .collect()
+}
+
+/// The accounting every faulted run must keep: steps sum to the total,
+/// and a recovery step appears iff a fault escalated past its retries.
+fn assert_accounting(out: &GriffinOutput, ctx: &str) {
+    assert_eq!(
+        step_sum(out),
+        out.time,
+        "steps must sum to the total ({ctx})"
+    );
+    assert_eq!(
+        out.steps.iter().any(|s| s.op == StepOp::FaultRecovery),
+        out.gpu_abandoned,
+        "a FaultRecovery step iff a fault escalated ({ctx})"
+    );
 }
 
 fn step_sum(out: &GriffinOutput) -> VirtualNanos {
@@ -65,11 +110,11 @@ fn armed_noop_plan_is_bit_exact_with_no_plan() {
         gpu.set_fault_plan(plan);
         let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
         let outs: Vec<GriffinOutput> = fx
-            .queries
+            .requests
             .iter()
-            .flat_map(|q| {
+            .flat_map(|r| {
                 [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid]
-                    .map(|mode| griffin.process_query(&fx.index, q, 10, mode))
+                    .map(|mode| griffin.run(&fx.index, &r.clone().mode(mode)))
             })
             .collect();
         let clock = gpu.now();
@@ -98,32 +143,26 @@ fn sticky_device_loss_at_any_index_degrades_but_never_fails() {
     let fx = fixture();
     let seed = fault_seed();
 
-    // CPU-only ground truth, computed once on a healthy device.
-    let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    let truth: Vec<Vec<u32>> = fx
-        .queries
-        .iter()
-        .map(|q| ids(&griffin.process_query(&fx.index, q, 10, ExecMode::CpuOnly)))
-        .collect();
+    let truth = cpu_truth(&fx);
 
-    // Lose the device at a spread of operation indices, including deep
-    // into the stream; every Hybrid query must still return the exact
-    // CPU answer with exact step accounting.
-    for lost_at in [0u64, 1, 2, 5, 11, 23, 47, 120, 400] {
+    // Lose the device across the ~580 operations the tree and the pruned
+    // conjunction span under the two modes (a prime stride, so every kind
+    // of operation — allocation, upload, launch, download — is hit);
+    // every GPU-capable run must still return the exact CPU answer with
+    // exact step accounting.
+    for lost_at in (0u64..600).step_by(37) {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         gpu.set_fault_plan(Some(FaultPlan::seeded(seed).lose_device_at(lost_at)));
         let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
         let mut saw_fault = false;
-        for (q, expect) in fx.queries.iter().zip(&truth) {
-            let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
-            assert_eq!(&ids(&out), expect, "lost_at={lost_at}");
-            assert_eq!(
-                step_sum(&out),
-                out.time,
-                "steps must sum to the total (lost_at={lost_at})"
-            );
-            saw_fault |= out.gpu_faults > 0;
+        for (r, expect) in fx.requests.iter().zip(&truth) {
+            for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
+                let out = griffin.run(&fx.index, &r.clone().mode(mode));
+                let ctx = format!("lost_at={lost_at} mode={mode:?} query={:?}", r.query);
+                assert_eq!(&bits(&out), expect, "{ctx}");
+                assert_accounting(&out, &ctx);
+                saw_fault |= out.gpu_faults > 0;
+            }
         }
         assert!(saw_fault, "device loss at {lost_at} must surface as faults");
         griffin.gpu.shutdown();
@@ -140,23 +179,18 @@ fn random_fault_storm_preserves_answers_and_accounting() {
     let fx = fixture();
     let seed = fault_seed();
 
-    let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    let truth: Vec<Vec<u32>> = fx
-        .queries
-        .iter()
-        .map(|q| ids(&griffin.process_query(&fx.index, q, 10, ExecMode::CpuOnly)))
-        .collect();
+    let truth = cpu_truth(&fx);
 
     for rate in [0.001, 0.01, 0.2] {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         gpu.set_fault_plan(Some(FaultPlan::seeded(seed).with_fault_rate(rate)));
         let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-        for (q, expect) in fx.queries.iter().zip(&truth) {
+        for (r, expect) in fx.requests.iter().zip(&truth) {
             for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
-                let out = griffin.process_query(&fx.index, q, 10, mode);
-                assert_eq!(&ids(&out), expect, "rate={rate} mode={mode:?}");
-                assert_eq!(step_sum(&out), out.time, "rate={rate} mode={mode:?}");
+                let out = griffin.run(&fx.index, &r.clone().mode(mode));
+                let ctx = format!("rate={rate} mode={mode:?} query={:?}", r.query);
+                assert_eq!(&bits(&out), expect, "{ctx}");
+                assert_accounting(&out, &ctx);
             }
         }
         griffin.gpu.shutdown();
@@ -170,8 +204,7 @@ fn fault_recovery_steps_appear_exactly_when_faults_escalate() {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     gpu.set_fault_plan(Some(FaultPlan::seeded(fault_seed()).lose_device_at(3)));
     let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    let q = &fx.queries[0];
-    let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
+    let out = griffin.run(&fx.index, &fx.requests[2]);
     assert!(
         out.steps.iter().any(|s| s.op == StepOp::FaultRecovery),
         "an exhausted fault must leave a FaultRecovery step"
