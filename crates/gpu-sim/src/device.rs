@@ -1,14 +1,15 @@
 //! The simulated device: memory management, transfers, kernel launches, and
 //! the virtual clock.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::clock::VirtualNanos;
 use crate::config::DeviceConfig;
 use crate::fault::{DeviceError, FaultKind, FaultPlan, FaultState, OpClass};
-use crate::kernel::{run_block, Kernel, LaunchConfig};
-use crate::mem::{DeviceBuffer, DeviceWord, MemStats, Pool, WriteLog};
+use crate::kernel::{check_launch, run_blocks, Executor, Kernel, LaunchConfig};
+use crate::mem::{DeviceBuffer, DeviceWord, MemStats, Pool};
 use crate::observe::{DeviceEvent, DeviceObserver, TransferDir};
 use crate::pcie::transfer_time;
 use crate::stream::{StreamEvent, StreamKind, StreamTable};
@@ -40,9 +41,15 @@ pub struct Gpu {
     pool: Mutex<Pool>,
     clock_ns: AtomicU64,
     stats: MemStats,
-    /// Below this many threads a launch runs on one host thread (spawning
-    /// costs more than it saves).
-    parallel_threshold: u64,
+    /// Host threads a launch may use, the caller included: one fewer than
+    /// the host has, because a helper is only dependable on a core nothing
+    /// else wants (see `run_by_work`). Resolved once: asking the OS
+    /// reads cgroup files and costs about as much as a small launch.
+    workers: usize,
+    /// The write logs and block scratch of those threads, reused from
+    /// launch to launch (the caller's first; the rest appear with the first
+    /// launch that fans out). Locked after `pool`, by launches only.
+    executors: Mutex<Vec<Executor>>,
     /// Passive telemetry hook (see [`crate::observe`]). The flag keeps the
     /// disabled-path cost to one relaxed atomic load per operation.
     observed: AtomicBool,
@@ -67,7 +74,8 @@ impl Gpu {
             pool: Mutex::new(Pool::default()),
             clock_ns: AtomicU64::new(0),
             stats: MemStats::default(),
-            parallel_threshold: 1 << 15,
+            workers: std::thread::available_parallelism().map_or(1, |n| (n.get() - 1).max(1)),
+            executors: Mutex::new(vec![Executor::default()]),
             observed: AtomicBool::new(false),
             observer: Mutex::new(None),
             ops: AtomicU64::new(0),
@@ -507,7 +515,7 @@ impl Gpu {
         self.stream_sync(StreamKind::Compute);
         let pool = self.lock_pool();
         let out: Vec<T> = pool
-            .words(buf.id)
+            .words_of(buf.id, buf.generation)
             .iter()
             .map(|&w| T::from_word(w))
             .collect();
@@ -541,7 +549,7 @@ impl Gpu {
         }
         self.stream_sync(StreamKind::Compute);
         let pool = self.lock_pool();
-        let out: Vec<T> = pool.words(buf.id)[..len]
+        let out: Vec<T> = pool.words_of(buf.id, buf.generation)[..len]
             .iter()
             .map(|&w| T::from_word(w))
             .collect();
@@ -563,12 +571,12 @@ impl Gpu {
     /// debugging/tests only).
     pub fn peek<T: DeviceWord>(&self, buf: &DeviceBuffer<T>, idx: usize) -> T {
         let pool = self.lock_pool();
-        T::from_word(pool.words(buf.id)[idx])
+        T::from_word(pool.words_of(buf.id, buf.generation)[idx])
     }
 
     /// Release a buffer. Charges the `cudaFree` overhead.
     pub fn free<T: DeviceWord>(&self, buf: DeviceBuffer<T>) {
-        self.lock_pool().free(buf.id);
+        self.lock_pool().free(buf.id, buf.generation);
         self.stats.on_free();
         self.advance(VirtualNanos::from_nanos(self.cfg.free_overhead_ns));
     }
@@ -590,40 +598,75 @@ impl Gpu {
         kernel: &K,
         lc: LaunchConfig,
     ) -> Result<LaunchReport, DeviceError> {
+        self.launch_split(kernel, lc, None)
+    }
+
+    /// [`Gpu::launch`] with the split of the grid over host threads given
+    /// instead of decided by work: chunk `i` is the blocks from
+    /// `chunk_ends[i - 1]` (0 for the first) up to `chunk_ends[i]`, and the
+    /// last entry is the grid size. Exists so that tests can show that no
+    /// result depends on the split.
+    #[doc(hidden)]
+    pub fn launch_chunked<K: Kernel>(
+        &self,
+        kernel: &K,
+        lc: LaunchConfig,
+        chunk_ends: &[u32],
+    ) -> Result<LaunchReport, DeviceError> {
+        assert!(
+            chunk_ends.last() == Some(&lc.grid_dim)
+                && chunk_ends[0] > 0
+                && chunk_ends.windows(2).all(|w| w[0] < w[1]),
+            "chunk ends {chunk_ends:?} do not partition a grid of {}",
+            lc.grid_dim
+        );
+        self.launch_split(kernel, lc, Some(chunk_ends))
+    }
+
+    fn launch_split<K: Kernel>(
+        &self,
+        kernel: &K,
+        lc: LaunchConfig,
+        chunk_ends: Option<&[u32]>,
+    ) -> Result<LaunchReport, DeviceError> {
         let fault = self.fault_check(OpClass::Kernel);
         if let Some((op, FaultKind::DeviceLost)) = fault {
             self.join_streams_for_error();
             self.advance(VirtualNanos::from_nanos(self.cfg.kernel_launch_overhead_ns));
             return Err(DeviceError::DeviceLost { op_index: op });
         }
+        check_launch(kernel, &self.cfg, lc);
 
         let mut pool = self.lock_pool();
+        // Recover from poison like `lock_pool`: every executor is cleared
+        // where it is next used, so a launch that panicked (and so never
+        // reached the clear at retire) leaves nothing a later one can see.
+        let mut execs = self.executors.lock().unwrap_or_else(|p| p.into_inner());
+        for exec in execs.iter_mut() {
+            exec.log.clear();
+        }
         let warps_per_block = lc.block_dim.div_ceil(self.cfg.warp_size);
-        let total_warps = u64::from(lc.grid_dim) * u64::from(warps_per_block);
 
-        let (mut counters, logs) =
-            if lc.total_threads() < self.parallel_threshold || lc.grid_dim == 1 {
-                let mut counters = LaunchCounters::default();
-                let mut log = WriteLog::default();
-                for b in 0..lc.grid_dim {
-                    run_block(kernel, &self.cfg, lc, b, &pool, &mut log, &mut counters);
-                }
-                (counters, vec![log])
-            } else {
-                self.launch_parallel(kernel, lc, &pool)
-            };
-
-        counters.total_warps = total_warps;
-        counters.stores_applied = logs.iter().map(|l| l.stores() as u64).sum();
+        let mut counters = match chunk_ends {
+            None => self.run_by_work(kernel, lc, &pool, &mut execs),
+            Some(ends) => run_chunks(kernel, &self.cfg, lc, &pool, &mut execs, ends.len(), |i| {
+                let first = if i == 0 { 0 } else { ends[i - 1] };
+                first..ends[i]
+            }),
+        };
+        counters.total_warps = u64::from(lc.grid_dim) * u64::from(warps_per_block);
+        counters.stores_applied = execs.iter().map(|e| e.log.stores() as u64).sum();
         counters.extrapolate();
 
-        if fault.is_none() {
-            for log in logs {
-                if !log.is_empty() {
-                    log.apply(&mut pool);
-                }
+        // Executor `i` ran lower-numbered blocks than executor `i + 1`, so
+        // this is block order whatever the split was.
+        for exec in execs.iter_mut() {
+            if fault.is_none() {
+                exec.log.apply(&mut pool);
             }
+            exec.log.clear();
         }
+        drop(execs);
         drop(pool);
 
         let breakdown = kernel_time(&self.cfg, &counters);
@@ -663,53 +706,46 @@ impl Gpu {
         Ok(report)
     }
 
-    /// Execute blocks on multiple host threads. Each worker owns a write
-    /// log and counter set; logs are applied in worker order (deterministic
-    /// because workers own contiguous block ranges).
-    fn launch_parallel<K: Kernel>(
+    /// Executes the grid, on several host threads when the work pays for
+    /// them. The caller runs block 0 and counts what its threads did; the
+    /// remaining blocks are fanned out only if, at that block's count, they
+    /// hold more than [`FAN_OUT_MIN_CALLS`]. Thread count alone says little:
+    /// a thread of `para_ef.tf_decode` costs a hundred times one of
+    /// `para_ef.popc`. The rule reads no clock, so one launch takes the same
+    /// path every time it is run on one host.
+    ///
+    /// The last core is left alone. On a two-core host the second core is
+    /// where everything else runs (measured on a 2-vCPU VM: the same pass
+    /// split two ways took between 0.65x and 1.2x the caller alone from one
+    /// minute to the next, and the median query up to 40 % longer), so there
+    /// every launch stays on its caller.
+    fn run_by_work<K: Kernel>(
         &self,
         kernel: &K,
         lc: LaunchConfig,
         pool: &Pool,
-    ) -> (LaunchCounters, Vec<WriteLog>) {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(lc.grid_dim as usize)
-            .max(1);
-        let chunk = (lc.grid_dim as usize).div_ceil(workers);
+        execs: &mut Vec<Executor>,
+    ) -> LaunchCounters {
         let cfg = &self.cfg;
-
-        let mut results: Vec<(LaunchCounters, WriteLog)> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let first = w * chunk;
-                let last = ((w + 1) * chunk).min(lc.grid_dim as usize);
-                if first >= last {
-                    break;
-                }
-                handles.push(scope.spawn(move || {
-                    let mut counters = LaunchCounters::default();
-                    let mut log = WriteLog::default();
-                    for b in first..last {
-                        run_block(kernel, cfg, lc, b as u32, pool, &mut log, &mut counters);
-                    }
-                    (counters, log)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("kernel block executor panicked"));
-            }
-        });
-
+        let grid = lc.grid_dim;
         let mut counters = LaunchCounters::default();
-        let mut logs = Vec::with_capacity(results.len());
-        for (c, log) in results {
-            counters.merge(&c);
-            logs.push(log);
+        if self.workers == 1 || grid == 1 {
+            run_blocks(kernel, cfg, lc, 0..grid, pool, &mut execs[0], &mut counters);
+            return counters;
         }
-        (counters, logs)
+        let calls = run_blocks(kernel, cfg, lc, 0..1, pool, &mut execs[0], &mut counters);
+        let rest = grid - 1;
+        if calls.saturating_mul(u64::from(rest)) < FAN_OUT_MIN_CALLS {
+            run_blocks(kernel, cfg, lc, 1..grid, pool, &mut execs[0], &mut counters);
+            return counters;
+        }
+        let per_chunk = rest.div_ceil(self.workers.min(rest as usize) as u32);
+        let chunks = rest.div_ceil(per_chunk) as usize;
+        counters.merge(&run_chunks(kernel, cfg, lc, pool, execs, chunks, |i| {
+            let first = 1 + i as u32 * per_chunk;
+            first..(first + per_chunk).min(grid)
+        }));
+        counters
     }
 
     /// Aggregate transfer/allocation statistics for reports.
@@ -722,6 +758,54 @@ impl Gpu {
             peak_bytes: self.stats.peak_bytes.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Loads, stores and branches in a launch's remaining blocks above which
+/// they are fanned out. One costs the host 2.5-6.5 ns in every kernel of
+/// this repository (3 ns in most), so this is about a millisecond: fifty
+/// times the ~20 us it takes to spawn and join a scoped thread, and such
+/// launches are seven eighths of a `trec-hybrid` pass.
+const FAN_OUT_MIN_CALLS: u64 = 300_000;
+
+/// Executes `chunks` contiguous block ranges, chunk `i` on `execs[i]`: the
+/// calling thread runs chunk 0 itself while scoped threads run the others.
+/// Counters are sums and each log holds its own chunk's stores in block
+/// order, so nothing observable depends on how the grid was cut.
+fn run_chunks<K: Kernel>(
+    kernel: &K,
+    cfg: &DeviceConfig,
+    lc: LaunchConfig,
+    pool: &Pool,
+    execs: &mut Vec<Executor>,
+    chunks: usize,
+    blocks_of: impl Fn(usize) -> Range<u32>,
+) -> LaunchCounters {
+    if execs.len() < chunks {
+        execs.resize_with(chunks, Executor::default);
+    }
+    let (own, others) = execs[..chunks]
+        .split_first_mut()
+        .expect("a launch has at least one chunk");
+    let mut counters = LaunchCounters::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = others
+            .iter_mut()
+            .enumerate()
+            .map(|(i, exec)| {
+                let blocks = blocks_of(i + 1);
+                scope.spawn(move || {
+                    let mut counters = LaunchCounters::default();
+                    run_blocks(kernel, cfg, lc, blocks, pool, exec, &mut counters);
+                    counters
+                })
+            })
+            .collect();
+        run_blocks(kernel, cfg, lc, blocks_of(0), pool, own, &mut counters);
+        for handle in handles {
+            counters.merge(&handle.join().expect("kernel block executor panicked"));
+        }
+    });
+    counters
 }
 
 /// Point-in-time copy of device statistics.
@@ -778,9 +862,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_paths_agree() {
-        let gpu = Gpu::new(DeviceConfig::test_tiny());
-        let n = 200_000; // forces the parallel path
+    fn a_launch_worth_fanning_out_is_functionally_exact() {
+        let mut gpu = Gpu::new(DeviceConfig::test_tiny());
+        gpu.workers = 3; // whatever the host has
+        let executors = |gpu: &Gpu| gpu.executors.lock().unwrap().len();
+        let small = AddOne {
+            src: gpu.htod(&[7u32; 90_000]).unwrap(),
+            dst: gpu.alloc::<u32>(90_000).unwrap(),
+            n: 90_000,
+        };
+        // Three calls per thread: 270 000 stay on the caller, 600 000 do not.
+        gpu.launch(&small, LaunchConfig::cover(small.n, 256))
+            .unwrap();
+        assert_eq!(executors(&gpu), 1);
+        let n = 200_000;
         let data: Vec<u32> = (0..n as u32).collect();
         let src = gpu.htod(&data).unwrap();
         let dst = gpu.alloc::<u32>(n).unwrap();
@@ -794,9 +889,40 @@ mod tests {
                 LaunchConfig::cover(n, 256),
             )
             .unwrap();
+        assert_eq!(executors(&gpu), 3);
         assert_eq!(report.counters.stores_applied, n as u64);
         let out = gpu.dtoh(&dst).unwrap();
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+    }
+
+    #[test]
+    fn a_stale_handle_is_caught_once_its_slot_is_reused() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let a = gpu.htod(&[1u32, 2, 3]).unwrap();
+        let stale = a.clone();
+        gpu.free(a);
+        let b = gpu.htod(&[4u32, 5, 6]).unwrap();
+        assert_eq!(b.id, stale.id, "B took over A's slot");
+        let caught = |f: &dyn Fn()| {
+            let err = catch_unwind(AssertUnwindSafe(f)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("stale device buffer handle"), "{msg}");
+        };
+        caught(&|| {
+            let _ = gpu.dtoh(&stale);
+        });
+        caught(&|| {
+            let _ = gpu.dtoh_prefix(&stale, 1);
+        });
+        caught(&|| {
+            let _ = gpu.peek(&stale, 0);
+        });
+        caught(&|| gpu.free(stale.clone()));
+        // B is untouched by all of it.
+        assert_eq!(gpu.dtoh(&b).unwrap(), vec![4, 5, 6]);
+        gpu.free(b);
+        assert_eq!(gpu.mem_in_use(), 0);
     }
 
     #[test]
@@ -1024,28 +1150,52 @@ mod tests {
         gpu.free(buf);
     }
 
-    struct PanicKernel;
+    /// Stores, loads and branches like `AddOne`, then panics half-way
+    /// through the grid: the executor is left with a part-filled log and
+    /// open trace sites.
+    struct PanicKernel(AddOne);
     impl Kernel for PanicKernel {
         type State = ();
-        fn run_phase(&self, _p: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
-            if t.global_thread_idx() == 0 {
+        fn run_phase(&self, p: usize, t: &mut ThreadCtx<'_>, s: &mut ()) {
+            self.0.run_phase(p, t, s);
+            if t.block_idx == 1 && t.thread_idx == 40 {
                 panic!("kernel bug");
             }
         }
     }
 
     #[test]
-    fn panicking_kernel_does_not_poison_the_pool() {
+    fn panicking_kernel_poisons_neither_the_pool_nor_the_next_launch() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
+        let add_one = |gpu: &Gpu| AddOne {
+            src: gpu.htod(&(0u32..500).collect::<Vec<_>>()).unwrap(),
+            dst: gpu.alloc::<u32>(500).unwrap(),
+            n: 500,
+        };
+        let lc = LaunchConfig::cover(500, 128);
         let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let doomed = PanicKernel(add_one(&gpu));
         let r = catch_unwind(AssertUnwindSafe(|| {
-            let _ = gpu.launch(&PanicKernel, LaunchConfig::cover(64, 64));
+            let _ = gpu.launch(&doomed, lc);
         }));
         assert!(r.is_err());
-        // The pool lock was held across the panic; later ops must recover.
-        let buf = gpu.htod(&[1u32, 2, 3]).unwrap();
-        assert_eq!(gpu.dtoh(&buf).unwrap(), vec![1, 2, 3]);
-        gpu.free(buf);
+        assert!(
+            gpu.dtoh(&doomed.0.dst).unwrap().iter().all(|&v| v == 0),
+            "a launch that never retired stores nothing"
+        );
+        // The pool and executor locks were held across the panic; a later
+        // launch must find neither poisoned, and nothing of the dead one.
+        let kernel = add_one(&gpu);
+        let report = gpu.launch(&kernel, lc).unwrap();
+        let fresh = Gpu::new(DeviceConfig::test_tiny());
+        let fresh_kernel = add_one(&fresh);
+        let fresh_report = fresh.launch(&fresh_kernel, lc).unwrap();
+        assert_eq!(report.counters, fresh_report.counters);
+        assert_eq!(report.time, fresh_report.time);
+        assert_eq!(
+            gpu.dtoh(&kernel.dst).unwrap(),
+            fresh.dtoh(&fresh_kernel.dst).unwrap()
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The kernel programming model: grids, blocks, warps, phases, and the
 //! [`ThreadCtx`] through which kernel code touches device state.
 
+use std::ops::Range;
+
 use crate::config::DeviceConfig;
 use crate::mem::{DeviceBuffer, DeviceWord, Pool, WriteLog};
 use crate::tracer::{LaunchCounters, Op, WarpTraceState};
@@ -229,17 +231,21 @@ impl<'a> ThreadCtx<'a> {
     }
 }
 
-/// Runs all phases of `kernel` for one block, accumulating stores into
-/// `writes` and sampled counters into `counters`.
-pub(crate) fn run_block<K: Kernel>(
-    kernel: &K,
-    cfg: &DeviceConfig,
-    lc: LaunchConfig,
-    block_idx: u32,
-    pool: &Pool,
-    writes: &mut WriteLog,
-    counters: &mut LaunchCounters,
-) {
+/// What one host thread needs to execute blocks: its write log and the
+/// per-block scratch. The device owns its executors and reuses them from
+/// launch to launch, so everything here is cleared where it is next used,
+/// never reallocated (and never trusted to be clean: a kernel that
+/// panicked mid-block leaves its executor as it was).
+#[derive(Default)]
+pub(crate) struct Executor {
+    pub(crate) log: WriteLog,
+    shared: Vec<u32>,
+    /// One trace state per warp of a block; only sampled warps use theirs.
+    traces: Vec<WarpTraceState>,
+}
+
+/// Panics unless the device can run `kernel` with this geometry.
+pub(crate) fn check_launch<K: Kernel>(kernel: &K, cfg: &DeviceConfig, lc: LaunchConfig) {
     let bdim = lc.block_dim;
     assert!(
         bdim <= cfg.max_threads_per_block,
@@ -252,54 +258,87 @@ pub(crate) fn run_block<K: Kernel>(
         "kernel requests {smem_words} shared words, device has {}",
         cfg.shared_mem_words_per_block
     );
-    let mut shared = vec![0u32; smem_words];
-    let mut states: Vec<K::State> = (0..bdim).map(|_| K::State::default()).collect();
+}
 
+/// Runs all phases of `kernel` for the blocks in `blocks`, in order,
+/// appending stores to the executor's log and sampled counters to
+/// `counters`. Returns how many loads, stores and branches the threads made
+/// (all of them, not the sampled ones): what the host paid for, counted.
+pub(crate) fn run_blocks<K: Kernel>(
+    kernel: &K,
+    cfg: &DeviceConfig,
+    lc: LaunchConfig,
+    blocks: Range<u32>,
+    pool: &Pool,
+    exec: &mut Executor,
+    counters: &mut LaunchCounters,
+) -> u64 {
+    let bdim = lc.block_dim;
+    let smem_words = kernel.shared_mem_words(bdim);
     let warp_size = cfg.warp_size;
     let warps_in_block = bdim.div_ceil(warp_size);
-    let stride = cfg.trace_sample_stride.max(1);
-    let mut traces: Vec<Option<WarpTraceState>> = (0..warps_in_block)
-        .map(|w| {
-            let global_warp = u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w);
-            (global_warp % u64::from(stride) == 0).then(WarpTraceState::default)
-        })
-        .collect();
-
+    let stride = u64::from(cfg.trace_sample_stride.max(1));
     let phases = kernel.phases();
-    for phase in 0..phases {
-        for w in 0..warps_in_block {
-            let mut tr = traces[w as usize].as_mut();
-            let first = w * warp_size;
-            let last = (first + warp_size).min(bdim);
-            for tid in first..last {
-                let mut ctx = ThreadCtx {
-                    block_idx,
-                    block_dim: bdim,
-                    thread_idx: tid,
-                    grid_dim: lc.grid_dim,
-                    pool,
-                    writes,
-                    shared: &mut shared,
-                    trace: tr.as_deref_mut(),
-                    transaction_bytes: cfg.transaction_bytes,
-                    branch_site: 0,
-                    mem_site: 0,
-                };
-                kernel.run_phase(phase, &mut ctx, &mut states[tid as usize]);
-            }
-            if let Some(tr) = traces[w as usize].as_mut() {
-                tr.reset_phase();
-            }
-        }
-    }
 
-    for tr in traces.into_iter().flatten() {
-        let mut tr = tr;
-        tr.flush_sites();
-        if tr.counters.active_lanes == 0 {
-            // active_lanes not tracked per-op; mark the warp live.
-            tr.counters.active_lanes = warp_size.min(bdim);
-        }
-        counters.absorb(&tr.counters);
+    let Executor {
+        log,
+        shared,
+        traces,
+    } = exec;
+    if traces.len() < warps_in_block as usize {
+        traces.resize_with(warps_in_block as usize, WarpTraceState::default);
     }
+    let mut states: Vec<K::State> = (0..bdim).map(|_| K::State::default()).collect();
+    let mut calls = 0u64;
+
+    for block_idx in blocks {
+        shared.clear();
+        shared.resize(smem_words, 0);
+        let sampled = |w: u32| {
+            (u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w)) % stride == 0
+        };
+        for w in (0..warps_in_block).filter(|&w| sampled(w)) {
+            traces[w as usize].reset();
+        }
+
+        for phase in 0..phases {
+            for w in 0..warps_in_block {
+                let mut tr = if sampled(w) {
+                    Some(&mut traces[w as usize])
+                } else {
+                    None
+                };
+                let first = w * warp_size;
+                let last = (first + warp_size).min(bdim);
+                for tid in first..last {
+                    let mut ctx = ThreadCtx {
+                        block_idx,
+                        block_dim: bdim,
+                        thread_idx: tid,
+                        grid_dim: lc.grid_dim,
+                        pool,
+                        writes: log,
+                        shared,
+                        trace: tr.as_deref_mut(),
+                        transaction_bytes: cfg.transaction_bytes,
+                        branch_site: 0,
+                        mem_site: 0,
+                    };
+                    kernel.run_phase(phase, &mut ctx, &mut states[tid as usize]);
+                    calls += (ctx.mem_site + ctx.branch_site) as u64;
+                }
+                if let Some(tr) = tr {
+                    tr.flush_sites();
+                }
+            }
+        }
+
+        for w in (0..warps_in_block).filter(|&w| sampled(w)) {
+            counters.absorb(&traces[w as usize].counters);
+        }
+        for state in &mut states {
+            *state = K::State::default();
+        }
+    }
+    calls
 }

@@ -23,7 +23,11 @@
 //! * shared memory is per-block and coherent across phases;
 //! * block-local atomics (`atomic_add_shared`) are sequentially consistent.
 //!
-//! Blocks are independent and executed in parallel on host threads.
+//! Blocks are independent. A launch runs them in block order on the calling
+//! thread, and cuts the grid over several host threads only when the host has
+//! a core to spare and the first block's count of loads, stores and branches
+//! says the rest is worth a thread spawn; stores retire in block order and counters are sums, so nothing observable
+//! depends on that choice (DESIGN.md, "How a launch executes on the host").
 //!
 //! ## Timing model
 //!

@@ -142,9 +142,22 @@ impl Pool {
         (BufferId((self.bufs.len() - 1) as u32), 0)
     }
 
-    pub(crate) fn free(&mut self, id: BufferId) -> u64 {
-        let b = &mut self.bufs[id.0 as usize];
+    /// Panics unless `id` is live and is still the allocation the handle
+    /// was made for. A stale handle (freed, or freed and the slot since
+    /// reused) is a caller bug, and it must not read or free whatever lives
+    /// in the slot now.
+    fn check_handle(&self, id: BufferId, generation: u32) {
+        let b = &self.bufs[id.0 as usize];
         assert!(b.live, "double free of device buffer {id:?}");
+        assert!(
+            b.generation == generation,
+            "stale device buffer handle (use-after-free) for {id:?}"
+        );
+    }
+
+    pub(crate) fn free(&mut self, id: BufferId, generation: u32) -> u64 {
+        self.check_handle(id, generation);
+        let b = &mut self.bufs[id.0 as usize];
         let bytes = b.words.len() as u64 * 4;
         self.bytes_in_use -= bytes;
         b.live = false;
@@ -158,60 +171,92 @@ impl Pool {
         self.bufs[id.0 as usize].generation
     }
 
+    /// Words of a buffer on the kernel load path (liveness checked in debug
+    /// builds only; the host-side entry points use [`Pool::words_of`]).
     #[inline]
     pub(crate) fn words(&self, id: BufferId) -> &[u32] {
         let b = &self.bufs[id.0 as usize];
         debug_assert!(b.live, "access to freed device buffer {id:?}");
         &b.words
     }
+
+    /// Words of the buffer a host-side handle names, generation-checked.
+    pub(crate) fn words_of(&self, id: BufferId, generation: u32) -> &[u32] {
+        self.check_handle(id, generation);
+        &self.bufs[id.0 as usize].words
+    }
 }
 
-/// A log of global-memory stores performed by one executor thread during a
-/// launch. Contiguous stores to consecutive indices of the same buffer are
-/// run-length packed, which makes the common "thread *i* writes slot *i*"
-/// pattern cost O(1) amortized.
+/// A log of global-memory stores performed by one executor during a
+/// launch: one word arena plus run headers. A store that extends the
+/// previous run (next index of the same buffer) costs one arena push; any
+/// other store opens a new header. Nothing is allocated per run, and
+/// [`WriteLog::clear`] keeps both vectors' capacity (up to a bound), so a
+/// log that lives across launches stops allocating.
 #[derive(Default)]
-pub struct WriteLog {
+pub(crate) struct WriteLog {
+    /// Stored words in program order; `words.len()` is the store count.
+    words: Vec<u32>,
     runs: Vec<WriteRun>,
 }
 
+/// Most a cleared [`WriteLog`] keeps allocated.
+const RETAINED_LOG_BYTES: usize = 256 << 10;
+
+/// `len` consecutive words of `buf` from index `start`, held in the arena
+/// from `offset`.
 struct WriteRun {
     buf: BufferId,
     start: usize,
-    words: Vec<u32>,
+    offset: usize,
+    len: usize,
 }
 
 impl WriteLog {
+    #[inline]
     pub(crate) fn push(&mut self, buf: BufferId, idx: usize, word: u32) {
-        if let Some(last) = self.runs.last_mut() {
-            if last.buf == buf && idx == last.start + last.words.len() {
-                last.words.push(word);
-                return;
-            }
+        match self.runs.last_mut() {
+            // The last run always ends at the arena's tail, so extending
+            // it keeps its words contiguous.
+            Some(last) if last.buf == buf && idx == last.start + last.len => last.len += 1,
+            _ => self.runs.push(WriteRun {
+                buf,
+                start: idx,
+                offset: self.words.len(),
+                len: 1,
+            }),
         }
-        self.runs.push(WriteRun {
-            buf,
-            start: idx,
-            words: vec![word],
-        });
+        self.words.push(word);
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
+    /// Stores logged since the last [`WriteLog::clear`].
     pub(crate) fn stores(&self) -> usize {
-        self.runs.iter().map(|r| r.words.len()).sum()
+        self.words.len()
+    }
+
+    /// Forgets every logged store. Capacity is kept up to
+    /// [`RETAINED_LOG_BYTES`], which is what makes the launches of a small
+    /// query allocation-free; a larger log is freed, as a device keeps one
+    /// per host thread and a fleet keeps many devices, each of which would
+    /// otherwise sit on the log of the longest list it ever decoded.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+        self.runs.clear();
+        let held =
+            self.words.capacity() * size_of::<u32>() + self.runs.capacity() * size_of::<WriteRun>();
+        if held > RETAINED_LOG_BYTES {
+            *self = WriteLog::default();
+        }
     }
 
     /// Applies all logged stores to the pool. Later runs win on overlap,
     /// mirroring the "unspecified but some-thread-wins" CUDA semantics for
     /// conflicting unsynchronized stores.
-    pub(crate) fn apply(self, pool: &mut Pool) {
-        for run in self.runs {
+    pub(crate) fn apply(&self, pool: &mut Pool) {
+        for run in &self.runs {
             let b = &mut pool.bufs[run.buf.0 as usize];
             debug_assert!(b.live, "store to freed device buffer");
-            let end = run.start + run.words.len();
+            let end = run.start + run.len;
             assert!(
                 end <= b.words.len(),
                 "device store out of bounds: {}..{} in buffer of {} words",
@@ -219,7 +264,7 @@ impl WriteLog {
                 end,
                 b.words.len()
             );
-            b.words[run.start..end].copy_from_slice(&run.words);
+            b.words[run.start..end].copy_from_slice(&self.words[run.offset..run.offset + run.len]);
         }
     }
 }
@@ -266,7 +311,7 @@ mod tests {
         let mut pool = Pool::default();
         let (a, _) = pool.alloc(vec![1, 2, 3]);
         assert_eq!(pool.bytes_in_use, 12);
-        let freed = pool.free(a);
+        let freed = pool.free(a, 0);
         assert_eq!(freed, 12);
         assert_eq!(pool.bytes_in_use, 0);
         // Slot is reused with a bumped generation.
@@ -281,8 +326,8 @@ mod tests {
     fn pool_double_free_panics() {
         let mut pool = Pool::default();
         let (a, _) = pool.alloc(vec![1]);
-        pool.free(a);
-        pool.free(a);
+        pool.free(a, 0);
+        pool.free(a, 0);
     }
 
     #[test]
@@ -304,6 +349,23 @@ mod tests {
     }
 
     #[test]
+    fn write_log_interleaved_buffers_share_one_arena() {
+        let mut pool = Pool::default();
+        let (a, _) = pool.alloc(vec![0; 4]);
+        let (b, _) = pool.alloc(vec![0; 4]);
+        let mut log = WriteLog::default();
+        for i in 0..4 {
+            log.push(a, i, 10 + i as u32);
+            log.push(b, i, 20 + i as u32);
+        }
+        assert_eq!(log.runs.len(), 8, "every store breaks the other's run");
+        assert_eq!(log.words, [10, 20, 11, 21, 12, 22, 13, 23]);
+        log.apply(&mut pool);
+        assert_eq!(pool.words(a), &[10, 11, 12, 13]);
+        assert_eq!(pool.words(b), &[20, 21, 22, 23]);
+    }
+
+    #[test]
     fn write_log_later_run_wins_on_overlap() {
         let mut pool = Pool::default();
         let (a, _) = pool.alloc(vec![0; 4]);
@@ -313,6 +375,30 @@ mod tests {
         log.push(a, 1, 9); // overlaps the first store
         log.apply(&mut pool);
         assert_eq!(pool.words(a), &[0, 9, 0, 7]);
+    }
+
+    #[test]
+    fn write_log_clear_forgets_stores_and_keeps_capacity() {
+        let mut pool = Pool::default();
+        let (a, _) = pool.alloc(vec![0; 4]);
+        let mut log = WriteLog::default();
+        for i in 0..4 {
+            log.push(a, i, 7);
+        }
+        let capacity = log.words.capacity();
+        log.clear();
+        assert_eq!(log.stores(), 0);
+        assert_eq!(log.words.capacity(), capacity);
+        log.push(a, 2, 1);
+        log.apply(&mut pool);
+        assert_eq!(pool.words(a), &[0, 0, 1, 0], "no stale word is replayed");
+
+        // A log grown past the retention bound is given back.
+        for _ in 0..RETAINED_LOG_BYTES / 4 + 1 {
+            log.push(a, 0, 7);
+        }
+        log.clear();
+        assert_eq!(log.words.capacity() + log.runs.capacity(), 0);
     }
 
     #[test]

@@ -49,12 +49,11 @@ pub(crate) struct WarpCounters {
     pub smem_accesses: u64,
     /// Block-local atomic operations (lane-summed).
     pub atomics: u64,
-    /// Lanes that executed at least one op in this warp.
-    pub active_lanes: u32,
 }
 
-/// Scratch for one warp-site's branch outcomes and memory footprint,
-/// reset at each phase boundary.
+/// Scratch for one warp's branch outcomes and memory footprint. It is
+/// reused from phase to phase and from block to block: the per-site line
+/// vectors keep their capacity, only `live_mem_sites` of them hold data.
 #[derive(Default)]
 pub(crate) struct WarpTraceState {
     pub counters: WarpCounters,
@@ -62,6 +61,8 @@ pub(crate) struct WarpTraceState {
     branch_sites: Vec<(u32, u32)>,
     /// Per memory-site: sorted-on-demand list of touched transaction lines.
     mem_sites: Vec<MemSite>,
+    /// Memory sites touched since the last flush; the rest are empty.
+    live_mem_sites: usize,
 }
 
 #[derive(Default)]
@@ -70,11 +71,11 @@ struct MemSite {
 }
 
 impl WarpTraceState {
-    pub(crate) fn reset_phase(&mut self) {
-        // Finalize any outstanding per-site statistics into the counters.
+    /// Starts a new warp: zero counters, no outstanding sites (a block that
+    /// panicked half-way may have left some open; a finished one has not).
+    pub(crate) fn reset(&mut self) {
         self.flush_sites();
-        self.branch_sites.clear();
-        self.mem_sites.clear();
+        self.counters = WarpCounters::default();
     }
 
     /// Record a branch outcome for the lane currently executing.
@@ -96,8 +97,11 @@ impl WarpTraceState {
     /// `site` is the per-lane memory-op sequence number within the phase.
     #[inline]
     pub(crate) fn record_gmem(&mut self, site: usize, addr: u64, transaction_bytes: u32) {
-        if site >= self.mem_sites.len() {
-            self.mem_sites.resize_with(site + 1, MemSite::default);
+        if site >= self.live_mem_sites {
+            if site >= self.mem_sites.len() {
+                self.mem_sites.resize_with(site + 1, MemSite::default);
+            }
+            self.live_mem_sites = site + 1;
         }
         let line = addr / u64::from(transaction_bytes);
         self.mem_sites[site].lines.push(line);
@@ -105,7 +109,7 @@ impl WarpTraceState {
     }
 
     /// Fold per-site data into warp-level counters (divergence and
-    /// transactions). Called at phase end and warp end.
+    /// transactions) and empty the sites. Called at every phase end.
     pub(crate) fn flush_sites(&mut self) {
         for &(taken, total) in &self.branch_sites {
             self.counters.branch_sites += 1;
@@ -114,20 +118,20 @@ impl WarpTraceState {
             }
         }
         self.branch_sites.clear();
-        for site in &mut self.mem_sites {
+        for site in &mut self.mem_sites[..self.live_mem_sites] {
             site.lines.sort_unstable();
             site.lines.dedup();
             self.counters.gmem_transactions += site.lines.len() as u64;
             site.lines.clear();
         }
-        self.mem_sites.clear();
+        self.live_mem_sites = 0;
     }
 }
 
 /// Aggregated, extrapolated counters for one kernel launch. These feed the
 /// timing model and are surfaced in [`crate::LaunchReport`] for tests and
 /// model ablations.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LaunchCounters {
     /// Warps launched (grid × block, rounded up to warp granularity).
     pub total_warps: u64,

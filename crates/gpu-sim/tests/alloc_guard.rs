@@ -1,0 +1,105 @@
+//! A launch in steady state allocates per executor, not per store. The
+//! kernel has MergePath's store shape: each thread writes three output
+//! buffers in turn, so no store extends the previous one's run.
+//!
+//! One test only: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use griffin_gpu_sim::{DeviceBuffer, DeviceConfig, Gpu, Kernel, LaunchConfig, ThreadCtx};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc` and `dealloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Small enough that the logs stay under the size a device keeps between
+/// launches; a larger launch regrows its log by doubling instead.
+const GRID: u32 = 10;
+const BLOCK: u32 = 128;
+const PER_THREAD: usize = 1;
+
+struct ThreeWay {
+    out: [DeviceBuffer<u32>; 3],
+}
+
+impl Kernel for ThreeWay {
+    /// Not zero-sized, so the per-thread state vector is real.
+    type State = u32;
+
+    fn phases(&self) -> usize {
+        2
+    }
+
+    fn shared_mem_words(&self, block_dim: u32) -> usize {
+        block_dim as usize
+    }
+
+    fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, carried: &mut u32) {
+        let gid = t.global_thread_idx();
+        if phase == 0 {
+            t.st_shared(t.thread_idx as usize, gid as u32);
+            *carried = 7;
+            return;
+        }
+        let base = t.ld_shared(t.thread_idx as usize) + *carried;
+        let mut k = 0;
+        while t.branch(k < PER_THREAD) {
+            for out in &self.out {
+                t.st(out, gid * PER_THREAD + k, base + k as u32);
+            }
+            k += 1;
+        }
+    }
+}
+
+#[test]
+fn the_second_identical_launch_allocates_per_executor_not_per_store() {
+    let gpu = Gpu::new(DeviceConfig::test_tiny());
+    let words = (GRID * BLOCK) as usize * PER_THREAD;
+    let kernel = ThreeWay {
+        out: [(); 3].map(|()| gpu.alloc::<u32>(words).unwrap()),
+    };
+    let lc = LaunchConfig::new(GRID, BLOCK);
+    let first = gpu.launch(&kernel, lc).unwrap();
+    assert_eq!(first.counters.stores_applied, 3 * words as u64);
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let second = gpu.launch(&kernel, lc).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(second.counters, first.counters);
+
+    // Measured: 1 on the caller alone, 8 when fanned out two ways. The bound leaves
+    // room per executor for the state vector, a thread to run on, and, when
+    // this launch fanned out and the first did not, a log growing to size by
+    // doubling. One allocation per store would be 3 840.
+    let executors = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let allowed = 32 * executors;
+    assert!(
+        allocations <= allowed,
+        "{allocations} allocations for {} stores on up to {executors} executors (allowed {allowed})",
+        3 * words
+    );
+}

@@ -1,0 +1,284 @@
+//! How a launch's grid is cut over host threads is a host matter: device
+//! memory, every counter and the virtual time must come out the same under
+//! every cut. Checked on seeded kernels that do everything a cut could
+//! disturb (stores to several buffers in turn, conflicting stores to one
+//! word, shared memory, barriers, divergent loops), under every partition
+//! of the grid into one to four contiguous chunks.
+
+use griffin_gpu_sim::{
+    DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu, Kernel, LaunchConfig,
+    LaunchReport, ThreadCtx,
+};
+
+const GRID: u32 = 7;
+const BLOCK: u32 = 96; // three warps
+const THREADS: usize = (GRID * BLOCK) as usize;
+/// Each thread owns this many slots of every output buffer and fills one
+/// to three of them.
+const SLOTS: usize = 3;
+const HOT_WORDS: usize = 4;
+
+fn mix(seed: u64, i: usize) -> u32 {
+    let mut x = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    (x ^ (x >> 29)) as u32
+}
+
+struct Scramble {
+    seed: u64,
+    src: DeviceBuffer<u32>,
+    out: [DeviceBuffer<u32>; 3],
+    /// Every thread stores its index to one of these few words: the last
+    /// thread in block order must win.
+    hot: DeviceBuffer<u32>,
+}
+
+#[derive(Default)]
+struct Acc(u32);
+
+impl Kernel for Scramble {
+    type State = Acc;
+
+    fn phases(&self) -> usize {
+        3
+    }
+
+    fn shared_mem_words(&self, block_dim: u32) -> usize {
+        block_dim as usize + 1
+    }
+
+    fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, acc: &mut Acc) {
+        let gid = t.global_thread_idx();
+        let tid = t.thread_idx as usize;
+        let bd = t.block_dim as usize;
+        let h = mix(self.seed, gid);
+        match phase {
+            0 => {
+                // A scattered load next to a coalesced one.
+                let v = t.ld(&self.src, gid) ^ t.ld(&self.src, h as usize % THREADS);
+                t.st_shared(tid, v);
+                t.atomic_add_shared(bd, 1);
+            }
+            1 => {
+                let neighbour = t.ld_shared((tid + 1 + h as usize % 5) % bd);
+                // Accumulates: a register left over from the block this
+                // executor ran before would show.
+                acc.0 = acc.0.wrapping_add(if t.branch(h.is_multiple_of(2)) {
+                    neighbour.wrapping_mul(31)
+                } else {
+                    neighbour.rotate_left(7)
+                });
+                t.alu(2);
+            }
+            _ => {
+                let arrived = t.ld_shared(bd); // == block_dim after the barrier
+                let count = 1 + h as usize % SLOTS;
+                let mut k = 0;
+                while t.branch(k < count) {
+                    for (b, out) in self.out.iter().enumerate() {
+                        let word = acc.0.wrapping_add(arrived).wrapping_add((k * 3 + b) as u32);
+                        t.st(out, gid * SLOTS + k, word);
+                    }
+                    k += 1;
+                }
+                t.st(&self.hot, h as usize % HOT_WORDS, gid as u32);
+            }
+        }
+    }
+}
+
+/// One device with the kernel's buffers, every word set to a sentinel.
+struct Rig {
+    gpu: Gpu,
+    src: DeviceBuffer<u32>,
+    out: [DeviceBuffer<u32>; 3],
+    hot: DeviceBuffer<u32>,
+}
+
+/// Everything a launch may change that a caller can see.
+#[derive(Debug, PartialEq)]
+struct Visible {
+    out: [Vec<u32>; 3],
+    hot: Vec<u32>,
+    clock_ns: u64,
+}
+
+impl Rig {
+    fn new(stride: u32) -> Rig {
+        let gpu = Gpu::new(DeviceConfig {
+            trace_sample_stride: stride,
+            ..DeviceConfig::test_tiny()
+        });
+        let src: Vec<u32> = (0..THREADS).map(|i| mix(99, i)).collect();
+        let sentinel = vec![0xDEAD_BEEF; THREADS * SLOTS];
+        Rig {
+            src: gpu.htod(&src).unwrap(),
+            out: [(); 3].map(|()| gpu.htod(&sentinel).unwrap()),
+            hot: gpu.htod(&[0xDEAD_BEEF; HOT_WORDS]).unwrap(),
+            gpu,
+        }
+    }
+
+    fn kernel(&self, seed: u64) -> Scramble {
+        Scramble {
+            seed,
+            src: self.src.clone(),
+            out: self.out.clone(),
+            hot: self.hot.clone(),
+        }
+    }
+
+    /// Launches under the given cut, or under the device's own when `None`.
+    fn launch(&self, seed: u64, cut: Option<&[u32]>) -> Result<LaunchReport, DeviceError> {
+        let lc = LaunchConfig::new(GRID, BLOCK);
+        match cut {
+            Some(chunk_ends) => self.gpu.launch_chunked(&self.kernel(seed), lc, chunk_ends),
+            None => self.gpu.launch(&self.kernel(seed), lc),
+        }
+    }
+
+    fn visible(&self) -> Visible {
+        let clock_ns = self.gpu.now().as_nanos();
+        Visible {
+            out: [0, 1, 2].map(|b| self.gpu.dtoh(&self.out[b]).unwrap()),
+            hot: self.gpu.dtoh(&self.hot).unwrap(),
+            clock_ns,
+        }
+    }
+}
+
+/// Every way to cut `grid` blocks into one to four contiguous chunks, as
+/// chunk ends.
+fn cuts(grid: u32) -> Vec<Vec<u32>> {
+    fn extend(grid: u32, prefix: &mut Vec<u32>, all: &mut Vec<Vec<u32>>) {
+        let from = prefix.last().map_or(1, |&e| e + 1);
+        let mut whole = prefix.clone();
+        whole.push(grid);
+        all.push(whole);
+        if prefix.len() == 3 {
+            return;
+        }
+        for end in from..grid {
+            prefix.push(end);
+            extend(grid, prefix, all);
+            prefix.pop();
+        }
+    }
+    let mut all = Vec::new();
+    extend(grid, &mut Vec::new(), &mut all);
+    all
+}
+
+fn report_fields(r: &LaunchReport) -> (u64, &griffin_gpu_sim::LaunchCounters) {
+    (r.time.as_nanos(), &r.counters)
+}
+
+#[test]
+fn cuts_enumerates_every_partition() {
+    // Compositions of 7 into at most 4 parts: C(6,0) + C(6,1) + C(6,2) + C(6,3).
+    let all = cuts(GRID);
+    assert_eq!(all.len(), 1 + 6 + 15 + 20);
+    assert!(all.iter().all(|c| c.last() == Some(&GRID)));
+}
+
+#[test]
+fn results_counters_and_time_do_not_depend_on_the_cut() {
+    for stride in [1, 2, 5] {
+        for seed in 0..3 {
+            let reference = Rig::new(stride);
+            let expected_report = reference.launch(seed, Some(&[GRID])).unwrap();
+            let expected = reference.visible();
+            assert!(
+                expected
+                    .out
+                    .iter()
+                    .all(|o| o.contains(&0xDEAD_BEEF) && o.iter().any(|&w| w != 0xDEAD_BEEF)),
+                "the kernel fills some slots and leaves others"
+            );
+
+            for cut in cuts(GRID).iter().map(|c| Some(c.as_slice())).chain([None]) {
+                let rig = Rig::new(stride);
+                let report = rig.launch(seed, cut).unwrap();
+                assert_eq!(
+                    report_fields(&report),
+                    report_fields(&expected_report),
+                    "stride {stride} seed {seed} cut {cut:?}"
+                );
+                assert_eq!(
+                    rig.visible(),
+                    expected,
+                    "stride {stride} seed {seed} cut {cut:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_faulted_launch_shows_no_store_under_any_cut_and_leaves_nothing_behind() {
+    let reference = Rig::new(1);
+    reference.launch(5, Some(&[GRID])).unwrap();
+    let expected = reference.visible();
+
+    let mut charged = None;
+    for cut in cuts(GRID) {
+        let rig = Rig::new(1);
+        let before = rig.visible();
+        rig.gpu.set_fault_plan(Some(
+            FaultPlan::seeded(0).fail_at(0, FaultKind::KernelLaunchFailed),
+        ));
+        // The faulted launch runs another seed: were its log replayed by
+        // the retry, the retry's output would differ from the reference.
+        let submitted = rig.gpu.now();
+        let err = rig.launch(6, Some(&cut)).unwrap_err();
+        assert_eq!(err, DeviceError::KernelLaunchFailed { op_index: 0 });
+        let cost = rig.gpu.now() - submitted;
+        assert_eq!(*charged.get_or_insert(cost), cost, "cut {cut:?}");
+        rig.gpu.set_fault_plan(None);
+        let after = rig.visible();
+        assert_eq!(
+            (&after.out, &after.hot),
+            (&before.out, &before.hot),
+            "cut {cut:?}"
+        );
+
+        rig.launch(5, Some(&cut)).unwrap();
+        let retried = rig.visible();
+        assert_eq!(
+            (&retried.out, &retried.hot),
+            (&expected.out, &expected.hot),
+            "cut {cut:?}"
+        );
+    }
+}
+
+#[test]
+fn back_to_back_launches_see_nothing_of_each_other() {
+    // Two launches into the same buffers; the second fills different slots,
+    // so the first's words legitimately show through, and only those.
+    let reference = Rig::new(2);
+    reference.launch(1, Some(&[GRID])).unwrap();
+    let expected_second = reference.launch(2, Some(&[GRID])).unwrap();
+    let expected = reference.visible();
+
+    let all = cuts(GRID);
+    for (i, first_cut) in all.iter().enumerate() {
+        // A different cut for the second launch: every executor's log and
+        // scratch is reused for other blocks than it last ran.
+        let second_cut = &all[(i * 7 + 3) % all.len()];
+        let rig = Rig::new(2);
+        rig.launch(1, Some(first_cut)).unwrap();
+        let second = rig.launch(2, Some(second_cut)).unwrap();
+        assert_eq!(
+            report_fields(&second),
+            report_fields(&expected_second),
+            "cuts {first_cut:?} then {second_cut:?}"
+        );
+        assert_eq!(
+            rig.visible(),
+            expected,
+            "cuts {first_cut:?} then {second_cut:?}"
+        );
+    }
+}
