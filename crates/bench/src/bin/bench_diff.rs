@@ -9,16 +9,12 @@
 //! metrics regress *upward*, `speedup`/`ratio`-style metrics regress
 //! *downward*, anything else fails on drift in either direction.
 //! Metrics present in only one snapshot are *skipped with a note*, never
-//! failed (experiments and metrics come and go across PRs, and new
-//! wall-clock fields must not break old baselines); cost-model constants
-//! are printed informationally when they change. Wall-clock snapshots
-//! carry a host fingerprint, and when the two fingerprints differ the
-//! numbers are not like-for-like: every metric comparison is skipped
-//! informationally instead of enforced. Exits 1 when any metric
-//! regressed beyond the band, 2 on usage/parse errors.
+//! failed (experiments and metrics come and go across PRs); cost-model
+//! constants are printed informationally when they change. Exits 1 when
+//! any metric regressed beyond the band, 2 on usage/parse errors.
 
 use griffin_bench::report::Table;
-use griffin_bench::snapshot::{diff, hosts_comparable, DiffStatus, Snapshot};
+use griffin_bench::snapshot::{diff, DiffStatus, Snapshot};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,30 +58,6 @@ fn main() {
                 c.map(|v| v.to_string()).unwrap_or_else(|| "absent".into())
             );
         }
-    }
-
-    // Wall-clock snapshots are only comparable on the host that produced
-    // them; a fingerprint mismatch turns the whole diff informational.
-    if !hosts_comparable(&baseline, &candidate) {
-        let show = |s: &Snapshot| {
-            if s.host.is_empty() {
-                "(no fingerprint)".to_owned()
-            } else {
-                s.host
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            }
-        };
-        println!(
-            "note: host fingerprints differ — wall-clock numbers are not like-for-like; \
-             skipping all metric enforcement\n  baseline:  {}\n  candidate: {}",
-            show(&baseline),
-            show(&candidate)
-        );
-        println!("no regression check performed (cross-host wall-clock diff)");
-        return;
     }
 
     let entries = diff(&baseline, &candidate, tolerance_pct);

@@ -11,13 +11,13 @@
 //! `chrome://tracing`); `--metrics-json <path>` dumps the profiling
 //! phase's metrics registry and the result table as CSV.
 
-use griffin::serving::{Job, Resource, ServingSim, StageReq};
+use griffin::serving::{Resource, StageReq};
 use griffin::{ExecMode, Griffin};
 use griffin_bench::report::{ms, speedup, Table};
 use griffin_bench::setup::{k20, scaled};
 use griffin_bench::Artifacts;
 use griffin_gpu_sim::{Gpu, VirtualNanos};
-use griffin_server::{resource_totals, stages_of};
+use griffin_server::{resource_totals, stages_of, PlannedQuery, ServerConfig, ServerSim};
 use griffin_workload::{build_list_index, LatencyStats, ListIndexSpec, QueryLogSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,27 +98,22 @@ fn main() {
         arrivals.push(now);
     }
 
-    let cpu_jobs: Vec<Job> = arrivals
+    let job = |stages: Vec<StageReq>| PlannedQuery {
+        stages,
+        ..Default::default()
+    };
+    let cpu_jobs: Vec<PlannedQuery> = cpu_times
         .iter()
-        .zip(&cpu_times)
-        .map(|(&arrival, &t)| Job {
-            arrival,
-            stages: vec![StageReq::new(Resource::Cpu, t)],
-        })
+        .map(|&t| job(vec![StageReq::new(Resource::Cpu, t)]))
         .collect();
-    let hybrid_jobs: Vec<Job> = arrivals
-        .iter()
-        .zip(&hybrid_stages)
-        .map(|(&arrival, stages)| Job {
-            arrival,
-            stages: stages.clone(),
-        })
-        .collect();
+    let hybrid_jobs: Vec<PlannedQuery> = hybrid_stages.into_iter().map(job).collect();
 
     eprintln!("replaying through the serving simulator (4 cores + 1 GPU)...");
-    let cpu_lat = ServingSim::new(4).run(&cpu_jobs);
-    let (hyb_lat, timeline) = ServingSim::new(4).run_with_timeline(&hybrid_jobs);
-    for u in timeline.utilization() {
+    // The paper's plain model: unbounded admission, no batch packing.
+    let sim = ServerSim::new(ServerConfig::default());
+    let cpu = sim.run(&cpu_jobs, &arrivals);
+    let hyb = sim.run(&hybrid_jobs, &arrivals);
+    for u in hyb.timeline.utilization() {
         eprintln!(
             "  {}[{}]: {:.0}% busy",
             u.resource,
@@ -128,9 +123,9 @@ fn main() {
     }
     let mut cpu_stats = LatencyStats::new();
     let mut hyb_stats = LatencyStats::new();
-    for (&c, &h) in cpu_lat.iter().zip(&hyb_lat) {
-        cpu_stats.record(c);
-        hyb_stats.record(h);
+    for (c, h) in cpu.queries.iter().zip(&hyb.queries) {
+        cpu_stats.record(c.latency.expect("nothing is shed"));
+        hyb_stats.record(h.latency.expect("nothing is shed"));
     }
 
     let mut t = Table::new(
@@ -155,7 +150,7 @@ fn main() {
     artifacts.write_table(&t);
     artifacts.write_snapshot("exp_fig15");
     artifacts.write_metrics(griffin.telemetry());
-    artifacts.write_chrome_trace(&timeline);
+    artifacts.write_chrome_trace(&hyb.timeline);
     println!("\n(the shape: speedup grows with percentile — Griffin unclogs the");
     println!(" heavy queries that block the CPU queue)");
 }

@@ -58,6 +58,8 @@ fn main() {
         "exp_profile",
         "exp_fleet",
         "exp_cache",
+        // No snapshot rows: its tables are design ablations, not paper figures.
+        "exp_ablation",
     ];
     let opts = Options::from_args();
     // Smoke runs shrink the sample counts too (children inherit the
@@ -254,7 +256,6 @@ fn merge_snapshot(exps: &[&str], frag_dir: &std::path::Path, smoke: bool) -> Sna
         label: String::new(),
         scale: scale(),
         smoke,
-        host: Default::default(),
         cost_model: Default::default(),
         experiments: Default::default(),
     };

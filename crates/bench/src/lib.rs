@@ -1,12 +1,12 @@
 //! # griffin-bench — experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (run with
-//! `cargo run -p griffin-bench --release --bin exp_<id>`), plus Criterion
-//! benches measuring the real wall-clock speed of the implementations.
+//! `cargo run -p griffin-bench --release --bin exp_<id>`).
 //!
 //! Experiment binaries print *virtual-time* results from the calibrated
 //! device/CPU models — deterministic and host-independent; see
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! EXPERIMENTS.md for the paper-vs-measured record. Wall-clock speed is
+//! measured by the stand-alone `benchmark/` package, not here.
 //!
 //! Scale: every experiment accepts `GRIFFIN_SCALE` (float, default 1.0)
 //! to grow/shrink sample counts, and `GRIFFIN_FULL=1` to include the
@@ -14,7 +14,6 @@
 
 pub mod artifacts;
 pub mod intersect_harness;
-pub mod kernels;
 pub mod report;
 pub mod setup;
 pub mod snapshot;

@@ -256,12 +256,6 @@ pub struct Snapshot {
     pub smoke: bool,
     /// Active cost-model constants (informational in diffs).
     pub cost_model: BTreeMap<String, f64>,
-    /// Host fingerprint for *wall-clock* snapshots (CPU model, detected
-    /// SIMD features, …). Empty for virtual-time snapshots, whose
-    /// numbers are host-independent by construction. `bench_diff`
-    /// refuses to enforce wall-clock comparisons across differing
-    /// fingerprints.
-    pub host: BTreeMap<String, String>,
     /// experiment → metric → headline value.
     pub experiments: BTreeMap<String, BTreeMap<String, f64>>,
 }
@@ -285,15 +279,8 @@ impl Snapshot {
             .str("label", &self.label)
             .f64("scale", self.scale)
             .bool("smoke", self.smoke)
-            .raw("cost_model", &cm.finish());
-        if !self.host.is_empty() {
-            let mut h = json::Object::new();
-            for (k, v) in &self.host {
-                h.str(k, v);
-            }
-            root.raw("host", &h.finish());
-        }
-        root.raw("experiments", &exps.finish());
+            .raw("cost_model", &cm.finish())
+            .raw("experiments", &exps.finish());
         root.finish()
     }
 
@@ -323,14 +310,6 @@ impl Snapshot {
                 );
             }
         }
-        let mut host = BTreeMap::new();
-        if let Some(JsonValue::Obj(fields)) = v.get("host") {
-            for (k, hv) in fields {
-                if let Some(s) = hv.as_str() {
-                    host.insert(k.clone(), s.to_owned());
-                }
-            }
-        }
         Ok(Snapshot {
             version: v.get("version").and_then(JsonValue::as_f64).unwrap_or(1.0) as u64,
             label: v
@@ -341,20 +320,9 @@ impl Snapshot {
             scale: v.get("scale").and_then(JsonValue::as_f64).unwrap_or(1.0),
             smoke: v.get("smoke").and_then(JsonValue::as_bool).unwrap_or(false),
             cost_model: num_map("cost_model"),
-            host,
             experiments,
         })
     }
-}
-
-/// Whether two snapshots' host fingerprints make their wall-clock
-/// numbers comparable. Virtual-time snapshots (empty fingerprints on
-/// both sides) always compare; snapshots recorded on different hosts —
-/// or a wall-clock snapshot against a fingerprint-less baseline — do
-/// not, and `bench_diff` reports them informationally instead of
-/// enforcing the tolerance band.
-pub fn hosts_comparable(a: &Snapshot, b: &Snapshot) -> bool {
-    a.host == b.host
 }
 
 /// Which direction of change regresses a metric.
@@ -525,28 +493,6 @@ mod tests {
         let text = s.to_json();
         let back = Snapshot::from_json(&text).unwrap();
         assert_eq!(s, back);
-    }
-
-    #[test]
-    fn host_fingerprint_round_trips_and_gates_comparability() {
-        let mut s = snap(&[("exp_kernels", "pfor_decode_ns_per_elem", 1.4)]);
-        s.host.insert("cpu_model".into(), "TestCPU 9000".into());
-        s.host.insert("features".into(), "avx2".into());
-        let back = Snapshot::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
-        assert!(hosts_comparable(&s, &back));
-
-        // Same metrics, different host: not comparable.
-        let mut other = s.clone();
-        other.host.insert("cpu_model".into(), "OtherCPU".into());
-        assert!(!hosts_comparable(&s, &other));
-        // A wall-clock snapshot against a fingerprint-less baseline: no.
-        let virtual_snap = snap(&[("exp_kernels", "pfor_decode_ns_per_elem", 1.4)]);
-        assert!(!hosts_comparable(&virtual_snap, &s));
-        // Two virtual-time snapshots (no fingerprints): yes.
-        assert!(hosts_comparable(&virtual_snap, &virtual_snap.clone()));
-        // A host-less serialization has no "host" key at all.
-        assert!(!virtual_snap.to_json().contains("\"host\""));
     }
 
     #[test]

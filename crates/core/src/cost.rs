@@ -71,12 +71,10 @@ const CACHED_SKIP_DISCOUNT: f64 = 0.5;
 /// bandwidth bound.
 const DEVICE_CYCLES_PER_ELEM: f64 = 0.35;
 
-/// Wall-clock kernel measurements from the host, produced by the
-/// `exp_kernels` calibration bench in `griffin-bench` (warmup +
-/// median-of-runs over deterministic workloads). These are *measured*
-/// numbers for the host actually running the engine, as opposed to the
-/// hand-set defaults in [`CostModel::from_device`] that describe the
-/// paper's Xeon E5-2609v2.
+/// Wall-clock kernel measurements from the host, supplied by the
+/// caller. These are *measured* numbers for the host actually running
+/// the engine, as opposed to the hand-set defaults in
+/// [`CostModel::from_device`] that describe the paper's Xeon E5-2609v2.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct KernelMeasurements {
     /// Block decode cost per element, ns (PforDelta/EF mix as measured).

@@ -292,21 +292,6 @@ impl<'g> Griffin<'g> {
         self.overlap
     }
 
-    /// Re-derives the scheduler's cost model from measured host kernel
-    /// numbers (see [`crate::cost::KernelMeasurements`] and the
-    /// `exp_kernels` bench): the device-side estimates stay tied to the
-    /// configured device and the current overlap mode, the CPU curves
-    /// move to the measured slopes, and the profitable-work floor and
-    /// split solver both pick up the recalibrated crossover.
-    pub fn calibrate_cpu(&mut self, m: &crate::cost::KernelMeasurements) {
-        let model = CostModel::from_device(self.device.config(), self.overlap).calibrated_from(m);
-        self.scheduler.apply_cost_model(&model);
-        if let Some(split) = &mut self.scheduler.split {
-            split.model = model;
-        }
-        self.balancer.borrow_mut().reset();
-    }
-
     /// Enables or disables CPU+GPU co-execution (on by default). With it
     /// on, intersections whose length ratio falls near the scheduler's
     /// crossover may be *split*: the long list is range-partitioned, the

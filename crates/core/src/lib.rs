@@ -17,9 +17,9 @@
 //! rule *per operation*, accounting for where the data currently lives
 //! (PCIe transfers are charged by the device model).
 //!
-//! [`engine::Griffin`] is the entry point; [`serving`] adds the
-//! multi-query event simulation behind the paper's end-to-end (Fig. 14)
-//! and tail-latency (Fig. 15) studies.
+//! [`engine::Griffin`] is the entry point; [`serving`] defines the
+//! per-query stage vocabulary that `griffin-server`'s multi-query event
+//! simulation replays for the paper's tail-latency (Fig. 15) study.
 
 pub mod cost;
 pub mod engine;
@@ -40,4 +40,4 @@ pub use query::Query;
 pub use request::{QueryError, QueryRequest};
 pub use rescache::{CachedResult, ResultCache, ResultCacheStats, RESULT_CACHE_LOOKUP};
 pub use sched::{Decision, DecisionTrace, Proc, Residency, Scheduler, SplitBalancer, SplitConfig};
-pub use serving::{Job, Resource, ServingSim, StageReq};
+pub use serving::{Resource, StageReq};

@@ -1,23 +1,15 @@
-//! Multi-query serving simulation (paper §4.4–4.5).
+//! The serving vocabulary (paper §4.4–4.5): a query under load is a
+//! sequence of *stages*, each pinned to a shared resource (a CPU core or
+//! the single GPU).
 //!
 //! The paper's end-to-end and tail-latency numbers come from streaming
 //! 10 000 real queries through the system; latency includes queueing on
-//! the shared resources (four CPU cores, one GPU). This module provides a
-//! discrete-event simulation of exactly that: each query is a sequence of
-//! *stages* pinned to a resource; stages of different queries interleave
-//! on the resources in ready-time order.
-//!
-//! This is why Griffin's tail-latency win (Fig. 15) exceeds its mean win
-//! (Fig. 14): under CPU-only execution, the rare long queries monopolize
-//! a core for hundreds of milliseconds and everything queued behind them
-//! stalls; Griffin offloads precisely those heavy early intersections to
-//! the GPU.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! those shared resources. The discrete-event scheduler that interleaves
+//! the stages of concurrent queries lives in `griffin-server`
+//! (`ServerSim`); this module only defines what it schedules, so the
+//! engine-side trace → stage bridge and the scheduler agree on one type.
 
 use griffin_gpu_sim::VirtualNanos;
-use griffin_telemetry::{SpanEvent, Timeline};
 
 /// A serving resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +28,9 @@ pub struct StageReq {
     /// Host-core time that runs *concurrently* with this stage — the CPU
     /// lane of a co-executed split intersection shadowing its GPU lane.
     /// Always `<= duration` (the engine records a split step as the max
-    /// of its lanes). This core simulator ignores it; the richer
-    /// `griffin-server` simulator occupies a CPU core for the shadow so
-    /// co-execution's host-side pressure shows up under load.
+    /// of its lanes). The `griffin-server` scheduler occupies a CPU core
+    /// for the shadow so co-execution's host-side pressure shows up
+    /// under load.
     pub cpu_shadow: VirtualNanos,
 }
 
@@ -51,239 +43,5 @@ impl StageReq {
             duration,
             cpu_shadow: VirtualNanos::ZERO,
         }
-    }
-}
-
-/// A query submitted to the simulation.
-#[derive(Debug, Clone)]
-pub struct Job {
-    pub arrival: VirtualNanos,
-    pub stages: Vec<StageReq>,
-}
-
-/// The discrete-event serving simulator.
-pub struct ServingSim {
-    /// Next-free time per CPU core (paper testbed: 4 cores).
-    cpu_free: Vec<VirtualNanos>,
-    /// Next-free time of the GPU.
-    gpu_free: VirtualNanos,
-}
-
-impl ServingSim {
-    pub fn new(cpu_workers: usize) -> ServingSim {
-        assert!(cpu_workers > 0);
-        ServingSim {
-            cpu_free: vec![VirtualNanos::ZERO; cpu_workers],
-            gpu_free: VirtualNanos::ZERO,
-        }
-    }
-
-    /// Runs all jobs to completion; returns each job's total latency
-    /// (completion − arrival), in job order.
-    pub fn run(&mut self, jobs: &[Job]) -> Vec<VirtualNanos> {
-        self.run_impl(jobs, None)
-    }
-
-    /// Like [`ServingSim::run`], additionally returning the complete
-    /// per-stage schedule: one [`SpanEvent`] per executed stage with
-    /// its resource lane, ready/start/end times (start − ready is queue
-    /// wait). The [`Timeline`] derives per-resource utilization and
-    /// queue-depth curves, and exports Chrome trace-event JSON. The
-    /// schedule itself is identical to [`ServingSim::run`]'s.
-    pub fn run_with_timeline(&mut self, jobs: &[Job]) -> (Vec<VirtualNanos>, Timeline) {
-        let mut timeline = Timeline::default();
-        let latencies = self.run_impl(jobs, Some(&mut timeline));
-        (latencies, timeline)
-    }
-
-    fn run_impl(&mut self, jobs: &[Job], mut timeline: Option<&mut Timeline>) -> Vec<VirtualNanos> {
-        // Event heap keyed by the time a job's next stage becomes ready.
-        // Ties broken by job index for determinism.
-        let mut heap: BinaryHeap<Reverse<(VirtualNanos, usize, usize)>> = BinaryHeap::new();
-        for (j, job) in jobs.iter().enumerate() {
-            heap.push(Reverse((job.arrival, j, 0)));
-        }
-        let mut completion = vec![VirtualNanos::ZERO; jobs.len()];
-
-        while let Some(Reverse((ready, j, stage_idx))) = heap.pop() {
-            let job = &jobs[j];
-            if stage_idx >= job.stages.len() {
-                completion[j] = ready;
-                continue;
-            }
-            let stage = job.stages[stage_idx];
-            let (resource, lane, start, end) = match stage.resource {
-                Resource::Cpu => {
-                    // Earliest-available core.
-                    let core = self
-                        .cpu_free
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &t)| t)
-                        .map(|(i, _)| i)
-                        .expect("at least one core");
-                    let start = ready.max(self.cpu_free[core]);
-                    let end = start + stage.duration;
-                    self.cpu_free[core] = end;
-                    ("cpu", core, start, end)
-                }
-                Resource::Gpu => {
-                    let start = ready.max(self.gpu_free);
-                    let end = start + stage.duration;
-                    self.gpu_free = end;
-                    ("gpu", 0, start, end)
-                }
-            };
-            if let Some(tl) = timeline.as_deref_mut() {
-                tl.push(SpanEvent {
-                    resource,
-                    lane,
-                    job: j,
-                    stage: stage_idx,
-                    ready,
-                    start,
-                    end,
-                });
-            }
-            heap.push(Reverse((end, j, stage_idx + 1)));
-        }
-        jobs.iter()
-            .zip(&completion)
-            .map(|(job, &c)| c - job.arrival)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ns(v: u64) -> VirtualNanos {
-        VirtualNanos::from_nanos(v)
-    }
-
-    fn cpu_stage(d: u64) -> StageReq {
-        StageReq::new(Resource::Cpu, ns(d))
-    }
-
-    fn gpu_stage(d: u64) -> StageReq {
-        StageReq::new(Resource::Gpu, ns(d))
-    }
-
-    #[test]
-    fn unloaded_latency_is_service_time() {
-        let mut sim = ServingSim::new(4);
-        let jobs = vec![Job {
-            arrival: ns(0),
-            stages: vec![cpu_stage(100), gpu_stage(50)],
-        }];
-        assert_eq!(sim.run(&jobs), vec![ns(150)]);
-    }
-
-    #[test]
-    fn four_cores_run_four_jobs_in_parallel() {
-        let mut sim = ServingSim::new(4);
-        let jobs: Vec<Job> = (0..4)
-            .map(|_| Job {
-                arrival: ns(0),
-                stages: vec![cpu_stage(100)],
-            })
-            .collect();
-        assert_eq!(sim.run(&jobs), vec![ns(100); 4]);
-    }
-
-    #[test]
-    fn fifth_job_queues_behind_cores() {
-        let mut sim = ServingSim::new(4);
-        let jobs: Vec<Job> = (0..5)
-            .map(|_| Job {
-                arrival: ns(0),
-                stages: vec![cpu_stage(100)],
-            })
-            .collect();
-        let lat = sim.run(&jobs);
-        assert_eq!(lat.iter().filter(|&&l| l == ns(100)).count(), 4);
-        assert_eq!(lat.iter().filter(|&&l| l == ns(200)).count(), 1);
-    }
-
-    #[test]
-    fn gpu_is_a_single_server() {
-        let mut sim = ServingSim::new(4);
-        let jobs: Vec<Job> = (0..3)
-            .map(|_| Job {
-                arrival: ns(0),
-                stages: vec![gpu_stage(100)],
-            })
-            .collect();
-        let mut lat = sim.run(&jobs);
-        lat.sort_unstable();
-        assert_eq!(lat, vec![ns(100), ns(200), ns(300)]);
-    }
-
-    #[test]
-    fn head_of_line_blocking_hurts_cpu_only_tails() {
-        // One 10 ms whale then many 0.1 ms queries on one core: the tail
-        // explodes. Offloading the whale's heavy stage to the GPU frees
-        // the core — the Fig. 15 mechanism in miniature.
-        let whale_cpu = Job {
-            arrival: ns(0),
-            stages: vec![cpu_stage(10_000_000)],
-        };
-        let whale_hybrid = Job {
-            arrival: ns(0),
-            stages: vec![gpu_stage(1_000_000), cpu_stage(100_000)],
-        };
-        let minnows = |start: u64| -> Vec<Job> {
-            (0..20)
-                .map(|i| Job {
-                    arrival: ns(start + i * 1_000),
-                    stages: vec![cpu_stage(100_000)],
-                })
-                .collect()
-        };
-
-        let mut cpu_jobs = vec![whale_cpu];
-        cpu_jobs.extend(minnows(1_000));
-        let mut sim = ServingSim::new(1);
-        let cpu_lat = sim.run(&cpu_jobs);
-
-        let mut hybrid_jobs = vec![whale_hybrid];
-        hybrid_jobs.extend(minnows(1_000));
-        let mut sim = ServingSim::new(1);
-        let hybrid_lat = sim.run(&hybrid_jobs);
-
-        let max_cpu = cpu_lat.iter().max().unwrap();
-        let max_hybrid = hybrid_lat.iter().max().unwrap();
-        assert!(
-            max_hybrid.as_nanos() * 3 < max_cpu.as_nanos(),
-            "hybrid tail {max_hybrid} vs cpu tail {max_cpu}"
-        );
-    }
-
-    #[test]
-    fn arrivals_respected() {
-        let mut sim = ServingSim::new(1);
-        let jobs = vec![
-            Job {
-                arrival: ns(0),
-                stages: vec![cpu_stage(10)],
-            },
-            Job {
-                arrival: ns(1_000),
-                stages: vec![cpu_stage(10)],
-            },
-        ];
-        // The second job arrives after the first finished: no queueing.
-        assert_eq!(sim.run(&jobs), vec![ns(10), ns(10)]);
-    }
-
-    #[test]
-    fn empty_stage_list_completes_instantly() {
-        let mut sim = ServingSim::new(2);
-        let jobs = vec![Job {
-            arrival: ns(5),
-            stages: vec![],
-        }];
-        assert_eq!(sim.run(&jobs), vec![ns(0)]);
     }
 }

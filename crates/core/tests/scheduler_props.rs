@@ -1,9 +1,6 @@
-//! Property-based tests of the scheduler and the serving simulator.
+//! Property-based tests of the scheduler.
 
-use griffin::serving::{Job, Resource, ServingSim, StageReq};
 use griffin::{Proc, Scheduler};
-use griffin_gpu_sim::VirtualNanos;
-use proptest::collection::vec;
 use proptest::prelude::*;
 
 proptest! {
@@ -65,53 +62,5 @@ proptest! {
         if short > 0 && long >= short * block && long % block == 0 && long / short > block {
             prop_assert!(s.skippable_blocks_guaranteed(short, long, block));
         }
-    }
-
-    /// Serving causality: no job finishes before its arrival plus its own
-    /// service demand; work is conserved.
-    #[test]
-    fn serving_respects_causality(durations in vec(vec(1u64..10_000, 1..4), 1..40),
-                                  gaps in vec(0u64..5_000, 1..40),
-                                  workers in 1usize..6) {
-        let n = durations.len().min(gaps.len());
-        let mut arrival = VirtualNanos::ZERO;
-        let mut jobs = Vec::new();
-        for i in 0..n {
-            arrival += VirtualNanos::from_nanos(gaps[i]);
-            jobs.push(Job {
-                arrival,
-                stages: durations[i]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &d)| {
-                        let r = if k % 2 == 0 { Resource::Cpu } else { Resource::Gpu };
-                        StageReq::new(r, VirtualNanos::from_nanos(d))
-                    })
-                    .collect(),
-            });
-        }
-        let lat = ServingSim::new(workers).run(&jobs);
-        prop_assert_eq!(lat.len(), jobs.len());
-        for (job, &l) in jobs.iter().zip(&lat) {
-            let service: VirtualNanos = job.stages.iter().map(|s| s.duration).sum();
-            prop_assert!(l >= service, "latency {} below service {}", l, service);
-        }
-    }
-
-    /// More workers never hurt: latencies under w+1 cores are <= under w
-    /// for single-stage CPU jobs (a standard queueing sanity property).
-    #[test]
-    fn extra_workers_never_hurt(durations in vec(1u64..50_000, 2..60)) {
-        let jobs: Vec<Job> = durations
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| Job {
-                arrival: VirtualNanos::from_nanos(i as u64 * 500),
-                stages: vec![StageReq::new(Resource::Cpu, VirtualNanos::from_nanos(d))],
-            })
-            .collect();
-        let few: u64 = ServingSim::new(2).run(&jobs).iter().map(|l| l.as_nanos()).sum();
-        let many: u64 = ServingSim::new(4).run(&jobs).iter().map(|l| l.as_nanos()).sum();
-        prop_assert!(many <= few, "4 cores {many} vs 2 cores {few}");
     }
 }

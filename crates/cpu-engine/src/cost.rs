@@ -9,26 +9,6 @@
 //! exceptions a block really had — flow into the timing automatically.
 
 use griffin_gpu_sim::VirtualNanos;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide switch for *informational* work bookkeeping — counters
-/// that explain behaviour (e.g. [`WorkCounters::gallop_saved`]) but are
-/// deliberately not priced by the cost model. Priced counters are never
-/// gated: virtual time must not depend on whether telemetry is watching.
-/// Defaults to on; wall-clock microbenches turn it off so the measured
-/// kernels carry zero bookkeeping overhead.
-static INFO_COUNTERS: AtomicBool = AtomicBool::new(true);
-
-/// Enables/disables informational (unpriced) counter bookkeeping.
-pub fn set_info_counters(enabled: bool) {
-    INFO_COUNTERS.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether informational counter bookkeeping is currently enabled.
-#[inline]
-pub fn info_counters_enabled() -> bool {
-    INFO_COUNTERS.load(Ordering::Relaxed)
-}
 
 /// Per-unit cycle costs, calibrated to the paper's measured CPU behaviour.
 #[derive(Debug, Clone, PartialEq)]

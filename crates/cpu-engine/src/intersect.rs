@@ -154,9 +154,7 @@ fn gallop_skip_search(
     let mut probes = 1u64;
     if skips[start].last_docid >= v {
         w.skip_probes += probes;
-        if crate::cost::info_counters_enabled() {
-            w.gallop_saved += binary_probe_estimate(window).saturating_sub(probes);
-        }
+        w.gallop_saved += binary_probe_estimate(window).saturating_sub(probes);
         return start;
     }
     // skips[start] falls short: gallop forward with doubling strides until
@@ -187,9 +185,7 @@ fn gallop_skip_search(
         }
     }
     w.skip_probes += probes;
-    if crate::cost::info_counters_enabled() {
-        w.gallop_saved += binary_probe_estimate(window).saturating_sub(probes);
-    }
+    w.gallop_saved += binary_probe_estimate(window).saturating_sub(probes);
     lo
 }
 

@@ -28,7 +28,7 @@ pub mod setops;
 pub mod simd;
 pub mod topk;
 
-pub use cost::{set_info_counters, CpuConfig, CpuCostModel, WorkCounters};
+pub use cost::{CpuConfig, CpuCostModel, WorkCounters};
 pub use engine::{ChainResult, CpuEngine, Intermediate, PruneStats, PrunedOutput, QueryOutput};
 pub use intersect::{Matches, QueryScratch};
 pub use listcache::{HostCacheStats, HostListCache};

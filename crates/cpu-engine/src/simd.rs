@@ -8,14 +8,14 @@
 //! outputs, same [`WorkCounters`](crate::cost::WorkCounters) charges, so
 //! virtual time stays host- and path-independent (Lemire, Boytsov & Kurz,
 //! "SIMD Compression and the Intersection of Sorted Integers", shifts
-//! wall-clock constants 2–5× — which is exactly why wall-clock calibration
-//! lives in `exp_kernels`, not here).
+//! wall-clock constants 2–5× — which is exactly why wall-clock measurement
+//! lives in the `benchmark/` package, not here).
 //!
 //! Dispatch control:
 //! * `GRIFFIN_FORCE_SCALAR=1` in the environment pins the scalar path for
 //!   the whole process (read once, at first dispatch).
-//! * [`set_forced`] overrides programmatically (tests and the calibration
-//!   bench flip paths in-process to measure both).
+//! * [`set_forced`] overrides programmatically (tests flip paths
+//!   in-process to exercise both).
 //!
 //! Which path actually ran is observable through [`dispatch_totals`]
 //! (cumulative, process-wide, relaxed atomics — race-tolerant by design so

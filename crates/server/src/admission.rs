@@ -34,7 +34,7 @@ pub struct AdmissionConfig {
     pub policy: OverloadPolicy,
     /// Answer queries that would otherwise be shed from the result
     /// cache when a (possibly stale) cached answer exists
-    /// ([`crate::sim::SimJob::stale_available`]). The outcome is
+    /// ([`crate::PlannedQuery::stale_available`]). The outcome is
     /// explicitly flagged [`Outcome::ServedStale`] — a client can always
     /// tell a stale answer from a fresh one; nothing is silently stale.
     pub serve_stale: bool,
@@ -87,8 +87,8 @@ pub struct ServedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{GriffinServer, PlannedQuery};
-    use crate::sim::{ServerSim, SimConfig, SimJob};
+    use crate::server::{GriffinServer, PlannedQuery, ServeReport};
+    use crate::sim::{ServerConfig, ServerSim};
     use griffin::serving::{Resource, StageReq};
     use griffin_telemetry::Telemetry;
 
@@ -96,34 +96,36 @@ mod tests {
         VirtualNanos::from_nanos(v)
     }
 
-    fn cpu_job(arrival: u64, dur: u64) -> SimJob {
-        SimJob {
-            arrival: ns(arrival),
+    /// A hand-built job: its arrival instant and its plan.
+    type Job = (u64, PlannedQuery);
+
+    fn cpu_job(arrival: u64, dur: u64) -> Job {
+        let plan = PlannedQuery {
             stages: vec![StageReq::new(Resource::Cpu, ns(dur))],
-            cpu_fallback: None,
-            deadline: None,
-            stale_available: None,
-            coalesce_key: None,
-        }
+            ..Default::default()
+        };
+        (arrival, plan)
     }
 
-    fn gpu_job(arrival: u64, dur: u64, fallback: Option<u64>) -> SimJob {
-        SimJob {
-            arrival: ns(arrival),
+    fn gpu_job(arrival: u64, dur: u64, fallback: Option<u64>) -> Job {
+        let plan = PlannedQuery {
             stages: vec![StageReq::new(Resource::Gpu, ns(dur))],
             cpu_fallback: fallback.map(ns),
-            deadline: None,
-            stale_available: None,
-            coalesce_key: None,
-        }
+            ..Default::default()
+        };
+        (arrival, plan)
     }
 
-    fn sim(admission: AdmissionConfig) -> ServerSim {
-        ServerSim::new(SimConfig {
+    /// Two cores, no batching, the given admission policy.
+    fn run(admission: AdmissionConfig, jobs: &[Job]) -> ServeReport {
+        let (arrivals, plans): (Vec<VirtualNanos>, Vec<PlannedQuery>) =
+            jobs.iter().map(|(a, p)| (ns(*a), p.clone())).unzip();
+        ServerSim::new(ServerConfig {
             cpu_workers: 2,
             admission,
             batching: None,
         })
+        .run(&plans, &arrivals)
     }
 
     #[test]
@@ -135,13 +137,13 @@ mod tests {
 
     #[test]
     fn burst_beyond_capacity_sheds_exactly_the_overflow() {
-        let s = sim(AdmissionConfig {
+        let admission = AdmissionConfig {
             capacity: 4,
             ..Default::default()
-        });
+        };
         // Ten queries land in the same instant; the queue holds four.
-        let jobs: Vec<SimJob> = (0..10).map(|_| cpu_job(0, 1_000)).collect();
-        let report = s.run(&jobs);
+        let jobs: Vec<Job> = (0..10).map(|_| cpu_job(0, 1_000)).collect();
+        let report = run(admission, &jobs);
         assert_eq!(report.stats.admitted, 4);
         assert_eq!(report.stats.shed, 6);
         // Arrival order breaks the tie: the first four by submission
@@ -158,14 +160,14 @@ mod tests {
 
     #[test]
     fn capacity_bounds_in_flight_queries_not_total_volume() {
-        let s = sim(AdmissionConfig {
+        let admission = AdmissionConfig {
             capacity: 1,
             ..Default::default()
-        });
+        };
         // A runs [0, 100). B arrives while A is in flight: shed. C
         // arrives after A finished: the slot is free again.
         let jobs = vec![cpu_job(0, 100), cpu_job(50, 100), cpu_job(150, 100)];
-        let report = s.run(&jobs);
+        let report = run(admission, &jobs);
         assert_eq!(report.queries[0].outcome, Outcome::Completed);
         assert_eq!(report.queries[1].outcome, Outcome::Shed);
         assert_eq!(report.queries[2].outcome, Outcome::Completed);
@@ -192,12 +194,12 @@ mod tests {
             ..Default::default()
         };
 
-        let shed = sim(overloaded(OverloadPolicy::Shed)).run(&burst());
+        let shed = run(overloaded(OverloadPolicy::Shed), &burst());
         assert_eq!(shed.queries[0].outcome, Outcome::Completed);
         assert_eq!(shed.stats.shed, 3, "shed policy rejects the backlog");
         assert_eq!(shed.stats.degraded, 0);
 
-        let deg = sim(overloaded(OverloadPolicy::DegradeToCpuOnly)).run(&burst());
+        let deg = run(overloaded(OverloadPolicy::DegradeToCpuOnly), &burst());
         assert_eq!(deg.stats.shed, 0, "degrade policy drops nothing");
         assert_eq!(deg.stats.degraded, 3);
         assert!(
@@ -211,16 +213,16 @@ mod tests {
 
     #[test]
     fn degrade_policy_sheds_when_no_fallback_exists() {
-        let s = sim(AdmissionConfig {
+        let admission = AdmissionConfig {
             capacity: usize::MAX,
             gpu_depth_threshold: 0,
             policy: OverloadPolicy::DegradeToCpuOnly,
             ..Default::default()
-        });
+        };
         // The second query has no measured CPU-only schedule (e.g. it
         // was planned GpuOnly), so degrade cannot apply.
         let jobs = vec![gpu_job(0, 10_000, None), gpu_job(1, 100, None)];
-        let report = s.run(&jobs);
+        let report = run(admission, &jobs);
         assert_eq!(report.queries[1].outcome, Outcome::Shed);
         assert_eq!(report.stats.shed, 1);
         assert_eq!(report.stats.degraded, 0);
@@ -228,7 +230,7 @@ mod tests {
 
     #[test]
     fn shed_and_degrade_metrics_surface_through_server_telemetry() {
-        let mut server = GriffinServer::new(SimConfig {
+        let mut server = GriffinServer::new(ServerConfig {
             cpu_workers: 2,
             admission: AdmissionConfig {
                 capacity: 1,
@@ -239,15 +241,10 @@ mod tests {
         server.set_telemetry(Telemetry::enabled());
         let planned: Vec<PlannedQuery> = (0..3)
             .map(|_| PlannedQuery {
-                topk: Vec::new(),
                 service_time: ns(1_000),
                 stages: vec![StageReq::new(Resource::Cpu, ns(1_000))],
-                cpu_fallback: None,
-                stale_available: None,
-                coalesce_key: None,
                 deadline: Some(ns(10_000)),
-                breaker_degraded: false,
-                trace_query: None,
+                ..Default::default()
             })
             .collect();
         // All three arrive together into a single slot.

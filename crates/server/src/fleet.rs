@@ -490,10 +490,18 @@ impl<'g> Fleet<'g> {
         output
     }
 
-    /// Replays an arrival trace (ascending `arrival`s). Every query is
-    /// answered — degradation shows up as coverage, never as a missing
-    /// entry.
+    /// Replays an arrival trace. Every query is answered — degradation
+    /// shows up as coverage, never as a missing entry.
+    ///
+    /// # Panics
+    /// When `arrival`s are not ascending: replica lanes are reserved in
+    /// submission order, so an out-of-order trace would be served
+    /// FIFO-by-submission rather than by arrival.
     pub fn serve(&mut self, queries: &[ArrivingQuery]) -> FleetReport {
+        assert!(
+            queries.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+            "Fleet::serve needs ascending arrivals"
+        );
         let mut report = FleetReport::default();
         for aq in queries {
             let (output, answered_at) = self.submit(&aq.request, aq.arrival);
@@ -990,6 +998,20 @@ mod tests {
             stats.service_total - stats.hedge_cancelled_saved,
             "cancellation accounting must balance"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending arrivals")]
+    fn serve_rejects_an_out_of_order_trace() {
+        let (index, queries) = workload();
+        let sharded = ShardedIndex::build(&index, 2);
+        let devices = FleetDevices::new(2, 1, &DeviceConfig::test_tiny());
+        let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
+        let at = |ns: u64| ArrivingQuery {
+            request: QueryRequest::new(queries[0].clone()).k(10),
+            arrival: VirtualNanos::from_nanos(ns),
+        };
+        fleet.serve(&[at(1_000), at(999)]);
     }
 
     #[test]

@@ -101,8 +101,8 @@ pub use fleet::{
 };
 pub use flight::{verdict_from_stages, FlightConfig, FlightRecord, FlightRecorder, ShardVerdict};
 pub use health::{BreakerConfig, BreakerState, BreakerStats, GpuHealth};
-pub use server::{ArrivingQuery, GriffinServer, PlannedQuery, ServeReport, ServerConfig};
-pub use sim::{ServerSim, SimConfig, SimJob, SimReport, SimStats};
+pub use server::{ArrivingQuery, GriffinServer, PlannedQuery, ServeReport};
+pub use sim::{ServerConfig, ServerSim, SimStats};
 pub use slo::{BurnWindow, SloConfig, SloMonitor};
 
 pub use griffin_telemetry::Timeline;

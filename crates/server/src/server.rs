@@ -27,14 +27,10 @@ use crate::admission::{Outcome, OverloadPolicy, ServedQuery};
 use crate::bridge::stages_of;
 use crate::flight::{verdict_from_stages, FlightConfig, FlightRecord, FlightRecorder};
 use crate::health::{BreakerConfig, BreakerState, BreakerStats, GpuHealth};
-use crate::sim::{ServerSim, SimConfig, SimJob, SimReport, SimStats};
+use crate::sim::{ServerConfig, ServerSim, SimStats};
 use crate::slo::{SloConfig, SloMonitor};
 use crate::Timeline;
 use griffin_telemetry::QueryProfile;
-
-/// Server configuration: the simulator knobs, re-exported at the
-/// serving layer. See [`SimConfig`].
-pub type ServerConfig = SimConfig;
 
 /// FNV-1a over the cache-signature string: a tiny, dependency-free
 /// hash whose values are stable run-to-run (std's SipHash keys are an
@@ -56,8 +52,10 @@ pub struct ArrivingQuery {
 }
 
 /// One planned query: the engine's answer plus the measured schedules
-/// the simulator replays.
-#[derive(Debug, Clone)]
+/// the simulator replays. The `Default` is an empty hand-built plan:
+/// callers replaying stage lists they measured themselves set `stages`
+/// (and what else they need) over it.
+#[derive(Debug, Clone, Default)]
 pub struct PlannedQuery {
     /// The engine's top-k result (doc id, score) — serving never changes
     /// *what* a query answers, only *when*.
@@ -72,8 +70,8 @@ pub struct PlannedQuery {
     /// Virtual cost of answering this request from the engine's result
     /// cache, when the cache held an entry at planning time (probed
     /// *before* the plan ran, so only an earlier identical request can
-    /// have seeded it). Feeds [`crate::sim::SimJob::stale_available`]
-    /// for the serve-stale overload policy. `None` while the result
+    /// have seeded it). Feeds the serve-stale overload policy
+    /// ([`crate::AdmissionConfig::serve_stale`]). `None` while the result
     /// cache is off — the default, which keeps replay byte-identical.
     pub stale_available: Option<VirtualNanos>,
     /// Single-flight identity: a hash of the request's cache signature,
@@ -335,31 +333,10 @@ impl GriffinServer {
     /// through the serving simulator. `arrivals` and `planned` pair up
     /// by index.
     pub fn replay(&self, planned: &[PlannedQuery], arrivals: &[VirtualNanos]) -> ServeReport {
-        assert_eq!(
-            planned.len(),
-            arrivals.len(),
-            "one arrival instant per planned query"
-        );
-        let jobs: Vec<SimJob> = planned
-            .iter()
-            .zip(arrivals)
-            .map(|(p, &arrival)| SimJob {
-                arrival,
-                stages: p.stages.clone(),
-                cpu_fallback: p.cpu_fallback,
-                deadline: p.deadline,
-                stale_available: p.stale_available,
-                coalesce_key: p.coalesce_key,
-            })
-            .collect();
-        let report = ServerSim::new(self.config).run(&jobs);
+        let report = ServerSim::new(self.config).run(planned, arrivals);
         self.record(&report);
         self.record_forensics(planned, arrivals, &report.queries);
-        ServeReport {
-            queries: report.queries,
-            stats: report.stats,
-            timeline: report.timeline,
-        }
+        report
     }
 
     /// Feed the replayed outcomes to the flight recorder and SLO
@@ -453,7 +430,7 @@ impl GriffinServer {
         self.replay(&planned, &arrivals)
     }
 
-    fn record(&self, report: &SimReport) {
+    fn record(&self, report: &ServeReport) {
         let s = &report.stats;
         self.telemetry
             .counter_add("griffin_server_admitted_total", s.admitted as u64);

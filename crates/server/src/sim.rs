@@ -1,8 +1,14 @@
 //! The serving-pipeline discrete-event simulator.
 //!
-//! Extends the core [`griffin::serving::ServingSim`] model (N CPU cores +
-//! one GPU, stages interleaving in ready-time order) with the three
-//! disciplines a single shared GPU needs to survive concurrent load:
+//! The paper's tail-latency setting (§4.5, Fig. 15): N CPU cores + one
+//! GPU, each query a sequence of stages pinned to a resource, stages of
+//! different queries interleaving in ready-time order. (This is why
+//! Griffin's tail-latency win exceeds its mean win, Fig. 14: under
+//! CPU-only execution the rare long queries monopolize a core for
+//! hundreds of milliseconds and everything queued behind them stalls;
+//! Griffin offloads precisely those heavy early intersections to the
+//! GPU.) On top of that sit the three disciplines a single shared GPU
+//! needs to survive concurrent load:
 //!
 //! * an **admission queue** — at most [`AdmissionConfig::capacity`]
 //!   queries in flight, the rest shed;
@@ -13,11 +19,20 @@
 //!   queries coalesce into one launch, amortizing the fixed per-stage
 //!   overheads the device model charges ([`BatchConfig`]).
 //!
-//! With admission unbounded and batching disabled the schedule reduces
-//! exactly to the core simulator's: greedy earliest-available-core for
-//! CPU stages, FIFO single-server GPU. An unloaded single query finishes
-//! in exactly the sum of its stage durations — the serving pipeline's
-//! bit-exactness guarantee.
+//! With admission unbounded and batching disabled (the
+//! [`ServerConfig`] default) the schedule is the plain one: greedy
+//! earliest-available-core for CPU stages in (ready time, job, stage)
+//! order, FIFO single-server GPU, and a co-executed split stage's host
+//! lane ([`StageReq::cpu_shadow`]) holding the earliest-free core while
+//! its device slice runs. One ordering rule is worth knowing:
+//! the GPU dispatcher fires *after* every ARRIVE and READY event of the
+//! same instant (so the batch packer sees everything that instant
+//! queued). A zero-duration GPU stage therefore yields its successor
+//! later than a zero-duration CPU stage would — behind the same-instant
+//! READY events of other jobs (pinned by the
+//! `zero_duration_gpu_stage_yields_after_same_instant_ready_events`
+//! test). An unloaded single query finishes in exactly the sum of its
+//! stage durations — the serving pipeline's bit-exactness guarantee.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -28,36 +43,12 @@ use griffin_telemetry::{SpanEvent, Timeline};
 
 use crate::admission::{AdmissionConfig, Outcome, OverloadPolicy, ServedQuery};
 use crate::batch::BatchConfig;
+use crate::server::{PlannedQuery, ServeReport};
 
-/// One query as the simulator sees it: an arrival, a measured stage
-/// schedule, and the admission metadata.
-#[derive(Debug, Clone)]
-pub struct SimJob {
-    pub arrival: VirtualNanos,
-    /// The measured schedule (from the trace → stage bridge).
-    pub stages: Vec<StageReq>,
-    /// Measured CPU-only service time, the degrade target. `None` means
-    /// the job cannot degrade (it is shed instead under overload).
-    pub cpu_fallback: Option<VirtualNanos>,
-    /// Latency budget relative to arrival.
-    pub deadline: Option<VirtualNanos>,
-    /// Virtual cost of answering this query from the result cache, when
-    /// the cache held a (possibly stale) entry at planning time. `None`
-    /// means no cached answer exists. Only consulted when
-    /// [`AdmissionConfig::serve_stale`] is on and the query would
-    /// otherwise be shed.
-    pub stale_available: Option<VirtualNanos>,
-    /// Single-flight identity: jobs sharing a key are the same canonical
-    /// query. While one holder of a key is in flight, later arrivals
-    /// with the same key coalesce onto it — they consume no capacity or
-    /// execution resources and complete when the leader does
-    /// ([`Outcome::Coalesced`]). `None` opts out of coalescing.
-    pub coalesce_key: Option<u64>,
-}
-
-/// Simulator configuration.
+/// Serving configuration: the simulated node and its scheduling
+/// disciplines.
 #[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
+pub struct ServerConfig {
     /// CPU worker cores (paper testbed: 4).
     pub cpu_workers: usize,
     pub admission: AdmissionConfig,
@@ -65,9 +56,9 @@ pub struct SimConfig {
     pub batching: Option<BatchConfig>,
 }
 
-impl Default for SimConfig {
+impl Default for ServerConfig {
     fn default() -> Self {
-        SimConfig {
+        ServerConfig {
             cpu_workers: 4,
             admission: AdmissionConfig::default(),
             batching: None,
@@ -121,17 +112,6 @@ impl SimStats {
     }
 }
 
-/// Everything a simulation run produces.
-#[derive(Debug, Clone)]
-pub struct SimReport {
-    /// Per-query results, in job order.
-    pub queries: Vec<ServedQuery>,
-    pub stats: SimStats,
-    /// The executed schedule (batched GPU members share their launch's
-    /// span interval).
-    pub timeline: Timeline,
-}
-
 /// Event kinds, ordered so that at equal timestamps arrivals enqueue
 /// first, freshly ready stages join the GPU queue second, and the GPU
 /// dispatcher fires last — maximizing (deterministic) batching.
@@ -149,13 +129,14 @@ struct QueuedStage {
     cpu_shadow: VirtualNanos,
 }
 
-/// The serving simulator. Create one per run.
+/// The serving simulator. Holds only its configuration: every
+/// [`ServerSim::run`] starts from an idle node.
 pub struct ServerSim {
-    config: SimConfig,
+    config: ServerConfig,
 }
 
 impl ServerSim {
-    pub fn new(config: SimConfig) -> ServerSim {
+    pub fn new(config: ServerConfig) -> ServerSim {
         assert!(config.cpu_workers > 0, "need at least one CPU worker");
         if let Some(b) = &config.batching {
             assert!(b.max_batch >= 1, "max_batch of 0 would stall the GPU");
@@ -163,16 +144,26 @@ impl ServerSim {
         ServerSim { config }
     }
 
-    /// Runs all jobs to completion (or shedding) and reports per-query
-    /// outcomes, aggregate stats, and the executed timeline.
-    pub fn run(&self, jobs: &[SimJob]) -> SimReport {
+    /// Runs all jobs — `jobs[i]` arriving at `arrivals[i]` — to
+    /// completion (or shedding) and reports per-query outcomes,
+    /// aggregate stats, and the executed timeline. Of a
+    /// [`PlannedQuery`] the simulator reads the stage schedule and the
+    /// admission metadata (`cpu_fallback`, `deadline`, `stale_available`,
+    /// `coalesce_key`).
+    pub fn run(&self, jobs: &[PlannedQuery], arrivals: &[VirtualNanos]) -> ServeReport {
+        assert_eq!(
+            jobs.len(),
+            arrivals.len(),
+            "one arrival instant per planned query"
+        );
         let mut heap: BinaryHeap<Reverse<(VirtualNanos, u8, usize, usize)>> = BinaryHeap::new();
-        for (j, job) in jobs.iter().enumerate() {
-            heap.push(Reverse((job.arrival, EV_ARRIVE, j, 0)));
+        for (j, &arrival) in arrivals.iter().enumerate() {
+            heap.push(Reverse((arrival, EV_ARRIVE, j, 0)));
         }
 
-        // Effective schedule per job (replaced on degrade).
-        let mut schedules: Vec<Option<Vec<StageReq>>> = vec![None; jobs.len()];
+        // A degraded job runs this one CPU-only stage in place of its
+        // measured schedule.
+        let mut fallback: Vec<Option<StageReq>> = vec![None; jobs.len()];
         let mut results: Vec<ServedQuery> = jobs
             .iter()
             .map(|_| ServedQuery {
@@ -226,12 +217,11 @@ impl ServerSim {
                         );
                         continue; // results[j] says Shed (or ServedStale).
                     }
-                    let mut schedule = job.stages.clone();
                     let mut outcome = Outcome::Completed;
                     if wants_gpu && gpu_depth > self.config.admission.gpu_depth_threshold {
                         match (self.config.admission.policy, job.cpu_fallback) {
-                            (OverloadPolicy::DegradeToCpuOnly, Some(fallback)) => {
-                                schedule = vec![StageReq::new(Resource::Cpu, fallback)];
+                            (OverloadPolicy::DegradeToCpuOnly, Some(cpu_only)) => {
+                                fallback[j] = Some(StageReq::new(Resource::Cpu, cpu_only));
                                 outcome = Outcome::Degraded;
                                 stats.degraded += 1;
                             }
@@ -249,18 +239,20 @@ impl ServerSim {
                     stats.admitted += 1;
                     in_flight += 1;
                     results[j].outcome = outcome;
-                    schedules[j] = Some(schedule);
                     if let Some(key) = job.coalesce_key {
                         leaders.insert(key, j);
                     }
                     heap.push(Reverse((now, EV_READY, j, 0)));
                 }
                 EV_READY => {
-                    let schedule = schedules[j].as_ref().expect("admitted before ready");
+                    let schedule = match &fallback[j] {
+                        Some(stage) => std::slice::from_ref(stage),
+                        None => &jobs[j].stages[..],
+                    };
                     if stage_idx >= schedule.len() {
                         // Job complete.
                         in_flight -= 1;
-                        let latency = now - jobs[j].arrival;
+                        let latency = now - arrivals[j];
                         results[j].latency = Some(latency);
                         results[j].deadline_met = jobs[j].deadline.map(|d| latency <= d);
                         if results[j].deadline_met == Some(false) {
@@ -274,7 +266,7 @@ impl ServerSim {
                             }
                         }
                         for &f in &followers[j] {
-                            let fl = now - jobs[f].arrival;
+                            let fl = now - arrivals[f];
                             results[f].latency = Some(fl);
                             results[f].deadline_met = jobs[f].deadline.map(|d| fl <= d);
                             if results[f].deadline_met == Some(false) {
@@ -413,7 +405,7 @@ impl ServerSim {
             }
         }
 
-        SimReport {
+        ServeReport {
             queries: results,
             stats,
             timeline,
@@ -427,7 +419,7 @@ impl ServerSim {
     /// alone: the cache probe bypasses the queues that shed it.
     fn shed_or_stale(
         admission: &AdmissionConfig,
-        job: &SimJob,
+        job: &PlannedQuery,
         result: &mut ServedQuery,
         stats: &mut SimStats,
     ) {
@@ -499,28 +491,40 @@ mod tests {
         }
     }
 
-    fn job(arrival: u64, stages: Vec<StageReq>) -> SimJob {
-        SimJob {
-            arrival: ns(arrival),
+    /// A hand-built job: its arrival instant and its stage schedule.
+    fn job(arrival: u64, stages: Vec<StageReq>) -> (u64, PlannedQuery) {
+        let plan = PlannedQuery {
             stages,
-            cpu_fallback: None,
-            deadline: None,
-            stale_available: None,
-            coalesce_key: None,
-        }
+            ..Default::default()
+        };
+        (arrival, plan)
+    }
+
+    fn run(sim: &ServerSim, jobs: &[(u64, PlannedQuery)]) -> ServeReport {
+        let (arrivals, plans): (Vec<VirtualNanos>, Vec<PlannedQuery>) =
+            jobs.iter().map(|(a, p)| (ns(*a), p.clone())).unzip();
+        sim.run(&plans, &arrivals)
+    }
+
+    fn latencies(report: &ServeReport) -> Vec<VirtualNanos> {
+        report
+            .queries
+            .iter()
+            .map(|q| q.latency.expect("all admitted"))
+            .collect()
     }
 
     #[test]
     fn unloaded_query_latency_is_exact_stage_sum() {
-        let sim = ServerSim::new(SimConfig::default());
-        let report = sim.run(&[job(0, vec![gpu(1_000), cpu(500), gpu(250)])]);
+        let sim = ServerSim::new(ServerConfig::default());
+        let report = run(&sim, &[job(0, vec![gpu(1_000), cpu(500), gpu(250)])]);
         assert_eq!(report.queries[0].latency, Some(ns(1_750)));
         assert_eq!(report.queries[0].outcome, Outcome::Completed);
     }
 
     #[test]
     fn unloaded_exactness_survives_batching() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             batching: Some(BatchConfig {
                 max_batch: 8,
                 small_stage: ns(u64::MAX),
@@ -531,7 +535,7 @@ mod tests {
         });
         // A lone query's stages are sequential — never in the queue
         // together — so batching must not alter its latency.
-        let report = sim.run(&[job(0, vec![gpu(1_000), cpu(500), gpu(250)])]);
+        let report = run(&sim, &[job(0, vec![gpu(1_000), cpu(500), gpu(250)])]);
         assert_eq!(report.queries[0].latency, Some(ns(1_750)));
         assert_eq!(report.stats.gpu_time_saved, VirtualNanos::ZERO);
         assert_eq!(report.stats.gpu_overlap_saved, VirtualNanos::ZERO);
@@ -545,7 +549,7 @@ mod tests {
             per_stage_overhead: ns(0),
             copy_fraction: 0.5,
         };
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig::default(),
             batching: Some(b),
@@ -560,7 +564,7 @@ mod tests {
             job(2, vec![gpu(1_000)]),
             job(3, vec![gpu(1_000)]),
         ];
-        let report = sim.run(&jobs);
+        let report = run(&sim, &jobs);
         assert_eq!(report.stats.gpu_launches, 2);
         assert_eq!(report.stats.max_batch_occupancy, 3);
         // Serial concatenation would take 3µs; the pipeline finishes the
@@ -573,45 +577,92 @@ mod tests {
     }
 
     #[test]
-    fn matches_core_sim_semantics_without_extensions() {
-        use griffin::serving::{Job, ServingSim};
-        let stages = [
-            vec![cpu(100), gpu(200)],
-            vec![gpu(50)],
-            vec![cpu(300), cpu(100)],
-            vec![gpu(75), cpu(25), gpu(10)],
-        ];
-        let arrivals = [0u64, 10, 20, 30];
-        let jobs: Vec<SimJob> = arrivals
-            .iter()
-            .zip(&stages)
-            .map(|(&a, s)| job(a, s.clone()))
-            .collect();
-        let core_jobs: Vec<Job> = arrivals
-            .iter()
-            .zip(&stages)
-            .map(|(&a, s)| Job {
-                arrival: ns(a),
-                stages: s.clone(),
-            })
-            .collect();
-        let core_lat = ServingSim::new(2).run(&core_jobs);
-        let report = ServerSim::new(SimConfig {
-            cpu_workers: 2,
+    fn four_cores_run_four_jobs_in_parallel() {
+        let sim = ServerSim::new(ServerConfig::default());
+        let jobs: Vec<_> = (0..4).map(|_| job(0, vec![cpu(100)])).collect();
+        assert_eq!(latencies(&run(&sim, &jobs)), vec![ns(100); 4]);
+    }
+
+    #[test]
+    fn fifth_job_queues_behind_cores() {
+        let sim = ServerSim::new(ServerConfig::default());
+        let jobs: Vec<_> = (0..5).map(|_| job(0, vec![cpu(100)])).collect();
+        let mut expect = vec![ns(100); 4];
+        expect.push(ns(200));
+        assert_eq!(latencies(&run(&sim, &jobs)), expect);
+    }
+
+    #[test]
+    fn gpu_is_a_single_server() {
+        let sim = ServerSim::new(ServerConfig::default());
+        let jobs: Vec<_> = (0..3).map(|_| job(0, vec![gpu(100)])).collect();
+        // FIFO by submission index on one device.
+        assert_eq!(
+            latencies(&run(&sim, &jobs)),
+            vec![ns(100), ns(200), ns(300)]
+        );
+    }
+
+    #[test]
+    fn arrivals_respected() {
+        let sim = ServerSim::new(ServerConfig {
+            cpu_workers: 1,
             ..Default::default()
-        })
-        .run(&jobs);
-        let lat: Vec<VirtualNanos> = report
-            .queries
-            .iter()
-            .map(|q| q.latency.expect("all admitted"))
-            .collect();
-        assert_eq!(lat, core_lat);
+        });
+        // The second job arrives after the first finished: no queueing.
+        let report = run(&sim, &[job(0, vec![cpu(10)]), job(1_000, vec![cpu(10)])]);
+        assert_eq!(latencies(&report), vec![ns(10), ns(10)]);
+    }
+
+    #[test]
+    fn head_of_line_blocking_hurts_cpu_only_tails() {
+        // One 10 ms whale then many 0.1 ms queries on one core: the tail
+        // explodes. Offloading the whale's heavy stage to the GPU frees
+        // the core — the Fig. 15 mechanism in miniature.
+        let sim = ServerSim::new(ServerConfig {
+            cpu_workers: 1,
+            ..Default::default()
+        });
+        let tail_behind = |whale: Vec<StageReq>| {
+            let mut jobs = vec![job(0, whale)];
+            jobs.extend((0..20).map(|i| job(1_000 + i * 1_000, vec![cpu(100_000)])));
+            latencies(&run(&sim, &jobs))
+                .into_iter()
+                .max()
+                .expect("non-empty")
+        };
+        let max_cpu = tail_behind(vec![cpu(10_000_000)]);
+        let max_hybrid = tail_behind(vec![gpu(1_000_000), cpu(100_000)]);
+        assert!(
+            max_hybrid.as_nanos() * 3 < max_cpu.as_nanos(),
+            "hybrid tail {max_hybrid} vs cpu tail {max_cpu}"
+        );
+    }
+
+    #[test]
+    fn zero_duration_gpu_stage_yields_after_same_instant_ready_events() {
+        let sim = ServerSim::new(ServerConfig {
+            cpu_workers: 1,
+            ..Default::default()
+        });
+        let latencies_with = |first: StageReq| {
+            latencies(&run(
+                &sim,
+                &[job(0, vec![first, cpu(100)]), job(0, vec![cpu(100)])],
+            ))
+        };
+        // A 0 ns CPU stage completes inside job 0's own READY event, so
+        // job 0's next stage is queued ahead of job 1's first (same
+        // instant, lower job index) and takes the core.
+        assert_eq!(latencies_with(cpu(0)), vec![ns(100), ns(200)]);
+        // A 0 ns GPU stage waits for the dispatcher, which fires after
+        // every READY of the instant — job 1 has the core by then.
+        assert_eq!(latencies_with(gpu(0)), vec![ns(200), ns(100)]);
     }
 
     #[test]
     fn capacity_sheds_excess_arrivals() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig {
                 capacity: 2,
@@ -620,8 +671,8 @@ mod tests {
             batching: None,
         });
         // Three simultaneous arrivals into capacity 2.
-        let jobs: Vec<SimJob> = (0..3).map(|_| job(0, vec![cpu(100)])).collect();
-        let report = sim.run(&jobs);
+        let jobs: Vec<_> = (0..3).map(|_| job(0, vec![cpu(100)])).collect();
+        let report = run(&sim, &jobs);
         let shed = report
             .queries
             .iter()
@@ -635,7 +686,7 @@ mod tests {
 
     #[test]
     fn gpu_backlog_degrades_to_cpu_fallback() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 2,
             admission: AdmissionConfig {
                 capacity: usize::MAX,
@@ -648,8 +699,8 @@ mod tests {
         // First query parks a long stage on the GPU; the second arrives
         // while it runs and must degrade to its fallback.
         let mut second = job(10, vec![gpu(1_000_000)]);
-        second.cpu_fallback = Some(ns(5_000_000));
-        let report = sim.run(&[job(0, vec![gpu(1_000_000)]), second]);
+        second.1.cpu_fallback = Some(ns(5_000_000));
+        let report = run(&sim, &[job(0, vec![gpu(1_000_000)]), second]);
         assert_eq!(report.queries[0].outcome, Outcome::Completed);
         assert_eq!(report.queries[1].outcome, Outcome::Degraded);
         // Degraded latency is the fallback service time (idle cores).
@@ -659,7 +710,7 @@ mod tests {
 
     #[test]
     fn gpu_backlog_sheds_without_fallback() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 2,
             admission: AdmissionConfig {
                 capacity: usize::MAX,
@@ -669,14 +720,17 @@ mod tests {
             },
             batching: None,
         });
-        let report = sim.run(&[job(0, vec![gpu(1_000_000)]), job(10, vec![gpu(100)])]);
+        let report = run(
+            &sim,
+            &[job(0, vec![gpu(1_000_000)]), job(10, vec![gpu(100)])],
+        );
         assert_eq!(report.queries[1].outcome, Outcome::Shed);
         assert_eq!(report.stats.shed, 1);
     }
 
     #[test]
     fn serve_stale_answers_shed_queries_from_the_cache() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig {
                 capacity: 1,
@@ -688,9 +742,9 @@ mod tests {
         // B arrives while A fills the only slot. With a cached answer
         // it is served stale at the lookup cost instead of shed.
         let mut b = job(10, vec![cpu(100)]);
-        b.stale_available = Some(ns(2_000));
-        b.deadline = Some(ns(5_000));
-        let report = sim.run(&[job(0, vec![cpu(1_000_000)]), b]);
+        b.1.stale_available = Some(ns(2_000));
+        b.1.deadline = Some(ns(5_000));
+        let report = run(&sim, &[job(0, vec![cpu(1_000_000)]), b]);
         assert_eq!(report.queries[1].outcome, Outcome::ServedStale);
         assert_eq!(report.queries[1].latency, Some(ns(2_000)));
         assert_eq!(report.queries[1].deadline_met, Some(true));
@@ -700,7 +754,7 @@ mod tests {
 
     #[test]
     fn serve_stale_needs_both_policy_and_cached_answer() {
-        let capacity_one = |serve_stale| SimConfig {
+        let capacity_one = |serve_stale| ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig {
                 capacity: 1,
@@ -711,35 +765,38 @@ mod tests {
         };
         // Policy off: a cached answer does not prevent the shed.
         let mut b = job(10, vec![cpu(100)]);
-        b.stale_available = Some(ns(2_000));
-        let report =
-            ServerSim::new(capacity_one(false)).run(&[job(0, vec![cpu(1_000_000)]), b.clone()]);
+        b.1.stale_available = Some(ns(2_000));
+        let whale = job(0, vec![cpu(1_000_000)]);
+        let report = run(
+            &ServerSim::new(capacity_one(false)),
+            &[whale.clone(), b.clone()],
+        );
         assert_eq!(report.queries[1].outcome, Outcome::Shed);
         // Policy on but no cached answer: still shed.
-        b.stale_available = None;
-        let report = ServerSim::new(capacity_one(true)).run(&[job(0, vec![cpu(1_000_000)]), b]);
+        b.1.stale_available = None;
+        let report = run(&ServerSim::new(capacity_one(true)), &[whale, b]);
         assert_eq!(report.queries[1].outcome, Outcome::Shed);
         assert_eq!(report.stats.served_stale, 0);
     }
 
     #[test]
     fn identical_inflight_queries_coalesce_on_the_leader() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 4,
             ..Default::default()
         });
         // Three arrivals of the same query while the first is in
         // flight; a fourth arrives after completion and runs itself.
-        let mut jobs: Vec<SimJob> = vec![
+        let mut jobs = vec![
             job(0, vec![cpu(1_000)]),
             job(100, vec![cpu(1_000)]),
             job(200, vec![cpu(1_000)]),
             job(5_000, vec![cpu(1_000)]),
         ];
         for jb in &mut jobs {
-            jb.coalesce_key = Some(42);
+            jb.1.coalesce_key = Some(42);
         }
-        let report = sim.run(&jobs);
+        let report = run(&sim, &jobs);
         assert_eq!(report.queries[0].outcome, Outcome::Completed);
         assert_eq!(report.queries[1].outcome, Outcome::Coalesced);
         assert_eq!(report.queries[2].outcome, Outcome::Coalesced);
@@ -758,7 +815,7 @@ mod tests {
     fn coalesced_followers_consume_no_capacity() {
         // Capacity 1: the leader takes the slot, nine identical
         // followers still get answers; a *different* query is shed.
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig {
                 capacity: 1,
@@ -766,12 +823,12 @@ mod tests {
             },
             batching: None,
         });
-        let mut jobs: Vec<SimJob> = (0..11).map(|i| job(i, vec![cpu(10_000)])).collect();
+        let mut jobs: Vec<_> = (0..11).map(|i| job(i, vec![cpu(10_000)])).collect();
         for jb in jobs.iter_mut() {
-            jb.coalesce_key = Some(7);
+            jb.1.coalesce_key = Some(7);
         }
-        jobs[10].coalesce_key = Some(8); // a different query: no slot left
-        let report = sim.run(&jobs);
+        jobs[10].1.coalesce_key = Some(8); // a different query: no slot left
+        let report = run(&sim, &jobs);
         assert_eq!(report.stats.coalesced, 9);
         assert_eq!(report.stats.shed, 1);
         assert_eq!(report.queries[10].outcome, Outcome::Shed);
@@ -786,7 +843,7 @@ mod tests {
             per_stage_overhead: ns(100),
             copy_fraction: 0.0,
         };
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig::default(),
             batching: Some(b),
@@ -799,7 +856,7 @@ mod tests {
             job(2, vec![gpu(500)]),
             job(3, vec![gpu(500)]),
         ];
-        let report = sim.run(&jobs);
+        let report = run(&sim, &jobs);
         assert_eq!(report.stats.gpu_launches, 2, "long launch + one batch");
         assert_eq!(report.stats.max_batch_occupancy, 3);
         assert_eq!(report.stats.gpu_time_saved, ns(200));
@@ -819,7 +876,7 @@ mod tests {
             per_stage_overhead: ns(10),
             copy_fraction: 0.0,
         };
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             admission: AdmissionConfig::default(),
             batching: Some(b),
@@ -829,7 +886,7 @@ mod tests {
             job(1, vec![gpu(5_000)]),
             job(2, vec![gpu(5_000)]),
         ];
-        let report = sim.run(&jobs);
+        let report = run(&sim, &jobs);
         assert_eq!(report.stats.gpu_launches, 3);
         assert_eq!(report.stats.max_batch_occupancy, 1);
         assert_eq!(report.stats.gpu_time_saved, VirtualNanos::ZERO);
@@ -837,16 +894,19 @@ mod tests {
 
     #[test]
     fn split_shadow_occupies_a_core_without_delaying_the_stage() {
-        let sim = ServerSim::new(SimConfig {
+        let sim = ServerSim::new(ServerConfig {
             cpu_workers: 1,
             ..Default::default()
         });
-        let report = sim.run(&[
-            job(0, vec![split(10_000, 8_000)]),
-            // Arrives after the split dispatched: its CPU stage queues
-            // behind the shadow on the single core.
-            job(1, vec![cpu(1_000)]),
-        ]);
+        let report = run(
+            &sim,
+            &[
+                job(0, vec![split(10_000, 8_000)]),
+                // Arrives after the split dispatched: its CPU stage queues
+                // behind the shadow on the single core.
+                job(1, vec![cpu(1_000)]),
+            ],
+        );
         // The split's own latency is its recorded max-of-lanes duration —
         // the shadow runs inside the stage window, never extending it.
         assert_eq!(report.queries[0].latency, Some(ns(10_000)));
@@ -864,13 +924,13 @@ mod tests {
 
     #[test]
     fn deadlines_are_reported() {
-        let sim = ServerSim::new(SimConfig::default());
+        let sim = ServerSim::new(ServerConfig::default());
         let mut hit = job(0, vec![cpu(100)]);
-        hit.deadline = Some(ns(200));
+        hit.1.deadline = Some(ns(200));
         let mut miss = job(0, vec![cpu(100_000)]);
-        miss.deadline = Some(ns(200));
+        miss.1.deadline = Some(ns(200));
         let none = job(0, vec![cpu(100)]);
-        let report = sim.run(&[hit, miss, none]);
+        let report = run(&sim, &[hit, miss, none]);
         assert_eq!(report.queries[0].deadline_met, Some(true));
         assert_eq!(report.queries[1].deadline_met, Some(false));
         assert_eq!(report.queries[2].deadline_met, None);
@@ -878,8 +938,8 @@ mod tests {
 
     #[test]
     fn empty_schedule_completes_instantly() {
-        let sim = ServerSim::new(SimConfig::default());
-        let report = sim.run(&[job(5, vec![])]);
+        let sim = ServerSim::new(ServerConfig::default());
+        let report = run(&sim, &[job(5, vec![])]);
         assert_eq!(report.queries[0].latency, Some(ns(0)));
         assert_eq!(report.queries[0].outcome, Outcome::Completed);
     }

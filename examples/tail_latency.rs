@@ -6,8 +6,8 @@
 //! cargo run --release --example tail_latency
 //! ```
 
-use griffin::serving::{Job, Resource, ServingSim, StageReq};
-use griffin::{Proc, StepOp};
+use griffin::serving::{Resource, StageReq};
+use griffin_server::{stages_of, PlannedQuery, ServerConfig, ServerSim};
 use griffin_suite::prelude::*;
 use griffin_workload::LatencyStats;
 use rand::rngs::StdRng;
@@ -34,43 +34,39 @@ fn main() {
 
     // Profile each query once per mode to get its stage structure.
     println!("profiling {} queries...", queries.len());
+    let job = |stages: Vec<StageReq>| PlannedQuery {
+        stages,
+        ..Default::default()
+    };
     let mut cpu_jobs = Vec::new();
     let mut hybrid_jobs = Vec::new();
+    let mut arrivals = Vec::new();
     let mut arrival = VirtualNanos::ZERO;
     for q in &queries {
         // Poisson-ish arrivals: exponential inter-arrival, mean 2 ms.
         arrival += VirtualNanos::from_nanos_f64(-2_000_000.0 * (1.0 - rng.gen::<f64>()).ln());
+        arrivals.push(arrival);
 
         let cpu_out = griffin.process_query(&index, q, 10, ExecMode::CpuOnly);
-        cpu_jobs.push(Job {
-            arrival,
-            stages: vec![StageReq::new(Resource::Cpu, cpu_out.time)],
-        });
+        cpu_jobs.push(job(vec![StageReq::new(Resource::Cpu, cpu_out.time)]));
 
+        // The trace → stage bridge: GPU kernels and PCIe migrations
+        // occupy the GPU lane, everything else a CPU core.
         let hybrid_out = griffin.process_query(&index, q, 10, ExecMode::Hybrid);
-        let stages: Vec<StageReq> = hybrid_out
-            .steps
-            .iter()
-            .map(|s| {
-                let resource = match (s.proc, s.op) {
-                    (Proc::Gpu, _) | (_, StepOp::Migrate) => Resource::Gpu,
-                    (Proc::Cpu, _) => Resource::Cpu,
-                };
-                StageReq::new(resource, s.time)
-            })
-            .collect();
-        hybrid_jobs.push(Job { arrival, stages });
+        hybrid_jobs.push(job(stages_of(&hybrid_out)));
     }
 
     println!("replaying through the serving simulator (4 CPU cores, 1 GPU)...");
-    let cpu_lat = ServingSim::new(4).run(&cpu_jobs);
-    let hyb_lat = ServingSim::new(4).run(&hybrid_jobs);
+    // The paper's plain model: unbounded admission, no batch packing.
+    let sim = ServerSim::new(ServerConfig::default());
+    let cpu = sim.run(&cpu_jobs, &arrivals);
+    let hyb = sim.run(&hybrid_jobs, &arrivals);
 
     let mut cpu_stats = LatencyStats::new();
     let mut hyb_stats = LatencyStats::new();
-    for (&c, &h) in cpu_lat.iter().zip(&hyb_lat) {
-        cpu_stats.record(c);
-        hyb_stats.record(h);
+    for (c, h) in cpu.queries.iter().zip(&hyb.queries) {
+        cpu_stats.record(c.latency.expect("nothing is shed"));
+        hyb_stats.record(h.latency.expect("nothing is shed"));
     }
 
     println!("\nlatency percentiles (virtual ms):");

@@ -121,8 +121,7 @@ fn synthetic_workload_pipeline_runs_end_to_end() {
 
 #[test]
 fn serving_simulation_consumes_hybrid_traces() {
-    use griffin_suite::griffin::serving::{Job, Resource, ServingSim, StageReq};
-    use griffin_suite::griffin::{Proc, StepOp};
+    use griffin_server::{stages_of, PlannedQuery, ServerConfig, ServerSim};
 
     let idx = build_index();
     let gpu = Gpu::new(DeviceConfig::test_tiny());
@@ -130,21 +129,11 @@ fn serving_simulation_consumes_hybrid_traces() {
     let q = query(&idx, &["gpu", "query"]);
     let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
 
-    let job = Job {
-        arrival: VirtualNanos::ZERO,
-        stages: out
-            .steps
-            .iter()
-            .map(|s| {
-                let resource = match (s.proc, s.op) {
-                    (Proc::Gpu, _) | (_, StepOp::Migrate) => Resource::Gpu,
-                    (Proc::Cpu, _) => Resource::Cpu,
-                };
-                StageReq::new(resource, s.time)
-            })
-            .collect(),
+    let job = PlannedQuery {
+        stages: stages_of(&out),
+        ..Default::default()
     };
-    let lat = ServingSim::new(4).run(&[job]);
+    let report = ServerSim::new(ServerConfig::default()).run(&[job], &[VirtualNanos::ZERO]);
     // Unloaded latency equals the sum of the stages.
-    assert_eq!(lat[0], out.time);
+    assert_eq!(report.queries[0].latency, Some(out.time));
 }

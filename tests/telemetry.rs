@@ -6,15 +6,16 @@
 //! * a hybrid query's [`griffin::StepTrace`] durations sum exactly to
 //!   [`griffin::GriffinOutput::time`];
 //! * the serving-sim timeline is a faithful schedule: spans never
-//!   overlap within a lane, and reproduce the latencies `run` returns;
+//!   overlap within a lane, and reproduce the latencies it reports;
 //! * log-bucketed histogram quantiles stay within the bucketing's
 //!   relative-error bound for arbitrary samples.
 
-use griffin::serving::{Job, Resource, ServingSim, StageReq};
+use griffin::serving::{Resource, StageReq};
 use griffin::{ExecMode, Griffin};
 use griffin_codec::Codec;
 use griffin_gpu_sim::{DeviceConfig, Gpu, VirtualNanos};
 use griffin_index::{InvertedIndex, TermId};
+use griffin_server::{PlannedQuery, ServerConfig, ServerSim};
 use griffin_telemetry::metrics::Histogram;
 use griffin_telemetry::Telemetry;
 use proptest::collection::vec;
@@ -98,34 +99,40 @@ proptest! {
         prop_assert!(!out.steps.is_empty());
     }
 
-    /// Timeline faithfulness: `run_with_timeline` returns the same
-    /// latencies as `run`, its spans never overlap within a lane, every
-    /// span starts no earlier than it became ready, and each job's
-    /// last-stage end reproduces its returned latency.
+    /// Timeline faithfulness (default admission, no batching): the
+    /// simulator's spans never overlap within a lane, every span starts
+    /// no earlier than it became ready, and each job's last-stage end
+    /// reproduces its reported latency.
     #[test]
     fn serving_timeline_is_a_valid_schedule(
         arrivals in vec(0u64..1_000_000, 1..40),
         stage_specs in vec(vec((0u8..2, 1u64..100_000), 0..4), 1..40),
         cores in 1usize..5,
     ) {
-        let jobs: Vec<Job> = arrivals
+        let (arrivals, jobs): (Vec<VirtualNanos>, Vec<PlannedQuery>) = arrivals
             .iter()
             .zip(&stage_specs)
-            .map(|(&arrival, stages)| Job {
-                arrival: VirtualNanos::from_nanos(arrival),
-                stages: stages
+            .map(|(&arrival, stages)| {
+                let stages = stages
                     .iter()
                     .map(|&(r, d)| {
                         let res = if r == 0 { Resource::Cpu } else { Resource::Gpu };
                         StageReq::new(res, VirtualNanos::from_nanos(d))
                     })
-                    .collect(),
+                    .collect();
+                let job = PlannedQuery { stages, ..Default::default() };
+                (VirtualNanos::from_nanos(arrival), job)
             })
-            .collect();
+            .unzip();
 
-        let plain = ServingSim::new(cores).run(&jobs);
-        let (latencies, timeline) = ServingSim::new(cores).run_with_timeline(&jobs);
-        prop_assert_eq!(&plain, &latencies, "timeline recording changed the schedule");
+        let config = ServerConfig { cpu_workers: cores, ..Default::default() };
+        let report = ServerSim::new(config).run(&jobs, &arrivals);
+        let timeline = &report.timeline;
+        let latencies: Vec<VirtualNanos> = report
+            .queries
+            .iter()
+            .map(|q| q.latency.expect("default admission sheds nothing"))
+            .collect();
 
         // One span per executed stage.
         let total_stages: usize = jobs.iter().map(|j| j.stages.len()).sum();
@@ -163,7 +170,7 @@ proptest! {
                 .map(|s| s.end)
                 .max()
                 .expect("job has spans");
-            prop_assert_eq!(last_end - job.arrival, latencies[j]);
+            prop_assert_eq!(last_end - arrivals[j], latencies[j]);
         }
     }
 
