@@ -13,7 +13,10 @@
 //!    ratio so the comparison is scale-free;
 //! 2. the **adaptive balancer** — the cost model solves the fraction so
 //!    both lanes finish together, then per-engine feedback from measured
-//!    lane imbalance refines it pair over pair.
+//!    lane imbalance refines it pair over pair. The model and the split
+//!    band it runs under are this sweep's own, set from what view 1
+//!    measured at the crossover (one counted, timed device step; the
+//!    all-CPU lanes), not the engine's hand-set defaults.
 //!
 //! Asserted: at the empirical crossover the adaptive split beats the
 //! best single-processor hybrid by >= 10% (both lanes contribute), and
@@ -22,11 +25,11 @@
 //!
 //! `--smoke` trims the pair count; the list length stays at 2^20 in
 //! both modes because the GPU's fixed per-step cost (kernel launches,
-//! transfer latencies, and the serial tail of the tf-decode kernel)
-//! only amortizes at full length — shorter lists have no crossover for
-//! a split to win at. `GRIFFIN_SCALE` applies to the full-size run.
+//! allocations, transfer latencies) only amortizes at full length —
+//! shorter lists have no crossover for a split to win at.
+//! `GRIFFIN_SCALE` applies to the full-size run.
 
-use griffin::{CostModel, ExecMode, Griffin, SplitConfig, StepOp};
+use griffin::{CostModel, DeviceStepCounts, ExecMode, Griffin, SplitConfig, StepOp};
 use griffin_bench::report::{ms, Table};
 use griffin_bench::setup::{k20, scaled};
 use griffin_bench::Artifacts;
@@ -37,9 +40,11 @@ use griffin_workload::gen_correlated_lists;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Long/short length ratios swept; the scheduler's crossover for these
-/// configs sits near 16 (the benches' calibrated `ratio_threshold`).
+/// Long/short length ratios swept, from the benches' calibrated
+/// `ratio_threshold` (below it the device owns the operation) up past
+/// where the cold all-CPU and all-GPU lanes tie.
 const RATIOS: [usize; 5] = [4, 16, 64, 256, 1024];
+const RATIO_THRESHOLD: usize = 16;
 const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// What one configuration's sweep produces: per-ratio totals, per-ratio
@@ -58,8 +63,9 @@ enum Config {
     Unsplit,
     /// Every eligible intersection splits at exactly this GPU fraction.
     Forced(f64),
-    /// Solver-chosen fraction + measured-imbalance feedback.
-    Adaptive,
+    /// Solver-chosen fraction + measured-imbalance feedback, under the
+    /// experiment's own measured split configuration.
+    Adaptive(SplitConfig),
 }
 
 fn main() {
@@ -96,7 +102,7 @@ fn main() {
         let gpu = Gpu::new(k20());
         let mut griffin = Griffin::new(&gpu, index.meta(), index.block_len());
         griffin.scheduler.min_gpu_work = 64 * 1024;
-        griffin.scheduler.ratio_threshold = 16;
+        griffin.scheduler.ratio_threshold = RATIO_THRESHOLD;
         griffin.scheduler.hysteresis = 1.0;
         match config {
             Config::Unsplit => griffin.set_coexec(false),
@@ -104,7 +110,8 @@ fn main() {
                 let model = CostModel::from_device(&k20(), true);
                 griffin.scheduler.split = Some(SplitConfig::forced(model, *f));
             }
-            Config::Adaptive => {
+            Config::Adaptive(split) => {
+                griffin.scheduler.split = Some(*split);
                 griffin.set_telemetry(telemetry.clone());
             }
         }
@@ -197,7 +204,54 @@ fn main() {
     );
 
     // ---- 2. Adaptive balancer vs the single-processor bests. ---------
-    let adaptive_out = run(&Config::Adaptive);
+    // The balancer gets what this sweep measured at the crossover: a band
+    // that reaches it, and a model with both degenerate lanes re-anchored
+    // — the device lane on one counted, timed step (the all-GPU lane of a
+    // fresh crossover pair), the CPU lane on the grid's all-CPU lanes,
+    // the way `calibrated_from` feeds it measured kernels. The solver's
+    // job is the interior. The engine's defaults still price a decoder
+    // with a serial floor; they are the scheduler's to change, not this
+    // sweep's.
+    let default = CostModel::from_device(&k20(), true);
+    let (step, lane) = {
+        let gpu = Gpu::new(k20());
+        let mut griffin = Griffin::new(&gpu, index.meta(), index.block_len());
+        griffin.scheduler.min_gpu_work = 64 * 1024;
+        griffin.scheduler.split = Some(SplitConfig::forced(default, 1.0));
+        let terms = terms_of(crossover, 0);
+        let (out, step) = DeviceStepCounts::of(&gpu, || {
+            griffin.process_query(&index, &terms, 10, ExecMode::Hybrid)
+        });
+        let lanes = out.steps.iter().filter_map(|s| match s.op {
+            StepOp::SplitIntersect { gpu_lane, .. } => Some(gpu_lane),
+            _ => None,
+        });
+        (step, lanes.sum::<VirtualNanos>())
+    };
+    let probes = (pairs * long_len / RATIOS[crossover]) as f64;
+    let model = default
+        .with_measured_step(&k20(), &step, long_len, lane.as_nanos() as f64)
+        .with_cpu_skip_ns_per_probe(lane_grid[0][crossover].0.as_nanos() as f64 / probes);
+    let split = SplitConfig {
+        band: (RATIOS[crossover] / RATIO_THRESHOLD) as f64,
+        ..SplitConfig::new(model)
+    };
+    println!(
+        "(one device step: {} launches, {} allocations, {} transfers in {:.0} us, so {:.0} us fixed\n + {:.2} ns per posting — the engine's default prices {:.0} us + a {:.0} us serial floor + {:.2};\n CPU lane {:.0} ns per probe, default {:.0}; split band x{})",
+        step.launches,
+        step.mallocs,
+        step.transfers,
+        lane.as_micros_f64(),
+        model.fixed_ns / 1e3,
+        model.gpu_ns_per_elem.max(model.pcie_ns_per_elem),
+        default.fixed_ns / 1e3,
+        default.serial_decode_ns / 1e3,
+        default.gpu_ns_per_elem.max(default.pcie_ns_per_elem),
+        model.cpu_skip_ns_per_probe,
+        default.cpu_skip_ns_per_probe,
+        split.band
+    );
+    let adaptive_out = run(&Config::Adaptive(split));
     assert_eq!(
         adaptive_out.topks, reference,
         "adaptive split changed results"

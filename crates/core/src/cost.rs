@@ -18,7 +18,10 @@
 //! a re-simulation — because the planner only needs the crossover's
 //! order of magnitude.
 
-use griffin_gpu_sim::{DeviceConfig, VirtualNanos};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use griffin_gpu_sim::{DeviceConfig, DeviceEvent, Gpu, VirtualNanos};
 
 /// Approximate bytes shipped over PCIe per long-list element: Elias-Fano
 /// docids (~1.3 B/elem at realistic densities) plus packed term
@@ -30,16 +33,20 @@ const BYTES_PER_ELEM: f64 = 2.5;
 /// compute estimate.
 const DEVICE_TRAFFIC_BYTES_PER_ELEM: f64 = 24.0;
 
-/// Kernel launches charged per intersection step. Counted against the
-/// simulator's full-decompression path: popcount, scatter, recover and
-/// tf-decode for the decompress, two scans (each a tile pass plus a
-/// uniform-add), merge-path partition/merge/compact, and the score
-/// accumulator.
+/// Kernel launches charged per intersection step. Counted when the
+/// decompress was four kernels, a list-wide scan and a separate tf
+/// decoder; it is one launch now, and a real MergePath step makes 8
+/// (the decode, merge-path partition/merge/compact, the compaction's
+/// two-level scan, the score accumulator). The value is held — it feeds
+/// `min_gpu_work` and the split solver, and placement moves in its own
+/// change — so it over-states launches by 5;
+/// `crates/core/tests/model_drift.rs` pins both numbers.
 const LAUNCHES_PER_STEP: u64 = 13;
 
-/// Device allocations charged per intersection step (prefix sums, index
-/// array, decoded docids/tfs, partition diagonals, match buffers, the
-/// compacted result and its scores).
+/// Device allocations charged per intersection step (decoded docids/tfs,
+/// partition diagonals, match buffers, the compacted result and its
+/// scores). Under-states: a real step makes 18, uploads included, even
+/// with the decoder's prefix sums and index array gone (same test).
 const MALLOCS_PER_STEP: u64 = 10;
 
 /// PCIe transactions per step: the range upload (docids + tf side file +
@@ -49,11 +56,14 @@ const MALLOCS_PER_STEP: u64 = 10;
 const TRANSFERS_PER_STEP: u64 = 7;
 
 /// Dependent global-memory accesses on the tf side-file decoder's
-/// critical path. The decoder runs one thread per 128-element
-/// compression block, and each varint costs ~4 serially dependent
-/// global accesses, so the kernel's wall time is pinned at
-/// `128 x 4` un-hideable memory latencies *no matter how many blocks
-/// decode in parallel* — a per-step floor, not a per-element slope.
+/// critical path, as it was when one thread per 128-element compression
+/// block walked the varint bytes: ~4 serially dependent global accesses
+/// per varint pinned the kernel at `128 x 4` un-hideable memory latencies
+/// *no matter how many blocks decoded in parallel* — a per-step floor,
+/// not a per-element slope. The block-local decoder stages the bytes in
+/// shared memory and has no such chain, so this now over-states every
+/// device step by the whole floor (363 us on the K20 profile); held for
+/// the same reason as `LAUNCHES_PER_STEP`.
 const SERIAL_DECODE_GMEM_ACCESSES: f64 = 512.0;
 
 /// Fraction of the host's per-probe skip cost that a host-cached decoded
@@ -86,6 +96,52 @@ pub struct KernelMeasurements {
     pub cpu_skip_ns_per_probe: f64,
 }
 
+/// What a stretch of device work did, counted from outside the engine —
+/// the measured twin of `LAUNCHES_PER_STEP`, `MALLOCS_PER_STEP` and
+/// `TRANSFERS_PER_STEP`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceStepCounts {
+    pub launches: u64,
+    pub mallocs: u64,
+    pub frees: u64,
+    pub transfers: u64,
+}
+
+impl DeviceStepCounts {
+    /// Counts what `f` makes `gpu` do. Takes over the device's observer
+    /// for the duration, so use a device no telemetry is attached to.
+    pub fn of<R>(gpu: &Gpu, f: impl FnOnce() -> R) -> (R, DeviceStepCounts) {
+        let seen = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let counters = Arc::clone(&seen);
+        gpu.set_observer(Some(Arc::new(move |e: &DeviceEvent<'_>| {
+            let transfer = matches!(e, DeviceEvent::Transfer { .. });
+            counters[usize::from(transfer)].fetch_add(1, Ordering::Relaxed);
+        })));
+        let before = gpu.stats();
+        let out = f();
+        let after = gpu.stats();
+        gpu.set_observer(None);
+        let counts = DeviceStepCounts {
+            launches: seen[0].load(Ordering::Relaxed),
+            mallocs: after.allocs - before.allocs,
+            frees: after.frees - before.frees,
+            transfers: seen[1].load(Ordering::Relaxed),
+        };
+        (out, counts)
+    }
+
+    /// The fixed overhead these operations cost on `cfg`, as
+    /// [`CostModel::fixed_ns`] prices it: every launch and allocation,
+    /// and each transfer's link latency beyond the one
+    /// [`CostModel::transfer_ns`] carries. (Frees are counted but, like
+    /// the hand-set model, not priced.)
+    pub fn fixed_ns(&self, cfg: &DeviceConfig) -> f64 {
+        (self.launches * cfg.kernel_launch_overhead_ns
+            + self.mallocs * cfg.malloc_overhead_ns
+            + self.transfers.saturating_sub(1) * cfg.pcie.latency_ns) as f64
+    }
+}
+
 /// Per-step cost estimates for one GPU pairwise intersection, serial and
 /// pipelined.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,9 +150,9 @@ pub struct CostModel {
     /// per-transfer link latencies beyond the one priced into
     /// [`CostModel::transfer_ns`]), ns.
     pub fixed_ns: f64,
-    /// Serially dependent decode latency per step, ns — the tf
+    /// Serially dependent decode latency per step, ns — the former tf
     /// side-file decoder's critical path (see
-    /// `SERIAL_DECODE_GMEM_ACCESSES`). A wall-clock floor on every
+    /// `SERIAL_DECODE_GMEM_ACCESSES`). A floor on every
     /// full-decompression device step, independent of list length.
     pub serial_decode_ns: f64,
     /// Fixed per-transfer PCIe latency, ns.
@@ -132,9 +188,13 @@ impl CostModel {
     pub fn from_device(cfg: &DeviceConfig, overlap: bool) -> CostModel {
         let ns_per_cycle = cfg.ns_per_cycle();
         CostModel {
-            fixed_ns: (LAUNCHES_PER_STEP * cfg.kernel_launch_overhead_ns
-                + MALLOCS_PER_STEP * cfg.malloc_overhead_ns
-                + (TRANSFERS_PER_STEP - 1) * cfg.pcie.latency_ns) as f64,
+            fixed_ns: DeviceStepCounts {
+                launches: LAUNCHES_PER_STEP,
+                mallocs: MALLOCS_PER_STEP,
+                frees: 0,
+                transfers: TRANSFERS_PER_STEP,
+            }
+            .fixed_ns(cfg),
             serial_decode_ns: SERIAL_DECODE_GMEM_ACCESSES
                 * cfg.costs.gmem_latency_cycles
                 * ns_per_cycle,
@@ -176,6 +236,31 @@ impl CostModel {
             .with_cpu_skip_ns_per_probe(m.cpu_skip_ns_per_probe);
         cal.cpu_decode_ns_per_elem = m.cpu_decode_ns_per_elem;
         cal
+    }
+
+    /// Re-anchors the device lane on one measured device step, as
+    /// [`CostModel::calibrated_from`] does the CPU lane on measured
+    /// kernels: `fixed_ns` is what the step's counted operations cost on
+    /// `cfg`; the rest of its measured duration `lane_ns` (against a
+    /// `long_len` list) rescales the per-element terms — PCIe and compute
+    /// by one factor, one step cannot tell them apart — so the model
+    /// prices that step as measured, to within the one link latency that
+    /// does not scale. No serial-decode floor is assumed: a decoder with
+    /// one shows up in the factor.
+    pub fn with_measured_step(
+        mut self,
+        cfg: &DeviceConfig,
+        step: &DeviceStepCounts,
+        long_len: usize,
+        lane_ns: f64,
+    ) -> CostModel {
+        self.fixed_ns = step.fixed_ns(cfg);
+        self.serial_decode_ns = 0.0;
+        let per_elem_ns = self.gpu_step_ns(long_len) - self.fixed_ns;
+        let scale = ((lane_ns - self.fixed_ns) / per_elem_ns).max(0.0);
+        self.pcie_ns_per_elem *= scale;
+        self.gpu_ns_per_elem *= scale;
+        self
     }
 
     /// PCIe cost of shipping a `long_len`-element list, ns.

@@ -710,9 +710,9 @@ impl Gpu {
     /// them. The caller runs block 0 and counts what its threads did; the
     /// remaining blocks are fanned out only if, at that block's count, they
     /// hold more than [`FAN_OUT_MIN_CALLS`]. Thread count alone says little:
-    /// a thread of `para_ef.tf_decode` costs a hundred times one of
-    /// `para_ef.popc`. The rule reads no clock, so one launch takes the same
-    /// path every time it is run on one host.
+    /// a lane of `para_ef.decode` makes some 55 such calls, a thread of
+    /// `scan.uniform_add` four. The rule reads no clock, so one launch takes
+    /// the same path every time it is run on one host.
     ///
     /// The last core is left alone. On a two-core host the second core is
     /// where everything else runs (measured on a 2-vCPU VM: the same pass

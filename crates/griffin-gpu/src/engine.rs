@@ -595,14 +595,7 @@ impl<'g> GpuEngine<'g> {
     ) -> Result<DeviceIntermediate, GpuError> {
         let gpu = self.gpu;
         let n = postings.len();
-        let docids = para_ef::decompress(gpu, &postings.docs)?;
-        let tfs = match para_ef::decode_tfs(gpu, postings) {
-            Ok(t) => t,
-            Err(e) => {
-                gpu.free(docids);
-                return Err(e.into());
-            }
-        };
+        let (docids, tfs) = para_ef::decode_postings(gpu, postings)?;
         let scores = match gpu.alloc::<f32>(n) {
             Ok(s) => s,
             Err(e) => {
@@ -683,14 +676,7 @@ impl<'g> GpuEngine<'g> {
             GpuStrategy::MergePath => {
                 // Comparable lengths: every block is needed anyway, so
                 // decompress both sides fully (docids and tfs).
-                let long_docids = para_ef::decompress(gpu, &postings.docs)?;
-                let long_tfs = match para_ef::decode_tfs(gpu, postings) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        gpu.free(long_docids);
-                        return Err(e.into());
-                    }
-                };
+                let (long_docids, long_tfs) = para_ef::decode_postings(gpu, postings)?;
                 let matches = match mergepath::intersect(
                     gpu,
                     &inter.docids,

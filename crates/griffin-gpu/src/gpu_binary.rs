@@ -13,15 +13,16 @@
 //!    the skip table and flags its candidate block.
 //! 2. **Needed-block compaction** — scan + scatter produce the dense list
 //!    of blocks to decompress.
-//! 3. **Selective block decode** — one GPU block per needed list block
-//!    runs a block-local Elias–Fano decode into a scratch slab.
+//! 3. **Selective block decode** — [`para_ef`]'s block-local decode, one
+//!    warp per needed list block, into a scratch slab.
 //! 4. **In-block search** — one thread per short-list element binary
 //!    searches its decoded block.
 //! 5. **Match compaction** — scan + scatter into the dense result.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, ThreadCtx};
+use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, ThreadCtx};
 
 use crate::mergepath::DeviceMatches;
+use crate::para_ef;
 use crate::scan::exclusive_scan;
 use crate::transfer::DeviceEfList;
 
@@ -78,14 +79,14 @@ impl Kernel for SkipSearchKernel {
 }
 
 /// Phase 2b: scatter needed block ids into their scan-assigned slots.
-struct BlockScatterKernel {
+struct ScatterBlocksKernel {
     block_needed: DeviceBuffer<u32>,
     block_slot: DeviceBuffer<u32>,
     needed_blocks: DeviceBuffer<u32>,
     num_blocks: usize,
 }
 
-impl Kernel for BlockScatterKernel {
+impl Kernel for ScatterBlocksKernel {
     fn name(&self) -> &'static str {
         "gpu_binary.block_scatter"
     }
@@ -101,159 +102,6 @@ impl Kernel for BlockScatterKernel {
             let slot = t.ld(&self.block_slot, b) as usize;
             t.st(&self.needed_blocks, slot, b as u32);
         }
-    }
-}
-
-/// Phase 3: block-local Elias–Fano decode of the needed blocks only.
-/// GPU block `g` decodes inverted-list block `needed_blocks[g]` into
-/// `scratch[g * block_len ..]`.
-struct BlockDecodeKernel {
-    list: BlockDecodeView,
-    needed_blocks: DeviceBuffer<u32>,
-    scratch: DeviceBuffer<u32>,
-    needed_count: usize,
-    block_len: usize,
-    max_hb_words: usize,
-}
-
-/// The subset of [`DeviceEfList`] buffers the decoder needs.
-struct BlockDecodeView {
-    hb: DeviceBuffer<u32>,
-    lb: DeviceBuffer<u32>,
-    block_hb_start: DeviceBuffer<u32>,
-    block_lb_start: DeviceBuffer<u32>,
-    block_elem_start: DeviceBuffer<u32>,
-    block_b: DeviceBuffer<u32>,
-    block_base: DeviceBuffer<u32>,
-    num_blocks: usize,
-    len: usize,
-    hb_words: usize,
-}
-
-impl BlockDecodeView {
-    fn new(list: &DeviceEfList) -> Self {
-        BlockDecodeView {
-            hb: list.hb.clone(),
-            lb: list.lb.clone(),
-            block_hb_start: list.block_hb_start.clone(),
-            block_lb_start: list.block_lb_start.clone(),
-            block_elem_start: list.block_elem_start.clone(),
-            block_b: list.block_b.clone(),
-            block_base: list.block_base.clone(),
-            num_blocks: list.num_blocks,
-            len: list.len,
-            hb_words: list.hb_words,
-        }
-    }
-}
-
-impl Kernel for BlockDecodeKernel {
-    fn name(&self) -> &'static str {
-        "gpu_binary.block_decode"
-    }
-
-    type State = ();
-
-    fn phases(&self) -> usize {
-        2
-    }
-
-    fn shared_mem_words(&self, _block_dim: u32) -> usize {
-        self.max_hb_words + 1
-    }
-
-    fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
-        let g = t.block_idx as usize;
-        if g >= self.needed_count {
-            return;
-        }
-        let blk = t.ld(&self.needed_blocks, g) as usize;
-        let hb_start = t.ld(&self.list.block_hb_start, blk) as usize;
-        let hb_end = if t.branch(blk + 1 < self.list.num_blocks) {
-            t.ld(&self.list.block_hb_start, blk + 1) as usize
-        } else {
-            self.list.hb_words
-        };
-        let elem_start = t.ld(&self.list.block_elem_start, blk) as usize;
-        let elem_end = if t.branch(blk + 1 < self.list.num_blocks) {
-            t.ld(&self.list.block_elem_start, blk + 1) as usize
-        } else {
-            self.list.len
-        };
-        let count = elem_end - elem_start;
-
-        if phase == 0 {
-            // Thread 0 computes the cumulative popcount per high-bits word
-            // (a dozen words at most: serial is the right call here).
-            if t.branch(t.thread_idx == 0) {
-                let mut cum = 0u32;
-                for (w, word_idx) in (hb_start..hb_end).enumerate() {
-                    t.st_shared(w, cum);
-                    let word = t.ld(&self.list.hb, word_idx);
-                    t.op(Op::Popc, 1);
-                    cum += word.count_ones();
-                }
-                t.st_shared(hb_end - hb_start, cum);
-            }
-            return;
-        }
-
-        // Phase 1: each thread decodes one element.
-        let j = t.thread_idx as usize;
-        if !t.branch(j < count) {
-            return;
-        }
-        // Find the word encoding element j: linear scan of the cumulative
-        // counts (short; a real kernel would keep this in registers via
-        // ballots, costed the same).
-        let nwords = hb_end - hb_start;
-        let mut w = 0usize;
-        loop {
-            let advance = w + 1 < nwords && t.ld_shared(w + 1) as usize <= j;
-            if !t.branch(advance) {
-                break;
-            }
-            w += 1;
-            t.alu(1);
-        }
-        let rank = j as u32 - t.ld_shared(w);
-        let word = t.ld(&self.list.hb, hb_start + w);
-        let mut tmp = word;
-        for _ in 0..rank {
-            tmp &= tmp - 1;
-        }
-        t.op(Op::Popc, rank + 1);
-        let p = tmp.trailing_zeros();
-        let bitpos = w as u32 * 32 + p;
-        let high = bitpos - j as u32;
-        t.alu(3);
-
-        let b = t.ld(&self.list.block_b, blk);
-        let base = t.ld(&self.list.block_base, blk);
-        let low = if t.branch(b > 0) {
-            let bit = t.ld(&self.list.block_lb_start, blk) as usize * 32 + j * b as usize;
-            let w0 = t.ld(&self.list.lb, bit / 32);
-            let off = (bit % 32) as u32;
-            let have = 32 - off;
-            let mut v = w0 >> off;
-            if t.branch(b > have) {
-                v |= t.ld(&self.list.lb, bit / 32 + 1) << have;
-            }
-            t.alu(4);
-            if b == 32 {
-                v
-            } else {
-                v & ((1u32 << b) - 1)
-            }
-        } else {
-            0
-        };
-        t.alu(2);
-        t.st(
-            &self.scratch,
-            g * self.block_len + j,
-            base + ((high << b) | low),
-        );
     }
 }
 
@@ -537,7 +385,7 @@ pub fn intersect(
         temps.push(needed_blocks.clone());
         if needed_count > 0 {
             gpu.launch(
-                &BlockScatterKernel {
+                &ScatterBlocksKernel {
                     block_needed: block_needed.clone(),
                     block_slot: block_slot.clone(),
                     needed_blocks: needed_blocks.clone(),
@@ -550,19 +398,16 @@ pub fn intersect(
         // 3. Selective decode.
         let scratch = gpu.alloc::<u32>((needed_count * block_len).max(1))?;
         temps.push(scratch.clone());
-        if needed_count > 0 {
-            gpu.launch(
-                &BlockDecodeKernel {
-                    list: BlockDecodeView::new(long),
-                    needed_blocks: needed_blocks.clone(),
-                    scratch: scratch.clone(),
-                    needed_count,
-                    block_len,
-                    max_hb_words: long.max_block_hb_words,
-                },
-                LaunchConfig::new(needed_count as u32, block_len as u32),
-            )?;
-        }
+        para_ef::decompress_selected(
+            gpu,
+            long,
+            para_ef::Selected {
+                blocks: needed_blocks.clone(),
+                count: needed_count,
+                stride: block_len,
+            },
+            &scratch,
+        )?;
 
         // 4. In-block search.
         let match_flag = gpu.alloc::<u32>(m)?;

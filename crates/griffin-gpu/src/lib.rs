@@ -4,9 +4,10 @@
 //! key algorithms:
 //!
 //! * **Para-EF decompression** ([`para_ef`], paper Algorithm 1): popcount
-//!   over the Elias–Fano high-bits words, a device-wide prefix sum, a
-//!   scatter phase that assigns one thread per decompressed element, and a
-//!   recover phase that reconstructs each value independently.
+//!   over the Elias–Fano high-bits words, a prefix sum, a scatter phase
+//!   that schedules one slot per decompressed element, and a recover phase
+//!   that reconstructs each value independently — all inside the posting
+//!   block, one warp per block, docIDs and term frequencies in one launch.
 //! * **MergePath intersection** ([`mergepath`], paper Figs. 5–6, after
 //!   Green et al.): diagonal binary searches find perfectly load-balanced
 //!   partitions of the two lists; each partition is merged serially in

@@ -1,320 +1,409 @@
-//! Para-EF: parallel Elias–Fano decompression (paper §3.1.1, Algorithm 1).
+//! Para-EF: parallel Elias–Fano decompression (paper §3.1.1, Algorithm 1),
+//! run block-locally: one launch per list, **one warp per posting block**.
 //!
-//! Griffin-GPU's decompression pipeline, structured exactly as the paper's
-//! algorithm — with the prefix sum realized as a device-wide scan (its
-//! "synchronization point"), which in CUDA terms means separate kernel
-//! launches:
+//! The paper's prefix sum is a device-wide "synchronization point" because
+//! its lists are one Elias–Fano sequence. Ours are partitioned into
+//! posting blocks and the index stores where each block's output starts
+//! (`elem_start`), so no thread ever needs a popcount from another block:
+//! Algorithm 1 runs inside the block, over its handful of high-bits
+//! words, with block barriers where the paper has kernel boundaries.
 //!
-//! 1. **Popcount** — one thread per high-bits word computes how many
-//!    elements the word encodes (`__popc`).
-//! 2. **Prefix sum** — exclusive scan of the popcounts ([`crate::scan`]),
-//!    giving each word its first output index.
-//! 3. **Scatter (scheduling)** — one thread per word writes its word index
-//!    into `index_array[ps[i] + k]` for each encoded element: afterwards,
-//!    element *e* knows which word encodes it (Algorithm 1 lines 4–8).
-//! 4. **Recover** — one thread per element finds its set bit within the
-//!    word, reconstructs the high bits from the bit position, fetches its
-//!    low bits, and concatenates (Algorithm 1 lines 9–10).
+//! 0. **Stage** — a few lanes fetch the block's scalars (where its words
+//!    start, its header, where its output goes, its base, its tf run)
+//!    into shared memory, once.
+//! 1. **Popcount** — lanes stride over the block's high-bits words
+//!    (coalesced) and count the elements each encodes (`__popc`); the
+//!    VByte run of term frequencies is staged in shared memory the same
+//!    way, counting the varints that end in each word.
+//! 2. **Prefix sum** — over the block's few counts, in shared memory.
+//! 3. **Scatter (scheduling)** — each word's lane enumerates its set bits
+//!    and writes each element's high part to the element's slot
+//!    (Algorithm 1 lines 4–8); each tf word's lane decodes the varints
+//!    that start in it, straight to `tfs[elem_start + k]`.
+//! 4. **Recover** — lanes stride over the block's elements, fetch the low
+//!    bits, concatenate and store `docids[elem_start + j]` (lines 9–10),
+//!    coalesced.
 //!
-//! A fifth kernel decodes the VByte term-frequency side file (one thread
-//! per 128-element block — the stream is sequential within a block, which
-//! is why frequencies, unlike docIDs, don't get a fancier scheme).
+//! [`gpu_binary`](crate::gpu_binary) runs the same kernel over the blocks
+//! its skip search selected, into a slab instead of the list's positions.
 
 use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, ThreadCtx};
 
-use crate::scan::exclusive_scan;
 use crate::transfer::{DeviceEfList, DevicePostings};
 
-const BLOCK_DIM: u32 = 256;
+/// Lanes per posting block: one warp, so a 128-element block gives each
+/// lane four elements and the per-lane set-up is paid once for the four.
+const LANES: u32 = 32;
 
-/// Phase 1: popcount per high-bits word.
-struct PopcKernel {
-    hb: DeviceBuffer<u32>,
-    ps: DeviceBuffer<u32>,
-    n: usize,
-}
+// Shared-memory slots of the per-block scalars.
+const WORD_START: usize = 0;
+const HEADER: usize = 1;
+const OUT_START: usize = 2;
+const BASE: usize = 3;
+const TF_LO: usize = 4;
+const TF_HI: usize = 5;
+const SCALARS: usize = 6;
 
-impl Kernel for PopcKernel {
-    fn name(&self) -> &'static str {
-        "para_ef.popc"
-    }
-
-    type State = ();
-    fn run_phase(&self, _p: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
-        let i = t.global_thread_idx();
-        if t.branch(i < self.n) {
-            let w = t.ld(&self.hb, i);
-            t.op(Op::Popc, 1);
-            t.st(&self.ps, i, w.count_ones());
-        }
-    }
-}
-
-/// Phase 3: each word's thread writes its index for every element the word
-/// encodes. The loop length varies per thread — the divergence the tracer
-/// records here is real and the timing model charges for it.
-struct ScatterKernel {
-    hb: DeviceBuffer<u32>,
-    ps_ex: DeviceBuffer<u32>,
-    index_array: DeviceBuffer<u32>,
-    n_words: usize,
-}
-
-impl Kernel for ScatterKernel {
-    fn name(&self) -> &'static str {
-        "para_ef.scatter"
-    }
-
-    type State = ();
-    fn run_phase(&self, _p: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
-        let i = t.global_thread_idx();
-        if !t.branch(i < self.n_words) {
-            return;
-        }
-        let w = t.ld(&self.hb, i);
-        t.op(Op::Popc, 1);
-        let count = w.count_ones();
-        let start = t.ld(&self.ps_ex, i) as usize;
-        let mut offset = 0u32;
-        while t.branch(offset < count) {
-            t.st(&self.index_array, start + offset as usize, i as u32);
-            t.alu(1);
-            offset += 1;
-        }
-    }
-}
-
-/// Position of the `(rank+1)`-th set bit of `word` (rank < popcount).
-/// Charged as popcount-class ops, mirroring the `__popc`-based select the
-/// CUDA implementation uses via a shared-memory lookup table.
-#[inline]
-fn nth_set_bit(t: &mut ThreadCtx<'_>, word: u32, rank: u32) -> u32 {
-    let mut w = word;
-    for _ in 0..rank {
-        w &= w - 1; // clear lowest set bit
-    }
-    t.op(Op::Popc, rank + 1);
-    w.trailing_zeros()
-}
-
-/// Phase 4: recover one element per thread.
-struct RecoverKernel {
-    list_hb: DeviceBuffer<u32>,
-    list_lb: DeviceBuffer<u32>,
-    block_hb_start: DeviceBuffer<u32>,
-    block_lb_start: DeviceBuffer<u32>,
-    block_elem_start: DeviceBuffer<u32>,
-    block_b: DeviceBuffer<u32>,
-    block_base: DeviceBuffer<u32>,
-    word_block: DeviceBuffer<u32>,
-    ps_ex: DeviceBuffer<u32>,
-    index_array: DeviceBuffer<u32>,
+/// The term-frequency side of a decode: the VByte stream and where the
+/// decoded values go.
+struct TfSide {
+    words: DeviceBuffer<u32>,
+    offsets: DeviceBuffer<u32>,
     out: DeviceBuffer<u32>,
-    n: usize,
+    max_block_words: usize,
 }
 
-impl Kernel for RecoverKernel {
-    fn name(&self) -> &'static str {
-        "para_ef.recover"
+/// The blocks a selective decode covers: GPU block `g < count` decodes
+/// list block `blocks[g]` into `out[g * stride ..]`.
+pub(crate) struct Selected {
+    pub blocks: DeviceBuffer<u32>,
+    pub count: usize,
+    pub stride: usize,
+}
+
+struct DecodeKernel {
+    words: DeviceBuffer<u32>,
+    block_word_start: DeviceBuffer<u32>,
+    block_elem_start: DeviceBuffer<u32>,
+    block_base: DeviceBuffer<u32>,
+    max_hb_words: usize,
+    max_block_len: usize,
+    /// `None`: GPU block `g` decodes list block `g` to its own position.
+    select: Option<Selected>,
+    out: DeviceBuffer<u32>,
+    tf: Option<TfSide>,
+}
+
+/// A lane's registers: the block's scalars, read from shared memory once.
+#[derive(Default)]
+struct Lane {
+    hb_start: usize,
+    hb_words: usize,
+    count: usize,
+    b: u32,
+    out_start: usize,
+    base: u32,
+    tf_lo: usize,
+    tf_hi: usize,
+}
+
+impl Lane {
+    /// Index of the first staged tf word in the stream, and how many the
+    /// block's run touches.
+    fn tf_words(&self) -> (usize, usize) {
+        let first = self.tf_lo / 4;
+        (first, self.tf_hi.div_ceil(4) - first)
+    }
+}
+
+/// Bit `8i + 7` is set for each byte `i` of stream word `w` that lies in
+/// the run `[lo, hi)` and ends a varint (no continuation bit). `w` touches
+/// the run, so the shifts stay below 32.
+#[inline]
+fn varint_ends(word: u32, w: usize, lo: usize, hi: usize) -> u32 {
+    let mut ends = !word & 0x8080_8080 & (u32::MAX << (8 * lo.saturating_sub(4 * w)));
+    if hi - 4 * w < 4 {
+        ends &= (1 << (8 * (hi - 4 * w))) - 1;
+    }
+    ends
+}
+
+impl DecodeKernel {
+    // Shared-memory areas behind the scalars.
+    fn hb_counts(&self) -> usize {
+        SCALARS
+    }
+    fn highs(&self) -> usize {
+        self.hb_counts() + self.max_hb_words
+    }
+    fn tf_staged(&self) -> usize {
+        self.highs() + self.max_block_len
+    }
+    fn tf_counts(&self, tf: &TfSide) -> usize {
+        self.tf_staged() + tf.max_block_words
     }
 
-    type State = ();
-    fn run_phase(&self, _p: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
-        let e = t.global_thread_idx();
-        if !t.branch(e < self.n) {
+    /// Phase 0: one lane per scalar (two for the lane that chases the
+    /// header through `block_word_start`).
+    fn stage(&self, t: &mut ThreadCtx<'_>) {
+        let lane = t.thread_idx;
+        if !t.branch(lane < 4) {
             return;
         }
-        let w_idx = t.ld(&self.index_array, e) as usize;
-        let rank = e as u32 - t.ld(&self.ps_ex, w_idx);
-        let word = t.ld(&self.list_hb, w_idx);
-        let p = nth_set_bit(t, word, rank);
-
-        let blk = t.ld(&self.word_block, w_idx) as usize;
-        let hb_start = t.ld(&self.block_hb_start, blk) as usize;
-        let elem_start = t.ld(&self.block_elem_start, blk) as usize;
-        let bitpos = (w_idx - hb_start) as u32 * 32 + p;
-        let ones_before = (e - elem_start) as u32;
-        let high = bitpos - ones_before;
-        t.alu(4);
-
-        let b = t.ld(&self.block_b, blk);
-        let base = t.ld(&self.block_base, blk);
-        let low = if t.branch(b > 0) {
-            let lb_start_bits = t.ld(&self.block_lb_start, blk) as usize * 32;
-            let bit = lb_start_bits + (e - elem_start) * b as usize;
-            let w0 = t.ld(&self.list_lb, bit / 32);
-            let off = (bit % 32) as u32;
-            let have = 32 - off;
-            let mut v = w0 >> off;
-            if t.branch(b > have) {
-                let w1 = t.ld(&self.list_lb, bit / 32 + 1);
-                v |= w1 << have;
-            }
-            t.alu(4);
-            if b == 32 {
-                v
-            } else {
-                v & ((1u32 << b) - 1)
-            }
-        } else {
-            0
+        let g = t.block_idx as usize;
+        let blk = match &self.select {
+            Some(select) => t.ld(&select.blocks, g) as usize,
+            None => g,
         };
-        t.alu(2);
-        t.st(&self.out, e, base + ((high << b) | low));
+        match (lane, &self.select, &self.tf) {
+            (0, _, _) => {
+                let start = t.ld(&self.block_word_start, blk);
+                t.st_shared(WORD_START, start);
+                let header = t.ld(&self.words, start as usize);
+                t.st_shared(HEADER, header);
+            }
+            (1, Some(select), _) => t.st_shared(OUT_START, (g * select.stride) as u32),
+            (1, None, _) => {
+                let start = t.ld(&self.block_elem_start, blk);
+                t.st_shared(OUT_START, start);
+            }
+            (2, _, _) => {
+                let base = t.ld(&self.block_base, blk);
+                t.st_shared(BASE, base);
+            }
+            (3, _, Some(tf)) => {
+                let lo = t.ld(&tf.offsets, blk);
+                t.st_shared(TF_LO, lo);
+                let hi = t.ld(&tf.offsets, blk + 1);
+                t.st_shared(TF_HI, hi);
+            }
+            _ => {}
+        }
+    }
+
+    /// Phase 1: scalars into registers; count what each word holds.
+    fn count(&self, t: &mut ThreadCtx<'_>, s: &mut Lane) {
+        s.hb_start = t.ld_shared(WORD_START) as usize + 1;
+        // `count:16 | b:6 | hb_len:10`, as `EfBlock::to_words` packs it.
+        let header = t.ld_shared(HEADER);
+        s.count = (header & 0xFFFF) as usize;
+        s.b = (header >> 16) & 0x3F;
+        s.hb_words = (header >> 22) as usize;
+        s.out_start = t.ld_shared(OUT_START) as usize;
+        s.base = t.ld_shared(BASE);
+        t.alu(4);
+        let lane = t.thread_idx as usize;
+        for w in (lane..s.hb_words).step_by(LANES as usize) {
+            let word = t.ld(&self.words, s.hb_start + w);
+            t.op(Op::Popc, 1);
+            t.alu(1);
+            t.st_shared(self.hb_counts() + w, word.count_ones());
+        }
+        let Some(tf) = &self.tf else { return };
+        s.tf_lo = t.ld_shared(TF_LO) as usize;
+        s.tf_hi = t.ld_shared(TF_HI) as usize;
+        let (first, n) = s.tf_words();
+        for i in (lane..n).step_by(LANES as usize) {
+            let word = t.ld(&tf.words, first + i);
+            t.st_shared(self.tf_staged() + i, word);
+            let ends = varint_ends(word, first + i, s.tf_lo, s.tf_hi);
+            t.op(Op::Popc, 1);
+            t.alu(5);
+            t.st_shared(self.tf_counts(tf) + i, ends.count_ones());
+        }
+    }
+
+    /// Phase 2: exclusive prefix sums, in place — lane 0 over the
+    /// high-bits counts, lane 1 over the tf counts. A few dozen words at
+    /// most; a real kernel would shuffle-scan them at about this cost.
+    fn scan(&self, t: &mut ThreadCtx<'_>, s: &Lane) {
+        let lane = t.thread_idx;
+        if !t.branch(lane < 2) {
+            return;
+        }
+        let (counts, n) = match (lane, &self.tf) {
+            (0, _) => (self.hb_counts(), s.hb_words),
+            (_, Some(tf)) => (self.tf_counts(tf), s.tf_words().1),
+            _ => return,
+        };
+        let mut before = 0u32;
+        for slot in counts..counts + n {
+            let c = t.ld_shared(slot);
+            t.st_shared(slot, before);
+            before += c;
+            t.alu(1);
+        }
+    }
+
+    /// Phase 3: the scatter. A lane's loop lengths follow its words'
+    /// contents — the divergence the tracer records here is real and the
+    /// timing model charges for it.
+    fn scatter(&self, t: &mut ThreadCtx<'_>, s: &Lane) {
+        let lane = t.thread_idx as usize;
+        for w in (lane..s.hb_words).step_by(LANES as usize) {
+            let mut bits = t.ld(&self.words, s.hb_start + w);
+            let mut j = t.ld_shared(self.hb_counts() + w);
+            // Element j is the j-th one of the unary stream; the zeros
+            // before it are its high part.
+            while t.branch(bits != 0) {
+                let bitpos = w as u32 * 32 + bits.trailing_zeros();
+                t.st_shared(self.highs() + j as usize, bitpos - j);
+                bits &= bits - 1;
+                j += 1;
+                t.op(Op::Popc, 1);
+                t.alu(3);
+            }
+        }
+        let Some(tf) = &self.tf else { return };
+        let (first, n) = s.tf_words();
+        for i in (lane..n).step_by(LANES as usize) {
+            let word = t.ld_shared(self.tf_staged() + i);
+            let mut k = t.ld_shared(self.tf_counts(tf) + i) as usize;
+            // A varint starts at the run's first byte and after every
+            // byte that ends one; the word before says which it is here.
+            let lo = s.tf_lo.max(4 * (first + i));
+            let hi = s.tf_hi.min(4 * (first + i) + 4);
+            let mut open = lo > s.tf_lo && t.ld_shared(self.tf_staged() + i - 1) >> 31 == 1;
+            for at in lo..hi {
+                let byte = word >> (8 * (at % 4));
+                if t.branch(!open) {
+                    // Decode the varint that starts here, following it
+                    // into later words if it runs on.
+                    let (mut v, mut shift) = (byte & 0x7F, 7);
+                    let (mut next, mut cur, mut more) = (at + 1, word, byte & 0x80 != 0);
+                    while t.branch(more) {
+                        if next % 4 == 0 {
+                            cur = t.ld_shared(self.tf_staged() + next / 4 - first);
+                        }
+                        let c = cur >> (8 * (next % 4));
+                        v |= (c & 0x7F) << shift;
+                        more = c & 0x80 != 0;
+                        shift += 7;
+                        next += 1;
+                        t.alu(5);
+                    }
+                    t.st(&tf.out, s.out_start + k, v);
+                }
+                open = byte & 0x80 != 0;
+                k += usize::from(!open);
+                t.alu(3);
+            }
+        }
+    }
+
+    /// Phase 4: one element per lane per round.
+    fn recover(&self, t: &mut ThreadCtx<'_>, s: &Lane) {
+        let lane = t.thread_idx as usize;
+        let lb_bit = (s.hb_start + s.hb_words) * 32;
+        for j in (lane..s.count).step_by(LANES as usize) {
+            let high = t.ld_shared(self.highs() + j);
+            // `b` is one value for the whole block: no lane diverges here.
+            let low = if s.b > 0 {
+                let bit = lb_bit + j * s.b as usize;
+                let off = (bit % 32) as u32;
+                let have = 32 - off;
+                let mut v = t.ld(&self.words, bit / 32) >> off;
+                if t.branch(s.b > have) {
+                    v |= t.ld(&self.words, bit / 32 + 1) << have;
+                }
+                t.alu(4);
+                // The codec never emits b >= 32 (upload rejects it).
+                v & ((1u32 << s.b) - 1)
+            } else {
+                0
+            };
+            t.alu(3);
+            t.st(&self.out, s.out_start + j, s.base + ((high << s.b) | low));
+        }
     }
 }
 
-/// Decompresses a device-resident EF list into a dense docID buffer.
-/// Intermediate buffers are freed before returning (on both paths); only
-/// the output stays.
-pub fn decompress(gpu: &Gpu, list: &DeviceEfList) -> Result<DeviceBuffer<u32>, DeviceError> {
-    if list.len == 0 {
-        return gpu.alloc::<u32>(0);
+impl Kernel for DecodeKernel {
+    fn name(&self) -> &'static str {
+        "para_ef.decode"
     }
-    let ps = gpu.alloc::<u32>(list.hb_words)?;
-    let step1 = gpu.launch(
-        &PopcKernel {
-            hb: list.hb.clone(),
-            ps: ps.clone(),
-            n: list.hb_words,
+
+    type State = Lane;
+
+    fn phases(&self) -> usize {
+        5
+    }
+
+    fn shared_mem_words(&self, _block_dim: u32) -> usize {
+        match &self.tf {
+            Some(tf) => self.tf_counts(tf) + tf.max_block_words,
+            None => self.tf_staged(),
+        }
+    }
+
+    fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, s: &mut Lane) {
+        match phase {
+            0 => self.stage(t),
+            1 => self.count(t, s),
+            2 => self.scan(t, s),
+            3 => self.scatter(t, s),
+            _ => self.recover(t, s),
+        }
+    }
+}
+
+fn launch(
+    gpu: &Gpu,
+    list: &DeviceEfList,
+    select: Option<Selected>,
+    out: &DeviceBuffer<u32>,
+    tf: Option<TfSide>,
+) -> Result<(), DeviceError> {
+    let blocks = select.as_ref().map_or(list.num_blocks, |s| s.count);
+    if blocks == 0 {
+        return Ok(());
+    }
+    gpu.launch(
+        &DecodeKernel {
+            words: list.words.clone(),
+            block_word_start: list.block_word_start.clone(),
+            block_elem_start: list.block_elem_start.clone(),
+            block_base: list.block_base.clone(),
+            max_hb_words: list.max_block_hb_words,
+            max_block_len: list.max_block_len,
+            select,
+            out: out.clone(),
+            tf,
         },
-        LaunchConfig::cover(list.hb_words, BLOCK_DIM),
-    );
-    if let Err(e) = step1 {
-        gpu.free(ps);
-        return Err(e);
-    }
-    let (ps_ex, total) = match exclusive_scan(gpu, &ps, list.hb_words) {
-        Ok(r) => r,
+        LaunchConfig::new(blocks as u32, LANES),
+    )?;
+    Ok(())
+}
+
+/// Decompresses a device-resident EF list into a dense docID buffer: one
+/// allocation, one launch, nothing else. A fault frees the output.
+pub fn decompress(gpu: &Gpu, list: &DeviceEfList) -> Result<DeviceBuffer<u32>, DeviceError> {
+    let out = gpu.alloc::<u32>(list.len)?;
+    match launch(gpu, list, None, &out, None) {
+        Ok(()) => Ok(out),
         Err(e) => {
-            gpu.free(ps);
+            gpu.free(out);
+            Err(e)
+        }
+    }
+}
+
+/// Decompresses the selected blocks of `list` into `out`, block
+/// `select.blocks[g]` at `out[g * select.stride ..]`.
+pub(crate) fn decompress_selected(
+    gpu: &Gpu,
+    list: &DeviceEfList,
+    select: Selected,
+    out: &DeviceBuffer<u32>,
+) -> Result<(), DeviceError> {
+    launch(gpu, list, Some(select), out, None)
+}
+
+/// Decompresses a posting list into dense, aligned `(docids, tfs)` buffers
+/// in the same single launch. A fault leaves neither allocated.
+pub fn decode_postings(
+    gpu: &Gpu,
+    postings: &DevicePostings,
+) -> Result<(DeviceBuffer<u32>, DeviceBuffer<u32>), DeviceError> {
+    let docids = gpu.alloc::<u32>(postings.len())?;
+    let tfs = match gpu.alloc::<u32>(postings.len()) {
+        Ok(tfs) => tfs,
+        Err(e) => {
+            gpu.free(docids);
             return Err(e);
         }
     };
-    debug_assert_eq!(
-        total as usize, list.len,
-        "popcount total must equal list length"
-    );
-
-    let inner = || -> Result<DeviceBuffer<u32>, DeviceError> {
-        let index_array = gpu.alloc::<u32>(list.len)?;
-        let step2 = gpu.launch(
-            &ScatterKernel {
-                hb: list.hb.clone(),
-                ps_ex: ps_ex.clone(),
-                index_array: index_array.clone(),
-                n_words: list.hb_words,
-            },
-            LaunchConfig::cover(list.hb_words, BLOCK_DIM),
-        );
-        let step3 = step2.and_then(|_| {
-            let out = gpu.alloc::<u32>(list.len)?;
-            let launched = gpu.launch(
-                &RecoverKernel {
-                    list_hb: list.hb.clone(),
-                    list_lb: list.lb.clone(),
-                    block_hb_start: list.block_hb_start.clone(),
-                    block_lb_start: list.block_lb_start.clone(),
-                    block_elem_start: list.block_elem_start.clone(),
-                    block_b: list.block_b.clone(),
-                    block_base: list.block_base.clone(),
-                    word_block: list.word_block.clone(),
-                    ps_ex: ps_ex.clone(),
-                    index_array: index_array.clone(),
-                    out: out.clone(),
-                    n: list.len,
-                },
-                LaunchConfig::cover(list.len, BLOCK_DIM),
-            );
-            match launched {
-                Ok(_) => Ok(out),
-                Err(e) => {
-                    gpu.free(out);
-                    Err(e)
-                }
-            }
-        });
-        gpu.free(index_array);
-        step3
+    let tf = TfSide {
+        words: postings.tf_words.clone(),
+        offsets: postings.tf_offsets.clone(),
+        out: tfs.clone(),
+        max_block_words: postings.max_block_tf_words,
     };
-    let result = inner();
-    gpu.free(ps);
-    gpu.free(ps_ex);
-    result
-}
-
-/// Decodes the VByte term-frequency side file: one thread per posting
-/// block walks its byte run sequentially.
-struct TfDecodeKernel {
-    tf_words: DeviceBuffer<u32>,
-    tf_offsets: DeviceBuffer<u32>,
-    block_elem_start: DeviceBuffer<u32>,
-    out: DeviceBuffer<u32>,
-    num_blocks: usize,
-    len: usize,
-}
-
-impl Kernel for TfDecodeKernel {
-    fn name(&self) -> &'static str {
-        "para_ef.tf_decode"
-    }
-
-    type State = ();
-    fn run_phase(&self, _p: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
-        let b = t.global_thread_idx();
-        if !t.branch(b < self.num_blocks) {
-            return;
-        }
-        let elem_start = t.ld(&self.block_elem_start, b) as usize;
-        let elem_end = if t.branch(b + 1 < self.num_blocks) {
-            t.ld(&self.block_elem_start, b + 1) as usize
-        } else {
-            self.len
-        };
-        let mut byte = t.ld(&self.tf_offsets, b) as usize;
-        for e in elem_start..elem_end {
-            // Decode one varint.
-            let mut v = 0u32;
-            let mut shift = 0u32;
-            loop {
-                let word = t.ld(&self.tf_words, byte / 4);
-                let bv = (word >> (8 * (byte % 4))) & 0xFF;
-                byte += 1;
-                v |= (bv & 0x7F) << shift;
-                t.alu(4);
-                if !t.branch(bv & 0x80 != 0) {
-                    break;
-                }
-                shift += 7;
-            }
-            t.st(&self.out, e, v);
-        }
-    }
-}
-
-/// Decompresses the tf side of a posting list into a dense buffer aligned
-/// with the docID buffer produced by [`decompress`].
-pub fn decode_tfs(gpu: &Gpu, postings: &DevicePostings) -> Result<DeviceBuffer<u32>, DeviceError> {
-    let len = postings.len();
-    let out = gpu.alloc::<u32>(len)?;
-    if len == 0 {
-        return Ok(out);
-    }
-    let launched = gpu.launch(
-        &TfDecodeKernel {
-            tf_words: postings.tf_words.clone(),
-            tf_offsets: postings.tf_offsets.clone(),
-            block_elem_start: postings.docs.block_elem_start.clone(),
-            out: out.clone(),
-            num_blocks: postings.docs.num_blocks,
-            len,
-        },
-        LaunchConfig::cover(postings.docs.num_blocks, 128),
-    );
-    match launched {
-        Ok(_) => Ok(out),
+    match launch(gpu, &postings.docs, None, &docids, Some(tf)) {
+        Ok(()) => Ok((docids, tfs)),
         Err(e) => {
-            gpu.free(out);
+            gpu.free(docids);
+            gpu.free(tfs);
             Err(e)
         }
     }
@@ -323,17 +412,50 @@ pub fn decode_tfs(gpu: &Gpu, postings: &DevicePostings) -> Result<DeviceBuffer<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use griffin_codec::{BlockedList, Codec, DEFAULT_BLOCK_LEN};
-    use griffin_gpu_sim::DeviceConfig;
+    use griffin_codec::{Codec, DEFAULT_BLOCK_LEN};
+    use griffin_gpu_sim::{DeviceConfig, DeviceEvent, FaultKind, FaultPlan, LaunchCounters};
     use griffin_index::{CompressedPostingList, Posting};
+    use std::sync::{Arc, Mutex};
+
+    /// Term frequencies whose varints are 1, 2, 3 and 5 bytes long in a
+    /// cycle of seven, so runs start and end at every byte alignment and
+    /// long varints straddle word boundaries.
+    fn mixed_tf(i: u32) -> u32 {
+        [1, 200, 3, 70_000, 1, u32::MAX, 127][i as usize % 7]
+    }
+
+    fn postings(ids: &[u32], tf: impl Fn(u32) -> u32) -> Vec<Posting> {
+        let with_tf = |(i, &docid)| Posting {
+            docid,
+            tf: tf(i as u32),
+        };
+        ids.iter().enumerate().map(with_tf).collect()
+    }
+
+    /// Uploads blocks `lo..hi` of the list and checks both entry points
+    /// against the host decode of the same blocks.
+    fn check_range(ps: &[Posting], block_len: usize, lo: usize, hi: usize) {
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let list = CompressedPostingList::compress(ps, Codec::EliasFano, block_len);
+        let dev = DevicePostings::upload_range(&gpu, &list, lo, hi, ps.len() as u32).unwrap();
+        let want = &ps[(lo * block_len).min(ps.len())..(hi * block_len).min(ps.len())];
+        let want_ids: Vec<u32> = want.iter().map(|p| p.docid).collect();
+        let want_tfs: Vec<u32> = want.iter().map(|p| p.tf).collect();
+        let (docids, tfs) = decode_postings(&gpu, &dev).unwrap();
+        assert_eq!(gpu.dtoh(&docids).unwrap(), want_ids, "docids, {block_len}");
+        assert_eq!(gpu.dtoh(&tfs).unwrap(), want_tfs, "tfs, {block_len}");
+        let alone = decompress(&gpu, &dev.docs).unwrap();
+        assert_eq!(gpu.dtoh(&alone).unwrap(), want_ids, "docids alone");
+    }
 
     fn roundtrip(ids: &[u32]) {
-        let gpu = Gpu::new(DeviceConfig::test_tiny());
-        let list = BlockedList::compress(ids, Codec::EliasFano, DEFAULT_BLOCK_LEN);
-        let dev = DeviceEfList::upload(&gpu, &list).unwrap();
-        let out_buf = decompress(&gpu, &dev).unwrap();
-        let out = gpu.dtoh(&out_buf).unwrap();
-        assert_eq!(out, ids, "Para-EF decompression must be bit-exact");
+        let ps = postings(ids, mixed_tf);
+        check_range(
+            &ps,
+            DEFAULT_BLOCK_LEN,
+            0,
+            ids.len().div_ceil(DEFAULT_BLOCK_LEN),
+        );
     }
 
     #[test]
@@ -352,11 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_consecutive_docids() {
-        roundtrip(&(5_000u32..15_000).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn irregular_gap_pattern() {
         let mut ids = Vec::new();
         let mut cur = 0u32;
@@ -372,32 +489,138 @@ mod tests {
     }
 
     #[test]
-    fn decompress_frees_intermediates() {
-        let gpu = Gpu::new(DeviceConfig::test_tiny());
-        let ids: Vec<u32> = (0..2000u32).map(|i| i * 5).collect();
-        let list = BlockedList::compress(&ids, Codec::EliasFano, 128);
-        let dev = DeviceEfList::upload(&gpu, &list).unwrap();
-        let before = gpu.mem_in_use();
-        let out = decompress(&gpu, &dev).unwrap();
-        // Only the output buffer should remain beyond the list itself.
-        assert_eq!(gpu.mem_in_use(), before + out.size_bytes());
+    fn empty_list() {
+        roundtrip(&[]);
     }
 
     #[test]
-    fn tf_decode_matches_host() {
+    fn every_block_len_with_a_last_block_of_one_posting() {
+        for block_len in [32usize, 64, 128] {
+            let n = 7 * block_len as u32 + 1;
+            let ids: Vec<u32> = (0..n).map(|i| i * 11 + i % 5).collect();
+            check_range(&postings(&ids, mixed_tf), block_len, 0, 8);
+        }
+    }
+
+    #[test]
+    fn tf_runs_meet_mid_word_and_varints_straddle_words() {
+        // 128 tfs of the seven-cycle take 252 or 253 bytes, so block runs
+        // begin at every alignment; so do the 5-byte varints inside them.
+        let ids: Vec<u32> = (0..1_000u32).map(|i| i * 4 + 1).collect();
+        let ps = postings(&ids, mixed_tf);
+        let list = CompressedPostingList::compress(&ps, Codec::EliasFano, 128);
+        let (_, offsets) = list.tf_raw();
+        let starts: Vec<u32> = offsets.iter().map(|o| o % 4).collect();
+        assert!((1..4).all(|a| starts.contains(&a)), "{starts:?}");
+        check_range(&ps, 128, 0, 8);
+        // All tfs three bytes long: no varint ever sits inside one word.
+        check_range(&postings(&ids, |i| 20_000 + i), 128, 0, 8);
+    }
+
+    #[test]
+    fn narrowest_and_widest_low_bits() {
+        // Consecutive docIDs from 0: every block has b == 0.
+        let dense: Vec<u32> = (0..300).collect();
+        let list = CompressedPostingList::from_docids(&dense, Codec::EliasFano, 128);
+        let b_of = |l: &CompressedPostingList, blk: usize| {
+            (l.docs.words[l.docs.skips[blk].word_start as usize] >> 16) & 0x3F
+        };
+        assert_eq!(b_of(&list, 0), 0);
+        check_range(&postings(&dense, mixed_tf), 128, 0, 3);
+        // A last block of one posting 2^31 beyond its base: b == 31, the
+        // widest `low_bits_for` can return.
+        let mut wide: Vec<u32> = (0..64).map(|i| i * 3).collect();
+        wide.push(u32::MAX - 5);
+        let list = CompressedPostingList::from_docids(&wide, Codec::EliasFano, 64);
+        assert_eq!(b_of(&list, 1), 31);
+        check_range(&postings(&wide, mixed_tf), 64, 0, 2);
+    }
+
+    #[test]
+    fn range_images_decode_to_range_local_positions() {
+        let ids: Vec<u32> = (0..1_000u32).map(|i| i * 13 + 7).collect();
+        let ps = postings(&ids, mixed_tf);
+        for (lo, hi) in [(0, 3), (2, 5), (5, 8), (7, 8), (4, 4)] {
+            check_range(&ps, 128, lo, hi);
+        }
+    }
+
+    #[test]
+    fn a_fault_at_any_step_leaves_device_memory_as_it_was() {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        let postings: Vec<Posting> = (0..1_000u32)
-            .map(|i| Posting {
-                docid: i * 4 + 1,
-                tf: 1 + (i * i) % 300, // multi-byte varints included
-            })
-            .collect();
-        let list = CompressedPostingList::compress(&postings, Codec::EliasFano, 128);
-        let dev = DevicePostings::upload(&gpu, &list, list.len() as u32).unwrap();
-        let tf_buf = decode_tfs(&gpu, &dev).unwrap();
-        let tfs = gpu.dtoh(&tf_buf).unwrap();
-        let expect: Vec<u32> = postings.iter().map(|p| p.tf).collect();
-        assert_eq!(tfs, expect);
+        let ids: Vec<u32> = (0..2_000u32).map(|i| i * 5).collect();
+        let list = CompressedPostingList::from_docids(&ids, Codec::EliasFano, 128);
+        let dev = DevicePostings::upload(&gpu, &list, 2_000).unwrap();
+        let before = gpu.mem_in_use();
+        // A decode is two allocations and one launch, in that order.
+        let faults = [
+            FaultKind::DeviceOom,
+            FaultKind::DeviceOom,
+            FaultKind::KernelLaunchFailed,
+        ];
+        for (op, kind) in faults.into_iter().enumerate() {
+            gpu.set_fault_plan(Some(FaultPlan::seeded(0).fail_at(op as u64, kind)));
+            assert!(decode_postings(&gpu, &dev).is_err(), "op {op}");
+            assert_eq!(gpu.mem_in_use(), before, "op {op}");
+        }
+        gpu.set_fault_plan(None);
+        let (docids, tfs) = decode_postings(&gpu, &dev).unwrap();
+        // Only the two outputs remain beyond the list itself.
+        assert_eq!(
+            gpu.mem_in_use(),
+            before + docids.size_bytes() + tfs.size_bytes()
+        );
+    }
+
+    /// The decode's whole cost on the paper's device, every warp traced:
+    /// one launch, two allocations, no read-back, and per posting at most
+    /// 4 global accesses and 15 simulator calls (measured 3.5 and 13.8;
+    /// the parent's seven launches made 14.9 and 23.4). Mutations that
+    /// break each bound: launching `decompress` and a tf kernel separately
+    /// (2 launches); giving the counts or the high parts a device buffer
+    /// instead of shared memory (3 allocations); reading a total back to
+    /// size anything (1 transfer); every lane loading the block's scalars
+    /// from global memory instead of phase 0 staging them once (5.0 global
+    /// accesses per posting); `LANES = 128`, one element per thread, which
+    /// pays the per-lane set-up four times as often (19.8 calls).
+    #[test]
+    fn full_decode_is_one_launch_and_a_handful_of_calls_per_posting() {
+        let n = 200_000u32;
+        let ids: Vec<u32> = (0..n).map(|i| i * 9 + i % 7).collect();
+        let ps = postings(&ids, |i| if i % 50 == 0 { 300 } else { 1 + i % 3 });
+        let list = CompressedPostingList::compress(&ps, Codec::EliasFano, DEFAULT_BLOCK_LEN);
+        let gpu = Gpu::new(DeviceConfig::tesla_k20());
+        assert_eq!(gpu.config().trace_sample_stride, 1);
+        let dev = DevicePostings::upload(&gpu, &list, n).unwrap();
+
+        let launches: Arc<Mutex<Vec<LaunchCounters>>> = Arc::default();
+        let transfers = Arc::new(Mutex::new(0u32));
+        let (l, x) = (Arc::clone(&launches), Arc::clone(&transfers));
+        gpu.set_observer(Some(Arc::new(move |e: &DeviceEvent<'_>| match e {
+            DeviceEvent::KernelLaunch { report, .. } => {
+                l.lock().unwrap().push(report.counters.clone())
+            }
+            DeviceEvent::Transfer { .. } => *x.lock().unwrap() += 1,
+        })));
+        let stats = gpu.stats();
+        let (docids, tfs) = decode_postings(&gpu, &dev).unwrap();
+        gpu.set_observer(None);
+
+        assert_eq!(gpu.stats().allocs - stats.allocs, 2, "allocations");
+        assert_eq!(gpu.stats().dtoh_bytes, stats.dtoh_bytes, "read-backs");
+        assert_eq!(*transfers.lock().unwrap(), 0, "transfers");
+        let launches = launches.lock().unwrap();
+        assert_eq!(launches.len(), 1, "launches");
+        let c = &launches[0];
+        let per_posting = |calls: u64| calls as f64 / f64::from(n);
+        let global = per_posting(c.gmem_accesses);
+        let calls = per_posting(c.gmem_accesses + c.smem_accesses + c.branches);
+        assert!(global <= 4.0, "{global} global accesses per posting");
+        assert!(calls <= 15.0, "{calls} simulator calls per posting");
+
+        let want_tfs: Vec<u32> = ps.iter().map(|p| p.tf).collect();
+        assert_eq!(gpu.dtoh(&docids).unwrap(), ids);
+        assert_eq!(gpu.dtoh(&tfs).unwrap(), want_tfs);
     }
 
     #[test]
@@ -407,8 +630,8 @@ mod tests {
         let mut per_elem = Vec::new();
         for n in [1_000u32, 100_000] {
             let ids: Vec<u32> = (0..n).map(|i| i * 7 + 3).collect();
-            let list = BlockedList::compress(&ids, Codec::EliasFano, 128);
-            let dev = DeviceEfList::upload(&gpu, &list).unwrap();
+            let list = CompressedPostingList::from_docids(&ids, Codec::EliasFano, 128);
+            let dev = DeviceEfList::upload(&gpu, &list.docs).unwrap();
             let (_, t) = gpu.time(|g| decompress(g, &dev).unwrap());
             per_elem.push(t.as_nanos() as f64 / f64::from(n));
         }

@@ -124,7 +124,7 @@ impl Kernel for Hist3Kernel {
 /// Stable scatter: threads compute their element's rank among equal digits
 /// in the block (shared-memory cursor per digit, lane order = thread order
 /// gives stability), then write to `base + rank`.
-struct ScatterKernel {
+struct ScatterKeysKernel {
     keys_in: DeviceBuffer<u32>,
     vals_in: DeviceBuffer<u32>,
     keys_out: DeviceBuffer<u32>,
@@ -135,7 +135,7 @@ struct ScatterKernel {
     num_blocks: usize,
 }
 
-impl Kernel for ScatterKernel {
+impl Kernel for ScatterKeysKernel {
     fn name(&self) -> &'static str {
         "radix_sort.scatter"
     }
@@ -221,7 +221,7 @@ pub fn sort_pairs(
                 )?;
                 let (bases, _total) = exclusive_scan(gpu, &hist, RADIX * num_blocks)?;
                 let scattered = gpu.launch(
-                    &ScatterKernel {
+                    &ScatterKeysKernel {
                         keys_in: keys.clone(),
                         vals_in: vals.clone(),
                         keys_out: keys_alt.clone(),

@@ -2,12 +2,13 @@
 //! that put them there.
 //!
 //! A [`DeviceEfList`] is the GPU image of an Elias–Fano [`BlockedList`]:
-//! the concatenated high-bits and low-bits words, per-block metadata
-//! (Para-EF needs to know which block owns each word), and the skip table
-//! (first/last docID per block) for the parallel binary-search path.
-//! Everything is shipped in a single packed DMA.
+//! the blocks' codec words exactly as the index stores them (header,
+//! high bits, low bits), where each block starts in them and in the
+//! output, its decode base, and the skip table (first/last docID per
+//! block) for the parallel binary-search path. Everything is shipped in a
+//! single packed DMA.
 
-use griffin_codec::{BlockedList, Codec, CodecError, EfBlock};
+use griffin_codec::{BlockedList, Codec, CodecError, EfBlockRef};
 use griffin_gpu_sim::{DeviceBuffer, Gpu};
 use griffin_index::CompressedPostingList;
 
@@ -19,31 +20,24 @@ pub struct DeviceEfList {
     /// Total elements.
     pub len: usize,
     pub num_blocks: usize,
-    /// Concatenated high-bits words of all blocks.
-    pub hb: DeviceBuffer<u32>,
-    /// Concatenated low-bits words of all blocks.
-    pub lb: DeviceBuffer<u32>,
-    /// Per block: index of its first word in `hb`.
-    pub block_hb_start: DeviceBuffer<u32>,
-    /// Per block: index of its first word in `lb`.
-    pub block_lb_start: DeviceBuffer<u32>,
+    /// The blocks' codec words back to back: per block its header
+    /// (`count:16 | b:6 | hb_len:10`, see `EfBlock::to_words`), its
+    /// high-bits words, then its low-bits words.
+    pub words: DeviceBuffer<u32>,
+    /// Per block: index of its header in `words`.
+    pub block_word_start: DeviceBuffer<u32>,
     /// Per block: index of its first element in the list.
     pub block_elem_start: DeviceBuffer<u32>,
-    /// Per block: low-bit width `b`.
-    pub block_b: DeviceBuffer<u32>,
     /// Per block: decode base (docID preceding the block).
     pub block_base: DeviceBuffer<u32>,
-    /// Per `hb` word: the block that owns it.
-    pub word_block: DeviceBuffer<u32>,
     /// Skip table: per block first docID.
     pub skip_first: DeviceBuffer<u32>,
     /// Skip table: per block last docID.
     pub skip_last: DeviceBuffer<u32>,
-    /// Total `hb` words (the quantity Para-EF's popcount phase covers).
-    pub hb_words: usize,
-    /// Largest per-block high-bits word count (sizes the block-local
-    /// decoder's shared memory).
+    /// Largest per-block high-bits word count and element count (they
+    /// size the block-local decoder's shared memory).
     pub max_block_hb_words: usize,
+    pub max_block_len: usize,
     /// Bytes shipped over PCIe for this list.
     pub bytes_shipped: u64,
 }
@@ -51,16 +45,14 @@ pub struct DeviceEfList {
 /// Host-side staging of the flattened arrays (kept separate so tests can
 /// inspect the layout without a device).
 pub struct EfListImage {
-    pub hb: Vec<u32>,
-    pub lb: Vec<u32>,
-    pub block_hb_start: Vec<u32>,
-    pub block_lb_start: Vec<u32>,
+    pub words: Vec<u32>,
+    pub block_word_start: Vec<u32>,
     pub block_elem_start: Vec<u32>,
-    pub block_b: Vec<u32>,
     pub block_base: Vec<u32>,
-    pub word_block: Vec<u32>,
     pub skip_first: Vec<u32>,
     pub skip_last: Vec<u32>,
+    pub max_block_hb_words: usize,
+    pub max_block_len: usize,
     pub len: usize,
 }
 
@@ -78,11 +70,11 @@ impl EfListImage {
     /// into a self-contained device layout — the GPU lane of a
     /// co-executed split ships only its slice's blocks over PCIe.
     ///
-    /// All intra-image indices (`block_elem_start`, `word_block`) are
-    /// rebased to the range, so every kernel operates on the image exactly
-    /// as if it were a complete list; only `block_base` stays global,
-    /// because decode needs the true docID preceding each block. Element
-    /// positions produced by kernels are therefore range-local.
+    /// All intra-image indices (`block_word_start`, `block_elem_start`)
+    /// are rebased to the range, so every kernel operates on the image
+    /// exactly as if it were a complete list; only `block_base` stays
+    /// global, because decode needs the true docID preceding each block.
+    /// Element positions produced by kernels are therefore range-local.
     pub fn build_range(
         list: &BlockedList,
         lo_block: usize,
@@ -109,42 +101,35 @@ impl EfListImage {
         } else {
             list.len() as u32
         };
+        let range_words = list.skips[lo_block..hi_block]
+            .iter()
+            .map(|s| s.word_len as usize);
         let mut img = EfListImage {
-            hb: Vec::new(),
-            lb: Vec::new(),
-            block_hb_start: Vec::with_capacity(nb),
-            block_lb_start: Vec::with_capacity(nb),
+            words: Vec::with_capacity(range_words.sum()),
+            block_word_start: Vec::with_capacity(nb),
             block_elem_start: Vec::with_capacity(nb),
-            block_b: Vec::with_capacity(nb),
             block_base: Vec::with_capacity(nb),
-            word_block: Vec::new(),
             skip_first: Vec::with_capacity(nb),
             skip_last: Vec::with_capacity(nb),
+            max_block_hb_words: 0,
+            max_block_len: 0,
             len: (elem_end - elem_base) as usize,
         };
-        for (local, (i, skip)) in list
-            .skips
-            .iter()
-            .enumerate()
-            .take(hi_block)
-            .skip(lo_block)
-            .enumerate()
-        {
-            let words =
-                &list.words[skip.word_start as usize..(skip.word_start + skip.word_len) as usize];
-            let blk = EfBlock::from_words(words)?;
-            img.block_hb_start.push(img.hb.len() as u32);
-            img.block_lb_start.push(img.lb.len() as u32);
+        for (i, skip) in list.skips.iter().enumerate().take(hi_block).skip(lo_block) {
+            let words = list
+                .words
+                .get(skip.word_start as usize..(skip.word_start + skip.word_len) as usize)
+                .ok_or(CodecError::Truncated)?;
+            let blk = EfBlockRef::parse(words)?;
+            img.block_word_start.push(img.words.len() as u32);
             img.block_elem_start.push(skip.elem_start - elem_base);
-            img.block_b.push(blk.b);
             img.block_base.push(list.block_base(i));
-            for _ in 0..blk.hb_words.len() {
-                img.word_block.push(local as u32);
-            }
-            img.hb.extend_from_slice(&blk.hb_words);
-            img.lb.extend_from_slice(&blk.lb_words);
+            img.words
+                .extend_from_slice(&words[..1 + blk.hb_words.len() + blk.lb_words.len()]);
             img.skip_first.push(skip.first_docid);
             img.skip_last.push(skip.last_docid);
+            img.max_block_hb_words = img.max_block_hb_words.max(blk.hb_words.len());
+            img.max_block_len = img.max_block_len.max(blk.count as usize);
         }
         Ok(img)
     }
@@ -171,86 +156,52 @@ impl DeviceEfList {
     }
 
     fn upload_image(gpu: &Gpu, img: EfListImage) -> Result<DeviceEfList, GpuError> {
-        let num_blocks = img.block_hb_start.len();
-        let hb_words = img.hb.len();
-        let max_block_hb_words = img
-            .block_hb_start
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .chain(
-                img.block_hb_start
-                    .last()
-                    .map(|&s| img.hb.len() - s as usize),
-            )
-            .max()
-            .unwrap_or(0);
-        let bytes_shipped: u64 = [
-            img.hb.len(),
-            img.lb.len(),
-            img.block_hb_start.len() * 5, // the five per-block arrays
-            img.word_block.len(),
-            img.skip_first.len() * 2,
-        ]
-        .iter()
-        .map(|&w| w as u64 * 4)
-        .sum();
         // The staging arrays are moved into the device pool (no per-part
         // copy): they were built for this upload and die here anyway.
         let EfListImage {
-            hb,
-            lb,
-            block_hb_start,
-            block_lb_start,
+            words,
+            block_word_start,
             block_elem_start,
-            block_b,
             block_base,
-            word_block,
             skip_first,
             skip_last,
+            max_block_hb_words,
+            max_block_len,
             len,
         } = img;
-        let [hb, lb, block_hb_start, block_lb_start, block_elem_start, block_b, block_base, word_block, skip_first, skip_last] =
-            gpu.htod_packed_owned([
-                hb,
-                lb,
-                block_hb_start,
-                block_lb_start,
+        let num_blocks = block_word_start.len();
+        // The codec words plus the five per-block arrays.
+        let bytes_shipped = (words.len() + num_blocks * 5) as u64 * 4;
+        let [words, block_word_start, block_elem_start, block_base, skip_first, skip_last] = gpu
+            .htod_packed_owned([
+                words,
+                block_word_start,
                 block_elem_start,
-                block_b,
                 block_base,
-                word_block,
                 skip_first,
                 skip_last,
             ])?;
         Ok(DeviceEfList {
             len,
             num_blocks,
-            hb,
-            lb,
-            block_hb_start,
-            block_lb_start,
+            words,
+            block_word_start,
             block_elem_start,
-            block_b,
             block_base,
-            word_block,
             skip_first,
             skip_last,
-            hb_words,
             max_block_hb_words,
+            max_block_len,
             bytes_shipped,
         })
     }
 
     /// Releases all device memory of this list.
     pub fn free(self, gpu: &Gpu) {
-        gpu.free(self.hb);
-        gpu.free(self.lb);
-        gpu.free(self.block_hb_start);
-        gpu.free(self.block_lb_start);
+        gpu.free(self.words);
+        gpu.free(self.block_word_start);
         gpu.free(self.block_elem_start);
-        gpu.free(self.block_b);
         gpu.free(self.block_base);
-        gpu.free(self.word_block);
         gpu.free(self.skip_first);
         gpu.free(self.skip_last);
     }
@@ -265,6 +216,9 @@ pub struct DevicePostings {
     pub tf_words: DeviceBuffer<u32>,
     /// Per block: byte offset of its tf run (num_blocks + 1 entries).
     pub tf_offsets: DeviceBuffer<u32>,
+    /// Most `tf_words` any one block's run touches (sizes the decoder's
+    /// shared memory).
+    pub max_block_tf_words: usize,
     /// Document frequency BM25 scores this list with — the *full* list's
     /// df even when only a block range is resident (idf must not depend
     /// on where a co-execution split landed), and the whole-corpus df
@@ -305,6 +259,11 @@ impl DevicePostings {
             .iter()
             .map(|&o| o - byte_lo as u32)
             .collect();
+        let max_block_tf_words = local_offsets
+            .windows(2)
+            .map(|w| (w[1] as usize).div_ceil(4) - w[0] as usize / 4)
+            .max()
+            .unwrap_or(0);
         let mut tf_words = Vec::with_capacity(tf_bytes.len().div_ceil(4));
         for chunk in tf_bytes.chunks(4) {
             let mut w = 0u32;
@@ -326,6 +285,7 @@ impl DevicePostings {
             docs,
             tf_words,
             tf_offsets,
+            max_block_tf_words,
             df,
         })
     }
@@ -361,12 +321,19 @@ mod tests {
         let list = BlockedList::compress(&ids, Codec::EliasFano, DEFAULT_BLOCK_LEN);
         let img = EfListImage::build(&list).unwrap();
         assert_eq!(img.len, 500);
-        assert_eq!(img.block_hb_start.len(), 4);
-        assert_eq!(img.word_block.len(), img.hb.len());
-        // word_block must be non-decreasing and match block starts.
-        for (b, &start) in img.block_hb_start.iter().enumerate() {
-            assert_eq!(img.word_block[start as usize], b as u32);
+        assert_eq!(img.block_word_start.len(), 4);
+        assert_eq!(img.max_block_len, DEFAULT_BLOCK_LEN);
+        // Every block's words start with the header the codec wrote, and
+        // the blocks tile `words` with nothing between them.
+        let mut next = 0;
+        for (b, &start) in img.block_word_start.iter().enumerate() {
+            assert_eq!(start as usize, next);
+            let blk = EfBlockRef::parse(&img.words[next..]).unwrap();
+            assert_eq!(blk.count, list.skips[b].count);
+            assert!(blk.hb_words.len() <= img.max_block_hb_words);
+            next += 1 + blk.hb_words.len() + blk.lb_words.len();
         }
+        assert_eq!(next, img.words.len());
         assert_eq!(img.skip_first[0], ids[0]);
         assert_eq!(*img.skip_last.last().unwrap(), *ids.last().unwrap());
     }
@@ -380,22 +347,21 @@ mod tests {
         let img = EfListImage::build_range(&list, lo, hi).unwrap();
         let elem_base = list.skips[lo].elem_start;
         assert_eq!(img.len, (list.skips[hi].elem_start - elem_base) as usize);
-        assert_eq!(img.block_hb_start.len(), hi - lo);
-        // Rebased: element starts and word ownership are range-local…
+        assert_eq!(img.block_word_start.len(), hi - lo);
+        // Rebased: element and word starts are range-local…
         assert_eq!(img.block_elem_start[0], 0);
-        for (b, &start) in img.block_hb_start.iter().enumerate() {
-            assert_eq!(img.word_block[start as usize], b as u32);
-        }
+        assert_eq!(img.block_word_start[0], 0);
         // …while per-block payloads and the global decode bases match the
         // corresponding window of the full image.
+        let (w_lo, w_hi) = (full.block_word_start[lo], full.block_word_start[hi]);
+        assert_eq!(img.words[..], full.words[w_lo as usize..w_hi as usize]);
         assert_eq!(img.block_base[..], full.block_base[lo..hi]);
-        assert_eq!(img.block_b[..], full.block_b[lo..hi]);
         assert_eq!(img.skip_first[..], full.skip_first[lo..hi]);
         assert_eq!(img.skip_last[..], full.skip_last[lo..hi]);
         // An empty range is valid and carries nothing.
         let empty = EfListImage::build_range(&list, 2, 2).unwrap();
         assert_eq!(empty.len, 0);
-        assert!(empty.hb.is_empty() && empty.block_base.is_empty());
+        assert!(empty.words.is_empty() && empty.block_base.is_empty());
     }
 
     #[test]

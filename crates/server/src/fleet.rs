@@ -680,20 +680,20 @@ impl<'g> Fleet<'g> {
         let mut winner = (primary, start_p, finish_p, out_p);
         let mut loser: Option<(usize, VirtualNanos, VirtualNanos)> = None;
         if self.config.hedge.enabled && candidates.len() > 1 {
-            if let Some(deadline) = self.hedge_deadline() {
-                if latency_p > deadline {
+            if let Some(deadline) = self.hedge_deadline().filter(|&d| latency_p > d) {
+                let others: Vec<usize> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|&r| r != primary)
+                    .collect();
+                let second = self.least_busy(s, &others);
+                if !self.hedge_too_late(s, second, req, issue, deadline) {
                     if *per_query_hedges > 0 && self.tokens >= 1.0 {
                         *per_query_hedges -= 1;
                         self.tokens -= 1.0;
                         hedged = true;
                         self.stats.hedges += 1;
                         self.telemetry.counter_add("griffin_fleet_hedges_total", 1);
-                        let others: Vec<usize> = candidates
-                            .iter()
-                            .copied()
-                            .filter(|&r| r != primary)
-                            .collect();
-                        let second = self.least_busy(s, &others);
                         let (start_h, finish_h, out_h) =
                             self.run_on(s, second, req, issue + deadline);
                         if finish_h < finish_p {
@@ -849,6 +849,30 @@ impl<'g> Fleet<'g> {
         }
         let q = hist.quantile(self.config.hedge.quantile) as f64 * self.config.hedge.multiplier;
         Some(VirtualNanos::from_nanos_f64(q).max(self.config.hedge.min_deadline))
+    }
+
+    /// Whether a hedge of `req` on `(s, twin)` would, by the fleet's median
+    /// answer latency, finish after the query's cutoff. Such a hedge buys
+    /// the query nothing — the shard is dropped at the cutoff either way —
+    /// while its reservation of the twin's lane pushes that lane's own
+    /// primaries, which could have made their cutoffs, past them.
+    fn hedge_too_late(
+        &self,
+        s: usize,
+        twin: usize,
+        req: &QueryRequest,
+        issue: VirtualNanos,
+        hedge_deadline: VirtualNanos,
+    ) -> bool {
+        let (Some(deadline), true) = (req.deadline, self.config.partial_on_deadline) else {
+            return false;
+        };
+        let start = self
+            .replica_ref(s, twin)
+            .busy_until
+            .max(issue + hedge_deadline);
+        let service = VirtualNanos::from_nanos(self.hedge_latency.quantile(0.5));
+        start + service > issue + deadline
     }
 
     fn least_busy(&self, s: usize, among: &[usize]) -> usize {
@@ -1087,6 +1111,41 @@ mod tests {
         }
         assert!(degraded_seen, "shard 0 should have hit the CPU-only lane");
         assert!(fleet.stats().degraded_cpu > 0);
+    }
+
+    #[test]
+    fn a_hedge_that_cannot_land_before_the_cutoff_is_not_issued() {
+        let (index, queries) = workload();
+        let sharded = ShardedIndex::build(&index, 2);
+        // Replica 0 of each shard retries half its operations: stragglers.
+        let hedges_with = |deadline: Option<VirtualNanos>| {
+            let devices = FleetDevices::new(2, 2, &DeviceConfig::test_tiny());
+            for s in 0..2 {
+                devices
+                    .device(s, 0)
+                    .set_fault_plan(Some(FaultPlan::seeded(9).with_fault_rate(0.5)));
+            }
+            let config = FleetConfig {
+                hedge: HedgeConfig {
+                    min_samples: 4,
+                    ..HedgeConfig::default()
+                },
+                ..FleetConfig::default()
+            };
+            let mut fleet = Fleet::new(&devices, &sharded, config);
+            for q in &queries {
+                let mut req = QueryRequest::new(q.clone()).k(10).mode(ExecMode::GpuOnly);
+                req.deadline = deadline;
+                let info = fleet.run_query(&req).fleet.expect("coverage info");
+                assert_eq!(info.coverage, 1.0, "closed loop: nothing queues");
+            }
+            fleet.stats().hedges
+        };
+        assert!(hedges_with(None) > 0, "the stragglers must trigger hedges");
+        // A hedge goes out once the primary is overdue by the fleet's own
+        // latency quantile. Under a cutoff earlier than that, it would
+        // start after the query was answered: all cost, no coverage.
+        assert_eq!(hedges_with(Some(VirtualNanos::from_nanos(1))), 0);
     }
 
     #[test]

@@ -274,17 +274,35 @@ fn retry_budget_exhaustion_degrades_coverage_not_correctness() {
     let shards = 2;
     let sharded = ShardedIndex::build(&fx.index, shards);
     let seed = fault_seed();
-    let deadline = VirtualNanos::from_millis(2);
+    let request = |q: &Vec<TermId>| QueryRequest::new(q.clone()).k(10).mode(ExecMode::GpuOnly);
+
+    // Deadline and spacing follow the fixture's own unloaded answer times
+    // on a healthy fleet, so the regime stays the one meant here however
+    // fast the engines are. Arrivals come twice as fast as one replica per
+    // shard answers them: both lanes of a shard are needed, and a retry
+    // storm on the faulty one queues work behind it. The deadline is four
+    // times the slowest healthy answer: queued-behind-a-straggler misses
+    // it, the same request hedged to the twin in time does not. (Fixed at
+    // 2 ms and 100 us, the fleet was once so overloaded that *no* shard
+    // ever made the deadline — coverage 1.0 by the wait-for-all rule,
+    // whatever the budget — and later, with faster engines, sat at the
+    // edge of capacity where the budget decided which side it fell.)
+    let unloaded: Vec<VirtualNanos> = {
+        let devices = FleetDevices::new(shards, 2, &DeviceConfig::test_tiny());
+        let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
+        let times = fx.queries.iter().map(|q| fleet.run_query(&request(q)).time);
+        times.collect()
+    };
+    let mean = unloaded.iter().copied().sum::<VirtualNanos>() / unloaded.len() as u64;
+    let slowest = unloaded.iter().copied().max().expect("queries");
+    let (spacing, deadline) = (mean / 2, slowest * 4);
     let arrivals: Vec<ArrivingQuery> = fx
         .queries
         .iter()
         .enumerate()
         .map(|(i, q)| ArrivingQuery {
-            request: QueryRequest::new(q.clone())
-                .k(10)
-                .mode(ExecMode::GpuOnly)
-                .deadline(deadline),
-            arrival: VirtualNanos::from_nanos(i as u64 * 100_000),
+            request: request(q).deadline(deadline),
+            arrival: spacing * i as u64,
         })
         .collect();
 
@@ -322,12 +340,22 @@ fn retry_budget_exhaustion_degrades_coverage_not_correctness() {
             }
         }
         assert_accounting(&fleet, "budget");
-        report.mean_coverage()
+        let st = fleet.stats();
+        println!(
+            "per_query {per_query} burst {burst}: coverage {:.3}, dropped {}, hedges {}, denied {}",
+            report.mean_coverage(),
+            st.dropped_shards,
+            st.hedges,
+            st.budget_denied
+        );
+        (report.mean_coverage(), st.dropped_shards)
     };
 
-    let starved = coverage_for(0, 0.0);
-    let bounded = coverage_for(1, 4.0);
-    let generous = coverage_for(2, 16.0);
+    let (starved, starved_drops) = coverage_for(0, 0.0);
+    let (bounded, _) = coverage_for(1, 4.0);
+    let (generous, _) = coverage_for(2, 16.0);
+    // Without pressure the property below would hold vacuously.
+    assert!(starved_drops > 0, "the deadline must bite without hedges");
     // Hedging only ever substitutes a faster answer, so more budget can
     // only help coverage (tolerance for histogram-feedback jitter).
     assert!(
