@@ -5,8 +5,8 @@ use std::cell::{Cell, RefCell};
 
 use griffin_cpu::engine::Strategy;
 use griffin_cpu::{setops, CpuEngine, Intermediate, PruneStats, QueryScratch, WorkCounters};
-use griffin_gpu::{DeviceIntermediate, GpuEngine, GpuError, GpuStrategy};
-use griffin_gpu_sim::{Gpu, StreamKind, VirtualNanos};
+use griffin_gpu::{DeviceIntermediate, GpuEngine, GpuError, GpuStrategy, HullLedger};
+use griffin_gpu_sim::{Gpu, Scope, StreamKind, VirtualNanos};
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
 use griffin_telemetry::{Telemetry, TraceEvent};
 
@@ -265,8 +265,13 @@ impl<'g> Griffin<'g> {
     /// an async window — each list ships over PCIe while the previous
     /// operation's kernels execute — and the scheduler's profitable-work
     /// floor is re-derived from the pipelined cost model (see
-    /// [`CostModel`]). With overlap off, execution and the floor revert
-    /// to the serial model. Results are bit-exact either way.
+    /// [`CostModel`]). With overlap off, execution is serial and the
+    /// split solver and the cache-aware override price the device lane
+    /// serially, but the floor is *not* the serial model's: it is reset
+    /// to the 8 192 [`Scheduler::for_block_len`] hard-codes, below what
+    /// either model derives for the K20 (65 536), so turning overlap off
+    /// also lets smaller operations onto the device. Results are
+    /// bit-exact either way.
     pub fn set_overlap(&mut self, on: bool) {
         self.overlap = on;
         self.gpu.set_overlap(on);
@@ -536,10 +541,10 @@ impl<'g> Griffin<'g> {
             cpu_lane,
             gpu_lane,
         });
-        self.telemetry.observe_duration(
-            &format!("griffin_step_ns{{op=\"{op}\",proc=\"{proc}\"}}"),
-            s.time,
-        );
+        self.telemetry.with(|r| {
+            let name = format!("griffin_step_ns{{op=\"{op}\",proc=\"{proc}\"}}");
+            r.registry.observe_duration(&name, s.time);
+        });
     }
 
     /// Record one scheduler decision.
@@ -557,21 +562,18 @@ impl<'g> Griffin<'g> {
             device_cached: d.residency.device_cached,
             cache_flip: d.cache_flip,
         });
-        self.telemetry.counter_add(
-            &format!("griffin_sched_decisions_total{{proc=\"{chosen}\"}}"),
-            1,
-        );
-        if d.cache_flip {
-            // "Won by cache": the residency override changed the
-            // baseline placement for this operation.
-            self.telemetry.counter_add(
-                &format!(
-                    "griffin_sched_cache_flips_total{{from=\"{}\",to=\"{chosen}\"}}",
-                    d.baseline.label()
-                ),
-                1,
-            );
-        }
+        self.telemetry.with(|r| {
+            let name = format!("griffin_sched_decisions_total{{proc=\"{chosen}\"}}");
+            r.registry.counter_add(&name, 1);
+            if d.cache_flip {
+                // "Won by cache": the residency override changed the
+                // baseline placement for this operation.
+                let from = d.baseline.label();
+                let name =
+                    format!("griffin_sched_cache_flips_total{{from=\"{from}\",to=\"{chosen}\"}}");
+                r.registry.counter_add(&name, 1);
+            }
+        });
     }
 
     /// Fold CPU work counters into the registry, along with the
@@ -649,13 +651,11 @@ impl<'g> Griffin<'g> {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     run.log.faults += 1;
-                    self.telemetry.counter_add(
-                        &format!(
-                            "griffin_fault_gpu_errors_total{{kind=\"{}\"}}",
-                            e.kind_label()
-                        ),
-                        1,
-                    );
+                    self.telemetry.with(|r| {
+                        let kind = e.kind_label();
+                        let name = format!("griffin_fault_gpu_errors_total{{kind=\"{kind}\"}}");
+                        r.registry.counter_add(&name, 1);
+                    });
                     if e.is_transient() && retries < self.recovery.max_retries {
                         retries += 1;
                         self.telemetry.counter_add("griffin_fault_retries_total", 1);
@@ -818,14 +818,12 @@ impl<'g> Griffin<'g> {
             ExecMode::GpuOnly => "gpu_only",
             ExecMode::Hybrid => "hybrid",
         };
-        self.telemetry.counter_add(
-            &format!("griffin_queries_total{{mode=\"{mode_label}\"}}"),
-            1,
-        );
-        self.telemetry.observe_duration(
-            &format!("griffin_query_ns{{mode=\"{mode_label}\"}}"),
-            out.time,
-        );
+        self.telemetry.with(|r| {
+            let name = format!("griffin_queries_total{{mode=\"{mode_label}\"}}");
+            r.registry.counter_add(&name, 1);
+            let name = format!("griffin_query_ns{{mode=\"{mode_label}\"}}");
+            r.registry.observe_duration(&name, out.time);
+        });
         self.telemetry.record(|r| TraceEvent::QueryEnd {
             query: r.current_query(),
             total: out.time,
@@ -1000,29 +998,31 @@ impl<'g> Griffin<'g> {
         let place = match req.mode {
             ExecMode::CpuOnly => Proc::Cpu,
             ExecMode::GpuOnly => Proc::Gpu,
-            ExecMode::Hybrid => {
-                let mut by_df: Vec<TermId> = terms.to_vec();
-                by_df.sort_unstable_by_key(|&t| index.doc_freq(t));
-                // A split decision maps to the host operator: pruned
-                // chains keep their intermediate host-resident.
-                self.place_chain(index, &by_df)
-            }
+            // `terms` is the chain in execution order. A split decision
+            // maps to the host operator: pruned chains keep their
+            // intermediate host-resident.
+            ExecMode::Hybrid => self.place_chain(index, terms),
         };
         if place == Proc::Gpu {
-            let attempt =
-                self.on_device(run, || self.gpu.process_query_pruned(index, terms, req.k));
-            if let Some((p, exec_time)) = attempt {
-                let matches = p.out.topk.len() as u64;
+            let attempt = self.on_device(run, || {
+                let mut hull = HullLedger::default();
+                let host = self.gpu.eval_chain(index, terms, Some(&mut hull));
+                self.device.sync();
+                Ok((host?, hull))
+            });
+            if let Some(((host, hull), exec_time)) = attempt {
+                let topk =
+                    griffin_cpu::topk::top_k(&host.docids, &host.scores, req.k, &mut run.host);
+                let matches = topk.len() as u64;
                 run.pruning = Some(PruneStats {
-                    tf_blocks_total: p.blocks_total,
-                    tf_blocks_decoded: p.blocks_resident,
+                    tf_blocks_total: hull.blocks_total,
+                    tf_blocks_decoded: hull.blocks_resident,
                     candidates: matches,
                     verified: matches,
                 });
-                self.step(run, StepOp::Exec, Proc::Gpu, exec_time, p.out.topk.len());
-                run.host.add(&p.out.rank_work);
-                self.host_step(run, StepOp::TopK, p.out.topk.len());
-                return p.out.topk;
+                self.step(run, StepOp::Exec, Proc::Gpu, exec_time, topk.len());
+                self.host_step(run, StepOp::TopK, topk.len());
+                return topk;
             }
         }
         let out = self.cpu.process_query_pruned(index, terms, req.k);
@@ -1110,7 +1110,7 @@ impl<'g> Griffin<'g> {
             ExecMode::Hybrid => return self.hybrid_chain(index, terms, run),
             ExecMode::GpuOnly => {
                 let attempt = self.on_device(run, || {
-                    let host = self.gpu.eval_chain(index, terms);
+                    let host = self.gpu.eval_chain(index, terms, None);
                     // Close the span, fault or not: leftover prefetches
                     // (the chain can end early on an empty intermediate)
                     // return to the cache's custody and all scheduled
@@ -1248,25 +1248,18 @@ impl<'g> Griffin<'g> {
         if run_gpu {
             let start = self.device.now();
             let attempt = self.try_gpu(run, || {
-                let score_bits: Vec<u32> = host.scores[..cut].iter().map(|s| s.to_bits()).collect();
-                let [docids, scores] = self
-                    .device
-                    .htod_packed_n([&host.docids[..cut], &score_bits])?;
-                let dev_short = DeviceIntermediate {
-                    len: cut,
-                    docids,
-                    scores: scores.cast::<f32>(),
-                };
+                // The lane's buffers are this attempt's: a fault at any
+                // point frees what it had shipped or produced so far.
+                let mut scope = Scope::new(self.device);
+                let dev_short = self
+                    .gpu
+                    .upload_intermediate(&host.docids[..cut], &host.scores[..cut])?;
+                scope.adopt(dev_short.docids.clone());
+                scope.adopt(dev_short.scores.clone());
                 // The range upload bypasses the list cache (a slice is
                 // useless to other queries) and is freed before the lane
                 // returns, fault or not.
-                let postings = match self.gpu.upload_range(index, term, 0, split_block) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        dev_short.free(self.device);
-                        return Err(e);
-                    }
-                };
+                let postings = self.gpu.upload_range(index, term, 0, split_block)?;
                 let out = self.gpu.intersect_step(
                     &dev_short,
                     &postings,
@@ -1274,11 +1267,12 @@ impl<'g> Griffin<'g> {
                     GpuStrategy::Auto,
                 );
                 postings.free(self.device);
-                dev_short.free(self.device);
+                scope.free(dev_short.docids);
+                scope.free(dev_short.scores);
                 let out = out?;
-                let drained = self.gpu.download(&out);
-                out.free(self.device);
-                drained
+                scope.adopt(out.docids.clone());
+                scope.adopt(out.scores.clone());
+                self.gpu.download(&out)
             });
             match attempt {
                 Ok(part) => {
@@ -1466,17 +1460,8 @@ impl<'g> Griffin<'g> {
                 match (inter, target) {
                     (Inter::Host(h), Proc::Gpu) => {
                         let start = self.device.now();
-                        let shipped = self.try_gpu(run, || {
-                            let score_bits: Vec<u32> =
-                                h.scores.iter().map(|s| s.to_bits()).collect();
-                            let [docids, scores] =
-                                self.device.htod_packed_n([&h.docids, &score_bits])?;
-                            Ok(DeviceIntermediate {
-                                len: h.docids.len(),
-                                docids,
-                                scores: scores.cast::<f32>(),
-                            })
-                        });
+                        let shipped = self
+                            .try_gpu(run, || self.gpu.upload_intermediate(&h.docids, &h.scores));
                         // The upload ran on the copy stream; close the
                         // span on it so the migration is charged here and
                         // a later download sees the transfer retired.
@@ -1915,6 +1900,95 @@ mod tests {
             assert_eq!(out.gpu_faults, 0);
             assert!(out.steps.iter().all(|s| s.op != StepOp::FaultRecovery));
         }
+    }
+
+    #[test]
+    fn pruned_device_lane_is_the_plain_chain_with_hull_uploads() {
+        // t0 starts at docID 400 000; t1 spends 30 000 postings below that.
+        let high: Vec<u32> = (0..3_000u32).map(|i| 400_000 + i * 5).collect();
+        let prefix = (0..30_000u32).map(|i| i * 3);
+        let prefixed: Vec<u32> = prefix.chain((0..8_000).map(|i| 400_000 + i * 2)).collect();
+        let idx =
+            InvertedIndex::from_docid_lists(&[high, prefixed], 500_000, Codec::EliasFano, 128);
+        let q = terms(&idx, 2);
+        let run = |pruned: bool| {
+            let gpu = Gpu::new(DeviceConfig::test_tiny());
+            let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
+            let req = QueryRequest::new(q.clone()).k(10).mode(ExecMode::GpuOnly);
+            let out = griffin.run(&idx, &req.pruned(pruned));
+            (out, gpu.stats().htod_bytes)
+        };
+        let (plain, plain_bytes) = run(false);
+        let (pruned, pruned_bytes) = run(true);
+
+        let bits = |o: &GriffinOutput| -> Vec<(u32, u32)> {
+            o.topk.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+        };
+        assert_eq!(plain.topk.len(), 10);
+        assert_eq!(bits(&plain), bits(&pruned));
+        // One device step and the host ranking, as for the plain chain.
+        let shape = |o: &GriffinOutput| -> Vec<(StepOp, Proc, usize)> {
+            o.steps
+                .iter()
+                .map(|s| (s.op, s.proc, s.inter_len))
+                .collect()
+        };
+        let steps = vec![(StepOp::Exec, Proc::Gpu, 10), (StepOp::TopK, Proc::Cpu, 10)];
+        assert_eq!(shape(&pruned), steps);
+        assert_eq!(plain.steps[1], pruned.steps[1], "the same ranking step");
+        let sum: VirtualNanos = pruned.steps.iter().map(|s| s.time).sum();
+        assert_eq!(sum, pruned.time);
+        // The hull took t1's prefix off the wire.
+        let ledger = pruned.pruning.expect("pruned runs carry the ledger");
+        assert!(ledger.tf_blocks_decoded < ledger.tf_blocks_total / 2);
+        assert!(pruned_bytes < plain_bytes / 2);
+        assert!(pruned.time < plain.time);
+        assert!(plain.pruning.is_none());
+    }
+
+    #[test]
+    fn pruned_hybrid_is_placed_by_the_pair_it_runs_first() {
+        use griffin_index::shard::{partition, ShardPlan};
+        use griffin_telemetry::TraceEvent;
+        // Whole-corpus dfs order the chain t0, t1, t2. In the first shard
+        // t2 is the shortest list (its postings are nearly all in the
+        // second), so sorting by local length would put it first.
+        let lists: Vec<Vec<u32>> = vec![
+            (0..1_000u32).map(|i| i * 200).collect(),
+            (0..4_000u32).map(|i| i * 50).collect(),
+            (0..100u32)
+                .map(|i| i * 1_000)
+                .chain((0..9_900).map(|i| 100_000 + i * 10))
+                .collect(),
+        ];
+        let whole = InvertedIndex::from_docid_lists(&lists, 200_000, Codec::EliasFano, 128);
+        let shard = partition(&whole, &ShardPlan::even(200_000, 2)).swap_remove(0);
+        let q = terms(&shard, 3);
+        let local: Vec<usize> = q.iter().map(|&t| shard.doc_freq(t)).collect();
+        assert_eq!(local, [500, 2_000, 100]);
+
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let mut griffin = Griffin::new(&gpu, shard.meta(), shard.block_len());
+        griffin.set_telemetry(Telemetry::enabled());
+        let req = QueryRequest::new(vec![q[2], q[0], q[1]]).k(10).pruned(true);
+        let out = griffin.run(&shard, &req);
+        assert_eq!(out.topk.len(), 10);
+        let decided: Vec<(usize, usize)> = griffin
+            .telemetry()
+            .recorder()
+            .expect("enabled")
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::SchedDecision {
+                    short_len,
+                    long_len,
+                    ..
+                } => Some((*short_len, *long_len)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decided, [(500, 2_000)], "t0 against t1, at local lengths");
     }
 
     #[test]

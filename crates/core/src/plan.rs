@@ -1,17 +1,18 @@
 //! The cost-based planner: lowers a [`Query`] AST into a physical plan
-//! DAG with a per-operator processor decision.
+//! DAG.
 //!
 //! The original engine made per-step CPU/GPU/Split decisions along one
 //! AND-chain. The planner generalizes that to arbitrary operator trees:
-//! every AND-chain of terms becomes a [`PlanNode::Chain`] whose placement
-//! the [`Scheduler`] decides from the chain's two shortest lists (the
-//! same signal the per-step machinery refines at run time), and every
-//! union, difference, and phrase check becomes its own costed operator
-//! node. Set operations run on the host: the device exposes no set-op
-//! kernels, and for the intermediate sizes the planner estimates, a
-//! device set-op would pay two PCIe round-trips that dwarf the
-//! `~cpu_ns_per_elem` host merge — the same Fig. 7 reasoning that keeps
-//! final ranking on the CPU.
+//! every AND-chain of terms becomes a [`PlanNode::Chain`] in execution
+//! order, and every union, difference, and phrase check becomes its own
+//! costed operator node. Where a chain runs is not part of the node: the
+//! engine decides that when the chain starts, from the same first
+//! pairwise ratio plus what the caches hold at that moment
+//! ([`Plan::decisions`] keeps the planner's residency-blind view). Set
+//! operations run on the host: the device exposes no set-op kernels, and
+//! for the intermediate sizes the planner estimates, a device set-op would
+//! pay two PCIe round-trips that dwarf the `~cpu_ns_per_elem` host merge —
+//! the same Fig. 7 reasoning that keeps final ranking on the CPU.
 //!
 //! # Scoring semantics (the bit-exactness contract)
 //!
@@ -34,29 +35,20 @@
 use griffin_index::{InvertedIndex, TermId};
 
 use crate::query::Query;
-use crate::sched::{Decision, DecisionTrace, Scheduler};
+use crate::sched::{DecisionTrace, Proc, Scheduler};
 
 /// One operator of the physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
-    /// An AND-chain of terms, df-sorted, with the planner's processor
-    /// decision for the whole chain. Under [`crate::ExecMode::Hybrid`]
-    /// the decision seeds the chain's per-step scheduling, which may
-    /// migrate or split individual intersections exactly as the original
-    /// engine did.
-    Chain {
-        terms: Vec<TermId>,
-        place: Decision,
-        est: usize,
-    },
-    /// A phrase: its term chain (placed like [`PlanNode::Chain`])
-    /// followed by the host-side positional adjacency check (the
-    /// positions side-file is host-resident).
-    Phrase {
-        terms: Vec<TermId>,
-        place: Decision,
-        est: usize,
-    },
+    /// An AND-chain of terms in execution order (df-sorted, stable). Under
+    /// [`crate::ExecMode::Hybrid`] the engine places the chain's first
+    /// step at run time and schedules every later intersection on its
+    /// own, migrating or splitting as it goes.
+    Chain { terms: Vec<TermId>, est: usize },
+    /// A phrase: its term chain (run like [`PlanNode::Chain`]) followed by
+    /// the host-side positional adjacency check (the positions side-file
+    /// is host-resident).
+    Phrase { terms: Vec<TermId>, est: usize },
     /// Intersection of sub-plans (a mixed AND). Children keep AST order;
     /// the set intersection itself runs on the host.
     Intersect { children: Vec<PlanNode>, est: usize },
@@ -86,8 +78,10 @@ impl PlanNode {
     }
 }
 
-/// A lowered query: the operator DAG plus the scheduler traces behind
-/// each chain-placement decision (recorded into telemetry by the engine).
+/// A lowered query: the operator DAG plus, per chain, the scheduler's trace
+/// for its first pairwise ratio as seen at plan time — blind to cache
+/// residency, so not necessarily what the engine decides (and records into
+/// telemetry) when the chain runs.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub root: PlanNode,
@@ -121,20 +115,11 @@ impl Planner<'_> {
                 let mut dfs: Vec<usize> = ts.iter().map(|&t| self.index.doc_freq(t)).collect();
                 dfs.sort_unstable();
                 let est = dfs.first().copied().unwrap_or(0);
-                let place = match dfs.get(1) {
-                    Some(&second) => {
-                        let d = self
-                            .scheduler
-                            .decide_traced(est, second, crate::sched::Proc::Cpu);
-                        let chosen = d.chosen;
-                        decisions.push(d);
-                        chosen
-                    }
-                    None => Decision::Cpu,
-                };
+                if let Some(&second) = dfs.get(1) {
+                    decisions.push(self.scheduler.decide_traced(est, second, Proc::Cpu));
+                }
                 PlanNode::Phrase {
                     terms: ts.clone(),
-                    place,
                     est,
                 }
             }
@@ -194,9 +179,9 @@ impl Planner<'_> {
 
     /// Builds a chain node: df-sorts the terms (stable, like the CPU
     /// engine's own plan), estimates the intersection by its shortest
-    /// list, and asks the scheduler for the chain's starting placement
-    /// from the first pairwise ratio — the same inputs the hybrid
-    /// engine's initial-placement decision uses.
+    /// list, and traces the scheduler's view of the first pairwise ratio —
+    /// the inputs the engine's starting-placement decision uses, minus
+    /// residency.
     fn chain(&self, mut terms: Vec<TermId>, decisions: &mut Vec<DecisionTrace>) -> PlanNode {
         if terms.is_empty() {
             return PlanNode::Empty;
@@ -207,20 +192,11 @@ impl Planner<'_> {
         // they steer placement and latency, never results.
         terms.sort_by_key(|&t| self.index.scoring_df(t));
         let est = self.index.doc_freq(terms[0]);
-        let place = match terms.get(1) {
-            Some(&second) => {
-                let d = self.scheduler.decide_traced(
-                    est,
-                    self.index.doc_freq(second),
-                    crate::sched::Proc::Cpu,
-                );
-                let chosen = d.chosen;
-                decisions.push(d);
-                chosen
-            }
-            None => Decision::Cpu,
-        };
-        PlanNode::Chain { terms, place, est }
+        if let Some(&second) = terms.get(1) {
+            let second = self.index.doc_freq(second);
+            decisions.push(self.scheduler.decide_traced(est, second, Proc::Cpu));
+        }
+        PlanNode::Chain { terms, est }
     }
 }
 
@@ -256,7 +232,7 @@ mod tests {
         .normalize();
         let plan = planner.plan(&q);
         match &plan.root {
-            PlanNode::Chain { terms, est, .. } => {
+            PlanNode::Chain { terms, est } => {
                 assert_eq!(terms, &[tid(&i, 2), tid(&i, 1), tid(&i, 0)]);
                 assert_eq!(*est, 2);
             }
@@ -309,7 +285,7 @@ mod tests {
                 assert_eq!(left.est(), 7, "clipped sum of the union arms");
                 assert_eq!(*est, 7, "difference estimated by its left side");
                 match right.as_ref() {
-                    PlanNode::Phrase { terms, est, .. } => {
+                    PlanNode::Phrase { terms, est } => {
                         // Phrase order is preserved (not df-sorted).
                         assert_eq!(terms, &[tid(&i, 1), tid(&i, 2)]);
                         assert_eq!(*est, 2);

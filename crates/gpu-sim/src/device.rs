@@ -1199,6 +1199,28 @@ mod tests {
     }
 
     #[test]
+    fn panicking_kernel_inside_a_scope_leaves_memory_where_it_started() {
+        use crate::scope::Scope;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let survivor = gpu.htod(&[4u32, 5]).unwrap();
+        let before = gpu.mem_in_use();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            let mut scope = Scope::new(&gpu);
+            let doomed = PanicKernel(AddOne {
+                src: scope.adopt(gpu.htod(&(0u32..500).collect::<Vec<_>>()).unwrap()),
+                dst: scope.alloc::<u32>(500).unwrap(),
+                n: 500,
+            });
+            let _ = gpu.launch(&doomed, LaunchConfig::cover(500, 128));
+        }));
+        assert!(r.is_err());
+        assert_eq!(gpu.mem_in_use(), before, "the unwind ran the scope's drop");
+        assert_eq!(gpu.stats().frees, 2);
+        assert_eq!(gpu.dtoh(&survivor).unwrap(), vec![4, 5]);
+    }
+
+    #[test]
     fn async_mode_is_bit_exact_and_never_slower() {
         let serial = Gpu::new(DeviceConfig::test_tiny());
         let (out_serial, t_serial) = run_sequence(&serial);

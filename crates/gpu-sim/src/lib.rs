@@ -41,8 +41,10 @@
 //! under-occupied launches, and branch-divergence serialization.
 //!
 //! Host↔device traffic goes through the [`pcie`] model (fixed latency +
-//! bandwidth), and device allocations charge an allocation overhead — exactly
-//! the overheads the paper's scheduler must amortize.
+//! bandwidth), and device allocations and frees charge an overhead — exactly
+//! the overheads the paper's scheduler must amortize. A [`Scope`] owns what
+//! one call allocates and frees it on every exit path (DESIGN.md, "Who frees
+//! device memory").
 //!
 //! ## Fault injection
 //!
@@ -98,6 +100,7 @@ pub mod kernel;
 pub mod mem;
 pub mod observe;
 pub mod pcie;
+pub mod scope;
 pub mod stream;
 pub mod timing;
 pub mod tracer;
@@ -109,5 +112,6 @@ pub use fault::{DeviceError, FaultKind, FaultPlan};
 pub use kernel::{Dim, Kernel, LaunchConfig, ThreadCtx};
 pub use mem::{DeviceBuffer, DeviceWord};
 pub use observe::{DeviceEvent, DeviceObserver, TransferDir};
+pub use scope::Scope;
 pub use stream::{StreamEvent, StreamKind};
 pub use tracer::{LaunchCounters, Op};

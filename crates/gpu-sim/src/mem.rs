@@ -52,8 +52,11 @@ impl DeviceWord for f32 {
 pub struct BufferId(pub(crate) u32);
 
 /// A typed handle to device memory. Handles are cheap to clone and do not
-/// own the storage; freeing is explicit through [`crate::Gpu::free`] (the
-/// experiments account allocation/free overheads deliberately).
+/// own the storage: it is released by a [`crate::Scope`] when the function
+/// that allocated it exits, or by [`crate::Gpu::free`] for an owner that
+/// outlives one call. Either way the free is charged (the experiments
+/// account allocation/free overheads deliberately), so where it happens is
+/// part of the timing; see [`crate::Scope`].
 #[derive(Debug)]
 pub struct DeviceBuffer<T: DeviceWord> {
     pub(crate) id: BufferId,

@@ -14,7 +14,7 @@
 //! this machinery cannot amortize, which is why the paper's Fig. 7 crowns
 //! CPU `partial_sort`.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, ThreadCtx};
+use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx};
 
 use crate::radix_sort::{float_to_sortable, sortable_to_float};
 use crate::scan::exclusive_scan;
@@ -267,190 +267,173 @@ pub fn top_k_by_bucket_select(
         return Ok(Vec::new());
     }
     let k = k.min(n);
-    // Every allocation is tracked here and released when the function
-    // returns — on the success path and on a device fault alike.
-    let mut scratch: Vec<DeviceBuffer<u32>> = Vec::new();
-    let mut inner = || -> Result<(Vec<u32>, Vec<u32>), DeviceError> {
-        let keys = gpu.alloc::<u32>(n)?;
-        scratch.push(keys.clone());
-        let mut cand = gpu.alloc::<u32>(n)?;
-        scratch.push(cand.clone());
+    // Every allocation lives until the function returns, on the success
+    // path and on a device fault alike.
+    let mut scope = Scope::new(gpu);
+    let keys = scope.alloc::<u32>(n)?;
+    let mut cand = scope.alloc::<u32>(n)?;
+    gpu.launch(
+        &SeedKernel {
+            scores: scores.clone(),
+            keys: keys.clone(),
+            cand: cand.clone(),
+            n,
+        },
+        LaunchConfig::cover(n, BLOCK_DIM),
+    )?;
+
+    // Locate the k-th largest key, byte by byte (MSD first).
+    let mut n_cand = n;
+    let mut remaining_k = k; // rank of the target within the candidates
+    let mut kth_key = 0u32;
+    for level in 0..4u32 {
+        let shift = 8 * (3 - level);
+        let num_blocks = n_cand.div_ceil(BLOCK_DIM as usize);
+        let hist = scope.alloc::<u32>(RADIX * num_blocks)?;
         gpu.launch(
-            &SeedKernel {
-                scores: scores.clone(),
+            &BucketHistKernel {
                 keys: keys.clone(),
                 cand: cand.clone(),
+                hist: hist.clone(),
+                n_cand,
+                shift,
+                num_blocks,
+            },
+            LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
+        )?;
+        let totals = scope.alloc::<u32>(RADIX)?;
+        gpu.launch(
+            &HistReduceKernel {
+                hist: hist.clone(),
+                totals: totals.clone(),
+                num_blocks,
+            },
+            LaunchConfig::cover(RADIX, BLOCK_DIM),
+        )?;
+        // The 1-KB read-back that steers the recursion.
+        let counts = gpu.dtoh(&totals)?;
+
+        let mut digit = RADIX - 1;
+        loop {
+            let c = counts[digit] as usize;
+            if c >= remaining_k {
+                break;
+            }
+            remaining_k -= c;
+            assert!(digit > 0, "rank exhausted the histogram");
+            digit -= 1;
+        }
+        kth_key |= (digit as u32) << shift;
+        let bucket_size = counts[digit] as usize;
+
+        if level == 3 || bucket_size <= 1 {
+            break;
+        }
+
+        // Compact the surviving bucket into the next candidate set.
+        let flags = scope.alloc::<u32>(n_cand)?;
+        gpu.launch(
+            &BucketFlagKernel {
+                keys: keys.clone(),
+                cand: cand.clone(),
+                flags: flags.clone(),
+                n_cand,
+                shift,
+                digit: digit as u32,
+            },
+            LaunchConfig::cover(n_cand, BLOCK_DIM),
+        )?;
+        let (offsets, total) = exclusive_scan(gpu, &flags, n_cand)?;
+        let offsets = scope.adopt(offsets);
+        debug_assert_eq!(total as usize, bucket_size);
+        let cand_next = scope.alloc::<u32>(bucket_size)?;
+        gpu.launch(
+            &BucketCompactKernel {
+                cand_in: cand.clone(),
+                flags: flags.clone(),
+                offsets: offsets.clone(),
+                cand_out: cand_next.clone(),
+                n_cand,
+            },
+            LaunchConfig::cover(n_cand, BLOCK_DIM),
+        )?;
+        cand = cand_next;
+        n_cand = bucket_size;
+    }
+
+    // Select: strict winners first, then enough ties at the threshold.
+    let out_docid = scope.alloc::<u32>(k)?;
+    let out_key = scope.alloc::<u32>(k)?;
+    let flags = scope.alloc::<u32>(n)?;
+    gpu.launch(
+        &SelectFlagKernel {
+            keys: keys.clone(),
+            flags: flags.clone(),
+            n,
+            threshold: kth_key,
+            equal_mode: false,
+        },
+        LaunchConfig::cover(n, BLOCK_DIM),
+    )?;
+    let (offsets, winners) = exclusive_scan(gpu, &flags, n)?;
+    let offsets = scope.adopt(offsets);
+    let winners = winners as usize;
+    // With a full 4-level descent the threshold is exactly the k-th
+    // key, so winners <= k-1; an early break (singleton bucket) zeroes
+    // the low bytes, which can pull the k-th element itself above the
+    // threshold.
+    debug_assert!(
+        winners <= k,
+        "strict winners ({winners}) must be <= k ({k})"
+    );
+    if winners > 0 {
+        gpu.launch(
+            &SelectGatherKernel {
+                docids: docids.clone(),
+                keys: keys.clone(),
+                flags: flags.clone(),
+                offsets: offsets.clone(),
+                out_docid: out_docid.clone(),
+                out_key: out_key.clone(),
                 n,
+                base: 0,
+                limit: winners,
             },
             LaunchConfig::cover(n, BLOCK_DIM),
         )?;
-
-        // Locate the k-th largest key, byte by byte (MSD first).
-        let mut n_cand = n;
-        let mut remaining_k = k; // rank of the target within the candidates
-        let mut kth_key = 0u32;
-        for level in 0..4u32 {
-            let shift = 8 * (3 - level);
-            let num_blocks = n_cand.div_ceil(BLOCK_DIM as usize);
-            let hist = gpu.alloc::<u32>(RADIX * num_blocks)?;
-            scratch.push(hist.clone());
-            gpu.launch(
-                &BucketHistKernel {
-                    keys: keys.clone(),
-                    cand: cand.clone(),
-                    hist: hist.clone(),
-                    n_cand,
-                    shift,
-                    num_blocks,
-                },
-                LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
-            )?;
-            let totals = gpu.alloc::<u32>(RADIX)?;
-            scratch.push(totals.clone());
-            gpu.launch(
-                &HistReduceKernel {
-                    hist: hist.clone(),
-                    totals: totals.clone(),
-                    num_blocks,
-                },
-                LaunchConfig::cover(RADIX, BLOCK_DIM),
-            )?;
-            // The 1-KB read-back that steers the recursion.
-            let counts = gpu.dtoh(&totals)?;
-
-            let mut digit = RADIX - 1;
-            loop {
-                let c = counts[digit] as usize;
-                if c >= remaining_k {
-                    break;
-                }
-                remaining_k -= c;
-                assert!(digit > 0, "rank exhausted the histogram");
-                digit -= 1;
-            }
-            kth_key |= (digit as u32) << shift;
-            let bucket_size = counts[digit] as usize;
-
-            if level == 3 || bucket_size <= 1 {
-                break;
-            }
-
-            // Compact the surviving bucket into the next candidate set.
-            let flags = gpu.alloc::<u32>(n_cand)?;
-            scratch.push(flags.clone());
-            gpu.launch(
-                &BucketFlagKernel {
-                    keys: keys.clone(),
-                    cand: cand.clone(),
-                    flags: flags.clone(),
-                    n_cand,
-                    shift,
-                    digit: digit as u32,
-                },
-                LaunchConfig::cover(n_cand, BLOCK_DIM),
-            )?;
-            let (offsets, total) = exclusive_scan(gpu, &flags, n_cand)?;
-            scratch.push(offsets.clone());
-            debug_assert_eq!(total as usize, bucket_size);
-            let cand_next = gpu.alloc::<u32>(bucket_size)?;
-            scratch.push(cand_next.clone());
-            gpu.launch(
-                &BucketCompactKernel {
-                    cand_in: cand.clone(),
-                    flags: flags.clone(),
-                    offsets: offsets.clone(),
-                    cand_out: cand_next.clone(),
-                    n_cand,
-                },
-                LaunchConfig::cover(n_cand, BLOCK_DIM),
-            )?;
-            cand = cand_next;
-            n_cand = bucket_size;
-        }
-
-        // Select: strict winners first, then enough ties at the threshold.
-        let out_docid = gpu.alloc::<u32>(k)?;
-        scratch.push(out_docid.clone());
-        let out_key = gpu.alloc::<u32>(k)?;
-        scratch.push(out_key.clone());
-        let flags = gpu.alloc::<u32>(n)?;
-        scratch.push(flags.clone());
+    }
+    // Ties at the threshold fill the remaining slots.
+    if winners < k {
         gpu.launch(
             &SelectFlagKernel {
                 keys: keys.clone(),
                 flags: flags.clone(),
                 n,
                 threshold: kth_key,
-                equal_mode: false,
+                equal_mode: true,
             },
             LaunchConfig::cover(n, BLOCK_DIM),
         )?;
-        let (offsets, winners) = exclusive_scan(gpu, &flags, n)?;
-        scratch.push(offsets.clone());
-        let winners = winners as usize;
-        // With a full 4-level descent the threshold is exactly the k-th
-        // key, so winners <= k-1; an early break (singleton bucket) zeroes
-        // the low bytes, which can pull the k-th element itself above the
-        // threshold.
-        debug_assert!(
-            winners <= k,
-            "strict winners ({winners}) must be <= k ({k})"
-        );
-        if winners > 0 {
-            gpu.launch(
-                &SelectGatherKernel {
-                    docids: docids.clone(),
-                    keys: keys.clone(),
-                    flags: flags.clone(),
-                    offsets: offsets.clone(),
-                    out_docid: out_docid.clone(),
-                    out_key: out_key.clone(),
-                    n,
-                    base: 0,
-                    limit: winners,
-                },
-                LaunchConfig::cover(n, BLOCK_DIM),
-            )?;
-        }
-        // Ties at the threshold fill the remaining slots.
-        if winners < k {
-            gpu.launch(
-                &SelectFlagKernel {
-                    keys: keys.clone(),
-                    flags: flags.clone(),
-                    n,
-                    threshold: kth_key,
-                    equal_mode: true,
-                },
-                LaunchConfig::cover(n, BLOCK_DIM),
-            )?;
-            let (offsets, _ties) = exclusive_scan(gpu, &flags, n)?;
-            scratch.push(offsets.clone());
-            gpu.launch(
-                &SelectGatherKernel {
-                    docids: docids.clone(),
-                    keys: keys.clone(),
-                    flags: flags.clone(),
-                    offsets: offsets.clone(),
-                    out_docid: out_docid.clone(),
-                    out_key: out_key.clone(),
-                    n,
-                    base: winners,
-                    limit: k - winners,
-                },
-                LaunchConfig::cover(n, BLOCK_DIM),
-            )?;
-        }
-
-        let docid_host = gpu.dtoh(&out_docid)?;
-        let key_host = gpu.dtoh(&out_key)?;
-        Ok((docid_host, key_host))
-    };
-    let result = inner();
-    for buf in scratch {
-        gpu.free(buf);
+        let (offsets, _ties) = exclusive_scan(gpu, &flags, n)?;
+        let offsets = scope.adopt(offsets);
+        gpu.launch(
+            &SelectGatherKernel {
+                docids: docids.clone(),
+                keys: keys.clone(),
+                flags: flags.clone(),
+                offsets: offsets.clone(),
+                out_docid: out_docid.clone(),
+                out_key: out_key.clone(),
+                n,
+                base: winners,
+                limit: k - winners,
+            },
+            LaunchConfig::cover(n, BLOCK_DIM),
+        )?;
     }
-    let (docid_host, key_host) = result?;
+
+    let docid_host = gpu.dtoh(&out_docid)?;
+    let key_host = gpu.dtoh(&out_key)?;
     let mut out: Vec<(u32, f32)> = docid_host
         .into_iter()
         .zip(key_host)

@@ -15,7 +15,8 @@ use griffin_cpu::cost::WorkCounters;
 use griffin_cpu::rank::Bm25;
 use griffin_cpu::{topk, Intermediate};
 use griffin_gpu_sim::{
-    DeviceBuffer, Gpu, Kernel, LaunchConfig, Op, StreamEvent, StreamKind, ThreadCtx, VirtualNanos,
+    DeviceBuffer, Gpu, Kernel, LaunchConfig, Op, Scope, StreamEvent, StreamKind, ThreadCtx,
+    VirtualNanos,
 };
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
 
@@ -66,30 +67,62 @@ pub struct GpuQueryOutput {
     pub rank_work: WorkCounters,
 }
 
-/// Result of a hull-pruned GPU query ([`GpuEngine::process_query_pruned`]):
-/// the ordinary output plus the block-granularity pruning ledger.
-#[derive(Debug, Clone)]
-pub struct GpuPrunedOutput {
-    pub out: GpuQueryOutput,
+/// Block-granularity ledger of a hull-pruned chain (see
+/// [`GpuEngine::eval_chain`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HullLedger {
     /// Blocks across every processed list (the unpruned upload volume).
     pub blocks_total: u64,
     /// Blocks that actually shipped (inside the candidate hull).
     pub blocks_resident: u64,
 }
 
-/// A device list obtained for one pruned-chain step: either the full
-/// list under the LRU cache's custody, or a hull slice this query owns
-/// (see [`GpuEngine::upload_hull`] for the choice).
-enum HullUpload {
+/// The docID range `[lo, hi]` every common document of a conjunction must
+/// fall in: it is in every list, so it is >= every list's first docID and
+/// <= every list's last. Read off the host-resident skip tables.
+struct Hull {
+    lo: u32,
+    hi: u32,
+}
+
+impl Hull {
+    /// `None` when some list is empty (and so is the conjunction).
+    fn of(index: &InvertedIndex, terms: &[TermId]) -> Option<Hull> {
+        let mut hull = Hull {
+            lo: 0,
+            hi: u32::MAX,
+        };
+        for &t in terms {
+            let skips = &index.list(t).docs.skips;
+            hull.lo = hull.lo.max(skips.first()?.first_docid);
+            hull.hi = hull.hi.min(skips.last()?.last_docid);
+        }
+        Some(hull)
+    }
+
+    /// Blocks of `term` overlapping the hull; every block outside is
+    /// pruned before decode (it never ships).
+    fn blocks(&self, index: &InvertedIndex, term: TermId) -> (usize, usize) {
+        let skips = &index.list(term).docs.skips;
+        let lo = skips.partition_point(|s| s.last_docid < self.lo);
+        let hi = skips.partition_point(|s| s.first_docid <= self.hi);
+        (lo, hi.max(lo))
+    }
+}
+
+/// A device list obtained for one chain step: either the full list under
+/// the LRU cache's custody, or a hull slice this query owns (see
+/// [`GpuEngine::upload_hull`] for the choice).
+enum ChainList {
     Cached(Rc<DevicePostings>),
     Slice(Box<DevicePostings>),
 }
 
-impl HullUpload {
+impl ChainList {
     fn postings(&self) -> &DevicePostings {
         match self {
-            HullUpload::Cached(p) => p,
-            HullUpload::Slice(p) => p,
+            ChainList::Cached(p) => p,
+            ChainList::Slice(p) => p,
         }
     }
 }
@@ -595,37 +628,26 @@ impl<'g> GpuEngine<'g> {
     ) -> Result<DeviceIntermediate, GpuError> {
         let gpu = self.gpu;
         let n = postings.len();
+        let mut scope = Scope::new(gpu);
         let (docids, tfs) = para_ef::decode_postings(gpu, postings)?;
-        let scores = match gpu.alloc::<f32>(n) {
-            Ok(s) => s,
-            Err(e) => {
-                gpu.free(docids);
-                gpu.free(tfs);
-                return Err(e.into());
-            }
-        };
+        let (docids, tfs) = (scope.adopt(docids), scope.adopt(tfs));
+        let scores = scope.alloc::<f32>(n)?;
         if n > 0 {
-            if let Err(e) = gpu.launch(
+            gpu.launch(
                 &ScoreInitKernel {
                     docids: docids.clone(),
-                    tfs: tfs.clone(),
+                    tfs,
                     scores: scores.clone(),
                     doc_lens: self.doc_lens.clone(),
                     p: self.params(postings.df),
                     n,
                 },
                 LaunchConfig::cover(n, BLOCK_DIM),
-            ) {
-                gpu.free(docids);
-                gpu.free(tfs);
-                gpu.free(scores);
-                return Err(e.into());
-            }
+            )?;
         }
-        gpu.free(tfs);
         Ok(DeviceIntermediate {
-            docids,
-            scores,
+            docids: scope.keep(docids),
+            scores: scope.keep(scores),
             len: n,
         })
     }
@@ -643,177 +665,103 @@ impl<'g> GpuEngine<'g> {
         let gpu = self.gpu;
         let long_len = postings.len();
         let ratio = long_len.checked_div(inter.len).unwrap_or(usize::MAX);
-        let strategy = match strategy {
-            GpuStrategy::Auto => {
-                if ratio >= self.binary_ratio_threshold {
-                    GpuStrategy::BinarySearch
-                } else {
-                    GpuStrategy::MergePath
-                }
-            }
-            s => s,
+        let merge_path = match strategy {
+            GpuStrategy::Auto => ratio < self.binary_ratio_threshold,
+            s => s == GpuStrategy::MergePath,
         };
+        let mut scope = Scope::new(gpu);
         if inter.len == 0 || long_len == 0 {
-            let docids = gpu.alloc(0)?;
-            let scores = match gpu.alloc(0) {
-                Ok(s) => s,
-                Err(e) => {
-                    gpu.free(docids);
-                    return Err(e.into());
-                }
-            };
+            let (docids, scores) = (scope.alloc(0)?, scope.alloc(0)?);
             return Ok(DeviceIntermediate {
-                docids,
-                scores,
+                docids: scope.keep(docids),
+                scores: scope.keep(scores),
                 len: 0,
             });
         }
-        // idf from the list's document frequency — `postings.df`, not the
-        // resident element count, which is smaller for a range upload.
-        let p = self.params(postings.df);
-
-        match strategy {
-            GpuStrategy::MergePath => {
-                // Comparable lengths: every block is needed anyway, so
-                // decompress both sides fully (docids and tfs).
-                let (long_docids, long_tfs) = para_ef::decode_postings(gpu, postings)?;
-                let matches = match mergepath::intersect(
-                    gpu,
-                    &inter.docids,
-                    inter.len,
-                    &long_docids,
-                    long_len,
-                    &self.mp_config,
-                ) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        gpu.free(long_docids);
-                        gpu.free(long_tfs);
-                        return Err(e.into());
-                    }
-                };
-                let scored = gpu
-                    .alloc::<f32>(matches.len)
-                    .map_err(GpuError::from)
-                    .and_then(|scores| {
-                        if matches.len > 0 {
-                            if let Err(e) = gpu.launch(
-                                &ScoreAccumKernel {
-                                    docids: matches.docids.clone(),
-                                    old_scores: inter.scores.clone(),
-                                    a_idx: matches.a_idx.clone(),
-                                    tfs: long_tfs.clone(),
-                                    b_idx: Some(matches.b_idx.clone()),
-                                    out_scores: scores.clone(),
-                                    doc_lens: self.doc_lens.clone(),
-                                    p,
-                                    n: matches.len,
-                                },
-                                LaunchConfig::cover(matches.len, BLOCK_DIM),
-                            ) {
-                                gpu.free(scores);
-                                return Err(e.into());
-                            }
-                        }
-                        Ok(scores)
-                    });
-                gpu.free(long_docids);
-                gpu.free(long_tfs);
-                match scored {
-                    Ok(scores) => {
-                        let out = DeviceIntermediate {
-                            len: matches.len,
-                            docids: matches.docids,
-                            scores,
-                        };
-                        gpu.free(matches.a_idx);
-                        gpu.free(matches.b_idx);
-                        Ok(out)
-                    }
-                    Err(e) => {
-                        matches.free(gpu);
-                        Err(e)
-                    }
+        // The strategies differ in how the matches are found, and in where
+        // a match's tf comes from: MergePath decompresses the whole long
+        // list (comparable lengths: every block is needed anyway), tfs
+        // included; binary search touches few blocks and gathers the
+        // matched tfs afterwards.
+        let (found, long_tfs) = if merge_path {
+            let (long_docids, long_tfs) = para_ef::decode_postings(gpu, postings)?;
+            let (long_docids, long_tfs) = (scope.adopt(long_docids), scope.adopt(long_tfs));
+            let found = mergepath::intersect(
+                gpu,
+                &inter.docids,
+                inter.len,
+                &long_docids,
+                long_len,
+                &self.mp_config,
+            )?;
+            (found, Some(long_tfs))
+        } else {
+            let found =
+                gpu_binary::intersect(gpu, &inter.docids, inter.len, &postings.docs, block_len)?;
+            (found.matches, None)
+        };
+        let n = found.len;
+        let docids = scope.adopt(found.docids);
+        let (a_idx, b_idx) = (scope.adopt(found.a_idx), scope.adopt(found.b_idx));
+        let scores = scope.alloc::<f32>(n)?;
+        if n > 0 {
+            let (tfs, b_idx) = match long_tfs {
+                Some(tfs) => (tfs, Some(b_idx)),
+                None => {
+                    let tfs = scope.alloc::<u32>(n)?;
+                    gpu.launch(
+                        &TfGatherKernel {
+                            tf_words: postings.tf_words.clone(),
+                            tf_offsets: postings.tf_offsets.clone(),
+                            b_idx,
+                            out: tfs.clone(),
+                            block_len,
+                            n,
+                        },
+                        LaunchConfig::cover(n, BLOCK_DIM),
+                    )?;
+                    (tfs, None)
                 }
-            }
-            GpuStrategy::BinarySearch => {
-                let result = gpu_binary::intersect(
-                    gpu,
-                    &inter.docids,
-                    inter.len,
-                    &postings.docs,
-                    block_len,
-                )?;
-                let matches = result.matches;
-                let scored = gpu
-                    .alloc::<f32>(matches.len)
-                    .map_err(GpuError::from)
-                    .and_then(|scores| {
-                        let step = || -> Result<(), GpuError> {
-                            if matches.len > 0 {
-                                // Gather only the matched tfs (their
-                                // blocks are few).
-                                let tfs = gpu.alloc::<u32>(matches.len)?;
-                                let launched = gpu
-                                    .launch(
-                                        &TfGatherKernel {
-                                            tf_words: postings.tf_words.clone(),
-                                            tf_offsets: postings.tf_offsets.clone(),
-                                            b_idx: matches.b_idx.clone(),
-                                            out: tfs.clone(),
-                                            block_len,
-                                            n: matches.len,
-                                        },
-                                        LaunchConfig::cover(matches.len, BLOCK_DIM),
-                                    )
-                                    .and_then(|_| {
-                                        gpu.launch(
-                                            &ScoreAccumKernel {
-                                                docids: matches.docids.clone(),
-                                                old_scores: inter.scores.clone(),
-                                                a_idx: matches.a_idx.clone(),
-                                                tfs: tfs.clone(),
-                                                b_idx: None,
-                                                out_scores: scores.clone(),
-                                                doc_lens: self.doc_lens.clone(),
-                                                p,
-                                                n: matches.len,
-                                            },
-                                            LaunchConfig::cover(matches.len, BLOCK_DIM),
-                                        )
-                                    });
-                                gpu.free(tfs);
-                                launched?;
-                            }
-                            Ok(())
-                        };
-                        match step() {
-                            Ok(()) => Ok(scores),
-                            Err(e) => {
-                                gpu.free(scores);
-                                Err(e)
-                            }
-                        }
-                    });
-                match scored {
-                    Ok(scores) => {
-                        let out = DeviceIntermediate {
-                            len: matches.len,
-                            docids: matches.docids,
-                            scores,
-                        };
-                        gpu.free(matches.a_idx);
-                        gpu.free(matches.b_idx);
-                        Ok(out)
-                    }
-                    Err(e) => {
-                        matches.free(gpu);
-                        Err(e)
-                    }
-                }
-            }
-            GpuStrategy::Auto => unreachable!("resolved above"),
+            };
+            gpu.launch(
+                &ScoreAccumKernel {
+                    docids: docids.clone(),
+                    old_scores: inter.scores.clone(),
+                    a_idx,
+                    tfs,
+                    b_idx,
+                    out_scores: scores.clone(),
+                    doc_lens: self.doc_lens.clone(),
+                    // idf from the list's document frequency —
+                    // `postings.df`, not the resident element count, which
+                    // is smaller for a range upload.
+                    p: self.params(postings.df),
+                    n,
+                },
+                LaunchConfig::cover(n, BLOCK_DIM),
+            )?;
         }
+        Ok(DeviceIntermediate {
+            docids: scope.keep(docids),
+            scores: scope.keep(scores),
+            len: n,
+        })
+    }
+
+    /// Ships a host intermediate's (docid, score) pairs to the device in
+    /// one packed DMA — the inverse of [`GpuEngine::download`].
+    pub fn upload_intermediate(
+        &self,
+        docids: &[u32],
+        scores: &[f32],
+    ) -> Result<DeviceIntermediate, GpuError> {
+        let score_bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+        let [docids, scores] = self.gpu.htod_packed_n([docids, &score_bits])?;
+        Ok(DeviceIntermediate {
+            len: docids.len(),
+            docids,
+            scores: scores.cast::<f32>(),
+        })
     }
 
     /// Ships the intermediate's (docid, score) pairs back to the host.
@@ -846,8 +794,7 @@ impl<'g> GpuEngine<'g> {
             gpu.set_async(true);
         }
         let start = gpu.now();
-        let mut rank_work = WorkCounters::default();
-        let result = self.process_query_inner(index, terms, k, &mut rank_work);
+        let host = self.eval_chain(index, terms, None);
         // Close the window: leftover prefetches are returned to the
         // cache's custody and all scheduled work retires on the clock, so
         // `time` covers everything this query issued.
@@ -856,8 +803,10 @@ impl<'g> GpuEngine<'g> {
         if !was_async {
             gpu.set_async(false);
         }
-        let topk = result?;
+        let host = host?;
         let time = gpu.now() - start;
+        let mut rank_work = WorkCounters::default();
+        let topk = topk::top_k(&host.docids, &host.scores, k, &mut rank_work);
         Ok(GpuQueryOutput {
             topk,
             time,
@@ -865,22 +814,21 @@ impl<'g> GpuEngine<'g> {
         })
     }
 
-    fn process_query_inner(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        k: usize,
-        rank_work: &mut WorkCounters,
-    ) -> Result<Vec<(u32, f32)>, GpuError> {
-        let host = self.eval_chain(index, terms)?;
-        Ok(topk::top_k(&host.docids, &host.scores, k, rank_work))
-    }
-
     /// Runs the conjunctive chain entirely on the device and ships the
     /// surviving (docid, score) pairs home — [`GpuEngine::process_query`]
     /// minus the final ranking. This is the plan executor's building
     /// block for GPU-placed chain and phrase operators, whose results
     /// feed further (host-side) set operations.
+    ///
+    /// With a `hull` ledger the chain is block-pruned: before any list
+    /// ships, the host intersects the lists' *skip tables* to find the
+    /// docID hull every common document must fall in, and each step takes
+    /// its list from `upload_hull`, which may ship only the
+    /// blocks overlapping the hull (a range upload, like a co-executed
+    /// split's device lane; blocks outside never cross PCIe). BM25 sees
+    /// each list's full document frequency, so the scores are bit-exact
+    /// with the plain chain. Without one, each step's list comes through
+    /// the LRU cache and the next step's list is prefetched behind it.
     ///
     /// The caller owns the async window and stream synchronization; any
     /// prefetch left in flight (the chain can end early on an empty
@@ -890,193 +838,73 @@ impl<'g> GpuEngine<'g> {
         &self,
         index: &InvertedIndex,
         terms: &[TermId],
+        hull: Option<&mut HullLedger>,
     ) -> Result<Intermediate, GpuError> {
-        let gpu = self.gpu;
         let mut planned = terms.to_vec();
         // scoring_df, not the local list length: the sort fixes the f32
         // score fold order, which must match across shard views.
         planned.sort_by_key(|&t| index.scoring_df(t));
-        let Some((&first, rest)) = planned.split_first() else {
+        if planned.is_empty() {
             return Ok(Intermediate::default());
-        };
-        let first_postings = self.upload(index, first)?;
-        if let Some(&second) = rest.first() {
-            self.prefetch(index, second);
         }
-        let inter = self.init_intermediate(&first_postings);
-        self.release(first_postings);
-        let mut inter = inter?;
-        for (i, &t) in rest.iter().enumerate() {
-            if inter.len == 0 {
-                break;
-            }
-            let postings = match self.upload(index, t) {
-                Ok(p) => p,
-                Err(e) => {
-                    inter.free(gpu);
-                    return Err(e);
-                }
+        let mut pruned = None;
+        if let Some(ledger) = hull {
+            let Some(range) = Hull::of(index, &planned) else {
+                return Ok(Intermediate::default());
             };
-            if let Some(&next) = rest.get(i + 1) {
+            if range.lo > range.hi {
+                // The lists' ranges don't even overlap: the intersection
+                // is empty and nothing ships at all.
+                let blocks = |&t: &TermId| index.list(t).docs.num_blocks() as u64;
+                ledger.blocks_total += planned.iter().map(blocks).sum::<u64>();
+                return Ok(Intermediate::default());
+            }
+            pruned = Some((range, ledger));
+        }
+        // The list for step `i`, from the one place the chain gets them.
+        let mut list = |i: usize| -> Result<ChainList, GpuError> {
+            if let Some((range, ledger)) = &mut pruned {
+                return self.upload_hull(index, planned[i], range, ledger);
+            }
+            let postings = self.upload(index, planned[i])?;
+            if let Some(&next) = planned.get(i + 1) {
                 self.prefetch(index, next);
             }
-            let next = self.intersect_step(&inter, &postings, index.block_len(), GpuStrategy::Auto);
-            self.release(postings);
-            match next {
-                Ok(n) => {
-                    inter.free(gpu);
-                    inter = n;
-                }
-                Err(e) => {
-                    inter.free(gpu);
-                    return Err(e);
-                }
-            }
-        }
-        let host = self.download(&inter);
-        inter.free(gpu);
-        host
-    }
-
-    /// Full GPU-only query with candidate-hull block pruning: before any
-    /// list ships, the host intersects the lists' *skip tables* to find
-    /// the docID hull `[max(first docids), min(last docids)]` that every
-    /// common document must fall in, then uploads only the blocks
-    /// overlapping that hull (range uploads, like a co-executed split's
-    /// device lane). Blocks outside the hull are pruned before decode —
-    /// they never cross PCIe. BM25 sees each list's full document
-    /// frequency, so scores are bit-exact with the unpruned path.
-    pub fn process_query_pruned(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        k: usize,
-    ) -> Result<GpuPrunedOutput, GpuError> {
-        let gpu = self.gpu;
-        let was_async = gpu.async_enabled();
-        if self.overlap.get() {
-            gpu.set_async(true);
-        }
-        let start = gpu.now();
-        let mut rank_work = WorkCounters::default();
-        let mut blocks_total = 0u64;
-        let mut blocks_resident = 0u64;
-        let result = self.pruned_query_inner(
-            index,
-            terms,
-            k,
-            &mut rank_work,
-            &mut blocks_total,
-            &mut blocks_resident,
-        );
-        gpu.sync();
-        if !was_async {
-            gpu.set_async(false);
-        }
-        let topk = result?;
-        let time = gpu.now() - start;
-        Ok(GpuPrunedOutput {
-            out: GpuQueryOutput {
-                topk,
-                time,
-                rank_work,
-            },
-            blocks_total,
-            blocks_resident,
-        })
-    }
-
-    fn pruned_query_inner(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        k: usize,
-        rank_work: &mut WorkCounters,
-        blocks_total: &mut u64,
-        blocks_resident: &mut u64,
-    ) -> Result<Vec<(u32, f32)>, GpuError> {
-        let gpu = self.gpu;
-        let mut planned = terms.to_vec();
-        // scoring_df, not the local list length: the sort fixes the f32
-        // score fold order, which must match across shard views.
-        planned.sort_by_key(|&t| index.scoring_df(t));
-        let Some((&first, rest)) = planned.split_first() else {
-            return Ok(Vec::new());
+            Ok(ChainList::Cached(postings))
         };
-        // The hull from the host-resident skip tables: a common docID is
-        // in every list, so it is >= every list's first docID and <=
-        // every list's last.
-        let mut hull_lo = 0u32;
-        let mut hull_hi = u32::MAX;
-        for &t in &planned {
-            let skips = &index.list(t).docs.skips;
-            let (Some(head), Some(tail)) = (skips.first(), skips.last()) else {
-                return Ok(Vec::new());
-            };
-            hull_lo = hull_lo.max(head.first_docid);
-            hull_hi = hull_hi.min(tail.last_docid);
-        }
-        // Blocks of `t` overlapping the hull; every block outside is
-        // pruned before decode (it never ships).
-        let hull_blocks = |t: TermId| {
-            let skips = &index.list(t).docs.skips;
-            let lo = skips.partition_point(|s| s.last_docid < hull_lo);
-            let hi = skips.partition_point(|s| s.first_docid <= hull_hi);
-            (lo, hi.max(lo))
-        };
-        if hull_lo > hull_hi {
-            // The lists' ranges don't even overlap: the intersection is
-            // empty and nothing ships at all.
-            for &t in &planned {
-                *blocks_total += index.list(t).docs.num_blocks() as u64;
-            }
-            return Ok(Vec::new());
-        }
 
-        *blocks_total += index.list(first).docs.num_blocks() as u64;
-        let (lo, hi) = hull_blocks(first);
-        let first_postings = self.upload_hull(index, first, lo, hi, blocks_resident)?;
-        let inter = self.init_intermediate(first_postings.postings());
-        self.release_hull(first_postings);
+        let first = list(0)?;
+        let inter = self.init_intermediate(first.postings());
+        self.release_list(first);
+        // The running intermediate is this call's: a fault at any later
+        // step frees it on the way out.
+        let mut scope = Scope::new(self.gpu);
         let mut inter = inter?;
-        for &t in rest {
+        scope.adopt(inter.docids.clone());
+        scope.adopt(inter.scores.clone());
+        for i in 1..planned.len() {
             if inter.len == 0 {
                 break;
             }
-            *blocks_total += index.list(t).docs.num_blocks() as u64;
-            let (lo, hi) = hull_blocks(t);
-            let postings = match self.upload_hull(index, t, lo, hi, blocks_resident) {
-                Ok(p) => p,
-                Err(e) => {
-                    inter.free(gpu);
-                    return Err(e);
-                }
-            };
+            let postings = list(i)?;
             let next = self.intersect_step(
                 &inter,
                 postings.postings(),
                 index.block_len(),
                 GpuStrategy::Auto,
             );
-            self.release_hull(postings);
-            match next {
-                Ok(n) => {
-                    inter.free(gpu);
-                    inter = n;
-                }
-                Err(e) => {
-                    inter.free(gpu);
-                    return Err(e);
-                }
-            }
+            self.release_list(postings);
+            let next = next?;
+            scope.free(inter.docids);
+            scope.free(inter.scores);
+            scope.adopt(next.docids.clone());
+            scope.adopt(next.scores.clone());
+            inter = next;
         }
-        let host = self.download(&inter);
-        inter.free(gpu);
-        let host = host?;
-        Ok(topk::top_k(&host.docids, &host.scores, k, rank_work))
+        self.download(&inter)
     }
 
-    /// Ships a list for the pruned path, weighing the hull restriction
+    /// Ships a list for the pruned chain, weighing the hull restriction
     /// against the LRU cache:
     ///
     /// * already device-resident → use the cached full list (a hit costs
@@ -1095,28 +923,29 @@ impl<'g> GpuEngine<'g> {
         &self,
         index: &InvertedIndex,
         term: TermId,
-        lo: usize,
-        hi: usize,
-        blocks_resident: &mut u64,
-    ) -> Result<HullUpload, GpuError> {
+        hull: &Hull,
+        ledger: &mut HullLedger,
+    ) -> Result<ChainList, GpuError> {
         let num_blocks = index.list(term).docs.num_blocks();
+        ledger.blocks_total += num_blocks as u64;
+        let (lo, hi) = hull.blocks(index, term);
         let cached = self.cache.borrow().map.contains_key(&term);
         if cached || (hi - lo) * 2 >= num_blocks {
-            *blocks_resident += num_blocks as u64;
-            return Ok(HullUpload::Cached(self.upload(index, term)?));
+            ledger.blocks_resident += num_blocks as u64;
+            return Ok(ChainList::Cached(self.upload(index, term)?));
         }
-        *blocks_resident += (hi - lo) as u64;
-        Ok(HullUpload::Slice(Box::new(
+        ledger.blocks_resident += (hi - lo) as u64;
+        Ok(ChainList::Slice(Box::new(
             self.upload_range(index, term, lo, hi)?,
         )))
     }
 
-    /// Returns a [`HullUpload`] to its owner: cached lists to the LRU
+    /// Returns a [`ChainList`] to its owner: cached lists to the LRU
     /// cache's custody, slices to the allocator.
-    fn release_hull(&self, upload: HullUpload) {
-        match upload {
-            HullUpload::Cached(p) => self.release(p),
-            HullUpload::Slice(p) => p.free(self.gpu),
+    fn release_list(&self, list: ChainList) {
+        match list {
+            ChainList::Cached(p) => self.release(p),
+            ChainList::Slice(p) => p.free(self.gpu),
         }
     }
 
@@ -1215,6 +1044,78 @@ mod tests {
         let terms = vec![term(&idx, 0), term(&idx, 1)];
         let out = engine.process_query(&idx, &terms, 10).unwrap();
         assert!(out.topk.is_empty());
+    }
+
+    #[test]
+    fn hull_chain_matches_the_plain_chain_and_a_narrow_hull_ships_a_slice() {
+        // t0 lies wholly above docID 1 000 000. t1 has 20 000 postings
+        // below that and 3 000 from there on: the hull cuts the prefix off
+        // (a slice of 24 blocks out of 180). t2 has 2 000 below and 5 900
+        // from there on: more than half its blocks are in, so it ships
+        // whole, through the cache.
+        let high: Vec<u32> = (0..2_000u32).map(|i| 1_000_000 + i * 3).collect();
+        let prefixed = |below: u32, inside: u32, stride: u32| -> Vec<u32> {
+            let prefix = (0..below).map(|i| i * 7);
+            let inside = (0..inside).map(|i| 1_000_000 + i * stride);
+            prefix.chain(inside).collect()
+        };
+        let lists = [high, prefixed(20_000, 3_000, 2), prefixed(2_000, 5_900, 1)];
+        let idx = synthetic_index(&lists, 2_000_000);
+        let terms: Vec<TermId> = (0..3).map(|i| term(&idx, i)).collect();
+        let blocks = |i: usize| idx.list(terms[i]).docs.num_blocks() as u64;
+
+        let run = |pruned: bool| {
+            let gpu = Gpu::new(DeviceConfig::test_tiny());
+            let engine = GpuEngine::new(&gpu, idx.meta());
+            gpu.set_async(true); // the caller's window: prefetches are live
+            let mut ledger = HullLedger::default();
+            let hull = pruned.then_some(&mut ledger);
+            let out = engine.eval_chain(&idx, &terms, hull).unwrap();
+            engine.drain_prefetch();
+            let (stats, shipped) = (engine.cache_stats(), gpu.stats().htod_bytes);
+            engine.shutdown();
+            assert_eq!(gpu.mem_in_use(), 0, "pruned: {pruned}");
+            (out, ledger, stats, shipped)
+        };
+        let (plain, untouched, plain_stats, plain_bytes) = run(false);
+        let (pruned, ledger, pruned_stats, pruned_bytes) = run(true);
+
+        assert!(!plain.is_empty(), "the test needs a non-empty intersection");
+        assert_eq!(plain.docids, pruned.docids);
+        let bits = |i: &Intermediate| i.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(&pruned), "same scores to the bit");
+
+        assert_eq!(untouched, HullLedger::default());
+        assert_eq!(ledger.blocks_total, blocks(0) + blocks(1) + blocks(2));
+        assert_eq!(ledger.blocks_resident, blocks(0) + 24 + blocks(2));
+        // The slice never entered the LRU cache, and fewer bytes shipped.
+        assert_eq!((plain_stats.misses, pruned_stats.misses), (3, 2));
+        assert!(
+            pruned_bytes < plain_bytes,
+            "{pruned_bytes} >= {plain_bytes}"
+        );
+        // The plain chain prefetches behind each step; the hull chain does not.
+        assert_eq!(plain_stats.prefetch_issued, 2);
+        assert_eq!(pruned_stats.prefetch_issued, 0);
+    }
+
+    #[test]
+    fn hull_chain_ships_nothing_when_the_lists_cannot_meet() {
+        let low: Vec<u32> = (0..1_000u32).map(|i| i * 3).collect();
+        let high: Vec<u32> = (0..1_000u32).map(|i| 50_000 + i * 3).collect();
+        let idx = synthetic_index(&[low, high], 100_000);
+        let terms = vec![term(&idx, 0), term(&idx, 1)];
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let engine = GpuEngine::new(&gpu, idx.meta());
+        let shipped = gpu.stats().htod_bytes;
+        let mut ledger = HullLedger::default();
+        let out = engine.eval_chain(&idx, &terms, Some(&mut ledger)).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(gpu.stats().htod_bytes, shipped);
+        assert_eq!((ledger.blocks_total, ledger.blocks_resident), (16, 0));
+        let plain = engine.eval_chain(&idx, &terms, None).unwrap();
+        assert!(plain.is_empty());
+        engine.shutdown();
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!    searches its decoded block.
 //! 5. **Match compaction** — scan + scatter into the dense result.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, ThreadCtx};
+use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx};
 
 use crate::mergepath::DeviceMatches;
 use crate::para_ef;
@@ -274,60 +274,52 @@ pub fn intersect_decompressed(
     if m == 0 || n == 0 {
         return DeviceMatches::empty(gpu);
     }
-    let mut scratch: Vec<DeviceBuffer<u32>> = Vec::new();
-    let mut inner = || -> Result<DeviceMatches, DeviceError> {
-        let match_flag = gpu.alloc::<u32>(m)?;
-        scratch.push(match_flag.clone());
-        let match_bidx = gpu.alloc::<u32>(m)?;
-        scratch.push(match_bidx.clone());
+    let mut scope = Scope::new(gpu);
+    let match_flag = scope.alloc::<u32>(m)?;
+    let match_bidx = scope.alloc::<u32>(m)?;
+    gpu.launch(
+        &FullBinaryKernel {
+            short: short.clone(),
+            long: long.clone(),
+            match_flag: match_flag.clone(),
+            match_bidx: match_bidx.clone(),
+            m,
+            n,
+        },
+        LaunchConfig::cover(m, BLOCK_DIM),
+    )?;
+    compact_matches(gpu, &mut scope, short, m, match_flag, match_bidx)
+}
+
+/// Phase 5 of both drivers: scans the match flags and scatters the flagged
+/// elements into the dense result, which leaves `scope` for the caller.
+fn compact_matches(
+    gpu: &Gpu,
+    scope: &mut Scope<'_>,
+    short: &DeviceBuffer<u32>,
+    m: usize,
+    match_flag: DeviceBuffer<u32>,
+    match_bidx: DeviceBuffer<u32>,
+) -> Result<DeviceMatches, DeviceError> {
+    let (offsets, total) = exclusive_scan(gpu, &match_flag, m)?;
+    let offsets = scope.adopt(offsets);
+    let out = DeviceMatches::alloc(scope, total as usize)?;
+    if out.len > 0 {
         gpu.launch(
-            &FullBinaryKernel {
+            &MatchCompactKernel {
                 short: short.clone(),
-                long: long.clone(),
-                match_flag: match_flag.clone(),
-                match_bidx: match_bidx.clone(),
+                match_flag,
+                match_bidx,
+                offsets,
+                out_docid: out.docids.clone(),
+                out_aidx: out.a_idx.clone(),
+                out_bidx: out.b_idx.clone(),
                 m,
-                n,
             },
             LaunchConfig::cover(m, BLOCK_DIM),
         )?;
-        let (offsets, total) = exclusive_scan(gpu, &match_flag, m)?;
-        scratch.push(offsets.clone());
-        let total = total as usize;
-        let out_docid = gpu.alloc::<u32>(total)?;
-        scratch.push(out_docid.clone());
-        let out_aidx = gpu.alloc::<u32>(total)?;
-        scratch.push(out_aidx.clone());
-        let out_bidx = gpu.alloc::<u32>(total)?;
-        scratch.push(out_bidx.clone());
-        if total > 0 {
-            gpu.launch(
-                &MatchCompactKernel {
-                    short: short.clone(),
-                    match_flag: match_flag.clone(),
-                    match_bidx: match_bidx.clone(),
-                    offsets: offsets.clone(),
-                    out_docid: out_docid.clone(),
-                    out_aidx: out_aidx.clone(),
-                    out_bidx: out_bidx.clone(),
-                    m,
-                },
-                LaunchConfig::cover(m, BLOCK_DIM),
-            )?;
-        }
-        scratch.truncate(scratch.len() - 3);
-        Ok(DeviceMatches {
-            docids: out_docid,
-            a_idx: out_aidx,
-            b_idx: out_bidx,
-            len: total,
-        })
-    };
-    let result = inner();
-    for buf in scratch {
-        gpu.free(buf);
     }
-    result
+    Ok(out.keep(scope))
 }
 
 /// Report of one parallel-binary intersection: the matches plus how many
@@ -356,122 +348,79 @@ pub fn intersect(
         });
     }
     let nb = long.num_blocks;
+    let mut scope = Scope::new(gpu);
 
-    let mut temps: Vec<DeviceBuffer<u32>> = Vec::new();
-    let mut inner = || -> Result<GpuBinaryOutput, DeviceError> {
-        // 1. Skip search.
-        let elem_block = gpu.alloc::<u32>(m)?;
-        temps.push(elem_block.clone());
-        let block_needed = gpu.alloc::<u32>(nb)?;
-        temps.push(block_needed.clone());
+    // 1. Skip search.
+    let elem_block = scope.alloc::<u32>(m)?;
+    let block_needed = scope.alloc::<u32>(nb)?;
+    gpu.launch(
+        &SkipSearchKernel {
+            short: short.clone(),
+            skip_first: long.skip_first.clone(),
+            skip_last: long.skip_last.clone(),
+            elem_block: elem_block.clone(),
+            block_needed: block_needed.clone(),
+            m,
+            num_blocks: nb,
+        },
+        LaunchConfig::cover(m, BLOCK_DIM),
+    )?;
+
+    // 2. Compact the needed blocks.
+    let (block_slot, needed_count) = exclusive_scan(gpu, &block_needed, nb)?;
+    let block_slot = scope.adopt(block_slot);
+    let needed_count = needed_count as usize;
+    let needed_blocks = scope.alloc::<u32>(needed_count.max(1))?;
+    if needed_count > 0 {
         gpu.launch(
-            &SkipSearchKernel {
-                short: short.clone(),
-                skip_first: long.skip_first.clone(),
-                skip_last: long.skip_last.clone(),
-                elem_block: elem_block.clone(),
-                block_needed: block_needed.clone(),
-                m,
-                num_blocks: nb,
-            },
-            LaunchConfig::cover(m, BLOCK_DIM),
-        )?;
-
-        // 2. Compact the needed blocks.
-        let (block_slot, needed_count) = exclusive_scan(gpu, &block_needed, nb)?;
-        temps.push(block_slot.clone());
-        let needed_count = needed_count as usize;
-        let needed_blocks = gpu.alloc::<u32>(needed_count.max(1))?;
-        temps.push(needed_blocks.clone());
-        if needed_count > 0 {
-            gpu.launch(
-                &ScatterBlocksKernel {
-                    block_needed: block_needed.clone(),
-                    block_slot: block_slot.clone(),
-                    needed_blocks: needed_blocks.clone(),
-                    num_blocks: nb,
-                },
-                LaunchConfig::cover(nb, BLOCK_DIM),
-            )?;
-        }
-
-        // 3. Selective decode.
-        let scratch = gpu.alloc::<u32>((needed_count * block_len).max(1))?;
-        temps.push(scratch.clone());
-        para_ef::decompress_selected(
-            gpu,
-            long,
-            para_ef::Selected {
-                blocks: needed_blocks.clone(),
-                count: needed_count,
-                stride: block_len,
-            },
-            &scratch,
-        )?;
-
-        // 4. In-block search.
-        let match_flag = gpu.alloc::<u32>(m)?;
-        temps.push(match_flag.clone());
-        let match_bidx = gpu.alloc::<u32>(m)?;
-        temps.push(match_bidx.clone());
-        gpu.launch(
-            &InBlockSearchKernel {
-                short: short.clone(),
-                elem_block: elem_block.clone(),
+            &ScatterBlocksKernel {
+                block_needed,
                 block_slot: block_slot.clone(),
-                block_elem_start: long.block_elem_start.clone(),
-                scratch: scratch.clone(),
-                match_flag: match_flag.clone(),
-                match_bidx: match_bidx.clone(),
-                m,
+                needed_blocks: needed_blocks.clone(),
                 num_blocks: nb,
-                len: long.len,
-                block_len,
             },
-            LaunchConfig::cover(m, BLOCK_DIM),
+            LaunchConfig::cover(nb, BLOCK_DIM),
         )?;
-
-        // 5. Compact matches.
-        let (offsets, total) = exclusive_scan(gpu, &match_flag, m)?;
-        temps.push(offsets.clone());
-        let total = total as usize;
-        let out_docid = gpu.alloc::<u32>(total)?;
-        temps.push(out_docid.clone());
-        let out_aidx = gpu.alloc::<u32>(total)?;
-        temps.push(out_aidx.clone());
-        let out_bidx = gpu.alloc::<u32>(total)?;
-        temps.push(out_bidx.clone());
-        if total > 0 {
-            gpu.launch(
-                &MatchCompactKernel {
-                    short: short.clone(),
-                    match_flag: match_flag.clone(),
-                    match_bidx: match_bidx.clone(),
-                    offsets: offsets.clone(),
-                    out_docid: out_docid.clone(),
-                    out_aidx: out_aidx.clone(),
-                    out_bidx: out_bidx.clone(),
-                    m,
-                },
-                LaunchConfig::cover(m, BLOCK_DIM),
-            )?;
-        }
-        temps.truncate(temps.len() - 3);
-        Ok(GpuBinaryOutput {
-            matches: DeviceMatches {
-                docids: out_docid,
-                a_idx: out_aidx,
-                b_idx: out_bidx,
-                len: total,
-            },
-            blocks_decoded: needed_count,
-        })
-    };
-    let result = inner();
-    for buf in temps {
-        gpu.free(buf);
     }
-    result
+
+    // 3. Selective decode.
+    let scratch = scope.alloc::<u32>((needed_count * block_len).max(1))?;
+    para_ef::decompress_selected(
+        gpu,
+        long,
+        para_ef::Selected {
+            blocks: needed_blocks,
+            count: needed_count,
+            stride: block_len,
+        },
+        &scratch,
+    )?;
+
+    // 4. In-block search.
+    let match_flag = scope.alloc::<u32>(m)?;
+    let match_bidx = scope.alloc::<u32>(m)?;
+    gpu.launch(
+        &InBlockSearchKernel {
+            short: short.clone(),
+            elem_block,
+            block_slot,
+            block_elem_start: long.block_elem_start.clone(),
+            scratch,
+            match_flag: match_flag.clone(),
+            match_bidx: match_bidx.clone(),
+            m,
+            num_blocks: nb,
+            len: long.len,
+            block_len,
+        },
+        LaunchConfig::cover(m, BLOCK_DIM),
+    )?;
+
+    // 5. Compact matches.
+    Ok(GpuBinaryOutput {
+        matches: compact_matches(gpu, &mut scope, short, m, match_flag, match_bidx)?,
+        blocks_decoded: needed_count,
+    })
 }
 
 #[cfg(test)]

@@ -18,6 +18,12 @@
 //! ([`scan`]), GPU bucket-select and radix-sort rankers for the Fig. 7
 //! study ([`bucket_select`], [`radix_sort`]), device list layouts and
 //! transfers ([`transfer`]), and the query-step engine ([`engine`]).
+//!
+//! Every driver here owns the device memory it allocates through a
+//! [`griffin_gpu_sim::Scope`]: a device fault is a `?`, and nothing the
+//! faulted step allocated outlives it. Temporaries that die mid-function
+//! are released there with `Scope::free`, because a free's position is
+//! part of the modelled time (DESIGN.md, "Who frees device memory").
 
 pub mod bucket_select;
 pub mod engine;
@@ -30,7 +36,7 @@ pub mod scan;
 pub mod transfer;
 
 pub use engine::{
-    CacheStats, DeviceIntermediate, GpuEngine, GpuPrunedOutput, GpuQueryOutput, GpuStrategy,
+    CacheStats, DeviceIntermediate, GpuEngine, GpuQueryOutput, GpuStrategy, HullLedger,
 };
 pub use error::GpuError;
 pub use transfer::{DeviceEfList, DevicePostings};

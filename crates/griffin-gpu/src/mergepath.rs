@@ -18,7 +18,7 @@
 //! slabs) → scan of per-partition counts → compaction kernel.
 
 use griffin_gpu_sim::{
-    DeviceBuffer, DeviceConfig, DeviceError, Gpu, Kernel, LaunchConfig, ThreadCtx,
+    DeviceBuffer, DeviceConfig, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
 };
 
 use crate::scan::exclusive_scan;
@@ -90,13 +90,29 @@ impl DeviceMatches {
         gpu.free(self.b_idx);
     }
 
-    pub(crate) fn empty(gpu: &Gpu) -> Result<DeviceMatches, DeviceError> {
+    /// Allocates the three result buffers in `scope`, which frees them on a
+    /// fault before [`DeviceMatches::keep`] hands them to the caller.
+    pub(crate) fn alloc(scope: &mut Scope<'_>, len: usize) -> Result<DeviceMatches, DeviceError> {
         Ok(DeviceMatches {
-            docids: gpu.alloc(0)?,
-            a_idx: gpu.alloc(0)?,
-            b_idx: gpu.alloc(0)?,
-            len: 0,
+            docids: scope.alloc(len)?,
+            a_idx: scope.alloc(len)?,
+            b_idx: scope.alloc(len)?,
+            len,
         })
+    }
+
+    pub(crate) fn keep(self, scope: &mut Scope<'_>) -> DeviceMatches {
+        DeviceMatches {
+            docids: scope.keep(self.docids),
+            a_idx: scope.keep(self.a_idx),
+            b_idx: scope.keep(self.b_idx),
+            len: self.len,
+        }
+    }
+
+    pub(crate) fn empty(gpu: &Gpu) -> Result<DeviceMatches, DeviceError> {
+        let mut scope = Scope::new(gpu);
+        Ok(DeviceMatches::alloc(&mut scope, 0)?.keep(&mut scope))
     }
 }
 
@@ -405,92 +421,66 @@ pub fn intersect(
     // Thread-level partitions (one per thread across all blocks).
     let p = p_blocks * bd;
 
-    let mut scratch: Vec<DeviceBuffer<u32>> = Vec::new();
-    let mut inner = || -> Result<DeviceMatches, DeviceError> {
-        let a_bounds = gpu.alloc::<u32>(num_bounds)?;
-        scratch.push(a_bounds.clone());
-        let b_bounds = gpu.alloc::<u32>(num_bounds)?;
-        scratch.push(b_bounds.clone());
-        gpu.launch(
-            &PartitionKernel {
-                a: a.clone(),
-                b: b.clone(),
-                a_bounds: a_bounds.clone(),
-                b_bounds: b_bounds.clone(),
-                m,
-                n,
-                ipp: ipp_block,
-                num_bounds,
-            },
-            LaunchConfig::cover(num_bounds, cfg.block_dim),
-        )?;
+    let mut scope = Scope::new(gpu);
+    let a_bounds = scope.alloc::<u32>(num_bounds)?;
+    let b_bounds = scope.alloc::<u32>(num_bounds)?;
+    gpu.launch(
+        &PartitionKernel {
+            a: a.clone(),
+            b: b.clone(),
+            a_bounds: a_bounds.clone(),
+            b_bounds: b_bounds.clone(),
+            m,
+            n,
+            ipp: ipp_block,
+            num_bounds,
+        },
+        LaunchConfig::cover(num_bounds, cfg.block_dim),
+    )?;
 
-        let cap = cfg.partition_capacity();
-        let temp_docid = gpu.alloc::<u32>(p * cap)?;
-        scratch.push(temp_docid.clone());
-        let temp_aidx = gpu.alloc::<u32>(p * cap)?;
-        scratch.push(temp_aidx.clone());
-        let temp_bidx = gpu.alloc::<u32>(p * cap)?;
-        scratch.push(temp_bidx.clone());
-        let counts = gpu.alloc::<u32>(p)?;
-        scratch.push(counts.clone());
-        gpu.launch(
-            &MergeKernel {
-                a: a.clone(),
-                b: b.clone(),
-                a_bounds: a_bounds.clone(),
-                b_bounds: b_bounds.clone(),
-                temp_docid: temp_docid.clone(),
-                temp_aidx: temp_aidx.clone(),
-                temp_bidx: temp_bidx.clone(),
-                counts: counts.clone(),
-                num_blocks: p_blocks,
-                n,
-                cfg: *cfg,
-            },
-            LaunchConfig::new(p_blocks as u32, cfg.block_dim),
-        )?;
+    let cap = cfg.partition_capacity();
+    let temp_docid = scope.alloc::<u32>(p * cap)?;
+    let temp_aidx = scope.alloc::<u32>(p * cap)?;
+    let temp_bidx = scope.alloc::<u32>(p * cap)?;
+    let counts = scope.alloc::<u32>(p)?;
+    gpu.launch(
+        &MergeKernel {
+            a: a.clone(),
+            b: b.clone(),
+            a_bounds,
+            b_bounds,
+            temp_docid: temp_docid.clone(),
+            temp_aidx: temp_aidx.clone(),
+            temp_bidx: temp_bidx.clone(),
+            counts: counts.clone(),
+            num_blocks: p_blocks,
+            n,
+            cfg: *cfg,
+        },
+        LaunchConfig::new(p_blocks as u32, cfg.block_dim),
+    )?;
 
-        let (offsets, total) = exclusive_scan(gpu, &counts, p)?;
-        scratch.push(offsets.clone());
-        let total = total as usize;
-        let out_docid = gpu.alloc::<u32>(total)?;
-        scratch.push(out_docid.clone());
-        let out_aidx = gpu.alloc::<u32>(total)?;
-        scratch.push(out_aidx.clone());
-        let out_bidx = gpu.alloc::<u32>(total)?;
-        scratch.push(out_bidx.clone());
-        if total > 0 {
-            gpu.launch(
-                &CompactKernel {
-                    temp_docid: temp_docid.clone(),
-                    temp_aidx: temp_aidx.clone(),
-                    temp_bidx: temp_bidx.clone(),
-                    counts: counts.clone(),
-                    offsets: offsets.clone(),
-                    out_docid: out_docid.clone(),
-                    out_aidx: out_aidx.clone(),
-                    out_bidx: out_bidx.clone(),
-                    num_partitions: p,
-                    cap,
-                },
-                LaunchConfig::cover(p, cfg.block_dim),
-            )?;
-        }
-        // The three output buffers graduate out of the scratch set.
-        scratch.truncate(scratch.len() - 3);
-        Ok(DeviceMatches {
-            docids: out_docid,
-            a_idx: out_aidx,
-            b_idx: out_bidx,
-            len: total,
-        })
-    };
-    let result = inner();
-    for buf in scratch {
-        gpu.free(buf);
+    let (offsets, total) = exclusive_scan(gpu, &counts, p)?;
+    let offsets = scope.adopt(offsets);
+    let out = DeviceMatches::alloc(&mut scope, total as usize)?;
+    if out.len > 0 {
+        gpu.launch(
+            &CompactKernel {
+                temp_docid,
+                temp_aidx,
+                temp_bidx,
+                counts,
+                offsets,
+                out_docid: out.docids.clone(),
+                out_aidx: out.a_idx.clone(),
+                out_bidx: out.b_idx.clone(),
+                num_partitions: p,
+                cap,
+            },
+            LaunchConfig::cover(p, cfg.block_dim),
+        )?;
     }
-    result
+    Ok(out.keep(&mut scope))
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! [`gpu_binary`](crate::gpu_binary) runs the same kernel over the blocks
 //! its skip search selected, into a slab instead of the list's positions.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, ThreadCtx};
+use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, Scope, ThreadCtx};
 
 use crate::transfer::{DeviceEfList, DevicePostings};
 
@@ -358,14 +358,10 @@ fn launch(
 /// Decompresses a device-resident EF list into a dense docID buffer: one
 /// allocation, one launch, nothing else. A fault frees the output.
 pub fn decompress(gpu: &Gpu, list: &DeviceEfList) -> Result<DeviceBuffer<u32>, DeviceError> {
-    let out = gpu.alloc::<u32>(list.len)?;
-    match launch(gpu, list, None, &out, None) {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            gpu.free(out);
-            Err(e)
-        }
-    }
+    let mut scope = Scope::new(gpu);
+    let out = scope.alloc::<u32>(list.len)?;
+    launch(gpu, list, None, &out, None)?;
+    Ok(scope.keep(out))
 }
 
 /// Decompresses the selected blocks of `list` into `out`, block
@@ -385,28 +381,17 @@ pub fn decode_postings(
     gpu: &Gpu,
     postings: &DevicePostings,
 ) -> Result<(DeviceBuffer<u32>, DeviceBuffer<u32>), DeviceError> {
-    let docids = gpu.alloc::<u32>(postings.len())?;
-    let tfs = match gpu.alloc::<u32>(postings.len()) {
-        Ok(tfs) => tfs,
-        Err(e) => {
-            gpu.free(docids);
-            return Err(e);
-        }
-    };
+    let mut scope = Scope::new(gpu);
+    let docids = scope.alloc::<u32>(postings.len())?;
+    let tfs = scope.alloc::<u32>(postings.len())?;
     let tf = TfSide {
         words: postings.tf_words.clone(),
         offsets: postings.tf_offsets.clone(),
         out: tfs.clone(),
         max_block_words: postings.max_block_tf_words,
     };
-    match launch(gpu, &postings.docs, None, &docids, Some(tf)) {
-        Ok(()) => Ok((docids, tfs)),
-        Err(e) => {
-            gpu.free(docids);
-            gpu.free(tfs);
-            Err(e)
-        }
-    }
+    launch(gpu, &postings.docs, None, &docids, Some(tf))?;
+    Ok((scope.keep(docids), scope.keep(tfs)))
 }
 
 #[cfg(test)]

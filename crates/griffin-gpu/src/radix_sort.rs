@@ -7,7 +7,7 @@
 //! digit-major histogram → stable per-block scatter. Float scores are
 //! pre-mapped to order-preserving u32 keys.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, ThreadCtx};
+use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx};
 
 use crate::scan::exclusive_scan;
 
@@ -177,84 +177,53 @@ impl Kernel for ScatterKeysKernel {
 /// freed).
 pub fn sort_pairs(
     gpu: &Gpu,
-    mut keys: DeviceBuffer<u32>,
-    mut vals: DeviceBuffer<u32>,
+    keys: DeviceBuffer<u32>,
+    vals: DeviceBuffer<u32>,
     n: usize,
 ) -> Result<(DeviceBuffer<u32>, DeviceBuffer<u32>), DeviceError> {
     if n == 0 {
         return Ok((keys, vals));
     }
     let num_blocks = n.div_ceil(BLOCK_DIM as usize);
-    let keys_alt_r = gpu.alloc::<u32>(n);
-    let mut keys_alt = match keys_alt_r {
-        Ok(b) => b,
-        Err(e) => {
-            gpu.free(keys);
-            gpu.free(vals);
-            return Err(e);
-        }
-    };
-    let vals_alt_r = gpu.alloc::<u32>(n);
-    let mut vals_alt = match vals_alt_r {
-        Ok(b) => b,
-        Err(e) => {
-            gpu.free(keys);
-            gpu.free(vals);
-            gpu.free(keys_alt);
-            return Err(e);
-        }
-    };
-    let mut passes = || -> Result<(), DeviceError> {
-        for pass in 0..4u32 {
-            let shift = pass * 8;
-            let hist = gpu.alloc::<u32>(RADIX * num_blocks)?;
-            let step = || -> Result<(), DeviceError> {
-                gpu.launch(
-                    &Hist3Kernel {
-                        keys: keys.clone(),
-                        hist: hist.clone(),
-                        n,
-                        shift,
-                        num_blocks,
-                    },
-                    LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
-                )?;
-                let (bases, _total) = exclusive_scan(gpu, &hist, RADIX * num_blocks)?;
-                let scattered = gpu.launch(
-                    &ScatterKeysKernel {
-                        keys_in: keys.clone(),
-                        vals_in: vals.clone(),
-                        keys_out: keys_alt.clone(),
-                        vals_out: vals_alt.clone(),
-                        bases: bases.clone(),
-                        n,
-                        shift,
-                        num_blocks,
-                    },
-                    LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
-                );
-                gpu.free(bases);
-                scattered.map(|_| ())
-            };
-            let result = step();
-            gpu.free(hist);
-            result?;
-            std::mem::swap(&mut keys, &mut keys_alt);
-            std::mem::swap(&mut vals, &mut vals_alt);
-        }
-        Ok(())
-    };
-    let result = passes();
-    gpu.free(keys_alt);
-    gpu.free(vals_alt);
-    match result {
-        Ok(()) => Ok((keys, vals)),
-        Err(e) => {
-            gpu.free(keys);
-            gpu.free(vals);
-            Err(e)
-        }
+    let mut scope = Scope::new(gpu);
+    let (mut keys, mut vals) = (scope.adopt(keys), scope.adopt(vals));
+    let mut keys_alt = scope.alloc::<u32>(n)?;
+    let mut vals_alt = scope.alloc::<u32>(n)?;
+    for pass in 0..4u32 {
+        let shift = pass * 8;
+        let hist = scope.alloc::<u32>(RADIX * num_blocks)?;
+        gpu.launch(
+            &Hist3Kernel {
+                keys: keys.clone(),
+                hist: hist.clone(),
+                n,
+                shift,
+                num_blocks,
+            },
+            LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
+        )?;
+        let (bases, _total) = exclusive_scan(gpu, &hist, RADIX * num_blocks)?;
+        let bases = scope.adopt(bases);
+        gpu.launch(
+            &ScatterKeysKernel {
+                keys_in: keys.clone(),
+                vals_in: vals.clone(),
+                keys_out: keys_alt.clone(),
+                vals_out: vals_alt.clone(),
+                bases: bases.clone(),
+                n,
+                shift,
+                num_blocks,
+            },
+            LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
+        )?;
+        // Per-pass scratch dies with the pass, not with the sort.
+        scope.free(bases);
+        scope.free(hist);
+        std::mem::swap(&mut keys, &mut keys_alt);
+        std::mem::swap(&mut vals, &mut vals_alt);
     }
+    Ok((scope.keep(keys), scope.keep(vals)))
 }
 
 /// Fig. 7's "GPU radix sort" ranker: sorts the full result list by score
@@ -269,15 +238,10 @@ pub fn top_k_by_sort(
     if n == 0 || k == 0 {
         return Ok(Vec::new());
     }
-    let keys = gpu.alloc::<u32>(n)?;
-    let vals = match gpu.alloc::<u32>(n) {
-        Ok(b) => b,
-        Err(e) => {
-            gpu.free(keys);
-            return Err(e);
-        }
-    };
-    let prepped = gpu.launch(
+    let mut scope = Scope::new(gpu);
+    let keys = scope.alloc::<u32>(n)?;
+    let vals = scope.alloc::<u32>(n)?;
+    gpu.launch(
         &PrepKernel {
             scores: scores.clone(),
             docids: docids.clone(),
@@ -286,21 +250,14 @@ pub fn top_k_by_sort(
             n,
         },
         LaunchConfig::cover(n, BLOCK_DIM),
-    );
-    if let Err(e) = prepped {
-        gpu.free(keys);
-        gpu.free(vals);
-        return Err(e);
-    }
-    let (sorted_keys, sorted_vals) = sort_pairs(gpu, keys, vals, n)?;
+    )?;
+    // The sort takes its inputs over and hands back two others.
+    let (keys, vals) = sort_pairs(gpu, scope.keep(keys), scope.keep(vals), n)?;
+    let (keys, vals) = (scope.adopt(keys), scope.adopt(vals));
     // Only the winning prefix crosses PCIe back.
     let k = k.min(n);
-    let transferred = gpu
-        .dtoh_prefix(&sorted_keys, k)
-        .and_then(|kh| gpu.dtoh_prefix(&sorted_vals, k).map(|vh| (kh, vh)));
-    gpu.free(sorted_keys);
-    gpu.free(sorted_vals);
-    let (keys_host, vals_host) = transferred?;
+    let keys_host = gpu.dtoh_prefix(&keys, k)?;
+    let vals_host = gpu.dtoh_prefix(&vals, k)?;
     Ok(keys_host
         .into_iter()
         .zip(vals_host)

@@ -6,7 +6,7 @@
 //! back in. Para-EF's "synchronization point" (paper Algorithm 1, line 3)
 //! is exactly this scan.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, ThreadCtx};
+use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx};
 
 /// Tile width == block_dim; one element per thread.
 const BLOCK_DIM: u32 = 256;
@@ -119,52 +119,39 @@ pub fn exclusive_scan(
     src: &DeviceBuffer<u32>,
     n: usize,
 ) -> Result<(DeviceBuffer<u32>, u32), DeviceError> {
-    let dst = gpu.alloc::<u32>(n.max(1))?;
+    let mut scope = Scope::new(gpu);
+    let dst = scope.alloc::<u32>(n.max(1))?;
     if n == 0 {
-        return Ok((dst, 0));
+        return Ok((scope.keep(dst), 0));
     }
-    let inner = || -> Result<u32, DeviceError> {
-        let num_blocks = n.div_ceil(BLOCK_DIM as usize);
-        let block_sums = gpu.alloc::<u32>(num_blocks)?;
-        let step = || -> Result<u32, DeviceError> {
-            gpu.launch(
-                &TileScanKernel {
-                    src: src.clone(),
-                    dst: dst.clone(),
-                    block_sums: block_sums.clone(),
-                    n,
-                },
-                LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
-            )?;
-            if num_blocks == 1 {
-                Ok(gpu.dtoh_prefix(&block_sums, 1)?[0])
-            } else {
-                // Recursively scan the block sums, then fold them back in.
-                let (scanned, total) = exclusive_scan(gpu, &block_sums, num_blocks)?;
-                let folded = gpu.launch(
-                    &UniformAddKernel {
-                        dst: dst.clone(),
-                        scanned_sums: scanned.clone(),
-                        n,
-                    },
-                    LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
-                );
-                gpu.free(scanned);
-                folded?;
-                Ok(total)
-            }
-        };
-        let total = step();
-        gpu.free(block_sums);
+    let num_blocks = n.div_ceil(BLOCK_DIM as usize);
+    let block_sums = scope.alloc::<u32>(num_blocks)?;
+    gpu.launch(
+        &TileScanKernel {
+            src: src.clone(),
+            dst: dst.clone(),
+            block_sums: block_sums.clone(),
+            n,
+        },
+        LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
+    )?;
+    let total = if num_blocks == 1 {
+        gpu.dtoh_prefix(&block_sums, 1)?[0]
+    } else {
+        // Recursively scan the block sums, then fold them back in.
+        let (scanned, total) = exclusive_scan(gpu, &block_sums, num_blocks)?;
+        let scanned = scope.adopt(scanned);
+        gpu.launch(
+            &UniformAddKernel {
+                dst: dst.clone(),
+                scanned_sums: scanned,
+                n,
+            },
+            LaunchConfig::new(num_blocks as u32, BLOCK_DIM),
+        )?;
         total
     };
-    match inner() {
-        Ok(total) => Ok((dst, total)),
-        Err(e) => {
-            gpu.free(dst);
-            Err(e)
-        }
-    }
+    Ok((scope.keep(dst), total))
 }
 
 #[cfg(test)]

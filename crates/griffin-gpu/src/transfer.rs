@@ -9,7 +9,7 @@
 //! single packed DMA.
 
 use griffin_codec::{BlockedList, Codec, CodecError, EfBlockRef};
-use griffin_gpu_sim::{DeviceBuffer, Gpu};
+use griffin_gpu_sim::{DeviceBuffer, Gpu, Scope};
 use griffin_index::CompressedPostingList;
 
 use crate::error::GpuError;
@@ -196,14 +196,23 @@ impl DeviceEfList {
         })
     }
 
+    /// The six device buffers behind this list, in upload order.
+    fn buffers(&self) -> [&DeviceBuffer<u32>; 6] {
+        [
+            &self.words,
+            &self.block_word_start,
+            &self.block_elem_start,
+            &self.block_base,
+            &self.skip_first,
+            &self.skip_last,
+        ]
+    }
+
     /// Releases all device memory of this list.
     pub fn free(self, gpu: &Gpu) {
-        gpu.free(self.words);
-        gpu.free(self.block_word_start);
-        gpu.free(self.block_elem_start);
-        gpu.free(self.block_base);
-        gpu.free(self.skip_first);
-        gpu.free(self.skip_last);
+        for b in self.buffers() {
+            gpu.free(b.clone());
+        }
     }
 }
 
@@ -250,7 +259,12 @@ impl DevicePostings {
         hi_block: usize,
         df: u32,
     ) -> Result<DevicePostings, GpuError> {
+        // The docID image is this call's until the tf upload has landed too.
+        let mut scope = Scope::new(gpu);
         let docs = DeviceEfList::upload_range(gpu, &list.docs, lo_block, hi_block)?;
+        for b in docs.buffers() {
+            scope.adopt(b.clone());
+        }
         let (tf_bytes, tf_offsets) = list.tf_raw();
         let byte_lo = tf_offsets[lo_block] as usize;
         let byte_hi = tf_offsets[hi_block] as usize;
@@ -274,13 +288,10 @@ impl DevicePostings {
         }
         // Both staging arrays were built for this upload: move them into
         // the device pool rather than copying.
-        let [tf_words, tf_offsets] = match gpu.htod_packed_owned([tf_words, local_offsets]) {
-            Ok(bufs) => bufs,
-            Err(e) => {
-                docs.free(gpu);
-                return Err(e.into());
-            }
-        };
+        let [tf_words, tf_offsets] = gpu.htod_packed_owned([tf_words, local_offsets])?;
+        for b in docs.buffers() {
+            scope.keep(b.clone());
+        }
         Ok(DevicePostings {
             docs,
             tf_words,

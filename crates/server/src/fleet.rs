@@ -754,10 +754,10 @@ impl<'g> Fleet<'g> {
         let latency = win_finish - issue;
         self.shard_latency[s].record(latency.as_nanos());
         self.hedge_latency.record(latency.as_nanos());
-        self.telemetry.observe_duration(
-            &format!("griffin_fleet_shard_latency_ns{{shard=\"{s}\"}}"),
-            latency,
-        );
+        self.telemetry.with(|r| {
+            let name = format!("griffin_fleet_shard_latency_ns{{shard=\"{s}\"}}");
+            r.registry.observe_duration(&name, latency);
+        });
         ShardAnswer {
             topk: win_out.topk,
             pruning: win_out.pruning,
@@ -800,10 +800,10 @@ impl<'g> Fleet<'g> {
         let latency = finish - issue;
         self.shard_latency[s].record(latency.as_nanos());
         self.hedge_latency.record(latency.as_nanos());
-        self.telemetry.observe_duration(
-            &format!("griffin_fleet_shard_latency_ns{{shard=\"{s}\"}}"),
-            latency,
-        );
+        self.telemetry.with(|r| {
+            let name = format!("griffin_fleet_shard_latency_ns{{shard=\"{s}\"}}");
+            r.registry.observe_duration(&name, latency);
+        });
         ShardAnswer {
             topk: out.topk,
             pruning: out.pruning,

@@ -319,13 +319,11 @@ impl GriffinServer {
 
     fn note_transition(&self, before: BreakerState, after: BreakerState) {
         if before != after {
-            self.telemetry.counter_add(
-                &format!(
-                    "griffin_fault_breaker_transitions_total{{to=\"{}\"}}",
-                    after.label()
-                ),
-                1,
-            );
+            self.telemetry.with(|r| {
+                let to = after.label();
+                let name = format!("griffin_fault_breaker_transitions_total{{to=\"{to}\"}}");
+                r.registry.counter_add(&name, 1);
+            });
         }
     }
 

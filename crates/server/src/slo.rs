@@ -210,13 +210,13 @@ impl SloMonitor {
         );
         telemetry.gauge_set("griffin_slo_good_total", self.good_total as f64);
         telemetry.gauge_set("griffin_slo_bad_total", self.bad_total as f64);
-        for w in &self.config.windows {
-            let ms = w.long.as_nanos() / 1_000_000;
-            telemetry.gauge_set(
-                &format!("griffin_slo_burn_rate{{window=\"{ms}ms\"}}"),
-                self.burn_rate(now, w.long),
-            );
-        }
+        telemetry.with(|r| {
+            for w in &self.config.windows {
+                let ms = w.long.as_nanos() / 1_000_000;
+                let name = format!("griffin_slo_burn_rate{{window=\"{ms}ms\"}}");
+                r.registry.gauge_set(&name, self.burn_rate(now, w.long));
+            }
+        });
         telemetry.gauge_set(
             "griffin_slo_early_warning",
             if self.early_warning(now) { 1.0 } else { 0.0 },
