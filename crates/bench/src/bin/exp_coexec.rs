@@ -237,9 +237,10 @@ fn main() {
         ..SplitConfig::new(model)
     };
     println!(
-        "(one device step: {} launches, {} allocations, {} transfers in {:.0} us, so {:.0} us fixed\n + {:.2} ns per posting — the engine's default prices {:.0} us + a {:.0} us serial floor + {:.2};\n CPU lane {:.0} ns per probe, default {:.0}; split band x{})",
+        "(one device step: {} launches, {} cudaMallocs + {} pool hits, {} transfers in {:.0} us, so {:.0} us fixed\n + {:.2} ns per posting — the engine's default prices {:.0} us + a {:.0} us serial floor + {:.2};\n CPU lane {:.0} ns per probe, default {:.0}; split band x{})",
         step.launches,
         step.mallocs,
+        step.pool_hits,
         step.transfers,
         lane.as_micros_f64(),
         model.fixed_ns / 1e3,

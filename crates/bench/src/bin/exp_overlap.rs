@@ -132,11 +132,15 @@ fn main() {
     }
     t2.print();
     artifacts.write_table(&t2);
+    // What the pipeline hides here is the long list's upload behind the
+    // short list's decode. (Until device scratch came from a caching
+    // allocator it also hid most of each step's cudaMalloc / cudaFree time
+    // behind stream work, and this bound was 15 %.)
     assert!(
-        worst_gain >= 15.0,
-        "overlap must save >= 15% on transfer-bound lists, got {worst_gain:.1}%"
+        worst_gain >= 10.0,
+        "overlap must save >= 10% on transfer-bound lists, got {worst_gain:.1}%"
     );
-    println!("(bit-exact at every size; worst-case gain {worst_gain:.1}% >= 15%)");
+    println!("(bit-exact at every size; worst-case gain {worst_gain:.1}% >= 10%)");
     eng_serial.shutdown();
     eng_over.shutdown();
 
@@ -160,6 +164,10 @@ fn main() {
     let mut g_off = Griffin::new(&dev_off, zipf_index.meta(), zipf_index.block_len());
     let mut g_on = Griffin::new(&dev_on, zipf_index.meta(), zipf_index.block_len());
     g_off.set_overlap(false);
+    // `set_overlap(false)` also drops the profitable-work floor to 8 192;
+    // keep the on arm's, so that the two arms place every step alike and
+    // differ in the pipeline alone.
+    g_off.scheduler.min_gpu_work = g_on.scheduler.min_gpu_work;
     g_on.set_telemetry(telemetry.clone());
     let mut total_off = VirtualNanos::ZERO;
     let mut total_on = VirtualNanos::ZERO;

@@ -45,14 +45,20 @@ const LAUNCHES_PER_STEP: u64 = 13;
 
 /// Device allocations charged per intersection step (decoded docids/tfs,
 /// partition diagonals, match buffers, the compacted result and its
-/// scores). Under-states: a real step makes 18, uploads included, even
-/// with the decoder's prefix sums and index array gone (same test).
+/// scores), each at the `cudaMalloc` price. A real step asks for 18,
+/// uploads included, but 16 of them are scratch, which a device that has
+/// run a step before serves from its allocator's free lists at 0.5 us
+/// each: a warm step makes 2 `cudaMalloc`s and this over-states them by
+/// 8 (a cold step makes 17 and this under-states; same test). Held, as
+/// above.
 const MALLOCS_PER_STEP: u64 = 10;
 
 /// PCIe transactions per step: the range upload (docids + tf side file +
 /// block metadata ship as separate buffers) plus the result download
 /// (matched docids, scores, and the length word). Each pays the link's
-/// fixed latency even when pipelining hides the bandwidth term.
+/// fixed latency even when pipelining hides the bandwidth term. A real
+/// step makes 4: two packed uploads, the match count, and the result's
+/// docids and scores in one packed read-back. Held, as above.
 const TRANSFERS_PER_STEP: u64 = 7;
 
 /// Dependent global-memory accesses on the tf side-file decoder's
@@ -62,8 +68,9 @@ const TRANSFERS_PER_STEP: u64 = 7;
 /// *no matter how many blocks decoded in parallel* — a per-step floor,
 /// not a per-element slope. The block-local decoder stages the bytes in
 /// shared memory and has no such chain, so this now over-states every
-/// device step by the whole floor (363 us on the K20 profile); held for
-/// the same reason as `LAUNCHES_PER_STEP`.
+/// device step by the whole floor (363 us on the K20 profile, more than
+/// the 321 us a whole warm 120 000-posting step takes); held for the same
+/// reason as `LAUNCHES_PER_STEP`.
 const SERIAL_DECODE_GMEM_ACCESSES: f64 = 512.0;
 
 /// Fraction of the host's per-probe skip cost that a host-cached decoded
@@ -78,7 +85,8 @@ const CACHED_SKIP_DISCOUNT: f64 = 0.5;
 /// these list sizes (calibrated against the simulator: ~0.5 ns/elem on
 /// the 706 MHz K20, i.e. ~0.35 cycles once the serial floor is peeled
 /// off), so the compute estimate takes the max of this and the
-/// bandwidth bound.
+/// bandwidth bound. Fitted to the kernels before Para-EF became one
+/// block-local launch (0.14 ns/elem measured since); held with the rest.
 const DEVICE_CYCLES_PER_ELEM: f64 = 0.35;
 
 /// Wall-clock kernel measurements from the host, supplied by the
@@ -102,7 +110,12 @@ pub struct KernelMeasurements {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStepCounts {
     pub launches: u64,
+    /// Driver allocations (`cudaMalloc`): uploads and allocator misses.
     pub mallocs: u64,
+    /// Scratch allocations the device's caching allocator served from a
+    /// free list, with no driver call.
+    pub pool_hits: u64,
+    /// Driver frees (`cudaFree`): upload-born buffers and trimmed blocks.
     pub frees: u64,
     pub transfers: u64,
 }
@@ -124,6 +137,7 @@ impl DeviceStepCounts {
         let counts = DeviceStepCounts {
             launches: seen[0].load(Ordering::Relaxed),
             mallocs: after.allocs - before.allocs,
+            pool_hits: after.pool.hits - before.pool.hits,
             frees: after.frees - before.frees,
             transfers: seen[1].load(Ordering::Relaxed),
         };
@@ -131,13 +145,14 @@ impl DeviceStepCounts {
     }
 
     /// The fixed overhead these operations cost on `cfg`, as
-    /// [`CostModel::fixed_ns`] prices it: every launch and allocation,
-    /// and each transfer's link latency beyond the one
-    /// [`CostModel::transfer_ns`] carries. (Frees are counted but, like
-    /// the hand-set model, not priced.)
+    /// [`CostModel::fixed_ns`] prices it: every launch and allocation
+    /// (a pool hit at its bookkeeping cost), and each transfer's link
+    /// latency beyond the one [`CostModel::transfer_ns`] carries. (Frees
+    /// are counted but, like the hand-set model, not priced.)
     pub fn fixed_ns(&self, cfg: &DeviceConfig) -> f64 {
         (self.launches * cfg.kernel_launch_overhead_ns
             + self.mallocs * cfg.malloc_overhead_ns
+            + self.pool_hits * cfg.pool_hit_overhead_ns
             + self.transfers.saturating_sub(1) * cfg.pcie.latency_ns) as f64
     }
 }
@@ -191,6 +206,7 @@ impl CostModel {
             fixed_ns: DeviceStepCounts {
                 launches: LAUNCHES_PER_STEP,
                 mallocs: MALLOCS_PER_STEP,
+                pool_hits: 0,
                 frees: 0,
                 transfers: TRANSFERS_PER_STEP,
             }

@@ -1007,6 +1007,9 @@ impl<'g> Griffin<'g> {
             let attempt = self.on_device(run, || {
                 let mut hull = HullLedger::default();
                 let host = self.gpu.eval_chain(index, terms, Some(&mut hull));
+                // As in `chain`: a prefetch the chain left in flight goes
+                // back to the cache before the span closes.
+                self.gpu.drain_prefetch();
                 self.device.sync();
                 Ok((host?, hull))
             });

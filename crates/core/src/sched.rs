@@ -235,6 +235,11 @@ pub struct Scheduler {
     /// ("these costs occur just once, so running larger, more complex
     /// query operations can amortize them" — paper §2.3). The paper's
     /// crossover study itself only measures lists of 1M–2M elements.
+    /// The floor [`crate::Griffin`] installs (65 536 on the K20 profile)
+    /// is solved from `cost.rs`'s hand-set step, which still prices 10
+    /// `cudaMalloc`s and a serial decode floor; a step on a device whose
+    /// allocator is warm makes 2 and has none, so the floor is several
+    /// times too high. It is held until placement moves in its own change.
     pub min_gpu_work: usize,
     /// Co-execution: `Some` lets borderline operations split across both
     /// processors ([`Decision::Split`]); `None` restores the pure

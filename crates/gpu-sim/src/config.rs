@@ -107,6 +107,10 @@ pub struct DeviceConfig {
     pub malloc_overhead_ns: u64,
     /// `cudaFree` overhead in nanoseconds.
     pub free_overhead_ns: u64,
+    /// Host bookkeeping of an allocation served from the caching
+    /// allocator's free list (a lock and a list pop in user space, no
+    /// driver call), in nanoseconds.
+    pub pool_hit_overhead_ns: u64,
     /// Independent DMA (copy) engines. The K20 has two (one per
     /// direction); the simulator models one copy timeline because `dtoh`
     /// is host-blocking (see [`crate::stream`]), so this is informational
@@ -144,6 +148,7 @@ impl DeviceConfig {
             kernel_launch_overhead_ns: 6_000,
             malloc_overhead_ns: 10_000,
             free_overhead_ns: 4_000,
+            pool_hit_overhead_ns: 500,
             copy_engines: 2,
             pcie: PcieConfig::default(),
             costs: CostParams::default(),
@@ -170,6 +175,7 @@ impl DeviceConfig {
             kernel_launch_overhead_ns: 100,
             malloc_overhead_ns: 50,
             free_overhead_ns: 20,
+            pool_hit_overhead_ns: 5,
             copy_engines: 1,
             pcie: PcieConfig {
                 bandwidth_bytes_per_sec: 8.0e9,

@@ -9,8 +9,8 @@ use crate::clock::VirtualNanos;
 use crate::config::DeviceConfig;
 use crate::fault::{DeviceError, FaultKind, FaultPlan, FaultState, OpClass};
 use crate::kernel::{check_launch, run_blocks, Executor, Kernel, LaunchConfig};
-use crate::mem::{DeviceBuffer, DeviceWord, MemStats, Pool};
-use crate::observe::{DeviceEvent, DeviceObserver, TransferDir};
+use crate::mem::{class_bytes, DeviceBuffer, DeviceWord, MemStats, Pool};
+use crate::observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 use crate::pcie::transfer_time;
 use crate::stream::{StreamEvent, StreamKind, StreamTable};
 use crate::timing::{kernel_time, TimeBreakdown};
@@ -160,8 +160,10 @@ impl Gpu {
         *self.observer.lock().unwrap_or_else(|p| p.into_inner()) = observer;
     }
 
+    /// Hands the observer, if there is one, the event `make` builds around
+    /// the allocator's totals (read only when somebody is looking).
     #[inline]
-    fn observe(&self, event: &DeviceEvent<'_>) {
+    fn observe<'a>(&self, make: impl FnOnce(PoolStats) -> DeviceEvent<'a>) {
         if !self.observed.load(Ordering::Acquire) {
             return;
         }
@@ -174,7 +176,32 @@ impl Gpu {
             .unwrap_or_else(|p| p.into_inner())
             .clone();
         if let Some(obs) = obs {
-            obs(event);
+            obs(&make(self.pool_stats()));
+        }
+    }
+
+    fn observe_transfer(
+        &self,
+        direction: TransferDir,
+        bytes: u64,
+        start: VirtualNanos,
+        duration: VirtualNanos,
+    ) {
+        self.observe(|pool| DeviceEvent::Transfer {
+            direction,
+            bytes,
+            start,
+            duration,
+            pool,
+        });
+    }
+
+    fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            hits: self.stats.pool_hits.load(Ordering::Relaxed),
+            misses: self.stats.pool_misses.load(Ordering::Relaxed),
+            trimmed: self.stats.pool_trimmed.load(Ordering::Relaxed),
+            cached_bytes: self.mem_cached(),
         }
     }
 
@@ -333,78 +360,139 @@ impl Gpu {
         (r, self.now() - start)
     }
 
-    /// Device memory currently allocated, in bytes.
+    /// Bytes of the live device buffers, as requested.
     pub fn mem_in_use(&self) -> u64 {
         self.lock_pool().bytes_in_use
     }
 
-    /// Real memory-exhaustion check, made *before* the pool is mutated so a
-    /// failed allocation has no side effects. Charges the failed
-    /// `cudaMalloc` driver call.
-    fn check_capacity(&self, pool: &Pool, bytes: u64) -> Result<(), DeviceError> {
-        if pool.bytes_in_use + bytes > self.cfg.global_mem_bytes {
-            let in_use = pool.bytes_in_use;
+    /// Device memory the caching allocator holds beyond
+    /// [`Gpu::mem_in_use`]: blocks waiting on the free lists, plus what
+    /// rounding up to the size class adds to the live scratch buffers.
+    /// `mem_in_use() + mem_cached()` is what the driver has handed out and
+    /// not got back, and is what counts against the device's capacity.
+    pub fn mem_cached(&self) -> u64 {
+        let pool = self.lock_pool();
+        pool.bytes_reserved - pool.bytes_in_use
+    }
+
+    /// Gives every cached block back to the driver, each a charged,
+    /// counted `cudaFree`. The allocator does this itself before it
+    /// reports the device full.
+    pub fn trim_pool(&self) {
+        self.trim(&mut self.lock_pool());
+    }
+
+    fn trim(&self, pool: &mut Pool) {
+        let blocks = pool.trim();
+        self.stats.on_frees(blocks);
+        self.stats.pool_trimmed.fetch_add(blocks, Ordering::Relaxed);
+        self.advance(VirtualNanos::from_nanos(blocks * self.cfg.free_overhead_ns));
+    }
+
+    /// Obtains `bytes` from the driver: the capacity check, made *before*
+    /// a buffer is created so a failed allocation leaves none behind. Cached
+    /// blocks are given back first if that is what it takes to fit. The
+    /// caller charges the successful `cudaMalloc`; the failed one is
+    /// charged here.
+    fn reserve(&self, pool: &mut Pool, bytes: u64) -> Result<(), DeviceError> {
+        let capacity = self.cfg.global_mem_bytes;
+        if pool.bytes_reserved.saturating_add(bytes) > capacity {
+            self.trim(pool);
+        }
+        if pool.bytes_reserved.saturating_add(bytes) > capacity {
             self.advance(VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns));
             return Err(DeviceError::DeviceOom {
                 requested_bytes: bytes,
-                in_use_bytes: in_use,
-                capacity_bytes: self.cfg.global_mem_bytes,
+                in_use_bytes: pool.bytes_reserved,
+                capacity_bytes: capacity,
             });
         }
+        pool.bytes_reserved += bytes;
+        self.stats.on_alloc();
+        self.stats.track_peak(pool.bytes_reserved);
         Ok(())
     }
 
-    /// Allocate an uninitialized (zeroed) buffer of `len` elements.
-    /// Charges the `cudaMalloc` overhead.
+    /// Allocate a zeroed scratch buffer of `len` elements, from the
+    /// device's caching allocator.
+    ///
+    /// The request is served by a block of its size class (the next power
+    /// of two in words). If a freed block of that class is waiting, it is
+    /// handed out again for `pool_hit_overhead_ns` of host bookkeeping: no
+    /// driver call is made, so there is no `cudaMalloc` charge, no
+    /// `stats().allocs` count and no [`FaultPlan`] draw. Otherwise this is
+    /// a `cudaMalloc` of the block, charged `malloc_overhead_ns`, and
+    /// fallible like one. Either way the buffer reads all-zero and its
+    /// handle is new: a stale handle to the block's previous owner panics.
     pub fn alloc<T: DeviceWord>(&self, len: usize) -> Result<DeviceBuffer<T>, DeviceError> {
-        let bytes = len as u64 * 4;
-        if let Some((op, kind)) = self.fault_check(OpClass::Alloc) {
-            return Err(self.fault_error(
-                op,
-                kind,
-                bytes,
-                self.cfg.malloc_overhead_ns,
-                VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns),
-            ));
-        }
         let mut pool = self.lock_pool();
-        self.check_capacity(&pool, bytes)?;
-        let (id, generation) = pool.alloc(vec![0u32; len]);
-        let in_use = pool.bytes_in_use;
+        let hit = pool.take_cached(len);
+        if !hit {
+            drop(pool);
+            let bytes = class_bytes(len);
+            if let Some((op, kind)) = self.fault_check(OpClass::Alloc) {
+                return Err(self.fault_error(
+                    op,
+                    kind,
+                    bytes,
+                    self.cfg.malloc_overhead_ns,
+                    VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns),
+                ));
+            }
+            pool = self.lock_pool();
+            self.reserve(&mut pool, bytes)?;
+        }
+        let (id, generation) = pool.alloc(vec![0u32; len], true);
         drop(pool);
-        self.stats.on_alloc();
-        self.stats.track_peak(in_use);
-        self.advance(VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns));
+        let (counter, cost) = if hit {
+            (&self.stats.pool_hits, self.cfg.pool_hit_overhead_ns)
+        } else {
+            (&self.stats.pool_misses, self.cfg.malloc_overhead_ns)
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.advance(VirtualNanos::from_nanos(cost));
         Ok(DeviceBuffer::new(id, len, generation))
     }
 
-    /// Allocate and fill from host memory: `cudaMalloc` + host→device DMA.
-    pub fn htod<T: DeviceWord>(&self, host: &[T]) -> Result<DeviceBuffer<T>, DeviceError> {
-        let bytes = host.len() as u64 * 4;
+    /// Fault draw of an upload of `bytes`: a transient fault costs the
+    /// `cudaMalloc` and the DMA the wire carried.
+    fn htod_fault(&self, bytes: u64) -> Result<(), DeviceError> {
         if let Some((op, kind)) = self.fault_check(OpClass::Transfer(TransferDir::HtoD)) {
             self.join_streams_for_error();
             let attempt = VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns)
                 + transfer_time(&self.cfg.pcie, bytes);
             return Err(self.fault_error(op, kind, bytes, self.cfg.pcie.latency_ns, attempt));
         }
-        let words: Vec<u32> = host.iter().map(|v| v.to_word()).collect();
-        let mut pool = self.lock_pool();
-        self.check_capacity(&pool, bytes)?;
-        let (id, generation) = pool.alloc(words);
-        let in_use = pool.bytes_in_use;
-        drop(pool);
-        self.stats.on_alloc();
-        self.stats.track_peak(in_use);
+        Ok(())
+    }
+
+    /// Shared tail of the upload paths: the `cudaMalloc` charge, and the
+    /// DMA scheduled on the copy stream.
+    fn finish_htod(&self, bytes: u64) {
         self.stats.htod_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.advance(VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns));
         let duration = transfer_time(&self.cfg.pcie, bytes);
         let start = self.schedule_op(StreamKind::Copy, duration);
-        self.observe(&DeviceEvent::Transfer {
-            direction: TransferDir::HtoD,
-            bytes,
-            start,
-            duration,
-        });
+        self.observe_transfer(TransferDir::HtoD, bytes, start, duration);
+    }
+
+    /// Allocate and fill from host memory: `cudaMalloc` + host→device DMA.
+    ///
+    /// An upload's buffer is a driver allocation of its exact size and is
+    /// given back to the driver when freed; it never enters the caching
+    /// allocator. The DMA runs on the copy stream, so a recycled block
+    /// handed to it could still be read by a kernel in flight on the
+    /// compute stream; only scratch, which lives on the compute stream
+    /// alone, is recycled.
+    pub fn htod<T: DeviceWord>(&self, host: &[T]) -> Result<DeviceBuffer<T>, DeviceError> {
+        let bytes = host.len() as u64 * 4;
+        self.htod_fault(bytes)?;
+        let words: Vec<u32> = host.iter().map(|v| v.to_word()).collect();
+        let mut pool = self.lock_pool();
+        self.reserve(&mut pool, bytes)?;
+        let (id, generation) = pool.alloc(words, false);
+        drop(pool);
+        self.finish_htod(bytes);
         Ok(DeviceBuffer::new(id, host.len(), generation))
     }
 
@@ -414,42 +502,19 @@ impl Gpu {
     /// implementation does for per-list metadata.
     pub fn htod_packed(&self, parts: &[&[u32]]) -> Result<Vec<DeviceBuffer<u32>>, DeviceError> {
         let total_bytes: u64 = parts.iter().map(|p| p.len() as u64 * 4).sum();
-        if let Some((op, kind)) = self.fault_check(OpClass::Transfer(TransferDir::HtoD)) {
-            self.join_streams_for_error();
-            let attempt = VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns)
-                + transfer_time(&self.cfg.pcie, total_bytes);
-            return Err(self.fault_error(op, kind, total_bytes, self.cfg.pcie.latency_ns, attempt));
-        }
-        let mut out = Vec::with_capacity(parts.len());
+        self.htod_fault(total_bytes)?;
         let mut pool = self.lock_pool();
-        self.check_capacity(&pool, total_bytes)?;
-        for part in parts {
-            let (id, generation) = pool.alloc(part.to_vec());
-            out.push(DeviceBuffer::new(id, part.len(), generation));
-        }
-        let in_use = pool.bytes_in_use;
+        self.reserve(&mut pool, total_bytes)?;
+        let out = parts
+            .iter()
+            .map(|part| {
+                let (id, generation) = pool.alloc(part.to_vec(), false);
+                DeviceBuffer::new(id, part.len(), generation)
+            })
+            .collect();
         drop(pool);
-        self.finish_packed_htod(total_bytes, in_use);
+        self.finish_htod(total_bytes);
         Ok(out)
-    }
-
-    /// Shared tail of the packed-upload paths: statistics, the
-    /// `cudaMalloc` charge, and the DMA scheduled on the copy stream.
-    fn finish_packed_htod(&self, total_bytes: u64, in_use: u64) {
-        self.stats.on_alloc();
-        self.stats.track_peak(in_use);
-        self.stats
-            .htod_bytes
-            .fetch_add(total_bytes, Ordering::Relaxed);
-        self.advance(VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns));
-        let duration = transfer_time(&self.cfg.pcie, total_bytes);
-        let start = self.schedule_op(StreamKind::Copy, duration);
-        self.observe(&DeviceEvent::Transfer {
-            direction: TransferDir::HtoD,
-            bytes: total_bytes,
-            start,
-            duration,
-        });
     }
 
     /// [`Self::htod_packed_n`] taking ownership of the staged arrays: the
@@ -462,22 +527,16 @@ impl Gpu {
         parts: [Vec<u32>; N],
     ) -> Result<[DeviceBuffer<u32>; N], DeviceError> {
         let total_bytes: u64 = parts.iter().map(|p| p.len() as u64 * 4).sum();
-        if let Some((op, kind)) = self.fault_check(OpClass::Transfer(TransferDir::HtoD)) {
-            self.join_streams_for_error();
-            let attempt = VirtualNanos::from_nanos(self.cfg.malloc_overhead_ns)
-                + transfer_time(&self.cfg.pcie, total_bytes);
-            return Err(self.fault_error(op, kind, total_bytes, self.cfg.pcie.latency_ns, attempt));
-        }
+        self.htod_fault(total_bytes)?;
         let mut pool = self.lock_pool();
-        self.check_capacity(&pool, total_bytes)?;
+        self.reserve(&mut pool, total_bytes)?;
         let out = parts.map(|part| {
             let len = part.len();
-            let (id, generation) = pool.alloc(part);
+            let (id, generation) = pool.alloc(part, false);
             DeviceBuffer::new(id, len, generation)
         });
-        let in_use = pool.bytes_in_use;
         drop(pool);
-        self.finish_packed_htod(total_bytes, in_use);
+        self.finish_htod(total_bytes);
         Ok(out)
     }
 
@@ -497,6 +556,25 @@ impl Gpu {
             .unwrap_or_else(|_| unreachable!("htod_packed returns one buffer per part")))
     }
 
+    /// One device→host DMA of `bytes`, its payload taken from the pool by
+    /// `read`: the fault draw, the join, the charge and the event of every
+    /// read-back (see [`Gpu::dtoh`]).
+    fn read_back<R>(&self, bytes: u64, read: impl FnOnce(&Pool) -> R) -> Result<R, DeviceError> {
+        if let Some((op, kind)) = self.fault_check(OpClass::Transfer(TransferDir::DtoH)) {
+            self.join_streams_for_error();
+            let attempt = transfer_time(&self.cfg.pcie, bytes);
+            return Err(self.fault_error(op, kind, bytes, self.cfg.pcie.latency_ns, attempt));
+        }
+        self.stream_sync(StreamKind::Compute);
+        let out = read(&self.lock_pool());
+        self.stats.dtoh_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let start = self.now();
+        let duration = transfer_time(&self.cfg.pcie, bytes);
+        self.advance(duration);
+        self.observe_transfer(TransferDir::DtoH, bytes, start, duration);
+        Ok(out)
+    }
+
     /// Copy a buffer back to the host: device→host DMA. Host-blocking —
     /// in async mode the clock first advances to the *compute* frontier
     /// (the data was produced by kernels), then the DMA is charged
@@ -506,31 +584,7 @@ impl Gpu {
     /// buffer that came straight from `htod` (no kernel in between) must
     /// [`Gpu::wait_event`] its upload first — the engines do.
     pub fn dtoh<T: DeviceWord>(&self, buf: &DeviceBuffer<T>) -> Result<Vec<T>, DeviceError> {
-        let bytes = buf.size_bytes();
-        if let Some((op, kind)) = self.fault_check(OpClass::Transfer(TransferDir::DtoH)) {
-            self.join_streams_for_error();
-            let attempt = transfer_time(&self.cfg.pcie, bytes);
-            return Err(self.fault_error(op, kind, bytes, self.cfg.pcie.latency_ns, attempt));
-        }
-        self.stream_sync(StreamKind::Compute);
-        let pool = self.lock_pool();
-        let out: Vec<T> = pool
-            .words_of(buf.id, buf.generation)
-            .iter()
-            .map(|&w| T::from_word(w))
-            .collect();
-        drop(pool);
-        self.stats.dtoh_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let start = self.now();
-        let duration = transfer_time(&self.cfg.pcie, bytes);
-        self.advance(duration);
-        self.observe(&DeviceEvent::Transfer {
-            direction: TransferDir::DtoH,
-            bytes,
-            start,
-            duration,
-        });
-        Ok(out)
+        self.dtoh_prefix(buf, buf.len())
     }
 
     /// Copy a prefix of a buffer back to the host (common after compaction
@@ -541,30 +595,24 @@ impl Gpu {
         len: usize,
     ) -> Result<Vec<T>, DeviceError> {
         assert!(len <= buf.len());
-        let bytes = len as u64 * 4;
-        if let Some((op, kind)) = self.fault_check(OpClass::Transfer(TransferDir::DtoH)) {
-            self.join_streams_for_error();
-            let attempt = transfer_time(&self.cfg.pcie, bytes);
-            return Err(self.fault_error(op, kind, bytes, self.cfg.pcie.latency_ns, attempt));
-        }
-        self.stream_sync(StreamKind::Compute);
-        let pool = self.lock_pool();
-        let out: Vec<T> = pool.words_of(buf.id, buf.generation)[..len]
-            .iter()
-            .map(|&w| T::from_word(w))
-            .collect();
-        drop(pool);
-        self.stats.dtoh_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let start = self.now();
-        let duration = transfer_time(&self.cfg.pcie, bytes);
-        self.advance(duration);
-        self.observe(&DeviceEvent::Transfer {
-            direction: TransferDir::DtoH,
-            bytes,
-            start,
-            duration,
-        });
-        Ok(out)
+        self.read_back(len as u64 * 4, |pool| prefix_of(pool, buf, len))
+    }
+
+    /// Copy the first `len` elements of two buffers back with a *single*
+    /// DMA transfer — the read-back twin of [`Gpu::htod_packed`]: one join
+    /// of the compute stream, one link latency and one fault draw for the
+    /// combined payload (a result's docIDs and scores are one logical
+    /// read).
+    pub fn dtoh_packed_prefix<A: DeviceWord, B: DeviceWord>(
+        &self,
+        a: &DeviceBuffer<A>,
+        b: &DeviceBuffer<B>,
+        len: usize,
+    ) -> Result<(Vec<A>, Vec<B>), DeviceError> {
+        assert!(len <= a.len() && len <= b.len());
+        self.read_back(len as u64 * 8, |pool| {
+            (prefix_of(pool, a, len), prefix_of(pool, b, len))
+        })
     }
 
     /// Read a single element without charging transfer time (host-side
@@ -574,11 +622,15 @@ impl Gpu {
         T::from_word(pool.words_of(buf.id, buf.generation)[idx])
     }
 
-    /// Release a buffer. Charges the `cudaFree` overhead.
+    /// Release a buffer. Scratch from [`Gpu::alloc`] goes back to its size
+    /// class's free list, at no charge and with no driver call; an
+    /// upload's buffer is `cudaFree`d and charged.
     pub fn free<T: DeviceWord>(&self, buf: DeviceBuffer<T>) {
-        self.lock_pool().free(buf.id, buf.generation);
-        self.stats.on_free();
-        self.advance(VirtualNanos::from_nanos(self.cfg.free_overhead_ns));
+        let pooled = self.lock_pool().free(buf.id, buf.generation);
+        if !pooled {
+            self.stats.on_frees(1);
+            self.advance(VirtualNanos::from_nanos(self.cfg.free_overhead_ns));
+        }
     }
 
     /// Time to move `bytes` across PCIe (exposed for scheduler estimates).
@@ -606,8 +658,8 @@ impl Gpu {
     /// `chunk_ends[i - 1]` (0 for the first) up to `chunk_ends[i]`, and the
     /// last entry is the grid size. Exists so that tests can show that no
     /// result depends on the split.
-    #[doc(hidden)]
-    pub fn launch_chunked<K: Kernel>(
+    #[cfg(test)]
+    pub(crate) fn launch_chunked<K: Kernel>(
         &self,
         kernel: &K,
         lc: LaunchConfig,
@@ -698,10 +750,11 @@ impl Gpu {
             counters,
             config: lc,
         };
-        self.observe(&DeviceEvent::KernelLaunch {
+        self.observe(|pool| DeviceEvent::KernelLaunch {
             name: kernel.name(),
             start,
             report: &report,
+            pool,
         });
         Ok(report)
     }
@@ -756,8 +809,17 @@ impl Gpu {
             htod_bytes: self.stats.htod_bytes.load(Ordering::Relaxed),
             dtoh_bytes: self.stats.dtoh_bytes.load(Ordering::Relaxed),
             peak_bytes: self.stats.peak_bytes.load(Ordering::Relaxed),
+            pool: self.pool_stats(),
         }
     }
+}
+
+/// The first `len` elements of the buffer `buf` names, generation-checked.
+fn prefix_of<T: DeviceWord>(pool: &Pool, buf: &DeviceBuffer<T>, len: usize) -> Vec<T> {
+    pool.words_of(buf.id, buf.generation)[..len]
+        .iter()
+        .map(|&w| T::from_word(w))
+        .collect()
 }
 
 /// Loads, stores and branches in a launch's remaining blocks above which
@@ -808,7 +870,9 @@ fn run_chunks<K: Kernel>(
     counters
 }
 
-/// Point-in-time copy of device statistics.
+/// Point-in-time copy of device statistics. `allocs` and `frees` count
+/// driver calls (`cudaMalloc`, `cudaFree`); what the caching allocator
+/// served without one is in `pool`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStatsSnapshot {
     pub allocs: u64,
@@ -816,6 +880,7 @@ pub struct DeviceStatsSnapshot {
     pub htod_bytes: u64,
     pub dtoh_bytes: u64,
     pub peak_bytes: u64,
+    pub pool: PoolStats,
 }
 
 #[cfg(test)]
@@ -952,22 +1017,23 @@ mod tests {
         assert_eq!(gpu.mem_in_use(), 0);
         let s = gpu.stats();
         assert_eq!(s.allocs, 2);
-        assert_eq!(s.frees, 2);
-        assert_eq!(s.peak_bytes, 6000);
+        assert_eq!(s.frees, 0, "scratch goes back to the pool, not the driver");
+        assert_eq!(s.peak_bytes, 4096 + 2048, "blocks, at their class size");
+        assert_eq!(gpu.mem_cached(), s.peak_bytes);
     }
 
     #[test]
     fn oom_is_an_error_with_no_side_effects() {
         let gpu = Gpu::new(DeviceConfig::test_tiny()); // 64 MB
         let t0 = gpu.now();
-        let res = gpu.alloc::<u32>(20 * 1024 * 1024); // 80 MB
+        let res = gpu.alloc::<u32>(20 * 1024 * 1024); // 80 MB: a 128 MB block
         match res {
             Err(DeviceError::DeviceOom {
                 requested_bytes,
                 in_use_bytes,
                 capacity_bytes,
             }) => {
-                assert_eq!(requested_bytes, 80 * 1024 * 1024);
+                assert_eq!(requested_bytes, 128 * 1024 * 1024);
                 assert_eq!(in_use_bytes, 0);
                 assert_eq!(capacity_bytes, 64 * 1024 * 1024);
             }
@@ -1216,7 +1282,8 @@ mod tests {
         }));
         assert!(r.is_err());
         assert_eq!(gpu.mem_in_use(), before, "the unwind ran the scope's drop");
-        assert_eq!(gpu.stats().frees, 2);
+        assert_eq!(gpu.stats().frees, 1, "the upload; the scratch is cached");
+        assert_eq!(gpu.mem_cached(), 2048);
         assert_eq!(gpu.dtoh(&survivor).unwrap(), vec![4, 5]);
     }
 

@@ -41,10 +41,12 @@
 //! under-occupied launches, and branch-divergence serialization.
 //!
 //! Host↔device traffic goes through the [`pcie`] model (fixed latency +
-//! bandwidth), and device allocations and frees charge an overhead — exactly
-//! the overheads the paper's scheduler must amortize. A [`Scope`] owns what
-//! one call allocates and frees it on every exit path (DESIGN.md, "Who frees
-//! device memory").
+//! bandwidth), and `cudaMalloc` and `cudaFree` charge an overhead — exactly
+//! the overheads the paper's scheduler must amortize. Scratch comes from a
+//! caching allocator ([`Gpu::alloc`]): a freed block is handed out again
+//! without a driver call, so a device pays for its working set once. A
+//! [`Scope`] owns what one call allocates and frees it on every exit path
+//! (DESIGN.md, "Who frees device memory").
 //!
 //! ## Fault injection
 //!
@@ -101,6 +103,8 @@ pub mod mem;
 pub mod observe;
 pub mod pcie;
 pub mod scope;
+#[cfg(test)]
+mod split_invariance;
 pub mod stream;
 pub mod timing;
 pub mod tracer;
@@ -111,7 +115,7 @@ pub use device::{Gpu, LaunchReport};
 pub use fault::{DeviceError, FaultKind, FaultPlan};
 pub use kernel::{Dim, Kernel, LaunchConfig, ThreadCtx};
 pub use mem::{DeviceBuffer, DeviceWord};
-pub use observe::{DeviceEvent, DeviceObserver, TransferDir};
+pub use observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 pub use scope::Scope;
 pub use stream::{StreamEvent, StreamKind};
 pub use tracer::{LaunchCounters, Op};

@@ -54,9 +54,9 @@ pub struct BufferId(pub(crate) u32);
 /// A typed handle to device memory. Handles are cheap to clone and do not
 /// own the storage: it is released by a [`crate::Scope`] when the function
 /// that allocated it exits, or by [`crate::Gpu::free`] for an owner that
-/// outlives one call. Either way the free is charged (the experiments
-/// account allocation/free overheads deliberately), so where it happens is
-/// part of the timing; see [`crate::Scope`].
+/// outlives one call. Where that happens decides which later request can
+/// reuse the block and, for an upload's buffer, when its `cudaFree` is
+/// charged; see [`crate::Scope`].
 #[derive(Debug)]
 pub struct DeviceBuffer<T: DeviceWord> {
     pub(crate) id: BufferId,
@@ -112,19 +112,75 @@ pub(crate) struct RawBuf {
     pub(crate) words: Vec<u32>,
     pub(crate) generation: u32,
     pub(crate) live: bool,
+    /// Born in [`crate::Gpu::alloc`]: occupies a whole size-class block,
+    /// which goes back to the class's free list when the buffer is freed.
+    /// Upload-born buffers are exact-size driver allocations and never do.
+    pooled: bool,
+}
+
+/// Size class of a request of `len` words: log2 of the words in the block
+/// that serves it, the next power of two (a zero-length request takes a
+/// one-word block).
+fn class_of(len: usize) -> u32 {
+    usize::BITS - len.saturating_sub(1).leading_zeros()
+}
+
+/// Bytes of the block that serves a request of `len` words. Saturates, so
+/// an absurd request fails the capacity check instead of overflowing.
+pub(crate) fn class_bytes(len: usize) -> u64 {
+    1u64.checked_shl(class_of(len))
+        .and_then(|words| words.checked_mul(4))
+        .unwrap_or(u64::MAX)
 }
 
 /// The device memory pool. Immutable (`&Pool`) during a launch; write logs
 /// are applied between launches.
+///
+/// Also the books of the caching allocator. A cached block has no content
+/// anyone may read (a block is handed out zero-filled), so a free list is a
+/// count per size class and the host keeps no storage behind it.
 #[derive(Default)]
 pub(crate) struct Pool {
     pub(crate) bufs: Vec<RawBuf>,
     free_slots: Vec<u32>,
+    /// Bytes of the live buffers, as requested.
     pub(crate) bytes_in_use: u64,
+    /// Bytes obtained from the driver and not returned: live buffers
+    /// (pooled ones at their block size) plus the cached blocks. This is
+    /// what counts against the device's capacity.
+    pub(crate) bytes_reserved: u64,
+    /// `cached[c]` blocks of class `c` (`4 << c` bytes) wait for reuse.
+    cached: Vec<u32>,
 }
 
 impl Pool {
-    pub(crate) fn alloc(&mut self, words: Vec<u32>) -> (BufferId, u32) {
+    /// Takes a cached block that serves a request of `len` words off its
+    /// free list, if there is one.
+    pub(crate) fn take_cached(&mut self, len: usize) -> bool {
+        match self.cached.get_mut(class_of(len) as usize) {
+            Some(blocks) if *blocks > 0 => {
+                *blocks -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Gives every cached block back to the driver; returns how many.
+    pub(crate) fn trim(&mut self) -> u64 {
+        let mut blocks = 0;
+        for (class, cached) in self.cached.iter_mut().enumerate() {
+            blocks += u64::from(*cached);
+            self.bytes_reserved -= u64::from(*cached) * (4 << class);
+            *cached = 0;
+        }
+        blocks
+    }
+
+    /// Makes `words` a live buffer. Its memory is already booked in
+    /// `bytes_reserved`: by the caller, or, for a `pooled` buffer served
+    /// from a free list, since the block was first obtained.
+    pub(crate) fn alloc(&mut self, words: Vec<u32>, pooled: bool) -> (BufferId, u32) {
         self.bytes_in_use += words.len() as u64 * 4;
         // Reuse a dead slot if available to keep the pool compact.
         if let Some(slot) = self.free_slots.pop() {
@@ -134,6 +190,7 @@ impl Pool {
                 words,
                 generation,
                 live: true,
+                pooled,
             };
             return (BufferId(slot), generation);
         }
@@ -141,6 +198,7 @@ impl Pool {
             words,
             generation: 0,
             live: true,
+            pooled,
         });
         (BufferId((self.bufs.len() - 1) as u32), 0)
     }
@@ -158,15 +216,28 @@ impl Pool {
         );
     }
 
-    pub(crate) fn free(&mut self, id: BufferId, generation: u32) -> u64 {
+    /// Ends a buffer's life. A pooled buffer's block joins its class's free
+    /// list and stays reserved (returns `true`: no driver call is due); any
+    /// other buffer's bytes go back to the driver.
+    pub(crate) fn free(&mut self, id: BufferId, generation: u32) -> bool {
         self.check_handle(id, generation);
         let b = &mut self.bufs[id.0 as usize];
-        let bytes = b.words.len() as u64 * 4;
-        self.bytes_in_use -= bytes;
+        let len = b.words.len();
         b.live = false;
         b.words = Vec::new();
+        let pooled = b.pooled;
         self.free_slots.push(id.0);
-        bytes
+        self.bytes_in_use -= len as u64 * 4;
+        if pooled {
+            let class = class_of(len) as usize;
+            if self.cached.len() <= class {
+                self.cached.resize(class + 1, 0);
+            }
+            self.cached[class] += 1;
+        } else {
+            self.bytes_reserved -= len as u64 * 4;
+        }
+        pooled
     }
 
     #[inline]
@@ -275,22 +346,31 @@ impl WriteLog {
 /// Device-wide statistics kept by the [`crate::Gpu`].
 #[derive(Debug, Default)]
 pub struct MemStats {
+    /// `cudaMalloc` calls: uploads and [`crate::Gpu::alloc`] misses.
     pub allocs: AtomicU64,
+    /// `cudaFree` calls: upload-born buffers freed and blocks trimmed.
     pub frees: AtomicU64,
     pub htod_bytes: AtomicU64,
     pub dtoh_bytes: AtomicU64,
+    /// Most bytes ever held from the driver (live and cached).
     pub peak_bytes: AtomicU64,
+    /// [`crate::Gpu::alloc`] calls served from a free list.
+    pub pool_hits: AtomicU64,
+    /// [`crate::Gpu::alloc`] calls that went to the driver.
+    pub pool_misses: AtomicU64,
+    /// Cached blocks given back to the driver.
+    pub pool_trimmed: AtomicU64,
 }
 
 impl MemStats {
     pub(crate) fn on_alloc(&self) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn on_free(&self) {
-        self.frees.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn on_frees(&self, n: u64) {
+        self.frees.fetch_add(n, Ordering::Relaxed);
     }
-    pub(crate) fn track_peak(&self, in_use: u64) {
-        self.peak_bytes.fetch_max(in_use, Ordering::Relaxed);
+    pub(crate) fn track_peak(&self, reserved: u64) {
+        self.peak_bytes.fetch_max(reserved, Ordering::Relaxed);
     }
 }
 
@@ -312,23 +392,55 @@ mod tests {
     #[test]
     fn pool_alloc_free_reuse() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![1, 2, 3]);
-        assert_eq!(pool.bytes_in_use, 12);
-        let freed = pool.free(a, 0);
-        assert_eq!(freed, 12);
-        assert_eq!(pool.bytes_in_use, 0);
+        pool.bytes_reserved += 12;
+        let (a, _) = pool.alloc(vec![1, 2, 3], false);
+        assert_eq!((pool.bytes_in_use, pool.bytes_reserved), (12, 12));
+        assert!(!pool.free(a, 0), "an upload's bytes go back to the driver");
+        assert_eq!((pool.bytes_in_use, pool.bytes_reserved), (0, 0));
         // Slot is reused with a bumped generation.
-        let (b, gen) = pool.alloc(vec![9]);
+        pool.bytes_reserved += 4;
+        let (b, gen) = pool.alloc(vec![9], false);
         assert_eq!(a, b);
         assert_eq!(gen, 1);
         assert_eq!(pool.words(b), &[9]);
     }
 
     #[test]
+    fn a_pooled_block_waits_in_its_class_until_taken_or_trimmed() {
+        assert_eq!(class_bytes(0), 4);
+        assert_eq!(class_bytes(1), 4);
+        assert_eq!(class_bytes(1000), 4096);
+        assert_eq!(class_bytes(1024), 4096);
+        assert_eq!(class_bytes(1025), 8192);
+        assert_eq!(class_bytes(1 << 61), 1 << 63);
+        assert_eq!(class_bytes((1 << 61) + 1), u64::MAX);
+        assert_eq!(class_bytes(usize::MAX), u64::MAX);
+
+        let mut pool = Pool::default();
+        assert!(!pool.take_cached(1000), "a fresh pool has nothing cached");
+        pool.bytes_reserved += class_bytes(1000);
+        let (a, _) = pool.alloc(vec![0; 1000], true);
+        assert_eq!((pool.bytes_in_use, pool.bytes_reserved), (4000, 4096));
+        assert!(pool.free(a, 0), "the block stays with the pool");
+        assert_eq!((pool.bytes_in_use, pool.bytes_reserved), (0, 4096));
+        // Any request of the class takes it; no other class does.
+        assert!(!pool.take_cached(1025));
+        assert!(!pool.take_cached(512));
+        assert!(pool.take_cached(513));
+        assert!(!pool.take_cached(513), "one block, one taker");
+        let (b, _) = pool.alloc(vec![0; 513], true);
+        assert!(pool.free(b, 1));
+        assert_eq!(pool.trim(), 1);
+        assert_eq!(pool.bytes_reserved, 0);
+        assert_eq!(pool.trim(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "double free")]
     fn pool_double_free_panics() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![1]);
+        pool.bytes_reserved += 4;
+        let (a, _) = pool.alloc(vec![1], false);
         pool.free(a, 0);
         pool.free(a, 0);
     }
@@ -336,7 +448,7 @@ mod tests {
     #[test]
     fn write_log_run_length_packs() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![0; 8]);
+        let (a, _) = pool.alloc(vec![0; 8], false);
         let mut log = WriteLog::default();
         for i in 0..8 {
             log.push(a, i, i as u32 * 10);
@@ -354,8 +466,8 @@ mod tests {
     #[test]
     fn write_log_interleaved_buffers_share_one_arena() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![0; 4]);
-        let (b, _) = pool.alloc(vec![0; 4]);
+        let (a, _) = pool.alloc(vec![0; 4], false);
+        let (b, _) = pool.alloc(vec![0; 4], false);
         let mut log = WriteLog::default();
         for i in 0..4 {
             log.push(a, i, 10 + i as u32);
@@ -371,7 +483,7 @@ mod tests {
     #[test]
     fn write_log_later_run_wins_on_overlap() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![0; 4]);
+        let (a, _) = pool.alloc(vec![0; 4], false);
         let mut log = WriteLog::default();
         log.push(a, 1, 5);
         log.push(a, 3, 7); // breaks the run
@@ -383,7 +495,7 @@ mod tests {
     #[test]
     fn write_log_clear_forgets_stores_and_keeps_capacity() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![0; 4]);
+        let (a, _) = pool.alloc(vec![0; 4], false);
         let mut log = WriteLog::default();
         for i in 0..4 {
             log.push(a, i, 7);
@@ -408,7 +520,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn write_log_bounds_checked_on_apply() {
         let mut pool = Pool::default();
-        let (a, _) = pool.alloc(vec![0; 2]);
+        let (a, _) = pool.alloc(vec![0; 2], false);
         let mut log = WriteLog::default();
         log.push(a, 2, 1);
         log.apply(&mut pool);

@@ -28,6 +28,23 @@ impl TransferDir {
     }
 }
 
+/// What the device's caching allocator has done since the device was
+/// created (see [`crate::Gpu::alloc`]). Allocations and frees are not
+/// events of their own; every event carries the totals as they stood when
+/// it was emitted, so an observer that wants rates takes differences.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Allocations served from a free list: no driver call.
+    pub hits: u64,
+    /// Allocations that went to `cudaMalloc`.
+    pub misses: u64,
+    /// Cached blocks given back to the driver (`cudaFree`) to make room or
+    /// by [`crate::Gpu::trim_pool`].
+    pub trimmed: u64,
+    /// [`crate::Gpu::mem_cached`] at that moment.
+    pub cached_bytes: u64,
+}
+
 /// One observable device operation.
 #[derive(Debug)]
 pub enum DeviceEvent<'a> {
@@ -39,6 +56,7 @@ pub enum DeviceEvent<'a> {
         start: VirtualNanos,
         /// Full launch report: duration, breakdown, warp counters.
         report: &'a LaunchReport,
+        pool: PoolStats,
     },
     /// A PCIe DMA transfer completed.
     Transfer {
@@ -47,6 +65,7 @@ pub enum DeviceEvent<'a> {
         /// Device virtual time when the transfer started.
         start: VirtualNanos,
         duration: VirtualNanos,
+        pool: PoolStats,
     },
 }
 

@@ -5,7 +5,7 @@
 //! word, shared memory, barriers, divergent loops), under every partition
 //! of the grid into one to four contiguous chunks.
 
-use griffin_gpu_sim::{
+use crate::{
     DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu, Kernel, LaunchConfig,
     LaunchReport, ThreadCtx,
 };
@@ -170,7 +170,7 @@ fn cuts(grid: u32) -> Vec<Vec<u32>> {
     all
 }
 
-fn report_fields(r: &LaunchReport) -> (u64, &griffin_gpu_sim::LaunchCounters) {
+fn report_fields(r: &LaunchReport) -> (u64, &crate::LaunchCounters) {
     (r.time.as_nanos(), &r.counters)
 }
 

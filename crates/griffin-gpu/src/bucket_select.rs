@@ -432,8 +432,7 @@ pub fn top_k_by_bucket_select(
         )?;
     }
 
-    let docid_host = gpu.dtoh(&out_docid)?;
-    let key_host = gpu.dtoh(&out_key)?;
+    let (docid_host, key_host) = gpu.dtoh_packed_prefix(&out_docid, &out_key, k)?;
     let mut out: Vec<(u32, f32)> = docid_host
         .into_iter()
         .zip(key_host)

@@ -108,6 +108,14 @@ impl Hull {
         let hi = skips.partition_point(|s| s.first_docid <= self.hi);
         (lo, hi.max(lo))
     }
+
+    /// Whether the hull covers at least half of `term`'s blocks: such a
+    /// list ships whole, through the cache (see
+    /// [`GpuEngine::upload_hull`]).
+    fn covers_half(&self, index: &InvertedIndex, term: TermId) -> bool {
+        let (lo, hi) = self.blocks(index, term);
+        (hi - lo) * 2 >= index.list(term).docs.num_blocks()
+    }
 }
 
 /// A device list obtained for one chain step: either the full list under
@@ -768,8 +776,9 @@ impl<'g> GpuEngine<'g> {
     /// Borrows the intermediate: the caller frees it (on success *and* on
     /// a faulted transfer, where it is still needed for CPU migration).
     pub fn download(&self, inter: &DeviceIntermediate) -> Result<Intermediate, GpuError> {
-        let docids = self.gpu.dtoh_prefix(&inter.docids, inter.len)?;
-        let scores = self.gpu.dtoh_prefix(&inter.scores, inter.len)?;
+        let (docids, scores) =
+            self.gpu
+                .dtoh_packed_prefix(&inter.docids, &inter.scores, inter.len)?;
         Ok(Intermediate { docids, scores })
     }
 
@@ -828,7 +837,8 @@ impl<'g> GpuEngine<'g> {
     /// split's device lane; blocks outside never cross PCIe). BM25 sees
     /// each list's full document frequency, so the scores are bit-exact
     /// with the plain chain. Without one, each step's list comes through
-    /// the LRU cache and the next step's list is prefetched behind it.
+    /// the LRU cache. Either way the next step's list is prefetched behind
+    /// the current one when it ships whole.
     ///
     /// The caller owns the async window and stream synchronization; any
     /// prefetch left in flight (the chain can end early on an empty
@@ -861,16 +871,22 @@ impl<'g> GpuEngine<'g> {
             }
             pruned = Some((range, ledger));
         }
-        // The list for step `i`, from the one place the chain gets them.
+        // The list for step `i`, from the one place the chain gets them,
+        // with the next step's list shipping behind it if that one comes
+        // through the cache (a slice is cut when its step needs it).
         let mut list = |i: usize| -> Result<ChainList, GpuError> {
-            if let Some((range, ledger)) = &mut pruned {
-                return self.upload_hull(index, planned[i], range, ledger);
-            }
-            let postings = self.upload(index, planned[i])?;
-            if let Some(&next) = planned.get(i + 1) {
+            let next = planned.get(i + 1).copied();
+            let (list, next) = match &mut pruned {
+                Some((range, ledger)) => (
+                    self.upload_hull(index, planned[i], range, ledger)?,
+                    next.filter(|&t| range.covers_half(index, t)),
+                ),
+                None => (ChainList::Cached(self.upload(index, planned[i])?), next),
+            };
+            if let Some(next) = next {
                 self.prefetch(index, next);
             }
-            Ok(ChainList::Cached(postings))
+            Ok(list)
         };
 
         let first = list(0)?;
@@ -930,7 +946,7 @@ impl<'g> GpuEngine<'g> {
         ledger.blocks_total += num_blocks as u64;
         let (lo, hi) = hull.blocks(index, term);
         let cached = self.cache.borrow().map.contains_key(&term);
-        if cached || (hi - lo) * 2 >= num_blocks {
+        if cached || hull.covers_half(index, term) {
             ledger.blocks_resident += num_blocks as u64;
             return Ok(ChainList::Cached(self.upload(index, term)?));
         }
@@ -1094,9 +1110,10 @@ mod tests {
             pruned_bytes < plain_bytes,
             "{pruned_bytes} >= {plain_bytes}"
         );
-        // The plain chain prefetches behind each step; the hull chain does not.
+        // The plain chain prefetches behind each step; the hull chain only
+        // a list that ships whole (t2, behind t0's step), never a slice.
         assert_eq!(plain_stats.prefetch_issued, 2);
-        assert_eq!(pruned_stats.prefetch_issued, 0);
+        assert_eq!(pruned_stats.prefetch_issued, 1);
     }
 
     #[test]

@@ -537,13 +537,16 @@ mod tests {
         let list = CompressedPostingList::from_docids(&ids, Codec::EliasFano, 128);
         let dev = DevicePostings::upload(&gpu, &list, 2_000).unwrap();
         let before = gpu.mem_in_use();
-        // A decode is two allocations and one launch, in that order.
+        // A decode is two allocations and one launch, in that order — on a
+        // cold pool: a request the allocator serves from a block an earlier
+        // attempt gave back is no driver call and has no fault index.
         let faults = [
             FaultKind::DeviceOom,
             FaultKind::DeviceOom,
             FaultKind::KernelLaunchFailed,
         ];
         for (op, kind) in faults.into_iter().enumerate() {
+            gpu.trim_pool();
             gpu.set_fault_plan(Some(FaultPlan::seeded(0).fail_at(op as u64, kind)));
             assert!(decode_postings(&gpu, &dev).is_err(), "op {op}");
             assert_eq!(gpu.mem_in_use(), before, "op {op}");

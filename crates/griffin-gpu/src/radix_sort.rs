@@ -256,8 +256,7 @@ pub fn top_k_by_sort(
     let (keys, vals) = (scope.adopt(keys), scope.adopt(vals));
     // Only the winning prefix crosses PCIe back.
     let k = k.min(n);
-    let keys_host = gpu.dtoh_prefix(&keys, k)?;
-    let vals_host = gpu.dtoh_prefix(&vals, k)?;
+    let (keys_host, vals_host) = gpu.dtoh_packed_prefix(&keys, &vals, k)?;
     Ok(keys_host
         .into_iter()
         .zip(vals_host)

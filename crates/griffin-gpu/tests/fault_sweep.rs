@@ -1,20 +1,28 @@
 //! Exhaustive fault-position sweep over the device drivers.
 //!
-//! For each driver: count the fallible device operations (allocations,
-//! uploads, launches, read-backs) of a clean run, then fail each of them in
-//! turn, with each transient fault kind, and require that
+//! For each driver: count the fallible device operations (driver
+//! allocations, uploads, launches, read-backs) of a clean run on a cold
+//! allocator pool, then fail each of them in turn, with each transient
+//! fault kind, and require that
 //!
 //! * the call reports the fault,
-//! * device memory in use is back at its pre-call value, and the call freed
-//!   as many buffers as it allocated (zero-length ones hold no bytes),
-//! * the inputs the driver only borrowed still read back intact, and
-//! * a retry returns the clean run's bits.
+//! * the live device memory is back at its pre-call value,
+//! * the inputs the driver only borrowed still read back intact,
+//! * a retry, on the warm pool the faulted call left behind, returns the
+//!   clean run's bits, and
+//! * once the pool is trimmed the device holds what it held before the
+//!   call (a zero-length buffer has no live bytes, but it does hold a
+//!   block).
 //!
-//! The second bullet is what `griffin_gpu_sim::Scope` buys. A mutation that
-//! fails it: in `GpuEngine::intersect_step`, `keep` the scores buffer right
-//! after allocating it instead of at the return — a fault in the accumulate
-//! launch then leaves it allocated (`intersect_step/merge_path` at its last
-//! index, `intersect_step/binary_search` at its last three).
+//! The second and last bullets are what `griffin_gpu_sim::Scope` buys. A
+//! mutation that fails them: in `GpuEngine::intersect_step`, `keep` the
+//! scores buffer right after allocating it instead of at the return — a
+//! fault in the accumulate launch then leaves it allocated
+//! (`intersect_step/merge_path` at its last index,
+//! `intersect_step/binary_search` at its last three). One in the allocator
+//! that fails the last: `Pool::free` putting an upload's buffer on a free
+//! list as if it were scratch — the list image a faulted upload rolls back
+//! is then trimmed at a size it was never obtained at.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,9 +51,10 @@ const TRANSIENT: [FaultKind; 4] = [
     FaultKind::DeviceOom,
 ];
 
-/// Fallible operations `f` issues on a clean device: every allocation and
-/// upload bumps `stats().allocs` once, every launch and every read-back is
-/// one observer event.
+/// Fallible operations `f` issues on a clean device: every driver
+/// allocation and upload bumps `stats().allocs` once (a request the pool
+/// serves is not one), every launch and every read-back is one observer
+/// event.
 fn count_ops<T>(gpu: &Gpu, f: impl FnOnce() -> T) -> (T, u64) {
     let events = Arc::new(AtomicU64::new(0));
     let seen = Arc::clone(&events);
@@ -79,36 +88,58 @@ fn sweep<R, O: PartialEq + std::fmt::Debug>(
     call: impl Fn() -> Result<R, GpuError>,
     finish: impl Fn(R) -> O,
 ) {
+    // A cold pool: every scratch request of the counted run is a driver
+    // call, so every one of them can be faulted.
+    gpu.trim_pool();
     let before = gpu.mem_in_use();
+    let held = before + gpu.mem_cached();
     let intact = read(gpu, inputs);
-    let (clean, ops) = count_ops(gpu, || call().expect("clean run"));
+    let timed = |tag: &str| {
+        let t0 = gpu.now();
+        let out = call().expect(tag);
+        gpu.sync();
+        (out, gpu.now() - t0)
+    };
+    let ((clean, cold_time), ops) = count_ops(gpu, || timed("clean run"));
     let clean = finish(clean);
     assert_eq!(gpu.mem_in_use(), before, "{name}: the clean run's result");
     assert!(ops > 0, "{name}: nothing to fault");
     println!("{name}: {ops} fallible operations");
+    // The same call on the pool that run left warm: the same bits, and no
+    // later (sooner, if the call uses any scratch).
+    let (warm, warm_time) = timed("warm run");
+    assert_eq!(finish(warm), clean, "{name}: warm pool");
+    assert!(
+        warm_time <= cold_time,
+        "{name}: {warm_time:?} warm, {cold_time:?} cold"
+    );
 
     for k in 0..ops {
         for kind in TRANSIENT {
+            gpu.trim_pool();
             gpu.set_fault_plan(Some(FaultPlan::seeded(0).fail_at(k, kind)));
-            let stats = gpu.stats();
             let faulted = call();
             gpu.set_fault_plan(None);
             assert!(faulted.is_err(), "{name}: op {k} of {ops} never ran");
-            let (allocs, frees) = (
-                gpu.stats().allocs - stats.allocs,
-                gpu.stats().frees - stats.frees,
-            );
             assert_eq!(
-                (gpu.mem_in_use(), frees),
-                (before, allocs),
-                "{name}: {kind:?} at op {k} of {ops} left device memory behind"
+                gpu.mem_in_use(),
+                before,
+                "{name}: {kind:?} at op {k} of {ops} left a live buffer behind"
             );
             assert_eq!(read(gpu, inputs), intact, "{name}: inputs after op {k}");
+            // The retry finds the blocks the faulted call gave back.
             let retried = finish(call().expect("retry"));
             assert_eq!(retried, clean, "{name}: retry after {kind:?} at op {k}");
+            gpu.trim_pool();
+            assert_eq!(
+                gpu.mem_in_use() + gpu.mem_cached(),
+                held,
+                "{name}: {kind:?} at op {k} of {ops} left device memory behind"
+            );
         }
     }
     // One past the last operation nothing fires: the count is exact.
+    gpu.trim_pool();
     gpu.set_fault_plan(Some(
         FaultPlan::seeded(0).fail_at(ops, FaultKind::KernelLaunchFailed),
     ));
@@ -117,15 +148,18 @@ fn sweep<R, O: PartialEq + std::fmt::Debug>(
     assert_eq!(finish(past.expect("no op at the count")), clean, "{name}");
 }
 
-fn postings(gpu: &Gpu, n: u32, stride: u32, offset: u32) -> DevicePostings {
+fn list(n: u32, stride: u32, offset: u32) -> CompressedPostingList {
     let ps: Vec<Posting> = (0..n)
         .map(|i| Posting {
             docid: i * stride + offset,
             tf: 1 + i % 300,
         })
         .collect();
-    let list = CompressedPostingList::compress(&ps, Codec::EliasFano, BLOCK_LEN);
-    DevicePostings::upload(gpu, &list, n).expect("upload")
+    CompressedPostingList::compress(&ps, Codec::EliasFano, BLOCK_LEN)
+}
+
+fn postings(gpu: &Gpu, n: u32, stride: u32, offset: u32) -> DevicePostings {
+    DevicePostings::upload(gpu, &list(n, stride, offset), n).expect("upload")
 }
 
 fn buffers(p: &DevicePostings) -> [&DeviceBuffer<u32>; 8] {
@@ -157,6 +191,26 @@ fn drain(gpu: &Gpu, inter: DeviceIntermediate) -> (Vec<u32>, Vec<u32>) {
     );
     inter.free(gpu);
     out
+}
+
+/// The two DMAs of a list upload: a fault in the second rolls the first
+/// back, and what it rolls back never was the pool's.
+#[test]
+fn upload_at_every_fault_position() {
+    let gpu = Gpu::new(DeviceConfig::test_tiny());
+    let list = list(1_000, 7, 3);
+    sweep(
+        "DevicePostings::upload",
+        &gpu,
+        &[],
+        || DevicePostings::upload(&gpu, &list, 1_000),
+        |dev| {
+            let image = read(&gpu, &buffers(&dev));
+            dev.free(&gpu);
+            image
+        },
+    );
+    assert_eq!(gpu.mem_in_use(), 0);
 }
 
 #[test]

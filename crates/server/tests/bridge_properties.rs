@@ -69,6 +69,9 @@ proptest! {
         let mode = [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid][mode_idx];
         let req = QueryRequest::new(terms).k(5).mode(mode);
         let out = engine.run(&idx, &req);
+        // So do the device allocator's free lists: hand the blocks back,
+        // so that the serve-phase run starts as cold as this one did.
+        gpu.trim_pool();
 
         let config = ServerConfig {
             cpu_workers: 4,

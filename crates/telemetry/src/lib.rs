@@ -30,9 +30,9 @@ pub mod profile;
 pub mod timeline;
 pub mod trace;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use griffin_gpu_sim::observe::{DeviceEvent, DeviceObserver};
+use griffin_gpu_sim::observe::{DeviceEvent, DeviceObserver, PoolStats};
 use griffin_gpu_sim::{StreamKind, VirtualNanos};
 
 pub use metrics::{Histogram, Registry};
@@ -210,18 +210,25 @@ impl Telemetry {
     /// tagged with the current query, and feed per-kernel aggregate
     /// metrics (launch counts, duration histograms, warp totals,
     /// divergence and coalescing inputs, global-memory transactions).
+    /// The caching allocator's totals ride on every event: what they grew
+    /// by since the observer's previous event goes to
+    /// `griffin_gpu_pool_{hits,misses,trimmed}_total`, and
+    /// `griffin_gpu_pool_cached_bytes` is the reporting device's latest.
     ///
     /// `warp_size` is the device's warp width (for the coalescing
     /// factor). Returns `None` when telemetry is disabled — pass the
     /// result straight to `set_observer`.
     pub fn device_observer(&self, warp_size: u32) -> Option<Arc<DeviceObserver>> {
         let recorder = self.recorder.clone()?;
+        let pool_seen = Mutex::new(PoolStats::default());
         Some(Arc::new(move |event: &DeviceEvent<'_>| match *event {
             DeviceEvent::KernelLaunch {
                 name,
                 start,
                 report,
+                pool,
             } => {
+                record_pool(&recorder.registry, &pool_seen, pool);
                 let reg = &recorder.registry;
                 let c = &report.counters;
                 reg.counter_add(
@@ -268,7 +275,9 @@ impl Telemetry {
                 bytes,
                 start,
                 duration,
+                pool,
             } => {
+                record_pool(&recorder.registry, &pool_seen, pool);
                 let dir = direction.as_str();
                 let reg = &recorder.registry;
                 reg.counter_add(&format!("griffin_pcie_transfers_total{{dir=\"{dir}\"}}"), 1);
@@ -287,6 +296,20 @@ impl Telemetry {
             }
         }))
     }
+}
+
+/// Adds what the allocator's totals grew by since `seen` to the pool
+/// counters. Silent while nothing changed, which is most events.
+fn record_pool(reg: &Registry, seen: &Mutex<PoolStats>, now: PoolStats) {
+    let mut seen = seen.lock().unwrap_or_else(|p| p.into_inner());
+    if *seen == now {
+        return;
+    }
+    reg.counter_add("griffin_gpu_pool_hits_total", now.hits - seen.hits);
+    reg.counter_add("griffin_gpu_pool_misses_total", now.misses - seen.misses);
+    reg.counter_add("griffin_gpu_pool_trimmed_total", now.trimmed - seen.trimmed);
+    reg.gauge_set("griffin_gpu_pool_cached_bytes", now.cached_bytes as f64);
+    *seen = now;
 }
 
 #[cfg(test)]

@@ -209,9 +209,11 @@ fn device_loss_mid_split_degrades_but_never_fails() {
     griffin.gpu.shutdown();
 
     // Force aggressive splitting, then lose the device at a spread of
-    // operation indices so the loss lands inside split GPU lanes.
+    // operation indices so the loss lands inside split GPU lanes. (The
+    // query set issues some 190 fallible operations: scratch the device's
+    // allocator serves from its free lists is no driver call.)
     let mut saw_split_fault = false;
-    for lost_at in [0u64, 1, 3, 7, 15, 40, 99, 250] {
+    for lost_at in [0u64, 1, 3, 7, 15, 40, 99, 160] {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         gpu.set_fault_plan(Some(FaultPlan::seeded(seed).lose_device_at(lost_at)));
         let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());

@@ -83,6 +83,16 @@ proptest! {
         let metrics = traced.telemetry().metrics_json().expect("enabled");
         prop_assert!(metrics.contains("griffin_sched_decisions_total"));
         prop_assert!(metrics.contains("griffin_step_ns"));
+        // The device allocator's totals arrive through the same observer
+        // (every hit and miss precedes the launch that uses the buffer),
+        // and being observed moved none of the device's own counts.
+        let pool = gpu_traced.stats().pool;
+        prop_assert!(pool.misses > 0, "{:?}", pool);
+        prop_assert_eq!(rec.registry.counter("griffin_gpu_pool_hits_total"), pool.hits);
+        prop_assert_eq!(rec.registry.counter("griffin_gpu_pool_misses_total"), pool.misses);
+        prop_assert_eq!(rec.registry.counter("griffin_gpu_pool_trimmed_total"), pool.trimmed);
+        prop_assert!(rec.registry.gauge("griffin_gpu_pool_cached_bytes").is_some());
+        prop_assert_eq!(gpu_plain.stats(), gpu_traced.stats());
     }
 
     /// Hybrid accounting: the per-step durations in the trace sum
