@@ -382,6 +382,33 @@ impl CostModel {
     /// whole operation belongs on the CPU) and 1.0 when the device
     /// beats the host even carrying the full list.
     pub fn split_fraction(&self, short_len: usize, long_len: usize) -> f64 {
+        self.balance(short_len, long_len, CostModel::cpu_intersect_ns)
+    }
+
+    /// [`CostModel::split_fraction`] when the long list's decoded form
+    /// is host-cached. The CPU lane intersects against the resident
+    /// vector (no decode), so its curve drops and the balanced device
+    /// share shrinks — or collapses to 0 when the resident host beats
+    /// even an empty device slice's fixed overheads. The device lane is
+    /// *not* discounted: a split's range upload bypasses the device LRU
+    /// cache, so it pays full PCIe either way. Same bisection; `g(f)`
+    /// stays monotone because only the CPU curve's slope changed.
+    pub fn split_fraction_host_resident(&self, short_len: usize, long_len: usize) -> f64 {
+        self.balance(
+            short_len,
+            long_len,
+            CostModel::cpu_intersect_host_resident_ns,
+        )
+    }
+
+    /// The bisection behind both split solvers, with `cpu(model, probes,
+    /// elems)` the host lane's curve.
+    fn balance(
+        &self,
+        short_len: usize,
+        long_len: usize,
+        cpu: fn(&CostModel, usize, usize) -> f64,
+    ) -> f64 {
         if long_len == 0 {
             return 0.0;
         }
@@ -391,7 +418,7 @@ impl CostModel {
             let gpu_elems = (f * l).round() as usize;
             let cpu_elems = long_len - gpu_elems.min(long_len);
             let cpu_probes = ((1.0 - f) * s).round() as usize;
-            self.gpu_step_ns(gpu_elems) - self.cpu_intersect_ns(cpu_probes, cpu_elems)
+            self.gpu_step_ns(gpu_elems) - cpu(self, cpu_probes, cpu_elems)
         };
         if g(0.0) >= 0.0 {
             return 0.0; // fixed GPU overhead alone exceeds the CPU's whole-list cost
@@ -412,51 +439,6 @@ impl CostModel {
         // A lane owed less than one element of either list is no lane at
         // all (no short element means no possible match): snap to the
         // degenerate single-processor answer.
-        if f * l < 1.0 || f * s < 1.0 {
-            0.0
-        } else if (1.0 - f) * l < 1.0 || (1.0 - f) * s < 1.0 {
-            1.0
-        } else {
-            f
-        }
-    }
-
-    /// [`CostModel::split_fraction`] when the long list's decoded form
-    /// is host-cached. The CPU lane intersects against the resident
-    /// vector (no decode), so its curve drops and the balanced device
-    /// share shrinks — or collapses to 0 when the resident host beats
-    /// even an empty device slice's fixed overheads. The device lane is
-    /// *not* discounted: a split's range upload bypasses the device LRU
-    /// cache, so it pays full PCIe either way. Same bisection; `g(f)`
-    /// stays monotone because only the CPU curve's slope changed.
-    pub fn split_fraction_host_resident(&self, short_len: usize, long_len: usize) -> f64 {
-        if long_len == 0 {
-            return 0.0;
-        }
-        let l = long_len as f64;
-        let s = short_len as f64;
-        let g = |f: f64| {
-            let gpu_elems = (f * l).round() as usize;
-            let cpu_elems = long_len - gpu_elems.min(long_len);
-            let cpu_probes = ((1.0 - f) * s).round() as usize;
-            self.gpu_step_ns(gpu_elems) - self.cpu_intersect_host_resident_ns(cpu_probes, cpu_elems)
-        };
-        if g(0.0) >= 0.0 {
-            return 0.0;
-        }
-        if g(1.0) <= 0.0 {
-            return 1.0;
-        }
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if g(mid) < 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let f = 0.5 * (lo + hi);
         if f * l < 1.0 || f * s < 1.0 {
             0.0
         } else if (1.0 - f) * l < 1.0 || (1.0 - f) * s < 1.0 {
@@ -635,6 +617,46 @@ mod tests {
         });
         assert_eq!(cal.cpu_decode_ns_per_elem, 1.5);
         assert_eq!(cal.cpu_step_host_resident_ns(1000), 2.5 * 1000.0);
+    }
+
+    /// FNV-1a over the bits of every split fraction on a grid: both
+    /// overlap modes; CPU lanes from 1/16× to 4096× the default speed (so
+    /// interior, zero and snapped answers all occur); long lengths 2^12 …
+    /// 2^22; short lists at ratios 4 … 1024.
+    fn split_grid_digest(cfg: &DeviceConfig, host_resident: bool) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for overlap in [false, true] {
+            let base = CostModel::from_device(cfg, overlap);
+            for k in [1.0 / 16.0, 1.0, 16.0, 256.0, 4096.0] {
+                let m = base
+                    .with_cpu_ns_per_elem(base.cpu_ns_per_elem * k)
+                    .with_cpu_skip_ns_per_probe(base.cpu_skip_ns_per_probe * k);
+                for long in (12..=22).map(|lg| 1usize << lg) {
+                    for short in (2..=10).map(|r| long >> r) {
+                        let f = if host_resident {
+                            m.split_fraction_host_resident(short, long)
+                        } else {
+                            m.split_fraction(short, long)
+                        };
+                        for b in f.to_bits().to_le_bytes() {
+                            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn split_solvers_match_their_pinned_grid_to_the_bit() {
+        // Pinned: any change to the solvers' f64 operation order moves them.
+        let k20 = DeviceConfig::tesla_k20();
+        let tiny = DeviceConfig::test_tiny();
+        assert_eq!(split_grid_digest(&k20, false), 0xa823_174e_28f0_76ec);
+        assert_eq!(split_grid_digest(&k20, true), 0xe0db_949d_7e07_9bc1);
+        assert_eq!(split_grid_digest(&tiny, false), 0x35e1_7b58_c8d8_f727);
+        assert_eq!(split_grid_digest(&tiny, true), 0x1626_f2b4_4b39_f1ab);
     }
 
     #[test]

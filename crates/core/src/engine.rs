@@ -4,7 +4,9 @@
 use std::cell::{Cell, RefCell};
 
 use griffin_cpu::engine::Strategy;
-use griffin_cpu::{setops, CpuEngine, Intermediate, PruneStats, QueryScratch, WorkCounters};
+use griffin_cpu::{
+    setops, CacheStats, CpuEngine, Intermediate, PruneStats, QueryScratch, WorkCounters,
+};
 use griffin_gpu::{DeviceIntermediate, GpuEngine, GpuError, GpuStrategy, HullLedger};
 use griffin_gpu_sim::{Gpu, Scope, StreamKind, VirtualNanos};
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
@@ -14,7 +16,7 @@ use crate::cost::CostModel;
 use crate::plan::{PlanNode, Planner};
 use crate::query::Query;
 use crate::request::{QueryError, QueryRequest};
-use crate::rescache::{CachedResult, ResultCache, ResultCacheStats, RESULT_CACHE_LOOKUP};
+use crate::rescache::{CachedResult, ResultCache, RESULT_CACHE_LOOKUP};
 use crate::sched::{
     Decision, DecisionTrace, Proc, Residency, Scheduler, SplitBalancer, SplitConfig,
 };
@@ -232,9 +234,8 @@ pub struct Griffin<'g> {
     /// shrunk, so steady-state queries stop allocating).
     scratch: RefCell<QueryScratch>,
     /// The top cache tier: whole-query results keyed on the canonical
-    /// request signature. `None` (the default) disables the tier
-    /// entirely; see [`Griffin::set_result_cache`].
-    result_cache: RefCell<Option<ResultCache>>,
+    /// request signature. Off by default; see [`Griffin::set_result_cache`].
+    result_cache: RefCell<ResultCache>,
     /// Index generation stamped into every result-cache key, so bumping
     /// it ([`Griffin::set_index_epoch`]) invalidates all cached answers.
     index_epoch: Cell<u64>,
@@ -252,7 +253,7 @@ impl<'g> Griffin<'g> {
             overlap: true,
             balancer: RefCell::new(SplitBalancer::default()),
             scratch: RefCell::new(QueryScratch::default()),
-            result_cache: RefCell::new(None),
+            result_cache: RefCell::default(),
             index_epoch: Cell::new(0),
         };
         griffin.set_overlap(true);
@@ -290,11 +291,6 @@ impl<'g> Griffin<'g> {
             }
             self.scheduler.cache_model = Some(serial);
         }
-    }
-
-    /// Whether overlapped GPU execution is enabled.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap
     }
 
     /// Enables or disables CPU+GPU co-execution (on by default). With it
@@ -348,25 +344,26 @@ impl<'g> Griffin<'g> {
 
     /// Enables the query result cache — the top tier of the cache
     /// hierarchy — bounded to `max_entries` results and `budget_bytes`
-    /// total bytes. Passing zero for either bound disables the tier
-    /// (the construction default), restoring bit- and time-identical
-    /// execution for every query. See [`crate::rescache`].
+    /// total bytes, with fresh accounting. Passing zero for either bound
+    /// turns the tier off (the construction default), restoring bit- and
+    /// time-identical execution for every query. See [`crate::rescache`].
     pub fn set_result_cache(&self, max_entries: usize, budget_bytes: u64) {
         *self.result_cache.borrow_mut() = if max_entries == 0 || budget_bytes == 0 {
-            None
+            ResultCache::default()
         } else {
-            Some(ResultCache::new(max_entries, budget_bytes))
+            ResultCache::new(budget_bytes).with_max_entries(max_entries)
         };
     }
 
     /// Whether the query result cache is enabled.
     pub fn result_cache_enabled(&self) -> bool {
-        self.result_cache.borrow().is_some()
+        self.result_cache.borrow().is_on()
     }
 
-    /// Result-cache accounting, `None` while the tier is disabled.
-    pub fn result_cache_stats(&self) -> Option<ResultCacheStats> {
-        self.result_cache.borrow().as_ref().map(|c| c.stats())
+    /// Result-cache accounting, `None` while the tier is off.
+    pub fn result_cache_stats(&self) -> Option<CacheStats> {
+        let cache = self.result_cache.borrow();
+        cache.is_on().then(|| cache.stats())
     }
 
     /// Non-perturbing result-cache probe: the cached answer for `req`
@@ -374,11 +371,16 @@ impl<'g> Griffin<'g> {
     /// This is the admission queue's stale-serve path — an overloaded
     /// server may answer a shed query from here, explicitly flagged.
     pub fn result_cache_peek(&self, req: &QueryRequest) -> Option<CachedResult> {
-        let guard = self.result_cache.borrow();
-        let cache = guard.as_ref()?;
-        cache
-            .peek(&req.cache_signature(self.index_epoch.get()))
-            .cloned()
+        let key = self.result_key(req)?;
+        self.result_cache.borrow().peek(&key).cloned()
+    }
+
+    /// `req`'s result-cache key, or `None` when the tier is off or the
+    /// query is `Query::Nothing` (never cached: its execution is already
+    /// free).
+    fn result_key(&self, req: &QueryRequest) -> Option<String> {
+        (self.result_cache.borrow().is_on() && req.query != Query::Nothing)
+            .then(|| req.cache_signature(self.index_epoch.get()))
     }
 
     /// The index generation stamped into result-cache keys.
@@ -396,9 +398,7 @@ impl<'g> Griffin<'g> {
     /// copy actually goes stale.
     pub fn set_index_epoch(&self, epoch: u64) {
         self.index_epoch.set(epoch);
-        if let Some(cache) = self.result_cache.borrow_mut().as_mut() {
-            cache.clear();
-        }
+        self.result_cache.borrow_mut().clear();
         self.cpu.clear_host_cache();
     }
 
@@ -419,39 +419,18 @@ impl<'g> Griffin<'g> {
     /// value (the same race-tolerant pattern as the SIMD dispatch
     /// totals).
     pub fn export_cache_metrics(&self) {
-        let dev = self.gpu.cache_stats();
-        let host = self.cpu.host_cache_stats();
-        let res = self.result_cache_stats().unwrap_or_default();
-        let tiers: [(&str, u64, u64, u64, u64); 3] = [
-            (
-                "device",
-                dev.hits,
-                dev.misses,
-                dev.evictions,
-                dev.bytes_resident,
-            ),
-            (
-                "host",
-                host.hits,
-                host.misses,
-                host.evictions,
-                host.bytes_resident,
-            ),
-            (
-                "result",
-                res.hits,
-                res.misses,
-                res.evictions,
-                res.bytes_resident,
-            ),
+        let tiers = [
+            ("device", self.gpu.cache_stats().lru),
+            ("host", self.cpu.host_cache_stats()),
+            ("result", self.result_cache_stats().unwrap_or_default()),
         ];
         self.telemetry.with(|r| {
-            for (tier, hits, misses, evictions, bytes) in tiers {
+            for (tier, s) in tiers {
                 for (stat, v) in [
-                    ("hits", hits),
-                    ("misses", misses),
-                    ("evictions", evictions),
-                    ("bytes_resident", bytes),
+                    ("hits", s.hits),
+                    ("misses", s.misses),
+                    ("evictions", s.evictions),
+                    ("bytes_resident", s.bytes_resident),
                 ] {
                     r.registry
                         .gauge_set(&format!("griffin_cache_{tier}_{stat}"), v as f64);
@@ -465,14 +444,8 @@ impl<'g> Griffin<'g> {
     /// time as a single host step, and marks the output. `Query::Nothing`
     /// is never cached — its execution is already free.
     fn result_cache_lookup(&self, req: &QueryRequest) -> Option<GriffinOutput> {
-        if req.query == Query::Nothing {
-            return None;
-        }
-        let hit = {
-            let mut guard = self.result_cache.borrow_mut();
-            let cache = guard.as_mut()?;
-            cache.get(&req.cache_signature(self.index_epoch.get()))?
-        };
+        let key = self.result_key(req)?;
+        let hit = self.result_cache.borrow_mut().get(&key)?.clone();
         let time = hit.time.min(RESULT_CACHE_LOOKUP);
         self.telemetry
             .counter_add("griffin_result_cache_served_total", 1);
@@ -494,17 +467,13 @@ impl<'g> Griffin<'g> {
 
     /// Stores an executed answer for future repeats of `req`.
     fn result_cache_store(&self, req: &QueryRequest, out: &GriffinOutput) {
-        if req.query == Query::Nothing {
-            return;
-        }
-        if let Some(cache) = self.result_cache.borrow_mut().as_mut() {
-            cache.insert(
-                req.cache_signature(self.index_epoch.get()),
-                CachedResult {
-                    topk: out.topk.clone(),
-                    time: out.time,
-                },
-            );
+        if let Some(key) = self.result_key(req) {
+            let result = CachedResult {
+                topk: out.topk.clone(),
+                time: out.time,
+            };
+            let bytes = result.bytes(&key);
+            self.result_cache.borrow_mut().insert(key, result, bytes);
         }
     }
 

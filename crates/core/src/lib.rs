@@ -34,10 +34,10 @@ pub mod serving;
 pub use cost::{CostModel, DeviceStepCounts, KernelMeasurements};
 pub use engine::{ExecMode, Griffin, GriffinOutput, RecoveryPolicy, Search, StepOp, StepTrace};
 pub use fleet::{merge_topk, FleetInfo, ShardOutcome, ShardStatus, ShardedIndex};
-pub use griffin_cpu::PruneStats;
+pub use griffin_cpu::{CacheStats, PruneStats};
 pub use plan::{Plan, PlanNode, Planner};
 pub use query::Query;
 pub use request::{QueryError, QueryRequest};
-pub use rescache::{CachedResult, ResultCache, ResultCacheStats, RESULT_CACHE_LOOKUP};
+pub use rescache::{CachedResult, ResultCache, RESULT_CACHE_LOOKUP};
 pub use sched::{Decision, DecisionTrace, Proc, Residency, Scheduler, SplitBalancer, SplitConfig};
 pub use serving::{Resource, StageReq};

@@ -9,16 +9,15 @@
 //! that changes the answer (or segment churn bumping the epoch) misses
 //! naturally.
 //!
-//! The cache is LRU, bounded by *both* an entry count and a byte budget.
-//! Disabled (the default — [`crate::Griffin`] constructs without one),
-//! every query executes exactly as before the cache existed: identical
-//! bits, identical virtual time. Enabled, a hit returns the stored
-//! top-k bit-for-bit and charges `min(lookup, original)` virtual time,
-//! so cached serving is strictly no worse than recomputing.
+//! The tier is the shared [`Lru`], bounded by *both* an entry count and a
+//! byte budget. Off (the default — [`crate::Griffin`] constructs without
+//! it), every query executes exactly as before the cache existed:
+//! identical bits, identical virtual time. On, a hit returns the stored
+//! top-k bit-for-bit and charges `min(lookup, original)` virtual time, so
+//! cached serving is strictly no worse than recomputing.
 
+use griffin_cpu::Lru;
 use griffin_gpu_sim::VirtualNanos;
-
-use std::collections::HashMap;
 
 /// Virtual cost of a result-cache hit: one hash probe, a key compare,
 /// and cloning the top-k. Hits charge `min` of this and the entry's
@@ -30,30 +29,8 @@ pub const RESULT_CACHE_LOOKUP: VirtualNanos = VirtualNanos::from_nanos(2_000);
 /// of the key and the top-k payload.
 const ENTRY_OVERHEAD_BYTES: u64 = 96;
 
-/// Hit/miss/eviction accounting, mirroring the device and host tiers'
-/// stats so all three export under one metric scheme.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResultCacheStats {
-    /// Requests answered from the cache.
-    pub hits: u64,
-    /// Requests that had to execute.
-    pub misses: u64,
-    /// Entries displaced by the entry or byte bound.
-    pub evictions: u64,
-    /// Bytes (keys + payloads + overhead) currently resident.
-    pub bytes_resident: u64,
-}
-
-impl ResultCacheStats {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+/// The result tier: request signature → cached answer.
+pub type ResultCache = Lru<String, CachedResult>;
 
 /// One cached answer: the exact top-k bits plus the virtual time the
 /// original execution took (what a hit saves, and what stale serving
@@ -66,131 +43,12 @@ pub struct CachedResult {
     pub time: VirtualNanos,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    result: CachedResult,
-    last_used: u64,
-    bytes: u64,
-}
-
-/// Entry- and byte-bounded LRU over query results. See the module docs.
-#[derive(Debug, Clone)]
-pub struct ResultCache {
-    map: HashMap<String, Entry>,
-    clock: u64,
-    bytes: u64,
-    max_entries: usize,
-    budget_bytes: u64,
-    stats: ResultCacheStats,
-}
-
-impl ResultCache {
-    /// A cache bounded to `max_entries` results and `budget_bytes`
-    /// total bytes (both enforced; zero for either disables insertion).
-    pub fn new(max_entries: usize, budget_bytes: u64) -> ResultCache {
-        ResultCache {
-            map: HashMap::new(),
-            clock: 0,
-            bytes: 0,
-            max_entries,
-            budget_bytes,
-            stats: ResultCacheStats::default(),
-        }
-    }
-
-    /// Looks up a cached answer, bumping its LRU stamp.
-    pub fn get(&mut self, key: &str) -> Option<CachedResult> {
-        self.clock += 1;
-        match self.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = self.clock;
-                self.stats.hits += 1;
-                Some(e.result.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Peeks at a cached answer *without* LRU effects or hit/miss
-    /// accounting — the admission queue's stale-serve probe, which must
-    /// not perturb what a later real lookup would find.
-    pub fn peek(&self, key: &str) -> Option<&CachedResult> {
-        self.map.get(key).map(|e| &e.result)
-    }
-
-    /// Stores an answer. Oversized results (alone over the byte budget)
-    /// are refused; otherwise LRU entries are evicted until both bounds
-    /// hold.
-    pub fn insert(&mut self, key: String, result: CachedResult) {
-        let bytes = (key.len() + result.topk.len() * std::mem::size_of::<(u32, f32)>()) as u64
-            + ENTRY_OVERHEAD_BYTES;
-        if bytes > self.budget_bytes || self.max_entries == 0 {
-            return;
-        }
-        self.clock += 1;
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.bytes;
-        }
-        self.evict_to_fit(bytes);
-        self.bytes += bytes;
-        self.map.insert(
-            key,
-            Entry {
-                result,
-                last_used: self.clock,
-                bytes,
-            },
-        );
-        self.stats.bytes_resident = self.bytes;
-    }
-
-    /// Evicts least-recently-used entries until `incoming` more bytes
-    /// and one more entry fit within both bounds.
-    fn evict_to_fit(&mut self, incoming: u64) {
-        while (self.bytes + incoming > self.budget_bytes || self.map.len() >= self.max_entries)
-            && !self.map.is_empty()
-        {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            let e = self.map.remove(&victim).expect("victim is present");
-            self.bytes -= e.bytes;
-            self.stats.evictions += 1;
-        }
-        self.stats.bytes_resident = self.bytes;
-    }
-
-    /// Drops every entry (index epoch change or explicit flush); the
-    /// hit/miss/eviction history is kept.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.bytes = 0;
-        self.stats.bytes_resident = 0;
-    }
-
-    /// Number of results currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Bytes currently resident (keys + payloads + overhead).
-    pub fn bytes_resident(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Snapshot of the accounting so far.
-    pub fn stats(&self) -> ResultCacheStats {
-        self.stats
+impl CachedResult {
+    /// Bytes this answer charges against the tier's budget when stored
+    /// under `key`: the key, the top-k payload and a fixed overhead.
+    pub fn bytes(&self, key: &str) -> u64 {
+        (key.len() + self.topk.len() * std::mem::size_of::<(u32, f32)>()) as u64
+            + ENTRY_OVERHEAD_BYTES
     }
 }
 
@@ -198,74 +56,18 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn result(n: usize) -> CachedResult {
-        CachedResult {
-            topk: (0..n as u32).map(|d| (d, d as f32)).collect(),
-            time: VirtualNanos::from_micros(50),
-        }
-    }
-
     #[test]
     fn hit_returns_the_exact_stored_result() {
-        let mut c = ResultCache::new(16, 1 << 16);
-        let r = result(10);
-        c.insert("q1".into(), r.clone());
-        assert_eq!(c.get("q1"), Some(r));
+        let mut c = ResultCache::new(1 << 16).with_max_entries(16);
+        let r = CachedResult {
+            topk: (0..10u32).map(|d| (d, d as f32)).collect(),
+            time: VirtualNanos::from_micros(50),
+        };
+        c.insert("q1".into(), r.clone(), r.bytes("q1"));
+        assert_eq!(c.get("q1"), Some(&r));
         assert_eq!(c.get("q2"), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn entry_bound_evicts_lru() {
-        let mut c = ResultCache::new(2, 1 << 20);
-        c.insert("a".into(), result(4));
-        c.insert("b".into(), result(4));
-        assert!(c.get("a").is_some()); // bump a: b is now LRU
-        c.insert("c".into(), result(4));
-        assert_eq!(c.len(), 2);
-        assert!(c.peek("a").is_some());
-        assert!(c.peek("b").is_none());
-        assert!(c.peek("c").is_some());
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn byte_bound_is_never_exceeded() {
-        let budget = 1_000;
-        let mut c = ResultCache::new(usize::MAX, budget);
-        for i in 0..50 {
-            c.insert(format!("query-{i}"), result(10 + i % 7));
-            assert!(
-                c.bytes_resident() <= budget,
-                "resident {} over budget after insert {i}",
-                c.bytes_resident()
-            );
-        }
-        // An oversized single result is refused outright.
-        let mut tiny = ResultCache::new(16, 64);
-        tiny.insert("big".into(), result(1_000));
-        assert!(tiny.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_count_or_reorder() {
-        let mut c = ResultCache::new(16, 1 << 16);
-        c.insert("a".into(), result(4));
-        let before = c.stats();
-        assert!(c.peek("a").is_some());
-        assert!(c.peek("zzz").is_none());
-        assert_eq!(c.stats(), before);
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_history() {
-        let mut c = ResultCache::new(16, 1 << 16);
-        c.insert("a".into(), result(4));
-        let _ = c.get("a");
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.bytes_resident(), 0);
-        assert_eq!(c.stats().hits, 1);
+        assert_eq!(s.bytes_resident, 2 + 10 * 8 + 96);
     }
 }

@@ -15,7 +15,7 @@ use griffin_index::{InvertedIndex, TermId};
 use crate::cost::{CpuCostModel, WorkCounters};
 use crate::decode;
 use crate::intersect::{self, Matches};
-use crate::listcache::{HostCacheStats, HostListCache};
+use crate::lru::{CacheStats, Lru};
 use crate::rank::Bm25;
 use crate::simd;
 use crate::topk;
@@ -130,12 +130,22 @@ pub struct CpuEngine {
     pub bm25: Bm25,
     /// `Auto` switches from merge to skip-binary at this long/short ratio.
     pub merge_ratio_threshold: usize,
-    /// Host-side decoded-list cache (term → decoded docIDs). Budget 0
-    /// (the default) disables it; see [`HostListCache`] for the bit- and
-    /// time-exactness invariants. Interior-mutable because every query
-    /// entry point takes `&self`.
-    host_cache: RefCell<HostListCache>,
+    /// The host decoded-list tier: term → decoded docIDs, so a hit skips
+    /// decompression entirely (merge and pure-binary intersect against
+    /// the vector; skip search, the split path's CPU lane included,
+    /// binary-searches slices of it). Off by default, and an off tier is
+    /// invisible: an engine with it off is bit- and time-identical to one
+    /// without it. On, bits are unchanged (the cached vector *is* the
+    /// decode output) and every cached path charges exactly its decoding
+    /// twin's counters minus the decode work (see
+    /// `intersect::skip_intersect_range_cached`). Interior-mutable because
+    /// every query entry point takes `&self`.
+    host_cache: RefCell<Lru<TermId, Arc<Vec<u32>>>>,
 }
+
+/// Per-entry bookkeeping a decoded list charges against the host budget
+/// on top of its payload (map slot, `Arc` header, LRU stamp).
+const HOST_ENTRY_OVERHEAD_BYTES: u64 = 64;
 
 impl CpuEngine {
     pub fn new() -> Self {
@@ -143,34 +153,26 @@ impl CpuEngine {
             model: CpuCostModel::default(),
             bm25: Bm25::default(),
             merge_ratio_threshold: 16,
-            host_cache: RefCell::new(HostListCache::default()),
+            host_cache: RefCell::default(),
         }
     }
 
     /// Configures the host decoded-list cache's byte budget. 0 (the
-    /// default) disables the tier entirely.
+    /// default) turns the tier off.
     pub fn set_host_cache_budget(&self, bytes: u64) {
-        self.host_cache.borrow_mut().set_budget(bytes);
-    }
-
-    /// Whether the host decoded-list cache is participating (budget > 0).
-    pub fn host_cache_enabled(&self) -> bool {
-        self.host_cache.borrow().enabled()
+        self.host_cache
+            .borrow_mut()
+            .set_budget((bytes > 0).then_some(bytes));
     }
 
     /// Non-counting residency probe for the cache-aware scheduler.
     pub fn host_cache_contains(&self, term: TermId) -> bool {
-        self.host_cache.borrow().contains(term)
+        self.host_cache.borrow().contains(&term)
     }
 
     /// Hit/miss/eviction/bytes accounting for the host tier.
-    pub fn host_cache_stats(&self) -> HostCacheStats {
+    pub fn host_cache_stats(&self) -> CacheStats {
         self.host_cache.borrow().stats()
-    }
-
-    /// Decoded bytes (plus overhead) resident in the host tier.
-    pub fn host_cache_bytes(&self) -> u64 {
-        self.host_cache.borrow().bytes_resident()
     }
 
     /// Drops every cached decoded list (index epoch change).
@@ -182,22 +184,30 @@ impl CpuEngine {
     /// charging the work to any query (an offline warming step, like the
     /// device tier's prefetch). Returns whether the list is now resident.
     pub fn warm_host_cache(&self, index: &InvertedIndex, term: TermId) -> bool {
-        if !self.host_cache.borrow().enabled() {
+        if !self.host_cache.borrow().is_on() {
             return false;
         }
-        if self.host_cache.borrow().contains(term) {
-            return true;
+        if !self.host_cache_contains(term) {
+            let mut w = WorkCounters::default();
+            self.cache_decoded(term, decode::decode_list(&index.list(term).docs, &mut w));
         }
-        let mut w = WorkCounters::default();
-        let decoded = Arc::new(decode::decode_list(&index.list(term).docs, &mut w));
-        self.host_cache.borrow_mut().insert(term, decoded);
-        self.host_cache.borrow().contains(term)
+        self.host_cache_contains(term)
+    }
+
+    /// Offers a freshly decoded list to the host tier.
+    fn cache_decoded(&self, term: TermId, decoded: Vec<u32>) -> Arc<Vec<u32>> {
+        let bytes = (decoded.len() * std::mem::size_of::<u32>()) as u64 + HOST_ENTRY_OVERHEAD_BYTES;
+        let decoded = Arc::new(decoded);
+        self.host_cache
+            .borrow_mut()
+            .insert(term, Arc::clone(&decoded), bytes);
+        decoded
     }
 
     /// Counting cache consult: hit bumps LRU, miss is recorded. Call only
     /// on paths that would otherwise decode the list.
     fn cached_decoded(&self, term: TermId) -> Option<Arc<Vec<u32>>> {
-        self.host_cache.borrow_mut().get(term)
+        self.host_cache.borrow_mut().get(&term).cloned()
     }
 
     /// The full decoded docID list for `term`: from the host cache on a
@@ -212,9 +222,7 @@ impl CpuEngine {
         if let Some(d) = self.cached_decoded(term) {
             return d;
         }
-        let d = Arc::new(decode::decode_list(list, w));
-        self.host_cache.borrow_mut().insert(term, Arc::clone(&d));
-        d
+        self.cache_decoded(term, decode::decode_list(list, w))
     }
 
     /// Orders the query's terms by ascending document frequency (SvS starts

@@ -22,7 +22,7 @@ pub mod cost;
 pub mod decode;
 pub mod engine;
 pub mod intersect;
-pub mod listcache;
+pub mod lru;
 pub mod rank;
 pub mod setops;
 pub mod simd;
@@ -31,6 +31,6 @@ pub mod topk;
 pub use cost::{CpuConfig, CpuCostModel, WorkCounters};
 pub use engine::{ChainResult, CpuEngine, Intermediate, PruneStats, PrunedOutput, QueryOutput};
 pub use intersect::{Matches, QueryScratch};
-pub use listcache::{HostCacheStats, HostListCache};
+pub use lru::{CacheStats, Lru};
 pub use rank::Bm25;
 pub use simd::{ForceMode, KernelPath};

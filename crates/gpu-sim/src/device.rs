@@ -497,32 +497,16 @@ impl Gpu {
     }
 
     /// Allocate-and-fill several arrays with a *single* DMA transfer (one
-    /// PCIe latency charge for the combined payload) — models packing
-    /// multiple arrays into one `cudaMemcpy`, which any serious
-    /// implementation does for per-list metadata.
-    pub fn htod_packed(&self, parts: &[&[u32]]) -> Result<Vec<DeviceBuffer<u32>>, DeviceError> {
-        let total_bytes: u64 = parts.iter().map(|p| p.len() as u64 * 4).sum();
-        self.htod_fault(total_bytes)?;
-        let mut pool = self.lock_pool();
-        self.reserve(&mut pool, total_bytes)?;
-        let out = parts
-            .iter()
-            .map(|part| {
-                let (id, generation) = pool.alloc(part.to_vec(), false);
-                DeviceBuffer::new(id, part.len(), generation)
-            })
-            .collect();
-        drop(pool);
-        self.finish_htod(total_bytes);
-        Ok(out)
-    }
-
-    /// [`Self::htod_packed_n`] taking ownership of the staged arrays: the
-    /// host-side storage is *moved* into the device pool instead of being
-    /// copied part by part. This removes one full memcpy of every list
-    /// image from the hot transfer path (the staging buffers engines
-    /// build are dropped right after the upload anyway).
-    pub fn htod_packed_owned<const N: usize>(
+    /// PCIe latency charge, one fault draw and one `cudaMalloc` for the
+    /// combined payload) — models packing multiple arrays into one
+    /// `cudaMemcpy`, which any serious implementation does for per-list
+    /// metadata. The staged arrays are *moved* into the device pool, not
+    /// copied; callers destructure the result:
+    ///
+    /// ```ignore
+    /// let [hb, lb] = gpu.htod_packed([high_bits, low_bits])?;
+    /// ```
+    pub fn htod_packed<const N: usize>(
         &self,
         parts: [Vec<u32>; N],
     ) -> Result<[DeviceBuffer<u32>; N], DeviceError> {
@@ -538,22 +522,6 @@ impl Gpu {
         drop(pool);
         self.finish_htod(total_bytes);
         Ok(out)
-    }
-
-    /// [`Self::htod_packed`] with a compile-time part count, letting callers
-    /// destructure the uploaded buffers instead of popping a `Vec`:
-    ///
-    /// ```ignore
-    /// let [hb, lb] = gpu.htod_packed_n([&high_bits, &low_bits])?;
-    /// ```
-    pub fn htod_packed_n<const N: usize>(
-        &self,
-        parts: [&[u32]; N],
-    ) -> Result<[DeviceBuffer<u32>; N], DeviceError> {
-        let bufs = self.htod_packed(&parts)?;
-        Ok(bufs
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("htod_packed returns one buffer per part")))
     }
 
     /// One device→host DMA of `bytes`, its payload taken from the pool by
@@ -1349,26 +1317,6 @@ mod tests {
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
         gpu.free(dst);
         gpu.free(src2);
-    }
-
-    #[test]
-    fn htod_packed_owned_matches_htod_packed() {
-        let borrowed = Gpu::new(DeviceConfig::test_tiny());
-        let a: Vec<u32> = (0..1000).collect();
-        let b: Vec<u32> = (0..37).map(|i| i * 3).collect();
-        let [ba, bb] = borrowed.htod_packed_n([&a, &b]).unwrap();
-        let owned = Gpu::new(DeviceConfig::test_tiny());
-        let [oa, ob] = owned.htod_packed_owned([a.clone(), b.clone()]).unwrap();
-        assert_eq!(borrowed.now(), owned.now(), "identical charge");
-        assert_eq!(borrowed.dtoh(&ba).unwrap(), owned.dtoh(&oa).unwrap());
-        assert_eq!(borrowed.dtoh(&bb).unwrap(), owned.dtoh(&ob).unwrap());
-        assert_eq!(owned.dtoh(&ob).unwrap(), b);
-        for (g, bufs) in [(&borrowed, [ba, bb]), (&owned, [oa, ob])] {
-            for buf in bufs {
-                g.free(buf);
-            }
-            assert_eq!(g.mem_in_use(), 0);
-        }
     }
 
     #[test]

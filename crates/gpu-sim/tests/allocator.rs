@@ -130,8 +130,8 @@ fn uploads_never_enter_the_pool() {
     let gpu = tiny();
     let cfg = gpu.config().clone();
     let up = gpu.htod(&[7u32; 1000]).unwrap();
-    let [a, b] = gpu.htod_packed_n([&[1u32; 1000], &[2u32; 24]]).unwrap();
-    let [c] = gpu.htod_packed_owned([vec![3u32; 1000]]).unwrap();
+    let [a, b] = gpu.htod_packed([vec![1u32; 1000], vec![2u32; 24]]).unwrap();
+    let [c] = gpu.htod_packed([vec![3u32; 1000]]).unwrap();
     assert_eq!(gpu.mem_cached(), 0, "uploads are exact-size");
     for buf in [up, a, b, c] {
         let t0 = gpu.now();

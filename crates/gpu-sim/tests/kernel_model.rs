@@ -299,11 +299,14 @@ fn trace_sampling_extrapolates_accurately() {
 #[test]
 fn packed_transfer_charges_one_latency() {
     let gpu = tiny();
-    let parts: Vec<Vec<u32>> = (0..8).map(|i| vec![i as u32; 64]).collect();
-    let refs: Vec<&[u32]> = parts.iter().map(Vec::as_slice).collect();
-    let t0 = gpu.now();
-    let bufs = gpu.htod_packed(&refs).unwrap();
+    let parts: [Vec<u32>; 8] = std::array::from_fn(|i| vec![i as u32; 64]);
+    let (t0, before) = (gpu.now(), gpu.stats());
+    let bufs = gpu.htod_packed(parts.clone()).unwrap();
     let t_packed = gpu.now() - t0;
+    // One driver allocation and one DMA carry every part's words.
+    let after = gpu.stats();
+    assert_eq!(after.allocs - before.allocs, 1);
+    assert_eq!(after.htod_bytes - before.htod_bytes, 8 * 64 * 4);
     for (buf, part) in bufs.iter().zip(&parts) {
         assert_eq!(&gpu.dtoh(buf).unwrap(), part);
     }
@@ -320,6 +323,10 @@ fn packed_transfer_charges_one_latency() {
         t_packed,
         t_individual
     );
+    for buf in bufs {
+        gpu.free(buf);
+    }
+    assert_eq!(gpu.mem_in_use(), 0);
 }
 
 #[test]

@@ -8,12 +8,12 @@
 //! surviving (docid, score) pairs.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use griffin_cpu::cost::WorkCounters;
 use griffin_cpu::rank::Bm25;
-use griffin_cpu::{topk, Intermediate};
+use griffin_cpu::{topk, CacheStats, Intermediate, Lru};
 use griffin_gpu_sim::{
     DeviceBuffer, Gpu, Kernel, LaunchConfig, Op, Scope, StreamEvent, StreamKind, ThreadCtx,
     VirtualNanos,
@@ -299,7 +299,20 @@ pub struct GpuEngine<'g> {
     doc_lens: Option<DeviceBuffer<u32>>,
     avg_doc_len: f32,
     num_docs: u32,
-    cache: RefCell<ListCache>,
+    /// LRU of device-resident posting lists. The paper's prototype
+    /// re-ships lists per query; its related-work section criticizes
+    /// caching *everything* on the 5 GB device as unscalable, and its
+    /// future work calls for "more advanced scheduling and data transfer
+    /// management". This bounded LRU is that extension: hot lists
+    /// (Zipf-distributed query terms hit few lists) stay resident, cold
+    /// lists are evicted and freed. A list a query step still holds is
+    /// pinned. Budget 0 ([`GpuEngine::set_cache_budget`]) is the
+    /// paper-faithful per-query transfer: nothing stays resident and every
+    /// upload is a counted miss.
+    cache: RefCell<Lru<TermId, Rc<DevicePostings>>>,
+    /// The prefetch half of [`DeviceCacheStats`].
+    prefetch_issued: Cell<u64>,
+    prefetch_consumed: Cell<u64>,
     /// Whether [`GpuEngine::process_query`] runs with copy/compute
     /// overlap (async streams + list prefetch). On by default; results
     /// are bit-exact either way, only the modeled latency changes.
@@ -321,76 +334,24 @@ struct Prefetched {
 }
 
 /// Device list-cache and prefetch counters (reset never; snapshot with
-/// [`GpuEngine::cache_stats`]).
+/// [`GpuEngine::cache_stats`]). Dereferences to the list LRU's
+/// [`CacheStats`]: `hits` are uploads answered from the device cache,
+/// `misses` uploads that went over PCIe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Uploads answered from the device-resident LRU cache.
-    pub hits: u64,
-    /// Uploads that went over PCIe.
-    pub misses: u64,
+pub struct DeviceCacheStats {
+    /// The list LRU's own counts.
+    pub lru: CacheStats,
     /// Prefetches issued on the copy stream.
     pub prefetch_issued: u64,
     /// Prefetches consumed by a later operation (the rest were wasted).
     pub prefetch_consumed: u64,
-    /// Resident lists displaced to fit newer ones within the budget.
-    pub evictions: u64,
-    /// Device bytes currently held by cached lists.
-    pub bytes_resident: u64,
 }
 
-impl CacheStats {
-    /// Fraction of uploads served from the device cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+impl Deref for DeviceCacheStats {
+    type Target = CacheStats;
 
-/// LRU cache of device-resident posting lists.
-///
-/// The paper's prototype re-ships lists per query; its related-work
-/// section criticizes caching *everything* on the 5 GB device as
-/// unscalable, and its future work calls for "more advanced scheduling
-/// and data transfer management". This bounded LRU is that extension: hot
-/// lists (Zipf-distributed query terms hit few lists) stay resident, cold
-/// lists are evicted. Disable with [`GpuEngine::set_cache_budget`] (0) for
-/// the paper-faithful per-query-transfer behaviour (the ablation bench
-/// measures both).
-struct ListCache {
-    map: HashMap<TermId, CacheEntry>,
-    clock: u64,
-    bytes: u64,
-    budget: u64,
-    stats: CacheStats,
-}
-
-struct CacheEntry {
-    postings: Rc<DevicePostings>,
-    last_used: u64,
-    bytes: u64,
-}
-
-impl ListCache {
-    fn evict_to_fit(&mut self, gpu: &Gpu) {
-        while self.bytes > self.budget {
-            // Oldest entry not currently borrowed by a query step.
-            let victim = self
-                .map
-                .iter()
-                .filter(|(_, e)| Rc::strong_count(&e.postings) == 1)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&t, _)| t);
-            let Some(t) = victim else { break };
-            let e = self.map.remove(&t).expect("victim exists");
-            self.bytes -= e.bytes;
-            self.stats.evictions += 1;
-            let postings = Rc::try_unwrap(e.postings).expect("count was 1");
-            postings.free(gpu);
-        }
+    fn deref(&self) -> &CacheStats {
+        &self.lru
     }
 }
 
@@ -418,13 +379,12 @@ impl<'g> GpuEngine<'g> {
             doc_lens,
             avg_doc_len: meta.avg_doc_len,
             num_docs: meta.num_docs,
-            cache: RefCell::new(ListCache {
-                map: HashMap::new(),
-                clock: 0,
-                bytes: 0,
-                budget: gpu.config().global_mem_bytes * 3 / 4,
-                stats: CacheStats::default(),
-            }),
+            cache: RefCell::new(
+                Lru::new(gpu.config().global_mem_bytes * 3 / 4)
+                    .with_pins(|p: &Rc<DevicePostings>| Rc::strong_count(p) > 1),
+            ),
+            prefetch_issued: Cell::new(0),
+            prefetch_consumed: Cell::new(0),
             overlap: Cell::new(true),
             prefetched: RefCell::new(Vec::new()),
         }
@@ -437,18 +397,14 @@ impl<'g> GpuEngine<'g> {
         self.overlap.set(on);
     }
 
-    /// Whether overlapped execution is enabled.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap.get()
-    }
-
     /// Snapshot of the list-cache and prefetch counters. `bytes_resident`
     /// reflects the cache's custody at snapshot time.
-    pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.borrow();
-        let mut s = cache.stats;
-        s.bytes_resident = cache.bytes;
-        s
+    pub fn cache_stats(&self) -> DeviceCacheStats {
+        DeviceCacheStats {
+            lru: self.cache.borrow().stats(),
+            prefetch_issued: self.prefetch_issued.get(),
+            prefetch_consumed: self.prefetch_consumed.get(),
+        }
     }
 
     /// Non-counting residency probe for the cache-aware scheduler: does
@@ -457,7 +413,7 @@ impl<'g> GpuEngine<'g> {
     /// prefetch counts — the list is (or will be) device-resident before
     /// any kernel the current decision schedules.
     pub fn is_resident(&self, term: TermId) -> bool {
-        self.cache.borrow().map.contains_key(&term)
+        self.cache.borrow().contains(&term)
             || self
                 .prefetched
                 .borrow()
@@ -468,9 +424,18 @@ impl<'g> GpuEngine<'g> {
     /// Sets the device-cache budget in bytes (0 disables caching and
     /// restores the paper's per-query transfer behaviour).
     pub fn set_cache_budget(&self, bytes: u64) {
-        let mut cache = self.cache.borrow_mut();
-        cache.budget = bytes;
-        cache.evict_to_fit(self.gpu);
+        let victims = self.cache.borrow_mut().set_budget(Some(bytes));
+        self.free_evicted(victims);
+    }
+
+    /// Frees lists the LRU evicted, in eviction order: each is a charged,
+    /// counted `cudaFree`.
+    fn free_evicted(&self, victims: Vec<Rc<DevicePostings>>) {
+        for postings in victims {
+            Rc::try_unwrap(postings)
+                .expect("the LRU evicts only unpinned lists")
+                .free(self.gpu);
+        }
     }
 
     fn params(&self, doc_freq: u32) -> ScoreParams {
@@ -503,7 +468,7 @@ impl<'g> GpuEngine<'g> {
             // the operation that consumes the list.
             let postings = p.result?;
             self.gpu.stream_wait(StreamKind::Compute, p.uploaded);
-            self.cache.borrow_mut().stats.prefetch_consumed += 1;
+            self.prefetch_consumed.set(self.prefetch_consumed.get() + 1);
             return Ok(postings);
         }
         let (postings, uploaded) = self.upload_nowait(index, term)?;
@@ -542,19 +507,11 @@ impl<'g> GpuEngine<'g> {
         index: &InvertedIndex,
         term: TermId,
     ) -> Result<(Rc<DevicePostings>, StreamEvent), GpuError> {
-        let mut cache = self.cache.borrow_mut();
-        cache.clock += 1;
-        let clock = cache.clock;
-        if let Some(e) = cache.map.get_mut(&term) {
-            e.last_used = clock;
-            let postings = Rc::clone(&e.postings);
-            cache.stats.hits += 1;
+        if let Some(postings) = self.cache.borrow_mut().get(&term) {
             // Resident data: any earlier upload of this list was already
             // ordered before compute when it was first consumed.
-            return Ok((postings, StreamEvent::READY));
+            return Ok((Rc::clone(postings), StreamEvent::READY));
         }
-        cache.stats.misses += 1;
-        drop(cache);
         let postings = Rc::new(DevicePostings::upload(
             self.gpu,
             index.list(term),
@@ -564,19 +521,11 @@ impl<'g> GpuEngine<'g> {
         let bytes = postings.docs.bytes_shipped
             + postings.tf_words.size_bytes()
             + postings.tf_offsets.size_bytes();
-        let mut cache = self.cache.borrow_mut();
-        if bytes <= cache.budget {
-            cache.bytes += bytes;
-            cache.map.insert(
-                term,
-                CacheEntry {
-                    postings: Rc::clone(&postings),
-                    last_used: clock,
-                    bytes,
-                },
-            );
-            cache.evict_to_fit(self.gpu);
-        }
+        let victims = self
+            .cache
+            .borrow_mut()
+            .insert(term, Rc::clone(&postings), bytes);
+        self.free_evicted(victims);
         Ok((postings, uploaded))
     }
 
@@ -599,7 +548,7 @@ impl<'g> GpuEngine<'g> {
             Ok((postings, ev)) => (Ok(postings), ev),
             Err(e) => (Err(e), StreamEvent::READY),
         };
-        self.cache.borrow_mut().stats.prefetch_issued += 1;
+        self.prefetch_issued.set(self.prefetch_issued.get() + 1);
         self.prefetched.borrow_mut().push(Prefetched {
             term,
             result,
@@ -764,7 +713,7 @@ impl<'g> GpuEngine<'g> {
         scores: &[f32],
     ) -> Result<DeviceIntermediate, GpuError> {
         let score_bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
-        let [docids, scores] = self.gpu.htod_packed_n([docids, &score_bits])?;
+        let [docids, scores] = self.gpu.htod_packed([docids.to_vec(), score_bits])?;
         Ok(DeviceIntermediate {
             len: docids.len(),
             docids,
@@ -945,7 +894,7 @@ impl<'g> GpuEngine<'g> {
         let num_blocks = index.list(term).docs.num_blocks();
         ledger.blocks_total += num_blocks as u64;
         let (lo, hi) = hull.blocks(index, term);
-        let cached = self.cache.borrow().map.contains_key(&term);
+        let cached = self.cache.borrow().contains(&term);
         if cached || hull.covers_half(index, term) {
             ledger.blocks_resident += num_blocks as u64;
             return Ok(ChainList::Cached(self.upload(index, term)?));
@@ -969,11 +918,10 @@ impl<'g> GpuEngine<'g> {
     /// table).
     pub fn shutdown(self) {
         self.drain_prefetch();
-        let mut cache = self.cache.into_inner();
-        for (_, e) in cache.map.drain() {
-            let postings =
-                Rc::try_unwrap(e.postings).expect("no query steps outstanding at shutdown");
-            postings.free(self.gpu);
+        for postings in self.cache.into_inner().into_values() {
+            Rc::try_unwrap(postings)
+                .expect("no query steps outstanding at shutdown")
+                .free(self.gpu);
         }
         if let Some(b) = self.doc_lens {
             self.gpu.free(b);

@@ -36,7 +36,7 @@ pub mod scan;
 pub mod transfer;
 
 pub use engine::{
-    CacheStats, DeviceIntermediate, GpuEngine, GpuQueryOutput, GpuStrategy, HullLedger,
+    DeviceCacheStats, DeviceIntermediate, GpuEngine, GpuQueryOutput, GpuStrategy, HullLedger,
 };
 pub use error::GpuError;
 pub use transfer::{DeviceEfList, DevicePostings};

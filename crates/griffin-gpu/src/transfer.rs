@@ -173,7 +173,7 @@ impl DeviceEfList {
         // The codec words plus the five per-block arrays.
         let bytes_shipped = (words.len() + num_blocks * 5) as u64 * 4;
         let [words, block_word_start, block_elem_start, block_base, skip_first, skip_last] = gpu
-            .htod_packed_owned([
+            .htod_packed([
                 words,
                 block_word_start,
                 block_elem_start,
@@ -288,7 +288,7 @@ impl DevicePostings {
         }
         // Both staging arrays were built for this upload: move them into
         // the device pool rather than copying.
-        let [tf_words, tf_offsets] = gpu.htod_packed_owned([tf_words, local_offsets])?;
+        let [tf_words, tf_offsets] = gpu.htod_packed([tf_words, local_offsets])?;
         for b in docs.buffers() {
             scope.keep(b.clone());
         }

@@ -46,8 +46,8 @@
 //! trips, and coverage history run after run.
 
 use griffin::{
-    merge_topk, ExecMode, FleetInfo, Griffin, GriffinOutput, Proc, PruneStats, QueryRequest,
-    ResultCacheStats, ShardOutcome, ShardStatus, ShardedIndex, StepOp, StepTrace,
+    merge_topk, CacheStats, ExecMode, FleetInfo, Griffin, GriffinOutput, Proc, PruneStats,
+    QueryRequest, ShardOutcome, ShardStatus, ShardedIndex, StepOp, StepTrace,
 };
 use griffin_gpu_sim::{DeviceConfig, Gpu, VirtualNanos};
 use griffin_telemetry::{Cause, Histogram, Telemetry, Verdict};
@@ -422,8 +422,8 @@ impl<'g> Fleet<'g> {
     /// Summed result-cache accounting across every replica engine (all
     /// zeros while the per-replica tier is off —
     /// [`FleetConfig::result_cache`]).
-    pub fn result_cache_stats(&self) -> ResultCacheStats {
-        let mut total = ResultCacheStats::default();
+    pub fn result_cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
         for rep in &self.replicas {
             if let Some(s) = rep.engine.result_cache_stats() {
                 total.hits += s.hits;

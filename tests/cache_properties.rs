@@ -17,14 +17,21 @@
 //!    are explicit in outcomes and counters, never silent.
 //! 5. **LRU is a stack algorithm** — under a Zipf request mix the
 //!    result-cache hit count is monotone in cache size.
+//! 6. **One LRU, checked against a naive one** — the LRU all three tiers
+//!    share agrees, op by op, with a `Vec` kept in recency order: same
+//!    answers, same victims in the same order, same stats; and the tiers'
+//!    counts over `exp_cache`'s Zipf stream match a golden to the digit.
 //!
 //! Set `GRIFFIN_FAULT_SEED` to vary the workload and fault schedule
 //! (the CI `cache-invariants` job sweeps a fixed set of seeds).
 
 use griffin_server::{AdmissionConfig, GriffinServer, Outcome, OverloadPolicy, ServerConfig};
+use std::rc::Rc;
+
 use griffin_suite::griffin::{
     CachedResult, CostModel, QueryRequest, ResultCache, SplitConfig, RESULT_CACHE_LOOKUP,
 };
+use griffin_suite::griffin_cpu::{CacheStats, Lru};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::griffin_workload::Zipf;
 use griffin_suite::prelude::*;
@@ -239,27 +246,6 @@ fn no_tier_ever_exceeds_its_byte_budget() {
     assert_eq!(gpu.mem_in_use(), 0);
 }
 
-#[test]
-fn result_cache_honours_both_bounds_directly() {
-    let mut cache = ResultCache::new(4, 1_000);
-    for i in 0..64u32 {
-        let topk: Vec<(u32, f32)> = (0..(i % 7)).map(|d| (d, d as f32)).collect();
-        cache.insert(
-            format!("q{i}"),
-            CachedResult {
-                topk,
-                time: VirtualNanos::from_nanos(u64::from(i) * 100),
-            },
-        );
-        assert!(cache.len() <= 4, "entry bound violated at insert {i}");
-        assert!(
-            cache.stats().bytes_resident <= 1_000,
-            "byte bound violated at insert {i}"
-        );
-    }
-    assert!(cache.stats().evictions > 0);
-}
-
 // ---------------------------------------------------------------- pin 4
 
 #[test]
@@ -463,4 +449,340 @@ fn mixed_cached_uncached_terms_keep_decode_scratch_flat() {
         high_water,
         "a mixed cached/uncached pass regrew the decode scratch"
     );
+}
+
+// ---------------------------------------------------------------- pin 6
+
+/// The naive reference for the shared LRU: resident keys in a `Vec`,
+/// least recently used first, with the accounting kept by hand.
+struct Model<K> {
+    order: Vec<(K, u64)>,
+    budget: Option<u64>,
+    max_entries: usize,
+    stats: CacheStats,
+}
+
+impl<K: Clone + PartialEq> Model<K> {
+    fn resident(&self) -> u64 {
+        self.order.iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    fn get(&mut self, key: &K) -> bool {
+        if self.budget.is_none() {
+            return false;
+        }
+        let Some(i) = self.order.iter().position(|(k, _)| k == key) else {
+            self.stats.misses += 1;
+            return false;
+        };
+        let entry = self.order.remove(i);
+        self.order.push(entry);
+        self.stats.hits += 1;
+        true
+    }
+
+    /// Drops the oldest unpinned key until `bytes` more bytes and `slots`
+    /// more entries fit.
+    fn evict(&mut self, bytes: u64, slots: usize, pinned: &dyn Fn(&K) -> bool) -> Vec<K> {
+        let mut victims = Vec::new();
+        while self.resident() + bytes > self.budget.unwrap_or(0)
+            || self.order.len() + slots > self.max_entries
+        {
+            let Some(i) = self.order.iter().position(|(k, _)| !pinned(k)) else {
+                break;
+            };
+            victims.push(self.order.remove(i).0);
+        }
+        self.stats.evictions += victims.len() as u64;
+        victims
+    }
+
+    fn refuses(&self, bytes: u64) -> bool {
+        self.budget.is_none_or(|b| bytes > b) || self.max_entries == 0
+    }
+
+    fn insert(&mut self, key: K, bytes: u64, pinned: &dyn Fn(&K) -> bool) -> Vec<K> {
+        if self.refuses(bytes) {
+            return Vec::new();
+        }
+        self.order.retain(|(k, _)| *k != key);
+        let victims = self.evict(bytes, 1, pinned);
+        self.order.push((key, bytes));
+        victims
+    }
+
+    fn set_budget(&mut self, budget: Option<u64>, pinned: &dyn Fn(&K) -> bool) -> Vec<K> {
+        self.budget = budget;
+        if budget.is_none() {
+            self.order.clear();
+        }
+        self.evict(0, 0, pinned)
+    }
+}
+
+/// An [`Lru`] and its [`Model`] driven in lockstep; every operation
+/// asserts they agree. `key_of` names an evicted value's key.
+struct Lockstep<K, V> {
+    lru: Lru<K, V>,
+    model: Model<K>,
+    key_of: fn(&V) -> K,
+}
+
+impl<K: std::hash::Hash + Eq + Clone + std::fmt::Debug, V> Lockstep<K, V> {
+    fn new(lru: Lru<K, V>, budget: Option<u64>, max_entries: usize, key_of: fn(&V) -> K) -> Self {
+        let model = Model {
+            order: Vec::new(),
+            budget,
+            max_entries,
+            stats: CacheStats::default(),
+        };
+        Lockstep { lru, model, key_of }
+    }
+
+    fn agree(&self, what: &str) {
+        let stats = CacheStats {
+            bytes_resident: self.model.resident(),
+            ..self.model.stats
+        };
+        assert_eq!(self.lru.stats(), stats, "stats after {what}");
+        assert_eq!(
+            self.lru.len(),
+            self.model.order.len(),
+            "entries after {what}"
+        );
+        for (k, _) in &self.model.order {
+            assert!(self.lru.contains(k), "{k:?} missing after {what}");
+        }
+    }
+
+    fn victims(&self, evicted: Vec<V>, expect: Vec<K>, what: &str) {
+        let got: Vec<K> = evicted.iter().map(self.key_of).collect();
+        assert_eq!(got, expect, "victims of {what}");
+        self.agree(what);
+    }
+
+    /// After an insert or a budget change the LRU is over budget only if
+    /// everything it could have evicted is pinned (`spare` is the entry
+    /// just inserted, which the insert itself never evicts).
+    fn bounded(&self, spare: Option<&K>, pinned: &dyn Fn(&K) -> bool, what: &str) {
+        if self.model.resident() > self.model.budget.unwrap_or(0) {
+            let evictable = self
+                .model
+                .order
+                .iter()
+                .any(|(k, _)| Some(k) != spare && !pinned(k));
+            assert!(
+                !evictable,
+                "over budget with an unpinned entry after {what}"
+            );
+        }
+    }
+
+    fn get(&mut self, key: &K) -> Option<&V> {
+        let hit = self.model.get(key);
+        assert_eq!(self.lru.get(key).is_some(), hit, "get {key:?}");
+        self.agree("get");
+        self.lru.peek(key)
+    }
+
+    fn insert(&mut self, key: K, value: V, bytes: u64, pinned: &dyn Fn(&K) -> bool) {
+        let what = format!("insert {key:?} ({bytes} B)");
+        let refused = self.model.refuses(bytes);
+        let expect = self.model.insert(key.clone(), bytes, pinned);
+        let evicted = self.lru.insert(key.clone(), value, bytes);
+        self.victims(evicted, expect, &what);
+        if !refused {
+            self.bounded(Some(&key), pinned, &what);
+        }
+    }
+
+    fn set_budget(&mut self, budget: Option<u64>, pinned: &dyn Fn(&K) -> bool) {
+        let what = format!("set_budget {budget:?}");
+        let expect = self.model.set_budget(budget, pinned);
+        let evicted = self.lru.set_budget(budget);
+        self.victims(evicted, expect, &what);
+        self.bounded(None, pinned, &what);
+    }
+}
+
+#[test]
+fn lru_agrees_with_a_naive_model_on_seeded_op_sequences() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0x1A0);
+    // The model's view of the pins: the keys of the values held outside.
+    let pinned_by = |held: &[Rc<u32>]| {
+        let keys: Vec<u32> = held.iter().map(|p| **p).collect();
+        move |k: &u32| keys.contains(k)
+    };
+    for _ in 0..300 {
+        // The device tier's shape: a value is pinned while anyone else
+        // holds it. The entry bound is the result tier's.
+        let budget = [0, 100, 400, 1_000][rng.gen_range(0..4usize)];
+        let max_entries = [usize::MAX, usize::MAX, 1, 3, 6][rng.gen_range(0..5usize)];
+        let lru = Lru::new(budget)
+            .with_max_entries(max_entries)
+            .with_pins(|v: &Rc<u32>| Rc::strong_count(v) > 1);
+        let mut h = Lockstep::new(lru, Some(budget), max_entries, |v: &Rc<u32>| **v);
+        let mut held: Vec<Rc<u32>> = Vec::new();
+        for _ in 0..80 {
+            let key = rng.gen_range(0..10u32);
+            match rng.gen_range(0..100u32) {
+                0..=29 => {
+                    let value = h.get(&key).cloned();
+                    assert_eq!(
+                        value.map(|v| *v),
+                        h.model.order.iter().any(|e| e.0 == key).then_some(key)
+                    );
+                }
+                30..=37 => {
+                    let before = h.lru.stats();
+                    let expect = h.model.order.iter().any(|e| e.0 == key);
+                    assert_eq!(h.lru.peek(&key).is_some(), expect, "peek {key}");
+                    assert_eq!(h.lru.contains(&key), expect, "contains {key}");
+                    assert_eq!(h.lru.stats(), before, "peek counted");
+                }
+                38..=69 => {
+                    // Fresh, re-inserted or (one in eight) oversized.
+                    held.retain(|p| **p != key);
+                    let bytes = if rng.gen_range(0..8u32) == 0 {
+                        budget + rng.gen_range(1..100u64)
+                    } else {
+                        rng.gen_range(1..250u64)
+                    };
+                    h.insert(key, Rc::new(key), bytes, &pinned_by(&held));
+                }
+                70..=79 => {
+                    if let Some(v) = h.lru.peek(&key) {
+                        held.push(Rc::clone(v));
+                    }
+                }
+                80..=87 => held.retain(|p| **p != key),
+                88..=95 => {
+                    let shrink = [None, Some(0), Some(budget / 2), Some(budget)];
+                    h.set_budget(shrink[rng.gen_range(0..4usize)], &pinned_by(&held));
+                }
+                _ => {
+                    h.lru.clear();
+                    h.model.order.clear();
+                    h.agree("clear");
+                }
+            }
+        }
+    }
+
+    // The result tier's own type and byte formula, both bounds binding:
+    // four entries and 1 000 bytes.
+    let key_of = |r: &CachedResult| format!("q{}", r.time.as_nanos() / 100);
+    let mut h = Lockstep::new(
+        ResultCache::new(1_000).with_max_entries(4),
+        Some(1_000),
+        4,
+        key_of,
+    );
+    for i in 0..64u32 {
+        let result = CachedResult {
+            topk: (0..(i % 7)).map(|d| (d, d as f32)).collect(),
+            time: VirtualNanos::from_nanos(u64::from(i) * 100),
+        };
+        let key = format!("q{i}");
+        let bytes = result.bytes(&key);
+        h.insert(key, result, bytes, &|_| false);
+        assert!(h.lru.len() <= 4, "entry bound violated at insert {i}");
+        assert!(
+            h.lru.stats().bytes_resident <= 1_000,
+            "byte bound violated at insert {i}"
+        );
+    }
+    assert!(h.lru.stats().evictions > 0);
+}
+
+/// `exp_cache`'s Zipf stream at smoke size (same seed, index and log):
+/// 40 Hybrid requests over 24 distinct queries.
+fn exp_cache_stream() -> (InvertedIndex, Vec<QueryRequest>) {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xCAC4E);
+    let spec = ListIndexSpec {
+        num_terms: 48,
+        num_docs: 2_000_000,
+        max_list_len: 600_000,
+        ..Default::default()
+    };
+    let (index, _) = build_list_index(&spec, &mut rng);
+    let distinct = QueryLogSpec {
+        num_queries: 24,
+        ..Default::default()
+    }
+    .generate(&index, &mut rng);
+    let zipf = Zipf::new(24, 1.1);
+    let stream = (0..40)
+        .map(|_| {
+            let q = &distinct[zipf.sample(&mut rng) as usize - 1];
+            QueryRequest::new(q.clone()).k(10).mode(ExecMode::Hybrid)
+        })
+        .collect();
+    (index, stream)
+}
+
+#[test]
+fn tier_counts_over_the_exp_cache_stream_match_the_golden() {
+    // Per configuration: (result entries, result bytes, host bytes,
+    // device bytes, passes) and then hits / misses / evictions /
+    // bytes_resident of the result, host and device tiers, and the
+    // device's prefetches issued / consumed. The first two rows are
+    // `exp_cache`'s warm run and its 4-entry sweep point; the third is
+    // tight enough that every tier evicts.
+    type Golden = ((usize, u64, u64, u64, usize), [[u64; 4]; 3], [u64; 2]);
+    const GOLDEN: [Golden; 3] = [
+        (
+            (256, 16 << 20, 64 << 20, 64 << 20, 2),
+            [
+                [67, 13, 0, 2_687],
+                [0, 6, 0, 253_232],
+                [10, 19, 0, 4_106_076],
+            ],
+            [18, 18],
+        ),
+        (
+            (4, 16 << 20, 64 << 20, 64 << 20, 1),
+            [
+                [22, 18, 14, 835],
+                [2, 6, 0, 253_232],
+                [21, 19, 0, 4_106_076],
+            ],
+            [24, 24],
+        ),
+        (
+            (8, 600, 220 << 10, 1 << 20, 1),
+            [[12, 28, 26, 424], [3, 7, 2, 225_100], [4, 60, 57, 962_988]],
+            [38, 38],
+        ),
+    ];
+    let (index, stream) = exp_cache_stream();
+    let k20 = DeviceConfig {
+        trace_sample_stride: 16,
+        ..DeviceConfig::tesla_k20()
+    };
+    let row = |s: CacheStats| [s.hits, s.misses, s.evictions, s.bytes_resident];
+    for ((entries, res_bytes, host_bytes, dev_bytes, passes), tiers, prefetch) in GOLDEN {
+        let gpu = Gpu::new(k20.clone());
+        let griffin = Griffin::new(&gpu, index.meta(), index.block_len());
+        griffin.set_result_cache(entries, res_bytes);
+        griffin.cpu.set_host_cache_budget(host_bytes);
+        griffin.gpu.set_cache_budget(dev_bytes);
+        for _ in 0..passes {
+            for req in &stream {
+                griffin.run(&index, req);
+            }
+        }
+        let dev = griffin.gpu.cache_stats();
+        let got = [
+            row(griffin.result_cache_stats().expect("tier enabled")),
+            row(griffin.cpu.host_cache_stats()),
+            row(dev.lru),
+        ];
+        assert_eq!(got, tiers, "result / host / device at {entries} entries");
+        assert_eq!([dev.prefetch_issued, dev.prefetch_consumed], prefetch);
+        griffin.gpu.shutdown();
+        assert_eq!(gpu.mem_in_use(), 0);
+    }
 }
