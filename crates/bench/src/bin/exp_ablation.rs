@@ -3,8 +3,9 @@
 //! 1. **Block size ↔ crossover** — §3.2's analysis ties the GPU/CPU
 //!    crossover ratio to the compression block size; sweeping the block
 //!    size should move the crossover with it.
-//! 2. **Scheduler placement-awareness** — hysteresis + minimum-work floor
-//!    vs the paper's bare ratio rule.
+//! 2. **Scheduler placement-awareness** — the engine's own scheduler
+//!    (hysteresis, the cost model's work floor, co-execution) vs the
+//!    paper's bare ratio rule.
 //! 3. **Device list cache** — our extension vs the paper-faithful
 //!    per-query transfers.
 
@@ -88,20 +89,21 @@ fn scheduler_and_cache() {
         &["variant", "mean latency"],
     );
 
-    // Placement-aware (default) vs the paper's bare static rule.
+    // The engine's own scheduler (placement-aware, with its cost model's
+    // floor, co-execution and residency override) vs the paper's bare
+    // static rule.
     for (name, sched) in [
-        (
-            "placement-aware scheduler (default)",
-            Scheduler::for_block_len(index.block_len()),
-        ),
+        ("placement-aware scheduler (default)", None),
         (
             "paper-static ratio rule",
-            Scheduler::paper_static(index.block_len()),
+            Some(Scheduler::paper_static(index.block_len())),
         ),
     ] {
         let gpu = Gpu::new(k20());
         let mut griffin = Griffin::new(&gpu, index.meta(), index.block_len());
-        griffin.scheduler = sched;
+        if let Some(sched) = sched {
+            griffin.scheduler = sched;
+        }
         let mut total = VirtualNanos::ZERO;
         for q in &queries {
             total += griffin.process_query(&index, q, 10, ExecMode::Hybrid).time;

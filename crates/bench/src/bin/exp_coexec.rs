@@ -64,8 +64,8 @@ enum Config {
     /// Every eligible intersection splits at exactly this GPU fraction.
     Forced(f64),
     /// Solver-chosen fraction + measured-imbalance feedback, under the
-    /// experiment's own measured split configuration.
-    Adaptive(SplitConfig),
+    /// experiment's own measured cost model and split band.
+    Adaptive(CostModel, SplitConfig),
 }
 
 fn main() {
@@ -105,12 +105,15 @@ fn main() {
         griffin.scheduler.ratio_threshold = RATIO_THRESHOLD;
         griffin.scheduler.hysteresis = 1.0;
         match config {
-            Config::Unsplit => griffin.set_coexec(false),
-            Config::Forced(f) => {
-                let model = CostModel::from_device(&k20(), true);
-                griffin.scheduler.split = Some(SplitConfig::forced(model, *f));
-            }
-            Config::Adaptive(split) => {
+            Config::Unsplit => griffin.scheduler.split = None,
+            Config::Forced(f) => griffin.scheduler.split = Some(SplitConfig::forced(*f)),
+            Config::Adaptive(model, split) => {
+                // The work floor stays at 64K: only the model the solver
+                // and the residency override read changes. The override
+                // never fires here: the host list cache is off, and on a
+                // fresh device with fresh pairs a list is device-resident
+                // only once prefetched for a step already placed there.
+                griffin.scheduler.model = Some(*model);
                 griffin.scheduler.split = Some(*split);
                 griffin.set_telemetry(telemetry.clone());
             }
@@ -207,17 +210,16 @@ fn main() {
     // The balancer gets what this sweep measured at the crossover: a band
     // that reaches it, and a model with both degenerate lanes re-anchored
     // — the device lane on one counted, timed step (the all-GPU lane of a
-    // fresh crossover pair), the CPU lane on the grid's all-CPU lanes,
-    // the way `calibrated_from` feeds it measured kernels. The solver's
-    // job is the interior. The engine's defaults still price a decoder
-    // with a serial floor; they are the scheduler's to change, not this
-    // sweep's.
+    // fresh crossover pair), the CPU lane on the grid's all-CPU lanes.
+    // The solver's job is the interior. The engine's defaults still price
+    // a decoder with a serial floor; they are the scheduler's to change,
+    // not this sweep's.
     let default = CostModel::from_device(&k20(), true);
     let (step, lane) = {
         let gpu = Gpu::new(k20());
         let mut griffin = Griffin::new(&gpu, index.meta(), index.block_len());
         griffin.scheduler.min_gpu_work = 64 * 1024;
-        griffin.scheduler.split = Some(SplitConfig::forced(default, 1.0));
+        griffin.scheduler.split = Some(SplitConfig::forced(1.0));
         let terms = terms_of(crossover, 0);
         let (out, step) = DeviceStepCounts::of(&gpu, || {
             griffin.process_query(&index, &terms, 10, ExecMode::Hybrid)
@@ -234,7 +236,7 @@ fn main() {
         .with_cpu_skip_ns_per_probe(lane_grid[0][crossover].0.as_nanos() as f64 / probes);
     let split = SplitConfig {
         band: (RATIOS[crossover] / RATIO_THRESHOLD) as f64,
-        ..SplitConfig::new(model)
+        ..SplitConfig::default()
     };
     println!(
         "(one device step: {} launches, {} cudaMallocs + {} pool hits, {} transfers in {:.0} us, so {:.0} us fixed\n + {:.2} ns per posting — the engine's default prices {:.0} us + a {:.0} us serial floor + {:.2};\n CPU lane {:.0} ns per probe, default {:.0}; split band x{})",
@@ -252,7 +254,7 @@ fn main() {
         default.cpu_skip_ns_per_probe,
         split.band
     );
-    let adaptive_out = run(&Config::Adaptive(split));
+    let adaptive_out = run(&Config::Adaptive(model, split));
     assert_eq!(
         adaptive_out.topks, reference,
         "adaptive split changed results"

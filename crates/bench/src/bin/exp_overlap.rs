@@ -164,10 +164,6 @@ fn main() {
     let mut g_off = Griffin::new(&dev_off, zipf_index.meta(), zipf_index.block_len());
     let mut g_on = Griffin::new(&dev_on, zipf_index.meta(), zipf_index.block_len());
     g_off.set_overlap(false);
-    // `set_overlap(false)` also drops the profitable-work floor to 8 192;
-    // keep the on arm's, so that the two arms place every step alike and
-    // differ in the pipeline alone.
-    g_off.scheduler.min_gpu_work = g_on.scheduler.min_gpu_work;
     g_on.set_telemetry(telemetry.clone());
     let mut total_off = VirtualNanos::ZERO;
     let mut total_on = VirtualNanos::ZERO;

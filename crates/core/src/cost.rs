@@ -11,17 +11,19 @@
 //! compute` to `fixed + max(transfer, compute)` and the profitable-work
 //! crossover moves down.
 //!
-//! [`CostModel`] captures both estimates from a [`DeviceConfig`] and
-//! solves for the smallest profitable long-list length, which
-//! [`crate::Scheduler::apply_cost_model`] installs as the floor. The
-//! model is deliberately coarse — a handful of calibrated constants, not
-//! a re-simulation — because the planner only needs the crossover's
-//! order of magnitude.
+//! [`CostModel`] captures both estimates from a [`DeviceConfig`]. A
+//! scheduler holds one ([`crate::Scheduler::model`], built by
+//! [`crate::Scheduler::for_device`]) and every model-based rule reads
+//! that one: the floor is its smallest profitable long-list length, the
+//! split solver balances co-executed lanes with it, and the residency
+//! override prices cached lists with it. The model is deliberately
+//! coarse — a handful of calibrated constants, not a re-simulation —
+//! because the planner only needs the crossover's order of magnitude.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use griffin_gpu_sim::{DeviceConfig, DeviceEvent, Gpu, VirtualNanos};
+use griffin_gpu_sim::{DeviceConfig, DeviceEvent, Gpu};
 
 /// Approximate bytes shipped over PCIe per long-list element: Elias-Fano
 /// docids (~1.3 B/elem at realistic densities) plus packed term
@@ -88,21 +90,6 @@ const CACHED_SKIP_DISCOUNT: f64 = 0.5;
 /// bandwidth bound. Fitted to the kernels before Para-EF became one
 /// block-local launch (0.14 ns/elem measured since); held with the rest.
 const DEVICE_CYCLES_PER_ELEM: f64 = 0.35;
-
-/// Wall-clock kernel measurements from the host, supplied by the
-/// caller. These are *measured* numbers for the host actually running
-/// the engine, as opposed to the hand-set defaults in
-/// [`CostModel::from_device`] that describe the paper's Xeon E5-2609v2.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct KernelMeasurements {
-    /// Block decode cost per element, ns (PforDelta/EF mix as measured).
-    pub cpu_decode_ns_per_elem: f64,
-    /// Merge-loop cost per long-list element, ns (compare + advance).
-    pub cpu_merge_ns_per_elem: f64,
-    /// Skip-strategy cost per short-list probe, ns (gallop over the skip
-    /// array + candidate block decode amortized + in-block search).
-    pub cpu_skip_ns_per_probe: f64,
-}
 
 /// What a stretch of device work did, counted from outside the engine —
 /// the measured twin of `LAUNCHES_PER_STEP`, `MALLOCS_PER_STEP` and
@@ -185,8 +172,7 @@ pub struct CostModel {
     pub cpu_ns_per_elem: f64,
     /// The decode share of `cpu_ns_per_elem` — what a host-cached
     /// (already-decoded) list saves per element in the merge regime.
-    /// Calibration sets it to the measured decode slope; the hand-set
-    /// default is a third of the merge-regime total.
+    /// The hand-set default is a third of the merge-regime total.
     pub cpu_decode_ns_per_elem: f64,
     /// Host cost per *short-list* element for a skip-pointer
     /// intersection (gallop over skips + one in-block binary search per
@@ -238,25 +224,8 @@ impl CostModel {
         self
     }
 
-    /// Replaces the host-side estimates with measured wall-clock numbers.
-    ///
-    /// The model's `cpu_ns_per_elem` prices the *merge regime* — decode
-    /// the whole long list, then a linear merge — so the calibrated value
-    /// is the sum of the measured decode and merge slopes. The skip slope
-    /// maps directly. Everything device-side is left untouched: wall-clock
-    /// calibration moves the CPU curves, and with them the crossover that
-    /// the scheduler, split balancer, and pruning paths consult.
-    pub fn calibrated_from(self, m: &KernelMeasurements) -> CostModel {
-        let mut cal = self
-            .with_cpu_ns_per_elem(m.cpu_decode_ns_per_elem + m.cpu_merge_ns_per_elem)
-            .with_cpu_skip_ns_per_probe(m.cpu_skip_ns_per_probe);
-        cal.cpu_decode_ns_per_elem = m.cpu_decode_ns_per_elem;
-        cal
-    }
-
-    /// Re-anchors the device lane on one measured device step, as
-    /// [`CostModel::calibrated_from`] does the CPU lane on measured
-    /// kernels: `fixed_ns` is what the step's counted operations cost on
+    /// Re-anchors the device lane on one measured device step:
+    /// `fixed_ns` is what the step's counted operations cost on
     /// `cfg`; the rest of its measured duration `lane_ns` (against a
     /// `long_len` list) rescales the per-element terms — PCIe and compute
     /// by one factor, one step cannot tell them apart — so the model
@@ -315,11 +284,6 @@ impl CostModel {
         } else {
             self.gpu_step_serial_ns(long_len)
         }
-    }
-
-    /// Same, as a virtual duration (for timeline annotations).
-    pub fn gpu_step_time(&self, long_len: usize) -> VirtualNanos {
-        VirtualNanos::from_nanos(self.gpu_step_ns(long_len).max(0.0) as u64)
     }
 
     /// Host estimate for a whole-list *merge* intersection, ns. This is
@@ -550,30 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_moves_only_the_cpu_curves() {
-        let cfg = DeviceConfig::tesla_k20();
-        let base = CostModel::from_device(&cfg, true);
-        let m = KernelMeasurements {
-            cpu_decode_ns_per_elem: 1.5,
-            cpu_merge_ns_per_elem: 2.5,
-            cpu_skip_ns_per_probe: 40.0,
-        };
-        let cal = base.calibrated_from(&m);
-        assert_eq!(cal.cpu_ns_per_elem, 4.0);
-        assert_eq!(cal.cpu_skip_ns_per_probe, 40.0);
-        assert_eq!(cal.fixed_ns, base.fixed_ns);
-        assert_eq!(cal.gpu_ns_per_elem, base.gpu_ns_per_elem);
-        assert_eq!(cal.pcie_ns_per_elem, base.pcie_ns_per_elem);
-        // A faster measured CPU raises the profitable-work floor.
-        let fast = base.calibrated_from(&KernelMeasurements {
-            cpu_decode_ns_per_elem: 0.5,
-            cpu_merge_ns_per_elem: 0.5,
-            cpu_skip_ns_per_probe: 10.0,
-        });
-        assert!(fast.min_profitable_long_len() >= base.min_profitable_long_len());
-    }
-
-    #[test]
     fn resident_costs_never_exceed_cold_costs() {
         for cfg in [DeviceConfig::tesla_k20(), DeviceConfig::test_tiny()] {
             for overlap in [false, true] {
@@ -605,18 +545,6 @@ mod tests {
                  ({cold} -> {resident} at short={short_len})"
             );
         }
-    }
-
-    #[test]
-    fn calibration_sets_the_decode_share() {
-        let cfg = DeviceConfig::tesla_k20();
-        let cal = CostModel::from_device(&cfg, true).calibrated_from(&KernelMeasurements {
-            cpu_decode_ns_per_elem: 1.5,
-            cpu_merge_ns_per_elem: 2.5,
-            cpu_skip_ns_per_probe: 40.0,
-        });
-        assert_eq!(cal.cpu_decode_ns_per_elem, 1.5);
-        assert_eq!(cal.cpu_step_host_resident_ns(1000), 2.5 * 1000.0);
     }
 
     /// FNV-1a over the bits of every split fraction on a grid: both

@@ -12,14 +12,11 @@ use griffin_gpu_sim::{Gpu, Scope, StreamKind, VirtualNanos};
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
 use griffin_telemetry::{Telemetry, TraceEvent};
 
-use crate::cost::CostModel;
 use crate::plan::{PlanNode, Planner};
 use crate::query::Query;
 use crate::request::{QueryError, QueryRequest};
 use crate::rescache::{CachedResult, ResultCache, RESULT_CACHE_LOOKUP};
-use crate::sched::{
-    Decision, DecisionTrace, Proc, Residency, Scheduler, SplitBalancer, SplitConfig,
-};
+use crate::sched::{Decision, DecisionTrace, Proc, Residency, Scheduler, SplitBalancer};
 
 /// How a query is executed (the paper's three evaluated configurations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,11 +239,16 @@ pub struct Griffin<'g> {
 }
 
 impl<'g> Griffin<'g> {
+    /// A hybrid engine on `device` with copy/compute overlap on and the
+    /// scheduler of [`Scheduler::for_device`]: the device's pipelined
+    /// cost model, the work floor derived from it, and CPU+GPU
+    /// co-execution on. Co-execution is the scheduler's `split` field;
+    /// `None` turns it off.
     pub fn new(device: &'g Gpu, meta: &CorpusMeta, block_len: usize) -> Griffin<'g> {
-        let mut griffin = Griffin {
+        Griffin {
             cpu: CpuEngine::new(),
             gpu: GpuEngine::new(device, meta),
-            scheduler: Scheduler::for_block_len(block_len),
+            scheduler: Scheduler::for_device(block_len, device.config(), true),
             recovery: RecoveryPolicy::default(),
             device,
             telemetry: Telemetry::disabled(),
@@ -255,67 +257,28 @@ impl<'g> Griffin<'g> {
             scratch: RefCell::new(QueryScratch::default()),
             result_cache: RefCell::default(),
             index_epoch: Cell::new(0),
-        };
-        griffin.set_overlap(true);
-        griffin.set_coexec(true);
-        griffin
+        }
     }
 
     /// Enables or disables copy/compute overlap for this engine's GPU
     /// work. With overlap on (the default), GPU-touching queries run in
     /// an async window — each list ships over PCIe while the previous
-    /// operation's kernels execute — and the scheduler's profitable-work
-    /// floor is re-derived from the pipelined cost model (see
-    /// [`CostModel`]). With overlap off, execution is serial and the
-    /// split solver and the cache-aware override price the device lane
-    /// serially, but the floor is *not* the serial model's: it is reset
-    /// to the 8 192 [`Scheduler::for_block_len`] hard-codes, below what
-    /// either model derives for the K20 (65 536), so turning overlap off
-    /// also lets smaller operations onto the device. Results are
-    /// bit-exact either way.
+    /// operation's kernels execute; off, they run serially. Either way
+    /// the scheduler's cost model is rebuilt for the mode (pipelined or
+    /// serial, see [`crate::CostModel`]) and its work floor re-derived
+    /// from it, so the floor, the split solver and the residency override
+    /// all price the device lane the way the engine now runs it. The rest
+    /// of the scheduler is left as it was. Results are bit-exact either
+    /// way.
     pub fn set_overlap(&mut self, on: bool) {
         self.overlap = on;
-        self.gpu.set_overlap(on);
-        if on {
-            self.scheduler
-                .apply_cost_model(&CostModel::from_device(self.device.config(), true));
-        } else {
-            self.scheduler.min_gpu_work =
-                Scheduler::for_block_len(self.scheduler.ratio_threshold).min_gpu_work;
-            // The split solver and the cache-aware override must price
-            // the GPU lane the same way the engine will now run it:
-            // serially.
-            let serial = CostModel::from_device(self.device.config(), false);
-            if let Some(split) = &mut self.scheduler.split {
-                split.model = serial;
-            }
-            self.scheduler.cache_model = Some(serial);
-        }
-    }
-
-    /// Enables or disables CPU+GPU co-execution (on by default). With it
-    /// on, intersections whose length ratio falls near the scheduler's
-    /// crossover may be *split*: the long list is range-partitioned, the
-    /// device and the host each intersect their slice concurrently, and
-    /// the partial results concatenate into exactly the unsplit answer
-    /// ([`Decision::Split`]). The split fraction is solved from both cost
-    /// models and refined per query by the adaptive balancer. Results are
-    /// bit-exact either way; only latency changes.
-    pub fn set_coexec(&mut self, on: bool) {
-        self.scheduler.split = if on {
-            Some(SplitConfig::new(CostModel::from_device(
-                self.device.config(),
-                self.overlap,
-            )))
-        } else {
-            None
-        };
-        self.balancer.borrow_mut().reset();
-    }
-
-    /// Whether co-execution splits are enabled.
-    pub fn coexec_enabled(&self) -> bool {
-        self.scheduler.split.is_some()
+        let Scheduler {
+            min_gpu_work,
+            model,
+            ..
+        } = Scheduler::for_device(self.scheduler.ratio_threshold, self.device.config(), on);
+        self.scheduler.min_gpu_work = min_gpu_work;
+        self.scheduler.model = model;
     }
 
     /// Attach a telemetry session. Every subsequent query records its

@@ -31,7 +31,7 @@ pub mod rescache;
 pub mod sched;
 pub mod serving;
 
-pub use cost::{CostModel, DeviceStepCounts, KernelMeasurements};
+pub use cost::{CostModel, DeviceStepCounts};
 pub use engine::{ExecMode, Griffin, GriffinOutput, RecoveryPolicy, Search, StepOp, StepTrace};
 pub use fleet::{merge_topk, FleetInfo, ShardOutcome, ShardStatus, ShardedIndex};
 pub use griffin_cpu::{CacheStats, PruneStats};

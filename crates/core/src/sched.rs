@@ -14,6 +14,10 @@
 //! already lives on the device, a borderline operation stays there, since
 //! migrating costs a PCIe round trip that a marginal CPU win cannot repay.
 
+use griffin_gpu_sim::DeviceConfig;
+
+use crate::cost::CostModel;
+
 /// Which processor an operation runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Proc {
@@ -45,8 +49,8 @@ pub enum Decision {
     /// crossover ratio (see [`SplitConfig`]).
     Split {
         /// Share of the long list's blocks assigned to the GPU lane,
-        /// solved from both cost models so the lanes finish together
-        /// ([`crate::cost::CostModel::split_fraction`]). The engine's
+        /// solved from the scheduler's cost model so the lanes finish
+        /// together ([`CostModel::split_fraction`]). The engine's
         /// adaptive balancer refines it per query before executing.
         gpu_fraction: f64,
     },
@@ -131,35 +135,37 @@ pub struct DecisionTrace {
 /// intermediate, so a split there would only drag the preceding work
 /// onto the host; far above the band the CPU's skip search is so cheap
 /// the device's fixed per-step overheads can never pay for themselves.
+///
+/// The GPU-lane share is solved from the scheduler's own
+/// [`Scheduler::model`]; a model-less scheduler splits only at a forced
+/// fraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitConfig {
     /// Width of the split band, as a multiplier: ratios in
     /// `[threshold, threshold * band]` co-execute.
     pub band: f64,
-    /// The cost model the GPU-lane share is solved from.
-    pub model: crate::cost::CostModel,
     /// Overrides the solved fraction (tests and the fraction-sweep
     /// bench force specific splits, including the degenerate 0.0/1.0).
     pub forced_fraction: Option<f64>,
 }
 
-impl SplitConfig {
+impl Default for SplitConfig {
     /// Co-execution with the solver-chosen fraction and the default band.
-    pub fn new(model: crate::cost::CostModel) -> SplitConfig {
+    fn default() -> SplitConfig {
         SplitConfig {
             band: 4.0,
-            model,
             forced_fraction: None,
         }
     }
+}
 
+impl SplitConfig {
     /// Forces every eligible operation to split at exactly `fraction`,
     /// regardless of ratio (the band test is bypassed). Used by the
     /// equivalence tests and the static-grid sweep.
-    pub fn forced(model: crate::cost::CostModel, fraction: f64) -> SplitConfig {
+    pub fn forced(fraction: f64) -> SplitConfig {
         SplitConfig {
             band: f64::INFINITY,
-            model,
             forced_fraction: Some(fraction),
         }
     }
@@ -213,11 +219,6 @@ impl SplitBalancer {
         let imbalance = cpu_lane_ns as f64 / gpu_lane_ns as f64;
         self.bias = (self.bias * imbalance.powf(self.gain)).clamp(1.0 / self.limit, self.limit);
     }
-
-    /// Forget everything measured so far (e.g. between workloads).
-    pub fn reset(&mut self) {
-        self.bias = 1.0;
-    }
 }
 
 /// The ratio-crossover scheduler.
@@ -235,26 +236,31 @@ pub struct Scheduler {
     /// ("these costs occur just once, so running larger, more complex
     /// query operations can amortize them" — paper §2.3). The paper's
     /// crossover study itself only measures lists of 1M–2M elements.
-    /// The floor [`crate::Griffin`] installs (65 536 on the K20 profile)
-    /// is solved from `cost.rs`'s hand-set step, which still prices 10
-    /// `cudaMalloc`s and a serial decode floor; a step on a device whose
-    /// allocator is warm makes 2 and has none, so the floor is several
-    /// times too high. It is held until placement moves in its own change.
+    /// [`Scheduler::for_device`] sets it to the model's
+    /// [`CostModel::min_profitable_long_len`] (65 536 on the K20
+    /// profile, overlap on or off); the model-less constructors hand-set
+    /// it. That model still prices 10 `cudaMalloc`s and a serial decode
+    /// floor; a step on a device whose allocator is warm makes 2 and has
+    /// none, so the floor is several times too high. It is held until
+    /// placement moves in its own change.
     pub min_gpu_work: usize,
     /// Co-execution: `Some` lets borderline operations split across both
     /// processors ([`Decision::Split`]); `None` restores the pure
-    /// pick-one behaviour. The bare scheduler constructors leave this
-    /// off; [`crate::Griffin`] enables it by default.
+    /// pick-one behaviour. The model-less constructors leave this off;
+    /// [`Scheduler::for_device`] (and so [`crate::Griffin`]) turns it on.
     pub split: Option<SplitConfig>,
-    /// Cost model for cache-aware overrides ([`Scheduler::decide_traced_resident`]).
-    /// Installed by [`Scheduler::apply_cost_model`]; `None` (the bare
-    /// constructors) makes residency a no-op and every decision
-    /// residency-blind.
-    pub cache_model: Option<crate::cost::CostModel>,
+    /// The one cost model every model-based rule reads: the
+    /// `min_gpu_work` floor is derived from it, the split solver solves
+    /// the GPU-lane share with it, and the residency override
+    /// ([`Scheduler::decide_traced_resident`]) prices resident lists with
+    /// it. `None` (the model-less constructors) makes residency a no-op
+    /// and lets only forced fractions split.
+    pub model: Option<CostModel>,
 }
 
 impl Scheduler {
-    /// Scheduler for an index compressed in `block_len`-element blocks.
+    /// Model-less scheduler for an index compressed in
+    /// `block_len`-element blocks, with a hand-set work floor.
     pub fn for_block_len(block_len: usize) -> Scheduler {
         Scheduler {
             ratio_threshold: block_len,
@@ -262,7 +268,7 @@ impl Scheduler {
             hysteresis: 2.0,
             min_gpu_work: 8_192,
             split: None,
-            cache_model: None,
+            model: None,
         }
     }
 
@@ -275,22 +281,24 @@ impl Scheduler {
             hysteresis: 1.0,
             min_gpu_work: 0,
             split: None,
-            cache_model: None,
+            model: None,
         }
     }
 
-    /// Re-derives the `min_gpu_work` floor from an analytic cost model,
-    /// making the planner overlap-aware: with copy/compute overlap the
-    /// per-step transfer hides behind compute, smaller operations become
-    /// profitable on the device, and the crossover moves down (see
-    /// [`crate::cost::CostModel`]). The ratio threshold itself is
-    /// untouched — it encodes the block-skipping argument, which overlap
-    /// does not change.
-    pub fn apply_cost_model(&mut self, model: &crate::cost::CostModel) {
-        self.min_gpu_work = model.min_profitable_long_len();
-        self.cache_model = Some(*model);
-        if let Some(split) = &mut self.split {
-            split.model = *model;
+    /// The scheduler [`crate::Griffin`] runs: [`Scheduler::for_block_len`]'s
+    /// ratio rule and hysteresis, plus the device's cost model — serial
+    /// or pipelined as `overlap` says — with the work floor derived from
+    /// it and co-execution on the default band. With overlap the
+    /// per-step transfer hides behind compute, so smaller operations can
+    /// become profitable on the device; the ratio threshold itself
+    /// encodes the block-skipping argument, which overlap does not change.
+    pub fn for_device(block_len: usize, cfg: &DeviceConfig, overlap: bool) -> Scheduler {
+        let model = CostModel::from_device(cfg, overlap);
+        Scheduler {
+            min_gpu_work: model.min_profitable_long_len(),
+            split: Some(SplitConfig::default()),
+            model: Some(model),
+            ..Scheduler::for_block_len(block_len)
         }
     }
 
@@ -366,9 +374,9 @@ impl Scheduler {
     ///   a pure-CPU decision. (Device residency leaves splits alone: a
     ///   split's range upload bypasses the device cache.)
     ///
-    /// With an all-cold [`Residency`], no installed cost model, or a
-    /// forced split fraction, the baseline stands untouched — so every
-    /// caches-off run decides exactly as [`Scheduler::decide_traced`].
+    /// With an all-cold [`Residency`], no cost model, or a forced split
+    /// fraction, the baseline stands untouched — so every caches-off run
+    /// decides exactly as [`Scheduler::decide_traced`].
     pub fn decide_traced_resident(
         &self,
         short_len: usize,
@@ -378,7 +386,7 @@ impl Scheduler {
     ) -> DecisionTrace {
         let mut trace = self.decide_traced(short_len, long_len, current);
         trace.residency = residency;
-        let Some(model) = &self.cache_model else {
+        let Some(model) = &self.model else {
             return trace;
         };
         if (!residency.host_cached && !residency.device_cached) || short_len == 0 || long_len == 0 {
@@ -437,7 +445,8 @@ impl Scheduler {
     /// host-resident intermediate (device-resident data already enjoys
     /// hysteresis, and both lanes start from the host copy) and a ratio
     /// inside the configured band — at or above the crossover, where the
-    /// pick-one scheduler would choose the CPU (see [`SplitConfig`]).
+    /// pick-one scheduler would choose the CPU (see [`SplitConfig`]) —
+    /// and either a forced fraction or a cost model to solve one from.
     fn split_decision(
         &self,
         ratio: f64,
@@ -458,7 +467,7 @@ impl Scheduler {
         let gpu_fraction = match split.forced_fraction {
             Some(f) => f.clamp(0.0, 1.0),
             None => {
-                let f = split.model.split_fraction(short_len, long_len);
+                let f = self.model.as_ref()?.split_fraction(short_len, long_len);
                 // A near-degenerate solution means one processor should
                 // just take the whole operation.
                 if f <= 0.01 {
@@ -558,20 +567,18 @@ mod tests {
         assert_eq!(s.decide(0, 1_000_000, Proc::Cpu), Proc::Cpu);
     }
 
-    fn split_scheduler() -> Scheduler {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
-        let mut s = Scheduler::for_block_len(128);
-        s.split = Some(SplitConfig::new(model));
-        s
+    /// The engine's scheduler on the paper's device: pipelined model,
+    /// derived floor, co-execution on.
+    fn k20_scheduler() -> Scheduler {
+        Scheduler::for_device(128, &DeviceConfig::tesla_k20(), true)
     }
 
     #[test]
     fn in_band_host_resident_ops_split() {
-        let s = split_scheduler();
+        let s = k20_scheduler();
         // Ratio exactly at the crossover, well above the work floor, and
         // host-resident: prime split territory.
-        let d = s.decide_traced(8_192, 8_192 * 128, Proc::Cpu);
+        let d = s.decide_traced(1 << 13, (1 << 13) * 128, Proc::Cpu);
         match d.chosen {
             Decision::Split { gpu_fraction } => {
                 assert!(gpu_fraction > 0.0 && gpu_fraction < 1.0);
@@ -585,7 +592,7 @@ mod tests {
 
     #[test]
     fn out_of_band_ratios_do_not_split() {
-        let s = split_scheduler();
+        let s = k20_scheduler();
         // Ratio 4: far below the crossover — the GPU takes it whole.
         assert!(matches!(
             s.decide_traced(100_000, 400_000, Proc::Cpu).chosen,
@@ -600,17 +607,16 @@ mod tests {
 
     #[test]
     fn device_resident_intermediates_never_split() {
-        let s = split_scheduler();
-        let d = s.decide_traced(8_192, 8_192 * 128, Proc::Gpu);
+        let s = k20_scheduler();
+        let d = s.decide_traced(1 << 13, (1 << 13) * 128, Proc::Gpu);
         assert!(!matches!(d.chosen, Decision::Split { .. }));
     }
 
     #[test]
     fn forced_fraction_bypasses_the_band() {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
+        // A forced fraction needs no cost model.
         let mut s = Scheduler::for_block_len(128);
-        s.split = Some(SplitConfig::forced(model, 0.25));
+        s.split = Some(SplitConfig::forced(0.25));
         // Ratio 4 is way out of the default band, but forcing splits it
         // anyway (as the equivalence tests need).
         let d = s.decide_traced(100_000, 400_000, Proc::Cpu);
@@ -618,8 +624,18 @@ mod tests {
     }
 
     #[test]
+    fn a_model_less_scheduler_only_splits_when_forced() {
+        let s = Scheduler {
+            split: Some(SplitConfig::default()),
+            ..Scheduler::for_block_len(128)
+        };
+        let d = s.decide_traced(1 << 13, (1 << 13) * 128, Proc::Cpu);
+        assert_eq!(d.chosen, Decision::Cpu);
+    }
+
+    #[test]
     fn split_respects_the_work_floor() {
-        let mut s = split_scheduler();
+        let mut s = k20_scheduler();
         s.min_gpu_work = 1 << 20;
         let d = s.decide_traced(4_096, 4_096 * 128, Proc::Cpu);
         assert!(matches!(d.chosen, Decision::Cpu));
@@ -627,14 +643,11 @@ mod tests {
 
     #[test]
     fn cold_residency_is_the_baseline() {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
-        let mut s = split_scheduler();
-        s.apply_cost_model(&model);
+        let s = k20_scheduler();
         for (short, long, cur) in [
             (10_000, 100_000, Proc::Cpu),
             (1_000, 1_000_000, Proc::Cpu),
-            (8_192, 8_192 * 128, Proc::Cpu),
+            (1 << 13, (1 << 13) * 128, Proc::Cpu),
             (1_000, 150_000, Proc::Gpu),
             (0, 1_000_000, Proc::Gpu),
         ] {
@@ -651,10 +664,7 @@ mod tests {
 
     #[test]
     fn host_residency_can_flip_gpu_to_cpu() {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
-        let mut s = Scheduler::for_block_len(128);
-        s.apply_cost_model(&model);
+        let s = k20_scheduler();
         // Find a low-ratio operation the blind rule sends to the GPU but
         // whose resident host cost undercuts the device step: at ratio 8
         // the host merge pays decode + merge, so dropping the decode
@@ -691,10 +701,7 @@ mod tests {
 
     #[test]
     fn device_residency_can_flip_cpu_to_gpu() {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
-        let mut s = Scheduler::for_block_len(128);
-        s.apply_cost_model(&model);
+        let s = k20_scheduler();
         // An operation the floor keeps off the device despite a low
         // ratio: resident, the PCIe term is gone and the device wins.
         // The window sits just under `min_gpu_work` (the floor's doubling
@@ -728,11 +735,8 @@ mod tests {
 
     #[test]
     fn host_residency_shrinks_split_fractions() {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
-        let mut s = split_scheduler();
-        s.apply_cost_model(&model);
-        let (short, long) = (8_192, 8_192 * 128);
+        let s = k20_scheduler();
+        let (short, long) = (1 << 13, (1 << 13) * 128);
         let blind = s.decide_traced(short, long, Proc::Cpu);
         let Decision::Split { gpu_fraction: cold } = blind.chosen else {
             panic!("expected a baseline split, got {:?}", blind.chosen);
@@ -761,11 +765,10 @@ mod tests {
 
     #[test]
     fn forced_fractions_ignore_residency() {
-        let cfg = griffin_gpu_sim::DeviceConfig::tesla_k20();
-        let model = crate::cost::CostModel::from_device(&cfg, true);
-        let mut s = Scheduler::for_block_len(128);
-        s.split = Some(SplitConfig::forced(model, 0.25));
-        s.apply_cost_model(&model);
+        let s = Scheduler {
+            split: Some(SplitConfig::forced(0.25)),
+            ..k20_scheduler()
+        };
         let r = s.decide_traced_resident(
             100_000,
             400_000,
@@ -798,7 +801,5 @@ mod tests {
         }
         assert!(b.bias <= b.limit);
         assert!(b.refine(1.0) <= 0.98);
-        b.reset();
-        assert_eq!(b.bias, 1.0);
     }
 }

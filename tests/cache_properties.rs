@@ -29,7 +29,7 @@ use griffin_server::{AdmissionConfig, GriffinServer, Outcome, OverloadPolicy, Se
 use std::rc::Rc;
 
 use griffin_suite::griffin::{
-    CachedResult, CostModel, QueryRequest, ResultCache, SplitConfig, RESULT_CACHE_LOOKUP,
+    CachedResult, QueryRequest, ResultCache, SplitConfig, RESULT_CACHE_LOOKUP,
 };
 use griffin_suite::griffin_cpu::{CacheStats, Lru};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
@@ -132,11 +132,6 @@ fn ids(out: &GriffinOutput) -> Vec<u32> {
     out.topk.iter().map(|&(d, _)| d).collect()
 }
 
-fn forced(fraction: f64) -> SplitConfig {
-    let model = CostModel::from_device(&DeviceConfig::test_tiny(), true);
-    SplitConfig::forced(model, fraction)
-}
-
 // ---------------------------------------------------------------- pin 1
 
 #[test]
@@ -146,7 +141,7 @@ fn caches_off_with_noop_plans_and_forced_splits_stays_bit_exact() {
     let seed = fault_seed();
 
     let mut bits_baseline: Option<Vec<Vec<u32>>> = None;
-    for split in [None, Some(forced(0.5))] {
+    for split in [None, Some(SplitConfig::forced(0.5))] {
         let (bare, clock_bare) = run_requests(&fx, &reqs, ALL_OFF, split, None);
         let plan = FaultPlan::seeded(seed);
         assert!(plan.is_noop(), "a freshly seeded plan must inject nothing");

@@ -16,7 +16,7 @@
 //! Set `GRIFFIN_FAULT_SEED` to vary the workload and fault schedule (the
 //! CI `coexec-invariants` job sweeps a fixed set of seeds).
 
-use griffin_suite::griffin::{CostModel, SplitConfig, StepOp};
+use griffin_suite::griffin::{SplitConfig, StepOp};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::prelude::*;
 use griffin_telemetry::Telemetry;
@@ -73,10 +73,7 @@ fn run_hybrid(
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     gpu.set_fault_plan(plan);
     let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    match split {
-        Some(s) => griffin.scheduler.split = Some(s),
-        None => griffin.set_coexec(false),
-    }
+    griffin.scheduler.split = split;
     let outs = fx
         .queries
         .iter()
@@ -85,11 +82,6 @@ fn run_hybrid(
     griffin.gpu.shutdown();
     assert_eq!(gpu.mem_in_use(), 0, "split must not leak device memory");
     outs
-}
-
-fn forced(fraction: f64) -> SplitConfig {
-    let model = CostModel::from_device(&DeviceConfig::test_tiny(), true);
-    SplitConfig::forced(model, fraction)
 }
 
 /// Per-output lane accounting: every split step costs exactly the slower
@@ -129,7 +121,7 @@ fn every_forced_fraction_is_bit_exact_with_unsplit() {
 
     let mut interior_split_seen = false;
     for f in FRACTIONS {
-        let outs = run_hybrid(&fx, Some(forced(f)), None);
+        let outs = run_hybrid(&fx, Some(SplitConfig::forced(f)), None);
         for (a, b) in outs.iter().zip(&baseline) {
             assert_eq!(a.topk, b.topk, "fraction {f} changed results");
             assert_eq!(a.gpu_faults, 0);
@@ -166,7 +158,10 @@ fn adaptive_balancer_is_bit_exact_with_unsplit() {
     // balancer's measured-imbalance feedback between operations.
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    assert!(griffin.coexec_enabled(), "co-execution defaults on");
+    assert!(
+        griffin.scheduler.split.is_some(),
+        "co-execution defaults on"
+    );
     for (q, expect) in fx.queries.iter().zip(&baseline) {
         let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
         assert_eq!(out.topk, expect.topk, "adaptive split changed results");
@@ -182,8 +177,8 @@ fn armed_noop_fault_plan_is_bit_exact_under_splits() {
     let plan = FaultPlan::seeded(fault_seed());
     assert!(plan.is_noop(), "a freshly seeded plan must inject nothing");
     for f in FRACTIONS {
-        let bare = run_hybrid(&fx, Some(forced(f)), None);
-        let armed = run_hybrid(&fx, Some(forced(f)), Some(plan.clone()));
+        let bare = run_hybrid(&fx, Some(SplitConfig::forced(f)), None);
+        let armed = run_hybrid(&fx, Some(SplitConfig::forced(f)), Some(plan.clone()));
         for (a, b) in bare.iter().zip(&armed) {
             assert_eq!(a.topk, b.topk, "fraction {f}: armed plan changed results");
             assert_eq!(a.time, b.time, "fraction {f}: armed plan changed timing");
@@ -217,7 +212,7 @@ fn device_loss_mid_split_degrades_but_never_fails() {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         gpu.set_fault_plan(Some(FaultPlan::seeded(seed).lose_device_at(lost_at)));
         let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-        griffin.scheduler.split = Some(forced(0.5));
+        griffin.scheduler.split = Some(SplitConfig::forced(0.5));
         let mut saw_fault = false;
         for (q, expect) in fx.queries.iter().zip(&truth) {
             let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
@@ -259,7 +254,7 @@ fn splits_surface_in_metrics_and_the_device_timeline() {
     gpu.set_observer(telemetry.device_observer(gpu.config().warp_size));
     let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
     griffin.set_telemetry(telemetry.clone());
-    griffin.scheduler.split = Some(forced(0.5));
+    griffin.scheduler.split = Some(SplitConfig::forced(0.5));
     let mut split_steps = 0usize;
     for q in &fx.queries {
         let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);

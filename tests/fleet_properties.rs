@@ -22,9 +22,7 @@
 use griffin_server::{
     ArrivingQuery, Fleet, FleetConfig, FleetDevices, HedgeConfig, RetryBudgetConfig,
 };
-use griffin_suite::griffin::{
-    CostModel, FleetInfo, QueryRequest, ShardOutcome, ShardedIndex, SplitConfig,
-};
+use griffin_suite::griffin::{FleetInfo, QueryRequest, ShardOutcome, ShardedIndex, SplitConfig};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::prelude::*;
 
@@ -143,10 +141,7 @@ fn forced_splits_do_not_perturb_the_merge() {
     for &fraction in &[0.0, 0.35, 1.0] {
         let devices = FleetDevices::new(3, 2, &DeviceConfig::test_tiny());
         let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
-        fleet.tune(|g| {
-            let model = CostModel::from_device(&DeviceConfig::test_tiny(), true);
-            g.scheduler.split = Some(SplitConfig::forced(model, fraction));
-        });
+        fleet.tune(|g| g.scheduler.split = Some(SplitConfig::forced(fraction)));
         for (req, want) in reqs.iter().zip(&expected) {
             let out = fleet.run_query(req);
             assert_eq!(&out.topk, want, "split fraction {fraction} changed results");

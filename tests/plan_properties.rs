@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use griffin_suite::griffin::{CostModel, Query, QueryRequest, SplitConfig};
+use griffin_suite::griffin::{Query, QueryRequest, SplitConfig};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::prelude::*;
 use proptest::prelude::*;
@@ -351,12 +351,11 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed());
         prop_assert!(plan.is_noop(), "a freshly seeded plan must inject nothing");
 
-        let model = CostModel::from_device(&DeviceConfig::test_tiny(), true);
         for fraction in [0.25, 0.75] {
             let gpu = Gpu::new(DeviceConfig::test_tiny());
             gpu.set_fault_plan(Some(plan.clone()));
             let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-            griffin.scheduler.split = Some(SplitConfig::forced(model, fraction));
+            griffin.scheduler.split = Some(SplitConfig::forced(fraction));
             let req = QueryRequest::from_query(q.clone()).k(10).mode(ExecMode::Hybrid);
             let out = griffin.run(&fx.index, &req);
             prop_assert_eq!(&out.topk, &expect, "fraction {} diverged on {:?}", fraction, q);

@@ -13,7 +13,7 @@
 //!
 //! Set `GRIFFIN_FAULT_SEED` to vary the workloads and fault schedules.
 
-use griffin_suite::griffin::{CostModel, SplitConfig};
+use griffin_suite::griffin::SplitConfig;
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::prelude::*;
 use griffin_telemetry::Telemetry;
@@ -112,11 +112,6 @@ fn assert_exact_attribution(
     }
 }
 
-fn forced(fraction: f64) -> SplitConfig {
-    let model = CostModel::from_device(&DeviceConfig::test_tiny(), true);
-    SplitConfig::forced(model, fraction)
-}
-
 #[test]
 fn attribution_exact_in_every_mode() {
     let fx = fixture();
@@ -132,7 +127,7 @@ fn attribution_exact_under_forced_splits() {
         assert_exact_attribution(
             &fx,
             ExecMode::Hybrid,
-            Some(forced(fraction)),
+            Some(SplitConfig::forced(fraction)),
             None,
             &format!("split {fraction}"),
         );
@@ -162,7 +157,7 @@ fn attribution_exact_under_faults() {
         assert_exact_attribution(
             &fx,
             ExecMode::Hybrid,
-            Some(forced(0.5)),
+            Some(SplitConfig::forced(0.5)),
             Some(plan.clone()),
             &format!("{ctx} / split 0.5"),
         );
