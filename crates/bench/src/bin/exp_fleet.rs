@@ -413,9 +413,7 @@ fn main() {
         config.hedge = HedgeConfig {
             enabled: hedge,
             quantile: 0.9,
-            multiplier: 1.0,
             min_samples: 16,
-            ..HedgeConfig::default()
         };
         config.budget.per_query = SHARDS as u32;
         config.budget.burst = 16.0;

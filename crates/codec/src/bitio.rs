@@ -72,11 +72,6 @@ impl BitWriter {
     pub fn finish(self) -> Vec<u32> {
         self.words
     }
-
-    /// Current number of complete+partial words.
-    pub fn len_words(&self) -> usize {
-        self.words.len()
-    }
 }
 
 /// Reads bit fields from a `&[u32]`, LSB-first, mirroring [`BitWriter`].

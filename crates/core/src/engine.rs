@@ -159,22 +159,26 @@ impl Inter {
 /// the query to the CPU for the rest of its execution. Both paths keep
 /// the query's results identical to a fault-free run; only its latency
 /// (and its [`StepOp::FaultRecovery`] trace entries) change.
+///
+/// A failing operation is retried [`RecoveryPolicy::MAX_RETRIES`] times,
+/// each backoff [`RecoveryPolicy::BACKOFF_MULTIPLIER`] times the last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Retries per failing GPU operation before migrating to the CPU.
-    pub max_retries: u32,
     /// Backoff charged to the virtual clock before the first retry.
     pub initial_backoff: VirtualNanos,
+}
+
+impl RecoveryPolicy {
+    /// Retries per failing GPU operation before migrating to the CPU.
+    pub const MAX_RETRIES: u32 = 2;
     /// Each further backoff is the previous one times this factor.
-    pub backoff_multiplier: u64,
+    pub const BACKOFF_MULTIPLIER: u64 = 2;
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> RecoveryPolicy {
         RecoveryPolicy {
-            max_retries: 2,
             initial_backoff: VirtualNanos::from_micros(10),
-            backoff_multiplier: 2,
         }
     }
 }
@@ -588,11 +592,11 @@ impl<'g> Griffin<'g> {
                         let name = format!("griffin_fault_gpu_errors_total{{kind=\"{kind}\"}}");
                         r.registry.counter_add(&name, 1);
                     });
-                    if e.is_transient() && retries < self.recovery.max_retries {
+                    if e.is_transient() && retries < RecoveryPolicy::MAX_RETRIES {
                         retries += 1;
                         self.telemetry.counter_add("griffin_fault_retries_total", 1);
                         self.device.advance(backoff);
-                        backoff = backoff * self.recovery.backoff_multiplier;
+                        backoff = backoff * RecoveryPolicy::BACKOFF_MULTIPLIER;
                         continue;
                     }
                     run.log.gpu_disabled = true;
@@ -628,35 +632,6 @@ impl<'g> Griffin<'g> {
         }
     }
 
-    /// Re-runs the completed prefix of the query plan on the CPU: the
-    /// init step plus `completed` intersections. Because the CPU and GPU
-    /// engines are bit-equivalent, this reproduces exactly the
-    /// intermediate the device held when it failed.
-    fn rematerialize(
-        &self,
-        index: &InvertedIndex,
-        planned: &[TermId],
-        completed: usize,
-        w: &mut WorkCounters,
-    ) -> Intermediate {
-        let mut scratch = self.scratch.borrow_mut();
-        let mut inter = self.cpu.init_intermediate(index, planned[0], w);
-        for j in 0..completed {
-            if inter.is_empty() {
-                break;
-            }
-            inter = self.cpu.intersect_step_with(
-                index,
-                &inter,
-                planned[j + 1],
-                Strategy::Auto,
-                w,
-                &mut scratch,
-            );
-        }
-        inter
-    }
-
     /// Brings the query's intermediate back to the host after the GPU
     /// lane is abandoned. Prefers draining the intact device intermediate
     /// over PCIe (with retries); if the device no longer answers, re-runs
@@ -680,7 +655,17 @@ impl<'g> Griffin<'g> {
                 return (host, spent);
             }
         }
-        let host = self.rematerialize(index, planned, completed, &mut run.host);
+        // Re-run the completed prefix on the CPU: the init step plus
+        // `completed` intersections. `planned` is already df-sorted, so
+        // the host chain runs its prefix in the same order, and the
+        // engines' bit-equivalence reproduces exactly the intermediate
+        // the device held when it failed.
+        let host = self.cpu.eval_chain(
+            index,
+            &planned[..=completed],
+            &mut run.host,
+            &mut self.scratch.borrow_mut(),
+        );
         (host, spent + self.price_host(run))
     }
 
@@ -764,23 +749,11 @@ impl<'g> Griffin<'g> {
         out
     }
 
-    /// Text-level convenience: parses `text` with the query grammar
+    /// Starts a fluent text search: parses `text` with the query grammar
     /// (juxtaposition = `AND`, `OR`, `-word` / `NOT`, `"quoted phrases"`,
-    /// parentheses — see [`Query::parse`]) and runs it under `mode`. A
-    /// word missing from the vocabulary is an error
-    /// ([`QueryError::UnknownTerm`]); use
-    /// [`Griffin::query`]`.lenient(true)` for the forgiving behaviour.
-    pub fn search(
-        &self,
-        index: &InvertedIndex,
-        text: &str,
-        k: usize,
-        mode: ExecMode,
-    ) -> Result<GriffinOutput, QueryError> {
-        self.query(index, text).k(k).mode(mode).run()
-    }
-
-    /// Starts a fluent text search:
+    /// parentheses — see [`Query::parse`]) and runs it. A word missing
+    /// from the vocabulary is an error ([`QueryError::UnknownTerm`])
+    /// unless [`Search::lenient`] is set.
     ///
     /// ```ignore
     /// let out = griffin.query(&idx, "gpu engine -legacy").k(10).lenient(true).run()?;
@@ -1665,15 +1638,15 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let hits = griffin
-            .search(&idx, "rust engine", 10, ExecMode::Hybrid)
+            .query(&idx, "rust engine")
+            .k(10)
+            .run()
             .expect("all words known");
         let mut docs: Vec<u32> = hits.topk.iter().map(|&(d, _)| d).collect();
         docs.sort_unstable();
         assert_eq!(docs, vec![1, 2]);
-        // Unknown words are an error from `search`...
-        let err = griffin
-            .search(&idx, "rust nonexistent", 10, ExecMode::Hybrid)
-            .unwrap_err();
+        // Unknown words are an error by default...
+        let err = griffin.query(&idx, "rust nonexistent").run().unwrap_err();
         assert_eq!(err, QueryError::UnknownTerm("nonexistent".into()));
         // ...and an empty result from the lenient builder.
         let none = griffin
@@ -1685,7 +1658,8 @@ mod tests {
         assert_eq!(none.time, VirtualNanos::ZERO);
         // The full grammar: OR, negation, phrases.
         let planned = griffin
-            .search(&idx, "\"rust gpu\" OR engine -cpu", 10, ExecMode::Hybrid)
+            .query(&idx, "\"rust gpu\" OR engine -cpu")
+            .run()
             .expect("grammar parses");
         let mut docs: Vec<u32> = planned.topk.iter().map(|&(d, _)| d).collect();
         docs.sort_unstable();

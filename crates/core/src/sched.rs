@@ -185,24 +185,21 @@ pub struct SplitBalancer {
     /// Multiplier applied to the solver's fraction (1.0 = trust the
     /// model).
     pub bias: f64,
-    /// Exponent on the observed lane-time ratio per update (0.5 = move
-    /// halfway in log space; smaller is more damped).
-    pub gain: f64,
-    /// `bias` is clamped to `[1/limit, limit]`.
-    pub limit: f64,
 }
 
 impl Default for SplitBalancer {
     fn default() -> SplitBalancer {
-        SplitBalancer {
-            bias: 1.0,
-            gain: 0.5,
-            limit: 4.0,
-        }
+        SplitBalancer { bias: 1.0 }
     }
 }
 
 impl SplitBalancer {
+    /// Exponent on the observed lane-time ratio per update (0.5 = move
+    /// halfway in log space; smaller is more damped).
+    const GAIN: f64 = 0.5;
+    /// `bias` is clamped to `[1/LIMIT, LIMIT]`.
+    const LIMIT: f64 = 4.0;
+
     /// The fraction to actually execute, given the solver's estimate.
     pub fn refine(&self, solved: f64) -> f64 {
         (solved * self.bias).clamp(0.02, 0.98)
@@ -217,7 +214,7 @@ impl SplitBalancer {
             return; // a degenerate (empty-lane) split carries no signal
         }
         let imbalance = cpu_lane_ns as f64 / gpu_lane_ns as f64;
-        self.bias = (self.bias * imbalance.powf(self.gain)).clamp(1.0 / self.limit, self.limit);
+        self.bias = (self.bias * imbalance.powf(Self::GAIN)).clamp(1.0 / Self::LIMIT, Self::LIMIT);
     }
 }
 
@@ -799,7 +796,7 @@ mod tests {
         for _ in 0..64 {
             b.observe(1_000_000, 1);
         }
-        assert!(b.bias <= b.limit);
+        assert!(b.bias <= SplitBalancer::LIMIT);
         assert!(b.refine(1.0) <= 0.98);
     }
 }

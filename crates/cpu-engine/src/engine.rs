@@ -6,6 +6,7 @@
 //! single step on the CPU while others run on the GPU.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use griffin_codec::BlockedList;
@@ -16,7 +17,6 @@ use crate::cost::{CpuCostModel, WorkCounters};
 use crate::decode;
 use crate::intersect::{self, Matches};
 use crate::lru::{CacheStats, Lru};
-use crate::rank::Bm25;
 use crate::simd;
 use crate::topk;
 
@@ -123,13 +123,12 @@ pub struct ChainResult {
     pub tf_blocks_total: u64,
 }
 
-/// The CPU query engine.
+/// The CPU query engine. Scores with the index's own BM25 parameters
+/// ([`InvertedIndex::bm25`]), the ones its block-max bounds were baked
+/// under, so pruning stays sound.
 #[derive(Debug, Clone, Default)]
 pub struct CpuEngine {
     pub model: CpuCostModel,
-    pub bm25: Bm25,
-    /// `Auto` switches from merge to skip-binary at this long/short ratio.
-    pub merge_ratio_threshold: usize,
     /// The host decoded-list tier: term → decoded docIDs, so a hit skips
     /// decompression entirely (merge and pure-binary intersect against
     /// the vector; skip search, the split path's CPU lane included,
@@ -147,14 +146,13 @@ pub struct CpuEngine {
 /// on top of its payload (map slot, `Arc` header, LRU stamp).
 const HOST_ENTRY_OVERHEAD_BYTES: u64 = 64;
 
+/// [`Strategy::Auto`] switches from merge to skip-binary at this
+/// long/short length ratio.
+const MERGE_RATIO_THRESHOLD: usize = 16;
+
 impl CpuEngine {
     pub fn new() -> Self {
-        CpuEngine {
-            model: CpuCostModel::default(),
-            bm25: Bm25::default(),
-            merge_ratio_threshold: 16,
-            host_cache: RefCell::default(),
-        }
+        Self::default()
     }
 
     /// Configures the host decoded-list cache's byte budget. 0 (the
@@ -257,17 +255,13 @@ impl CpuEngine {
             w.varint_elements += tfs.len() as u64;
             (ids, tfs)
         };
-        let idf = self
-            .bm25
-            .idf(index.num_docs(), index.scoring_df(term) as u32);
+        let bm25 = index.bm25();
+        let idf = bm25.idf(index.num_docs(), index.scoring_df(term) as u32);
         let meta = index.meta();
         let scores: Vec<f32> = docids
             .iter()
             .zip(&tfs)
-            .map(|(&d, &tf)| {
-                self.bm25
-                    .contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len)
-            })
+            .map(|(&d, &tf)| bm25.contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len))
             .collect();
         w.scored += docids.len() as u64;
         Intermediate { docids, scores }
@@ -298,15 +292,30 @@ impl CpuEngine {
         w: &mut WorkCounters,
         scratch: &mut intersect::QueryScratch,
     ) -> Intermediate {
+        let matches = self.matches(index, &inter.docids, term, strategy, w, scratch);
+        self.score_matches(index, inter, term, matches, w, scratch)
+    }
+
+    /// Finds `short`'s members in `term`'s whole list: the one place the
+    /// engine decides how to intersect. [`Strategy::Auto`] takes skip
+    /// search at a long/short ratio of [`MERGE_RATIO_THRESHOLD`] or more
+    /// (an empty `short` counts as infinitely far apart), merge below it.
+    /// The decoding strategies take the list from the host cache or
+    /// decode it and offer it there.
+    fn matches(
+        &self,
+        index: &InvertedIndex,
+        short: &[u32],
+        term: TermId,
+        strategy: Strategy,
+        w: &mut WorkCounters,
+        scratch: &mut intersect::QueryScratch,
+    ) -> Matches {
         let list = index.list(term);
-        let ratio = if inter.is_empty() {
-            usize::MAX
-        } else {
-            list.len() / inter.len().max(1)
-        };
         let strategy = match strategy {
             Strategy::Auto => {
-                if ratio >= self.merge_ratio_threshold {
+                let ratio = list.len().checked_div(short.len()).unwrap_or(usize::MAX);
+                if ratio >= MERGE_RATIO_THRESHOLD {
                     Strategy::SkipBinary
                 } else {
                     Strategy::Merge
@@ -314,37 +323,54 @@ impl CpuEngine {
             }
             s => s,
         };
-
-        let matches: Matches = match strategy {
-            Strategy::SkipBinary => match self.cached_decoded(term) {
-                Some(decoded) => intersect::skip_intersect_range_cached(
-                    &inter.docids,
-                    &list.docs,
-                    &decoded,
-                    0,
-                    list.num_blocks(),
-                    w,
-                ),
-                None => intersect::skip_intersect_range_with(
-                    &inter.docids,
-                    &list.docs,
-                    0,
-                    list.num_blocks(),
-                    w,
-                    scratch,
-                ),
-            },
+        match strategy {
+            Strategy::SkipBinary => {
+                self.skip_matches(index, short, term, 0..list.num_blocks(), w, scratch)
+            }
             Strategy::Merge => {
                 let long = self.decoded_list(term, &list.docs, w);
-                intersect::merge_intersect(&inter.docids, &long, w)
+                intersect::merge_intersect(short, &long, w)
             }
             Strategy::PureBinary => {
                 let long = self.decoded_list(term, &list.docs, w);
-                intersect::binary_intersect_decoded(&inter.docids, &long, w)
+                intersect::binary_intersect_decoded(short, &long, w)
             }
             Strategy::Auto => unreachable!("resolved above"),
-        };
-        self.score_matches(index, inter, term, matches, w, scratch)
+        }
+    }
+
+    /// Skip search of `short` into the `blocks` sub-range of `term`'s
+    /// list, binary-searching the host cache's decoded copy on a hit.
+    /// Consult-only: a skip search decodes at most the blocks it probes,
+    /// so a miss must not populate the cache.
+    fn skip_matches(
+        &self,
+        index: &InvertedIndex,
+        short: &[u32],
+        term: TermId,
+        blocks: Range<usize>,
+        w: &mut WorkCounters,
+        scratch: &mut intersect::QueryScratch,
+    ) -> Matches {
+        let docs = &index.list(term).docs;
+        match self.cached_decoded(term) {
+            Some(decoded) => intersect::skip_intersect_range_cached(
+                short,
+                docs,
+                &decoded,
+                blocks.start,
+                blocks.end,
+                w,
+            ),
+            None => intersect::skip_intersect_range_with(
+                short,
+                docs,
+                blocks.start,
+                blocks.end,
+                w,
+                scratch,
+            ),
+        }
     }
 
     /// The CPU lane of a co-executed split: intersects `inter` (already
@@ -359,31 +385,11 @@ impl CpuEngine {
         index: &InvertedIndex,
         inter: &Intermediate,
         term: TermId,
-        blocks: std::ops::Range<usize>,
+        blocks: Range<usize>,
         w: &mut WorkCounters,
         scratch: &mut intersect::QueryScratch,
     ) -> Intermediate {
-        let list = index.list(term);
-        // Consult-only: a split lane touches just a block sub-range, so a
-        // miss does not decode the whole list and must not populate.
-        let matches = match self.cached_decoded(term) {
-            Some(decoded) => intersect::skip_intersect_range_cached(
-                &inter.docids,
-                &list.docs,
-                &decoded,
-                blocks.start,
-                blocks.end,
-                w,
-            ),
-            None => intersect::skip_intersect_range_with(
-                &inter.docids,
-                &list.docs,
-                blocks.start,
-                blocks.end,
-                w,
-                scratch,
-            ),
-        };
+        let matches = self.skip_matches(index, &inter.docids, term, blocks, w, scratch);
         self.score_matches(index, inter, term, matches, w, scratch)
     }
 
@@ -400,9 +406,8 @@ impl CpuEngine {
     ) -> Intermediate {
         let list = index.list(term);
         let tfs = intersect::gather_tfs_with(list, &matches.b_idx, w, scratch);
-        let idf = self
-            .bm25
-            .idf(index.num_docs(), index.scoring_df(term) as u32);
+        let bm25 = index.bm25();
+        let idf = bm25.idf(index.num_docs(), index.scoring_df(term) as u32);
         let meta = index.meta();
         let scores: Vec<f32> = matches
             .docids
@@ -411,9 +416,7 @@ impl CpuEngine {
             .zip(&tfs)
             .map(|((&d, &ai), &tf)| {
                 inter.scores[ai as usize]
-                    + self
-                        .bm25
-                        .contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len)
+                    + bm25.contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len)
             })
             .collect();
         w.scored += matches.docids.len() as u64;
@@ -475,36 +478,12 @@ impl CpuEngine {
             if docids.is_empty() {
                 break;
             }
-            let list = index.list(t);
-            // Mirror intersect_step_with's Auto choice so the docID-side
-            // work counters match the unpruned chain exactly.
-            let ratio = list.len() / docids.len().max(1);
-            let m = if ratio >= self.merge_ratio_threshold {
-                match self.cached_decoded(t) {
-                    Some(decoded) => intersect::skip_intersect_range_cached(
-                        &docids,
-                        &list.docs,
-                        &decoded,
-                        0,
-                        list.num_blocks(),
-                        w,
-                    ),
-                    None => intersect::skip_intersect_range_with(
-                        &docids,
-                        &list.docs,
-                        0,
-                        list.num_blocks(),
-                        w,
-                        &mut scratch,
-                    ),
-                }
-            } else {
-                let long = self.decoded_list(t, &list.docs, w);
-                intersect::merge_intersect(&docids, &long, w)
-            };
+            // The same choice as the unpruned chain, so the docID-side
+            // work counters match it exactly.
+            let m = self.matches(index, &docids, t, Strategy::Auto, w, &mut scratch);
             // Distinct tf blocks the unpruned score_matches would decode
             // for this step's survivors (its gather is block-monotone).
-            let bl = list.docs.block_len;
+            let bl = index.list(t).docs.block_len;
             let mut prev = usize::MAX;
             for &gi in &m.b_idx {
                 let blk = gi as usize / bl;
@@ -562,10 +541,11 @@ impl CpuEngine {
 
         let nterms = chain.planned.len();
         let meta = index.meta();
+        let bm25 = index.bm25();
         let idfs: Vec<f32> = chain
             .planned
             .iter()
-            .map(|&t| self.bm25.idf(index.num_docs(), index.scoring_df(t) as u32))
+            .map(|&t| bm25.idf(index.num_docs(), index.scoring_df(t) as u32))
             .collect();
         // Optimistic bound per candidate: its blocks' upper bounds folded
         // in the same left-associated plan order as the exact scorer.
@@ -627,8 +607,7 @@ impl CpuEngine {
                 };
                 let tf = tfs[gi - blk * bl];
                 let contribution =
-                    self.bm25
-                        .contribution(idfs[t], tf, meta.doc_len(d), meta.avg_doc_len);
+                    bm25.contribution(idfs[t], tf, meta.doc_len(d), meta.avg_doc_len);
                 score = if t == 0 {
                     contribution
                 } else {
@@ -752,6 +731,24 @@ mod tests {
         }
         assert_eq!(results[0], results[1]);
         assert_eq!(results[0], results[2]);
+    }
+
+    #[test]
+    fn default_engine_is_the_new_engine() {
+        // A comparable-length pair (ratio 3): `Auto` must merge on both.
+        let short: Vec<u32> = (0..2_000u32).map(|i| i * 9 + 4).collect();
+        let long: Vec<u32> = (0..6_000u32).map(|i| i * 3 + 1).collect();
+        let idx = InvertedIndex::from_docid_lists(&[short, long], 20_000, Codec::EliasFano, 128);
+        let q = vec![idx.lookup("t0").unwrap(), idx.lookup("t1").unwrap()];
+        let built = CpuEngine::new().process_query(&idx, &q, 10);
+        let default = CpuEngine::default().process_query(&idx, &q, 10);
+        let bits = |o: &QueryOutput| -> Vec<(u32, u32)> {
+            o.topk.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+        };
+        assert!(!built.topk.is_empty());
+        assert_eq!(bits(&built), bits(&default));
+        assert_eq!(built.time, default.time);
+        assert_eq!(built.counters, default.counters);
     }
 
     #[test]

@@ -230,13 +230,6 @@ impl Gpu {
         self.clock_ns.fetch_add(by.as_nanos(), Ordering::Relaxed);
     }
 
-    /// Reset the clock to zero (experiments reuse one device). Stream
-    /// frontiers are reset with it — pending async work is forgotten.
-    pub fn reset_clock(&self) {
-        self.clock_ns.store(0, Ordering::Relaxed);
-        self.lock_streams().busy_until = [0; crate::stream::NUM_STREAMS];
-    }
-
     #[inline]
     fn lock_streams(&self) -> MutexGuard<'_, StreamTable> {
         self.streams.lock().unwrap_or_else(|p| p.into_inner())

@@ -115,18 +115,6 @@ impl<'a> ThreadCtx<'a> {
         self.grid_dim as usize * self.block_dim as usize
     }
 
-    /// Lane within the warp.
-    #[inline]
-    pub fn lane_id(&self) -> u32 {
-        self.thread_idx % 32
-    }
-
-    /// Warp index within the block.
-    #[inline]
-    pub fn warp_in_block(&self) -> u32 {
-        self.thread_idx / 32
-    }
-
     /// Load one element from global memory.
     #[inline]
     pub fn ld<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, idx: usize) -> T {
@@ -196,12 +184,6 @@ impl<'a> ThreadCtx<'a> {
         let old = self.shared[idx];
         self.shared[idx] = old.wrapping_add(v);
         old
-    }
-
-    /// Number of shared-memory words available to this block.
-    #[inline]
-    pub fn shared_len(&self) -> usize {
-        self.shared.len()
     }
 
     /// Charge `n` simple ALU ops.

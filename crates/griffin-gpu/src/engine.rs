@@ -288,14 +288,13 @@ impl Kernel for TfGatherKernel {
     }
 }
 
+/// `Auto` switches MergePath → binary search at this long/short ratio: the block size (§3.2).
+const BINARY_RATIO_THRESHOLD: usize = 128;
+
 /// The Griffin-GPU engine.
 pub struct GpuEngine<'g> {
     pub gpu: &'g Gpu,
-    pub bm25: Bm25,
-    pub mp_config: MergePathConfig,
-    /// `Auto` switches MergePath → binary search at this long/short ratio
-    /// (the paper ties it to the 128-element block size; see §3.2).
-    pub binary_ratio_threshold: usize,
+    mp_config: MergePathConfig,
     doc_lens: Option<DeviceBuffer<u32>>,
     avg_doc_len: f32,
     num_docs: u32,
@@ -373,9 +372,7 @@ impl<'g> GpuEngine<'g> {
         };
         GpuEngine {
             gpu,
-            bm25: Bm25::default(),
             mp_config: MergePathConfig::for_device(gpu.config()),
-            binary_ratio_threshold: 128,
             doc_lens,
             avg_doc_len: meta.avg_doc_len,
             num_docs: meta.num_docs,
@@ -439,10 +436,12 @@ impl<'g> GpuEngine<'g> {
     }
 
     fn params(&self, doc_freq: u32) -> ScoreParams {
+        // Every index's own parameters (`InvertedIndex::bm25`): bit-exact with the CPU engine.
+        let bm25 = Bm25::default();
         ScoreParams {
-            idf: self.bm25.idf(self.num_docs, doc_freq),
-            k1: self.bm25.k1,
-            b: self.bm25.b,
+            idf: bm25.idf(self.num_docs, doc_freq),
+            k1: bm25.k1,
+            b: bm25.b,
             avg_doc_len: self.avg_doc_len,
         }
     }
@@ -623,7 +622,7 @@ impl<'g> GpuEngine<'g> {
         let long_len = postings.len();
         let ratio = long_len.checked_div(inter.len).unwrap_or(usize::MAX);
         let merge_path = match strategy {
-            GpuStrategy::Auto => ratio < self.binary_ratio_threshold,
+            GpuStrategy::Auto => ratio < BINARY_RATIO_THRESHOLD,
             s => s == GpuStrategy::MergePath,
         };
         let mut scope = Scope::new(gpu);

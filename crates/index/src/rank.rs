@@ -5,11 +5,10 @@
 //! pairwise intersection adds the new term's contribution for the
 //! surviving documents — no re-touching of earlier lists.
 //!
-//! The parameters live in this crate (not the CPU engine) because the
-//! index builder bakes per-block score upper bounds at construction time
-//! (see [`crate::InvertedIndex::block_ubs`]); pruning is only sound when
-//! the engine scores with the *same* parameters the bounds were computed
-//! under, so the index records its [`Bm25`] and engines compare.
+//! The parameters live in this crate because the index builder bakes
+//! per-block score upper bounds under them ([`crate::InvertedIndex::bm25`]);
+//! pruning is only sound when engines score with the *same* parameters,
+//! and they do: neither engine has parameters of its own to set.
 
 use crate::document::CorpusMeta;
 

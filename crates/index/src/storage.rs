@@ -171,14 +171,6 @@ impl InvertedIndex {
         &self.block_ubs[term.0 as usize]
     }
 
-    /// The whole-list score upper bound of a term (MaxScore's per-term
-    /// bound): the max over its block upper bounds.
-    pub fn term_ub(&self, term: TermId) -> f32 {
-        self.block_ubs[term.0 as usize]
-            .iter()
-            .fold(0.0f32, |a, &b| a.max(b))
-    }
-
     /// The BM25 parameters the block upper bounds were computed under.
     /// Engines must only prune when they score with equal parameters.
     pub fn bm25(&self) -> &Bm25 {

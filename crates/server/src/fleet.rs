@@ -28,12 +28,10 @@
 //!   a shard whose every live replica is breaker-open degrades to a
 //!   CPU-only lane (exact results, different latency) rather than
 //!   dropping out.
-//! * **Partial-result degradation**: when a query carries a deadline
-//!   and [`FleetConfig::partial_on_deadline`] is set, shards answering
-//!   after the deadline are left out of the merge — but never
-//!   silently: every shard appears in the answer's
-//!   [`FleetInfo`] with an explicit outcome, and
-//!   `coverage` says exactly how much of the corpus the top-k reflects.
+//! * **Partial-result degradation**: when a query carries a deadline,
+//!   shards answering after the deadline are left out of the merge — but
+//!   never silently: every shard appears in the answer's [`FleetInfo`]
+//!   with an explicit outcome, and `coverage` says exactly how much of the corpus the top-k reflects.
 //!   A query is always answered; if no shard made the deadline the
 //!   coordinator waits for all of them rather than returning nothing.
 //! * **Retry budgets**: hedges spend from a per-query allowance and a
@@ -46,21 +44,19 @@
 //! trips, and coverage history run after run.
 
 use griffin::{
-    merge_topk, CacheStats, ExecMode, FleetInfo, Griffin, GriffinOutput, Proc, PruneStats,
-    QueryRequest, ShardOutcome, ShardStatus, ShardedIndex, StepOp, StepTrace,
+    merge_topk, ExecMode, FleetInfo, Griffin, GriffinOutput, Proc, PruneStats, QueryRequest,
+    ShardOutcome, ShardStatus, ShardedIndex, StepOp, StepTrace,
 };
 use griffin_gpu_sim::{DeviceConfig, Gpu, VirtualNanos};
-use griffin_telemetry::{Cause, Histogram, Telemetry, Verdict};
+use griffin_telemetry::{Histogram, Telemetry};
 
-use crate::admission::Outcome;
-use crate::flight::{FlightConfig, FlightRecord, FlightRecorder, ShardVerdict};
-use crate::health::{BreakerConfig, BreakerState, GpuHealth};
+use crate::health::{BreakerConfig, GpuHealth};
 use crate::server::ArrivingQuery;
 
-/// Hedged-request policy. The hedge deadline is
-/// `quantile(latency) × multiplier`, floored at `min_deadline`; no
-/// hedging happens until the fleet has `min_samples` observed shard
-/// answers.
+/// Hedged-request policy. The hedge deadline is `quantile(latency)`,
+/// floored at 1 µs so a warm cache of sub-microsecond answers cannot make
+/// every query hedge; no hedging happens until the fleet has
+/// `min_samples` observed shard answers.
 ///
 /// The deadline tracks shard *answer latencies* (queue wait plus
 /// service): each replica is an independent FIFO lane, so a request
@@ -76,13 +72,8 @@ pub struct HedgeConfig {
     /// Latency quantile the deadline tracks (0.95 = hedge once the
     /// primary has been outstanding past the answer-latency p95).
     pub quantile: f64,
-    /// Deadline = quantile × multiplier.
-    pub multiplier: f64,
     /// Observed shard answers required before the deadline is defined.
     pub min_samples: u64,
-    /// Lower bound on the deadline, so a warm cache of sub-microsecond
-    /// answers cannot make every query hedge.
-    pub min_deadline: VirtualNanos,
 }
 
 impl Default for HedgeConfig {
@@ -90,12 +81,13 @@ impl Default for HedgeConfig {
         HedgeConfig {
             enabled: true,
             quantile: 0.95,
-            multiplier: 1.0,
             min_samples: 32,
-            min_deadline: VirtualNanos::from_nanos(1_000),
         }
     }
 }
+
+/// The floor on the hedge deadline (see [`HedgeConfig`]).
+const MIN_HEDGE_DEADLINE: VirtualNanos = VirtualNanos::from_micros(1);
 
 /// Bounds on retry/hedge amplification.
 ///
@@ -123,43 +115,13 @@ impl Default for RetryBudgetConfig {
 
 /// Fleet coordinator tuning. The shard count comes from the
 /// [`ShardedIndex`], the replica count from the [`FleetDevices`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Per-replica circuit-breaker tuning (every replica gets its own
     /// breaker built from this).
     pub breaker: BreakerConfig,
     pub hedge: HedgeConfig,
     pub budget: RetryBudgetConfig,
-    /// Return partial results when a deadline-carrying query would
-    /// otherwise wait for a straggler shard past its deadline. When
-    /// false the coordinator always waits for every answering shard.
-    pub partial_on_deadline: bool,
-    /// Attach a tail flight recorder with per-shard verdicts.
-    pub flight: Option<FlightConfig>,
-    /// Per-replica result-cache sizing `(max_entries, budget_bytes)`,
-    /// applied to every replica engine at construction. Each replica
-    /// caches its own shard's answers — hits never cross shard
-    /// boundaries, so replicas of a hot shard warm independently.
-    /// `None` (the default) leaves the tier off.
-    pub result_cache: Option<(usize, u64)>,
-    /// Per-replica host decoded-list cache byte budget, applied to
-    /// every replica's CPU engine at construction. `None` keeps the
-    /// engine default.
-    pub host_cache_bytes: Option<u64>,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            breaker: BreakerConfig::default(),
-            hedge: HedgeConfig::default(),
-            budget: RetryBudgetConfig::default(),
-            partial_on_deadline: true,
-            flight: None,
-            result_cache: None,
-            host_cache_bytes: None,
-        }
-    }
 }
 
 /// The fleet's devices: one simulated GPU per (shard, replica) pair,
@@ -175,23 +137,10 @@ pub struct FleetDevices {
 impl FleetDevices {
     /// `shards × replicas` identical devices.
     pub fn new(shards: usize, replicas: usize, config: &DeviceConfig) -> FleetDevices {
-        FleetDevices::heterogeneous(shards, replicas, |_, _| config.clone())
-    }
-
-    /// `shards × replicas` devices, with `config(shard, replica)` picking
-    /// each one — for modelling uneven fleets (a thermally throttled
-    /// replica, a beefier tier for a hot shard).
-    pub fn heterogeneous<F>(shards: usize, replicas: usize, mut config: F) -> FleetDevices
-    where
-        F: FnMut(usize, usize) -> DeviceConfig,
-    {
         assert!(shards >= 1 && replicas >= 1, "need at least one device");
-        let mut devices = Vec::with_capacity(shards * replicas);
-        for s in 0..shards {
-            for r in 0..replicas {
-                devices.push(Gpu::new(config(s, r)));
-            }
-        }
+        let devices = (0..shards * replicas)
+            .map(|_| Gpu::new(config.clone()))
+            .collect();
         FleetDevices { devices, replicas }
     }
 
@@ -304,14 +253,6 @@ impl FleetReport {
             .sum();
         sum / self.queries.len() as f64
     }
-
-    /// Queries whose merge covered every shard.
-    pub fn complete_answers(&self) -> usize {
-        self.queries
-            .iter()
-            .filter(|q| q.output.fleet.as_ref().is_none_or(|f| f.complete()))
-            .count()
-    }
 }
 
 /// A per-shard answer before the gather step.
@@ -343,7 +284,6 @@ pub struct Fleet<'g> {
     clock: VirtualNanos,
     stats: FleetStats,
     telemetry: Telemetry,
-    flight: Option<FlightRecorder>,
 }
 
 impl<'g> Fleet<'g> {
@@ -366,22 +306,14 @@ impl<'g> Fleet<'g> {
         for s in 0..shards {
             let shard = index.shard(s);
             for r in 0..replicas_per_shard {
-                let engine = Griffin::new(devices.device(s, r), shard.meta(), shard.block_len());
-                if let Some((entries, bytes)) = config.result_cache {
-                    engine.set_result_cache(entries, bytes);
-                }
-                if let Some(bytes) = config.host_cache_bytes {
-                    engine.cpu.set_host_cache_budget(bytes);
-                }
                 replicas.push(Replica {
-                    engine,
+                    engine: Griffin::new(devices.device(s, r), shard.meta(), shard.block_len()),
                     health: GpuHealth::new(config.breaker),
                     alive: true,
                     busy_until: VirtualNanos::ZERO,
                 });
             }
         }
-        let flight = config.flight.map(FlightRecorder::new);
         let tokens = config.budget.burst;
         Fleet {
             config,
@@ -394,72 +326,21 @@ impl<'g> Fleet<'g> {
             clock: VirtualNanos::ZERO,
             stats: FleetStats::default(),
             telemetry: Telemetry::disabled(),
-            flight,
         }
-    }
-
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     pub fn stats(&self) -> &FleetStats {
         &self.stats
     }
 
-    /// The fleet's closed-loop clock (advances in [`Fleet::run_query`]).
-    pub fn clock(&self) -> VirtualNanos {
-        self.clock
-    }
-
-    pub fn num_shards(&self) -> usize {
-        self.index.num_shards()
-    }
-
-    pub fn replicas_per_shard(&self) -> usize {
-        self.replicas_per_shard
-    }
-
-    /// Summed result-cache accounting across every replica engine (all
-    /// zeros while the per-replica tier is off —
-    /// [`FleetConfig::result_cache`]).
-    pub fn result_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for rep in &self.replicas {
-            if let Some(s) = rep.engine.result_cache_stats() {
-                total.hits += s.hits;
-                total.misses += s.misses;
-                total.evictions += s.evictions;
-                total.bytes_resident += s.bytes_resident;
-            }
-        }
-        total
-    }
-
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
     /// Takes `(shard, replica)` out of the routing set (a crashed or
-    /// drained process). Its breaker state is preserved for revival.
+    /// drained process).
     pub fn kill_replica(&mut self, shard: usize, replica: usize) {
         self.replica_mut(shard, replica).alive = false;
-    }
-
-    /// Returns a killed replica to the routing set.
-    pub fn revive_replica(&mut self, shard: usize, replica: usize) {
-        self.replica_mut(shard, replica).alive = true;
-    }
-
-    pub fn replica_alive(&self, shard: usize, replica: usize) -> bool {
-        self.replica_ref(shard, replica).alive
-    }
-
-    pub fn breaker_state(&self, shard: usize, replica: usize) -> BreakerState {
-        self.replica_ref(shard, replica).health.state()
     }
 
     /// Applies `f` to every replica engine (scheduler knobs, recovery
@@ -468,17 +349,6 @@ impl<'g> Fleet<'g> {
         for rep in &mut self.replicas {
             f(&mut rep.engine);
         }
-    }
-
-    /// Applies `f` to one replica's engine — for modelling heterogeneous
-    /// fleets (a degraded device with a punishing retry backoff, say).
-    pub fn tune_replica<F: FnOnce(&mut Griffin<'g>)>(
-        &mut self,
-        shard: usize,
-        replica: usize,
-        f: F,
-    ) {
-        f(&mut self.replica_mut(shard, replica).engine);
     }
 
     /// Serves one query closed-loop: it arrives at the fleet clock and
@@ -522,7 +392,6 @@ impl<'g> Fleet<'g> {
         req: &QueryRequest,
         arrival: VirtualNanos,
     ) -> (GriffinOutput, VirtualNanos) {
-        let query_index = self.stats.queries as usize;
         self.stats.queries += 1;
         self.tokens =
             (self.tokens + self.config.budget.refill_per_query).min(self.config.budget.burst);
@@ -540,9 +409,7 @@ impl<'g> Fleet<'g> {
         // query is never answered empty while a shard is still coming).
         let slowest = answers.iter().filter_map(|a| a.finish).max();
         let mut answered_at = slowest.unwrap_or(arrival);
-        if let (Some(deadline), true, Some(slowest)) =
-            (req.deadline, self.config.partial_on_deadline, slowest)
-        {
+        if let (Some(deadline), Some(slowest)) = (req.deadline, slowest) {
             let cutoff = arrival + deadline;
             let any_on_time = answers
                 .iter()
@@ -590,7 +457,6 @@ impl<'g> Fleet<'g> {
                 (info.coverage * 10_000.0) as u64,
             );
         }
-        self.record_flight(query_index, latency, &info);
 
         let output = GriffinOutput {
             // One coarse coordinator step spanning the whole answer
@@ -847,8 +713,8 @@ impl<'g> Fleet<'g> {
         if hist.count() < self.config.hedge.min_samples {
             return None;
         }
-        let q = hist.quantile(self.config.hedge.quantile) as f64 * self.config.hedge.multiplier;
-        Some(VirtualNanos::from_nanos_f64(q).max(self.config.hedge.min_deadline))
+        let q = VirtualNanos::from_nanos(hist.quantile(self.config.hedge.quantile));
+        Some(q.max(MIN_HEDGE_DEADLINE))
     }
 
     /// Whether a hedge of `req` on `(s, twin)` would, by the fleet's median
@@ -864,7 +730,7 @@ impl<'g> Fleet<'g> {
         issue: VirtualNanos,
         hedge_deadline: VirtualNanos,
     ) -> bool {
-        let (Some(deadline), true) = (req.deadline, self.config.partial_on_deadline) else {
+        let Some(deadline) = req.deadline else {
             return false;
         };
         let start = self
@@ -880,65 +746,6 @@ impl<'g> Fleet<'g> {
             .iter()
             .min_by_key(|&&r| (self.replica_ref(s, r).busy_until, r))
             .expect("candidate set is nonempty")
-    }
-
-    fn record_flight(&mut self, query_index: usize, latency: VirtualNanos, info: &FleetInfo) {
-        let Some(recorder) = &mut self.flight else {
-            return;
-        };
-        let straggler = info
-            .shards
-            .iter()
-            .filter(|st| st.outcome.covered())
-            .max_by_key(|st| (st.latency, st.shard))
-            .map(|st| st.shard);
-        let shards: Vec<ShardVerdict> = info
-            .shards
-            .iter()
-            .map(|st| ShardVerdict {
-                shard: st.shard,
-                replica: st.replica,
-                latency: st.latency,
-                hedged: st.hedged,
-                hedge_won: st.hedge_won,
-                straggler: Some(st.shard) == straggler,
-            })
-            .collect();
-        let service = info
-            .shards
-            .iter()
-            .filter(|st| st.outcome.covered())
-            .map(|st| st.latency)
-            .max()
-            .unwrap_or(VirtualNanos::ZERO);
-        let cause = match straggler.map(|s| info.shards[s].outcome) {
-            Some(ShardOutcome::AnsweredCpuOnly) => Cause::CpuCompute,
-            _ => Cause::GpuCompute,
-        };
-        let degraded = info
-            .shards
-            .iter()
-            .any(|st| st.outcome != ShardOutcome::Answered);
-        recorder.observe(FlightRecord {
-            query_index,
-            trace_query: None,
-            outcome: if degraded {
-                Outcome::Degraded
-            } else {
-                Outcome::Completed
-            },
-            latency,
-            service,
-            queue_wait: latency.saturating_sub(service),
-            verdict: Verdict {
-                cause,
-                dominant: service,
-                total: latency,
-                cache_flips: 0,
-            },
-            profile: None,
-            shards,
-        });
     }
 
     /// Tears every engine down, releasing cached device memory — after

@@ -69,29 +69,6 @@ pub struct FlightRecord {
     pub verdict: Verdict,
     /// Full attribution tree, when a trace was available at plan time.
     pub profile: Option<QueryProfile>,
-    /// Fleet-scope attribution: one entry per shard when the flight was
-    /// recorded by a scatter–gather coordinator, so a tail flight names
-    /// the straggler *shard* (and whether a hedge fired for it), not
-    /// just a processor. Empty for single-engine flights.
-    pub shards: Vec<ShardVerdict>,
-}
-
-/// Per-shard slice of a fleet flight: where the time went, shard by
-/// shard. The shard with `straggler` set determined the fleet latency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardVerdict {
-    pub shard: usize,
-    /// Replica that served the answer (`None` when the shard was
-    /// missing).
-    pub replica: Option<usize>,
-    /// The shard's answer latency relative to the query's arrival.
-    pub latency: VirtualNanos,
-    /// A hedged second-replica request was issued.
-    pub hedged: bool,
-    /// The hedge answered first.
-    pub hedge_won: bool,
-    /// This shard's answer arrived last and set the fleet latency.
-    pub straggler: bool,
 }
 
 /// Bounded ring of tail-latency flights.
@@ -229,7 +206,6 @@ mod tests {
             queue_wait: VirtualNanos::ZERO,
             verdict: verdict_from_stages(&[], VirtualNanos::ZERO, latency),
             profile: None,
-            shards: Vec::new(),
         }
     }
 

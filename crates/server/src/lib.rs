@@ -29,10 +29,9 @@
 //!   admission/breaker layers can consume.
 //! * **Sharded scatter–gather fleet** ([`Fleet`]): docID-range shards ×
 //!   replicas, each an engine with its own device and breaker; hedged
-//!   shard requests with cancellation accounting, replica failover, a
-//!   CPU-only degraded lane, retry budgets, and partial results with
-//!   explicit per-shard coverage. Complete answers are bit-exact with
-//!   the unsharded engine.
+//!   shard requests, replica failover, a CPU-only degraded lane, retry
+//!   budgets, and partial results past a deadline with explicit per-shard
+//!   coverage. Complete answers are bit-exact with the unsharded engine.
 //!
 //! The pipeline is **bit-exact when unloaded**: a single query replayed
 //! through the simulator finishes in exactly
@@ -99,7 +98,7 @@ pub use fleet::{
     Fleet, FleetConfig, FleetDevices, FleetReport, FleetServedQuery, FleetStats, HedgeConfig,
     RetryBudgetConfig,
 };
-pub use flight::{verdict_from_stages, FlightConfig, FlightRecord, FlightRecorder, ShardVerdict};
+pub use flight::{verdict_from_stages, FlightConfig, FlightRecord, FlightRecorder};
 pub use health::{BreakerConfig, BreakerState, BreakerStats, GpuHealth};
 pub use server::{ArrivingQuery, GriffinServer, PlannedQuery, ServeReport};
 pub use sim::{ServerConfig, ServerSim, SimStats};

@@ -395,7 +395,6 @@ impl GriffinServer {
                 queue_wait,
                 verdict,
                 profile,
-                shards: Vec::new(),
             });
         }
         if let Some(f) = flight.as_ref() {

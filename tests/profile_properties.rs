@@ -185,7 +185,6 @@ fn record(i: usize, latency_ns: u64) -> FlightRecord {
             cache_flips: 0,
         },
         profile: None,
-        shards: Vec::new(),
     }
 }
 
