@@ -98,7 +98,7 @@ impl Codec {
                     return Err(CodecError::Truncated);
                 }
                 let start = out.len();
-                varint::decode_words_n(&words[2..], nbytes, count, out)?;
+                varint::decode_words_n(&words[2..], 0, nbytes, count, out)?;
                 dgap::prefix_sum_in_place(&mut out[start..], base);
             }
         }

@@ -73,19 +73,21 @@ pub fn decode_n(
     Ok(p)
 }
 
-/// Decodes exactly `n` values from a byte stream packed little-endian
-/// into 32-bit words (the [`crate::blocks`] framing), without
-/// materializing the byte array. `nbytes` bounds the readable bytes. On
-/// failure `out` is left exactly as it was.
+/// Decodes exactly `n` values starting at byte `pos` of a byte stream
+/// packed little-endian into 32-bit words (the [`crate::blocks`] framing),
+/// without materializing the byte array; returns the position after the
+/// last. Bytes from `nbytes` on are not readable. On failure `out` is left
+/// exactly as it was.
 pub fn decode_words_n(
     words: &[u32],
+    pos: usize,
     nbytes: usize,
     n: usize,
     out: &mut Vec<u32>,
-) -> Result<(), CodecError> {
+) -> Result<usize, CodecError> {
     let start = out.len();
     out.reserve(n);
-    let mut p = 0usize;
+    let mut p = pos;
     'values: for _ in 0..n {
         let mut v = 0u32;
         let mut shift = 0u32;
@@ -108,7 +110,7 @@ pub fn decode_words_n(
             }
         }
     }
-    Ok(())
+    Ok(p)
 }
 
 #[cfg(test)]

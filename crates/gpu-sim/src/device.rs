@@ -922,6 +922,29 @@ mod tests {
     }
 
     #[test]
+    fn a_store_through_a_stale_handle_panics_at_retire() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let a = gpu.htod(&[1u32, 2, 3]).unwrap();
+        let stale = a.clone();
+        gpu.free(a);
+        let b = gpu.htod(&[4u32, 5, 6]).unwrap();
+        assert_eq!(b.id, stale.id, "B took over A's slot");
+        let kernel = AddOne {
+            src: gpu.htod(&[7u32, 8, 9]).unwrap(),
+            dst: stale,
+            n: 3,
+        };
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            let _ = gpu.launch(&kernel, LaunchConfig::cover(3, 32));
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("stale device buffer handle"), "{msg}");
+        assert_eq!(gpu.dtoh(&b).unwrap(), vec![4, 5, 6], "B is untouched");
+    }
+
+    #[test]
     fn a_stale_handle_is_caught_once_its_slot_is_reused() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let gpu = Gpu::new(DeviceConfig::test_tiny());

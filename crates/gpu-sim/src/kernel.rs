@@ -78,6 +78,58 @@ pub trait Kernel: Sync {
 
     /// Body of one thread for one phase.
     fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, state: &mut Self::State);
+
+    /// The native twin of one block: plain Rust that logs, through `mem`,
+    /// every store the block's threads would make, computed from the
+    /// launch-time snapshot in one pass. Called only for blocks the tracer
+    /// samples no warp of, whose sole product is their stores; the default
+    /// declines, and so runs every block lane by lane.
+    ///
+    /// A twin must leave the pool exactly as the block's threads would,
+    /// with the same number of stores. On a block a valid input cannot
+    /// produce it returns `false` *before logging anything*, and the
+    /// lane-by-lane body, which stays the definition, runs instead.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let _ = (block, mem);
+        false
+    }
+}
+
+/// What a native block may touch: the launch-time snapshot, read a buffer
+/// at a time, and its executor's write log, written a run at a time.
+pub struct BlockMem<'a> {
+    pool: &'a Pool,
+    log: &'a mut WriteLog,
+    block_dim: u32,
+}
+
+impl<'a> BlockMem<'a> {
+    /// Threads per block of the launch, as [`ThreadCtx::block_dim`].
+    #[inline]
+    pub fn block_dim(&self) -> u32 {
+        self.block_dim
+    }
+
+    /// The launch-time words of `buf`. Panics on a stale handle, as a
+    /// host-side read does; the check is once per call, not per element.
+    #[inline]
+    pub fn words(&self, buf: &DeviceBuffer<u32>) -> &'a [u32] {
+        self.pool.words_of(buf.id, buf.generation)
+    }
+
+    /// Stores `words` to `buf[start..]`, visible when the launch retires,
+    /// as that many single stores would be.
+    #[inline]
+    pub fn st_run(&mut self, buf: &DeviceBuffer<u32>, start: usize, words: &[u32]) {
+        assert!(
+            start + words.len() <= buf.len,
+            "device store out of bounds: {start}..{} >= {} (buffer {:?})",
+            start + words.len(),
+            buf.len,
+            buf.id
+        );
+        self.log.push_run(buf.id, buf.generation, start, words);
+    }
 }
 
 /// Execution context of one thread (lane) during one phase.
@@ -147,7 +199,7 @@ impl<'a> ThreadCtx<'a> {
             buf.len,
             buf.id
         );
-        self.writes.push(buf.id, idx, v.to_word());
+        self.writes.push(buf.id, buf.generation, idx, v.to_word());
         if let Some(tr) = self.trace.as_deref_mut() {
             let addr = (u64::from(buf.id.0) << 40) | (idx as u64 * 4);
             tr.record_gmem(self.mem_site, addr, self.transaction_bytes);
@@ -244,8 +296,10 @@ pub(crate) fn check_launch<K: Kernel>(kernel: &K, cfg: &DeviceConfig, lc: Launch
 
 /// Runs all phases of `kernel` for the blocks in `blocks`, in order,
 /// appending stores to the executor's log and sampled counters to
-/// `counters`. Returns how many loads, stores and branches the threads made
-/// (all of them, not the sampled ones): what the host paid for, counted.
+/// `counters`. A block with no traced warp is first offered to the
+/// kernel's native twin. Returns how many loads, stores and branches the
+/// threads of the lane-by-lane blocks made (all of them, not the sampled
+/// ones): what the host paid for, counted.
 pub(crate) fn run_blocks<K: Kernel>(
     kernel: &K,
     cfg: &DeviceConfig,
@@ -274,11 +328,27 @@ pub(crate) fn run_blocks<K: Kernel>(
     let mut calls = 0u64;
 
     for block_idx in blocks {
-        shared.clear();
-        shared.resize(smem_words, 0);
         let sampled = |w: u32| {
             (u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w)) % stride == 0
         };
+        if !(0..warps_in_block).any(sampled) {
+            let logged = log.stores();
+            let mut mem = BlockMem {
+                pool,
+                log,
+                block_dim: bdim,
+            };
+            if kernel.run_block_native(block_idx, &mut mem) {
+                continue;
+            }
+            assert_eq!(
+                log.stores(),
+                logged,
+                "a native twin that declines a block must not have logged stores"
+            );
+        }
+        shared.clear();
+        shared.resize(smem_words, 0);
         for w in (0..warps_in_block).filter(|&w| sampled(w)) {
             traces[w as usize].reset();
         }

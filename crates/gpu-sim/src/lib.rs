@@ -33,8 +33,11 @@
 //!
 //! Every memory access, charged ALU op, and branch flows through
 //! [`ThreadCtx`], which records per-warp counters on a *sample* of warps
-//! (full functional execution, sampled performance tracing — the standard
-//! trick for fast performance models). [`timing`] converts the extrapolated
+//! (exact functional execution, sampled performance tracing — the standard
+//! trick for fast performance models). A block with no sampled warp
+//! contributes only its stores, so a kernel may compute them with a
+//! block-level native twin ([`Kernel::run_block_native`], through
+//! [`BlockMem`]) instead of thread by thread. [`timing`] converts the extrapolated
 //! counters into virtual nanoseconds using an occupancy/roofline model:
 //! kernel-launch overhead, issue-throughput-bound compute time,
 //! bandwidth-bound memory time with measured coalescing, a latency floor for
@@ -113,7 +116,7 @@ pub use clock::VirtualNanos;
 pub use config::{CostParams, DeviceConfig, PcieConfig};
 pub use device::{Gpu, LaunchReport};
 pub use fault::{DeviceError, FaultKind, FaultPlan};
-pub use kernel::{Dim, Kernel, LaunchConfig, ThreadCtx};
+pub use kernel::{BlockMem, Dim, Kernel, LaunchConfig, ThreadCtx};
 pub use mem::{DeviceBuffer, DeviceWord};
 pub use observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 pub use scope::Scope;

@@ -61,7 +61,9 @@ pub struct BufferId(pub(crate) u32);
 pub struct DeviceBuffer<T: DeviceWord> {
     pub(crate) id: BufferId,
     pub(crate) len: usize,
-    /// Generation guard: detects use-after-free in debug paths.
+    /// Generation guard: a handle whose buffer was freed, even if a new
+    /// buffer took its slot, panics at every host entry point and when a
+    /// launch's stores through it retire.
     pub(crate) generation: u32,
     _marker: PhantomData<T>,
 }
@@ -209,7 +211,10 @@ impl Pool {
     /// in the slot now.
     fn check_handle(&self, id: BufferId, generation: u32) {
         let b = &self.bufs[id.0 as usize];
-        assert!(b.live, "double free of device buffer {id:?}");
+        assert!(
+            b.live,
+            "double free or use after free of device buffer {id:?}"
+        );
         assert!(
             b.generation == generation,
             "stale device buffer handle (use-after-free) for {id:?}"
@@ -254,7 +259,8 @@ impl Pool {
         &b.words
     }
 
-    /// Words of the buffer a host-side handle names, generation-checked.
+    /// Words of the buffer a handle names, liveness- and generation-checked
+    /// (host-side entry points, and a native block's loads).
     pub(crate) fn words_of(&self, id: BufferId, generation: u32) -> &[u32] {
         self.check_handle(id, generation);
         &self.bufs[id.0 as usize].words
@@ -278,29 +284,57 @@ pub(crate) struct WriteLog {
 const RETAINED_LOG_BYTES: usize = 256 << 10;
 
 /// `len` consecutive words of `buf` from index `start`, held in the arena
-/// from `offset`.
+/// from `offset`, stored through a handle of `generation`. Indices fit in
+/// `u32` because a device buffer holds fewer than 2^32 words; the arena
+/// offset is checked where a run is opened.
 struct WriteRun {
     buf: BufferId,
-    start: usize,
-    offset: usize,
-    len: usize,
+    generation: u32,
+    start: u32,
+    offset: u32,
+    len: u32,
 }
 
 impl WriteLog {
     #[inline]
-    pub(crate) fn push(&mut self, buf: BufferId, idx: usize, word: u32) {
+    pub(crate) fn push(&mut self, buf: BufferId, generation: u32, idx: usize, word: u32) {
+        self.head(buf, generation, idx, 1);
+        self.words.push(word);
+    }
+
+    /// Logs stores of `words` to `buf[start..]`, in order: one header at
+    /// most, whatever the length.
+    pub(crate) fn push_run(&mut self, buf: BufferId, generation: u32, start: usize, words: &[u32]) {
+        if words.is_empty() {
+            return;
+        }
+        self.head(buf, generation, start, words.len());
+        self.words.extend_from_slice(words);
+    }
+
+    /// Books `len` words about to be appended to the arena as stores to
+    /// `buf[start..]`: the last run grows if they continue it (it always
+    /// ends at the arena's tail, so its words stay contiguous), otherwise
+    /// a run opens.
+    #[inline]
+    fn head(&mut self, buf: BufferId, generation: u32, start: usize, len: usize) {
+        let narrow = |v: usize| u32::try_from(v).expect("device indices and store counts fit u32");
         match self.runs.last_mut() {
-            // The last run always ends at the arena's tail, so extending
-            // it keeps its words contiguous.
-            Some(last) if last.buf == buf && idx == last.start + last.len => last.len += 1,
+            Some(last)
+                if last.buf == buf
+                    && last.generation == generation
+                    && start == (last.start + last.len) as usize =>
+            {
+                last.len += narrow(len)
+            }
             _ => self.runs.push(WriteRun {
                 buf,
-                start: idx,
-                offset: self.words.len(),
-                len: 1,
+                generation,
+                start: narrow(start),
+                offset: narrow(self.words.len()),
+                len: narrow(len),
             }),
         }
-        self.words.push(word);
     }
 
     /// Stores logged since the last [`WriteLog::clear`].
@@ -325,20 +359,21 @@ impl WriteLog {
 
     /// Applies all logged stores to the pool. Later runs win on overlap,
     /// mirroring the "unspecified but some-thread-wins" CUDA semantics for
-    /// conflicting unsynchronized stores.
+    /// conflicting unsynchronized stores. A run stored through a stale
+    /// handle (its buffer freed, or freed and the slot since reused) panics
+    /// here, before any word of it lands in whatever owns the slot now.
     pub(crate) fn apply(&self, pool: &mut Pool) {
         for run in &self.runs {
+            pool.check_handle(run.buf, run.generation);
             let b = &mut pool.bufs[run.buf.0 as usize];
-            debug_assert!(b.live, "store to freed device buffer");
-            let end = run.start + run.len;
+            let (start, len, offset) = (run.start as usize, run.len as usize, run.offset as usize);
+            let end = start + len;
             assert!(
                 end <= b.words.len(),
-                "device store out of bounds: {}..{} in buffer of {} words",
-                run.start,
-                end,
+                "device store out of bounds: {start}..{end} in buffer of {} words",
                 b.words.len()
             );
-            b.words[run.start..end].copy_from_slice(&self.words[run.offset..run.offset + run.len]);
+            b.words[start..end].copy_from_slice(&self.words[offset..offset + len]);
         }
     }
 }
@@ -451,7 +486,7 @@ mod tests {
         let (a, _) = pool.alloc(vec![0; 8], false);
         let mut log = WriteLog::default();
         for i in 0..8 {
-            log.push(a, i, i as u32 * 10);
+            log.push(a, 0, i, i as u32 * 10);
         }
         assert_eq!(
             log.runs.len(),
@@ -470,8 +505,8 @@ mod tests {
         let (b, _) = pool.alloc(vec![0; 4], false);
         let mut log = WriteLog::default();
         for i in 0..4 {
-            log.push(a, i, 10 + i as u32);
-            log.push(b, i, 20 + i as u32);
+            log.push(a, 0, i, 10 + i as u32);
+            log.push(b, 0, i, 20 + i as u32);
         }
         assert_eq!(log.runs.len(), 8, "every store breaks the other's run");
         assert_eq!(log.words, [10, 20, 11, 21, 12, 22, 13, 23]);
@@ -485,9 +520,9 @@ mod tests {
         let mut pool = Pool::default();
         let (a, _) = pool.alloc(vec![0; 4], false);
         let mut log = WriteLog::default();
-        log.push(a, 1, 5);
-        log.push(a, 3, 7); // breaks the run
-        log.push(a, 1, 9); // overlaps the first store
+        log.push(a, 0, 1, 5);
+        log.push(a, 0, 3, 7); // breaks the run
+        log.push(a, 0, 1, 9); // overlaps the first store
         log.apply(&mut pool);
         assert_eq!(pool.words(a), &[0, 9, 0, 7]);
     }
@@ -498,22 +533,56 @@ mod tests {
         let (a, _) = pool.alloc(vec![0; 4], false);
         let mut log = WriteLog::default();
         for i in 0..4 {
-            log.push(a, i, 7);
+            log.push(a, 0, i, 7);
         }
         let capacity = log.words.capacity();
         log.clear();
         assert_eq!(log.stores(), 0);
         assert_eq!(log.words.capacity(), capacity);
-        log.push(a, 2, 1);
+        log.push(a, 0, 2, 1);
         log.apply(&mut pool);
         assert_eq!(pool.words(a), &[0, 0, 1, 0], "no stale word is replayed");
 
         // A log grown past the retention bound is given back.
         for _ in 0..RETAINED_LOG_BYTES / 4 + 1 {
-            log.push(a, 0, 7);
+            log.push(a, 0, 0, 7);
         }
         log.clear();
         assert_eq!(log.words.capacity() + log.runs.capacity(), 0);
+    }
+
+    #[test]
+    fn a_bulk_run_is_one_header_and_extends_like_single_stores() {
+        assert_eq!(size_of::<WriteRun>(), 20);
+        let mut pool = Pool::default();
+        let (a, _) = pool.alloc(vec![0; 8], false);
+        let mut log = WriteLog::default();
+        log.push_run(a, 0, 1, &[1, 2, 3]);
+        log.push_run(a, 0, 4, &[]);
+        log.push(a, 0, 4, 4);
+        log.push_run(a, 0, 5, &[5, 6]);
+        assert_eq!((log.runs.len(), log.stores()), (1, 6));
+        log.push_run(a, 0, 0, &[9]);
+        assert_eq!(log.runs.len(), 2, "not contiguous: a new header");
+        log.apply(&mut pool);
+        assert_eq!(pool.words(a), &[9, 1, 2, 3, 4, 5, 6, 0]);
+    }
+
+    #[test]
+    fn a_store_through_a_stale_handle_panics_before_touching_the_new_owner() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut pool = Pool::default();
+        pool.bytes_reserved += 8;
+        let (a, gen_a) = pool.alloc(vec![0; 2], false);
+        pool.free(a, gen_a);
+        let (b, gen_b) = pool.alloc(vec![0; 2], false);
+        assert_eq!((a, gen_b), (b, gen_a + 1), "B took over A's slot");
+        let mut log = WriteLog::default();
+        log.push(a, gen_a, 0, 7);
+        let err = catch_unwind(AssertUnwindSafe(|| log.apply(&mut pool))).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("stale device buffer handle"), "{msg}");
+        assert_eq!(pool.words(b), &[0, 0]);
     }
 
     #[test]
@@ -522,7 +591,7 @@ mod tests {
         let mut pool = Pool::default();
         let (a, _) = pool.alloc(vec![0; 2], false);
         let mut log = WriteLog::default();
-        log.push(a, 2, 1);
+        log.push(a, 0, 2, 1);
         log.apply(&mut pool);
     }
 

@@ -3,11 +3,13 @@
 //! every cut. Checked on seeded kernels that do everything a cut could
 //! disturb (stores to several buffers in turn, conflicting stores to one
 //! word, shared memory, barriers, divergent loops), under every partition
-//! of the grid into one to four contiguous chunks.
+//! of the grid into one to four contiguous chunks. So is whether an
+//! untraced block runs lane by lane or as the kernel's native twin: the
+//! reference runs every block lane by lane.
 
 use crate::{
-    DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu, Kernel, LaunchConfig,
-    LaunchReport, ThreadCtx,
+    BlockMem, DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu, Kernel,
+    LaunchConfig, LaunchReport, ThreadCtx,
 };
 
 const GRID: u32 = 7;
@@ -32,6 +34,30 @@ struct Scramble {
     /// Every thread stores its index to one of these few words: the last
     /// thread in block order must win.
     hot: DeviceBuffer<u32>,
+    /// Whether untraced blocks may run as the native twin.
+    twin: bool,
+}
+
+impl Scramble {
+    /// What the three phases compute, per thread of block `block`: the
+    /// accumulator phase 2 stores from.
+    fn accumulators(&self, block: u32, src: &[u32]) -> [u32; BLOCK as usize] {
+        let bd = BLOCK as usize;
+        let gid = |tid: usize| block as usize * bd + tid;
+        let shared: [u32; BLOCK as usize] = std::array::from_fn(|tid| {
+            let h = mix(self.seed, gid(tid));
+            src[gid(tid)] ^ src[h as usize % THREADS]
+        });
+        std::array::from_fn(|tid| {
+            let h = mix(self.seed, gid(tid));
+            let neighbour = shared[(tid + 1 + h as usize % 5) % bd];
+            if h.is_multiple_of(2) {
+                neighbour.wrapping_mul(31)
+            } else {
+                neighbour.rotate_left(7)
+            }
+        })
+    }
 }
 
 #[derive(Default)]
@@ -86,6 +112,30 @@ impl Kernel for Scramble {
             }
         }
     }
+
+    /// Each output buffer's slots thread by thread, then the hot words one
+    /// store at a time in thread order, so the same thread wins each.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        if !self.twin {
+            return false;
+        }
+        let acc = self.accumulators(block, mem.words(&self.src));
+        let gids = (0..BLOCK as usize).map(|tid| block as usize * BLOCK as usize + tid);
+        for (b, out) in self.out.iter().enumerate() {
+            for (gid, &acc) in gids.clone().zip(&acc) {
+                let count = 1 + mix(self.seed, gid) as usize % SLOTS;
+                let words: [u32; SLOTS] = std::array::from_fn(|k| {
+                    acc.wrapping_add(BLOCK).wrapping_add((k * 3 + b) as u32)
+                });
+                mem.st_run(out, gid * SLOTS, &words[..count]);
+            }
+        }
+        for gid in gids {
+            let h = mix(self.seed, gid);
+            mem.st_run(&self.hot, h as usize % HOT_WORDS, &[gid as u32]);
+        }
+        true
+    }
 }
 
 /// One device with the kernel's buffers, every word set to a sentinel.
@@ -120,21 +170,30 @@ impl Rig {
         }
     }
 
-    fn kernel(&self, seed: u64) -> Scramble {
+    fn kernel(&self, seed: u64, twin: bool) -> Scramble {
         Scramble {
             seed,
             src: self.src.clone(),
             out: self.out.clone(),
             hot: self.hot.clone(),
+            twin,
         }
     }
 
     /// Launches under the given cut, or under the device's own when `None`.
     fn launch(&self, seed: u64, cut: Option<&[u32]>) -> Result<LaunchReport, DeviceError> {
+        self.launch_as(self.kernel(seed, true), cut)
+    }
+
+    fn launch_as(
+        &self,
+        kernel: Scramble,
+        cut: Option<&[u32]>,
+    ) -> Result<LaunchReport, DeviceError> {
         let lc = LaunchConfig::new(GRID, BLOCK);
         match cut {
-            Some(chunk_ends) => self.gpu.launch_chunked(&self.kernel(seed), lc, chunk_ends),
-            None => self.gpu.launch(&self.kernel(seed), lc),
+            Some(chunk_ends) => self.gpu.launch_chunked(&kernel, lc, chunk_ends),
+            None => self.gpu.launch(&kernel, lc),
         }
     }
 
@@ -182,12 +241,17 @@ fn cuts_enumerates_every_partition() {
     assert!(all.iter().all(|c| c.last() == Some(&GRID)));
 }
 
+/// Strides 1 and 2 trace a warp of every three-warp block; at 5 two blocks
+/// of the seven run as the twin, at 16 five do. Mutations that fail it:
+/// the twin storing the hot words in reverse thread order (another thread
+/// wins a hot word), or counting `block_dim - 1` arrivals.
 #[test]
-fn results_counters_and_time_do_not_depend_on_the_cut() {
-    for stride in [1, 2, 5] {
+fn results_counters_and_time_do_not_depend_on_the_cut_or_the_twin() {
+    for stride in [1, 2, 5, 16] {
         for seed in 0..3 {
             let reference = Rig::new(stride);
-            let expected_report = reference.launch(seed, Some(&[GRID])).unwrap();
+            let lanes = reference.kernel(seed, false);
+            let expected_report = reference.launch_as(lanes, Some(&[GRID])).unwrap();
             let expected = reference.visible();
             assert!(
                 expected

@@ -1,10 +1,14 @@
 //! Per-warp performance tracing.
 //!
-//! Functional execution always runs every thread; performance counters are
-//! recorded on a sample of warps (`DeviceConfig::trace_sample_stride`) and
-//! extrapolated, which keeps the simulator fast on multi-million-thread
-//! launches while preserving the statistics the timing model needs:
-//! instruction mix, branch-divergence rate, and memory-coalescing behaviour.
+//! Performance counters are recorded on a sample of warps
+//! (`DeviceConfig::trace_sample_stride`) and extrapolated, which keeps the
+//! simulator fast on multi-million-thread launches while preserving the
+//! statistics the timing model needs: instruction mix, branch-divergence
+//! rate, and memory-coalescing behaviour. Functional execution is exact
+//! whatever the sample: a traced warp's block runs thread by thread, and a
+//! block with no traced warp runs either so or, when the kernel has one, as
+//! its native twin ([`crate::Kernel::run_block_native`]), which stores the
+//! same words and is never traced.
 
 /// Instruction classes a kernel can charge through [`crate::ThreadCtx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

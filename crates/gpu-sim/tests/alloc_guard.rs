@@ -1,13 +1,15 @@
 //! A launch in steady state allocates per executor, not per store. The
 //! kernel has MergePath's store shape: each thread writes three output
-//! buffers in turn, so no store extends the previous one's run.
+//! buffers in turn, so no store extends the previous one's run. It also
+//! has a native twin, which a device tracing one warp in 16 runs for most
+//! blocks; that launch must be as flat.
 //!
 //! One test only: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceConfig, Gpu, Kernel, LaunchConfig, ThreadCtx};
+use griffin_gpu_sim::{BlockMem, DeviceBuffer, DeviceConfig, Gpu, Kernel, LaunchConfig, ThreadCtx};
 
 struct Counting;
 
@@ -73,33 +75,57 @@ impl Kernel for ThreeWay {
             k += 1;
         }
     }
+
+    /// The block's slots of each buffer as one run, from a stack array.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let first = (block * BLOCK) as usize;
+        let mut words = [0u32; BLOCK as usize * PER_THREAD];
+        for (tid, slots) in words.chunks_mut(PER_THREAD).enumerate() {
+            for (k, word) in slots.iter_mut().enumerate() {
+                *word = (first + tid + k) as u32 + 7;
+            }
+        }
+        for out in &self.out {
+            mem.st_run(out, first * PER_THREAD, &words);
+        }
+        true
+    }
 }
 
 #[test]
 fn the_second_identical_launch_allocates_per_executor_not_per_store() {
-    let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let words = (GRID * BLOCK) as usize * PER_THREAD;
-    let kernel = ThreeWay {
-        out: [(); 3].map(|()| gpu.alloc::<u32>(words).unwrap()),
-    };
-    let lc = LaunchConfig::new(GRID, BLOCK);
-    let first = gpu.launch(&kernel, lc).unwrap();
-    assert_eq!(first.counters.stores_applied, 3 * words as u64);
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let second = gpu.launch(&kernel, lc).unwrap();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(second.counters, first.counters);
-
     // Measured: 1 on the caller alone, 8 when fanned out two ways. The bound leaves
     // room per executor for the state vector, a thread to run on, and, when
     // this launch fanned out and the first did not, a log growing to size by
     // doubling. One allocation per store would be 3 840.
     let executors = std::thread::available_parallelism().map_or(1, |n| n.get());
     let allowed = 32 * executors;
-    assert!(
-        allocations <= allowed,
-        "{allocations} allocations for {} stores on up to {executors} executors (allowed {allowed})",
-        3 * words
-    );
+    let words = (GRID * BLOCK) as usize * PER_THREAD;
+    for stride in [1, 16] {
+        let gpu = Gpu::new(DeviceConfig {
+            trace_sample_stride: stride,
+            ..DeviceConfig::test_tiny()
+        });
+        let kernel = ThreeWay {
+            out: [(); 3].map(|()| gpu.alloc::<u32>(words).unwrap()),
+        };
+        let lc = LaunchConfig::new(GRID, BLOCK);
+        let first = gpu.launch(&kernel, lc).unwrap();
+        assert_eq!(first.counters.stores_applied, 3 * words as u64);
+
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let second = gpu.launch(&kernel, lc).unwrap();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(second.counters, first.counters);
+        assert!(
+            allocations <= allowed,
+            "stride {stride}: {allocations} allocations for {} stores on up to {executors} \
+             executors (allowed {allowed})",
+            3 * words
+        );
+        let expected: Vec<u32> = (0..words as u32).map(|gid| gid + 7).collect();
+        for out in &kernel.out {
+            assert_eq!(gpu.dtoh(out).unwrap(), expected, "stride {stride}");
+        }
+    }
 }

@@ -30,6 +30,7 @@ pub mod engine;
 pub mod error;
 pub mod gpu_binary;
 pub mod mergepath;
+mod native;
 pub mod para_ef;
 pub mod radix_sort;
 pub mod scan;

@@ -15,12 +15,15 @@
 //! the match cannot straddle the boundary.
 //!
 //! Pipeline: partition kernel → merge kernel (matches to per-partition
-//! slabs) → scan of per-partition counts → compaction kernel.
+//! slabs) → scan of per-partition counts → compaction kernel. The merge
+//! and the compaction have native twins, which compute a block no warp of
+//! which is traced in plain Rust (`Kernel::run_block_native`).
 
 use griffin_gpu_sim::{
-    DeviceBuffer, DeviceConfig, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
+    BlockMem, DeviceBuffer, DeviceConfig, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
 };
 
+use crate::native;
 use crate::scan::exclusive_scan;
 
 /// Geometry of a MergePath launch.
@@ -201,6 +204,106 @@ struct MergeKernel {
     cfg: MergePathConfig,
 }
 
+impl MergeKernel {
+    /// What block `blk`'s threads store, computed on the host: per
+    /// partition (thread) its matches' docIDs, A and B positions appended
+    /// to `docids`, `a_idx` and `b_idx`, and its match count to `counts`.
+    /// Phase 1's cuts are found by the same diagonal searches over the
+    /// same staged ranges, phase 2's merge walks them the same way. `false`
+    /// for a block no valid partition produces, on which the lanes must
+    /// run: bounds out of order or out of range, more staged elements than
+    /// the launch sized shared memory for, or a store out of bounds.
+    fn merge_natively(
+        &self,
+        blk: usize,
+        mem: &BlockMem<'_>,
+        [docids, a_idx, b_idx, counts]: &mut [Vec<u32>; 4],
+    ) -> bool {
+        let bd = mem.block_dim() as usize;
+        let ipp = self.cfg.items_per_partition;
+        let (a_bounds, b_bounds) = (mem.words(&self.a_bounds), mem.words(&self.b_bounds));
+        let (Some(&[a_start, a_end]), Some(&[b_start, b_next])) =
+            (a_bounds.get(blk..blk + 2), b_bounds.get(blk..blk + 2))
+        else {
+            return false;
+        };
+        let (Some(a_len), Some(b_end)) = (a_end.checked_sub(a_start), b_next.checked_add(1)) else {
+            return false;
+        };
+        let b_end = b_end.min(self.n as u32).max(b_start);
+        let (a_len, b_len) = (a_len as usize, (b_end - b_start) as usize);
+        if a_len + b_len > self.cfg.shared_words_needed() {
+            return false;
+        }
+        let (Some(a), Some(b)) = (
+            mem.words(&self.a)
+                .get(a_start as usize..a_start as usize + a_len),
+            mem.words(&self.b)
+                .get(b_start as usize..b_start as usize + b_len),
+        ) else {
+            return false;
+        };
+
+        let b_raw = b_len.min(bd * ipp);
+        let cut = |tid: usize| {
+            if tid == bd {
+                return (a_len, b_len);
+            }
+            let d = (tid * ipp).min(a_len + b_raw);
+            let (mut lo, mut hi) = (d.saturating_sub(b_raw), d.min(a_len));
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let bj = d - mid - 1;
+                let bv = if bj < b_raw { b[bj] } else { u32::MAX };
+                if a[mid] <= bv {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let mut b_cut = d - lo;
+            if lo > 0 && b_cut < b_len && a[lo - 1] == b[b_cut] {
+                b_cut += 1;
+            }
+            (lo, b_cut)
+        };
+        let cap = self.cfg.partition_capacity();
+        let first = blk * bd;
+        let (mut a_lo, mut b_lo) = cut(0);
+        for tid in 0..bd {
+            let (a_hi, b_next) = cut(tid + 1);
+            let (mut ai, mut bi, b_hi) = (a_lo, b_lo, b_next.max(b_lo));
+            let before = docids.len();
+            while ai < a_hi && bi < b_hi {
+                let (av, bv) = (a[ai], b[bi]);
+                if av == bv {
+                    docids.push(av);
+                    a_idx.push(a_start + ai as u32);
+                    b_idx.push(b_start + bi as u32);
+                    ai += 1;
+                    bi += 1;
+                } else if av < bv {
+                    ai += 1;
+                } else {
+                    bi += 1;
+                }
+            }
+            let out = docids.len() - before;
+            let end = (first + tid) * cap + out;
+            if self.temps().iter().any(|temp| end > temp.len()) {
+                return false;
+            }
+            counts.push(out as u32);
+            (a_lo, b_lo) = (a_hi, b_next);
+        }
+        first + bd <= self.counts.len()
+    }
+
+    fn temps(&self) -> [&DeviceBuffer<u32>; 3] {
+        [&self.temp_docid, &self.temp_aidx, &self.temp_bidx]
+    }
+}
+
 #[derive(Default)]
 struct MergeState {
     // Block-range info computed in phase 0 (register-resident in a real
@@ -354,6 +457,34 @@ impl Kernel for MergeKernel {
         }
         t.st(&self.counts, pi, out as u32);
     }
+
+    /// Each partition's slab in each array, partitions in thread order,
+    /// then the counts: the arrays are distinct buffers and, per array,
+    /// the stores keep the lanes' order, so the pool ends as theirs does.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let blk = block as usize;
+        if blk >= self.num_blocks {
+            return true; // the lanes return at once
+        }
+        native::with_scratch(|scratch| {
+            if !self.merge_natively(blk, mem, scratch) {
+                return false;
+            }
+            let [docids, a_idx, b_idx, counts] = &*scratch;
+            let first = blk * mem.block_dim() as usize;
+            let cap = self.cfg.partition_capacity();
+            for (temp, words) in self.temps().into_iter().zip([docids, a_idx, b_idx]) {
+                let mut at = 0;
+                for (tid, &out) in counts.iter().enumerate() {
+                    let out = out as usize;
+                    mem.st_run(temp, (first + tid) * cap, &words[at..at + out]);
+                    at += out;
+                }
+            }
+            mem.st_run(&self.counts, first, counts);
+            true
+        })
+    }
 }
 
 /// Copies each partition's matches to its final, scan-assigned position.
@@ -368,6 +499,16 @@ struct CompactKernel {
     out_bidx: DeviceBuffer<u32>,
     num_partitions: usize,
     cap: usize,
+}
+
+impl CompactKernel {
+    fn temps(&self) -> [&DeviceBuffer<u32>; 3] {
+        [&self.temp_docid, &self.temp_aidx, &self.temp_bidx]
+    }
+
+    fn outs(&self) -> [&DeviceBuffer<u32>; 3] {
+        [&self.out_docid, &self.out_aidx, &self.out_bidx]
+    }
 }
 
 impl Kernel for CompactKernel {
@@ -394,6 +535,46 @@ impl Kernel for CompactKernel {
             t.st(&self.out_bidx, dst + k, b);
             k += 1;
         }
+    }
+
+    /// Each partition's slab copied to its place with one run per array,
+    /// partitions in thread order (the output arrays are distinct
+    /// buffers). Declines, before storing anything, a block any of whose
+    /// lanes would load or store out of bounds.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let bd = mem.block_dim() as usize;
+        let first = block as usize * bd;
+        let parts = first.min(self.num_partitions)..(first + bd).min(self.num_partitions);
+        let (Some(counts), Some(offsets)) = (
+            mem.words(&self.counts).get(parts.clone()),
+            mem.words(&self.offsets).get(parts),
+        ) else {
+            return false;
+        };
+        let temps = self.temps().map(|temp| mem.words(temp));
+        let slabs = || {
+            counts
+                .iter()
+                .zip(offsets)
+                .enumerate()
+                .map(|(k, (&count, &dst))| {
+                    let slab = (first + k) * self.cap;
+                    (slab..slab + count as usize, dst as usize)
+                })
+        };
+        for (slab, dst) in slabs() {
+            if temps.iter().any(|temp| slab.end > temp.len())
+                || self.outs().iter().any(|out| dst + slab.len() > out.len())
+            {
+                return false;
+            }
+        }
+        for (temp, out) in temps.into_iter().zip(self.outs()) {
+            for (slab, dst) in slabs() {
+                mem.st_run(out, dst, &temp[slab]);
+            }
+        }
+        true
     }
 }
 
@@ -443,7 +624,8 @@ pub fn intersect(
     let temp_aidx = scope.alloc::<u32>(p * cap)?;
     let temp_bidx = scope.alloc::<u32>(p * cap)?;
     let counts = scope.alloc::<u32>(p)?;
-    gpu.launch(
+    native::launch(
+        gpu,
         &MergeKernel {
             a: a.clone(),
             b: b.clone(),
@@ -464,7 +646,8 @@ pub fn intersect(
     let offsets = scope.adopt(offsets);
     let out = DeviceMatches::alloc(&mut scope, total as usize)?;
     if out.len > 0 {
-        gpu.launch(
+        native::launch(
+            gpu,
             &CompactKernel {
                 temp_docid,
                 temp_aidx,

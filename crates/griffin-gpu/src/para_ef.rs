@@ -26,9 +26,18 @@
 //!
 //! [`gpu_binary`](crate::gpu_binary) runs the same kernel over the blocks
 //! its skip search selected, into a slab instead of the list's positions.
+//!
+//! A block no warp of which is traced runs as the kernel's native twin:
+//! the device image is the index's codec words, so the codec's own
+//! decoders ([`EfBlockRef`], [`varint::decode_words_n`]) compute its
+//! stores.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, Scope, ThreadCtx};
+use griffin_codec::{varint, EfBlockRef};
+use griffin_gpu_sim::{
+    BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, Scope, ThreadCtx,
+};
 
+use crate::native;
 use crate::transfer::{DeviceEfList, DevicePostings};
 
 /// Lanes per posting block: one warp, so a 128-element block gives each
@@ -296,6 +305,65 @@ impl DecodeKernel {
             t.st(&self.out, s.out_start + j, s.base + ((high << s.b) | low));
         }
     }
+
+    /// What GPU block `g` stores, computed on the host: its docIDs into
+    /// `docids` and, with a tf side, its term frequencies into `tfs`;
+    /// returns where both go. `None` for a block no valid upload produces,
+    /// on which the lanes must run: a stream shorter than its header says,
+    /// high bits whose popcount is not the header's count, a shape beyond
+    /// the shared memory the launch sized, a docID past `u32::MAX`, or a
+    /// tf run that does not hold exactly `count` whole varints. Every load
+    /// and store the lanes would make is in bounds when this succeeds.
+    fn decode_natively(
+        &self,
+        g: usize,
+        mem: &BlockMem<'_>,
+        docids: &mut Vec<u32>,
+        tfs: &mut Vec<u32>,
+    ) -> Option<usize> {
+        let blk = match &self.select {
+            Some(select) => *mem.words(&select.blocks).get(g)? as usize,
+            None => g,
+        };
+        let start = *mem.words(&self.block_word_start).get(blk)? as usize;
+        let ef = EfBlockRef::parse(mem.words(&self.words).get(start..)?).ok()?;
+        let count = ef.count as usize;
+        let ones: u32 = ef.hb_words.iter().map(|w| w.count_ones()).sum();
+        if ones as usize != count
+            || count > self.max_block_len
+            || ef.hb_words.len() > self.max_hb_words
+        {
+            return None;
+        }
+        // Staged through a shared word, as the lanes stage it.
+        let out_start = match &self.select {
+            Some(select) => u32::try_from(g * select.stride).ok()? as usize,
+            None => *mem.words(&self.block_elem_start).get(blk)? as usize,
+        };
+        let base = *mem.words(&self.block_base).get(blk)?;
+        ef.decode_into(0, docids).ok()?;
+        for v in docids.iter_mut() {
+            *v = base.checked_add(*v)?;
+        }
+        if out_start + count > self.out.len() {
+            return None;
+        }
+        if let Some(tf) = &self.tf {
+            let offsets = mem.words(&tf.offsets);
+            let lo = *offsets.get(blk)? as usize;
+            let hi = *offsets.get(blk + 1)? as usize;
+            let stream = mem.words(&tf.words);
+            if hi < lo
+                || hi.div_ceil(4) > stream.len()
+                || hi.div_ceil(4) - lo / 4 > tf.max_block_words
+                || out_start + count > tf.out.len()
+                || varint::decode_words_n(stream, lo, hi, count, tfs).ok()? != hi
+            {
+                return None;
+            }
+        }
+        Some(out_start)
+    }
 }
 
 impl Kernel for DecodeKernel {
@@ -325,6 +393,21 @@ impl Kernel for DecodeKernel {
             _ => self.recover(t, s),
         }
     }
+
+    /// The scatter's tf stores, then the recover's docID stores: each
+    /// index once, so one run per array leaves what the lanes leave.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        native::with_scratch(|[docids, tfs, ..]| {
+            let Some(out_start) = self.decode_natively(block as usize, mem, docids, tfs) else {
+                return false;
+            };
+            if let Some(tf) = &self.tf {
+                mem.st_run(&tf.out, out_start, tfs);
+            }
+            mem.st_run(&self.out, out_start, docids);
+            true
+        })
+    }
 }
 
 fn launch(
@@ -338,7 +421,8 @@ fn launch(
     if blocks == 0 {
         return Ok(());
     }
-    gpu.launch(
+    native::launch(
+        gpu,
         &DecodeKernel {
             words: list.words.clone(),
             block_word_start: list.block_word_start.clone(),

@@ -198,6 +198,37 @@ fn random_fault_storm_preserves_answers_and_accounting() {
     }
 }
 
+/// The experiments' device traces one warp in 16, so most blocks of the
+/// decode, merge and compaction launches run as native twins: healthy or
+/// under a fault storm, the answers stay CPU-only's to the bit, the steps
+/// sum to the total, and nothing leaks.
+#[test]
+fn a_device_tracing_one_warp_in_16_keeps_answers_and_accounting() {
+    let fx = fixture();
+    let truth = cpu_truth(&fx);
+    for plan in [
+        None,
+        Some(FaultPlan::seeded(fault_seed()).with_fault_rate(0.01)),
+    ] {
+        let gpu = Gpu::new(DeviceConfig {
+            trace_sample_stride: 16,
+            ..DeviceConfig::test_tiny()
+        });
+        gpu.set_fault_plan(plan.clone());
+        let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+        for (r, expect) in fx.requests.iter().zip(&truth) {
+            for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
+                let out = griffin.run(&fx.index, &r.clone().mode(mode));
+                let ctx = format!("plan={plan:?} mode={mode:?} query={:?}", r.query);
+                assert_eq!(&bits(&out), expect, "{ctx}");
+                assert_accounting(&out, &ctx);
+            }
+        }
+        griffin.gpu.shutdown();
+        assert_eq!(gpu.mem_in_use(), 0, "no leaks (plan={plan:?})");
+    }
+}
+
 #[test]
 fn fault_recovery_steps_appear_exactly_when_faults_escalate() {
     let fx = fixture();

@@ -366,6 +366,35 @@ proptest! {
         }
     }
 
+    /// On a device tracing one warp in 16, where all but the first of a
+    /// list's decode blocks run as the native twin, every mode still
+    /// returns CpuOnly's top-k (and the reference's) bit for bit, keeps
+    /// the step sum, and leaks nothing.
+    #[test]
+    fn a_device_tracing_one_warp_in_16_matches_cpu_only(seed in 0u64..1 << 48) {
+        let fx = fixture();
+        let mut rng = StdRng::seed_from_u64(seed ^ fault_seed() ^ 0x16);
+        let q = gen_query(fx, &mut rng, 3).normalize();
+        let expect = topk_ref(eval_ref(fx, &q), 10);
+
+        let gpu = Gpu::new(DeviceConfig {
+            trace_sample_stride: 16,
+            ..DeviceConfig::test_tiny()
+        });
+        let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+        let run = |mode| griffin.run(&fx.index, &QueryRequest::from_query(q.clone()).k(10).mode(mode));
+        let cpu = run(ExecMode::CpuOnly);
+        prop_assert_eq!(&cpu.topk, &expect);
+        for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
+            let out = run(mode);
+            let bits = |o: &GriffinOutput| o.topk.iter().map(|&(d, s)| (d, s.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&out), bits(&cpu), "{:?} diverged on {:?}", mode, q);
+            prop_assert_eq!(step_sum(&out), out.time, "step sum diverged ({:?})", mode);
+        }
+        griffin.gpu.shutdown();
+        prop_assert_eq!(gpu.mem_in_use(), 0, "plan execution must not leak");
+    }
+
     /// `parse(display(q)) == q` for every generated normalized AST.
     #[test]
     fn parser_round_trips_generated_asts(seed in 0u64..1 << 48) {
