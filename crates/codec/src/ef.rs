@@ -71,27 +71,62 @@ impl<'a> EfBlockRef<'a> {
     /// Decodes all values, appending them to `out` with `base` added;
     /// same semantics as [`EfBlock::decode_into`] (failure leaves `out`
     /// untouched).
+    ///
+    /// Word at a time: the `k`-th one of the high-bits stream, at bit `p`,
+    /// has `p - k` zeros before it, which is the element's high part, and
+    /// its low part is one packed read. Element `i` is what a bit-serial
+    /// reader produces reading its unary code, then its `b` low bits; so
+    /// both streams are sized first, and the first element they cannot
+    /// supply names the error: [`CodecError::UnaryOverrun`] if it is short
+    /// of a one, else [`CodecError::Truncated`].
     pub fn decode_into(&self, base: u32, out: &mut Vec<u32>) -> Result<(), CodecError> {
-        let start = out.len();
-        out.reserve(self.count as usize);
-        let mut hb = BitReader::new(self.hb_words);
-        let mut lb = BitReader::new(self.lb_words);
-        let mut high = 0u32;
-        for _ in 0..self.count {
-            let r = (|| -> Result<u32, CodecError> {
-                high = high.wrapping_add(hb.read_unary()?);
-                let low = if self.b > 0 { lb.read_bits(self.b)? } else { 0 };
-                Ok(base.wrapping_add((high << self.b) | low))
-            })();
-            match r {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    out.truncate(start);
-                    return Err(e);
-                }
+        let count = self.count as usize;
+        let b = self.b;
+        let ones: usize = self.hb_words.iter().map(|w| w.count_ones() as usize).sum();
+        let lows = match b {
+            0 => usize::MAX,
+            b => self.lb_words.len() * 32 / b as usize,
+        };
+        if ones.min(lows) < count {
+            return Err(if ones <= lows {
+                CodecError::UnaryOverrun
+            } else {
+                CodecError::Truncated
+            });
+        }
+        out.reserve(count);
+        let mut k = 0usize;
+        for (wi, &word) in self.hb_words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 && k < count {
+                let high = (wi * 32 + bits.trailing_zeros() as usize - k) as u32;
+                let low = if b == 0 { 0 } else { self.low(k) };
+                out.push(base.wrapping_add((high << b) | low));
+                bits &= bits - 1;
+                k += 1;
+            }
+            if k == count {
+                break;
             }
         }
         Ok(())
+    }
+
+    /// The low bits of element `i`, which the caller has checked the
+    /// stream holds (`b > 0`).
+    #[inline]
+    fn low(&self, i: usize) -> u32 {
+        let bit = i * self.b as usize;
+        let (word, off) = (bit / 32, (bit % 32) as u32);
+        let mut v = self.lb_words[word] >> off;
+        if off + self.b > 32 {
+            v |= self.lb_words[word + 1] << (32 - off);
+        }
+        if self.b >= 32 {
+            v
+        } else {
+            v & ((1u32 << self.b) - 1)
+        }
     }
 }
 
@@ -331,6 +366,80 @@ mod tests {
         let mut bad = words.clone();
         bad[0] = (bad[0] & !0x003F_0000) | (40 << 16);
         assert_eq!(EfBlock::from_words(&bad), Err(CodecError::BadHeader));
+    }
+
+    /// The bit-serial reader the word-at-a-time decoder replaced: element
+    /// by element, its unary code, then its low bits, wrapping.
+    fn decode_bit_serial(blk: &EfBlockRef<'_>, base: u32) -> Result<Vec<u32>, CodecError> {
+        let mut hb = BitReader::new(blk.hb_words);
+        let mut lb = BitReader::new(blk.lb_words);
+        let mut high = 0u32;
+        (0..blk.count)
+            .map(|_| {
+                high = high.wrapping_add(hb.read_unary()?);
+                let low = if blk.b > 0 { lb.read_bits(blk.b)? } else { 0 };
+                Ok(base.wrapping_add((high << blk.b) | low))
+            })
+            .collect()
+    }
+
+    /// Same values and the same error as the bit-serial reader on intact
+    /// blocks, on every pair of truncations of the two streams, on every
+    /// single bit flipped, and on counts the streams cannot supply.
+    /// Mutation that fails it: naming the error by the high-bits stream
+    /// alone (`UnaryOverrun` whenever it is short, also where a low read
+    /// fails first).
+    #[test]
+    fn word_at_a_time_decode_agrees_with_the_bit_serial_reader() {
+        let check = |blk: &EfBlockRef<'_>| {
+            let mut out = vec![7u32];
+            let got = blk.decode_into(0xFFFF_FF00, &mut out);
+            match decode_bit_serial(blk, 0xFFFF_FF00) {
+                Ok(want) => {
+                    assert_eq!(got, Ok(()), "{blk:?}");
+                    assert_eq!(out[1..], want[..], "{blk:?}");
+                }
+                Err(e) => {
+                    assert_eq!(got, Err(e), "{blk:?}");
+                    assert_eq!(out, [7], "{blk:?}");
+                }
+            }
+        };
+        let shapes: Vec<Vec<u32>> = vec![
+            vec![0, 0, 0],
+            (0..128).collect(),
+            (0..128).map(|i| i * 57).collect(),
+            (0..100).map(|i| i * i * 1000).collect(),
+            vec![5, 6, 8, 15, 18, 33],
+            vec![1 << 31],
+        ];
+        for values in shapes {
+            let blk = EfBlock::encode(&values);
+            for hb in 0..=blk.hb_words.len() {
+                for lb in 0..=blk.lb_words.len() {
+                    check(&EfBlockRef {
+                        hb_words: &blk.hb_words[..hb],
+                        lb_words: &blk.lb_words[..lb],
+                        ..blk.as_ref()
+                    });
+                }
+            }
+            for count in [blk.count + 1, blk.count + 40] {
+                check(&EfBlockRef {
+                    count,
+                    ..blk.as_ref()
+                });
+            }
+            for bit in 0..32 * (blk.hb_words.len() + blk.lb_words.len()) {
+                let mut flipped = blk.clone();
+                let (word, mask) = (bit / 32, 1u32 << (bit % 32));
+                match flipped.hb_words.get_mut(word) {
+                    Some(w) => *w ^= mask,
+                    None => flipped.lb_words[word - blk.hb_words.len()] ^= mask,
+                }
+                check(&flipped.as_ref());
+            }
+        }
     }
 
     #[test]

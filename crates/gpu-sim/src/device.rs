@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::clock::VirtualNanos;
 use crate::config::DeviceConfig;
 use crate::fault::{DeviceError, FaultKind, FaultPlan, FaultState, OpClass};
-use crate::kernel::{check_launch, run_blocks, Executor, Kernel, LaunchConfig};
+use crate::kernel::{check_launch, run_blocks, Executor, Kernel, Launch, LaunchConfig, LaunchKey};
 use crate::mem::{class_bytes, DeviceBuffer, DeviceWord, MemStats, Pool};
 use crate::observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 use crate::pcie::transfer_time;
@@ -206,7 +206,7 @@ impl Gpu {
     }
 
     #[inline]
-    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
+    pub(crate) fn lock_pool(&self) -> MutexGuard<'_, Pool> {
         // Recover from poison: the pool's structure is only mutated between
         // launches (kernel stores buffer in write logs and apply after
         // execution), so a panic mid-launch leaves it consistent. Poisoning
@@ -606,6 +606,11 @@ impl Gpu {
     /// real modelled cost) and charges full virtual time, but none of its
     /// stores become visible and no observer event is emitted. A lost
     /// device fails at submission, charging only the launch overhead.
+    ///
+    /// A launch whose kernel declares a key ([`Kernel::memo_key`]) equal to
+    /// one this device has run since is replayed: its blocks run untraced,
+    /// and its counters come from that run, so its report, its time and
+    /// the clock are what they were.
     pub fn launch<K: Kernel>(
         &self,
         kernel: &K,
@@ -659,17 +664,54 @@ impl Gpu {
             exec.log.clear();
         }
         let warps_per_block = lc.block_dim.div_ceil(self.cfg.warp_size);
+        let mut declared = LaunchKey::default();
+        let replayable = kernel.memo_key(&mut declared);
+        let memo = replayable
+            .then(|| pool.resolve(std::any::type_name::<K>(), lc, &declared))
+            .flatten();
+        let replay = memo
+            .as_ref()
+            .and_then(|(home, key)| pool.recall(*home, key));
 
+        let launch = Launch {
+            kernel,
+            cfg: &self.cfg,
+            lc,
+            pool: &pool,
+            traced: replay.is_none(),
+            declared: (cfg!(debug_assertions) && replayable && replay.is_none())
+                .then_some(&declared),
+        };
         let mut counters = match chunk_ends {
-            None => self.run_by_work(kernel, lc, &pool, &mut execs),
-            Some(ends) => run_chunks(kernel, &self.cfg, lc, &pool, &mut execs, ends.len(), |i| {
+            None => self.run_by_work(&launch, &mut execs),
+            Some(ends) => run_chunks(&launch, &mut execs, ends.len(), |i| {
                 let first = if i == 0 { 0 } else { ends[i - 1] };
                 first..ends[i]
             }),
         };
-        counters.total_warps = u64::from(lc.grid_dim) * u64::from(warps_per_block);
-        counters.stores_applied = execs.iter().map(|e| e.log.stores() as u64).sum();
-        counters.extrapolate();
+        let stores = execs.iter().map(|e| e.log.stores() as u64).sum();
+        let counters = match replay {
+            Some(replay) => {
+                assert_eq!(
+                    stores,
+                    replay.stores_applied,
+                    "a replayed launch of {} must store what its first run stored",
+                    kernel.name()
+                );
+                replay
+            }
+            None => {
+                counters.total_warps = u64::from(lc.grid_dim) * u64::from(warps_per_block);
+                counters.stores_applied = stores;
+                counters.extrapolate();
+                if let Some((home, key)) = memo {
+                    // Before the stores retire: a launch that writes the
+                    // buffer keeping the entry drops it again.
+                    pool.remember(home, key, counters.clone());
+                }
+                counters
+            }
+        };
 
         // Executor `i` ran lower-numbered blocks than executor `i + 1`, so
         // this is block order whatever the split was.
@@ -735,27 +777,24 @@ impl Gpu {
     /// every launch stays on its caller.
     fn run_by_work<K: Kernel>(
         &self,
-        kernel: &K,
-        lc: LaunchConfig,
-        pool: &Pool,
+        l: &Launch<'_, K>,
         execs: &mut Vec<Executor>,
     ) -> LaunchCounters {
-        let cfg = &self.cfg;
-        let grid = lc.grid_dim;
+        let grid = l.lc.grid_dim;
         let mut counters = LaunchCounters::default();
         if self.workers == 1 || grid == 1 {
-            run_blocks(kernel, cfg, lc, 0..grid, pool, &mut execs[0], &mut counters);
+            run_blocks(l, 0..grid, &mut execs[0], &mut counters);
             return counters;
         }
-        let calls = run_blocks(kernel, cfg, lc, 0..1, pool, &mut execs[0], &mut counters);
+        let calls = run_blocks(l, 0..1, &mut execs[0], &mut counters);
         let rest = grid - 1;
         if calls.saturating_mul(u64::from(rest)) < FAN_OUT_MIN_CALLS {
-            run_blocks(kernel, cfg, lc, 1..grid, pool, &mut execs[0], &mut counters);
+            run_blocks(l, 1..grid, &mut execs[0], &mut counters);
             return counters;
         }
         let per_chunk = rest.div_ceil(self.workers.min(rest as usize) as u32);
         let chunks = rest.div_ceil(per_chunk) as usize;
-        counters.merge(&run_chunks(kernel, cfg, lc, pool, execs, chunks, |i| {
+        counters.merge(&run_chunks(l, execs, chunks, |i| {
             let first = 1 + i as u32 * per_chunk;
             first..(first + per_chunk).min(grid)
         }));
@@ -795,10 +834,7 @@ const FAN_OUT_MIN_CALLS: u64 = 300_000;
 /// Counters are sums and each log holds its own chunk's stores in block
 /// order, so nothing observable depends on how the grid was cut.
 fn run_chunks<K: Kernel>(
-    kernel: &K,
-    cfg: &DeviceConfig,
-    lc: LaunchConfig,
-    pool: &Pool,
+    l: &Launch<'_, K>,
     execs: &mut Vec<Executor>,
     chunks: usize,
     blocks_of: impl Fn(usize) -> Range<u32>,
@@ -818,12 +854,12 @@ fn run_chunks<K: Kernel>(
                 let blocks = blocks_of(i + 1);
                 scope.spawn(move || {
                     let mut counters = LaunchCounters::default();
-                    run_blocks(kernel, cfg, lc, blocks, pool, exec, &mut counters);
+                    run_blocks(l, blocks, exec, &mut counters);
                     counters
                 })
             })
             .collect();
-        run_blocks(kernel, cfg, lc, blocks_of(0), pool, own, &mut counters);
+        run_blocks(l, blocks_of(0), own, &mut counters);
         for handle in handles {
             counters.merge(&handle.join().expect("kernel block executor panicked"));
         }
@@ -942,6 +978,31 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("formatted panic");
         assert!(msg.contains("stale device buffer handle"), "{msg}");
         assert_eq!(gpu.dtoh(&b).unwrap(), vec![4, 5, 6], "B is untouched");
+    }
+
+    /// In every build: before, the generation was compared in debug builds
+    /// only, and a release build loaded the new owner's words.
+    #[test]
+    fn a_load_through_a_stale_handle_panics_in_every_build() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let a = gpu.htod(&[1u32, 2, 3]).unwrap();
+        let stale = a.clone();
+        gpu.free(a);
+        let b = gpu.htod(&[4u32, 5, 6]).unwrap();
+        assert_eq!(b.id, stale.id, "B took over A's slot");
+        let kernel = AddOne {
+            src: stale,
+            dst: gpu.alloc::<u32>(3).unwrap(),
+            n: 3,
+        };
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            let _ = gpu.launch(&kernel, LaunchConfig::cover(3, 32));
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("stale device buffer handle"), "{msg}");
+        assert_eq!(gpu.dtoh(&kernel.dst).unwrap(), vec![0, 0, 0]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::ops::Range;
 
 use crate::config::DeviceConfig;
-use crate::mem::{DeviceBuffer, DeviceWord, Pool, WriteLog};
+use crate::mem::{BufferId, DeviceBuffer, DeviceWord, Pool, WriteLog};
 use crate::tracer::{LaunchCounters, Op, WarpTraceState};
 
 /// Launch geometry: a 1-D grid of 1-D blocks (all kernels in this
@@ -93,6 +93,80 @@ pub trait Kernel: Sync {
         let _ = (block, mem);
         false
     }
+
+    /// Declares, into `key`, what this launch's counters are a function
+    /// of, and so makes it replayable: every buffer its threads load from
+    /// ([`LaunchKey::read`]), every buffer they store to
+    /// ([`LaunchKey::write`]) and every scalar they use
+    /// ([`LaunchKey::param`]). A launch under a key the device has seen
+    /// runs no lane through the tracer: every block goes to the native twin
+    /// (a block the twin declines runs lane by lane, untraced), and the
+    /// counters, the time and the clock come from the first run (DESIGN.md,
+    /// "Replayed launches"). The default declares nothing and returns
+    /// `false`: the launch is never replayed.
+    fn memo_key(&self, key: &mut LaunchKey) -> bool {
+        let _ = key;
+        false
+    }
+}
+
+/// What one launch depends on, as its kernel declares it
+/// ([`Kernel::memo_key`]). The device resolves it, with the pool locked,
+/// into the full key: the kernel's type and the launch geometry, the
+/// parameters, each buffer's length and which declared handles name the
+/// same buffer, and each read buffer's write stamp.
+#[derive(Default)]
+pub struct LaunchKey {
+    pub(crate) bufs: Vec<Declared>,
+    pub(crate) params: Vec<u64>,
+}
+
+/// One declared handle.
+pub(crate) struct Declared {
+    pub(crate) id: BufferId,
+    pub(crate) generation: u32,
+    pub(crate) len: usize,
+    pub(crate) read: bool,
+}
+
+impl LaunchKey {
+    /// A buffer the launch loads from: its contents are part of the key.
+    pub fn read<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>) {
+        self.declare(buf, true);
+    }
+
+    /// A buffer the launch stores to: its length is part of the key, its
+    /// contents are not (a buffer it also loads is declared both ways).
+    pub fn write<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>) {
+        self.declare(buf, false);
+    }
+
+    /// A scalar the threads use (an `f32` passes its bits).
+    pub fn param(&mut self, value: u64) {
+        self.params.push(value);
+    }
+
+    fn declare<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, read: bool) {
+        self.bufs.push(Declared {
+            id: buf.id,
+            generation: buf.generation,
+            len: buf.len,
+            read,
+        });
+    }
+}
+
+/// Debug builds, the first run of a replayable launch: panics unless its
+/// kernel declared buffer `id` for this access (`read`: a load).
+#[inline]
+fn guard(declared: Option<&LaunchKey>, id: BufferId, read: bool) {
+    if let (true, Some(key)) = (cfg!(debug_assertions), declared) {
+        assert!(
+            key.bufs.iter().any(|d| d.id == id && d.read == read),
+            "a replayable kernel {} buffer {id:?}, which it did not declare",
+            if read { "loads" } else { "stores to" }
+        );
+    }
 }
 
 /// What a native block may touch: the launch-time snapshot, read a buffer
@@ -101,6 +175,7 @@ pub struct BlockMem<'a> {
     pool: &'a Pool,
     log: &'a mut WriteLog,
     block_dim: u32,
+    declared: Option<&'a LaunchKey>,
 }
 
 impl<'a> BlockMem<'a> {
@@ -114,6 +189,7 @@ impl<'a> BlockMem<'a> {
     /// host-side read does; the check is once per call, not per element.
     #[inline]
     pub fn words(&self, buf: &DeviceBuffer<u32>) -> &'a [u32] {
+        guard(self.declared, buf.id, true);
         self.pool.words_of(buf.id, buf.generation)
     }
 
@@ -121,6 +197,7 @@ impl<'a> BlockMem<'a> {
     /// as that many single stores would be.
     #[inline]
     pub fn st_run(&mut self, buf: &DeviceBuffer<u32>, start: usize, words: &[u32]) {
+        guard(self.declared, buf.id, false);
         assert!(
             start + words.len() <= buf.len,
             "device store out of bounds: {start}..{} >= {} (buffer {:?})",
@@ -149,6 +226,7 @@ pub struct ThreadCtx<'a> {
     writes: &'a mut WriteLog,
     shared: &'a mut [u32],
     trace: Option<&'a mut WarpTraceState>,
+    declared: Option<&'a LaunchKey>,
     transaction_bytes: u32,
     branch_site: usize,
     mem_site: usize,
@@ -167,21 +245,12 @@ impl<'a> ThreadCtx<'a> {
         self.grid_dim as usize * self.block_dim as usize
     }
 
-    /// Load one element from global memory.
+    /// Load one element from global memory. Panics, in every build, on an
+    /// index out of bounds and on a stale handle.
     #[inline]
     pub fn ld<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, idx: usize) -> T {
-        let words = self.pool.words(buf.id);
-        debug_assert!(
-            self.pool.generation(buf.id) == buf.generation,
-            "stale device buffer handle (use-after-free)"
-        );
-        assert!(
-            idx < buf.len,
-            "device load out of bounds: {idx} >= {} (buffer {:?})",
-            buf.len,
-            buf.id
-        );
-        let w = words[idx];
+        guard(self.declared, buf.id, true);
+        let w = self.pool.load(buf.id, buf.generation, idx);
         if let Some(tr) = self.trace.as_deref_mut() {
             let addr = (u64::from(buf.id.0) << 40) | (idx as u64 * 4);
             tr.record_gmem(self.mem_site, addr, self.transaction_bytes);
@@ -193,6 +262,7 @@ impl<'a> ThreadCtx<'a> {
     /// Store one element to global memory (visible after the launch).
     #[inline]
     pub fn st<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, idx: usize, v: T) {
+        guard(self.declared, buf.id, false);
         assert!(
             idx < buf.len,
             "device store out of bounds: {idx} >= {} (buffer {:?})",
@@ -278,6 +348,20 @@ pub(crate) struct Executor {
     traces: Vec<WarpTraceState>,
 }
 
+/// What every executor of one launch shares.
+pub(crate) struct Launch<'a, K> {
+    pub(crate) kernel: &'a K,
+    pub(crate) cfg: &'a DeviceConfig,
+    pub(crate) lc: LaunchConfig,
+    pub(crate) pool: &'a Pool,
+    /// `false` for a replayed launch: no warp is sampled, so every block
+    /// is offered to the native twin and one it declines runs untraced.
+    pub(crate) traced: bool,
+    /// Debug builds, the first run of a replayable launch: the declaration
+    /// every load and store is checked against.
+    pub(crate) declared: Option<&'a LaunchKey>,
+}
+
 /// Panics unless the device can run `kernel` with this geometry.
 pub(crate) fn check_launch<K: Kernel>(kernel: &K, cfg: &DeviceConfig, lc: LaunchConfig) {
     let bdim = lc.block_dim;
@@ -294,21 +378,19 @@ pub(crate) fn check_launch<K: Kernel>(kernel: &K, cfg: &DeviceConfig, lc: Launch
     );
 }
 
-/// Runs all phases of `kernel` for the blocks in `blocks`, in order,
-/// appending stores to the executor's log and sampled counters to
+/// Runs all phases of the launch's kernel for the blocks in `blocks`, in
+/// order, appending stores to the executor's log and sampled counters to
 /// `counters`. A block with no traced warp is first offered to the
 /// kernel's native twin. Returns how many loads, stores and branches the
 /// threads of the lane-by-lane blocks made (all of them, not the sampled
 /// ones): what the host paid for, counted.
 pub(crate) fn run_blocks<K: Kernel>(
-    kernel: &K,
-    cfg: &DeviceConfig,
-    lc: LaunchConfig,
+    l: &Launch<'_, K>,
     blocks: Range<u32>,
-    pool: &Pool,
     exec: &mut Executor,
     counters: &mut LaunchCounters,
 ) -> u64 {
+    let (kernel, cfg, lc, pool) = (l.kernel, l.cfg, l.lc, l.pool);
     let bdim = lc.block_dim;
     let smem_words = kernel.shared_mem_words(bdim);
     let warp_size = cfg.warp_size;
@@ -329,7 +411,8 @@ pub(crate) fn run_blocks<K: Kernel>(
 
     for block_idx in blocks {
         let sampled = |w: u32| {
-            (u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w)) % stride == 0
+            l.traced
+                && (u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w)) % stride == 0
         };
         if !(0..warps_in_block).any(sampled) {
             let logged = log.stores();
@@ -337,6 +420,7 @@ pub(crate) fn run_blocks<K: Kernel>(
                 pool,
                 log,
                 block_dim: bdim,
+                declared: l.declared,
             };
             if kernel.run_block_native(block_idx, &mut mem) {
                 continue;
@@ -372,6 +456,7 @@ pub(crate) fn run_blocks<K: Kernel>(
                         writes: log,
                         shared,
                         trace: tr.as_deref_mut(),
+                        declared: l.declared,
                         transaction_bytes: cfg.transaction_bytes,
                         branch_site: 0,
                         mem_site: 0,

@@ -37,7 +37,10 @@
 //! trick for fast performance models). A block with no sampled warp
 //! contributes only its stores, so a kernel may compute them with a
 //! block-level native twin ([`Kernel::run_block_native`], through
-//! [`BlockMem`]) instead of thread by thread. [`timing`] converts the extrapolated
+//! [`BlockMem`]) instead of thread by thread, and a launch the device has
+//! run before under an exact key ([`Kernel::memo_key`], [`LaunchKey`]) is
+//! replayed: every block runs so, and the counters are the first run's.
+//! [`timing`] converts the extrapolated
 //! counters into virtual nanoseconds using an occupancy/roofline model:
 //! kernel-launch overhead, issue-throughput-bound compute time,
 //! bandwidth-bound memory time with measured coalescing, a latency floor for
@@ -105,6 +108,8 @@ pub mod kernel;
 pub mod mem;
 pub mod observe;
 pub mod pcie;
+#[cfg(test)]
+mod replay;
 pub mod scope;
 #[cfg(test)]
 mod split_invariance;
@@ -116,7 +121,7 @@ pub use clock::VirtualNanos;
 pub use config::{CostParams, DeviceConfig, PcieConfig};
 pub use device::{Gpu, LaunchReport};
 pub use fault::{DeviceError, FaultKind, FaultPlan};
-pub use kernel::{BlockMem, Dim, Kernel, LaunchConfig, ThreadCtx};
+pub use kernel::{BlockMem, Dim, Kernel, LaunchConfig, LaunchKey, ThreadCtx};
 pub use mem::{DeviceBuffer, DeviceWord};
 pub use observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 pub use scope::Scope;

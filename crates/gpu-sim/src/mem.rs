@@ -5,6 +5,9 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::kernel::{LaunchConfig, LaunchKey};
+use crate::tracer::LaunchCounters;
+
 /// Types that can live in device memory. Device buffers are word-addressed
 /// (32-bit), matching how the kernels in this reproduction treat data
 /// (docIDs, frequencies, compressed words, float scores via their bit
@@ -118,6 +121,27 @@ pub(crate) struct RawBuf {
     /// which goes back to the class's free list when the buffer is freed.
     /// Upload-born buffers are exact-size driver allocations and never do.
     pooled: bool,
+    /// Device-unique, set when the buffer is made and again whenever a
+    /// launch's stores to it retire: those are the only two places its
+    /// words change, so two equal stamps mean equal contents.
+    stamp: u64,
+    /// Replay entries of the launches whose youngest read buffer this is:
+    /// dropped when it is written or freed, so an entry never outlives
+    /// the contents it was keyed on (see [`crate::Kernel::memo_key`]).
+    pub(crate) memo: Vec<Replay>,
+}
+
+/// The full key of a declared launch (see [`Pool::resolve`]).
+#[derive(PartialEq, Eq)]
+pub(crate) struct MemoKey {
+    kernel: &'static str,
+    words: Vec<u64>,
+}
+
+/// What a launch under a key counted; the stores are recomputed.
+pub(crate) struct Replay {
+    key: MemoKey,
+    counters: LaunchCounters,
 }
 
 /// Size class of a request of `len` words: log2 of the words in the block
@@ -153,6 +177,8 @@ pub(crate) struct Pool {
     pub(crate) bytes_reserved: u64,
     /// `cached[c]` blocks of class `c` (`4 << c` bytes) wait for reuse.
     cached: Vec<u32>,
+    /// The last write stamp handed out.
+    stamps: u64,
 }
 
 impl Pool {
@@ -184,25 +210,30 @@ impl Pool {
     /// from a free list, since the block was first obtained.
     pub(crate) fn alloc(&mut self, words: Vec<u32>, pooled: bool) -> (BufferId, u32) {
         self.bytes_in_use += words.len() as u64 * 4;
+        let stamp = self.stamp();
+        let made = |generation| RawBuf {
+            words,
+            generation,
+            live: true,
+            pooled,
+            stamp,
+            memo: Vec::new(),
+        };
         // Reuse a dead slot if available to keep the pool compact.
         if let Some(slot) = self.free_slots.pop() {
             let b = &mut self.bufs[slot as usize];
             let generation = b.generation + 1;
-            *b = RawBuf {
-                words,
-                generation,
-                live: true,
-                pooled,
-            };
+            *b = made(generation);
             return (BufferId(slot), generation);
         }
-        self.bufs.push(RawBuf {
-            words,
-            generation: 0,
-            live: true,
-            pooled,
-        });
+        self.bufs.push(made(0));
         (BufferId((self.bufs.len() - 1) as u32), 0)
+    }
+
+    /// A write stamp no buffer of this pool has had.
+    fn stamp(&mut self) -> u64 {
+        self.stamps += 1;
+        self.stamps
     }
 
     /// Panics unless `id` is live and is still the allocation the handle
@@ -230,6 +261,7 @@ impl Pool {
         let len = b.words.len();
         b.live = false;
         b.words = Vec::new();
+        b.memo = Vec::new();
         let pooled = b.pooled;
         self.free_slots.push(id.0);
         self.bytes_in_use -= len as u64 * 4;
@@ -245,18 +277,33 @@ impl Pool {
         pooled
     }
 
-    #[inline]
-    pub(crate) fn generation(&self, id: BufferId) -> u32 {
-        self.bufs[id.0 as usize].generation
+    /// Words of a buffer, unchecked (tests).
+    #[cfg(test)]
+    pub(crate) fn words(&self, id: BufferId) -> &[u32] {
+        &self.bufs[id.0 as usize].words
     }
 
-    /// Words of a buffer on the kernel load path (liveness checked in debug
-    /// builds only; the host-side entry points use [`Pool::words_of`]).
+    /// One word on the kernel load path, checked in every build at the
+    /// cost of one compare on the slot the load reads anyway: a handle of
+    /// another generation panics, and a freed buffer holds no words, so a
+    /// load through a stale handle never returns the word of whatever
+    /// buffer took its slot.
     #[inline]
-    pub(crate) fn words(&self, id: BufferId) -> &[u32] {
+    pub(crate) fn load(&self, id: BufferId, generation: u32, idx: usize) -> u32 {
         let b = &self.bufs[id.0 as usize];
-        debug_assert!(b.live, "access to freed device buffer {id:?}");
-        &b.words
+        if b.generation != generation {
+            self.check_handle(id, generation);
+        }
+        match b.words.get(idx) {
+            Some(&w) => w,
+            None => {
+                self.check_handle(id, generation);
+                panic!(
+                    "device load out of bounds: {idx} >= {} (buffer {id:?})",
+                    b.words.len()
+                )
+            }
+        }
     }
 
     /// Words of the buffer a handle names, liveness- and generation-checked
@@ -264,6 +311,56 @@ impl Pool {
     pub(crate) fn words_of(&self, id: BufferId, generation: u32) -> &[u32] {
         self.check_handle(id, generation);
         &self.bufs[id.0 as usize].words
+    }
+
+    /// The full key of a launch `kernel` declared as `decl`, and the
+    /// buffer whose slot keeps its entry: the youngest it reads, so that
+    /// the entry goes when that buffer is written or freed (`None` if it
+    /// reads nothing). Per handle: its length, the first declared handle
+    /// naming the same buffer (coalescing depends on which do), and, read,
+    /// its stamp. Panics on a stale handle, as [`Pool::words_of`] does.
+    pub(crate) fn resolve(
+        &self,
+        kernel: &'static str,
+        lc: LaunchConfig,
+        decl: &LaunchKey,
+    ) -> Option<(BufferId, MemoKey)> {
+        let mut words = vec![
+            u64::from(lc.grid_dim),
+            u64::from(lc.block_dim),
+            decl.params.len() as u64,
+        ];
+        words.extend_from_slice(&decl.params);
+        let mut home: Option<(u64, BufferId)> = None;
+        for (i, d) in decl.bufs.iter().enumerate() {
+            self.check_handle(d.id, d.generation);
+            let alias = decl.bufs[..i].iter().position(|e| e.id == d.id);
+            let stamp = if d.read {
+                self.bufs[d.id.0 as usize].stamp
+            } else {
+                0
+            };
+            words.extend([d.len as u64, alias.unwrap_or(i) as u64, stamp]);
+            if d.read && home.is_none_or(|(youngest, _)| stamp > youngest) {
+                home = Some((stamp, d.id));
+            }
+        }
+        home.map(|(_, id)| (id, MemoKey { kernel, words }))
+    }
+
+    /// The counters a launch under `key` made, if one did since `home`
+    /// was last written.
+    pub(crate) fn recall(&self, home: BufferId, key: &MemoKey) -> Option<LaunchCounters> {
+        let memo = &self.bufs[home.0 as usize].memo;
+        memo.iter()
+            .find(|r| r.key == *key)
+            .map(|r| r.counters.clone())
+    }
+
+    pub(crate) fn remember(&mut self, home: BufferId, key: MemoKey, counters: LaunchCounters) {
+        self.bufs[home.0 as usize]
+            .memo
+            .push(Replay { key, counters });
     }
 }
 
@@ -362,10 +459,15 @@ impl WriteLog {
     /// conflicting unsynchronized stores. A run stored through a stale
     /// handle (its buffer freed, or freed and the slot since reused) panics
     /// here, before any word of it lands in whatever owns the slot now.
+    /// Each buffer a run lands in gets a fresh write stamp and drops the
+    /// replay entries it kept.
     pub(crate) fn apply(&self, pool: &mut Pool) {
         for run in &self.runs {
             pool.check_handle(run.buf, run.generation);
+            let stamp = pool.stamp();
             let b = &mut pool.bufs[run.buf.0 as usize];
+            b.stamp = stamp;
+            b.memo.clear();
             let (start, len, offset) = (run.start as usize, run.len as usize, run.offset as usize);
             let end = start + len;
             assert!(

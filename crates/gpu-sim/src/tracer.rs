@@ -8,7 +8,9 @@
 //! whatever the sample: a traced warp's block runs thread by thread, and a
 //! block with no traced warp runs either so or, when the kernel has one, as
 //! its native twin ([`crate::Kernel::run_block_native`]), which stores the
-//! same words and is never traced.
+//! same words and is never traced. A launch the device has run before
+//! under an equal key ([`crate::Kernel::memo_key`]) traces no warp at all:
+//! its counters are the first run's.
 
 /// Instruction classes a kernel can charge through [`crate::ThreadCtx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,21 +8,22 @@
 //! surviving (docid, score) pairs.
 
 use std::cell::{Cell, RefCell};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use griffin_cpu::cost::WorkCounters;
 use griffin_cpu::rank::Bm25;
 use griffin_cpu::{topk, CacheStats, Intermediate, Lru};
 use griffin_gpu_sim::{
-    DeviceBuffer, Gpu, Kernel, LaunchConfig, Op, Scope, StreamEvent, StreamKind, ThreadCtx,
-    VirtualNanos,
+    BlockMem, DeviceBuffer, Gpu, Kernel, LaunchConfig, Op, Scope, StreamEvent, StreamKind,
+    ThreadCtx, VirtualNanos,
 };
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
 
 use crate::error::GpuError;
 use crate::gpu_binary;
 use crate::mergepath::{self, MergePathConfig};
+use crate::native;
 use crate::para_ef;
 use crate::transfer::DevicePostings;
 
@@ -137,36 +138,61 @@ impl ChainList {
 
 /// BM25 parameters in kernel-friendly form.
 #[derive(Clone, Copy)]
-struct ScoreParams {
-    idf: f32,
-    k1: f32,
-    b: f32,
-    avg_doc_len: f32,
+pub(crate) struct ScoreParams {
+    pub(crate) idf: f32,
+    pub(crate) k1: f32,
+    pub(crate) b: f32,
+    pub(crate) avg_doc_len: f32,
+}
+
+impl ScoreParams {
+    /// The BM25 term contribution, in exactly the operation order of
+    /// `griffin_cpu::rank::Bm25::contribution` so CPU and GPU scores are
+    /// bit-identical: the one definition the lanes and the native twins
+    /// share.
+    #[inline]
+    pub(crate) fn contribution(self, tf: u32, doc_len: f32) -> f32 {
+        let tf = tf as f32;
+        let norm = if self.avg_doc_len > 0.0 {
+            self.k1 * (1.0 - self.b + self.b * doc_len / self.avg_doc_len)
+        } else {
+            self.k1
+        };
+        self.idf * (tf * (self.k1 + 1.0)) / (tf + norm)
+    }
+
+    /// What [`doc_len_of`] loads, from the launch-time words.
+    #[inline]
+    fn doc_len(self, doc_lens: Option<&[u32]>, docid: u32) -> f32 {
+        match doc_lens.and_then(|lens| lens.get(docid as usize)) {
+            Some(&len) => len as f32,
+            None => self.avg_doc_len,
+        }
+    }
 }
 
 /// Initial scoring: `scores[i] = contribution(tf[i], doc_len(docids[i]))`.
-struct ScoreInitKernel {
-    docids: DeviceBuffer<u32>,
-    tfs: DeviceBuffer<u32>,
-    scores: DeviceBuffer<f32>,
-    doc_lens: Option<DeviceBuffer<u32>>,
-    p: ScoreParams,
-    n: usize,
+pub(crate) struct ScoreInitKernel {
+    pub(crate) docids: DeviceBuffer<u32>,
+    pub(crate) tfs: DeviceBuffer<u32>,
+    pub(crate) scores: DeviceBuffer<f32>,
+    pub(crate) doc_lens: Option<DeviceBuffer<u32>>,
+    pub(crate) p: ScoreParams,
+    pub(crate) n: usize,
 }
 
-/// The BM25 term contribution, in exactly the operation order of
-/// `griffin_cpu::rank::Bm25::contribution` so CPU and GPU scores are
-/// bit-identical.
+/// A lane's BM25 term contribution, charged.
 #[inline]
 fn contribution(t: &mut ThreadCtx<'_>, p: ScoreParams, tf: u32, doc_len: f32) -> f32 {
-    let tf = tf as f32;
-    let norm = if p.avg_doc_len > 0.0 {
-        p.k1 * (1.0 - p.b + p.b * doc_len / p.avg_doc_len)
-    } else {
-        p.k1
-    };
     t.op(Op::Mul, 6);
-    p.idf * (tf * (p.k1 + 1.0)) / (tf + norm)
+    p.contribution(tf, doc_len)
+}
+
+/// The elements block `block` of a one-thread-per-element launch over `n`
+/// covers.
+fn rows(block: u32, block_dim: u32, n: usize) -> Range<usize> {
+    let first = block as usize * block_dim as usize;
+    first.min(n)..(first + block_dim as usize).min(n)
 }
 
 #[inline]
@@ -198,20 +224,46 @@ impl Kernel for ScoreInitKernel {
             t.st(&self.scores, i, s);
         }
     }
+
+    /// The block's scores as one run. Declines a block a lane would load
+    /// or store out of bounds in.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let rows = rows(block, mem.block_dim(), self.n);
+        let (Some(docids), Some(tfs)) = (
+            mem.words(&self.docids).get(rows.clone()),
+            mem.words(&self.tfs).get(rows.clone()),
+        ) else {
+            return false;
+        };
+        if rows.end > self.scores.len() {
+            return false;
+        }
+        let lens = self.doc_lens.as_ref().map(|lens| mem.words(lens));
+        native::with_scratch(|[scores, ..]| {
+            scores.extend(docids.iter().zip(tfs).map(|(&d, &tf)| {
+                let dl = self.p.doc_len(lens, d);
+                self.p.contribution(tf, dl).to_bits()
+            }));
+            mem.st_run(&self.scores.cast(), rows.start, scores);
+        });
+        true
+    }
 }
 
 /// Score accumulation after an intersection:
 /// `out[i] = old[a_idx[i]] + contribution(tf[b_idx[i]], doc_len)`.
-struct ScoreAccumKernel {
-    docids: DeviceBuffer<u32>,
-    old_scores: DeviceBuffer<f32>,
-    a_idx: DeviceBuffer<u32>,
-    tfs: DeviceBuffer<u32>, // indexed by b_idx (full) or by match (gathered)
-    b_idx: Option<DeviceBuffer<u32>>, // None => tfs already match-aligned
-    out_scores: DeviceBuffer<f32>,
-    doc_lens: Option<DeviceBuffer<u32>>,
-    p: ScoreParams,
-    n: usize,
+pub(crate) struct ScoreAccumKernel {
+    pub(crate) docids: DeviceBuffer<u32>,
+    pub(crate) old_scores: DeviceBuffer<f32>,
+    pub(crate) a_idx: DeviceBuffer<u32>,
+    /// Indexed by `b_idx` (full) or by match (gathered).
+    pub(crate) tfs: DeviceBuffer<u32>,
+    /// `None`: `tfs` is already match-aligned.
+    pub(crate) b_idx: Option<DeviceBuffer<u32>>,
+    pub(crate) out_scores: DeviceBuffer<f32>,
+    pub(crate) doc_lens: Option<DeviceBuffer<u32>>,
+    pub(crate) p: ScoreParams,
+    pub(crate) n: usize,
 }
 
 impl Kernel for ScoreAccumKernel {
@@ -238,6 +290,42 @@ impl Kernel for ScoreAccumKernel {
             t.alu(1);
             t.st(&self.out_scores, i, s);
         }
+    }
+
+    /// The block's scores as one run. Declines, before storing anything, a
+    /// block a lane would load or store out of bounds in.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let rows = rows(block, mem.block_dim(), self.n);
+        let (Some(docids), Some(a_idx)) = (
+            mem.words(&self.docids).get(rows.clone()),
+            mem.words(&self.a_idx).get(rows.clone()),
+        ) else {
+            return false;
+        };
+        let b_idx = match &self.b_idx {
+            Some(b_idx) => match mem.words(b_idx).get(rows.clone()) {
+                Some(b_idx) => Some(b_idx),
+                None => return false,
+            },
+            None => None,
+        };
+        if rows.end > self.out_scores.len() {
+            return false;
+        }
+        let (old, tfs) = (mem.words(&self.old_scores.cast()), mem.words(&self.tfs));
+        let lens = self.doc_lens.as_ref().map(|lens| mem.words(lens));
+        native::with_scratch(|[scores, ..]| {
+            for (k, (&d, &ai)) in docids.iter().zip(a_idx).enumerate() {
+                let tf_at = b_idx.map_or(rows.start + k, |b_idx| b_idx[k] as usize);
+                let (Some(&old), Some(&tf)) = (old.get(ai as usize), tfs.get(tf_at)) else {
+                    return false;
+                };
+                let dl = self.p.doc_len(lens, d);
+                scores.push((f32::from_bits(old) + self.p.contribution(tf, dl)).to_bits());
+            }
+            mem.st_run(&self.out_scores.cast(), rows.start, scores);
+            true
+        })
     }
 }
 
@@ -589,7 +677,8 @@ impl<'g> GpuEngine<'g> {
         let (docids, tfs) = (scope.adopt(docids), scope.adopt(tfs));
         let scores = scope.alloc::<f32>(n)?;
         if n > 0 {
-            gpu.launch(
+            native::launch(
+                gpu,
                 &ScoreInitKernel {
                     docids: docids.clone(),
                     tfs,
@@ -679,7 +768,8 @@ impl<'g> GpuEngine<'g> {
                     (tfs, None)
                 }
             };
-            gpu.launch(
+            native::launch(
+                gpu,
                 &ScoreAccumKernel {
                     docids: docids.clone(),
                     old_scores: inter.scores.clone(),

@@ -4,13 +4,18 @@
 //! A native twin ([`Kernel::run_block_native`]) computes the stores of a
 //! block the tracer samples no warp of in plain Rust, from the launch-time
 //! snapshot; the lane-by-lane body stays the definition. Twins exist for
-//! the kernels that take at least 5 % of a `trec-hybrid` pass's simulator
-//! host time: `para_ef.decode`, `mergepath.merge` and `mergepath.compact`
-//! (DESIGN.md, "How a launch executes on the host").
+//! every kernel that takes at least 1 % of a `trec-hybrid` pass's
+//! simulator host time: `para_ef.decode`, `mergepath.merge`,
+//! `mergepath.compact`, `engine.score_accum`, `engine.score_init`,
+//! `scan.tile_scan` and `scan.uniform_add` (DESIGN.md, "How a launch
+//! executes on the host"). A replayed launch ([`Kernel::memo_key`]; only
+//! `para_ef.decode` declares a key) sends every block to its twin, at any
+//! stride.
 //!
 //! The tests here run every twin against its lane-by-lane body, launch
-//! for launch: the same output words, store counts, counters and virtual
-//! time at the strides where twins run.
+//! for launch, and every case twice on one device, so that a second run
+//! replays what the first declared: the same output words, store counts,
+//! counters and virtual time, at every stride.
 
 use std::cell::RefCell;
 
@@ -54,13 +59,15 @@ mod tests {
 
     use griffin_codec::Codec;
     use griffin_gpu_sim::{
-        BlockMem, DeviceConfig, DeviceError, DeviceEvent, Gpu, Kernel, LaunchConfig,
-        LaunchCounters, LaunchReport, ThreadCtx,
+        BlockMem, DeviceBuffer, DeviceConfig, DeviceError, DeviceEvent, Gpu, Kernel, LaunchConfig,
+        LaunchCounters, LaunchKey, LaunchReport, ThreadCtx,
     };
     use griffin_index::{CompressedPostingList, Posting};
 
+    use crate::engine::{ScoreAccumKernel, ScoreInitKernel, ScoreParams};
     use crate::mergepath::{self, MergePathConfig};
     use crate::para_ef::{self, Selected};
+    use crate::scan;
     use crate::transfer::{DeviceEfList, DevicePostings};
 
     thread_local! {
@@ -98,6 +105,9 @@ mod tests {
         fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, state: &mut K::State) {
             self.0.run_phase(phase, t, state)
         }
+        fn memo_key(&self, key: &mut LaunchKey) -> bool {
+            self.0.memo_key(key)
+        }
     }
 
     /// A kernel whose twin runs, and is counted when it does on this
@@ -124,10 +134,17 @@ mod tests {
                 .with_borrow_mut(|n| *n.entry(self.0.name()).or_default() += u64::from(ran));
             ran
         }
+        fn memo_key(&self, key: &mut LaunchKey) -> bool {
+            self.0.memo_key(key)
+        }
     }
 
     fn native_blocks(kernel: &str) -> u64 {
         NATIVE_BLOCKS.with_borrow(|n| n.get(kernel).copied().unwrap_or(0))
+    }
+
+    fn all_native_blocks() -> u64 {
+        NATIVE_BLOCKS.with_borrow(|n| n.values().sum())
     }
 
     fn fault_seed() -> u64 {
@@ -157,8 +174,9 @@ mod tests {
     }
 
     /// Devices the twins are checked on: both shapes, tracing every warp
-    /// (no twin runs), one warp in 16 (the experiments' device) and only
-    /// the first (every block but block 0 runs as the twin).
+    /// (no twin runs unless the launch replays), one warp in 16 (the
+    /// experiments' device) and only the first (every block but block 0
+    /// runs as the twin).
     fn devices() -> Vec<DeviceConfig> {
         let mut all = Vec::new();
         for base in [DeviceConfig::test_tiny(), DeviceConfig::tesla_k20()] {
@@ -174,10 +192,9 @@ mod tests {
 
     type Launches = Vec<(&'static str, u64, LaunchCounters)>;
 
-    /// Runs `case` on a fresh device, recording each launch's name,
-    /// virtual time and counters (`stores_applied` among them).
-    fn observed<R>(cfg: &DeviceConfig, case: &impl Fn(&Gpu) -> R) -> (R, Launches, u64) {
-        let gpu = Gpu::new(cfg.clone());
+    /// Records every launch's name, virtual time and counters
+    /// (`stores_applied` among them).
+    fn record(gpu: &Gpu) -> Arc<Mutex<Launches>> {
         let launches: Arc<Mutex<Launches>> = Arc::default();
         let log = Arc::clone(&launches);
         gpu.set_observer(Some(Arc::new(move |e: &DeviceEvent<'_>| {
@@ -186,34 +203,83 @@ mod tests {
                 log.lock().unwrap().push(entry);
             }
         })));
-        let out = case(&gpu);
-        gpu.set_observer(None);
-        let launches = launches.lock().unwrap().clone();
-        (out, launches, gpu.now().as_nanos())
+        launches
     }
 
-    /// Runs `case` with the twins and with every block lane by lane, on
-    /// every device of [`devices`]: the outputs, every launch's time and
-    /// counters and the final clock must agree.
-    fn differential<R: PartialEq + Debug>(what: &str, case: impl Fn(&Gpu) -> R) {
+    /// One run of a case: its output, its launches, the virtual time it
+    /// took, and how many blocks ran as a twin.
+    struct Run<R> {
+        out: R,
+        launches: Launches,
+        clock: u64,
+        native: u64,
+    }
+
+    /// `setup` on a fresh device, then `run` twice, the allocator's cache
+    /// trimmed before each so that both pay the same `cudaMalloc`s. The
+    /// second run finds on the device every launch of the first that
+    /// declared a key.
+    fn twice<S, R>(
+        cfg: &DeviceConfig,
+        setup: &impl Fn(&Gpu) -> S,
+        run: &impl Fn(&Gpu, &S) -> R,
+    ) -> [Run<R>; 2] {
+        let gpu = Gpu::new(cfg.clone());
+        let launches = record(&gpu);
+        let state = setup(&gpu);
+        let runs = [(); 2].map(|()| {
+            gpu.trim_pool();
+            launches.lock().unwrap().clear();
+            let (start, native) = (gpu.now(), all_native_blocks());
+            let out = run(&gpu, &state);
+            Run {
+                out,
+                launches: launches.lock().unwrap().clone(),
+                clock: (gpu.now() - start).as_nanos(),
+                native: all_native_blocks() - native,
+            }
+        });
+        gpu.set_observer(None);
+        runs
+    }
+
+    /// Runs a case with the twins and with every block lane by lane, twice
+    /// each, on every device of [`devices`]: the outputs, every launch's
+    /// time and counters, and the clock must agree across the four runs.
+    /// Returns how many blocks ran as a twin in the second runs at stride
+    /// 1, where only a replayed launch runs any.
+    fn differential<S, R: PartialEq + Debug>(
+        what: &str,
+        setup: impl Fn(&Gpu) -> S,
+        run: impl Fn(&Gpu, &S) -> R,
+    ) -> u64 {
+        let mut replayed = 0;
         for cfg in devices() {
             let ctx = format!(
                 "{what} on {} at stride {}",
                 cfg.name, cfg.trace_sample_stride
             );
-            let before = NATIVE_BLOCKS.with_borrow(|n| n.values().sum::<u64>());
-            let twin = observed(&cfg, &case);
-            let ran = NATIVE_BLOCKS.with_borrow(|n| n.values().sum::<u64>()) - before;
+            let twin = twice(&cfg, &setup, &run);
             LANES_ONLY.set(true);
-            let lanes = observed(&cfg, &case);
+            let lanes = twice(&cfg, &setup, &run);
             LANES_ONLY.set(false);
-            assert_eq!(twin.0, lanes.0, "outputs, {ctx}");
-            assert_eq!(twin.1, lanes.1, "launches, {ctx}");
-            assert_eq!(twin.2, lanes.2, "clock, {ctx}");
+            let first = &twin[0];
+            let others = [
+                ("second run", &twin[1]),
+                ("lanes", &lanes[0]),
+                ("lanes, second run", &lanes[1]),
+            ];
+            for (side, r) in others {
+                assert_eq!(r.out, first.out, "outputs, {side}, {ctx}");
+                assert_eq!(r.launches, first.launches, "launches, {side}, {ctx}");
+                assert_eq!(r.clock, first.clock, "clock, {side}, {ctx}");
+            }
             if cfg.trace_sample_stride == 1 {
-                assert_eq!(ran, 0, "every block is traced, {ctx}");
+                assert_eq!(first.native, 0, "every block is traced, {ctx}");
+                replayed += twin[1].native;
             }
         }
+        replayed
     }
 
     /// A tf whose varint is 1, 2, 3 or 5 bytes long (the last straddles a
@@ -244,41 +310,49 @@ mod tests {
 
     /// Decodes blocks `lo..hi` of `ps` (both outputs, and docIDs alone)
     /// and a drawn selection of the list's blocks, and reads all back.
-    fn decode_case(ps: &[Posting], block_len: usize, lo: usize, hi: usize, select: &[u32]) {
+    /// Returns the blocks the second runs replayed at stride 1.
+    fn decode_case(ps: &[Posting], block_len: usize, lo: usize, hi: usize, select: &[u32]) -> u64 {
         let list = CompressedPostingList::compress(ps, Codec::EliasFano, block_len);
         let what = format!(
             "decode of {} postings, blocks of {block_len}, {lo}..{hi}",
             ps.len()
         );
-        differential(&what, |gpu| {
+        let setup = |gpu: &Gpu| {
             let dev = DevicePostings::upload_range(gpu, &list, lo, hi, ps.len() as u32).unwrap();
-            let (docids, tfs) = para_ef::decode_postings(gpu, &dev).unwrap();
-            let alone = para_ef::decompress(gpu, &dev.docs).unwrap();
             let full = DeviceEfList::upload(gpu, &list.docs).unwrap();
+            (dev, full, gpu.htod(select).unwrap())
+        };
+        differential(&what, setup, |gpu, (dev, full, blocks)| {
+            let (docids, tfs) = para_ef::decode_postings(gpu, dev).unwrap();
+            let alone = para_ef::decompress(gpu, &dev.docs).unwrap();
             let out = gpu.alloc::<u32>((select.len() * block_len).max(1)).unwrap();
             let selected = Selected {
-                blocks: gpu.htod(select).unwrap(),
+                blocks: blocks.clone(),
                 count: select.len(),
                 stride: block_len,
             };
-            para_ef::decompress_selected(gpu, &full, selected, &out).unwrap();
+            para_ef::decompress_selected(gpu, full, selected, &out).unwrap();
             [&docids, &tfs, &alone, &out].map(|b| gpu.dtoh(b).unwrap())
-        });
+        })
     }
 
     /// The Para-EF cases: block lengths 32, 64 and 128 with a last block
     /// of one posting; b = 0 and b = 31; tf runs beginning at every byte
     /// alignment with 5-byte varints straddling words; range images; and
-    /// a selective decode. Mutation that fails it: the twin dropping a
-    /// block's last varint (`&tfs[..tfs.len() - 1]`).
+    /// a selective decode. Every decode of a second run replays. Mutations
+    /// that fail it: the twin dropping a block's last varint
+    /// (`&tfs[..tfs.len() - 1]`); the decode's key leaving out
+    /// `key.read(&self.block_base)` (the first runs load a buffer the key
+    /// does not name).
     #[test]
     fn the_decode_twin_stores_what_the_lanes_store() {
         let mut draw = Draw::new(0xDEC0DE);
+        let mut replayed = 0;
         for block_len in [32usize, 64, 128] {
             let max_gap = 1 + draw.below(3000);
             let ps = postings(&mut draw, 7 * block_len + 1, max_gap);
             let select: Vec<u32> = (0..8).filter(|_| draw.below(3) > 0).collect();
-            decode_case(&ps, block_len, 0, 8, &select);
+            replayed += decode_case(&ps, block_len, 0, 8, &select);
         }
         // b = 0: consecutive docIDs from 0.
         let dense: Vec<Posting> = (0..300)
@@ -287,14 +361,14 @@ mod tests {
                 tf: tf(&mut draw),
             })
             .collect();
-        decode_case(&dense, 128, 0, 3, &[2, 0]);
+        replayed += decode_case(&dense, 128, 0, 3, &[2, 0]);
         // b = 31: a last block of one posting 2^31 past its base.
         let mut wide: Vec<Posting> = postings(&mut draw, 64, 4);
         wide.push(Posting {
             docid: u32::MAX - 5,
             tf: 1,
         });
-        decode_case(&wide, 64, 0, 2, &[1]);
+        replayed += decode_case(&wide, 64, 0, 2, &[1]);
         // Runs starting at every byte alignment, and range images.
         let n = 1_000 + draw.below(1_000) as usize;
         let ps = postings(&mut draw, n, 60);
@@ -303,19 +377,87 @@ mod tests {
         assert!((1..4).all(|a| starts.contains(&a)), "{starts:?}");
         let blocks = ps.len().div_ceil(128);
         for (lo, hi) in [(0, blocks), (1, blocks - 1), (blocks - 1, blocks), (2, 2)] {
-            decode_case(&ps, 128, lo, hi, &[]);
+            replayed += decode_case(&ps, 128, lo, hi, &[]);
         }
         assert!(native_blocks("para_ef.decode") > 0, "the twin ran");
+        assert!(replayed > 0, "second runs replayed");
     }
 
-    /// Intersects `a` and `b` and reads the three match arrays back.
-    fn intersect_case(what: &str, a: &[u32], b: &[u32]) {
-        differential(what, |gpu| {
-            let cfg = MergePathConfig::for_device(gpu.config());
-            let (da, db) = (gpu.htod(a).unwrap(), gpu.htod(b).unwrap());
-            let m = mergepath::intersect(gpu, &da, a.len(), &db, b.len(), &cfg).unwrap();
-            [&m.docids, &m.a_idx, &m.b_idx].map(|buf| gpu.dtoh_prefix(buf, m.len).unwrap())
+    /// Copies `src` over `dst`: a launch that rewrites a list in place.
+    struct Overwrite {
+        src: DeviceBuffer<u32>,
+        dst: DeviceBuffer<u32>,
+    }
+
+    impl Kernel for Overwrite {
+        type State = ();
+        fn run_phase(&self, _phase: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
+            let i = t.global_thread_idx();
+            if t.branch(i < self.src.len()) {
+                let w = t.ld(&self.src, i);
+                t.st(&self.dst, i, w);
+            }
+        }
+    }
+
+    /// Decodes a list, rewrites its words with those of another list of
+    /// the same shape (one block: count, width and stream lengths equal,
+    /// the ones spread otherwise) and decodes it again: the second decode
+    /// must cost what a fresh device's decode of the other list costs.
+    /// Mutation that fails it: `WriteLog::apply` not bumping the stamp of
+    /// the buffer a run lands in (the decode replays the first list's
+    /// counters).
+    #[test]
+    fn a_decode_of_a_rewritten_list_is_not_replayed() {
+        let even: Vec<u32> = (0..128).map(|i| i * 3).collect();
+        let mut clustered: Vec<u32> = (0..100).collect();
+        clustered.extend((0..28).map(|i| 381 - 9 * (27 - i)));
+        let [a, b] = [even, clustered].map(|ids| {
+            let list = CompressedPostingList::from_docids(&ids, Codec::EliasFano, 128);
+            (ids, list)
         });
+        assert_eq!(a.1.docs.words.len(), b.1.docs.words.len(), "one shape");
+        for cfg in devices() {
+            let decode = |gpu: &Gpu, list: &DeviceEfList| {
+                let launches = record(gpu);
+                let out = para_ef::decompress(gpu, list).unwrap();
+                gpu.set_observer(None);
+                let launch = launches.lock().unwrap()[0].clone();
+                (gpu.dtoh(&out).unwrap(), launch)
+            };
+            let fresh = |list: &CompressedPostingList| {
+                let gpu = Gpu::new(cfg.clone());
+                decode(&gpu, &DeviceEfList::upload(&gpu, &list.docs).unwrap())
+            };
+            let (want_ids, want) = fresh(&b.1);
+            assert_eq!(want_ids, b.0);
+            assert_ne!(fresh(&a.1).1, want, "the two lists cost differently");
+
+            let gpu = Gpu::new(cfg.clone());
+            let list = DeviceEfList::upload(&gpu, &a.1.docs).unwrap();
+            assert_eq!(decode(&gpu, &list).0, a.0);
+            let other = gpu.htod(&b.1.docs.words).unwrap();
+            let n = other.len();
+            let overwrite = Overwrite {
+                src: other,
+                dst: list.words.clone(),
+            };
+            gpu.launch(&overwrite, LaunchConfig::cover(n, 32)).unwrap();
+            let (ids, launch) = decode(&gpu, &list);
+            assert_eq!(ids, b.0, "{}", cfg.trace_sample_stride);
+            assert_eq!(launch, want, "{}", cfg.trace_sample_stride);
+        }
+    }
+
+    /// Intersects `a` and `b` and reads the three match arrays back;
+    /// returns the blocks the second runs replayed at stride 1.
+    fn intersect_case(what: &str, a: &[u32], b: &[u32]) -> u64 {
+        let setup = |gpu: &Gpu| (gpu.htod(a).unwrap(), gpu.htod(b).unwrap());
+        differential(what, setup, |gpu, (da, db)| {
+            let cfg = MergePathConfig::for_device(gpu.config());
+            let m = mergepath::intersect(gpu, da, a.len(), db, b.len(), &cfg).unwrap();
+            [&m.docids, &m.a_idx, &m.b_idx].map(|buf| gpu.dtoh_prefix(buf, m.len).unwrap())
+        })
     }
 
     /// `n` distinct sorted docIDs below `universe`.
@@ -328,42 +470,143 @@ mod tests {
 
     /// The MergePath cases: equal pairs on partition boundaries, very
     /// different lengths, empty sides, identical and disjoint lists, and
-    /// drawn ones; the merge and the compaction twins both run. Mutations
-    /// that fail it: the merge twin skipping the equal-pair adjustment of
-    /// a cut, and the compaction twin copying from one slot past each
-    /// partition's slab.
+    /// drawn ones; the merge and the compaction twins both run, and no
+    /// launch replays (they declare no key). Mutations that fail it: the
+    /// merge twin skipping the equal-pair adjustment of a cut, and the
+    /// compaction twin copying from one slot past each partition's slab.
     #[test]
     fn the_merge_and_compaction_twins_store_what_the_lanes_store() {
         let mut draw = Draw::new(0x3E2E);
-        intersect_case(
+        let mut replayed = intersect_case(
             "paper Fig. 6",
             &[1, 3, 4, 6, 7, 9, 15, 25, 31],
             &[1, 3, 7, 10, 18, 25, 31],
         );
         let all: Vec<u32> = (0..4096).collect();
         let most: Vec<u32> = (0..4096).filter(|i| i % 3 != 1).collect();
-        intersect_case("equal pairs on boundaries", &all, &most);
+        replayed += intersect_case("equal pairs on boundaries", &all, &most);
         let sparse: Vec<u32> = (0..32).map(|i| i * 997).collect();
         let dense: Vec<u32> = (0..20_000).collect();
-        intersect_case("very different lengths", &sparse, &dense);
-        intersect_case("very different lengths, swapped", &dense, &sparse);
-        intersect_case("empty A", &[], &[1, 2, 3]);
-        intersect_case("empty B", &[1, 2, 3], &[]);
+        replayed += intersect_case("very different lengths", &sparse, &dense);
+        replayed += intersect_case("very different lengths, swapped", &dense, &sparse);
+        replayed += intersect_case("empty A", &[], &[1, 2, 3]);
+        replayed += intersect_case("empty B", &[1, 2, 3], &[]);
         let v: Vec<u32> = (0..9_000).map(|i| i * 3 + 1).collect();
-        intersect_case("identical", &v, &v);
+        replayed += intersect_case("identical", &v, &v);
         let odd: Vec<u32> = (0..5_000).map(|i| i * 2 + 1).collect();
         let even: Vec<u32> = (0..5_000).map(|i| i * 2).collect();
-        intersect_case("disjoint", &odd, &even);
+        replayed += intersect_case("disjoint", &odd, &even);
         for trial in 0..4 {
             let universe = 10_000 + draw.below(60_000);
             let (m, n) = (draw.below(12_000) as usize, draw.below(12_000) as usize);
             let (a, b) = (set(&mut draw, m, universe), set(&mut draw, n, universe));
-            intersect_case(&format!("drawn {trial}"), &a, &b);
+            replayed += intersect_case(&format!("drawn {trial}"), &a, &b);
         }
         assert!(native_blocks("mergepath.merge") > 0, "the merge twin ran");
         assert!(
             native_blocks("mergepath.compact") > 0,
             "the compaction twin ran"
         );
+        assert_eq!(replayed, 0, "nothing replays");
+    }
+
+    /// Scans of drawn words (the sums wrap): one element, a tile less one,
+    /// one and one more, several tiles, and three levels (more than 65 536
+    /// elements: the block sums are themselves scanned in two levels).
+    /// Mutations that fail it: the tile twin storing an inclusive scan;
+    /// the uniform-add twin adding the next block's sum.
+    #[test]
+    fn the_scan_twins_store_what_the_lanes_store() {
+        let mut draw = Draw::new(0x5CA7);
+        let several = 1_000 + draw.below(9_000) as usize;
+        let three_levels = 65_537 + draw.below(20_000) as usize;
+        let mut replayed = 0;
+        for n in [1, 255, 256, 257, several, three_levels] {
+            let input: Vec<u32> = (0..n).map(|_| draw.next() as u32).collect();
+            let setup = |gpu: &Gpu| gpu.htod(&input).unwrap();
+            replayed += differential(&format!("scan of {n}"), setup, |gpu, src| {
+                let (dst, total) = scan::exclusive_scan(gpu, src, n).unwrap();
+                (gpu.dtoh(&dst).unwrap(), total)
+            });
+        }
+        assert!(native_blocks("scan.tile_scan") > 0, "the tile twin ran");
+        assert!(
+            native_blocks("scan.uniform_add") > 0,
+            "the uniform-add twin ran"
+        );
+        assert_eq!(replayed, 0, "nothing replays");
+    }
+
+    /// Initial scores and both kinds of accumulation (`b_idx` set: tfs of
+    /// the whole long list; unset: tfs already match-aligned), with and
+    /// without a doc-length table, at lengths that are not multiples of
+    /// the 256-thread block; half the docIDs lie beyond the table and take
+    /// the average. Score bits are compared. Mutation that fails it: the
+    /// accumulation twin reading `tfs[i]` where `b_idx` is set.
+    #[test]
+    fn the_scoring_twins_store_what_the_lanes_store() {
+        let mut draw = Draw::new(0x5C0E);
+        let p = ScoreParams {
+            idf: 1.0 + draw.below(1000) as f32 / 300.0,
+            k1: 1.2,
+            b: 0.75,
+            avg_doc_len: 250.5,
+        };
+        let mut replayed = 0;
+        for n in [1, 300, 1_000 + draw.below(3_000) as usize] {
+            let mut words = |len: usize, f: &mut dyn FnMut(&mut Draw) -> u32| -> Vec<u32> {
+                (0..len).map(|_| f(&mut draw)).collect()
+            };
+            let docids = words(n, &mut |d| d.below(2 * n as u64) as u32);
+            let tfs = words(n, &mut tf);
+            let lens = words(n, &mut |d| 1 + d.below(1_000) as u32);
+            let old = words(n, &mut |d| (d.below(100_000) as f32 / 7.0).to_bits());
+            let a_idx = words(n, &mut |d| d.below(n as u64) as u32);
+            let long_tfs = words(3 * n, &mut tf);
+            let b_idx = words(n, &mut |d| d.below(3 * n as u64) as u32);
+            for with_lens in [false, true] {
+                let setup = |gpu: &Gpu| {
+                    [&docids, &tfs, &lens, &old, &a_idx, &long_tfs, &b_idx]
+                        .map(|w| gpu.htod(w).unwrap())
+                };
+                let what = format!("scoring of {n}, doc lengths {with_lens}");
+                replayed += differential(&what, setup, |gpu, bufs| {
+                    let [docids, tfs, lens, old, a_idx, long_tfs, b_idx] = bufs;
+                    let doc_lens = with_lens.then(|| lens.clone());
+                    let lc = LaunchConfig::cover(n, 256);
+                    let scores = [(); 3].map(|()| gpu.alloc::<f32>(n).unwrap());
+                    let init = ScoreInitKernel {
+                        docids: docids.clone(),
+                        tfs: tfs.clone(),
+                        scores: scores[0].clone(),
+                        doc_lens: doc_lens.clone(),
+                        p,
+                        n,
+                    };
+                    super::launch(gpu, &init, lc).unwrap();
+                    for (out, b_idx) in [(&scores[1], None), (&scores[2], Some(b_idx))] {
+                        let accum = ScoreAccumKernel {
+                            docids: docids.clone(),
+                            old_scores: old.cast(),
+                            a_idx: a_idx.clone(),
+                            tfs: if b_idx.is_some() { long_tfs } else { tfs }.clone(),
+                            b_idx: b_idx.cloned(),
+                            out_scores: out.clone(),
+                            doc_lens: doc_lens.clone(),
+                            p,
+                            n,
+                        };
+                        super::launch(gpu, &accum, lc).unwrap();
+                    }
+                    scores.map(|s| gpu.dtoh(&s.cast::<u32>()).unwrap())
+                });
+            }
+        }
+        assert!(native_blocks("engine.score_init") > 0, "the init twin ran");
+        assert!(
+            native_blocks("engine.score_accum") > 0,
+            "the accumulation twin ran"
+        );
+        assert_eq!(replayed, 0, "nothing replays");
     }
 }

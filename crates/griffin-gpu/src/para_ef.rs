@@ -30,11 +30,14 @@
 //! A block no warp of which is traced runs as the kernel's native twin:
 //! the device image is the index's codec words, so the codec's own
 //! decoders ([`EfBlockRef`], [`varint::decode_words_n`]) compute its
-//! stores.
+//! stores. The decode is the one kernel that declares a replay key
+//! ([`Kernel::memo_key`]): a decode of a list the device has decoded
+//! before, unchanged, runs every block as the twin and reports the first
+//! run's counters.
 
 use griffin_codec::{varint, EfBlockRef};
 use griffin_gpu_sim::{
-    BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Op, Scope, ThreadCtx,
+    BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, LaunchKey, Op, Scope, ThreadCtx,
 };
 
 use crate::native;
@@ -407,6 +410,36 @@ impl Kernel for DecodeKernel {
             mem.st_run(&self.out, out_start, docids);
             true
         })
+    }
+
+    /// Replayable: a decode reads a device-resident list, and the device
+    /// list cache keeps one upload of a hot list, whose stamps therefore
+    /// recur from query to query (DESIGN.md, "Replayed launches").
+    fn memo_key(&self, key: &mut LaunchKey) -> bool {
+        key.read(&self.words);
+        key.read(&self.block_word_start);
+        key.read(&self.block_elem_start);
+        key.read(&self.block_base);
+        key.param(self.max_hb_words as u64);
+        key.param(self.max_block_len as u64);
+        key.write(&self.out);
+        match &self.select {
+            Some(select) => {
+                key.read(&select.blocks);
+                key.param(select.stride as u64);
+            }
+            None => key.param(u64::MAX),
+        }
+        match &self.tf {
+            Some(tf) => {
+                key.read(&tf.words);
+                key.read(&tf.offsets);
+                key.write(&tf.out);
+                key.param(tf.max_block_words as u64);
+            }
+            None => key.param(u64::MAX),
+        }
+        true
     }
 }
 

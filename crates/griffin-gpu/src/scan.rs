@@ -5,8 +5,15 @@
 //! scanned recursively, then a uniform-add kernel folds the scanned sums
 //! back in. Para-EF's "synchronization point" (paper Algorithm 1, line 3)
 //! is exactly this scan.
+//!
+//! Both kernels have native twins (`Kernel::run_block_native`), checked
+//! against their lanes in `native.rs`.
 
-use griffin_gpu_sim::{DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx};
+use griffin_gpu_sim::{
+    BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
+};
+
+use crate::native;
 
 /// Tile width == block_dim; one element per thread.
 const BLOCK_DIM: u32 = 256;
@@ -84,6 +91,36 @@ impl Kernel for TileScanKernel {
             t.st(&self.block_sums, t.block_idx as usize, inclusive);
         }
     }
+
+    /// The tile's exclusive scan as one run, then its total. The lanes add
+    /// in another order, but wrapping addition is associative, so the words
+    /// are theirs. Declines a block of another width than the phases are
+    /// sized for, or one a lane would load or store out of bounds in.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let bd = mem.block_dim() as usize;
+        let first = block as usize * bd;
+        let rows = first.min(self.n)..(first + bd).min(self.n);
+        let Some(src) = mem.words(&self.src).get(rows.clone()) else {
+            return false;
+        };
+        if bd != BLOCK_DIM as usize
+            || rows.end > self.dst.len()
+            || block as usize >= self.block_sums.len()
+        {
+            return false;
+        }
+        native::with_scratch(|[dst, ..]| {
+            let mut total = 0u32;
+            dst.extend(src.iter().map(|&v| {
+                let before = total;
+                total = total.wrapping_add(v);
+                before
+            }));
+            mem.st_run(&self.dst, rows.start, dst);
+            mem.st_run(&self.block_sums, block as usize, &[total]);
+        });
+        true
+    }
 }
 
 /// Adds the scanned block sums back into each tile.
@@ -109,6 +146,28 @@ impl Kernel for UniformAddKernel {
             t.st(&self.dst, gid, v.wrapping_add(add));
         }
     }
+
+    /// The block's slice of `dst` plus its scanned sum, as one run.
+    /// Declines a block a lane would load or store out of bounds in.
+    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+        let bd = mem.block_dim() as usize;
+        let first = block as usize * bd;
+        let rows = first.min(self.n)..(first + bd).min(self.n);
+        if rows.is_empty() {
+            return true;
+        }
+        let (Some(dst), Some(&add)) = (
+            mem.words(&self.dst).get(rows.clone()),
+            mem.words(&self.scanned_sums).get(block as usize),
+        ) else {
+            return false;
+        };
+        native::with_scratch(|[out, ..]| {
+            out.extend(dst.iter().map(|v| v.wrapping_add(add)));
+            mem.st_run(&self.dst, rows.start, out);
+        });
+        true
+    }
 }
 
 /// Exclusive scan of `src[..n]` into a fresh buffer. Also returns the total
@@ -126,7 +185,8 @@ pub fn exclusive_scan(
     }
     let num_blocks = n.div_ceil(BLOCK_DIM as usize);
     let block_sums = scope.alloc::<u32>(num_blocks)?;
-    gpu.launch(
+    native::launch(
+        gpu,
         &TileScanKernel {
             src: src.clone(),
             dst: dst.clone(),
@@ -141,7 +201,8 @@ pub fn exclusive_scan(
         // Recursively scan the block sums, then fold them back in.
         let (scanned, total) = exclusive_scan(gpu, &block_sums, num_blocks)?;
         let scanned = scope.adopt(scanned);
-        gpu.launch(
+        native::launch(
+            gpu,
             &UniformAddKernel {
                 dst: dst.clone(),
                 scanned_sums: scanned,
