@@ -679,6 +679,7 @@ impl Gpu {
             lc,
             pool: &pool,
             traced: replay.is_none(),
+            images: kernel.barrier_images(),
             declared: (cfg!(debug_assertions) && replayable && replay.is_none())
                 .then_some(&declared),
         };

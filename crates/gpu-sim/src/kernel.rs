@@ -81,17 +81,36 @@ pub trait Kernel: Sync {
 
     /// The native twin of one block: plain Rust that logs, through `mem`,
     /// every store the block's threads would make, computed from the
-    /// launch-time snapshot in one pass. Called only for blocks the tracer
-    /// samples no warp of, whose sole product is their stores; the default
-    /// declines, and so runs every block lane by lane.
+    /// launch-time snapshot in one pass. Called for a block the tracer
+    /// samples no warp of, whose sole product is then its stores, and for
+    /// a traced block some warp of which is not sampled, when the kernel
+    /// has no shared memory or supplies [`Kernel::barrier_images`]: only
+    /// the sampled warps then run lane by lane, for their counters, and
+    /// their stores are checked and traced but not logged again. The
+    /// default declines, and so runs every block lane by lane.
     ///
     /// A twin must leave the pool exactly as the block's threads would,
     /// with the same number of stores. On a block a valid input cannot
     /// produce it returns `false` *before logging anything*, and the
-    /// lane-by-lane body, which stays the definition, runs instead.
+    /// lane-by-lane body, which stays the definition, runs instead, every
+    /// warp of it.
     fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
         let _ = (block, mem);
         false
+    }
+
+    /// The block's shared memory at each barrier, computed natively, or
+    /// `None` (the default): what lets a traced block of a kernel with
+    /// shared memory run only its sampled warps (see
+    /// [`Kernel::run_block_native`]). Asked once per launch, before any
+    /// block runs; without images every warp of a traced block runs.
+    ///
+    /// A kernel may supply images only if no lane reads, within a phase, a
+    /// shared word that another warp writes in that phase: that is a race
+    /// on hardware, which the simulator resolves by lane order, and the
+    /// sampled warps would read the barrier's word instead.
+    fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+        None
     }
 
     /// Declares, into `key`, what this launch's counters are a function
@@ -108,6 +127,17 @@ pub trait Kernel: Sync {
         let _ = key;
         false
     }
+}
+
+/// A kernel's shared memory as a block's threads leave it at each barrier
+/// ([`Kernel::barrier_images`]).
+pub trait BarrierImages: Sync {
+    /// Overwrites `shared`, every word of it, with the shared memory block
+    /// `block`'s threads leave at the barrier before `phase` (`phase >= 1`),
+    /// word for word, from shared memory that starts each block zeroed.
+    /// Called only for a block the twin accepted, before that phase runs,
+    /// with `shared` holding what the sampled warps left.
+    fn image(&self, block: u32, phase: usize, mem: &BlockMem<'_>, shared: &mut [u32]);
 }
 
 /// What one launch depends on, as its kernel declares it
@@ -223,7 +253,8 @@ pub struct ThreadCtx<'a> {
     pub grid_dim: u32,
 
     pool: &'a Pool,
-    writes: &'a mut WriteLog,
+    /// `None` for a sampled warp of a block whose twin logged the stores.
+    writes: Option<&'a mut WriteLog>,
     shared: &'a mut [u32],
     trace: Option<&'a mut WarpTraceState>,
     declared: Option<&'a LaunchKey>,
@@ -260,6 +291,7 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Store one element to global memory (visible after the launch).
+    /// Panics, in every build, on an index out of bounds.
     #[inline]
     pub fn st<T: DeviceWord>(&mut self, buf: &DeviceBuffer<T>, idx: usize, v: T) {
         guard(self.declared, buf.id, false);
@@ -269,7 +301,9 @@ impl<'a> ThreadCtx<'a> {
             buf.len,
             buf.id
         );
-        self.writes.push(buf.id, buf.generation, idx, v.to_word());
+        if let Some(writes) = self.writes.as_deref_mut() {
+            writes.push(buf.id, buf.generation, idx, v.to_word());
+        }
         if let Some(tr) = self.trace.as_deref_mut() {
             let addr = (u64::from(buf.id.0) << 40) | (idx as u64 * 4);
             tr.record_gmem(self.mem_site, addr, self.transaction_bytes);
@@ -357,6 +391,8 @@ pub(crate) struct Launch<'a, K> {
     /// `false` for a replayed launch: no warp is sampled, so every block
     /// is offered to the native twin and one it declines runs untraced.
     pub(crate) traced: bool,
+    /// The kernel's [`Kernel::barrier_images`], asked once per launch.
+    pub(crate) images: Option<&'a dyn BarrierImages>,
     /// Debug builds, the first run of a replayable launch: the declaration
     /// every load and store is checked against.
     pub(crate) declared: Option<&'a LaunchKey>,
@@ -380,10 +416,14 @@ pub(crate) fn check_launch<K: Kernel>(kernel: &K, cfg: &DeviceConfig, lc: Launch
 
 /// Runs all phases of the launch's kernel for the blocks in `blocks`, in
 /// order, appending stores to the executor's log and sampled counters to
-/// `counters`. A block with no traced warp is first offered to the
-/// kernel's native twin. Returns how many loads, stores and branches the
-/// threads of the lane-by-lane blocks made (all of them, not the sampled
-/// ones): what the host paid for, counted.
+/// `counters`. A block with no sampled warp is first offered to the
+/// kernel's native twin; so is a traced block some warp of which is not
+/// sampled, if the kernel has no shared memory or supplies barrier images,
+/// and when the twin accepts it only the sampled warps run, their stores
+/// not logged (the twin logged the block's), with each barrier's image
+/// installed before the phase after it. Returns how many loads, stores and
+/// branches the lanes that ran made (sampled or not): what the host paid
+/// for, counted.
 pub(crate) fn run_blocks<K: Kernel>(
     l: &Launch<'_, K>,
     blocks: Range<u32>,
@@ -397,6 +437,11 @@ pub(crate) fn run_blocks<K: Kernel>(
     let warps_in_block = bdim.div_ceil(warp_size);
     let stride = u64::from(cfg.trace_sample_stride.max(1));
     let phases = kernel.phases();
+    // Whether the sampled warps of a traced block can run without the
+    // others: they share nothing but shared memory, whose state at each
+    // barrier the images give.
+    let images = l.images.filter(|_| smem_words > 0);
+    let may_skip = smem_words == 0 || images.is_some();
 
     let Executor {
         log,
@@ -414,7 +459,9 @@ pub(crate) fn run_blocks<K: Kernel>(
             l.traced
                 && (u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w)) % stride == 0
         };
-        if !(0..warps_in_block).any(sampled) {
+        let traced = (0..warps_in_block).any(sampled);
+        let offered = !traced || (may_skip && !(0..warps_in_block).all(sampled));
+        let native = offered && {
             let logged = log.stores();
             let mut mem = BlockMem {
                 pool,
@@ -422,15 +469,19 @@ pub(crate) fn run_blocks<K: Kernel>(
                 block_dim: bdim,
                 declared: l.declared,
             };
-            if kernel.run_block_native(block_idx, &mut mem) {
-                continue;
-            }
-            assert_eq!(
-                log.stores(),
-                logged,
+            let accepted = kernel.run_block_native(block_idx, &mut mem);
+            assert!(
+                accepted || log.stores() == logged,
                 "a native twin that declines a block must not have logged stores"
             );
+            accepted
+        };
+        if native && !traced {
+            continue;
         }
+        // The warps that run lane by lane: all of them, or the sampled ones
+        // of a block the twin computed.
+        let runs = |w: u32| !native || sampled(w);
         shared.clear();
         shared.resize(smem_words, 0);
         for w in (0..warps_in_block).filter(|&w| sampled(w)) {
@@ -438,7 +489,16 @@ pub(crate) fn run_blocks<K: Kernel>(
         }
 
         for phase in 0..phases {
-            for w in 0..warps_in_block {
+            if let (true, 1.., Some(images)) = (native, phase, images) {
+                let mem = BlockMem {
+                    pool,
+                    log,
+                    block_dim: bdim,
+                    declared: l.declared,
+                };
+                images.image(block_idx, phase, &mem, shared);
+            }
+            for w in (0..warps_in_block).filter(|&w| runs(w)) {
                 let mut tr = if sampled(w) {
                     Some(&mut traces[w as usize])
                 } else {
@@ -453,7 +513,7 @@ pub(crate) fn run_blocks<K: Kernel>(
                         thread_idx: tid,
                         grid_dim: lc.grid_dim,
                         pool,
-                        writes: log,
+                        writes: if native { None } else { Some(&mut *log) },
                         shared,
                         trace: tr.as_deref_mut(),
                         declared: l.declared,

@@ -37,9 +37,12 @@
 //! trick for fast performance models). A block with no sampled warp
 //! contributes only its stores, so a kernel may compute them with a
 //! block-level native twin ([`Kernel::run_block_native`], through
-//! [`BlockMem`]) instead of thread by thread, and a launch the device has
-//! run before under an exact key ([`Kernel::memo_key`], [`LaunchKey`]) is
-//! replayed: every block runs so, and the counters are the first run's.
+//! [`BlockMem`]) instead of thread by thread; in a traced block the twin
+//! computes, only the sampled warps then run, given the block's shared
+//! memory at each barrier ([`Kernel::barrier_images`]) when it has some.
+//! A launch the device has run before under an exact key
+//! ([`Kernel::memo_key`], [`LaunchKey`]) is replayed: every block runs as
+//! the twin, and the counters are the first run's.
 //! [`timing`] converts the extrapolated
 //! counters into virtual nanoseconds using an occupancy/roofline model:
 //! kernel-launch overhead, issue-throughput-bound compute time,
@@ -121,7 +124,7 @@ pub use clock::VirtualNanos;
 pub use config::{CostParams, DeviceConfig, PcieConfig};
 pub use device::{Gpu, LaunchReport};
 pub use fault::{DeviceError, FaultKind, FaultPlan};
-pub use kernel::{BlockMem, Dim, Kernel, LaunchConfig, LaunchKey, ThreadCtx};
+pub use kernel::{BarrierImages, BlockMem, Dim, Kernel, LaunchConfig, LaunchKey, ThreadCtx};
 pub use mem::{DeviceBuffer, DeviceWord};
 pub use observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 pub use scope::Scope;

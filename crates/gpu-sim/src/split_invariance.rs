@@ -3,13 +3,14 @@
 //! every cut. Checked on seeded kernels that do everything a cut could
 //! disturb (stores to several buffers in turn, conflicting stores to one
 //! word, shared memory, barriers, divergent loops), under every partition
-//! of the grid into one to four contiguous chunks. So is whether an
-//! untraced block runs lane by lane or as the kernel's native twin: the
-//! reference runs every block lane by lane.
+//! of the grid into one to four contiguous chunks. So is whether a block
+//! runs lane by lane or as the kernel's native twin, and whether a traced
+//! block the twin ran runs only its sampled warps: the reference runs
+//! every warp of every block lane by lane.
 
 use crate::{
-    BlockMem, DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu, Kernel,
-    LaunchConfig, LaunchReport, ThreadCtx,
+    BarrierImages, BlockMem, DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu,
+    Kernel, LaunchConfig, LaunchReport, ThreadCtx,
 };
 
 const GRID: u32 = 7;
@@ -34,20 +35,28 @@ struct Scramble {
     /// Every thread stores its index to one of these few words: the last
     /// thread in block order must win.
     hot: DeviceBuffer<u32>,
-    /// Whether untraced blocks may run as the native twin.
+    /// Whether blocks may run as the native twin.
     twin: bool,
+    /// Whether the kernel supplies barrier images (without them every warp
+    /// of a traced block runs).
+    images: bool,
 }
 
 impl Scramble {
+    /// What phase 0 leaves in shared memory, but for the arrival count.
+    fn staged(&self, block: u32, src: &[u32]) -> [u32; BLOCK as usize] {
+        std::array::from_fn(|tid| {
+            let gid = block as usize * BLOCK as usize + tid;
+            src[gid] ^ src[mix(self.seed, gid) as usize % THREADS]
+        })
+    }
+
     /// What the three phases compute, per thread of block `block`: the
     /// accumulator phase 2 stores from.
     fn accumulators(&self, block: u32, src: &[u32]) -> [u32; BLOCK as usize] {
         let bd = BLOCK as usize;
         let gid = |tid: usize| block as usize * bd + tid;
-        let shared: [u32; BLOCK as usize] = std::array::from_fn(|tid| {
-            let h = mix(self.seed, gid(tid));
-            src[gid(tid)] ^ src[h as usize % THREADS]
-        });
+        let shared = self.staged(block, src);
         std::array::from_fn(|tid| {
             let h = mix(self.seed, gid(tid));
             let neighbour = shared[(tid + 1 + h as usize % 5) % bd];
@@ -58,6 +67,13 @@ impl Scramble {
             }
         })
     }
+}
+
+/// Phase 2's trip count: it follows the neighbour phase 1 read (through
+/// the accumulator) and the arrival count, so a wrong barrier image changes
+/// a sampled warp's branch and store counts.
+fn slots(h: u32, acc: u32, arrived: u32) -> usize {
+    1 + (h ^ acc ^ arrived) as usize % SLOTS
 }
 
 #[derive(Default)]
@@ -99,7 +115,7 @@ impl Kernel for Scramble {
             }
             _ => {
                 let arrived = t.ld_shared(bd); // == block_dim after the barrier
-                let count = 1 + h as usize % SLOTS;
+                let count = slots(h, acc.0, arrived);
                 let mut k = 0;
                 while t.branch(k < count) {
                     for (b, out) in self.out.iter().enumerate() {
@@ -123,7 +139,7 @@ impl Kernel for Scramble {
         let gids = (0..BLOCK as usize).map(|tid| block as usize * BLOCK as usize + tid);
         for (b, out) in self.out.iter().enumerate() {
             for (gid, &acc) in gids.clone().zip(&acc) {
-                let count = 1 + mix(self.seed, gid) as usize % SLOTS;
+                let count = slots(mix(self.seed, gid), acc, BLOCK);
                 let words: [u32; SLOTS] = std::array::from_fn(|k| {
                     acc.wrapping_add(BLOCK).wrapping_add((k * 3 + b) as u32)
                 });
@@ -135,6 +151,22 @@ impl Kernel for Scramble {
             mem.st_run(&self.hot, h as usize % HOT_WORDS, &[gid as u32]);
         }
         true
+    }
+
+    fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+        self.images.then_some(self)
+    }
+}
+
+/// Phase 0 stages words and counts arrivals with an atomic whose result it
+/// drops, phase 1 reads the staged words of other warps, phase 2 the count:
+/// no word is read in the phase that writes it.
+impl BarrierImages for Scramble {
+    /// Both images: the staged words, then the count of every thread.
+    fn image(&self, block: u32, _phase: usize, mem: &BlockMem<'_>, shared: &mut [u32]) {
+        let (staged, count) = shared.split_at_mut(BLOCK as usize);
+        staged.copy_from_slice(&self.staged(block, mem.words(&self.src)));
+        count[0] = BLOCK;
     }
 }
 
@@ -170,19 +202,20 @@ impl Rig {
         }
     }
 
-    fn kernel(&self, seed: u64, twin: bool) -> Scramble {
+    fn kernel(&self, seed: u64, twin: bool, images: bool) -> Scramble {
         Scramble {
             seed,
             src: self.src.clone(),
             out: self.out.clone(),
             hot: self.hot.clone(),
             twin,
+            images,
         }
     }
 
     /// Launches under the given cut, or under the device's own when `None`.
     fn launch(&self, seed: u64, cut: Option<&[u32]>) -> Result<LaunchReport, DeviceError> {
-        self.launch_as(self.kernel(seed, true), cut)
+        self.launch_as(self.kernel(seed, true, true), cut)
     }
 
     fn launch_as(
@@ -241,16 +274,21 @@ fn cuts_enumerates_every_partition() {
     assert!(all.iter().all(|c| c.last() == Some(&GRID)));
 }
 
-/// Strides 1 and 2 trace a warp of every three-warp block; at 5 two blocks
-/// of the seven run as the twin, at 16 five do. Mutations that fail it:
-/// the twin storing the hot words in reverse thread order (another thread
-/// wins a hot word), or counting `block_dim - 1` arrivals.
+/// Stride 1 traces every warp, so no block runs as the twin. At 2 every
+/// three-warp block is traced, with one or two warps sampled, and runs
+/// those only; at 5 five blocks of the seven do and two run as the twin
+/// alone, at 16 two and five. The kernel runs with its images and without
+/// (then a traced block runs every warp). Mutations that fail it: the twin
+/// storing the hot words in reverse thread order (another thread wins a
+/// hot word), or counting `block_dim - 1` arrivals; the image omitting the
+/// arrival count; warps of a traced block skipped though the kernel
+/// supplies no images.
 #[test]
 fn results_counters_and_time_do_not_depend_on_the_cut_or_the_twin() {
     for stride in [1, 2, 5, 16] {
         for seed in 0..3 {
             let reference = Rig::new(stride);
-            let lanes = reference.kernel(seed, false);
+            let lanes = reference.kernel(seed, false, false);
             let expected_report = reference.launch_as(lanes, Some(&[GRID])).unwrap();
             let expected = reference.visible();
             assert!(
@@ -261,19 +299,19 @@ fn results_counters_and_time_do_not_depend_on_the_cut_or_the_twin() {
                 "the kernel fills some slots and leaves others"
             );
 
-            for cut in cuts(GRID).iter().map(|c| Some(c.as_slice())).chain([None]) {
-                let rig = Rig::new(stride);
-                let report = rig.launch(seed, cut).unwrap();
-                assert_eq!(
-                    report_fields(&report),
-                    report_fields(&expected_report),
-                    "stride {stride} seed {seed} cut {cut:?}"
-                );
-                assert_eq!(
-                    rig.visible(),
-                    expected,
-                    "stride {stride} seed {seed} cut {cut:?}"
-                );
+            let cuts = cuts(GRID);
+            for cut in cuts.iter().map(|c| Some(c.as_slice())).chain([None]) {
+                for images in [true, false] {
+                    let rig = Rig::new(stride);
+                    let report = rig.launch_as(rig.kernel(seed, true, images), cut).unwrap();
+                    let ctx = format!("stride {stride} seed {seed} cut {cut:?} images {images}");
+                    assert_eq!(
+                        report_fields(&report),
+                        report_fields(&expected_report),
+                        "{ctx}"
+                    );
+                    assert_eq!(rig.visible(), expected, "{ctx}");
+                }
             }
         }
     }

@@ -5,12 +5,14 @@
 //! simulator fast on multi-million-thread launches while preserving the
 //! statistics the timing model needs: instruction mix, branch-divergence
 //! rate, and memory-coalescing behaviour. Functional execution is exact
-//! whatever the sample: a traced warp's block runs thread by thread, and a
-//! block with no traced warp runs either so or, when the kernel has one, as
-//! its native twin ([`crate::Kernel::run_block_native`]), which stores the
-//! same words and is never traced. A launch the device has run before
-//! under an equal key ([`crate::Kernel::memo_key`]) traces no warp at all:
-//! its counters are the first run's.
+//! whatever the sample: a block runs thread by thread or, when the kernel
+//! has one, as its native twin ([`crate::Kernel::run_block_native`]),
+//! which stores the same words and is never traced. In a traced block the
+//! twin computes, only the sampled warps run thread by thread, for their
+//! counters, reading at each barrier the shared memory the kernel's
+//! [`crate::Kernel::barrier_images`] give. A launch the device has run
+//! before under an equal key ([`crate::Kernel::memo_key`]) traces no warp
+//! at all: its counters are the first run's.
 
 /// Instruction classes a kernel can charge through [`crate::ThreadCtx`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

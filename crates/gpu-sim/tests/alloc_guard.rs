@@ -2,14 +2,18 @@
 //! kernel has MergePath's store shape: each thread writes three output
 //! buffers in turn, so no store extends the previous one's run. It also
 //! has a native twin, which a device tracing one warp in 16 runs for most
-//! blocks; that launch must be as flat.
+//! blocks, and a barrier image, with which a traced block of four warps
+//! runs its sampled one only; that launch must be as flat: the image goes
+//! into the executor's shared memory, and nothing is allocated per block.
 //!
 //! One test only: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use griffin_gpu_sim::{BlockMem, DeviceBuffer, DeviceConfig, Gpu, Kernel, LaunchConfig, ThreadCtx};
+use griffin_gpu_sim::{
+    BarrierImages, BlockMem, DeviceBuffer, DeviceConfig, Gpu, Kernel, LaunchConfig, ThreadCtx,
+};
 
 struct Counting;
 
@@ -45,6 +49,8 @@ const PER_THREAD: usize = 1;
 
 struct ThreeWay {
     out: [DeviceBuffer<u32>; 3],
+    /// Barrier images installed.
+    images: AtomicUsize,
 }
 
 impl Kernel for ThreeWay {
@@ -90,6 +96,20 @@ impl Kernel for ThreeWay {
         }
         true
     }
+
+    fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+        Some(self)
+    }
+}
+
+impl BarrierImages for ThreeWay {
+    /// Each thread's global index, as phase 0 stages it.
+    fn image(&self, block: u32, _phase: usize, _mem: &BlockMem<'_>, shared: &mut [u32]) {
+        self.images.fetch_add(1, Ordering::Relaxed);
+        for (tid, word) in shared.iter_mut().enumerate() {
+            *word = block * BLOCK + tid as u32;
+        }
+    }
 }
 
 #[test]
@@ -108,6 +128,7 @@ fn the_second_identical_launch_allocates_per_executor_not_per_store() {
         });
         let kernel = ThreeWay {
             out: [(); 3].map(|()| gpu.alloc::<u32>(words).unwrap()),
+            images: AtomicUsize::new(0),
         };
         let lc = LaunchConfig::new(GRID, BLOCK);
         let first = gpu.launch(&kernel, lc).unwrap();
@@ -122,6 +143,13 @@ fn the_second_identical_launch_allocates_per_executor_not_per_store() {
             "stride {stride}: {allocations} allocations for {} stores on up to {executors} \
              executors (allowed {allowed})",
             3 * words
+        );
+        // At 16, blocks 0, 4 and 8 are traced, one warp of four each.
+        let traced_blocks = if stride == 16 { 3 } else { 0 };
+        assert_eq!(
+            kernel.images.load(Ordering::Relaxed),
+            2 * traced_blocks,
+            "stride {stride}: images of the two launches"
         );
         let expected: Vec<u32> = (0..words as u32).map(|gid| gid + 7).collect();
         for out in &kernel.out {

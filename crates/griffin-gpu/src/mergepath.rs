@@ -16,11 +16,14 @@
 //!
 //! Pipeline: partition kernel → merge kernel (matches to per-partition
 //! slabs) → scan of per-partition counts → compaction kernel. The merge
-//! and the compaction have native twins, which compute a block no warp of
-//! which is traced in plain Rust (`Kernel::run_block_native`).
+//! and the compaction have native twins, which compute a block's stores in
+//! plain Rust (`Kernel::run_block_native`), and the merge supplies its
+//! shared memory at each barrier (`Kernel::barrier_images`), so that a
+//! traced block runs only its sampled warps lane by lane.
 
 use griffin_gpu_sim::{
-    BlockMem, DeviceBuffer, DeviceConfig, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
+    BarrierImages, BlockMem, DeviceBuffer, DeviceConfig, DeviceError, Gpu, Kernel, LaunchConfig,
+    Scope, ThreadCtx,
 };
 
 use crate::native;
@@ -204,82 +207,113 @@ struct MergeKernel {
     cfg: MergePathConfig,
 }
 
+/// Block `blk`'s staged ranges, as phase 0 leaves them in shared memory,
+/// and the diagonal search phase 1 runs over them.
+struct Staged<'a> {
+    a_start: u32,
+    b_start: u32,
+    a: &'a [u32],
+    b: &'a [u32],
+    /// `b`'s length without the slack element: what the diagonals span.
+    b_raw: usize,
+    ipp: usize,
+    bd: usize,
+}
+
+impl Staged<'_> {
+    /// Thread `tid`'s cut (`tid == bd`: the sentinel, the staged ends), as
+    /// phase 1 writes it: the diagonal search, then the equal-pair
+    /// adjustment.
+    fn cut(&self, tid: usize) -> (usize, usize) {
+        let (a, b, b_raw) = (self.a, self.b, self.b_raw);
+        if tid == self.bd {
+            return (a.len(), b.len());
+        }
+        let d = (tid * self.ipp).min(a.len() + b_raw);
+        let (mut lo, mut hi) = (d.saturating_sub(b_raw), d.min(a.len()));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let bj = d - mid - 1;
+            let bv = if bj < b_raw { b[bj] } else { u32::MAX };
+            if a[mid] <= bv {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let mut b_cut = d - lo;
+        if lo > 0 && b_cut < b.len() && a[lo - 1] == b[b_cut] {
+            b_cut += 1;
+        }
+        (lo, b_cut)
+    }
+}
+
 impl MergeKernel {
+    /// Block `blk`'s staged ranges, read as phase 0's lanes read them;
+    /// `None` for bounds out of order or out of range, or more staged
+    /// elements than the launch sized shared memory for.
+    fn staged<'a>(&self, blk: usize, mem: &BlockMem<'a>) -> Option<Staged<'a>> {
+        let (a_bounds, b_bounds) = (mem.words(&self.a_bounds), mem.words(&self.b_bounds));
+        let (&[a_start, a_end], &[b_start, b_next]) =
+            (a_bounds.get(blk..blk + 2)?, b_bounds.get(blk..blk + 2)?)
+        else {
+            return None;
+        };
+        let a_len = a_end.checked_sub(a_start)? as usize;
+        let b_end = b_next.checked_add(1)?.min(self.n as u32).max(b_start);
+        let b_len = (b_end - b_start) as usize;
+        if a_len + b_len > self.cfg.shared_words_needed() {
+            return None;
+        }
+        let bd = mem.block_dim() as usize;
+        let ipp = self.cfg.items_per_partition;
+        Some(Staged {
+            a_start,
+            b_start,
+            a: mem
+                .words(&self.a)
+                .get(a_start as usize..a_start as usize + a_len)?,
+            b: mem
+                .words(&self.b)
+                .get(b_start as usize..b_start as usize + b_len)?,
+            b_raw: b_len.min(bd * ipp),
+            ipp,
+            bd,
+        })
+    }
+
     /// What block `blk`'s threads store, computed on the host: per
     /// partition (thread) its matches' docIDs, A and B positions appended
     /// to `docids`, `a_idx` and `b_idx`, and its match count to `counts`.
     /// Phase 1's cuts are found by the same diagonal searches over the
     /// same staged ranges, phase 2's merge walks them the same way. `false`
     /// for a block no valid partition produces, on which the lanes must
-    /// run: bounds out of order or out of range, more staged elements than
-    /// the launch sized shared memory for, or a store out of bounds.
+    /// run: see [`MergeKernel::staged`], or a store out of bounds.
     fn merge_natively(
         &self,
         blk: usize,
         mem: &BlockMem<'_>,
         [docids, a_idx, b_idx, counts]: &mut [Vec<u32>; 4],
     ) -> bool {
-        let bd = mem.block_dim() as usize;
-        let ipp = self.cfg.items_per_partition;
-        let (a_bounds, b_bounds) = (mem.words(&self.a_bounds), mem.words(&self.b_bounds));
-        let (Some(&[a_start, a_end]), Some(&[b_start, b_next])) =
-            (a_bounds.get(blk..blk + 2), b_bounds.get(blk..blk + 2))
-        else {
+        let Some(staged) = self.staged(blk, mem) else {
             return false;
         };
-        let (Some(a_len), Some(b_end)) = (a_end.checked_sub(a_start), b_next.checked_add(1)) else {
-            return false;
-        };
-        let b_end = b_end.min(self.n as u32).max(b_start);
-        let (a_len, b_len) = (a_len as usize, (b_end - b_start) as usize);
-        if a_len + b_len > self.cfg.shared_words_needed() {
-            return false;
-        }
-        let (Some(a), Some(b)) = (
-            mem.words(&self.a)
-                .get(a_start as usize..a_start as usize + a_len),
-            mem.words(&self.b)
-                .get(b_start as usize..b_start as usize + b_len),
-        ) else {
-            return false;
-        };
-
-        let b_raw = b_len.min(bd * ipp);
-        let cut = |tid: usize| {
-            if tid == bd {
-                return (a_len, b_len);
-            }
-            let d = (tid * ipp).min(a_len + b_raw);
-            let (mut lo, mut hi) = (d.saturating_sub(b_raw), d.min(a_len));
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let bj = d - mid - 1;
-                let bv = if bj < b_raw { b[bj] } else { u32::MAX };
-                if a[mid] <= bv {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mut b_cut = d - lo;
-            if lo > 0 && b_cut < b_len && a[lo - 1] == b[b_cut] {
-                b_cut += 1;
-            }
-            (lo, b_cut)
-        };
+        let (a, b) = (staged.a, staged.b);
+        let bd = staged.bd;
         let cap = self.cfg.partition_capacity();
         let first = blk * bd;
-        let (mut a_lo, mut b_lo) = cut(0);
+        let (mut a_lo, mut b_lo) = staged.cut(0);
         for tid in 0..bd {
-            let (a_hi, b_next) = cut(tid + 1);
+            let (a_hi, b_next) = staged.cut(tid + 1);
             let (mut ai, mut bi, b_hi) = (a_lo, b_lo, b_next.max(b_lo));
             let before = docids.len();
             while ai < a_hi && bi < b_hi {
                 let (av, bv) = (a[ai], b[bi]);
                 if av == bv {
                     docids.push(av);
-                    a_idx.push(a_start + ai as u32);
-                    b_idx.push(b_start + bi as u32);
+                    a_idx.push(staged.a_start + ai as u32);
+                    b_idx.push(staged.b_start + bi as u32);
                     ai += 1;
                     bi += 1;
                 } else if av < bv {
@@ -327,6 +361,10 @@ impl Kernel for MergeKernel {
 
     fn shared_mem_words(&self, block_dim: u32) -> usize {
         self.cfg.shared_words_needed() + 2 * (block_dim as usize + 1)
+    }
+
+    fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+        Some(self)
     }
 
     fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, s: &mut MergeState) {
@@ -484,6 +522,39 @@ impl Kernel for MergeKernel {
             mem.st_run(&self.counts, first, counts);
             true
         })
+    }
+}
+
+/// No lane reads a shared word another warp writes in the same phase:
+/// phase 0 stages A and B, phase 1 reads them and writes the cuts, phase 2
+/// reads both.
+impl BarrierImages for MergeKernel {
+    /// Phase 1's image: A's and B's staged ranges. Phase 2's: those and
+    /// every thread's cut, from the twin's own diagonal search.
+    fn image(&self, block: u32, phase: usize, mem: &BlockMem<'_>, shared: &mut [u32]) {
+        let staged = ((block as usize) < self.num_blocks).then(|| {
+            self.staged(block as usize, mem)
+                .expect("an image is asked for only for a block the twin ran")
+        });
+        let Some(staged) = staged else {
+            shared.fill(0); // the lanes return at once
+            return;
+        };
+        let (data, cuts) = shared.split_at_mut(self.cfg.shared_words_needed());
+        let (a, rest) = data.split_at_mut(staged.a.len());
+        let (b, unused) = rest.split_at_mut(staged.b.len());
+        a.copy_from_slice(staged.a);
+        b.copy_from_slice(staged.b);
+        unused.fill(0);
+        if phase == 1 {
+            cuts.fill(0);
+            return;
+        }
+        let (a_cuts, b_cuts) = cuts.split_at_mut(staged.bd + 1);
+        for (tid, (a_cut, b_cut)) in a_cuts.iter_mut().zip(b_cuts).enumerate() {
+            let (a, b) = staged.cut(tid);
+            (*a_cut, *b_cut) = (a as u32, b as u32);
+        }
     }
 }
 

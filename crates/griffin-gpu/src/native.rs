@@ -2,8 +2,13 @@
 //! the host scratch they compute a block's stores in.
 //!
 //! A native twin ([`Kernel::run_block_native`]) computes the stores of a
-//! block the tracer samples no warp of in plain Rust, from the launch-time
-//! snapshot; the lane-by-lane body stays the definition. Twins exist for
+//! block in plain Rust, from the launch-time snapshot; the lane-by-lane
+//! body stays the definition. It runs for a block the tracer samples no
+//! warp of, and for a traced block whose unsampled warps it can stand in
+//! for: then only the sampled warps run lane by lane, for their counters.
+//! That needs no more when the kernel has no shared memory; `merge` and
+//! `tile_scan`, which have some, supply the block's shared memory at each
+//! barrier ([`Kernel::barrier_images`]). Twins exist for
 //! every kernel that takes at least 1 % of a `trec-hybrid` pass's
 //! simulator host time: `para_ef.decode`, `mergepath.merge`,
 //! `mergepath.compact`, `engine.score_accum`, `engine.score_init`,
@@ -15,7 +20,9 @@
 //! The tests here run every twin against its lane-by-lane body, launch
 //! for launch, and every case twice on one device, so that a second run
 //! replays what the first declared: the same output words, store counts,
-//! counters and virtual time, at every stride.
+//! counters and virtual time, at every stride. They count the threads that
+//! run lane by lane, and compare every barrier image with the shared
+//! memory the lanes leave there.
 
 use std::cell::RefCell;
 
@@ -38,7 +45,8 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut [Vec<u32>; 4]) -> R) -> R {
 
 /// [`Gpu::launch`] for a kernel with a native twin. Under test it goes
 /// through a wrapper that hides the twin (the lane-by-lane side of a
-/// differential test) or counts the blocks it runs.
+/// differential test), checks its barrier images against the lanes, or
+/// counts the blocks it runs and the threads that run lane by lane.
 pub(crate) fn launch<K: Kernel>(
     gpu: &Gpu,
     kernel: &K,
@@ -55,12 +63,13 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
     use std::fmt::Debug;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     use griffin_codec::Codec;
     use griffin_gpu_sim::{
-        BlockMem, DeviceBuffer, DeviceConfig, DeviceError, DeviceEvent, Gpu, Kernel, LaunchConfig,
-        LaunchCounters, LaunchKey, LaunchReport, ThreadCtx,
+        BarrierImages, BlockMem, DeviceBuffer, DeviceConfig, DeviceError, DeviceEvent, Gpu, Kernel,
+        LaunchConfig, LaunchCounters, LaunchKey, LaunchReport, ThreadCtx,
     };
     use griffin_index::{CompressedPostingList, Posting};
 
@@ -70,10 +79,22 @@ mod tests {
     use crate::scan;
     use crate::transfer::{DeviceEfList, DevicePostings};
 
+    /// How this thread's launches run their kernels.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mode {
+        /// Through [`Counted`].
+        Twin,
+        /// Through [`LaneOnly`].
+        Lanes,
+        /// Through [`Imaged`].
+        Images,
+    }
+
     thread_local! {
-        static LANES_ONLY: Cell<bool> = const { Cell::new(false) };
+        static MODE: Cell<Mode> = const { Cell::new(Mode::Twin) };
         static NATIVE_BLOCKS: RefCell<BTreeMap<&'static str, u64>> =
             const { RefCell::new(BTreeMap::new()) };
+        static IMAGES_CHECKED: Cell<u64> = const { Cell::new(0) };
     }
 
     pub(super) fn launch<K: Kernel>(
@@ -81,10 +102,24 @@ mod tests {
         kernel: &K,
         lc: LaunchConfig,
     ) -> Result<LaunchReport, DeviceError> {
-        if LANES_ONLY.get() {
-            gpu.launch(&LaneOnly(kernel), lc)
-        } else {
-            gpu.launch(&Counted(kernel), lc)
+        match MODE.get() {
+            Mode::Lanes => gpu.launch(&LaneOnly(kernel), lc),
+            Mode::Twin => {
+                let counted = Counted::new(kernel, gpu.config());
+                let report = gpu.launch(&counted, lc)?;
+                counted.check_lanes(lc);
+                Ok(report)
+            }
+            Mode::Images => {
+                let imaged = Imaged {
+                    kernel,
+                    images: Mutex::default(),
+                    lanes: Mutex::default(),
+                };
+                let report = gpu.launch(&imaged, lc)?;
+                imaged.check(lc);
+                Ok(report)
+            }
         }
     }
 
@@ -112,30 +147,163 @@ mod tests {
 
     /// A kernel whose twin runs, and is counted when it does on this
     /// thread (a launch fanned out over helpers counts the caller's share).
-    struct Counted<'a, K>(&'a K);
+    /// It also counts, over every thread, the lanes that run and the
+    /// threads of the blocks the twin ran that are not in a sampled warp.
+    struct Counted<'a, K> {
+        kernel: &'a K,
+        warp_size: u32,
+        stride: u64,
+        lanes: AtomicU64,
+        skipped: AtomicU64,
+    }
+
+    impl<'a, K: Kernel> Counted<'a, K> {
+        fn new(kernel: &'a K, cfg: &DeviceConfig) -> Self {
+            Counted {
+                kernel,
+                warp_size: cfg.warp_size,
+                stride: u64::from(cfg.trace_sample_stride.max(1)),
+                lanes: AtomicU64::new(0),
+                skipped: AtomicU64::new(0),
+            }
+        }
+
+        /// Exact: the threads that ran lane by lane are every thread of
+        /// the blocks the twin declined and the sampled warps' threads of
+        /// the blocks it ran. Not for a kernel that declares a key, whose
+        /// replayed launches sample no warp.
+        fn check_lanes(&self, lc: LaunchConfig) {
+            if self.kernel.memo_key(&mut LaunchKey::default()) {
+                return;
+            }
+            assert_eq!(
+                self.lanes.load(Ordering::Relaxed),
+                lc.total_threads() - self.skipped.load(Ordering::Relaxed),
+                "threads run lane by lane by {}",
+                self.kernel.name()
+            );
+        }
+    }
 
     impl<K: Kernel> Kernel for Counted<'_, K> {
         type State = K::State;
         fn phases(&self) -> usize {
-            self.0.phases()
+            self.kernel.phases()
         }
         fn shared_mem_words(&self, block_dim: u32) -> usize {
-            self.0.shared_mem_words(block_dim)
+            self.kernel.shared_mem_words(block_dim)
         }
         fn name(&self) -> &'static str {
-            self.0.name()
+            self.kernel.name()
         }
         fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, state: &mut K::State) {
-            self.0.run_phase(phase, t, state)
+            if phase == 0 {
+                self.lanes.fetch_add(1, Ordering::Relaxed);
+            }
+            self.kernel.run_phase(phase, t, state)
         }
         fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
-            let ran = self.0.run_block_native(block, mem);
+            let ran = self.kernel.run_block_native(block, mem);
             NATIVE_BLOCKS
-                .with_borrow_mut(|n| *n.entry(self.0.name()).or_default() += u64::from(ran));
+                .with_borrow_mut(|n| *n.entry(self.kernel.name()).or_default() += u64::from(ran));
+            if ran {
+                let bd = mem.block_dim();
+                let warps = bd.div_ceil(self.warp_size);
+                let sampled: u32 = (0..warps)
+                    .filter(|&w| {
+                        (u64::from(block) * u64::from(warps) + u64::from(w))
+                            .is_multiple_of(self.stride)
+                    })
+                    .map(|w| self.warp_size.min(bd - w * self.warp_size))
+                    .sum();
+                self.skipped
+                    .fetch_add(u64::from(bd - sampled), Ordering::Relaxed);
+            }
             ran
         }
+        fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+            self.kernel.barrier_images()
+        }
         fn memo_key(&self, key: &mut LaunchKey) -> bool {
-            self.0.memo_key(key)
+            self.kernel.memo_key(key)
+        }
+    }
+
+    /// Per block and phase, shared memory at the barrier before it.
+    type Barriers = Mutex<BTreeMap<(u32, usize), Vec<u32>>>;
+
+    /// A kernel with barrier images whose twin, offered every block, only
+    /// records the images (over words that are none of them) and declines,
+    /// so that every block runs lane by lane, and whose thread 0 records
+    /// shared memory at the start of every phase after the first: what
+    /// the block's threads left at the barrier, since it runs first.
+    /// Other kernels pass through with their twin.
+    struct Imaged<'a, K> {
+        kernel: &'a K,
+        images: Barriers,
+        lanes: Barriers,
+    }
+
+    impl<K: Kernel> Imaged<'_, K> {
+        /// Every block's every image equals what its lanes left.
+        fn check(&self, lc: LaunchConfig) {
+            if self.kernel.barrier_images().is_none() {
+                return;
+            }
+            let images = self.images.lock().unwrap();
+            let every: Vec<_> = (0..lc.grid_dim)
+                .flat_map(|b| (1..self.phases()).map(move |p| (b, p)))
+                .collect();
+            let lanes = self.lanes.lock().unwrap();
+            for barriers in [&images, &lanes] {
+                assert!(barriers.keys().eq(&every), "{}: every barrier", self.name());
+            }
+            for (at, lanes) in lanes.iter() {
+                assert_eq!(&images[at], lanes, "{}, (block, phase) {at:?}", self.name());
+            }
+            IMAGES_CHECKED.set(IMAGES_CHECKED.get() + every.len() as u64);
+        }
+    }
+
+    impl<K: Kernel> Kernel for Imaged<'_, K> {
+        type State = K::State;
+        fn phases(&self) -> usize {
+            self.kernel.phases()
+        }
+        fn shared_mem_words(&self, block_dim: u32) -> usize {
+            self.kernel.shared_mem_words(block_dim)
+        }
+        fn name(&self) -> &'static str {
+            self.kernel.name()
+        }
+        fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, state: &mut K::State) {
+            if t.thread_idx == 0 && phase > 0 && self.kernel.barrier_images().is_some() {
+                let words = self.shared_mem_words(t.block_dim);
+                let shared = (0..words).map(|i| t.ld_shared(i)).collect();
+                self.lanes
+                    .lock()
+                    .unwrap()
+                    .insert((t.block_idx, phase), shared);
+            }
+            self.kernel.run_phase(phase, t, state)
+        }
+        fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
+            let Some(images) = self.kernel.barrier_images() else {
+                return self.kernel.run_block_native(block, mem);
+            };
+            let words = self.shared_mem_words(mem.block_dim());
+            for phase in 1..self.phases() {
+                let mut shared = vec![0xA5A5_A5A5; words];
+                images.image(block, phase, mem, &mut shared);
+                self.images.lock().unwrap().insert((block, phase), shared);
+            }
+            false
+        }
+        fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+            self.kernel.barrier_images()
+        }
+        fn memo_key(&self, key: &mut LaunchKey) -> bool {
+            self.kernel.memo_key(key)
         }
     }
 
@@ -174,13 +342,15 @@ mod tests {
     }
 
     /// Devices the twins are checked on: both shapes, tracing every warp
-    /// (no twin runs unless the launch replays), one warp in 16 (the
-    /// experiments' device) and only the first (every block but block 0
-    /// runs as the twin).
+    /// (no twin runs unless the launch replays), one warp in 3 (the
+    /// sampled warps of 4- and 8-warp blocks fall on every warp index, so
+    /// every warp of a block reads some barrier's image), one warp in 16
+    /// (the experiments' device) and only the first (every block runs as
+    /// the twin, block 0 with its warp 0 lane by lane).
     fn devices() -> Vec<DeviceConfig> {
         let mut all = Vec::new();
         for base in [DeviceConfig::test_tiny(), DeviceConfig::tesla_k20()] {
-            for stride in [1, 16, u32::MAX] {
+            for stride in [1, 3, 16, u32::MAX] {
                 all.push(DeviceConfig {
                     trace_sample_stride: stride,
                     ..base.clone()
@@ -260,9 +430,9 @@ mod tests {
                 cfg.name, cfg.trace_sample_stride
             );
             let twin = twice(&cfg, &setup, &run);
-            LANES_ONLY.set(true);
+            MODE.set(Mode::Lanes);
             let lanes = twice(&cfg, &setup, &run);
-            LANES_ONLY.set(false);
+            MODE.set(Mode::Twin);
             let first = &twin[0];
             let others = [
                 ("second run", &twin[1]),
@@ -469,38 +639,60 @@ mod tests {
     }
 
     /// The MergePath cases: equal pairs on partition boundaries, very
-    /// different lengths, empty sides, identical and disjoint lists, and
-    /// drawn ones; the merge and the compaction twins both run, and no
-    /// launch replays (they declare no key). Mutations that fail it: the
-    /// merge twin skipping the equal-pair adjustment of a cut, and the
-    /// compaction twin copying from one slot past each partition's slab.
-    #[test]
-    fn the_merge_and_compaction_twins_store_what_the_lanes_store() {
+    /// different lengths, empty sides, identical and disjoint lists, drawn
+    /// ones, and two that span five or more K20 blocks (4 096 staged
+    /// elements each) with matches in every partition (thread), so that a
+    /// wrong cut in a barrier image moves the walk of the sampled warp that
+    /// reads it.
+    fn merge_cases() -> Vec<(String, Vec<u32>, Vec<u32>)> {
         let mut draw = Draw::new(0x3E2E);
-        let mut replayed = intersect_case(
-            "paper Fig. 6",
-            &[1, 3, 4, 6, 7, 9, 15, 25, 31],
-            &[1, 3, 7, 10, 18, 25, 31],
-        );
+        let mut cases = vec![(
+            "paper Fig. 6".to_string(),
+            vec![1, 3, 4, 6, 7, 9, 15, 25, 31],
+            vec![1, 3, 7, 10, 18, 25, 31],
+        )];
+        let mut case = |what: &str, a: Vec<u32>, b: Vec<u32>| cases.push((what.into(), a, b));
         let all: Vec<u32> = (0..4096).collect();
         let most: Vec<u32> = (0..4096).filter(|i| i % 3 != 1).collect();
-        replayed += intersect_case("equal pairs on boundaries", &all, &most);
+        case("equal pairs on boundaries", all, most);
         let sparse: Vec<u32> = (0..32).map(|i| i * 997).collect();
         let dense: Vec<u32> = (0..20_000).collect();
-        replayed += intersect_case("very different lengths", &sparse, &dense);
-        replayed += intersect_case("very different lengths, swapped", &dense, &sparse);
-        replayed += intersect_case("empty A", &[], &[1, 2, 3]);
-        replayed += intersect_case("empty B", &[1, 2, 3], &[]);
+        case("very different lengths", sparse.clone(), dense.clone());
+        case("very different lengths, swapped", dense, sparse);
+        case("empty A", vec![], vec![1, 2, 3]);
+        case("empty B", vec![1, 2, 3], vec![]);
         let v: Vec<u32> = (0..9_000).map(|i| i * 3 + 1).collect();
-        replayed += intersect_case("identical", &v, &v);
+        case("identical", v.clone(), v);
         let odd: Vec<u32> = (0..5_000).map(|i| i * 2 + 1).collect();
         let even: Vec<u32> = (0..5_000).map(|i| i * 2).collect();
-        replayed += intersect_case("disjoint", &odd, &even);
+        case("disjoint", odd, even);
+        let twos: Vec<u32> = (0..12_000).map(|i| i * 2).collect();
+        let threes: Vec<u32> = (0..8_000).map(|i| i * 3).collect();
+        case("multiples of 2 and 3", twos, threes);
         for trial in 0..4 {
             let universe = 10_000 + draw.below(60_000);
             let (m, n) = (draw.below(12_000) as usize, draw.below(12_000) as usize);
             let (a, b) = (set(&mut draw, m, universe), set(&mut draw, n, universe));
-            replayed += intersect_case(&format!("drawn {trial}"), &a, &b);
+            case(&format!("drawn {trial}"), a, b);
+        }
+        let universe = 24_000 + draw.below(8_000);
+        let n = universe as usize / 2;
+        let (a, b) = (set(&mut draw, n, universe), set(&mut draw, n, universe));
+        case("drawn, half of the universe each", a, b);
+        cases
+    }
+
+    /// Every MergePath case; the merge and the compaction twins both run,
+    /// and no launch replays (they declare no key). Mutations that fail
+    /// it: the merge twin skipping the equal-pair adjustment of a cut, the
+    /// compaction twin copying from one slot past each partition's slab,
+    /// the merge's image without the cuts, and a lane of a block the twin
+    /// ran logging its store too (`stores_applied` doubles).
+    #[test]
+    fn the_merge_and_compaction_twins_store_what_the_lanes_store() {
+        let mut replayed = 0;
+        for (what, a, b) in merge_cases() {
+            replayed += intersect_case(&what, &a, &b);
         }
         assert!(native_blocks("mergepath.merge") > 0, "the merge twin ran");
         assert!(
@@ -510,24 +702,34 @@ mod tests {
         assert_eq!(replayed, 0, "nothing replays");
     }
 
-    /// Scans of drawn words (the sums wrap): one element, a tile less one,
-    /// one and one more, several tiles, and three levels (more than 65 536
-    /// elements: the block sums are themselves scanned in two levels).
-    /// Mutations that fail it: the tile twin storing an inclusive scan;
-    /// the uniform-add twin adding the next block's sum.
-    #[test]
-    fn the_scan_twins_store_what_the_lanes_store() {
+    /// The scan cases, drawn words (the sums wrap): one element, a tile
+    /// less one, one and one more, several tiles, and three levels (more
+    /// than 65 536 elements: the block sums are themselves scanned in two
+    /// levels).
+    fn scan_cases() -> Vec<Vec<u32>> {
         let mut draw = Draw::new(0x5CA7);
         let several = 1_000 + draw.below(9_000) as usize;
         let three_levels = 65_537 + draw.below(20_000) as usize;
+        [1, 255, 256, 257, several, three_levels]
+            .map(|n| (0..n).map(|_| draw.next() as u32).collect())
+            .into()
+    }
+
+    /// The scan of `input`, read back with its total.
+    fn scan(gpu: &Gpu, input: &[u32], src: &DeviceBuffer<u32>) -> (Vec<u32>, u32) {
+        let (dst, total) = scan::exclusive_scan(gpu, src, input.len()).unwrap();
+        (gpu.dtoh(&dst).unwrap(), total)
+    }
+
+    /// Every scan case. Mutations that fail it: the tile twin storing an
+    /// inclusive scan; the uniform-add twin adding the next block's sum.
+    #[test]
+    fn the_scan_twins_store_what_the_lanes_store() {
         let mut replayed = 0;
-        for n in [1, 255, 256, 257, several, three_levels] {
-            let input: Vec<u32> = (0..n).map(|_| draw.next() as u32).collect();
+        for input in scan_cases() {
             let setup = |gpu: &Gpu| gpu.htod(&input).unwrap();
-            replayed += differential(&format!("scan of {n}"), setup, |gpu, src| {
-                let (dst, total) = scan::exclusive_scan(gpu, src, n).unwrap();
-                (gpu.dtoh(&dst).unwrap(), total)
-            });
+            let what = format!("scan of {}", input.len());
+            replayed += differential(&what, setup, |gpu, src| scan(gpu, &input, src));
         }
         assert!(native_blocks("scan.tile_scan") > 0, "the tile twin ran");
         assert!(
@@ -535,6 +737,36 @@ mod tests {
             "the uniform-add twin ran"
         );
         assert_eq!(replayed, 0, "nothing replays");
+    }
+
+    /// Every barrier image of every block of the MergePath and scan cases,
+    /// on the K20 (four-warp merge blocks), equals word for word the shared
+    /// memory the block's lanes leave at that barrier. Mutations that fail
+    /// it: the merge's image without the cuts, or with thread 32's cut one
+    /// off; the tile-scan image one window too wide, or one word flipped.
+    #[test]
+    fn the_barrier_images_are_what_the_lanes_leave() {
+        let gpu = Gpu::new(DeviceConfig {
+            trace_sample_stride: u32::MAX,
+            ..DeviceConfig::tesla_k20()
+        });
+        let cfg = MergePathConfig::for_device(gpu.config());
+        MODE.set(Mode::Images);
+        let before = IMAGES_CHECKED.get();
+        for (_, a, b) in merge_cases() {
+            let (da, db) = (gpu.htod(&a).unwrap(), gpu.htod(&b).unwrap());
+            mergepath::intersect(&gpu, &da, a.len(), &db, b.len(), &cfg).unwrap();
+        }
+        let merged = IMAGES_CHECKED.get() - before;
+        for input in scan_cases() {
+            scan(&gpu, &input, &gpu.htod(&input).unwrap());
+        }
+        let scanned = IMAGES_CHECKED.get() - before - merged;
+        MODE.set(Mode::Twin);
+        assert!(
+            merged > 0 && scanned > 0,
+            "{merged} merge, {scanned} scan images"
+        );
     }
 
     /// Initial scores and both kinds of accumulation (`b_idx` set: tfs of

@@ -6,17 +6,20 @@
 //! back in. Para-EF's "synchronization point" (paper Algorithm 1, line 3)
 //! is exactly this scan.
 //!
-//! Both kernels have native twins (`Kernel::run_block_native`), checked
-//! against their lanes in `native.rs`.
+//! Both kernels have native twins (`Kernel::run_block_native`), and the
+//! tile scan supplies its shared memory at each barrier
+//! (`Kernel::barrier_images`), all checked against the lanes in
+//! `native.rs`.
 
 use griffin_gpu_sim::{
-    BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
+    BarrierImages, BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
 };
 
 use crate::native;
 
 /// Tile width == block_dim; one element per thread.
 const BLOCK_DIM: u32 = 256;
+const TILE: usize = BLOCK_DIM as usize;
 
 /// Block-local exclusive scan of a tile, emitting per-block totals.
 struct TileScanKernel {
@@ -45,6 +48,10 @@ impl Kernel for TileScanKernel {
 
     fn shared_mem_words(&self, block_dim: u32) -> usize {
         2 * block_dim as usize // ping-pong buffers
+    }
+
+    fn barrier_images(&self) -> Option<&dyn BarrierImages> {
+        Some(self)
     }
 
     fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, s: &mut TileState) {
@@ -103,10 +110,7 @@ impl Kernel for TileScanKernel {
         let Some(src) = mem.words(&self.src).get(rows.clone()) else {
             return false;
         };
-        if bd != BLOCK_DIM as usize
-            || rows.end > self.dst.len()
-            || block as usize >= self.block_sums.len()
-        {
+        if bd != TILE || rows.end > self.dst.len() || block as usize >= self.block_sums.len() {
             return false;
         }
         native::with_scratch(|[dst, ..]| {
@@ -120,6 +124,49 @@ impl Kernel for TileScanKernel {
             mem.st_run(&self.block_sums, block as usize, &[total]);
         });
         true
+    }
+}
+
+/// No lane reads a shared word another warp writes in the same phase:
+/// each scan step reads one ping-pong buffer and writes the other.
+impl BarrierImages for TileScanKernel {
+    /// Phase `q` writes buffer `q % 2` with each element's sum over the
+    /// window of `2^q` elements ending at it (fewer at the tile's start),
+    /// so before phase `p` one buffer holds the windows of `2^(p-1)` and
+    /// the other those of `2^(p-2)` (zeros before phase 2): each window a
+    /// difference of two of the tile's prefix sums, in wrapping arithmetic.
+    fn image(&self, block: u32, phase: usize, mem: &BlockMem<'_>, shared: &mut [u32]) {
+        let first = block as usize * TILE;
+        let src = &mem.words(&self.src)[first.min(self.n)..(first + TILE).min(self.n)];
+        // Inclusive sums of the tile, whose elements past `n` are zero.
+        let mut prefix = [0u32; TILE + 1];
+        let mut sum = 0u32;
+        for (p, &v) in prefix[1..].iter_mut().zip(src) {
+            sum = sum.wrapping_add(v);
+            *p = sum;
+        }
+        prefix[1 + src.len()..].fill(sum);
+        let (buf0, buf1) = shared.split_at_mut(TILE);
+        let (last, other) = if phase % 2 == 1 {
+            (buf0, buf1)
+        } else {
+            (buf1, buf0)
+        };
+        windows(&prefix, last, 1 << (phase - 1));
+        match phase {
+            1 => other.fill(0),
+            _ => windows(&prefix, other, 1 << (phase - 2)),
+        }
+    }
+}
+
+/// `out[tid]`: the sum of the `width` elements ending at `tid` (fewer at
+/// the tile's start), from the tile's inclusive sums after a leading zero.
+fn windows(prefix: &[u32; TILE + 1], out: &mut [u32], width: usize) {
+    let (head, tail) = out.split_at_mut(width - 1);
+    head.copy_from_slice(&prefix[1..width]);
+    for ((word, &hi), &lo) in tail.iter_mut().zip(&prefix[width..]).zip(prefix) {
+        *word = hi.wrapping_sub(lo);
     }
 }
 
@@ -183,7 +230,7 @@ pub fn exclusive_scan(
     if n == 0 {
         return Ok((scope.keep(dst), 0));
     }
-    let num_blocks = n.div_ceil(BLOCK_DIM as usize);
+    let num_blocks = n.div_ceil(TILE);
     let block_sums = scope.alloc::<u32>(num_blocks)?;
     native::launch(
         gpu,
