@@ -202,6 +202,7 @@ impl Query {
             lenient,
             tokens,
             pos: 0,
+            depth: 0,
         };
         let q = p.or_level()?;
         if p.pos != p.tokens.len() {
@@ -340,11 +341,22 @@ fn tokenize(text: &str) -> Result<Vec<Token>, QueryError> {
     Ok(tokens)
 }
 
+/// How deeply parentheses may nest. The parser recurses once per level,
+/// and so do the walks over the tree it returns (normalizing, rendering,
+/// running, dropping): unbounded, 100 000 levels overflowed the stack,
+/// which aborts the process instead of failing the call. Hand-written and
+/// generated queries nest a few levels. On a 2 MiB stack, a spawned
+/// thread's default, a debug build parses, renders and runs 600 levels in
+/// every mode and overflows at 700, so 256 leaves more than twice that.
+const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     index: &'a InvertedIndex,
     lenient: bool,
     tokens: Vec<Token>,
     pos: usize,
+    /// Open parentheses around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -409,11 +421,18 @@ impl Parser<'_> {
     fn primary(&mut self) -> Result<Query, QueryError> {
         match self.tokens.get(self.pos).cloned() {
             Some(Token::LParen) => {
+                if self.depth == MAX_NESTING {
+                    return Err(QueryError::Parse(format!(
+                        "parentheses nested more than {MAX_NESTING} deep"
+                    )));
+                }
+                self.depth += 1;
                 self.pos += 1;
                 let q = self.or_level()?;
                 if self.peek() != Some(&Token::RParen) {
                     return Err(QueryError::Parse("missing ')'".to_owned()));
                 }
+                self.depth -= 1;
                 self.pos += 1;
                 Ok(q)
             }
@@ -564,6 +583,36 @@ mod tests {
             Query::parse(&i, "alpha zeta", false),
             Err(QueryError::UnknownTerm("zeta".to_owned()))
         );
+    }
+
+    /// Before the bound, 100 000 open parentheses overflowed the stack and
+    /// aborted the process. A `-(` chain nests through the same arm.
+    #[test]
+    fn nesting_is_bounded() {
+        let i = idx();
+        let nested = |depth: usize| format!("{}alpha{}", "(".repeat(depth), ")".repeat(depth));
+        let negated = |depth: usize| {
+            let words = ["alpha", "beta", "gamma", "delta"];
+            let mut text = String::new();
+            for level in 0..depth {
+                text.push_str(words[level % 4]);
+                text.push_str(" -(");
+            }
+            text.push_str("epsilon");
+            text.push_str(&")".repeat(depth));
+            text
+        };
+        for text in [nested(MAX_NESTING), negated(MAX_NESTING)] {
+            assert!(Query::parse(&i, &text, false).is_ok());
+        }
+        for depth in [MAX_NESTING + 1, 100_000] {
+            for text in [nested(depth), negated(depth)] {
+                assert!(matches!(
+                    Query::parse(&i, &text, false),
+                    Err(QueryError::Parse(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -200,6 +200,13 @@ fn unpack_bits_into(words: &[u32], count: usize, b: u32, out: &mut Vec<u32>, pat
 /// the straddled word pair per lane, variable-shift, mask. Shift counts of
 /// 32 yield 0 under `vpsllvd`/`vpsrlvd`, which makes the `s == 0` lane
 /// (no straddle) come out right without a branch.
+///
+/// # Safety
+///
+/// The CPU supports AVX2. `0 < b < 32`, and both words of every lane's
+/// pair are in bounds: `((i + 7) * b) / 32 + 1 < words.len()` (the gathers
+/// are unchecked, and read their indices as `i32`). `out` has spare
+/// capacity for eight more values: they are stored past its length.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn unpack8_avx2(words: &[u32], i: usize, b: u32, out: &mut Vec<u32>) {
@@ -247,6 +254,11 @@ fn prefix_sum(buf: &mut [u32], base: u32, path: KernelPath) {
 /// Hillis–Steele scan per 8-lane chunk: two in-lane shifted adds, one
 /// cross-lane fix (add element 3's running total to the upper lane), then
 /// the carry from the previous chunk broadcast-added on top.
+///
+/// # Safety
+///
+/// The CPU supports AVX2. Nothing else: every vector load and store lies
+/// within `buf`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn prefix_sum_avx2(buf: &mut [u32], base: u32) {
@@ -440,6 +452,12 @@ fn find_in_sorted_block_with(
 /// sign-bias trick, movemask, early-exit on the first lane `>= target`.
 /// On a 128-element block this trades ~7 mispredicted binary-search
 /// branches for ≤16 predictable vector compares over contiguous memory.
+///
+/// # Safety
+///
+/// The CPU supports AVX2. Nothing else: every vector load lies within
+/// `hay`. (An unsorted `hay` gives a wrong position, never a read out of
+/// bounds.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn partition_point_avx2(hay: &[u32], target: u32) -> Result<usize, usize> {
@@ -525,6 +543,12 @@ fn fold_term_bounds_with(
 /// Vector body of the fold (power-of-two `block_len` only: the divide
 /// becomes a logical shift). Returns how many candidates were handled;
 /// the scalar tail finishes the rest.
+///
+/// # Safety
+///
+/// The CPU supports AVX2. `ubs` is at least as long as `elem_idx`, and
+/// every `elem_idx[c] >> shift` is an index into `block_ubs`: the gather is
+/// unchecked, and reads its indices as `i32`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn fold_term_bounds_avx2(

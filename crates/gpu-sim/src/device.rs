@@ -1,7 +1,6 @@
 //! The simulated device: memory management, transfers, kernel launches, and
 //! the virtual clock.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -41,15 +40,10 @@ pub struct Gpu {
     pool: Mutex<Pool>,
     clock_ns: AtomicU64,
     stats: MemStats,
-    /// Host threads a launch may use, the caller included: one fewer than
-    /// the host has, because a helper is only dependable on a core nothing
-    /// else wants (see `run_by_work`). Resolved once: asking the OS
-    /// reads cgroup files and costs about as much as a small launch.
-    workers: usize,
-    /// The write logs and block scratch of those threads, reused from
-    /// launch to launch (the caller's first; the rest appear with the first
-    /// launch that fans out). Locked after `pool`, by launches only.
-    executors: Mutex<Vec<Executor>>,
+    /// The write log and block scratch every launch runs its blocks with,
+    /// on the calling thread, reused from launch to launch. Locked after
+    /// `pool`, by launches only.
+    executor: Mutex<Executor>,
     /// Passive telemetry hook (see [`crate::observe`]). The flag keeps the
     /// disabled-path cost to one relaxed atomic load per operation.
     observed: AtomicBool,
@@ -74,8 +68,7 @@ impl Gpu {
             pool: Mutex::new(Pool::default()),
             clock_ns: AtomicU64::new(0),
             stats: MemStats::default(),
-            workers: std::thread::available_parallelism().map_or(1, |n| (n.get() - 1).max(1)),
-            executors: Mutex::new(vec![Executor::default()]),
+            executor: Mutex::new(Executor::default()),
             observed: AtomicBool::new(false),
             observer: Mutex::new(None),
             ops: AtomicU64::new(0),
@@ -616,37 +609,6 @@ impl Gpu {
         kernel: &K,
         lc: LaunchConfig,
     ) -> Result<LaunchReport, DeviceError> {
-        self.launch_split(kernel, lc, None)
-    }
-
-    /// [`Gpu::launch`] with the split of the grid over host threads given
-    /// instead of decided by work: chunk `i` is the blocks from
-    /// `chunk_ends[i - 1]` (0 for the first) up to `chunk_ends[i]`, and the
-    /// last entry is the grid size. Exists so that tests can show that no
-    /// result depends on the split.
-    #[cfg(test)]
-    pub(crate) fn launch_chunked<K: Kernel>(
-        &self,
-        kernel: &K,
-        lc: LaunchConfig,
-        chunk_ends: &[u32],
-    ) -> Result<LaunchReport, DeviceError> {
-        assert!(
-            chunk_ends.last() == Some(&lc.grid_dim)
-                && chunk_ends[0] > 0
-                && chunk_ends.windows(2).all(|w| w[0] < w[1]),
-            "chunk ends {chunk_ends:?} do not partition a grid of {}",
-            lc.grid_dim
-        );
-        self.launch_split(kernel, lc, Some(chunk_ends))
-    }
-
-    fn launch_split<K: Kernel>(
-        &self,
-        kernel: &K,
-        lc: LaunchConfig,
-        chunk_ends: Option<&[u32]>,
-    ) -> Result<LaunchReport, DeviceError> {
         let fault = self.fault_check(OpClass::Kernel);
         if let Some((op, FaultKind::DeviceLost)) = fault {
             self.join_streams_for_error();
@@ -656,13 +618,11 @@ impl Gpu {
         check_launch(kernel, &self.cfg, lc);
 
         let mut pool = self.lock_pool();
-        // Recover from poison like `lock_pool`: every executor is cleared
+        // Recover from poison like `lock_pool`: the executor is cleared
         // where it is next used, so a launch that panicked (and so never
         // reached the clear at retire) leaves nothing a later one can see.
-        let mut execs = self.executors.lock().unwrap_or_else(|p| p.into_inner());
-        for exec in execs.iter_mut() {
-            exec.log.clear();
-        }
+        let mut exec = self.executor.lock().unwrap_or_else(|p| p.into_inner());
+        exec.log.clear();
         let warps_per_block = lc.block_dim.div_ceil(self.cfg.warp_size);
         let mut declared = LaunchKey::default();
         let replayable = kernel.memo_key(&mut declared);
@@ -683,14 +643,8 @@ impl Gpu {
             declared: (cfg!(debug_assertions) && replayable && replay.is_none())
                 .then_some(&declared),
         };
-        let mut counters = match chunk_ends {
-            None => self.run_by_work(&launch, &mut execs),
-            Some(ends) => run_chunks(&launch, &mut execs, ends.len(), |i| {
-                let first = if i == 0 { 0 } else { ends[i - 1] };
-                first..ends[i]
-            }),
-        };
-        let stores = execs.iter().map(|e| e.log.stores() as u64).sum();
+        let mut counters = run_blocks(&launch, &mut exec);
+        let stores = exec.log.stores() as u64;
         let counters = match replay {
             Some(replay) => {
                 assert_eq!(
@@ -714,15 +668,11 @@ impl Gpu {
             }
         };
 
-        // Executor `i` ran lower-numbered blocks than executor `i + 1`, so
-        // this is block order whatever the split was.
-        for exec in execs.iter_mut() {
-            if fault.is_none() {
-                exec.log.apply(&mut pool);
-            }
-            exec.log.clear();
+        if fault.is_none() {
+            exec.log.apply(&mut pool);
         }
-        drop(execs);
+        exec.log.clear();
+        drop(exec);
         drop(pool);
 
         let breakdown = kernel_time(&self.cfg, &counters);
@@ -763,45 +713,6 @@ impl Gpu {
         Ok(report)
     }
 
-    /// Executes the grid, on several host threads when the work pays for
-    /// them. The caller runs block 0 and counts what its threads did; the
-    /// remaining blocks are fanned out only if, at that block's count, they
-    /// hold more than [`FAN_OUT_MIN_CALLS`]. Thread count alone says little:
-    /// a lane of `para_ef.decode` makes some 55 such calls, a thread of
-    /// `scan.uniform_add` four. The rule reads no clock, so one launch takes
-    /// the same path every time it is run on one host.
-    ///
-    /// The last core is left alone. On a two-core host the second core is
-    /// where everything else runs (measured on a 2-vCPU VM: the same pass
-    /// split two ways took between 0.65x and 1.2x the caller alone from one
-    /// minute to the next, and the median query up to 40 % longer), so there
-    /// every launch stays on its caller.
-    fn run_by_work<K: Kernel>(
-        &self,
-        l: &Launch<'_, K>,
-        execs: &mut Vec<Executor>,
-    ) -> LaunchCounters {
-        let grid = l.lc.grid_dim;
-        let mut counters = LaunchCounters::default();
-        if self.workers == 1 || grid == 1 {
-            run_blocks(l, 0..grid, &mut execs[0], &mut counters);
-            return counters;
-        }
-        let calls = run_blocks(l, 0..1, &mut execs[0], &mut counters);
-        let rest = grid - 1;
-        if calls.saturating_mul(u64::from(rest)) < FAN_OUT_MIN_CALLS {
-            run_blocks(l, 1..grid, &mut execs[0], &mut counters);
-            return counters;
-        }
-        let per_chunk = rest.div_ceil(self.workers.min(rest as usize) as u32);
-        let chunks = rest.div_ceil(per_chunk) as usize;
-        counters.merge(&run_chunks(l, execs, chunks, |i| {
-            let first = 1 + i as u32 * per_chunk;
-            first..(first + per_chunk).min(grid)
-        }));
-        counters
-    }
-
     /// Aggregate transfer/allocation statistics for reports.
     pub fn stats(&self) -> DeviceStatsSnapshot {
         DeviceStatsSnapshot {
@@ -821,51 +732,6 @@ fn prefix_of<T: DeviceWord>(pool: &Pool, buf: &DeviceBuffer<T>, len: usize) -> V
         .iter()
         .map(|&w| T::from_word(w))
         .collect()
-}
-
-/// Loads, stores and branches in a launch's remaining blocks above which
-/// they are fanned out. One costs the host 2.5-6.5 ns in every kernel of
-/// this repository (3 ns in most), so this is about a millisecond: fifty
-/// times the ~20 us it takes to spawn and join a scoped thread, and such
-/// launches are seven eighths of a `trec-hybrid` pass.
-const FAN_OUT_MIN_CALLS: u64 = 300_000;
-
-/// Executes `chunks` contiguous block ranges, chunk `i` on `execs[i]`: the
-/// calling thread runs chunk 0 itself while scoped threads run the others.
-/// Counters are sums and each log holds its own chunk's stores in block
-/// order, so nothing observable depends on how the grid was cut.
-fn run_chunks<K: Kernel>(
-    l: &Launch<'_, K>,
-    execs: &mut Vec<Executor>,
-    chunks: usize,
-    blocks_of: impl Fn(usize) -> Range<u32>,
-) -> LaunchCounters {
-    if execs.len() < chunks {
-        execs.resize_with(chunks, Executor::default);
-    }
-    let (own, others) = execs[..chunks]
-        .split_first_mut()
-        .expect("a launch has at least one chunk");
-    let mut counters = LaunchCounters::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = others
-            .iter_mut()
-            .enumerate()
-            .map(|(i, exec)| {
-                let blocks = blocks_of(i + 1);
-                scope.spawn(move || {
-                    let mut counters = LaunchCounters::default();
-                    run_blocks(l, blocks, exec, &mut counters);
-                    counters
-                })
-            })
-            .collect();
-        run_blocks(l, blocks_of(0), own, &mut counters);
-        for handle in handles {
-            counters.merge(&handle.join().expect("kernel block executor panicked"));
-        }
-    });
-    counters
 }
 
 /// Point-in-time copy of device statistics. `allocs` and `frees` count
@@ -921,40 +787,6 @@ mod tests {
         .unwrap();
         let out = gpu.dtoh(&dst).unwrap();
         assert_eq!(out.len(), 500);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-    }
-
-    #[test]
-    fn a_launch_worth_fanning_out_is_functionally_exact() {
-        let mut gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.workers = 3; // whatever the host has
-        let executors = |gpu: &Gpu| gpu.executors.lock().unwrap().len();
-        let small = AddOne {
-            src: gpu.htod(&[7u32; 90_000]).unwrap(),
-            dst: gpu.alloc::<u32>(90_000).unwrap(),
-            n: 90_000,
-        };
-        // Three calls per thread: 270 000 stay on the caller, 600 000 do not.
-        gpu.launch(&small, LaunchConfig::cover(small.n, 256))
-            .unwrap();
-        assert_eq!(executors(&gpu), 1);
-        let n = 200_000;
-        let data: Vec<u32> = (0..n as u32).collect();
-        let src = gpu.htod(&data).unwrap();
-        let dst = gpu.alloc::<u32>(n).unwrap();
-        let report = gpu
-            .launch(
-                &AddOne {
-                    src,
-                    dst: dst.clone(),
-                    n,
-                },
-                LaunchConfig::cover(n, 256),
-            )
-            .unwrap();
-        assert_eq!(executors(&gpu), 3);
-        assert_eq!(report.counters.stores_applied, n as u64);
-        let out = gpu.dtoh(&dst).unwrap();
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 

@@ -1,8 +1,6 @@
 //! The kernel programming model: grids, blocks, warps, phases, and the
 //! [`ThreadCtx`] through which kernel code touches device state.
 
-use std::ops::Range;
-
 use crate::config::DeviceConfig;
 use crate::mem::{BufferId, DeviceBuffer, DeviceWord, Pool, WriteLog};
 use crate::tracer::{LaunchCounters, Op, WarpTraceState};
@@ -51,9 +49,9 @@ pub type Dim = u32;
 /// Global memory loads observe the launch-time snapshot; stores retire when
 /// the launch completes. Shared memory is coherent across phases within a
 /// block.
-pub trait Kernel: Sync {
+pub trait Kernel {
     /// Per-thread register state carried across phases.
-    type State: Default + Send;
+    type State: Default;
 
     /// Number of phases (barrier-separated sections). Default 1 (no barrier).
     fn phases(&self) -> usize {
@@ -131,7 +129,7 @@ pub trait Kernel: Sync {
 
 /// A kernel's shared memory as a block's threads leave it at each barrier
 /// ([`Kernel::barrier_images`]).
-pub trait BarrierImages: Sync {
+pub trait BarrierImages {
     /// Overwrites `shared`, every word of it, with the shared memory block
     /// `block`'s threads leave at the barrier before `phase` (`phase >= 1`),
     /// word for word, from shared memory that starts each block zeroed.
@@ -369,11 +367,11 @@ impl<'a> ThreadCtx<'a> {
     }
 }
 
-/// What one host thread needs to execute blocks: its write log and the
-/// per-block scratch. The device owns its executors and reuses them from
-/// launch to launch, so everything here is cleared where it is next used,
-/// never reallocated (and never trusted to be clean: a kernel that
-/// panicked mid-block leaves its executor as it was).
+/// What it takes to execute a launch's blocks: the write log and the
+/// per-block scratch. The device owns one and reuses it from launch to
+/// launch, so everything here is cleared where it is next used, never
+/// reallocated (and never trusted to be clean: a kernel that panicked
+/// mid-block leaves the executor as it was).
 #[derive(Default)]
 pub(crate) struct Executor {
     pub(crate) log: WriteLog,
@@ -382,7 +380,7 @@ pub(crate) struct Executor {
     traces: Vec<WarpTraceState>,
 }
 
-/// What every executor of one launch shares.
+/// One launch, as its blocks see it.
 pub(crate) struct Launch<'a, K> {
     pub(crate) kernel: &'a K,
     pub(crate) cfg: &'a DeviceConfig,
@@ -414,22 +412,15 @@ pub(crate) fn check_launch<K: Kernel>(kernel: &K, cfg: &DeviceConfig, lc: Launch
     );
 }
 
-/// Runs all phases of the launch's kernel for the blocks in `blocks`, in
-/// order, appending stores to the executor's log and sampled counters to
-/// `counters`. A block with no sampled warp is first offered to the
-/// kernel's native twin; so is a traced block some warp of which is not
-/// sampled, if the kernel has no shared memory or supplies barrier images,
-/// and when the twin accepts it only the sampled warps run, their stores
-/// not logged (the twin logged the block's), with each barrier's image
-/// installed before the phase after it. Returns how many loads, stores and
-/// branches the lanes that ran made (sampled or not): what the host paid
-/// for, counted.
-pub(crate) fn run_blocks<K: Kernel>(
-    l: &Launch<'_, K>,
-    blocks: Range<u32>,
-    exec: &mut Executor,
-    counters: &mut LaunchCounters,
-) -> u64 {
+/// Runs all phases of the launch's kernel for every block, in block
+/// order, appending stores to the executor's log, and returns the sampled
+/// warps' counters, summed. A block with no sampled warp is first offered
+/// to the kernel's native twin; so is a traced block some warp of which is
+/// not sampled, if the kernel has no shared memory or supplies barrier
+/// images, and when the twin accepts it only the sampled warps run, their
+/// stores not logged (the twin logged the block's), with each barrier's
+/// image installed before the phase after it.
+pub(crate) fn run_blocks<K: Kernel>(l: &Launch<'_, K>, exec: &mut Executor) -> LaunchCounters {
     let (kernel, cfg, lc, pool) = (l.kernel, l.cfg, l.lc, l.pool);
     let bdim = lc.block_dim;
     let smem_words = kernel.shared_mem_words(bdim);
@@ -452,9 +443,9 @@ pub(crate) fn run_blocks<K: Kernel>(
         traces.resize_with(warps_in_block as usize, WarpTraceState::default);
     }
     let mut states: Vec<K::State> = (0..bdim).map(|_| K::State::default()).collect();
-    let mut calls = 0u64;
+    let mut counters = LaunchCounters::default();
 
-    for block_idx in blocks {
+    for block_idx in 0..lc.grid_dim {
         let sampled = |w: u32| {
             l.traced
                 && (u64::from(block_idx) * u64::from(warps_in_block) + u64::from(w)) % stride == 0
@@ -522,7 +513,6 @@ pub(crate) fn run_blocks<K: Kernel>(
                         mem_site: 0,
                     };
                     kernel.run_phase(phase, &mut ctx, &mut states[tid as usize]);
-                    calls += (ctx.mem_site + ctx.branch_site) as u64;
                 }
                 if let Some(tr) = tr {
                     tr.flush_sites();
@@ -537,5 +527,5 @@ pub(crate) fn run_blocks<K: Kernel>(
             *state = K::State::default();
         }
     }
-    calls
+    counters
 }

@@ -24,10 +24,8 @@
 //! * block-local atomics (`atomic_add_shared`) are sequentially consistent.
 //!
 //! Blocks are independent. A launch runs them in block order on the calling
-//! thread, and cuts the grid over several host threads only when the host has
-//! a core to spare and the first block's count of loads, stores and branches
-//! says the rest is worth a thread spawn; stores retire in block order and counters are sums, so nothing observable
-//! depends on that choice (DESIGN.md, "How a launch executes on the host").
+//! thread, and its stores retire in that order (DESIGN.md, "How a launch
+//! executes on the host").
 //!
 //! ## Timing model
 //!
@@ -103,6 +101,8 @@
 //! assert_eq!(out[7], 14);
 //! ```
 
+#[cfg(test)]
+mod block_paths;
 pub mod clock;
 pub mod config;
 pub mod device;
@@ -114,8 +114,6 @@ pub mod pcie;
 #[cfg(test)]
 mod replay;
 pub mod scope;
-#[cfg(test)]
-mod split_invariance;
 pub mod stream;
 pub mod timing;
 pub mod tracer;

@@ -364,10 +364,10 @@ impl Pool {
     }
 }
 
-/// A log of global-memory stores performed by one executor during a
-/// launch: one word arena plus run headers. A store that extends the
-/// previous run (next index of the same buffer) costs one arena push; any
-/// other store opens a new header. Nothing is allocated per run, and
+/// A log of global-memory stores performed by a launch's blocks: one word
+/// arena plus run headers. A store that extends the previous run (next
+/// index of the same buffer) costs one arena push; any other store opens a
+/// new header. Nothing is allocated per run, and
 /// [`WriteLog::clear`] keeps both vectors' capacity (up to a bound), so a
 /// log that lives across launches stops allocating.
 #[derive(Default)]
@@ -441,9 +441,9 @@ impl WriteLog {
 
     /// Forgets every logged store. Capacity is kept up to
     /// [`RETAINED_LOG_BYTES`], which is what makes the launches of a small
-    /// query allocation-free; a larger log is freed, as a device keeps one
-    /// per host thread and a fleet keeps many devices, each of which would
-    /// otherwise sit on the log of the longest list it ever decoded.
+    /// query allocation-free; a larger log is freed, as a fleet keeps many
+    /// devices, each of which would otherwise sit on the log of the longest
+    /// list it ever decoded.
     pub(crate) fn clear(&mut self) {
         self.words.clear();
         self.runs.clear();

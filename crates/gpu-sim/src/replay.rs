@@ -5,7 +5,7 @@
 //! first run. Checked on a kernel whose counters follow its input's
 //! contents and whose two outputs may be one buffer.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::{
     BlockMem, DeviceBuffer, DeviceConfig, DeviceError, FaultKind, FaultPlan, Gpu, Kernel,
@@ -29,7 +29,7 @@ struct Steps {
     /// declare is caught in debug builds).
     declare_src: bool,
     /// Blocks the twin ran.
-    native: AtomicU64,
+    native: Cell<u64>,
 }
 
 impl Steps {
@@ -39,7 +39,7 @@ impl Steps {
             bias: bias.clone(),
             out,
             declare_src: true,
-            native: AtomicU64::new(0),
+            native: Cell::new(0),
         }
     }
 }
@@ -59,7 +59,7 @@ impl Kernel for Steps {
     }
 
     fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
-        self.native.fetch_add(1, Ordering::Relaxed);
+        self.native.set(self.native.get() + 1);
         let (src, bias) = (mem.words(&self.src), mem.words(&self.bias)[0]);
         let first = (block * BLOCK) as usize;
         let block = src.iter().enumerate().skip(first).take(BLOCK as usize);
@@ -132,10 +132,10 @@ fn outputs(gpu: &Gpu) -> [DeviceBuffer<u32>; 2] {
 /// Launches `kernel` and returns its report, the virtual time the launch
 /// took and how many blocks its twin ran.
 fn launch(gpu: &Gpu, kernel: &Steps) -> (Result<LaunchReport, DeviceError>, u64, u64) {
-    let (start, native) = (gpu.now(), kernel.native.load(Ordering::Relaxed));
+    let (start, native) = (gpu.now(), kernel.native.get());
     let report = gpu.launch(kernel, LaunchConfig::new(GRID, BLOCK));
     let took = (gpu.now() - start).as_nanos();
-    (report, took, kernel.native.load(Ordering::Relaxed) - native)
+    (report, took, kernel.native.get() - native)
 }
 
 /// The report of a launch over `src` on a fresh device.

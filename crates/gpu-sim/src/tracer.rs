@@ -225,21 +225,6 @@ impl LaunchCounters {
         self.smem_accesses = s(self.smem_accesses);
         self.atomics = s(self.atomics);
     }
-
-    /// Merge counters from another executor thread (parallel blocks).
-    pub(crate) fn merge(&mut self, other: &LaunchCounters) {
-        self.traced_warps += other.traced_warps;
-        for i in 0..OP_KINDS {
-            self.ops[i] += other.ops[i];
-        }
-        self.branches += other.branches;
-        self.branch_sites += other.branch_sites;
-        self.divergent_sites += other.divergent_sites;
-        self.gmem_accesses += other.gmem_accesses;
-        self.gmem_transactions += other.gmem_transactions;
-        self.smem_accesses += other.smem_accesses;
-        self.atomics += other.atomics;
-    }
 }
 
 #[cfg(test)]

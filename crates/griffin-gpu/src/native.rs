@@ -33,9 +33,8 @@ thread_local! {
 }
 
 /// Runs `f` on this host thread's four scratch vectors, emptied. Their
-/// capacity lives as long as the thread: on the launch's caller a twin
-/// allocates only while it first grows them, while the helper threads of
-/// a fanned-out launch are spawned per launch and grow fresh ones.
+/// capacity lives as long as the thread, which is the launch's caller: a
+/// twin allocates only while it first grows them.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut [Vec<u32>; 4]) -> R) -> R {
     SCRATCH.with_borrow_mut(|scratch| {
         scratch.iter_mut().for_each(Vec::clear);
@@ -63,7 +62,6 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
     use std::fmt::Debug;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     use griffin_codec::Codec;
@@ -113,8 +111,8 @@ mod tests {
             Mode::Images => {
                 let imaged = Imaged {
                     kernel,
-                    images: Mutex::default(),
-                    lanes: Mutex::default(),
+                    images: RefCell::default(),
+                    lanes: RefCell::default(),
                 };
                 let report = gpu.launch(&imaged, lc)?;
                 imaged.check(lc);
@@ -145,16 +143,15 @@ mod tests {
         }
     }
 
-    /// A kernel whose twin runs, and is counted when it does on this
-    /// thread (a launch fanned out over helpers counts the caller's share).
-    /// It also counts, over every thread, the lanes that run and the
-    /// threads of the blocks the twin ran that are not in a sampled warp.
+    /// A kernel whose twin runs, and is counted, per kernel name, when it
+    /// does. It also counts the lanes that run and the threads of the
+    /// blocks the twin ran that are not in a sampled warp.
     struct Counted<'a, K> {
         kernel: &'a K,
         warp_size: u32,
         stride: u64,
-        lanes: AtomicU64,
-        skipped: AtomicU64,
+        lanes: Cell<u64>,
+        skipped: Cell<u64>,
     }
 
     impl<'a, K: Kernel> Counted<'a, K> {
@@ -163,8 +160,8 @@ mod tests {
                 kernel,
                 warp_size: cfg.warp_size,
                 stride: u64::from(cfg.trace_sample_stride.max(1)),
-                lanes: AtomicU64::new(0),
-                skipped: AtomicU64::new(0),
+                lanes: Cell::new(0),
+                skipped: Cell::new(0),
             }
         }
 
@@ -177,8 +174,8 @@ mod tests {
                 return;
             }
             assert_eq!(
-                self.lanes.load(Ordering::Relaxed),
-                lc.total_threads() - self.skipped.load(Ordering::Relaxed),
+                self.lanes.get(),
+                lc.total_threads() - self.skipped.get(),
                 "threads run lane by lane by {}",
                 self.kernel.name()
             );
@@ -198,7 +195,7 @@ mod tests {
         }
         fn run_phase(&self, phase: usize, t: &mut ThreadCtx<'_>, state: &mut K::State) {
             if phase == 0 {
-                self.lanes.fetch_add(1, Ordering::Relaxed);
+                self.lanes.set(self.lanes.get() + 1);
             }
             self.kernel.run_phase(phase, t, state)
         }
@@ -217,7 +214,7 @@ mod tests {
                     .map(|w| self.warp_size.min(bd - w * self.warp_size))
                     .sum();
                 self.skipped
-                    .fetch_add(u64::from(bd - sampled), Ordering::Relaxed);
+                    .set(self.skipped.get() + u64::from(bd - sampled));
             }
             ran
         }
@@ -230,7 +227,7 @@ mod tests {
     }
 
     /// Per block and phase, shared memory at the barrier before it.
-    type Barriers = Mutex<BTreeMap<(u32, usize), Vec<u32>>>;
+    type Barriers = RefCell<BTreeMap<(u32, usize), Vec<u32>>>;
 
     /// A kernel with barrier images whose twin, offered every block, only
     /// records the images (over words that are none of them) and declines,
@@ -250,11 +247,11 @@ mod tests {
             if self.kernel.barrier_images().is_none() {
                 return;
             }
-            let images = self.images.lock().unwrap();
+            let images = self.images.borrow();
             let every: Vec<_> = (0..lc.grid_dim)
                 .flat_map(|b| (1..self.phases()).map(move |p| (b, p)))
                 .collect();
-            let lanes = self.lanes.lock().unwrap();
+            let lanes = self.lanes.borrow();
             for barriers in [&images, &lanes] {
                 assert!(barriers.keys().eq(&every), "{}: every barrier", self.name());
             }
@@ -280,10 +277,7 @@ mod tests {
             if t.thread_idx == 0 && phase > 0 && self.kernel.barrier_images().is_some() {
                 let words = self.shared_mem_words(t.block_dim);
                 let shared = (0..words).map(|i| t.ld_shared(i)).collect();
-                self.lanes
-                    .lock()
-                    .unwrap()
-                    .insert((t.block_idx, phase), shared);
+                self.lanes.borrow_mut().insert((t.block_idx, phase), shared);
             }
             self.kernel.run_phase(phase, t, state)
         }
@@ -295,7 +289,7 @@ mod tests {
             for phase in 1..self.phases() {
                 let mut shared = vec![0xA5A5_A5A5; words];
                 images.image(block, phase, mem, &mut shared);
-                self.images.lock().unwrap().insert((block, phase), shared);
+                self.images.borrow_mut().insert((block, phase), shared);
             }
             false
         }
