@@ -57,7 +57,8 @@ pub fn decode_n(
 ) -> Result<usize, CodecError> {
     let start = out.len();
     let mut p = pos;
-    out.reserve(n);
+    // `n` may come off the stream: every value takes at least one byte.
+    out.reserve(n.min(bytes.len().saturating_sub(pos)));
     for _ in 0..n {
         match decode_u32(bytes, p) {
             Ok((v, np)) => {
@@ -166,6 +167,17 @@ mod tests {
         // decode_n leaves out untouched on failure.
         let mut out = vec![5u32];
         assert!(decode_n(&[0x01, 0x80], 0, 2, &mut out).is_err());
+        assert_eq!(out, vec![5]);
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_is_truncated_not_an_allocation() {
+        // Reserving `n` up front would ask for 16 GiB and abort.
+        let mut out = vec![5u32];
+        assert_eq!(
+            decode_n(&[0x01, 0x02], 0, u32::MAX as usize, &mut out),
+            Err(CodecError::Truncated)
+        );
         assert_eq!(out, vec![5]);
     }
 }

@@ -154,6 +154,8 @@ pub fn phrase_filter(
             scratch,
         );
         let bl = list.docs.block_len;
+        // `m.b_idx` ascends, so each block's positions are read once.
+        let mut cursor = list.position_cursor();
         let mut next_cand = Vec::with_capacity(m.len());
         let mut next_scores = Vec::with_capacity(m.len());
         let mut next_starts = Vec::with_capacity(m.len());
@@ -161,7 +163,7 @@ pub fn phrase_filter(
             let ai = m.a_idx[k] as usize;
             let gi = gi as usize;
             pos_buf.clear();
-            let varints = list.positions_into(gi / bl, gi % bl, &mut pos_buf);
+            let varints = cursor.positions_into(gi / bl, gi % bl, &mut pos_buf);
             w.varint_elements += varints as u64;
             let keep: Vec<u32> = if j == 0 {
                 pos_buf.clone()

@@ -15,9 +15,9 @@ use crate::storage::InvertedIndex;
 pub struct IndexBuilder {
     dictionary: Dictionary,
     postings: Vec<Vec<Posting>>,
-    /// Token positions parallel to `postings`: `positions[t][i]` are the
-    /// in-document offsets behind `postings[t][i]` (phrase queries).
-    positions: Vec<Vec<Vec<u32>>>,
+    /// Token positions behind `postings`, flat per term: `postings[t][i]`
+    /// owns the next `tf` values of `positions[t]` (phrase queries).
+    positions: Vec<Vec<u32>>,
     doc_lens: Vec<u32>,
     next_docid: DocId,
     codec: Codec,
@@ -67,7 +67,7 @@ impl IndexBuilder {
                 docid,
                 tf: positions.len() as u32,
             });
-            self.positions[tid.0 as usize].push(positions);
+            self.positions[tid.0 as usize].extend_from_slice(&positions);
         }
         docid
     }
@@ -86,7 +86,14 @@ impl IndexBuilder {
             .iter()
             .zip(&self.positions)
             .map(|(ps, pos)| {
-                CompressedPostingList::compress_with_positions(ps, pos, self.codec, self.block_len)
+                let counts: Vec<u32> = ps.iter().map(|p| p.tf).collect();
+                CompressedPostingList::compress_with_positions(
+                    ps,
+                    pos,
+                    &counts,
+                    self.codec,
+                    self.block_len,
+                )
             })
             .collect();
         InvertedIndex::new(

@@ -67,8 +67,9 @@ impl ShardPlan {
 /// Each view holds only its range's postings (with term frequencies and
 /// positions) but scores with the full corpus statistics, so running any
 /// query against every shard and merging the top-k's is bit-exact with
-/// running it unsharded. Construction cost is one decompress +
-/// re-compress pass per (term, shard).
+/// running it unsharded. Construction cost is one decompress pass per
+/// term (positions read forward once) and one re-compress per (term,
+/// shard).
 pub fn partition(index: &InvertedIndex, plan: &ShardPlan) -> Vec<InvertedIndex> {
     let codec: Codec = index.codec();
     let block_len = index.block_len();
@@ -80,10 +81,22 @@ pub fn partition(index: &InvertedIndex, plan: &ShardPlan) -> Vec<InvertedIndex> 
     let mut shard_lists: Vec<Vec<CompressedPostingList>> = (0..plan.num_shards())
         .map(|_| Vec::with_capacity(num_terms))
         .collect();
-    let mut positions: Vec<u32> = Vec::new();
+    let (mut positions, mut counts, mut starts) = (Vec::new(), Vec::new(), Vec::new());
     for t in 0..num_terms {
         let list = index.list(crate::dictionary::TermId(t as u32));
         let (docids, tfs) = list.decompress();
+        // Every posting's positions, flat, in one forward pass: posting
+        // `i` owns the `counts[i]` values from `positions[starts[i]]`.
+        positions.clear();
+        counts.clear();
+        starts.clear();
+        starts.push(0);
+        let mut cursor = list.position_cursor();
+        for i in 0..docids.len() {
+            cursor.positions_into(i / block_len, i % block_len, &mut positions);
+            counts.push((positions.len() - starts[i]) as u32);
+            starts.push(positions.len());
+        }
         for (s, shard) in shard_lists.iter_mut().enumerate() {
             let range = plan.range(s);
             let lo = docids.partition_point(|&d| d < range.start);
@@ -94,14 +107,12 @@ pub fn partition(index: &InvertedIndex, plan: &ShardPlan) -> Vec<InvertedIndex> 
                     tf: tfs[i],
                 })
                 .collect();
-            let mut pos: Vec<Vec<u32>> = Vec::with_capacity(hi - lo);
-            for i in lo..hi {
-                positions.clear();
-                list.positions_into(i / block_len, i % block_len, &mut positions);
-                pos.push(positions.clone());
-            }
             shard.push(CompressedPostingList::compress_with_positions(
-                &postings, &pos, codec, block_len,
+                &postings,
+                &positions[starts[lo]..starts[hi]],
+                &counts[lo..hi],
+                codec,
+                block_len,
             ));
         }
     }
@@ -187,10 +198,11 @@ mod tests {
         let term = index.lookup("t1").unwrap();
         for shard in &shards {
             let list = shard.list(term);
+            let mut cursor = list.position_cursor();
             let mut out = Vec::new();
             for i in 0..list.len() {
                 out.clear();
-                list.positions_into(i / shard.block_len(), i % shard.block_len(), &mut out);
+                cursor.positions_into(i / shard.block_len(), i % shard.block_len(), &mut out);
                 assert_eq!(out, vec![1]);
             }
         }

@@ -271,6 +271,7 @@ mod tests {
         let idx = InvertedIndex::from_docid_lists(&lists, 100, Codec::EliasFano, 128);
         let mut out = Vec::new();
         idx.list(idx.lookup("t1").unwrap())
+            .position_cursor()
             .positions_into(0, 0, &mut out);
         assert_eq!(out, vec![1]);
     }
