@@ -26,11 +26,13 @@ use crate::intersect::{self, QueryScratch};
 
 /// Union of two scored intermediates: every docID of either side, scores
 /// added (left + right) where both sides contain the document.
+///
+/// Charges `merge_steps` as the two-pointer merge does, in closed form:
+/// the loop's steps plus both tails, which is one per output document.
 pub fn union(a: &Intermediate, b: &Intermediate, w: &mut WorkCounters) -> Intermediate {
     let mut out = Intermediate::default();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        w.merge_steps += 1;
         match a.docids[i].cmp(&b.docids[j]) {
             std::cmp::Ordering::Less => {
                 out.docids.push(a.docids[i]);
@@ -50,63 +52,55 @@ pub fn union(a: &Intermediate, b: &Intermediate, w: &mut WorkCounters) -> Interm
             }
         }
     }
-    w.merge_steps += (a.len() - i) as u64 + (b.len() - j) as u64;
     out.docids.extend_from_slice(&a.docids[i..]);
     out.scores.extend_from_slice(&a.scores[i..]);
     out.docids.extend_from_slice(&b.docids[j..]);
     out.scores.extend_from_slice(&b.scores[j..]);
+    w.merge_steps += out.len() as u64;
     w.emitted += out.len() as u64;
     out
 }
 
 /// Difference `a \ b`: the left side's documents not present in the right
 /// side, left scores carried unchanged (NOT filters, it never rescores).
+///
+/// Charges `merge_steps` as the two-pointer merge does, in closed form:
+/// the loop's steps plus the left side's tail.
 pub fn difference(a: &Intermediate, b: &Intermediate, w: &mut WorkCounters) -> Intermediate {
-    let mut out = Intermediate::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        w.merge_steps += 1;
-        match a.docids[i].cmp(&b.docids[j]) {
-            std::cmp::Ordering::Less => {
-                out.docids.push(a.docids[i]);
-                out.scores.push(a.scores[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
+    let m = intersect::match_walk(&a.docids, &b.docids);
+    let (_, b_end) = intersect::merge_stop(&a.docids, &b.docids);
+    let mut out = Intermediate {
+        docids: Vec::with_capacity(a.len() - m.len()),
+        scores: Vec::with_capacity(a.len() - m.len()),
+    };
+    let mut from = 0usize;
+    for &hit in m.a_idx.iter().chain(&[a.len() as u32]) {
+        let hit = hit as usize;
+        out.docids.extend_from_slice(&a.docids[from..hit]);
+        out.scores.extend_from_slice(&a.scores[from..hit]);
+        from = hit + 1;
     }
-    w.merge_steps += (a.len() - i) as u64;
-    out.docids.extend_from_slice(&a.docids[i..]);
-    out.scores.extend_from_slice(&a.scores[i..]);
+    w.merge_steps += (a.len() + b_end - m.len()) as u64;
     w.emitted += out.len() as u64;
     out
 }
 
 /// Intersection of two already-materialized scored sets (an AND whose
 /// children are sub-plans rather than raw posting lists): common docIDs,
-/// scores added (left + right).
+/// scores added (left + right). Charges `merge_steps` like
+/// [`intersect::merge_intersect`].
 pub fn intersect_sets(a: &Intermediate, b: &Intermediate, w: &mut WorkCounters) -> Intermediate {
-    let mut out = Intermediate::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        w.merge_steps += 1;
-        match a.docids[i].cmp(&b.docids[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.docids.push(a.docids[i]);
-                out.scores.push(a.scores[i] + b.scores[j]);
-                i += 1;
-                j += 1;
-            }
-        }
+    let m = intersect::merge_intersect(&a.docids, &b.docids, w);
+    let scores = m
+        .a_idx
+        .iter()
+        .zip(&m.b_idx)
+        .map(|(&i, &j)| a.scores[i as usize] + b.scores[j as usize])
+        .collect();
+    Intermediate {
+        docids: m.docids,
+        scores,
     }
-    w.emitted += out.len() as u64;
-    out
 }
 
 /// Positional phrase filter: keeps the candidates of `inter` in which

@@ -306,8 +306,8 @@ fn corrupt(block: usize, posting: usize, e: CodecError) -> ! {
 
 /// Moves past `n` VByte values starting at `pos` by counting their
 /// terminator bytes; returns the position after the last. Fails like
-/// [`varint::decode_u32`] would: on a value longer than five bytes or
-/// one that runs past the end of `bytes`.
+/// [`varint::decode_u32`] would: on a value past the 32-bit range (a
+/// fifth byte above `0x0F`) or one that runs past the end of `bytes`.
 fn skip_varints(bytes: &[u8], pos: usize, n: usize) -> Result<usize, CodecError> {
     let mut p = pos;
     for _ in 0..n {
@@ -315,13 +315,13 @@ fn skip_varints(bytes: &[u8], pos: usize, n: usize) -> Result<usize, CodecError>
         loop {
             let byte = *bytes.get(p).ok_or(CodecError::Truncated)?;
             p += 1;
+            if width == 4 && byte > 0x0F {
+                return Err(CodecError::MalformedVarint);
+            }
             if byte & 0x80 == 0 {
                 break;
             }
             width += 1;
-            if width == 5 {
-                return Err(CodecError::MalformedVarint);
-            }
         }
     }
     Ok(p)
@@ -593,11 +593,20 @@ mod tests {
         varint::encode_slice(&[0, 127, 128, 1 << 20, u32::MAX], &mut bytes);
         assert_eq!(skip_varints(&bytes, 0, 5), Ok(bytes.len()));
         assert_eq!(skip_varints(&bytes, 0, 6), Err(CodecError::Truncated));
-        let overlong = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
-        assert_eq!(
-            skip_varints(&overlong, 0, 1),
-            Err(CodecError::MalformedVarint)
-        );
+        for overlong in [
+            &[0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01][..],
+            &[0x80, 0x80, 0x80, 0x80, 0x10],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0x7F],
+        ] {
+            assert_eq!(
+                skip_varints(overlong, 0, 1),
+                Err(CodecError::MalformedVarint)
+            );
+            assert_eq!(
+                varint::decode_u32(overlong, 0),
+                Err(CodecError::MalformedVarint)
+            );
+        }
     }
 
     /// The encoder before positions were passed flat: one `Vec` per
