@@ -40,7 +40,13 @@ fn main() {
             let (short, long) = gen_ratio_pair(&mut rng, group, 400_000, 0.3, 20_000_000);
             let compressed = BlockedList::compress(&long, Codec::PforDelta, DEFAULT_BLOCK_LEN);
             let mut w = WorkCounters::default();
-            skip_intersect(&short, &compressed, &mut w);
+            skip_intersect(
+                &short,
+                &compressed,
+                0..compressed.num_blocks(),
+                None,
+                &mut w,
+            );
             for (name, v) in w.named() {
                 telemetry.counter_add(&format!("griffin_cpu_work_total{{counter=\"{name}\"}}"), v);
             }

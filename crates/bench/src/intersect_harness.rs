@@ -91,7 +91,13 @@ pub fn time_algo(gpu: &Gpu, model: &CpuCostModel, pair: &Pair, algo: Algo) -> Vi
         }
         Algo::CpuSkip => {
             let mut w = WorkCounters::default();
-            let m = skip_intersect(&pair.short, &pair.long_pfor, &mut w);
+            let m = skip_intersect(
+                &pair.short,
+                &pair.long_pfor,
+                0..pair.long_pfor.num_blocks(),
+                None,
+                &mut w,
+            );
             assert_eq!(m.len(), pair.expected);
             model.time(&w)
         }

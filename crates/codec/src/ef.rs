@@ -76,24 +76,11 @@ impl<'a> EfBlockRef<'a> {
     /// has `p - k` zeros before it, which is the element's high part, and
     /// its low part is one packed read. Element `i` is what a bit-serial
     /// reader produces reading its unary code, then its `b` low bits; so
-    /// both streams are sized first, and the first element they cannot
-    /// supply names the error: [`CodecError::UnaryOverrun`] if it is short
-    /// of a one, else [`CodecError::Truncated`].
+    /// both streams are sized first ([`EfBlockRef::check_streams`]).
     pub fn decode_into(&self, base: u32, out: &mut Vec<u32>) -> Result<(), CodecError> {
+        self.check_streams()?;
         let count = self.count as usize;
         let b = self.b;
-        let ones: usize = self.hb_words.iter().map(|w| w.count_ones() as usize).sum();
-        let lows = match b {
-            0 => usize::MAX,
-            b => self.lb_words.len() * 32 / b as usize,
-        };
-        if ones.min(lows) < count {
-            return Err(if ones <= lows {
-                CodecError::UnaryOverrun
-            } else {
-                CodecError::Truncated
-            });
-        }
         out.reserve(count);
         let mut k = 0usize;
         for (wi, &word) in self.hb_words.iter().enumerate() {
@@ -108,6 +95,28 @@ impl<'a> EfBlockRef<'a> {
             if k == count {
                 break;
             }
+        }
+        Ok(())
+    }
+
+    /// Whether both streams hold `count` elements. The first element they
+    /// cannot supply names the error: [`CodecError::UnaryOverrun`] if the
+    /// high-bits stream is short of its one, else
+    /// [`CodecError::Truncated`]. Every EF decoder checks this before it
+    /// writes, so all of them fail alike on a corrupt block.
+    pub fn check_streams(&self) -> Result<(), CodecError> {
+        let count = self.count as usize;
+        let ones: usize = self.hb_words.iter().map(|w| w.count_ones() as usize).sum();
+        let lows = match self.b {
+            0 => usize::MAX,
+            b => self.lb_words.len() * 32 / b as usize,
+        };
+        if ones.min(lows) < count {
+            return Err(if ones <= lows {
+                CodecError::UnaryOverrun
+            } else {
+                CodecError::Truncated
+            });
         }
         Ok(())
     }

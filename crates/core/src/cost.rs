@@ -79,7 +79,8 @@ const SERIAL_DECODE_GMEM_ACCESSES: f64 = 512.0;
 /// list removes. A skip probe is roughly half navigation (gallop over the
 /// skip array + in-block binary search) and half candidate-block decode;
 /// with the decoded list resident in the host cache the decode half
-/// vanishes (see `griffin_cpu::intersect::skip_intersect_range_cached`).
+/// vanishes (see `griffin_cpu::intersect::skip_intersect`, which reads
+/// candidate blocks from that copy instead of decoding them).
 const CACHED_SKIP_DISCOUNT: f64 = 0.5;
 
 /// Issue/latency-bound device cycles per long-list element across the

@@ -4,9 +4,7 @@
 use std::cell::{Cell, RefCell};
 
 use griffin_cpu::engine::Strategy;
-use griffin_cpu::{
-    setops, CacheStats, CpuEngine, Intermediate, PruneStats, QueryScratch, WorkCounters,
-};
+use griffin_cpu::{setops, CacheStats, CpuEngine, Intermediate, PruneStats, WorkCounters};
 use griffin_gpu::{DeviceIntermediate, GpuEngine, GpuError, GpuStrategy, HullLedger};
 use griffin_gpu_sim::{Gpu, Scope, StreamKind, VirtualNanos};
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
@@ -230,10 +228,6 @@ pub struct Griffin<'g> {
     /// model's split fraction from measured lane imbalance, so repeated
     /// splits converge on lanes that finish together.
     balancer: RefCell<SplitBalancer>,
-    /// Per-engine decode/gather scratch, reused across every CPU
-    /// intersection (buffers are cleared between operations, never
-    /// shrunk, so steady-state queries stop allocating).
-    scratch: RefCell<QueryScratch>,
     /// The top cache tier: whole-query results keyed on the canonical
     /// request signature. Off by default; see [`Griffin::set_result_cache`].
     result_cache: RefCell<ResultCache>,
@@ -258,7 +252,6 @@ impl<'g> Griffin<'g> {
             telemetry: Telemetry::disabled(),
             overlap: true,
             balancer: RefCell::new(SplitBalancer::default()),
-            scratch: RefCell::new(QueryScratch::default()),
             result_cache: RefCell::default(),
             index_epoch: Cell::new(0),
         }
@@ -660,12 +653,9 @@ impl<'g> Griffin<'g> {
         // the host chain runs its prefix in the same order, and the
         // engines' bit-equivalence reproduces exactly the intermediate
         // the device held when it failed.
-        let host = self.cpu.eval_chain(
-            index,
-            &planned[..=completed],
-            &mut run.host,
-            &mut self.scratch.borrow_mut(),
-        );
+        let host = self
+            .cpu
+            .eval_chain(index, &planned[..=completed], &mut run.host);
         (host, spent + self.price_host(run))
     }
 
@@ -957,13 +947,7 @@ impl<'g> Griffin<'g> {
             PlanNode::Chain { terms, .. } => self.chain(index, terms, mode, run),
             PlanNode::Phrase { terms, .. } => {
                 let inter = self.chain(index, terms, mode, run);
-                let out = setops::phrase_filter(
-                    index,
-                    terms,
-                    &inter,
-                    &mut run.host,
-                    &mut self.scratch.borrow_mut(),
-                );
+                let out = setops::phrase_filter(index, terms, &inter, &mut run.host);
                 self.host_step(run, StepOp::PhraseCheck, out.len());
                 out
             }
@@ -1035,9 +1019,7 @@ impl<'g> Griffin<'g> {
             }
             ExecMode::CpuOnly => {}
         }
-        let host = self
-            .cpu
-            .eval_chain(index, terms, &mut run.host, &mut self.scratch.borrow_mut());
+        let host = self.cpu.eval_chain(index, terms, &mut run.host);
         self.host_step(run, StepOp::Exec, host.len());
         host
     }
@@ -1084,14 +1066,9 @@ impl<'g> Griffin<'g> {
         host: &Intermediate,
         term: TermId,
     ) -> (Inter, VirtualNanos, Proc) {
-        let out = self.cpu.intersect_step_with(
-            index,
-            host,
-            term,
-            Strategy::Auto,
-            &mut run.host,
-            &mut self.scratch.borrow_mut(),
-        );
+        let out = self
+            .cpu
+            .intersect_step(index, host, term, Strategy::Auto, &mut run.host);
         (Inter::Host(out), self.price_host(run), Proc::Cpu)
     }
 
@@ -1201,14 +1178,10 @@ impl<'g> Griffin<'g> {
                 docids: host.docids[cut..].to_vec(),
                 scores: host.scores[cut..].to_vec(),
             };
-            Some(self.cpu.intersect_step_range(
-                index,
-                &tail,
-                term,
-                split_block..nb,
-                &mut run.host,
-                &mut self.scratch.borrow_mut(),
-            ))
+            Some(
+                self.cpu
+                    .intersect_step_range(index, &tail, term, split_block..nb, &mut run.host),
+            )
         } else {
             None
         };
@@ -1223,14 +1196,9 @@ impl<'g> Griffin<'g> {
                 docids: host.docids[..cut].to_vec(),
                 scores: host.scores[..cut].to_vec(),
             };
-            let rerun = self.cpu.intersect_step_range(
-                index,
-                &head,
-                term,
-                0..split_block,
-                &mut run.host,
-                &mut self.scratch.borrow_mut(),
-            );
+            let rerun =
+                self.cpu
+                    .intersect_step_range(index, &head, term, 0..split_block, &mut run.host);
             recovery_time = self.price_host(run);
             gpu_part = Some(rerun);
         }

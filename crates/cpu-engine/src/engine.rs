@@ -136,8 +136,8 @@ pub struct CpuEngine {
     /// invisible: an engine with it off is bit- and time-identical to one
     /// without it. On, bits are unchanged (the cached vector *is* the
     /// decode output) and every cached path charges exactly its decoding
-    /// twin's counters minus the decode work (see
-    /// `intersect::skip_intersect_range_cached`). Interior-mutable because
+    /// twin's counters minus the decode work (skip search reads it through
+    /// [`intersect::skip_intersect`]). Interior-mutable because
     /// every query entry point takes `&self`.
     host_cache: RefCell<Lru<TermId, Arc<Vec<u32>>>>,
 }
@@ -277,23 +277,8 @@ impl CpuEngine {
         strategy: Strategy,
         w: &mut WorkCounters,
     ) -> Intermediate {
-        let mut scratch = intersect::QueryScratch::default();
-        self.intersect_step_with(index, inter, term, strategy, w, &mut scratch)
-    }
-
-    /// [`CpuEngine::intersect_step`] with a caller-provided decode scratch,
-    /// so a query loop reuses the block/tf buffers across operations.
-    pub fn intersect_step_with(
-        &self,
-        index: &InvertedIndex,
-        inter: &Intermediate,
-        term: TermId,
-        strategy: Strategy,
-        w: &mut WorkCounters,
-        scratch: &mut intersect::QueryScratch,
-    ) -> Intermediate {
-        let matches = self.matches(index, &inter.docids, term, strategy, w, scratch);
-        self.score_matches(index, inter, term, matches, w, scratch)
+        let matches = self.matches(index, &inter.docids, term, strategy, w);
+        self.score_matches(index, inter, term, matches, w)
     }
 
     /// Finds `short`'s members in `term`'s whole list: the one place the
@@ -309,7 +294,6 @@ impl CpuEngine {
         term: TermId,
         strategy: Strategy,
         w: &mut WorkCounters,
-        scratch: &mut intersect::QueryScratch,
     ) -> Matches {
         let list = index.list(term);
         let strategy = match strategy {
@@ -324,9 +308,7 @@ impl CpuEngine {
             s => s,
         };
         match strategy {
-            Strategy::SkipBinary => {
-                self.skip_matches(index, short, term, 0..list.num_blocks(), w, scratch)
-            }
+            Strategy::SkipBinary => self.skip_matches(index, short, term, 0..list.num_blocks(), w),
             Strategy::Merge => {
                 let long = self.decoded_list(term, &list.docs, w);
                 intersect::merge_intersect(short, &long, w)
@@ -350,27 +332,15 @@ impl CpuEngine {
         term: TermId,
         blocks: Range<usize>,
         w: &mut WorkCounters,
-        scratch: &mut intersect::QueryScratch,
     ) -> Matches {
-        let docs = &index.list(term).docs;
-        match self.cached_decoded(term) {
-            Some(decoded) => intersect::skip_intersect_range_cached(
-                short,
-                docs,
-                &decoded,
-                blocks.start,
-                blocks.end,
-                w,
-            ),
-            None => intersect::skip_intersect_range_with(
-                short,
-                docs,
-                blocks.start,
-                blocks.end,
-                w,
-                scratch,
-            ),
-        }
+        let decoded = self.cached_decoded(term);
+        intersect::skip_intersect(
+            short,
+            &index.list(term).docs,
+            blocks,
+            decoded.as_deref().map(Vec::as_slice),
+            w,
+        )
     }
 
     /// The CPU lane of a co-executed split: intersects `inter` (already
@@ -387,10 +357,9 @@ impl CpuEngine {
         term: TermId,
         blocks: Range<usize>,
         w: &mut WorkCounters,
-        scratch: &mut intersect::QueryScratch,
     ) -> Intermediate {
-        let matches = self.skip_matches(index, &inter.docids, term, blocks, w, scratch);
-        self.score_matches(index, inter, term, matches, w, scratch)
+        let matches = self.skip_matches(index, &inter.docids, term, blocks, w);
+        self.score_matches(index, inter, term, matches, w)
     }
 
     /// Gathers the new term's tfs for the survivors and accumulates the
@@ -402,10 +371,9 @@ impl CpuEngine {
         term: TermId,
         matches: Matches,
         w: &mut WorkCounters,
-        scratch: &mut intersect::QueryScratch,
     ) -> Intermediate {
         let list = index.list(term);
-        let tfs = intersect::gather_tfs_with(list, &matches.b_idx, w, scratch);
+        let tfs = intersect::gather_tfs(list, &matches.b_idx, w);
         let bm25 = index.bm25();
         let idf = bm25.idf(index.num_docs(), index.scoring_df(term) as u32);
         let meta = index.meta();
@@ -434,7 +402,6 @@ impl CpuEngine {
         index: &InvertedIndex,
         terms: &[TermId],
         w: &mut WorkCounters,
-        scratch: &mut intersect::QueryScratch,
     ) -> Intermediate {
         let planned = self.plan(index, terms);
         let Some((&first, rest)) = planned.split_first() else {
@@ -445,7 +412,7 @@ impl CpuEngine {
             if inter.is_empty() {
                 break;
             }
-            inter = self.intersect_step_with(index, &inter, t, Strategy::Auto, w, scratch);
+            inter = self.intersect_step(index, &inter, t, Strategy::Auto, w);
         }
         inter
     }
@@ -473,14 +440,13 @@ impl CpuEngine {
         // The unpruned init decodes every seed block's tfs alongside.
         let mut tf_blocks_total = list0.num_blocks() as u64;
         let mut elem_idx: Vec<Vec<u32>> = vec![(0..docids.len() as u32).collect()];
-        let mut scratch = intersect::QueryScratch::default();
         for &t in rest {
             if docids.is_empty() {
                 break;
             }
             // The same choice as the unpruned chain, so the docID-side
             // work counters match it exactly.
-            let m = self.matches(index, &docids, t, Strategy::Auto, w, &mut scratch);
+            let m = self.matches(index, &docids, t, Strategy::Auto, w);
             // Distinct tf blocks the unpruned score_matches would decode
             // for this step's survivors (its gather is block-monotone).
             let bl = index.list(t).docs.block_len;
@@ -637,8 +603,7 @@ impl CpuEngine {
     /// Full conjunctive query: SvS over all terms, BM25, top-k.
     pub fn process_query(&self, index: &InvertedIndex, terms: &[TermId], k: usize) -> QueryOutput {
         let mut w = WorkCounters::default();
-        let mut scratch = intersect::QueryScratch::default();
-        let inter = self.eval_chain(index, terms, &mut w, &mut scratch);
+        let inter = self.eval_chain(index, terms, &mut w);
         let topk = topk::top_k(&inter.docids, &inter.scores, k, &mut w);
         QueryOutput {
             topk,
@@ -943,8 +908,7 @@ mod tests {
         let engine = CpuEngine::new();
         let q = tids(&idx, &["ppopp", "austria", "2018"]);
         let mut w = WorkCounters::default();
-        let mut scratch = intersect::QueryScratch::default();
-        let inter = engine.eval_chain(&idx, &q, &mut w, &mut scratch);
+        let inter = engine.eval_chain(&idx, &q, &mut w);
         let out = engine.process_query(&idx, &q, 100);
         // The whole query is the chain's work plus the ranking's.
         topk::top_k(&inter.docids, &inter.scores, 100, &mut w);

@@ -19,6 +19,7 @@
 //! term frequencies for scoring without re-searching.
 
 use std::mem::MaybeUninit;
+use std::ops::Range;
 
 use griffin_codec::BlockedList;
 use griffin_index::CompressedPostingList;
@@ -262,20 +263,6 @@ pub fn binary_intersect_decoded(a: &[u32], b: &[u32], w: &mut WorkCounters) -> M
     out
 }
 
-/// Reusable per-query decode scratch: the candidate-block buffer and the
-/// tf-decode buffer that [`skip_intersect`]/[`gather_tfs`] would otherwise
-/// allocate fresh on every pairwise operation. The hybrid engine keeps one
-/// per query and threads it through the `_with` entry points; buffers are
-/// cleared (not shrunk) between operations, so the high-water capacity is
-/// paid once per query instead of once per op.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    /// Decoded docids of the most recent candidate block.
-    pub block_buf: Vec<u32>,
-    /// Decoded term frequencies of the most recent tf block.
-    pub tf_buf: Vec<u32>,
-}
-
 /// Probes a binary-search halving loop would spend on an `n`-wide window:
 /// `ceil(log2(n + 1))`. Used only to report how much galloping saved.
 fn binary_probe_estimate(n: u64) -> u64 {
@@ -339,97 +326,43 @@ fn gallop_skip_search(
     lo
 }
 
-/// Skip-pointer intersection: `short` (decompressed) against `long`
-/// (compressed). Only candidate blocks of `long` are decompressed; a
-/// one-block cache exploits the monotone access pattern. Returned `b_idx`
-/// are global element indices into `long`.
-pub fn skip_intersect(short: &[u32], long: &BlockedList, w: &mut WorkCounters) -> Matches {
-    skip_intersect_range(short, long, 0, long.num_blocks(), w)
-}
-
-/// [`skip_intersect`] restricted to blocks `[lo_block, hi_block)` of the
-/// long list — the CPU lane of a co-executed split. `b_idx` stay *global*
-/// element indices, so partial results from disjoint ranges concatenate
-/// into exactly what the unrestricted call would return.
-pub fn skip_intersect_range(
-    short: &[u32],
-    long: &BlockedList,
-    lo_block: usize,
-    hi_block: usize,
-    w: &mut WorkCounters,
-) -> Matches {
-    let mut scratch = QueryScratch::default();
-    skip_intersect_range_with(short, long, lo_block, hi_block, w, &mut scratch)
-}
-
-/// [`skip_intersect_range`] with a caller-provided decode scratch.
-pub fn skip_intersect_range_with(
-    short: &[u32],
-    long: &BlockedList,
-    lo_block: usize,
-    hi_block: usize,
-    w: &mut WorkCounters,
-    scratch: &mut QueryScratch,
-) -> Matches {
-    let mut out = Matches::default();
-    let hi_block = hi_block.min(long.num_blocks());
-    if lo_block >= hi_block {
-        return out;
-    }
-    let mut cached_block = usize::MAX;
-    let block_buf = &mut scratch.block_buf;
-    let mut skip_lo = lo_block; // blocks before this can't match (short sorted)
-
-    for (i, &v) in short.iter().enumerate() {
-        let lo = gallop_skip_search(&long.skips, skip_lo, hi_block, v, w);
-        if lo >= hi_block {
-            break; // v and everything after it is beyond the range
-        }
-        skip_lo = lo;
-        let skip = &long.skips[lo];
-        if v < skip.first_docid {
-            continue; // falls in the gap before this block
-        }
-        if cached_block != lo {
-            block_buf.clear();
-            decode_block(long, lo, block_buf, w);
-            cached_block = lo;
-        }
-        if let Ok(pos) = crate::simd::find_in_sorted_block(block_buf, v, &mut w.probes) {
-            out.push(v, i, skip.elem_start as usize + pos);
-        }
-    }
-    w.emitted += out.len() as u64;
-    out
-}
-
-/// [`skip_intersect_range_with`] against a *host-cached decoded copy* of
-/// the long list: identical galloping skip search and in-block binary
-/// probes, but candidate "blocks" are slices of `decoded` instead of
-/// being decompressed on demand.
+/// Skip-pointer intersection: `short` (decompressed) against blocks
+/// `blocks` of `long` (compressed), all of them or the CPU lane's range
+/// of a co-executed split. Each element of `short` gallops the skip
+/// pointers to its candidate block and binary-searches inside it.
 ///
-/// `decoded` must be the full decode of `long` (what
-/// [`crate::decode::decode_list`] returns). The probe sequence mirrors
-/// the decoding variant exactly — same `skip_probes`, same in-block
-/// `probes`, same `emitted` — and only the per-block decode charges
-/// (`blocks_decoded`, `bytes_touched`, codec element counts) are
-/// omitted, so the result is bit-identical and the modelled time is
-/// provably never higher.
-pub fn skip_intersect_range_cached(
+/// A candidate block's docIDs come from `decoded`, the full decode of
+/// `long` (what [`crate::decode::decode_list`] returns, the host tier's
+/// copy), when it is given; otherwise the block is decompressed, once
+/// while the sorted `short` stays in it. The walk charges the same
+/// counters either way, minus the decode charges (`blocks_decoded`,
+/// `bytes_touched`, codec element counts) on a decoded copy, so a copy
+/// changes no bit and never raises the modelled time.
+///
+/// Returned `b_idx` are global element indices into `long`, so partial
+/// results from disjoint ranges concatenate into exactly what the whole
+/// range returns.
+pub fn skip_intersect(
     short: &[u32],
     long: &BlockedList,
-    decoded: &[u32],
-    lo_block: usize,
-    hi_block: usize,
+    blocks: Range<usize>,
+    decoded: Option<&[u32]>,
     w: &mut WorkCounters,
 ) -> Matches {
     let mut out = Matches::default();
-    let hi_block = hi_block.min(long.num_blocks());
-    if lo_block >= hi_block {
+    let hi_block = blocks.end.min(long.num_blocks());
+    if blocks.start >= hi_block {
         return out;
     }
-    debug_assert_eq!(decoded.len(), long.len(), "decoded copy must be complete");
-    let mut skip_lo = lo_block; // blocks before this can't match (short sorted)
+    debug_assert!(
+        decoded.is_none_or(|d| d.len() == long.len()),
+        "decoded copy must be complete"
+    );
+    // Grown to one block by the first decode (every decoder reserves its
+    // block's count), and not at all on a decoded copy.
+    let mut block_buf = Vec::new();
+    let mut cached_block = usize::MAX;
+    let mut skip_lo = blocks.start; // blocks before this can't match (short sorted)
 
     for (i, &v) in short.iter().enumerate() {
         let lo = gallop_skip_search(&long.skips, skip_lo, hi_block, v, w);
@@ -442,7 +375,17 @@ pub fn skip_intersect_range_cached(
             continue; // falls in the gap before this block
         }
         let start = skip.elem_start as usize;
-        let block = &decoded[start..start + skip.count as usize];
+        let block = match decoded {
+            Some(d) => &d[start..start + skip.count as usize],
+            None => {
+                if cached_block != lo {
+                    block_buf.clear();
+                    decode_block(long, lo, &mut block_buf, w);
+                    cached_block = lo;
+                }
+                &block_buf[..]
+            }
+        };
         if let Ok(pos) = crate::simd::find_in_sorted_block(block, v, &mut w.probes) {
             out.push(v, i, start + pos);
         }
@@ -454,19 +397,8 @@ pub fn skip_intersect_range_cached(
 /// Gathers the term frequencies of `long`-side matches. `b_idx` must be
 /// ascending (which [`skip_intersect`]/[`merge_intersect`] guarantee).
 pub fn gather_tfs(list: &CompressedPostingList, b_idx: &[u32], w: &mut WorkCounters) -> Vec<u32> {
-    let mut scratch = QueryScratch::default();
-    gather_tfs_with(list, b_idx, w, &mut scratch)
-}
-
-/// [`gather_tfs`] with a caller-provided decode scratch.
-pub fn gather_tfs_with(
-    list: &CompressedPostingList,
-    b_idx: &[u32],
-    w: &mut WorkCounters,
-    scratch: &mut QueryScratch,
-) -> Vec<u32> {
     let mut out = Vec::with_capacity(b_idx.len());
-    let tf_buf = &mut scratch.tf_buf;
+    let mut tf_buf = Vec::new();
     // The elements of the block in `tf_buf` (none yet).
     let mut cached = 0..0;
     for &gi in b_idx {
@@ -476,7 +408,7 @@ pub fn gather_tfs_with(
             // division is exact; it runs once per block, not per match.
             let blk = gi / list.docs.block_len;
             tf_buf.clear();
-            list.decode_block_into_tfs_only(blk, tf_buf);
+            list.decode_block_into_tfs_only(blk, &mut tf_buf);
             w.varint_elements += tf_buf.len() as u64;
             w.blocks_decoded += 1;
             let start = blk * list.docs.block_len;
@@ -545,21 +477,21 @@ mod tests {
         let short: Vec<u32> = (0..50u32).map(|i| i * 4001 + 7).collect();
         let long: Vec<u32> = (0..100_000u32).map(|i| i * 2 + 1).collect();
         let compressed = BlockedList::compress(&long, Codec::EliasFano, DEFAULT_BLOCK_LEN);
+        let nb = compressed.num_blocks();
 
         let mut w_merge = wc();
         let expect = merge_intersect(&short, &long, &mut w_merge);
 
         let mut w_skip = wc();
-        let got = skip_intersect(&short, &compressed, &mut w_skip);
+        let got = skip_intersect(&short, &compressed, 0..nb, None, &mut w_skip);
         assert_eq!(got.docids, expect.docids);
         assert_eq!(got.b_idx, expect.b_idx);
 
         // The whole point: far fewer blocks touched than exist.
         assert!(
-            w_skip.blocks_decoded < compressed.num_blocks() as u64 / 4,
-            "decoded {} of {} blocks",
+            w_skip.blocks_decoded < nb as u64 / 4,
+            "decoded {} of {nb} blocks",
             w_skip.blocks_decoded,
-            compressed.num_blocks()
         );
     }
 
@@ -570,7 +502,13 @@ mod tests {
         let long: Vec<u32> = (0..300u32).map(|i| i * 10).collect();
         let compressed = BlockedList::compress(&long, Codec::PforDelta, 128);
         let short = vec![5u32, 15, 1275, 2990, 5000, 6000];
-        let m = skip_intersect(&short, &compressed, &mut wc());
+        let m = skip_intersect(
+            &short,
+            &compressed,
+            0..compressed.num_blocks(),
+            None,
+            &mut wc(),
+        );
         assert_eq!(m.docids, vec![2990]);
     }
 
@@ -581,7 +519,7 @@ mod tests {
         assert!(merge_intersect(&empty, &some, &mut wc()).is_empty());
         assert!(binary_intersect_decoded(&empty, &some, &mut wc()).is_empty());
         let list = BlockedList::compress(&some, Codec::EliasFano, 128);
-        assert!(skip_intersect(&empty, &list, &mut wc()).is_empty());
+        assert!(skip_intersect(&empty, &list, 0..list.num_blocks(), None, &mut wc()).is_empty());
     }
 
     /// The pre-galloping skip search: a plain binary search over the full
@@ -874,11 +812,12 @@ mod tests {
             short.sort_unstable();
             short.dedup();
             let compressed = BlockedList::compress(&long, codec, DEFAULT_BLOCK_LEN);
+            let nb = compressed.num_blocks();
 
             let mut w_ref = wc();
             let expect = reference_skip_intersect(&short, &compressed, &mut w_ref);
             let mut w_gallop = wc();
-            let got = skip_intersect(&short, &compressed, &mut w_gallop);
+            let got = skip_intersect(&short, &compressed, 0..nb, None, &mut w_gallop);
 
             assert_eq!(got, expect, "codec {codec:?} short_n {short_n}");
             // Same candidate blocks decoded, same in-block probes.
@@ -895,11 +834,12 @@ mod tests {
         let long: Vec<u32> = (0..200_000u32).map(|i| i * 2).collect();
         let short: Vec<u32> = (0..4_000u32).map(|i| i * 7).collect();
         let compressed = BlockedList::compress(&long, Codec::EliasFano, DEFAULT_BLOCK_LEN);
+        let nb = compressed.num_blocks();
 
         let mut w_ref = wc();
         reference_skip_intersect(&short, &compressed, &mut w_ref);
         let mut w_gallop = wc();
-        skip_intersect(&short, &compressed, &mut w_gallop);
+        skip_intersect(&short, &compressed, 0..nb, None, &mut w_gallop);
 
         assert!(
             w_gallop.skip_probes < w_ref.skip_probes,
@@ -918,7 +858,7 @@ mod tests {
         let compressed = BlockedList::compress(&long, Codec::EliasFano, DEFAULT_BLOCK_LEN);
         let nb = compressed.num_blocks();
 
-        let full = skip_intersect(&short, &compressed, &mut wc());
+        let full = skip_intersect(&short, &compressed, 0..nb, None, &mut wc());
         for split in [0usize, 1, nb / 3, nb / 2, nb - 1, nb] {
             // Partition the short list at the boundary docid, mirroring the
             // engine's split: GPU lane takes blocks [0, split), CPU lane
@@ -929,23 +869,8 @@ mod tests {
                 u32::MAX
             };
             let cut = short.partition_point(|&v| v < boundary);
-            let mut scratch = QueryScratch::default();
-            let lo_part = skip_intersect_range_with(
-                &short[..cut],
-                &compressed,
-                0,
-                split,
-                &mut wc(),
-                &mut scratch,
-            );
-            let hi_part = skip_intersect_range_with(
-                &short[cut..],
-                &compressed,
-                split,
-                nb,
-                &mut wc(),
-                &mut scratch,
-            );
+            let lo_part = skip_intersect(&short[..cut], &compressed, 0..split, None, &mut wc());
+            let hi_part = skip_intersect(&short[cut..], &compressed, split..nb, None, &mut wc());
             let mut docids = lo_part.docids.clone();
             docids.extend_from_slice(&hi_part.docids);
             let mut b_idx = lo_part.b_idx.clone();
@@ -969,26 +894,23 @@ mod tests {
             let nb = compressed.num_blocks();
             for (lo, hi) in [(0usize, nb), (0, nb / 2), (nb / 3, nb), (nb / 2, nb / 2)] {
                 let mut w_dec = wc();
-                let mut scratch = QueryScratch::default();
-                let expect = skip_intersect_range_with(
-                    &short,
-                    &compressed,
-                    lo,
-                    hi,
-                    &mut w_dec,
-                    &mut scratch,
-                );
+                let expect = skip_intersect(&short, &compressed, lo..hi, None, &mut w_dec);
                 let mut w_cached = wc();
-                let got =
-                    skip_intersect_range_cached(&short, &compressed, &long, lo, hi, &mut w_cached);
+                let got = skip_intersect(&short, &compressed, lo..hi, Some(&long), &mut w_cached);
                 assert_eq!(got, expect, "codec {codec:?} range {lo}..{hi}");
-                // Identical search work, zero decode work.
-                assert_eq!(w_cached.skip_probes, w_dec.skip_probes);
-                assert_eq!(w_cached.probes, w_dec.probes);
-                assert_eq!(w_cached.emitted, w_dec.emitted);
-                assert_eq!(w_cached.blocks_decoded, 0);
-                assert_eq!(w_cached.bytes_touched, 0);
-                assert_eq!(w_cached.pfor_elements + w_cached.ef_elements, 0);
+                // Identical search work, zero decode work: every counter
+                // the decoding walk charges but the decode's own.
+                let search_only = WorkCounters {
+                    pfor_elements: 0,
+                    pfor_exceptions: 0,
+                    ef_elements: 0,
+                    varint_elements: 0,
+                    blocks_decoded: 0,
+                    bytes_touched: 0,
+                    ..w_dec
+                };
+                assert_eq!(w_cached, search_only, "codec {codec:?} range {lo}..{hi}");
+                assert!(w_dec.blocks_decoded > 0 || lo == hi);
             }
         }
     }

@@ -30,7 +30,7 @@ pub mod topk;
 
 pub use cost::{CpuConfig, CpuCostModel, WorkCounters};
 pub use engine::{ChainResult, CpuEngine, Intermediate, PruneStats, PrunedOutput, QueryOutput};
-pub use intersect::{Matches, QueryScratch};
+pub use intersect::Matches;
 pub use lru::{CacheStats, Lru};
 pub use rank::Bm25;
 pub use simd::{ForceMode, KernelPath};

@@ -22,7 +22,7 @@ use griffin_index::{InvertedIndex, TermId};
 
 use crate::cost::WorkCounters;
 use crate::engine::Intermediate;
-use crate::intersect::{self, QueryScratch};
+use crate::intersect;
 
 /// Union of two scored intermediates: every docID of either side, scores
 /// added (left + right) where both sides contain the document.
@@ -121,7 +121,6 @@ pub fn phrase_filter(
     phrase_terms: &[TermId],
     inter: &Intermediate,
     w: &mut WorkCounters,
-    scratch: &mut QueryScratch,
 ) -> Intermediate {
     if inter.is_empty() || phrase_terms.len() <= 1 {
         // A 1-term phrase is just that term: every candidate containing it
@@ -139,14 +138,7 @@ pub fn phrase_filter(
             break;
         }
         let list = index.list(t);
-        let m = intersect::skip_intersect_range_with(
-            &cand,
-            &list.docs,
-            0,
-            list.num_blocks(),
-            w,
-            scratch,
-        );
+        let m = intersect::skip_intersect(&cand, &list.docs, 0..list.num_blocks(), None, w);
         let bl = list.docs.block_len;
         // `m.b_idx` ascends, so each block's positions are read once.
         let mut cursor = list.position_cursor();
@@ -299,8 +291,7 @@ mod tests {
             .collect();
         let cands = scored_candidates(&idx, &terms);
         assert_eq!(cands.docids, vec![0, 1, 2, 3]);
-        let mut scratch = QueryScratch::default();
-        let out = phrase_filter(&idx, &terms, &cands, &mut wc(), &mut scratch);
+        let out = phrase_filter(&idx, &terms, &cands, &mut wc());
         assert_eq!(out.docids, vec![0, 2]);
         assert_eq!(out.scores, vec![1.0, 1.0]);
     }
@@ -314,8 +305,7 @@ mod tests {
             .collect();
         // Hand the filter every document, including ones without "and".
         let cands = inter(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]);
-        let mut scratch = QueryScratch::default();
-        let out = phrase_filter(&idx, &terms, &cands, &mut wc(), &mut scratch);
+        let out = phrase_filter(&idx, &terms, &cands, &mut wc());
         assert_eq!(out.docids, vec![0, 2]); // 1 has "cpu" after "and"; 3 not adjacent
     }
 
@@ -339,8 +329,7 @@ mod tests {
             docids: expect.clone(),
             scores: vec![0.5; expect.len()],
         };
-        let mut scratch = QueryScratch::default();
-        let out = phrase_filter(&idx, &[t0, t1], &cands, &mut wc(), &mut scratch);
+        let out = phrase_filter(&idx, &[t0, t1], &cands, &mut wc());
         assert_eq!(out.docids, expect);
     }
 
@@ -349,8 +338,7 @@ mod tests {
         let idx = phrase_index();
         let t = idx.lookup("cpu").unwrap();
         let cands = inter(&[(0, 1.0), (3, 2.0)]);
-        let mut scratch = QueryScratch::default();
-        let out = phrase_filter(&idx, &[t], &cands, &mut wc(), &mut scratch);
+        let out = phrase_filter(&idx, &[t], &cands, &mut wc());
         assert_eq!(out, cands);
     }
 
@@ -363,8 +351,7 @@ mod tests {
             .collect();
         let cands = scored_candidates(&idx, &terms);
         let mut w = wc();
-        let mut scratch = QueryScratch::default();
-        phrase_filter(&idx, &terms, &cands, &mut w, &mut scratch);
+        phrase_filter(&idx, &terms, &cands, &mut w);
         assert!(w.varint_elements > 0, "position decode must be charged");
     }
 }

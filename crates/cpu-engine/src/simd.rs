@@ -351,6 +351,9 @@ fn decode_ef_with(
     if path == KernelPath::Scalar {
         return blk.decode_into(base, out);
     }
+    // Sized first, as the scalar reader does, so a corrupt block fails
+    // with the same error on both paths and `out` is never written.
+    blk.check_streams()?;
     let count = blk.count as usize;
     let start = out.len();
     unpack_bits_into(blk.lb_words, count, blk.b, out, path);
@@ -361,10 +364,7 @@ fn decode_ef_with(
     let mut k = 0usize;
     for (wi, &word) in blk.hb_words.iter().enumerate() {
         let mut bits = word;
-        while bits != 0 {
-            if k == count {
-                break;
-            }
+        while bits != 0 && k < count {
             let tz = bits.trailing_zeros();
             let p = (wi * 32) as u32 + tz;
             let high = p - k as u32;
@@ -375,10 +375,6 @@ fn decode_ef_with(
         if k == count {
             break;
         }
-    }
-    if k < count {
-        out.truncate(start);
-        return Err(CodecError::Truncated);
     }
     Ok(())
 }
@@ -854,6 +850,96 @@ mod tests {
                     let mut got = Vec::new();
                     decode_ef_with(&parsed, base, &mut got, path).unwrap();
                     assert_eq!(got, expect, "n={n} base={base} {path:?}");
+                }
+            }
+        }
+    }
+
+    /// Decodes `words` as a `codec` block through the codec's reader and,
+    /// when the block parses, through [`decode_pfor_with`] /
+    /// [`decode_ef_with`] on every kernel path, each into an `out` that
+    /// already holds one value: all must return the same `Result` and
+    /// leave the same `out`, and an `Err` must leave `out` untouched.
+    fn assert_decodes_alike(codec: Codec, words: &[u32], base: u32, what: &str) {
+        const BEFORE: u32 = 0xDEAD_BEEF;
+        let mut expect = vec![BEFORE];
+        let expect_result = codec.decode_block(words, base, &mut expect);
+        if expect_result.is_err() {
+            assert_eq!(expect, [BEFORE], "{what}: codec reader wrote on Err");
+        }
+        for path in both_paths() {
+            let mut got = vec![BEFORE];
+            let result = match codec {
+                Codec::PforDelta => match PforBlockRef::parse(words) {
+                    Ok(blk) => decode_pfor_with(&blk, base, &mut got, path),
+                    Err(_) => return,
+                },
+                Codec::EliasFano => match EfBlockRef::parse(words) {
+                    Ok(blk) => decode_ef_with(&blk, base, &mut got, path),
+                    Err(_) => return,
+                },
+                Codec::Varint => unreachable!("VByte has its own reader tests"),
+            };
+            assert_eq!(result, expect_result, "{what}: {path:?} result");
+            assert_eq!(got, expect, "{what}: {path:?} out");
+        }
+    }
+
+    /// Every truncation of PforDelta and Elias–Fano blocks the seed draws,
+    /// and every single-bit flip of every word, decodes alike on both
+    /// kernel paths and through the codec's reader, without a panic
+    /// ([`assert_decodes_alike`]). Set `GRIFFIN_FAULT_SEED` to draw
+    /// others. Fails if the AVX2 EF decode reports a block short of a one
+    /// as `Truncated` where the scalar reader says `UnaryOverrun`, or
+    /// writes `out` before it knows the block is whole.
+    #[test]
+    fn corrupt_blocks_decode_alike_on_every_path() {
+        let seed = std::env::var("GRIFFIN_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xC0DE_B10C);
+        let mut rng = seed;
+        for codec in [Codec::PforDelta, Codec::EliasFano] {
+            for case in 0..6 {
+                let n = 1 + splitmix(&mut rng) as usize % 128;
+                let max_gap = [1u64, 3, 700, 1 << 20][case % 4];
+                let mut words = Vec::new();
+                match codec {
+                    Codec::PforDelta => {
+                        // Gaps with rare outliers, so blocks carry
+                        // exceptions.
+                        let gaps: Vec<u32> = (0..n)
+                            .map(|_| match splitmix(&mut rng) % 16 {
+                                0 => 1 << 28,
+                                _ => 1 + (splitmix(&mut rng) % max_gap) as u32,
+                            })
+                            .collect();
+                        PforBlock::encode(&gaps).to_words(&mut words);
+                    }
+                    _ => {
+                        let mut cur = 0u64;
+                        let rel: Vec<u32> = (0..n)
+                            .map(|_| {
+                                cur += 1 + splitmix(&mut rng) % max_gap;
+                                cur as u32
+                            })
+                            .collect();
+                        EfBlock::encode(&rel).to_words(&mut words);
+                    }
+                }
+                let base = splitmix(&mut rng) as u32 % 1000;
+                let what = |how: String| format!("seed {seed} {codec:?} case {case} {how}");
+                assert_decodes_alike(codec, &words, base, &what("intact".into()));
+                for len in 0..words.len() {
+                    assert_decodes_alike(codec, &words[..len], base, &what(format!("cut {len}")));
+                }
+                for wi in 0..words.len() {
+                    for bit in 0..32 {
+                        let mut bad = words.clone();
+                        bad[wi] ^= 1 << bit;
+                        let how = format!("word {wi} bit {bit}");
+                        assert_decodes_alike(codec, &bad, base, &what(how));
+                    }
                 }
             }
         }

@@ -38,7 +38,7 @@ proptest! {
         prop_assert_eq!(binary_intersect_decoded(&a, &b, &mut w).docids, reference.clone());
         for codec in [Codec::PforDelta, Codec::EliasFano] {
             let long = BlockedList::compress(&b, codec, DEFAULT_BLOCK_LEN);
-            prop_assert_eq!(skip_intersect(&a, &long, &mut w).docids, reference.clone());
+            prop_assert_eq!(skip_intersect(&a, &long, 0..long.num_blocks(), None, &mut w).docids, reference.clone());
         }
     }
 
@@ -84,7 +84,13 @@ fn skip_search_work_scales_with_short_list_not_long() {
             .map(|i| i * (3_000_000 / m as u32) + 1)
             .collect();
         let mut w = WorkCounters::default();
-        skip_intersect(&short, &compressed, &mut w);
+        skip_intersect(
+            &short,
+            &compressed,
+            0..compressed.num_blocks(),
+            None,
+            &mut w,
+        );
         times.push(model.time(&w).as_nanos() as f64);
     }
     let ratio = times[1] / times[0];
@@ -142,7 +148,13 @@ fn cost_model_orders_strategies_sensibly() {
 
     let tiny: Vec<u32> = (0..50u32).map(|i| i * 20_000).collect();
     let mut w_skip = WorkCounters::default();
-    skip_intersect(&tiny, &compressed, &mut w_skip);
+    skip_intersect(
+        &tiny,
+        &compressed,
+        0..compressed.num_blocks(),
+        None,
+        &mut w_skip,
+    );
     let mut w_merge = WorkCounters::default();
     decode_list(&compressed, &mut w_merge);
     merge_intersect(&tiny, &long, &mut w_merge);

@@ -37,9 +37,6 @@ impl LaunchConfig {
     }
 }
 
-/// Alias kept for readers used to CUDA's `dim3`; grids here are 1-D.
-pub type Dim = u32;
-
 /// A GPU kernel.
 ///
 /// A kernel executes `phases()` phases; between consecutive phases there is

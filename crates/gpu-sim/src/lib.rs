@@ -122,7 +122,7 @@ pub use clock::VirtualNanos;
 pub use config::{CostParams, DeviceConfig, PcieConfig};
 pub use device::{Gpu, LaunchReport};
 pub use fault::{DeviceError, FaultKind, FaultPlan};
-pub use kernel::{BarrierImages, BlockMem, Dim, Kernel, LaunchConfig, LaunchKey, ThreadCtx};
+pub use kernel::{BarrierImages, BlockMem, Kernel, LaunchConfig, LaunchKey, ThreadCtx};
 pub use mem::{DeviceBuffer, DeviceWord};
 pub use observe::{DeviceEvent, DeviceObserver, PoolStats, TransferDir};
 pub use scope::Scope;

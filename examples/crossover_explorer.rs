@@ -46,7 +46,7 @@ fn main() {
             let decoded = decode_list(&pfor, &mut w);
             merge_intersect(&short, &decoded, &mut w);
         } else {
-            skip_intersect(&short, &pfor, &mut w);
+            skip_intersect(&short, &pfor, 0..pfor.num_blocks(), None, &mut w);
         }
         let cpu_time = model.time(&w);
 

@@ -383,16 +383,20 @@ fn zipf_hit_count_is_monotone_in_result_cache_size() {
     assert!(last_hits > 0, "the Zipf head never hit an 8-entry cache");
 }
 
-// ----------------------------------------------------- scratch drive-by
+// ----------------------------------------------- cached and decoding walks
 
+/// A chain whose lists come from the host tier for none, all, or only
+/// the longest of its terms returns the same bits, and charges the same
+/// search, merge and scoring work: a decoded copy only removes decode
+/// charges. Fails if the skip walk reads a cached copy at the wrong
+/// offset, or searches it differently from a decoded block.
 #[test]
-fn mixed_cached_uncached_terms_keep_decode_scratch_flat() {
+fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
     use griffin_suite::griffin_cpu::engine::Strategy;
-    use griffin_suite::griffin_cpu::{QueryScratch, WorkCounters};
+    use griffin_suite::griffin_cpu::WorkCounters;
 
     let fx = fixture();
     let cpu = CpuEngine::new();
-    cpu.set_host_cache_budget(1 << 20);
     // The longest query gives the most intersect steps to mix over.
     let query = fx
         .queries
@@ -403,47 +407,44 @@ fn mixed_cached_uncached_terms_keep_decode_scratch_flat() {
     assert!(query.len() >= 2, "need a multi-term query");
     let order = cpu.plan(&fx.index, &query);
 
-    let run_once = |scratch: &mut QueryScratch| {
+    // Each step by the engine's own choice, then every step by skip
+    // search, which reads a cached list through the one skip walk; and
+    // the docID-only chain, whose provenance is where each match sits in
+    // each list (the fixture's tfs are all 1, so scores cannot show it).
+    let run_once = || {
         let mut w = WorkCounters::default();
-        let mut inter = cpu.init_intermediate(&fx.index, order[0], &mut w);
-        for &t in &order[1..] {
-            inter = cpu.intersect_step_with(&fx.index, &inter, t, Strategy::Auto, &mut w, scratch);
-        }
-        (inter.docids, inter.scores)
+        let provenance = cpu.docid_chain(&fx.index, &order, &mut w).elem_idx;
+        let steps = [Strategy::Auto, Strategy::SkipBinary].map(|strategy| {
+            let mut w = WorkCounters::default();
+            let mut inter = cpu.init_intermediate(&fx.index, order[0], &mut w);
+            for &t in &order[1..] {
+                inter = cpu.intersect_step(&fx.index, &inter, t, strategy, &mut w);
+            }
+            let bits: Vec<u32> = inter.scores.iter().map(|s| s.to_bits()).collect();
+            let search = [w.merge_steps, w.probes, w.skip_probes, w.scored, w.emitted];
+            ((inter.docids, bits), search)
+        });
+        (provenance, steps)
     };
 
-    // Pass 1 misses the host cache on every term and sets the scratch
-    // high-water mark.
-    let mut scratch = QueryScratch::default();
-    let cold = run_once(&mut scratch);
-    let capacities =
-        |s: &QueryScratch| -> (usize, usize) { (s.block_buf.capacity(), s.tf_buf.capacity()) };
-    let high_water = capacities(&scratch);
+    // Pass 1 with the host tier off: every list is decoded.
+    let cold = run_once();
+    assert!(cold.1[1].1[1] > 0, "no skip search probed a block");
 
-    // Pass 2: every list host-cached — decode is skipped entirely, and
-    // the scratch must be reused, never regrown.
+    // Pass 2: every list host-cached — decode is skipped entirely.
+    cpu.set_host_cache_budget(1 << 26);
     for &t in &order {
         assert!(cpu.warm_host_cache(&fx.index, t));
     }
-    let warm = run_once(&mut scratch);
+    let warm = run_once();
     assert_eq!(cold, warm, "host-cache hits changed the intersection");
-    assert_eq!(
-        capacities(&scratch),
-        high_water,
-        "an all-cached pass regrew the decode scratch"
-    );
 
-    // Pass 3: mixed — only the longest list is cached, the rest decode
-    // through the scratch again. Bits and capacities both hold.
+    // Pass 3: mixed — only the longest list is cached at first; the rest
+    // decode (and merges offer theirs to the tier).
     cpu.clear_host_cache();
     assert!(cpu.warm_host_cache(&fx.index, order[order.len() - 1]));
-    let mixed = run_once(&mut scratch);
+    let mixed = run_once();
     assert_eq!(cold, mixed, "a mixed cached/uncached pass changed bits");
-    assert_eq!(
-        capacities(&scratch),
-        high_water,
-        "a mixed cached/uncached pass regrew the decode scratch"
-    );
 }
 
 // ---------------------------------------------------------------- pin 6

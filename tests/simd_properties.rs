@@ -131,7 +131,8 @@ fn skip_intersection_identical_results_and_counters() {
         let run = |mode| {
             with_path(mode, || {
                 let mut w = WorkCounters::default();
-                let m = intersect::skip_intersect(&short, &list, &mut w);
+                let m =
+                    intersect::skip_intersect(&short, &list, 0..list.num_blocks(), None, &mut w);
                 (m.docids, m.a_idx, m.b_idx, w)
             })
         };
