@@ -116,8 +116,8 @@ pub trait Kernel {
     /// runs no lane through the tracer: every block goes to the native twin
     /// (a block the twin declines runs lane by lane, untraced), and the
     /// counters, the time and the clock come from the first run (DESIGN.md,
-    /// "Replayed launches"). The default declares nothing and returns
-    /// `false`: the launch is never replayed.
+    /// "How a launch executes on the host"). The default declares nothing
+    /// and returns `false`: the launch is never replayed.
     fn memo_key(&self, key: &mut LaunchKey) -> bool {
         let _ = key;
         false

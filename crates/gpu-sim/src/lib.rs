@@ -101,8 +101,6 @@
 //! assert_eq!(out[7], 14);
 //! ```
 
-#[cfg(test)]
-mod block_paths;
 pub mod clock;
 pub mod config;
 pub mod device;

@@ -6,7 +6,8 @@
 //! runs its sampled one only; that launch must be as flat: the image goes
 //! into the executor's shared memory, and nothing is allocated per block.
 //!
-//! One test only: the counter is process-wide.
+//! One test only: the counter is process-wide. It ends by holding the
+//! kernel's twin and image to its lanes with the conformance harness.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use griffin_gpu_sim::{
     BarrierImages, BlockMem, DeviceBuffer, DeviceConfig, Gpu, Kernel, LaunchConfig, ThreadCtx,
 };
+use griffin_sim_conformance::check;
 
 struct Counting;
 
@@ -155,4 +157,15 @@ fn the_second_identical_launch_allocates_a_constant_not_per_store() {
             assert_eq!(gpu.dtoh(out).unwrap(), expected, "stride {stride}");
         }
     }
+
+    let tally = check(&[("three-way".to_string(), ())], |gpu, ()| {
+        let out = [(); 3].map(|()| gpu.alloc::<u32>(words).unwrap());
+        let outputs = out.to_vec();
+        let kernel = ThreeWay {
+            out,
+            images: Cell::new(0),
+        };
+        (kernel, LaunchConfig::new(GRID, BLOCK), outputs)
+    });
+    assert!(tally.twin_blocks > 0 && tally.images > 0, "{tally:?}");
 }

@@ -138,11 +138,11 @@ impl ChainList {
 
 /// BM25 parameters in kernel-friendly form.
 #[derive(Clone, Copy)]
-pub(crate) struct ScoreParams {
-    pub(crate) idf: f32,
-    pub(crate) k1: f32,
-    pub(crate) b: f32,
-    pub(crate) avg_doc_len: f32,
+struct ScoreParams {
+    idf: f32,
+    k1: f32,
+    b: f32,
+    avg_doc_len: f32,
 }
 
 impl ScoreParams {
@@ -151,7 +151,7 @@ impl ScoreParams {
     /// bit-identical: the one definition the lanes and the native twins
     /// share.
     #[inline]
-    pub(crate) fn contribution(self, tf: u32, doc_len: f32) -> f32 {
+    fn contribution(self, tf: u32, doc_len: f32) -> f32 {
         let tf = tf as f32;
         let norm = if self.avg_doc_len > 0.0 {
             self.k1 * (1.0 - self.b + self.b * doc_len / self.avg_doc_len)
@@ -172,13 +172,13 @@ impl ScoreParams {
 }
 
 /// Initial scoring: `scores[i] = contribution(tf[i], doc_len(docids[i]))`.
-pub(crate) struct ScoreInitKernel {
-    pub(crate) docids: DeviceBuffer<u32>,
-    pub(crate) tfs: DeviceBuffer<u32>,
-    pub(crate) scores: DeviceBuffer<f32>,
-    pub(crate) doc_lens: Option<DeviceBuffer<u32>>,
-    pub(crate) p: ScoreParams,
-    pub(crate) n: usize,
+struct ScoreInitKernel {
+    docids: DeviceBuffer<u32>,
+    tfs: DeviceBuffer<u32>,
+    scores: DeviceBuffer<f32>,
+    doc_lens: Option<DeviceBuffer<u32>>,
+    p: ScoreParams,
+    n: usize,
 }
 
 /// A lane's BM25 term contribution, charged.
@@ -252,18 +252,18 @@ impl Kernel for ScoreInitKernel {
 
 /// Score accumulation after an intersection:
 /// `out[i] = old[a_idx[i]] + contribution(tf[b_idx[i]], doc_len)`.
-pub(crate) struct ScoreAccumKernel {
-    pub(crate) docids: DeviceBuffer<u32>,
-    pub(crate) old_scores: DeviceBuffer<f32>,
-    pub(crate) a_idx: DeviceBuffer<u32>,
+struct ScoreAccumKernel {
+    docids: DeviceBuffer<u32>,
+    old_scores: DeviceBuffer<f32>,
+    a_idx: DeviceBuffer<u32>,
     /// Indexed by `b_idx` (full) or by match (gathered).
-    pub(crate) tfs: DeviceBuffer<u32>,
+    tfs: DeviceBuffer<u32>,
     /// `None`: `tfs` is already match-aligned.
-    pub(crate) b_idx: Option<DeviceBuffer<u32>>,
-    pub(crate) out_scores: DeviceBuffer<f32>,
-    pub(crate) doc_lens: Option<DeviceBuffer<u32>>,
-    pub(crate) p: ScoreParams,
-    pub(crate) n: usize,
+    b_idx: Option<DeviceBuffer<u32>>,
+    out_scores: DeviceBuffer<f32>,
+    doc_lens: Option<DeviceBuffer<u32>>,
+    p: ScoreParams,
+    n: usize,
 }
 
 impl Kernel for ScoreAccumKernel {
@@ -677,8 +677,7 @@ impl<'g> GpuEngine<'g> {
         let (docids, tfs) = (scope.adopt(docids), scope.adopt(tfs));
         let scores = scope.alloc::<f32>(n)?;
         if n > 0 {
-            native::launch(
-                gpu,
+            gpu.launch(
                 &ScoreInitKernel {
                     docids: docids.clone(),
                     tfs,
@@ -768,8 +767,7 @@ impl<'g> GpuEngine<'g> {
                     (tfs, None)
                 }
             };
-            native::launch(
-                gpu,
+            gpu.launch(
                 &ScoreAccumKernel {
                     docids: docids.clone(),
                     old_scores: inter.scores.clone(),
@@ -1025,6 +1023,7 @@ mod tests {
     use griffin_cpu::CpuEngine;
     use griffin_gpu_sim::DeviceConfig;
     use griffin_index::InvertedIndex;
+    use griffin_sim_conformance::{check, Cases, Draw};
 
     fn synthetic_index(lists: &[Vec<u32>], num_docs: u32) -> InvertedIndex {
         InvertedIndex::from_docid_lists(lists, num_docs, Codec::EliasFano, 128)
@@ -1247,5 +1246,97 @@ mod tests {
         // Cached lists persist across queries; shutdown drains them.
         engine.shutdown();
         assert_eq!(gpu.mem_in_use(), 0, "all device buffers must be freed");
+    }
+
+    const P: ScoreParams = ScoreParams {
+        idf: 2.7,
+        k1: 1.2,
+        b: 0.75,
+        avg_doc_len: 250.5,
+    };
+
+    /// Drawn scoring inputs at lengths that are not multiples of the
+    /// 256-thread block: docIDs, tfs, doc lengths, old score bits, match
+    /// indices, and the tfs of a list three times longer with indices into
+    /// it; each with and without the doc-length table, which half the
+    /// docIDs lie beyond (they take the average).
+    fn scoring() -> Cases<([Vec<u32>; 7], bool)> {
+        let mut draw = Draw::new(0x5C0E);
+        let mut cases = Vec::new();
+        for n in [1, 300, 1_000 + draw.below(3_000) as usize] {
+            let mut words = |len: usize, f: &dyn Fn(u64) -> u32| -> Vec<u32> {
+                (0..len).map(|_| f(draw.word())).collect()
+            };
+            let n64 = n as u64;
+            let inputs = [
+                words(n, &|d| (d % (2 * n64)) as u32),
+                words(n, &|d| 1 + (d % 2_000_000) as u32),
+                words(n, &|d| 1 + (d % 1_000) as u32),
+                words(n, &|d| ((d % 100_000) as f32 / 7.0).to_bits()),
+                words(n, &|d| (d % n64) as u32),
+                words(3 * n, &|d| 1 + (d % 2_000_000) as u32),
+                words(n, &|d| (d % (3 * n64)) as u32),
+            ];
+            for lens in [false, true] {
+                cases.push((format!("{n}, doc lengths {lens}"), (inputs.clone(), lens)));
+            }
+        }
+        cases
+    }
+
+    /// Score bits are compared.
+    #[test]
+    fn score_init_conforms() {
+        let tally = check(&scoring(), |gpu, (words, lens)| {
+            let [docids, tfs, doc_lens, ..] = words.each_ref().map(|w| gpu.htod(w).unwrap());
+            let n = docids.len();
+            let scores = gpu.alloc::<f32>(n).unwrap();
+            let outputs = vec![scores.cast()];
+            let doc_lens = lens.then_some(doc_lens);
+            let kernel = ScoreInitKernel {
+                docids,
+                tfs,
+                scores,
+                doc_lens,
+                p: P,
+                n,
+            };
+            (kernel, LaunchConfig::cover(n, BLOCK_DIM), outputs)
+        });
+        assert!(tally.twin_blocks > 0, "{tally:?}");
+    }
+
+    /// Both kinds of accumulation (`b_idx` set: tfs of the whole long
+    /// list; unset: tfs already match-aligned); score bits are compared.
+    /// Mutation that fails it: the twin reading `tfs[i]` where `b_idx` is
+    /// set.
+    #[test]
+    fn score_accum_conforms() {
+        let cases: Vec<_> = scoring()
+            .into_iter()
+            .flat_map(|(what, c)| {
+                [false, true].map(|long| (format!("{what}, {long}"), (c.clone(), long)))
+            })
+            .collect();
+        let tally = check(&cases, |gpu, ((words, lens), long)| {
+            let [docids, tfs, doc_lens, old, a_idx, long_tfs, b_idx] =
+                words.each_ref().map(|w| gpu.htod(w).unwrap());
+            let n = docids.len();
+            let out_scores = gpu.alloc::<f32>(n).unwrap();
+            let outputs = vec![out_scores.cast()];
+            let kernel = ScoreAccumKernel {
+                docids,
+                old_scores: old.cast(),
+                a_idx,
+                tfs: if *long { long_tfs } else { tfs },
+                b_idx: long.then_some(b_idx),
+                out_scores,
+                doc_lens: lens.then_some(doc_lens),
+                p: P,
+                n,
+            };
+            (kernel, LaunchConfig::cover(n, BLOCK_DIM), outputs)
+        });
+        assert!(tally.twin_blocks > 0, "{tally:?}");
     }
 }

@@ -695,8 +695,7 @@ pub fn intersect(
     let temp_aidx = scope.alloc::<u32>(p * cap)?;
     let temp_bidx = scope.alloc::<u32>(p * cap)?;
     let counts = scope.alloc::<u32>(p)?;
-    native::launch(
-        gpu,
+    gpu.launch(
         &MergeKernel {
             a: a.clone(),
             b: b.clone(),
@@ -717,8 +716,7 @@ pub fn intersect(
     let offsets = scope.adopt(offsets);
     let out = DeviceMatches::alloc(&mut scope, total as usize)?;
     if out.len > 0 {
-        native::launch(
-            gpu,
+        gpu.launch(
             &CompactKernel {
                 temp_docid,
                 temp_aidx,
@@ -741,6 +739,7 @@ pub fn intersect(
 mod tests {
     use super::*;
     use griffin_gpu_sim::DeviceConfig;
+    use griffin_sim_conformance::{self as conformance, Case, Cases, Draw};
 
     fn host_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
         let mut out = Vec::new();
@@ -854,5 +853,154 @@ mod tests {
         let matches = intersect(&gpu, &da, a.len(), &db, b.len(), &cfg).unwrap();
         let expect_extra = matches.docids.size_bytes() * 3;
         assert_eq!(gpu.mem_in_use(), before + expect_extra);
+    }
+
+    /// `n` distinct sorted docIDs below `universe`.
+    fn set(draw: &mut Draw, n: usize, universe: u64) -> Vec<u32> {
+        let mut v: Vec<u32> = (0..n).map(|_| draw.below(universe) as u32).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// Equal pairs on partition boundaries, very different lengths,
+    /// identical and disjoint lists, drawn ones, and two that span five or
+    /// more K20 blocks (4 096 staged elements each) with matches in every
+    /// partition (thread), so that a wrong cut in a barrier image moves the
+    /// walk of the sampled warp that reads it.
+    fn pairs() -> Cases<(Vec<u32>, Vec<u32>)> {
+        let span = |n: u32, step: u32, first: u32| (0..n).map(|i| i * step + first).collect();
+        let fig6 = (
+            vec![1, 3, 4, 6, 7, 9, 15, 25, 31],
+            vec![1, 3, 7, 10, 18, 25, 31],
+        );
+        let mut cases: Cases<_> = [
+            ("paper Fig. 6", fig6),
+            (
+                "equal pairs on boundaries",
+                (span(4096, 1, 0), (0..4096).filter(|i| i % 3 != 1).collect()),
+            ),
+            (
+                "very different lengths",
+                (span(32, 997, 0), span(20_000, 1, 0)),
+            ),
+            (
+                "very different lengths, swapped",
+                (span(20_000, 1, 0), span(32, 997, 0)),
+            ),
+            ("identical", (span(9_000, 3, 1), span(9_000, 3, 1))),
+            ("disjoint", (span(5_000, 2, 1), span(5_000, 2, 0))),
+            (
+                "multiples of 2 and 3",
+                (span(12_000, 2, 0), span(8_000, 3, 0)),
+            ),
+        ]
+        .map(|(what, pair)| (what.to_string(), pair))
+        .into();
+        let mut draw = Draw::new(0x3E2E);
+        for trial in 0..5 {
+            let (universe, m, n) = match trial {
+                // Half the universe each, over five or more K20 blocks.
+                4 => {
+                    let universe = 24_000 + draw.below(8_000);
+                    (universe, universe / 2, universe / 2)
+                }
+                _ => (
+                    10_000 + draw.below(60_000),
+                    draw.below(12_000),
+                    draw.below(12_000),
+                ),
+            };
+            let a = set(&mut draw, m.max(1) as usize, universe);
+            let b = set(&mut draw, n.max(1) as usize, universe);
+            cases.push((format!("drawn {trial}"), (a, b)));
+        }
+        cases
+    }
+
+    /// The merge launch of `intersect(a, b)`, its partition run.
+    fn merge(gpu: &Gpu, (a, b): &(Vec<u32>, Vec<u32>)) -> Case<MergeKernel> {
+        let cfg = MergePathConfig::for_device(gpu.config());
+        let (m, n, bd) = (a.len(), b.len(), cfg.block_dim as usize);
+        let ipp = cfg.items_per_partition * bd;
+        let blocks = (m + n).div_ceil(ipp);
+        let (a, b) = (gpu.htod(a).unwrap(), gpu.htod(b).unwrap());
+        let [a_bounds, b_bounds] = [(); 2].map(|()| gpu.alloc(blocks + 1).unwrap());
+        let partition = PartitionKernel {
+            a: a.clone(),
+            b: b.clone(),
+            a_bounds: a_bounds.clone(),
+            b_bounds: b_bounds.clone(),
+            m,
+            n,
+            ipp,
+            num_bounds: blocks + 1,
+        };
+        let lc = LaunchConfig::cover(blocks + 1, cfg.block_dim);
+        gpu.launch(&partition, lc).unwrap();
+        let slots = blocks * bd * cfg.partition_capacity();
+        let temps = [(); 3].map(|()| gpu.alloc(slots).unwrap());
+        let counts = gpu.alloc(blocks * bd).unwrap();
+        let mut outputs = temps.to_vec();
+        outputs.push(counts.clone());
+        let [temp_docid, temp_aidx, temp_bidx] = temps;
+        let kernel = MergeKernel {
+            a,
+            b,
+            a_bounds,
+            b_bounds,
+            temp_docid,
+            temp_aidx,
+            temp_bidx,
+            counts,
+            num_blocks: blocks,
+            n,
+            cfg,
+        };
+        let lc = LaunchConfig::new(blocks as u32, cfg.block_dim);
+        (kernel, lc, outputs)
+    }
+
+    /// Mutations that fail it: the twin's cut skipping the equal-pair
+    /// adjustment; the image without the cuts, or with thread 32's cut one
+    /// off; a lane of a block the twin ran logging its store too
+    /// (`stores_applied` doubles); every warp of a traced block the twin
+    /// ran still running lane by lane.
+    #[test]
+    fn merge_conforms() {
+        let tally = conformance::check(&pairs(), merge);
+        assert!(tally.twin_blocks > 0 && tally.images > 0, "{tally:?}");
+    }
+
+    /// The compaction after the merge and the scan, of the pairs that
+    /// match somewhere. Mutation that fails it: the twin copying from one
+    /// slot past each partition's slab.
+    #[test]
+    fn compact_conforms() {
+        let mut pairs = pairs();
+        pairs.retain(|(_, (a, b))| !host_intersect(a, b).is_empty());
+        let tally = conformance::check(&pairs, |gpu, pair| {
+            let (kernel, launch, _) = merge(gpu, pair);
+            gpu.launch(&kernel, launch).unwrap();
+            let p = launch.total_threads() as usize;
+            let (offsets, total) = exclusive_scan(gpu, &kernel.counts, p).unwrap();
+            let outs = [(); 3].map(|()| gpu.alloc(total as usize).unwrap());
+            let [out_docid, out_aidx, out_bidx] = outs.clone();
+            let compact = CompactKernel {
+                temp_docid: kernel.temp_docid,
+                temp_aidx: kernel.temp_aidx,
+                temp_bidx: kernel.temp_bidx,
+                counts: kernel.counts,
+                offsets,
+                out_docid,
+                out_aidx,
+                out_bidx,
+                num_partitions: p,
+                cap: kernel.cfg.partition_capacity(),
+            };
+            let lc = LaunchConfig::cover(p, launch.block_dim);
+            (compact, lc, outs.into())
+        });
+        assert!(tally.twin_blocks > 0, "{tally:?}");
     }
 }

@@ -414,7 +414,8 @@ impl Kernel for DecodeKernel {
 
     /// Replayable: a decode reads a device-resident list, and the device
     /// list cache keeps one upload of a hot list, whose stamps therefore
-    /// recur from query to query (DESIGN.md, "Replayed launches").
+    /// recur from query to query (DESIGN.md, "How a launch executes on the
+    /// host").
     fn memo_key(&self, key: &mut LaunchKey) -> bool {
         key.read(&self.words);
         key.read(&self.block_word_start);
@@ -454,8 +455,7 @@ fn launch(
     if blocks == 0 {
         return Ok(());
     }
-    native::launch(
-        gpu,
+    gpu.launch(
         &DecodeKernel {
             words: list.words.clone(),
             block_word_start: list.block_word_start.clone(),
@@ -514,9 +514,11 @@ pub fn decode_postings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use griffin_codec::{Codec, DEFAULT_BLOCK_LEN};
+    use crate::GpuError;
+    use griffin_codec::{BlockedList, Codec, DEFAULT_BLOCK_LEN};
     use griffin_gpu_sim::{DeviceConfig, DeviceEvent, FaultKind, FaultPlan, LaunchCounters};
     use griffin_index::{CompressedPostingList, Posting};
+    use griffin_sim_conformance::{check, devices, Case, Draw};
     use std::sync::{Arc, Mutex};
 
     /// Term frequencies whose varints are 1, 2, 3 and 5 bytes long in a
@@ -744,5 +746,270 @@ mod tests {
             per_elem[1] < per_elem[0] / 2.0,
             "per-element cost should fall with size: {per_elem:?}"
         );
+    }
+
+    /// A tf whose varint is 1, 2, 3 or 5 bytes long (the last straddles a
+    /// word wherever it starts).
+    fn drawn_tf(draw: &mut Draw) -> u32 {
+        match draw.below(4) {
+            0 => 1 + draw.below(127) as u32,
+            1 => 128 + draw.below(16_000) as u32,
+            2 => 20_000 + draw.below(2_000_000) as u32,
+            _ => u32::MAX - draw.below(1000) as u32,
+        }
+    }
+
+    /// `n` docIDs with gaps of 1 to `max_gap`, each with a drawn tf.
+    fn drawn(draw: &mut Draw, n: usize, max_gap: u64) -> Vec<Posting> {
+        let mut docid = draw.below(max_gap) as u32;
+        (0..n)
+            .map(|_| {
+                let tf = drawn_tf(draw);
+                let p = Posting { docid, tf };
+                docid += 1 + draw.below(max_gap) as u32;
+                p
+            })
+            .collect()
+    }
+
+    /// What a decode case decodes: blocks `lo..hi` of a list with their
+    /// tfs, or of its docIDs, or the selected blocks of its docIDs.
+    enum Decode {
+        Postings(CompressedPostingList, usize, usize),
+        Docids(BlockedList, usize, usize),
+        Selected(BlockedList, Vec<u32>),
+    }
+
+    fn decode_case(gpu: &Gpu, how: &Decode) -> Case<DecodeKernel> {
+        let (docs, select, tf) = match how {
+            Decode::Postings(list, lo, hi) => {
+                let n = list.len() as u32;
+                let dev = DevicePostings::upload_range(gpu, list, *lo, *hi, n).unwrap();
+                let tf = TfSide {
+                    words: dev.tf_words,
+                    offsets: dev.tf_offsets,
+                    out: gpu.alloc(dev.docs.len).unwrap(),
+                    max_block_words: dev.max_block_tf_words,
+                };
+                (dev.docs, None, Some(tf))
+            }
+            Decode::Docids(list, lo, hi) => {
+                let docs = DeviceEfList::upload_range(gpu, list, *lo, *hi).unwrap();
+                (docs, None, None)
+            }
+            Decode::Selected(list, blocks) => {
+                let select = Selected {
+                    blocks: gpu.htod(blocks).unwrap(),
+                    count: blocks.len(),
+                    stride: list.block_len,
+                };
+                let docs = DeviceEfList::upload(gpu, list).unwrap();
+                (docs, Some(select), None)
+            }
+        };
+        let blocks = select.as_ref().map_or(docs.num_blocks, |s| s.count);
+        let len = select.as_ref().map_or(docs.len, |s| s.count * s.stride);
+        let out = gpu.alloc::<u32>(len).unwrap();
+        let mut outputs = vec![out.clone()];
+        outputs.extend(tf.as_ref().map(|tf| tf.out.clone()));
+        let kernel = DecodeKernel {
+            words: docs.words,
+            block_word_start: docs.block_word_start,
+            block_elem_start: docs.block_elem_start,
+            block_base: docs.block_base,
+            max_hb_words: docs.max_block_hb_words,
+            max_block_len: docs.max_block_len,
+            select,
+            out,
+            tf,
+        };
+        (kernel, LaunchConfig::new(blocks as u32, LANES), outputs)
+    }
+
+    /// Block lengths 32, 64 and 128 with a last block of one posting;
+    /// b = 0 and b = 31; tf runs beginning at every byte alignment, with
+    /// 5-byte varints straddling words; range images; and selective
+    /// decodes. Every decode replays on its second launch. Mutations that
+    /// fail it: the twin dropping a block's last varint
+    /// (`&tfs[..tfs.len() - 1]`); the decode's key leaving out
+    /// `key.read(&self.block_base)` (debug builds: the first launch loads a
+    /// buffer the key does not name).
+    #[test]
+    fn decode_conforms() {
+        let mut cases = Vec::new();
+        let mut add = |what: &str, ps: &[Posting], block_len, ranges: &[_], select: Vec<u32>| {
+            let list = CompressedPostingList::compress(ps, Codec::EliasFano, block_len);
+            for &(lo, hi) in ranges {
+                let docs = Decode::Docids(list.docs.clone(), lo, hi);
+                cases.push((format!("{what}, {lo}..{hi} docIDs"), docs));
+                let postings = Decode::Postings(list.clone(), lo, hi);
+                cases.push((format!("{what}, {lo}..{hi}"), postings));
+            }
+            if !select.is_empty() {
+                let selected = Decode::Selected(list.docs, select);
+                cases.push((format!("{what}, selected"), selected));
+            }
+        };
+        let mut draw = Draw::new(0xDEC0DE);
+        for block_len in [32usize, 64, 128] {
+            let max_gap = 1 + draw.below(3000);
+            let ps = drawn(&mut draw, 7 * block_len + 1, max_gap);
+            let select = (0..8).filter(|_| draw.below(3) > 0).collect();
+            add(
+                &format!("blocks of {block_len}"),
+                &ps,
+                block_len,
+                &[(0, 8)],
+                select,
+            );
+        }
+        let tf = |docid| Posting {
+            docid,
+            tf: drawn_tf(&mut draw),
+        };
+        let dense: Vec<Posting> = (0..300).map(tf).collect();
+        add("b = 0", &dense, 128, &[(0, 3)], vec![2, 0]);
+        // A last block of one posting 2^31 past its base.
+        let mut wide = drawn(&mut draw, 64, 4);
+        wide.push(Posting {
+            docid: u32::MAX - 5,
+            tf: 1,
+        });
+        add("b = 31", &wide, 64, &[(0, 2)], vec![1]);
+        let n = 1_000 + draw.below(1_000) as usize;
+        let ps = drawn(&mut draw, n, 60);
+        let list = CompressedPostingList::compress(&ps, Codec::EliasFano, 128);
+        let starts: Vec<u32> = list.tf_raw().1.iter().map(|o| o % 4).collect();
+        assert!((1..4).all(|a| starts.contains(&a)), "{starts:?}");
+        let b = n.div_ceil(128);
+        add(
+            "range images",
+            &ps,
+            128,
+            &[(0, b), (1, b - 1), (b - 1, b)],
+            vec![],
+        );
+        let tally = check(&cases, decode_case);
+        assert!(
+            tally.twin_blocks > 0 && tally.replayed_blocks > 0,
+            "{tally:?}"
+        );
+    }
+
+    /// Every truncation and single-bit flip of the last block of seeded EF
+    /// lists, their skips intact, is refused at upload as corrupt, with
+    /// nothing left on the device, or decodes, on every path alike, to what
+    /// the codec's reader returns. Mutation that fails it: the upload
+    /// checking only that the block parses (a flipped high bit then panics
+    /// in the lanes or decodes to other docIDs).
+    #[test]
+    fn a_corrupt_block_is_refused_or_decodes_as_the_codec_reads_it() {
+        let mut draw = Draw::new(0xEF_B10C);
+        for block_len in [32usize, 128] {
+            let max_gap = 1 + draw.below(5000);
+            let ids: Vec<u32> = drawn(&mut draw, 3 * block_len, max_gap)
+                .iter()
+                .map(|p| p.docid)
+                .collect();
+            let list = BlockedList::compress(&ids, Codec::EliasFano, block_len);
+            let last = *list.skips.last().unwrap();
+            let (start, len) = (last.word_start as usize, last.word_len as usize);
+            let mut bad = Vec::new();
+            for cut in 0..len {
+                let mut l = list.clone();
+                l.words.truncate(start + cut);
+                bad.push((format!("{block_len}: cut {cut}"), l));
+            }
+            for (w, bit) in (start..start + len).flat_map(|w| (0..32).map(move |bit| (w, bit))) {
+                let mut l = list.clone();
+                l.words[w] ^= 1 << bit;
+                bad.push((format!("{block_len}: word {w} bit {bit}"), l));
+            }
+            let mut accepted = Vec::new();
+            for (what, l) in bad {
+                let gpu = Gpu::new(DeviceConfig::test_tiny());
+                match DeviceEfList::upload(&gpu, &l) {
+                    Err(GpuError::Corrupt(_)) => assert_eq!(gpu.mem_in_use(), 0, "{what}"),
+                    Err(e) => panic!("{what}: {e}"),
+                    Ok(dev) => {
+                        let mut want = Vec::new();
+                        for (i, s) in l.skips.iter().enumerate() {
+                            let words = &l.words[s.word_start as usize..][..s.word_len as usize];
+                            let blk = EfBlockRef::parse(words).unwrap();
+                            blk.decode_into(l.block_base(i), &mut want).unwrap();
+                        }
+                        let out = decompress(&gpu, &dev).unwrap();
+                        assert_eq!(gpu.dtoh(&out).unwrap(), want, "{what}");
+                        accepted.push((what, Decode::Docids(l, 0, 3)));
+                    }
+                }
+            }
+            assert!(!accepted.is_empty());
+            check(&accepted, decode_case);
+        }
+    }
+
+    /// Copies `src` over `dst`: a launch that rewrites a list in place.
+    struct Overwrite {
+        src: DeviceBuffer<u32>,
+        dst: DeviceBuffer<u32>,
+    }
+
+    impl Kernel for Overwrite {
+        type State = ();
+        fn run_phase(&self, _phase: usize, t: &mut ThreadCtx<'_>, _s: &mut ()) {
+            let i = t.global_thread_idx();
+            if t.branch(i < self.src.len()) {
+                let w = t.ld(&self.src, i);
+                t.st(&self.dst, i, w);
+            }
+        }
+    }
+
+    /// Decodes a list, rewrites its words with those of another list of
+    /// the same shape (one block: count, width and stream lengths equal,
+    /// the ones spread otherwise) and decodes it again: the second decode
+    /// must cost what a fresh device's decode of the other list costs.
+    /// Mutation that fails it: `WriteLog::apply` not bumping the stamp of
+    /// the buffer a run lands in (the decode replays the first list's
+    /// counters).
+    #[test]
+    fn a_decode_of_a_rewritten_list_is_not_replayed() {
+        let even: Vec<u32> = (0..128).map(|i| i * 3).collect();
+        let mut clustered: Vec<u32> = (0..100).collect();
+        clustered.extend((0..28).map(|i| 381 - 9 * (27 - i)));
+        let [a, b] = [even, clustered].map(|ids| {
+            let list = CompressedPostingList::from_docids(&ids, Codec::EliasFano, 128);
+            (ids, list)
+        });
+        assert_eq!(a.1.docs.words.len(), b.1.docs.words.len(), "one shape");
+        // Each decode pays one `cudaMalloc` for its output.
+        let decode = |gpu: &Gpu, list: &DeviceEfList| {
+            let (out, time) = gpu.time(|gpu| decompress(gpu, list).unwrap());
+            (gpu.dtoh(&out).unwrap(), time)
+        };
+        for cfg in devices() {
+            let fresh = |list: &CompressedPostingList| {
+                let gpu = Gpu::new(cfg.clone());
+                decode(&gpu, &DeviceEfList::upload(&gpu, &list.docs).unwrap())
+            };
+            let (want_ids, want) = fresh(&b.1);
+            assert_eq!(want_ids, b.0);
+            assert_ne!(fresh(&a.1).1, want, "the two lists cost differently");
+
+            let gpu = Gpu::new(cfg.clone());
+            let list = DeviceEfList::upload(&gpu, &a.1.docs).unwrap();
+            assert_eq!(decode(&gpu, &list).0, a.0);
+            let other = gpu.htod(&b.1.docs.words).unwrap();
+            let n = other.len();
+            let overwrite = Overwrite {
+                src: other,
+                dst: list.words.clone(),
+            };
+            gpu.launch(&overwrite, LaunchConfig::cover(n, 32)).unwrap();
+            let (ids, time) = decode(&gpu, &list);
+            assert_eq!(ids, b.0, "{}", cfg.trace_sample_stride);
+            assert_eq!(time, want, "{}", cfg.trace_sample_stride);
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! back in. Para-EF's "synchronization point" (paper Algorithm 1, line 3)
 //! is exactly this scan.
 //!
-//! Both kernels have native twins (`Kernel::run_block_native`), and the
-//! tile scan supplies its shared memory at each barrier
-//! (`Kernel::barrier_images`), all checked against the lanes in
-//! `native.rs`.
+//! The tile scan has a native twin (`Kernel::run_block_native`) and
+//! supplies its shared memory at each barrier (`Kernel::barrier_images`),
+//! both held to the lanes by the tests' conformance cases. The uniform add
+//! runs lane by lane: a twin for it bought no host time outside noise.
 
 use griffin_gpu_sim::{
     BarrierImages, BlockMem, DeviceBuffer, DeviceError, Gpu, Kernel, LaunchConfig, Scope, ThreadCtx,
@@ -193,28 +193,6 @@ impl Kernel for UniformAddKernel {
             t.st(&self.dst, gid, v.wrapping_add(add));
         }
     }
-
-    /// The block's slice of `dst` plus its scanned sum, as one run.
-    /// Declines a block a lane would load or store out of bounds in.
-    fn run_block_native(&self, block: u32, mem: &mut BlockMem<'_>) -> bool {
-        let bd = mem.block_dim() as usize;
-        let first = block as usize * bd;
-        let rows = first.min(self.n)..(first + bd).min(self.n);
-        if rows.is_empty() {
-            return true;
-        }
-        let (Some(dst), Some(&add)) = (
-            mem.words(&self.dst).get(rows.clone()),
-            mem.words(&self.scanned_sums).get(block as usize),
-        ) else {
-            return false;
-        };
-        native::with_scratch(|[out, ..]| {
-            out.extend(dst.iter().map(|v| v.wrapping_add(add)));
-            mem.st_run(&self.dst, rows.start, out);
-        });
-        true
-    }
 }
 
 /// Exclusive scan of `src[..n]` into a fresh buffer. Also returns the total
@@ -232,8 +210,7 @@ pub fn exclusive_scan(
     }
     let num_blocks = n.div_ceil(TILE);
     let block_sums = scope.alloc::<u32>(num_blocks)?;
-    native::launch(
-        gpu,
+    gpu.launch(
         &TileScanKernel {
             src: src.clone(),
             dst: dst.clone(),
@@ -248,8 +225,7 @@ pub fn exclusive_scan(
         // Recursively scan the block sums, then fold them back in.
         let (scanned, total) = exclusive_scan(gpu, &block_sums, num_blocks)?;
         let scanned = scope.adopt(scanned);
-        native::launch(
-            gpu,
+        gpu.launch(
             &UniformAddKernel {
                 dst: dst.clone(),
                 scanned_sums: scanned,
@@ -266,6 +242,7 @@ pub fn exclusive_scan(
 mod tests {
     use super::*;
     use griffin_gpu_sim::DeviceConfig;
+    use griffin_sim_conformance::{check, Cases, Draw};
 
     fn check_scan(input: Vec<u32>) {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
@@ -314,5 +291,33 @@ mod tests {
         let t0 = gpu.now();
         let _ = exclusive_scan(&gpu, &src, 10_000);
         assert!(gpu.now() > t0);
+    }
+
+    /// Drawn words (the sums wrap): one, a tile less one, one and one
+    /// more, and several tiles. Mutations that fail it: the twin storing an
+    /// inclusive scan; the image one window too wide, or with one word
+    /// flipped.
+    #[test]
+    fn tile_scan_conforms() {
+        let mut draw = Draw::new(0x5CA7);
+        let several = 1_000 + draw.below(9_000) as usize;
+        let mut words = |n| (0..n).map(|_| draw.word() as u32).collect();
+        let cases: Cases<Vec<u32>> = [1, 255, 256, 257, several]
+            .map(|n| (format!("{n} words"), words(n)))
+            .into();
+        let tally = check(&cases, |gpu, words| {
+            let n = words.len();
+            let blocks = n.div_ceil(TILE);
+            let (dst, block_sums) = (gpu.alloc(n).unwrap(), gpu.alloc(blocks).unwrap());
+            let kernel = TileScanKernel {
+                src: gpu.htod(words).unwrap(),
+                dst: dst.clone(),
+                block_sums: block_sums.clone(),
+                n,
+            };
+            let lc = LaunchConfig::new(blocks as u32, BLOCK_DIM);
+            (kernel, lc, vec![dst, block_sums])
+        });
+        assert!(tally.twin_blocks > 0 && tally.images > 0, "{tally:?}");
     }
 }

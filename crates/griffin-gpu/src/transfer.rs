@@ -60,7 +60,8 @@ impl EfListImage {
     /// Flattens an EF [`BlockedList`] into the device layout.
     ///
     /// Returns `Err` if any block fails validation (truncated or
-    /// malformed words) — corrupt data must not reach the device.
+    /// malformed words, or high bits set other than one per element) —
+    /// corrupt data must not reach the device.
     /// Passing a non-EF list is a programming error and panics.
     pub fn build(list: &BlockedList) -> Result<EfListImage, CodecError> {
         EfListImage::build_range(list, 0, list.num_blocks())
@@ -121,6 +122,11 @@ impl EfListImage {
                 .get(skip.word_start as usize..(skip.word_start + skip.word_len) as usize)
                 .ok_or(CodecError::Truncated)?;
             let blk = EfBlockRef::parse(words)?;
+            // The lanes place one element per high bit set.
+            blk.check_streams()?;
+            if blk.hb_words.iter().map(|w| w.count_ones()).sum::<u32>() != blk.count {
+                return Err(CodecError::BadHeader);
+            }
             img.block_word_start.push(img.words.len() as u32);
             img.block_elem_start.push(skip.elem_start - elem_base);
             img.block_base.push(list.block_base(i));

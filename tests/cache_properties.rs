@@ -49,9 +49,11 @@ struct Fixture {
 }
 
 /// Workload derived from the fault seed, so the CI seed sweep varies
-/// the inputs as well as the fault schedule.
+/// the inputs as well as the fault schedule. Every posting has a drawn tf,
+/// so a tf read from the wrong element changes a score's bits.
 fn fixture() -> Fixture {
-    use rand::SeedableRng;
+    use griffin_suite::griffin_index::{CompressedPostingList, CorpusMeta, Dictionary, Posting};
+    use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0xCAC4E);
     let spec = ListIndexSpec {
         num_terms: 20,
@@ -59,7 +61,20 @@ fn fixture() -> Fixture {
         max_list_len: 80_000,
         ..Default::default()
     };
-    let (index, _) = build_list_index(&spec, &mut rng);
+    let (_, docids) = build_list_index(&spec, &mut rng);
+    let mut dictionary = Dictionary::new();
+    let mut list = |(i, ids): (usize, &Vec<u32>)| {
+        dictionary.intern(&format!("t{i}"));
+        let draw = |&docid| Posting {
+            docid,
+            tf: rng.gen_range(1..1_000),
+        };
+        let postings: Vec<Posting> = ids.iter().map(draw).collect();
+        CompressedPostingList::compress(&postings, spec.codec, spec.block_len)
+    };
+    let lists = docids.iter().enumerate().map(&mut list).collect();
+    let meta = CorpusMeta::uniform(spec.num_docs, 300);
+    let index = InvertedIndex::new(dictionary, lists, meta, spec.codec, spec.block_len);
     let queries = QueryLogSpec {
         num_queries: 8,
         ..Default::default()
@@ -410,7 +425,8 @@ fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
     // Each step by the engine's own choice, then every step by skip
     // search, which reads a cached list through the one skip walk; and
     // the docID-only chain, whose provenance is where each match sits in
-    // each list (the fixture's tfs are all 1, so scores cannot show it).
+    // each list. The fixture's tfs are drawn, so a tf gathered from the
+    // wrong element shows in the score bits too.
     let run_once = || {
         let mut w = WorkCounters::default();
         let provenance = cpu.docid_chain(&fx.index, &order, &mut w).elem_idx;
