@@ -9,7 +9,7 @@
 //! 3. **Device list cache** — our extension vs the paper-faithful
 //!    per-query transfers.
 
-use griffin::{ExecMode, Griffin, Scheduler};
+use griffin::{ExecMode, Griffin, QueryRequest, Scheduler};
 use griffin_bench::intersect_harness::{time_algo, Algo, Pair};
 use griffin_bench::report::{ms, Table};
 use griffin_bench::setup::{k20, scaled};
@@ -106,7 +106,7 @@ fn scheduler_and_cache() {
         }
         let mut total = VirtualNanos::ZERO;
         for q in &queries {
-            total += griffin.process_query(&index, q, 10, ExecMode::Hybrid).time;
+            total += griffin.run(&index, &QueryRequest::new(q.to_vec())).time;
         }
         t.row(&[name.to_string(), ms(total / queries.len() as u64)]);
     }
@@ -124,7 +124,12 @@ fn scheduler_and_cache() {
         }
         let mut total = VirtualNanos::ZERO;
         for q in &queries {
-            total += griffin.process_query(&index, q, 10, ExecMode::GpuOnly).time;
+            total += griffin
+                .run(
+                    &index,
+                    &QueryRequest::new(q.to_vec()).mode(ExecMode::GpuOnly),
+                )
+                .time;
         }
         t.row(&[name.to_string(), ms(total / queries.len() as u64)]);
     }

@@ -29,7 +29,7 @@
 //! shorter lists have no crossover for a split to win at.
 //! `GRIFFIN_SCALE` applies to the full-size run.
 
-use griffin::{CostModel, DeviceStepCounts, ExecMode, Griffin, SplitConfig, StepOp};
+use griffin::{CostModel, DeviceStepCounts, Griffin, QueryRequest, SplitConfig, StepOp};
 use griffin_bench::report::{ms, Table};
 use griffin_bench::setup::{k20, scaled};
 use griffin_bench::Artifacts;
@@ -125,7 +125,7 @@ fn main() {
             let mut total = VirtualNanos::ZERO;
             let (mut cpu_lane_sum, mut gpu_lane_sum) = (VirtualNanos::ZERO, VirtualNanos::ZERO);
             for p in 0..pairs {
-                let out = griffin.process_query(&index, &terms_of(i, p), 10, ExecMode::Hybrid);
+                let out = griffin.run(&index, &QueryRequest::new(terms_of(i, p).to_vec()));
                 assert_eq!(out.gpu_faults, 0, "healthy device");
                 total += out.time;
                 for s in &out.steps {
@@ -222,7 +222,7 @@ fn main() {
         griffin.scheduler.split = Some(SplitConfig::forced(1.0));
         let terms = terms_of(crossover, 0);
         let (out, step) = DeviceStepCounts::of(&gpu, || {
-            griffin.process_query(&index, &terms, 10, ExecMode::Hybrid)
+            griffin.run(&index, &QueryRequest::new(terms.to_vec()))
         });
         let lanes = out.steps.iter().filter_map(|s| match s.op {
             StepOp::SplitIntersect { gpu_lane, .. } => Some(gpu_lane),

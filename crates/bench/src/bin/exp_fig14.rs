@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use griffin::{ExecMode, Griffin};
+use griffin::{ExecMode, Griffin, QueryRequest};
 use griffin_bench::report::{ms, speedup, Table};
 use griffin_bench::setup::{k20, scaled};
 use griffin_bench::Artifacts;
@@ -51,7 +51,7 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let out = griffin.process_query(&index, q, 10, mode);
+            let out = griffin.run(&index, &QueryRequest::new(q.to_vec()).mode(mode));
             bucket[i].record(out.time);
         }
     }

@@ -12,7 +12,7 @@
 //! phase's metrics registry and the result table as CSV.
 
 use griffin::serving::{Resource, StageReq};
-use griffin::{ExecMode, Griffin};
+use griffin::{ExecMode, Griffin, QueryRequest};
 use griffin_bench::report::{ms, speedup, Table};
 use griffin_bench::setup::{k20, scaled};
 use griffin_bench::Artifacts;
@@ -62,9 +62,12 @@ fn main() {
     let mut cpu_times = Vec::with_capacity(queries.len());
     let mut hybrid_stages = Vec::with_capacity(queries.len());
     for q in &queries {
-        let cpu_out = griffin.process_query(&index, q, 10, ExecMode::CpuOnly);
+        let cpu_out = griffin.run(
+            &index,
+            &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly),
+        );
         cpu_times.push(cpu_out.time);
-        let hyb = griffin.process_query(&index, q, 10, ExecMode::Hybrid);
+        let hyb = griffin.run(&index, &QueryRequest::new(q.to_vec()));
         // The trace → stage bridge from griffin-server: GPU kernels and
         // PCIe migrations occupy the GPU lane, the rest a CPU core.
         hybrid_stages.push(stages_of(&hyb));

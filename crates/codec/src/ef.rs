@@ -99,11 +99,15 @@ impl<'a> EfBlockRef<'a> {
         Ok(())
     }
 
-    /// Whether both streams hold `count` elements. The first element they
-    /// cannot supply names the error: [`CodecError::UnaryOverrun`] if the
-    /// high-bits stream is short of its one, else
-    /// [`CodecError::Truncated`]. Every EF decoder checks this before it
-    /// writes, so all of them fail alike on a corrupt block.
+    /// Whether both streams hold `count` elements, and the high-bits
+    /// stream exactly `count` ones. The first element they cannot supply
+    /// names the error: [`CodecError::UnaryOverrun`] if the high-bits
+    /// stream is short of its one, else [`CodecError::Truncated`]. A one
+    /// past the last element is [`CodecError::BadHeader`]: an encoder
+    /// writes none, so the block is damaged and its elements cannot be
+    /// trusted. Every EF decoder, on the host and on the device, checks
+    /// this before it writes, so all of them fail alike on a corrupt
+    /// block.
     pub fn check_streams(&self) -> Result<(), CodecError> {
         let count = self.count as usize;
         let ones: usize = self.hb_words.iter().map(|w| w.count_ones() as usize).sum();
@@ -117,6 +121,9 @@ impl<'a> EfBlockRef<'a> {
             } else {
                 CodecError::Truncated
             });
+        }
+        if ones > count {
+            return Err(CodecError::BadHeader);
         }
         Ok(())
     }
@@ -378,18 +385,23 @@ mod tests {
     }
 
     /// The bit-serial reader the word-at-a-time decoder replaced: element
-    /// by element, its unary code, then its low bits, wrapping.
+    /// by element, its unary code, then its low bits, wrapping; then no
+    /// unary code may follow the last element.
     fn decode_bit_serial(blk: &EfBlockRef<'_>, base: u32) -> Result<Vec<u32>, CodecError> {
         let mut hb = BitReader::new(blk.hb_words);
         let mut lb = BitReader::new(blk.lb_words);
         let mut high = 0u32;
-        (0..blk.count)
+        let out = (0..blk.count)
             .map(|_| {
                 high = high.wrapping_add(hb.read_unary()?);
                 let low = if blk.b > 0 { lb.read_bits(blk.b)? } else { 0 };
                 Ok(base.wrapping_add((high << blk.b) | low))
             })
-            .collect()
+            .collect::<Result<Vec<u32>, CodecError>>()?;
+        match hb.read_unary() {
+            Ok(_) => Err(CodecError::BadHeader),
+            Err(_) => Ok(out),
+        }
     }
 
     /// Same values and the same error as the bit-serial reader on intact
@@ -449,6 +461,33 @@ mod tests {
                 check(&flipped.as_ref());
             }
         }
+    }
+
+    /// Each 0→1 flip of a high-bits stream is refused. A decoder that
+    /// reads only the first `count` ones returns `Ok` on every one of
+    /// these 224 flips, and other values on 222 of them.
+    #[test]
+    fn an_extra_high_bit_is_refused() {
+        let values: Vec<u32> = (0..128).map(|i| i * 7).collect();
+        let blk = EfBlock::encode(&values);
+        let mut flips = 0;
+        for bit in 0..32 * blk.hb_words.len() {
+            let (word, mask) = (bit / 32, 1u32 << (bit % 32));
+            if blk.hb_words[word] & mask != 0 {
+                continue;
+            }
+            let mut flipped = blk.clone();
+            flipped.hb_words[word] |= mask;
+            let mut out = vec![7u32];
+            assert_eq!(
+                flipped.decode_into(0, &mut out),
+                Err(CodecError::BadHeader),
+                "bit {bit}"
+            );
+            assert_eq!(out, [7], "bit {bit}");
+            flips += 1;
+        }
+        assert_eq!(flips, 224);
     }
 
     #[test]

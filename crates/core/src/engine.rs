@@ -3,9 +3,8 @@
 
 use std::cell::{Cell, RefCell};
 
-use griffin_cpu::engine::Strategy;
 use griffin_cpu::{setops, CacheStats, CpuEngine, Intermediate, PruneStats, WorkCounters};
-use griffin_gpu::{DeviceIntermediate, GpuEngine, GpuError, GpuStrategy, HullLedger};
+use griffin_gpu::{DeviceIntermediate, GpuEngine, GpuError, HullLedger};
 use griffin_gpu_sim::{Gpu, Scope, StreamKind, VirtualNanos};
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
 use griffin_telemetry::{Telemetry, TraceEvent};
@@ -221,9 +220,6 @@ pub struct Griffin<'g> {
     pub recovery: RecoveryPolicy,
     device: &'g Gpu,
     telemetry: Telemetry,
-    /// Whether GPU execution runs with copy/compute overlap (async
-    /// streams + next-list prefetch). See [`Griffin::set_overlap`].
-    overlap: bool,
     /// Feedback controller for co-executed splits: refines the cost
     /// model's split fraction from measured lane imbalance, so repeated
     /// splits converge on lanes that finish together.
@@ -250,7 +246,6 @@ impl<'g> Griffin<'g> {
             recovery: RecoveryPolicy::default(),
             device,
             telemetry: Telemetry::disabled(),
-            overlap: true,
             balancer: RefCell::new(SplitBalancer::default()),
             result_cache: RefCell::default(),
             index_epoch: Cell::new(0),
@@ -268,7 +263,7 @@ impl<'g> Griffin<'g> {
     /// of the scheduler is left as it was. Results are bit-exact either
     /// way.
     pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
+        self.gpu.set_overlap(on);
         let Scheduler {
             min_gpu_work,
             model,
@@ -765,38 +760,19 @@ impl<'g> Griffin<'g> {
         }
     }
 
-    /// Processes one conjunctive query, returning the top-k and the
-    /// virtual latency under the chosen mode. Thin shim over
-    /// [`Griffin::run`] for positional-argument callers.
-    pub fn process_query(
-        &self,
-        index: &InvertedIndex,
-        terms: &[TermId],
-        k: usize,
-        mode: ExecMode,
-    ) -> GriffinOutput {
-        self.run(index, &QueryRequest::new(terms.to_vec()).k(k).mode(mode))
-    }
-
     /// The unified entry point: executes `req` and returns the top-k,
     /// the virtual latency, and the per-step trace. The request's
     /// `deadline` is carried for the serving layer; the engine itself
     /// always runs the query to completion.
     pub fn run(&self, index: &InvertedIndex, req: &QueryRequest) -> GriffinOutput {
-        // GPU-touching modes run in an async window so transfers and
-        // kernels pipeline across the device's copy and compute streams.
-        // Every measured span ends at a synchronization point, so step
-        // durations still sum exactly to the total.
-        let window = self.overlap && req.mode != ExecMode::CpuOnly;
-        let was_async = self.device.async_enabled();
-        if window {
-            self.device.set_async(true);
+        // GPU-touching modes run in the GPU engine's async window so
+        // transfers and kernels pipeline across the device's copy and
+        // compute streams. Every measured span ends at a synchronization
+        // point, so step durations still sum exactly to the total.
+        if req.mode == ExecMode::CpuOnly {
+            return self.run_inner(index, req);
         }
-        let out = self.run_inner(index, req);
-        if window && !was_async {
-            self.device.set_async(false);
-        }
-        out
+        self.gpu.windowed(|| self.run_inner(index, req))
     }
 
     /// Every request takes the same route: result cache, planner, one
@@ -1066,9 +1042,7 @@ impl<'g> Griffin<'g> {
         host: &Intermediate,
         term: TermId,
     ) -> (Inter, VirtualNanos, Proc) {
-        let out = self
-            .cpu
-            .intersect_step(index, host, term, Strategy::Auto, &mut run.host);
+        let out = self.cpu.intersect_step(index, host, term, &mut run.host);
         (Inter::Host(out), self.price_host(run), Proc::Cpu)
     }
 
@@ -1145,12 +1119,9 @@ impl<'g> Griffin<'g> {
                 // useless to other queries) and is freed before the lane
                 // returns, fault or not.
                 let postings = self.gpu.upload_range(index, term, 0, split_block)?;
-                let out = self.gpu.intersect_step(
-                    &dev_short,
-                    &postings,
-                    index.block_len(),
-                    GpuStrategy::Auto,
-                );
+                let out = self
+                    .gpu
+                    .intersect_step(&dev_short, &postings, index.block_len());
                 postings.free(self.device);
                 scope.free(dev_short.docids);
                 scope.free(dev_short.scores);
@@ -1371,12 +1342,7 @@ impl<'g> Griffin<'g> {
                     let start = self.device.now();
                     let attempt = self.try_gpu(run, || {
                         let postings = self.gpu.upload(index, term)?;
-                        let out = self.gpu.intersect_step(
-                            &dev,
-                            &postings,
-                            index.block_len(),
-                            GpuStrategy::Auto,
-                        );
+                        let out = self.gpu.intersect_step(&dev, &postings, index.block_len());
                         self.gpu.release(postings);
                         out
                     });
@@ -1518,9 +1484,9 @@ mod tests {
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 3);
 
-        let cpu = griffin.process_query(&idx, &q, 10, ExecMode::CpuOnly);
-        let gpu_only = griffin.process_query(&idx, &q, 10, ExecMode::GpuOnly);
-        let hybrid = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+        let cpu = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
+        let gpu_only = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::GpuOnly));
+        let hybrid = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
 
         let ids = |o: &GriffinOutput| o.topk.iter().map(|&(d, _)| d).collect::<Vec<_>>();
         assert_eq!(ids(&cpu), ids(&gpu_only));
@@ -1538,7 +1504,7 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 3);
-        let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
 
         let procs: Vec<Proc> = out
             .steps
@@ -1578,7 +1544,7 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 3);
-        let _ = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+        let _ = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
         // Only the engine-owned state (cached hot lists) may remain; all
         // per-query buffers are gone after shutdown.
         griffin.gpu.shutdown();
@@ -1591,7 +1557,7 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 1);
-        let out = griffin.process_query(&idx, &q, 5, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()).k(5));
         assert_eq!(out.topk.len(), 5);
         assert!(out.steps.iter().all(|s| s.proc == Proc::Cpu));
     }
@@ -1643,14 +1609,17 @@ mod tests {
         // identical transfer costs.
         griffin.gpu.set_cache_budget(0);
         let q = terms(&idx, 2);
+        // The deadline is the serving layer's: the engine runs the query
+        // to completion either way.
         let req = QueryRequest::new(q.clone())
             .k(10)
             .mode(ExecMode::Hybrid)
             .deadline(VirtualNanos::from_millis(100));
-        let via_request = griffin.run(&idx, &req);
-        let via_shim = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
-        assert_eq!(via_request.topk, via_shim.topk);
-        assert_eq!(via_request.time, via_shim.time);
+        let with_deadline = griffin.run(&idx, &req);
+        let without = griffin.run(&idx, &QueryRequest::new(q));
+        assert!(!with_deadline.topk.is_empty());
+        assert_eq!(with_deadline.topk, without.topk);
+        assert_eq!(with_deadline.time, without.time);
     }
 
     #[test]
@@ -1660,13 +1629,13 @@ mod tests {
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 3);
 
-        let cpu = griffin.process_query(&idx, &q, 10, ExecMode::CpuOnly);
+        let cpu = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
         assert_eq!(cpu.steps.len(), 1);
         assert_eq!(cpu.steps[0].op, StepOp::Exec);
         assert_eq!(cpu.steps[0].proc, Proc::Cpu);
         assert_eq!(cpu.steps[0].time, cpu.time);
 
-        let gpu_only = griffin.process_query(&idx, &q, 10, ExecMode::GpuOnly);
+        let gpu_only = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::GpuOnly));
         assert_eq!(gpu_only.steps.len(), 2);
         assert_eq!(gpu_only.steps[0].proc, Proc::Gpu);
         assert_eq!(gpu_only.steps[1].op, StepOp::TopK);
@@ -1680,7 +1649,7 @@ mod tests {
         let idx = test_index(&[1_000], 50_000);
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
-        let out = griffin.process_query(&idx, &[], 10, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(vec![]));
         assert!(out.topk.is_empty());
         assert_eq!(out.time, VirtualNanos::ZERO);
     }
@@ -1695,12 +1664,12 @@ mod tests {
         // pinned op indices assume these small lists reach the device.
         griffin.scheduler.min_gpu_work = 256;
         let q = terms(&idx, 3);
-        let baseline = griffin.process_query(&idx, &q, 10, ExecMode::CpuOnly);
+        let baseline = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
         let ids = |o: &GriffinOutput| o.topk.iter().map(|&(d, _)| d).collect::<Vec<_>>();
 
         for at in [0u64, 1, 3, 9, 25] {
             gpu.set_fault_plan(Some(FaultPlan::seeded(7).lose_device_at(at)));
-            let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+            let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
             assert_eq!(ids(&baseline), ids(&out), "loss at op {at}");
             assert!(out.gpu_faults > 0, "loss at op {at} should be observed");
             assert!(
@@ -1724,12 +1693,12 @@ mod tests {
         // Pin the floor so the pinned fault op index lands on device work.
         griffin.scheduler.min_gpu_work = 256;
         let q = terms(&idx, 2);
-        let baseline = griffin.process_query(&idx, &q, 10, ExecMode::CpuOnly);
+        let baseline = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
 
         gpu.set_fault_plan(Some(
             FaultPlan::seeded(7).fail_at(2, FaultKind::KernelLaunchFailed),
         ));
-        let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
         gpu.set_fault_plan(None);
 
         assert_eq!(out.gpu_faults, 1, "exactly the pinned fault fires");
@@ -1750,10 +1719,10 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 2);
-        let baseline = griffin.process_query(&idx, &q, 10, ExecMode::CpuOnly);
+        let baseline = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
 
         gpu.set_fault_plan(Some(FaultPlan::seeded(7).lose_device_at(0)));
-        let out = griffin.process_query(&idx, &q, 10, ExecMode::GpuOnly);
+        let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::GpuOnly));
         gpu.set_fault_plan(None);
 
         assert_eq!(
@@ -1773,7 +1742,7 @@ mod tests {
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 2);
         for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
-            let out = griffin.process_query(&idx, &q, 10, mode);
+            let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(mode));
             assert_eq!(out.gpu_faults, 0);
             assert!(out.steps.iter().all(|s| s.op != StepOp::FaultRecovery));
         }
@@ -1874,7 +1843,7 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
         let q = terms(&idx, 2);
-        let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
         let step_sum: VirtualNanos = out.steps.iter().map(|s| s.time).sum();
         assert_eq!(step_sum, out.time);
         assert!(out.time.as_nanos() > 0);

@@ -12,7 +12,7 @@
 
 use griffin::{CostModel, DeviceStepCounts, Griffin};
 use griffin_codec::Codec;
-use griffin_gpu::{GpuEngine, GpuStrategy};
+use griffin_gpu::GpuEngine;
 use griffin_gpu_sim::{DeviceConfig, Gpu};
 use griffin_index::{InvertedIndex, TermId};
 
@@ -46,7 +46,7 @@ fn a_real_device_step_against_the_models_hand_set_counts() {
         let (matched, step) = DeviceStepCounts::of(&gpu, || {
             let long = engine.upload(&index, long).expect("healthy device");
             let next = engine
-                .intersect_step(&inter, &long, index.block_len(), GpuStrategy::MergePath)
+                .intersect_step(&inter, &long, index.block_len())
                 .expect("healthy device");
             let host = engine.download(&next).expect("healthy device");
             next.free(&gpu);

@@ -38,19 +38,6 @@ impl Intermediate {
     }
 }
 
-/// How a pairwise intersection should be executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Decompress the long list fully, then linear merge.
-    Merge,
-    /// Skip-pointer search into the compressed long list.
-    SkipBinary,
-    /// Decompress fully, then binary search (Fig. 13's "CPU binary").
-    PureBinary,
-    /// Pick by length ratio (the engine's production behaviour).
-    Auto,
-}
-
 /// Result of a full query.
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
@@ -130,15 +117,15 @@ pub struct ChainResult {
 pub struct CpuEngine {
     pub model: CpuCostModel,
     /// The host decoded-list tier: term → decoded docIDs, so a hit skips
-    /// decompression entirely (merge and pure-binary intersect against
-    /// the vector; skip search, the split path's CPU lane included,
-    /// binary-searches slices of it). Off by default, and an off tier is
-    /// invisible: an engine with it off is bit- and time-identical to one
-    /// without it. On, bits are unchanged (the cached vector *is* the
-    /// decode output) and every cached path charges exactly its decoding
-    /// twin's counters minus the decode work (skip search reads it through
-    /// [`intersect::skip_intersect`]). Interior-mutable because
-    /// every query entry point takes `&self`.
+    /// decompression entirely (merge intersects against the vector; skip
+    /// search, the split path's CPU lane included, binary-searches slices
+    /// of it). Off by default, and an off tier is invisible: an engine
+    /// with it off is bit- and time-identical to one without it. On, bits
+    /// are unchanged (the cached vector *is* the decode output) and every
+    /// cached path charges exactly its decoding twin's counters minus the
+    /// decode work (skip search reads it through
+    /// [`intersect::skip_intersect`]). Interior-mutable because every
+    /// query entry point takes `&self`.
     host_cache: RefCell<Lru<TermId, Arc<Vec<u32>>>>,
 }
 
@@ -146,8 +133,8 @@ pub struct CpuEngine {
 /// on top of its payload (map slot, `Arc` header, LRU stamp).
 const HOST_ENTRY_OVERHEAD_BYTES: u64 = 64;
 
-/// [`Strategy::Auto`] switches from merge to skip-binary at this
-/// long/short length ratio.
+/// [`CpuEngine::intersect_step`] switches from merge to skip search at
+/// this long/short length ratio.
 const MERGE_RATIO_THRESHOLD: usize = 16;
 
 impl CpuEngine {
@@ -274,51 +261,31 @@ impl CpuEngine {
         index: &InvertedIndex,
         inter: &Intermediate,
         term: TermId,
-        strategy: Strategy,
         w: &mut WorkCounters,
     ) -> Intermediate {
-        let matches = self.matches(index, &inter.docids, term, strategy, w);
+        let matches = self.matches(index, &inter.docids, term, w);
         self.score_matches(index, inter, term, matches, w)
     }
 
     /// Finds `short`'s members in `term`'s whole list: the one place the
-    /// engine decides how to intersect. [`Strategy::Auto`] takes skip
-    /// search at a long/short ratio of [`MERGE_RATIO_THRESHOLD`] or more
-    /// (an empty `short` counts as infinitely far apart), merge below it.
-    /// The decoding strategies take the list from the host cache or
-    /// decode it and offer it there.
+    /// engine decides how to intersect. Skip search at a long/short ratio
+    /// of [`MERGE_RATIO_THRESHOLD`] or more (an empty `short` counts as
+    /// infinitely far apart), else a merge against the list from the host
+    /// cache, or decoded and offered there.
     fn matches(
         &self,
         index: &InvertedIndex,
         short: &[u32],
         term: TermId,
-        strategy: Strategy,
         w: &mut WorkCounters,
     ) -> Matches {
         let list = index.list(term);
-        let strategy = match strategy {
-            Strategy::Auto => {
-                let ratio = list.len().checked_div(short.len()).unwrap_or(usize::MAX);
-                if ratio >= MERGE_RATIO_THRESHOLD {
-                    Strategy::SkipBinary
-                } else {
-                    Strategy::Merge
-                }
-            }
-            s => s,
-        };
-        match strategy {
-            Strategy::SkipBinary => self.skip_matches(index, short, term, 0..list.num_blocks(), w),
-            Strategy::Merge => {
-                let long = self.decoded_list(term, &list.docs, w);
-                intersect::merge_intersect(short, &long, w)
-            }
-            Strategy::PureBinary => {
-                let long = self.decoded_list(term, &list.docs, w);
-                intersect::binary_intersect_decoded(short, &long, w)
-            }
-            Strategy::Auto => unreachable!("resolved above"),
+        let ratio = list.len().checked_div(short.len()).unwrap_or(usize::MAX);
+        if ratio >= MERGE_RATIO_THRESHOLD {
+            return self.skip_matches(index, short, term, 0..list.num_blocks(), w);
         }
+        let long = self.decoded_list(term, &list.docs, w);
+        intersect::merge_intersect(short, &long, w)
     }
 
     /// Skip search of `short` into the `blocks` sub-range of `term`'s
@@ -412,12 +379,12 @@ impl CpuEngine {
             if inter.is_empty() {
                 break;
             }
-            inter = self.intersect_step(index, &inter, t, Strategy::Auto, w);
+            inter = self.intersect_step(index, &inter, t, w);
         }
         inter
     }
 
-    /// The docID-only SvS chain: same intersections (same strategy
+    /// The docID-only SvS chain: same intersections (same merge-or-skip
     /// choices, same docID-side work) as [`CpuEngine::process_query`], but
     /// no tf decoding and no scoring. Provenance indices are carried so a
     /// deferred scorer can reach any survivor's tf — and its block's score
@@ -446,7 +413,7 @@ impl CpuEngine {
             }
             // The same choice as the unpruned chain, so the docID-side
             // work counters match it exactly.
-            let m = self.matches(index, &docids, t, Strategy::Auto, w);
+            let m = self.matches(index, &docids, t, w);
             // Distinct tf blocks the unpruned score_matches would decode
             // for this step's survivors (its gather is block-monotone).
             let bl = index.list(t).docs.block_len;
@@ -673,7 +640,8 @@ mod tests {
 
     #[test]
     fn strategies_agree_on_results() {
-        // Synthetic index with one short and one long list.
+        // Synthetic index with one short and one long list (ratio 128, so
+        // the step takes skip search).
         let short: Vec<u32> = (0..64u32).map(|i| i * 97 + 5).collect();
         let long: Vec<u32> = (0..8192u32).map(|i| i * 2 + 1).collect();
         let idx = griffin_index::InvertedIndex::from_docid_lists(
@@ -688,14 +656,15 @@ mod tests {
         let mut w = WorkCounters::default();
         let inter = engine.init_intermediate(&idx, t0, &mut w);
 
-        let mut results = Vec::new();
-        for s in [Strategy::Merge, Strategy::SkipBinary, Strategy::PureBinary] {
-            let mut w = WorkCounters::default();
-            let r = engine.intersect_step(&idx, &inter, t1, s, &mut w);
-            results.push(r);
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
+        let step = engine.intersect_step(&idx, &inter, t1, &mut w);
+        let docs = &idx.list(t1).docs;
+        let skip = intersect::skip_intersect(&short, docs, 0..docs.num_blocks(), None, &mut w);
+        let merge = intersect::merge_intersect(&short, &long, &mut w);
+        let binary = intersect::binary_intersect_decoded(&short, &long, &mut w);
+        assert!(!merge.is_empty());
+        assert_eq!(step.docids, merge.docids);
+        assert_eq!(skip, merge);
+        assert_eq!(binary, merge);
     }
 
     #[test]
@@ -732,10 +701,13 @@ mod tests {
         let mut w0 = WorkCounters::default();
         let inter = engine.init_intermediate(&idx, t0, &mut w0);
 
-        let mut w_merge = WorkCounters::default();
-        engine.intersect_step(&idx, &inter, t1, Strategy::Merge, &mut w_merge);
+        // The step takes skip search at this ratio; a merge decodes the
+        // whole long list first.
         let mut w_skip = WorkCounters::default();
-        engine.intersect_step(&idx, &inter, t1, Strategy::SkipBinary, &mut w_skip);
+        engine.intersect_step(&idx, &inter, t1, &mut w_skip);
+        let mut w_merge = WorkCounters::default();
+        let long = decode::decode_list(&idx.list(t1).docs, &mut w_merge);
+        intersect::merge_intersect(&inter.docids, &long, &mut w_merge);
 
         let t_merge = engine.model.time(&w_merge);
         let t_skip = engine.model.time(&w_skip);

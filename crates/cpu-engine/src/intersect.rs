@@ -1,6 +1,9 @@
 //! Pairwise list-intersection algorithms on the CPU (paper §2.1.2, §2.2).
 //!
-//! Three strategies, matching the paper's CPU discussion:
+//! Three algorithms, matching the paper's CPU discussion. The engine picks
+//! merge or skip search by the lists' length ratio
+//! ([`crate::CpuEngine::intersect_step`]); plain binary search is only
+//! Fig. 13's baseline.
 //!
 //! * [`merge_intersect`] — linear merge over decompressed lists; the
 //!   right choice when lengths are comparable (ample spatial locality).

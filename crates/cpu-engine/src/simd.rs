@@ -12,11 +12,9 @@
 //! wall-clock constants 2–5× — which is exactly why wall-clock measurement
 //! lives in the `benchmark/` package, not here).
 //!
-//! Dispatch control:
-//! * `GRIFFIN_FORCE_SCALAR=1` in the environment pins the scalar path for
-//!   the whole process (read once, at first dispatch).
-//! * [`set_forced`] overrides programmatically (tests flip paths
-//!   in-process to exercise both).
+//! Dispatch control: [`set_forced`] pins the scalar path for the whole
+//! process, or returns it to feature detection (tests flip paths
+//! in-process to exercise both).
 //!
 //! Which path actually ran is observable through [`dispatch_totals`]
 //! (cumulative, process-wide, relaxed atomics — race-tolerant by design so
@@ -29,7 +27,6 @@ use griffin_codec::CodecError;
 
 use crate::intersect::Slots;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Which kernel implementation a dispatch resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,18 +49,15 @@ impl KernelPath {
 /// Programmatic dispatch override (see [`set_forced`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ForceMode {
-    /// Honour the environment knob and runtime detection.
+    /// Take the SIMD path when the host supports it (scalar when it does
+    /// not — never unsound).
     #[default]
     Auto,
     /// Always take the scalar path.
     Scalar,
-    /// Take the SIMD path when the host supports it (silently falls back
-    /// to scalar when it does not — never unsound).
-    Simd,
 }
 
 static FORCED: AtomicU8 = AtomicU8::new(0);
-static DETECTED: OnceLock<KernelPath> = OnceLock::new();
 
 pub(crate) fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -76,37 +70,18 @@ pub(crate) fn avx2_available() -> bool {
     }
 }
 
-fn detected() -> KernelPath {
-    *DETECTED.get_or_init(|| {
-        let force_scalar = std::env::var("GRIFFIN_FORCE_SCALAR")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        if !force_scalar && avx2_available() {
-            KernelPath::Avx2
-        } else {
-            KernelPath::Scalar
-        }
-    })
-}
-
 /// Overrides kernel dispatch for the whole process. `Auto` restores the
-/// environment-knob + feature-detection default.
+/// feature-detection default.
 pub fn set_forced(mode: ForceMode) {
     FORCED.store(mode as u8, Ordering::Relaxed);
 }
 
 /// The path the next kernel dispatch will take.
 pub fn active_path() -> KernelPath {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => KernelPath::Scalar,
-        2 => {
-            if avx2_available() {
-                KernelPath::Avx2
-            } else {
-                KernelPath::Scalar
-            }
-        }
-        _ => detected(),
+    if FORCED.load(Ordering::Relaxed) == ForceMode::Auto as u8 && avx2_available() {
+        KernelPath::Avx2
+    } else {
+        KernelPath::Scalar
     }
 }
 
@@ -889,9 +864,12 @@ mod tests {
     /// and every single-bit flip of every word, decodes alike on both
     /// kernel paths and through the codec's reader, without a panic
     /// ([`assert_decodes_alike`]). Set `GRIFFIN_FAULT_SEED` to draw
-    /// others. Fails if the AVX2 EF decode reports a block short of a one
-    /// as `Truncated` where the scalar reader says `UnaryOverrun`, or
-    /// writes `out` before it knows the block is whole.
+    /// others. Every flip that adds a one to an EF block's high bits is
+    /// refused as `BadHeader`, as the device upload refuses it. Fails if
+    /// the AVX2 EF decode reports a block short of a one as `Truncated`
+    /// where the scalar reader says `UnaryOverrun`, writes `out` before it
+    /// knows the block is whole, or if `EfBlockRef::check_streams` accepts
+    /// more ones than elements.
     #[test]
     fn corrupt_blocks_decode_alike_on_every_path() {
         let seed = std::env::var("GRIFFIN_FAULT_SEED")
@@ -933,11 +911,21 @@ mod tests {
                 for len in 0..words.len() {
                     assert_decodes_alike(codec, &words[..len], base, &what(format!("cut {len}")));
                 }
+                // The EF high-bits words follow the header word.
+                let high_words = match codec {
+                    Codec::EliasFano => 1..1 + EfBlockRef::parse(&words).unwrap().hb_words.len(),
+                    _ => 0..0,
+                };
                 for wi in 0..words.len() {
                     for bit in 0..32 {
                         let mut bad = words.clone();
                         bad[wi] ^= 1 << bit;
                         let how = format!("word {wi} bit {bit}");
+                        if high_words.contains(&wi) && bad[wi] & (1 << bit) != 0 {
+                            let mut out = Vec::new();
+                            let got = codec.decode_block(&bad, base, &mut out);
+                            assert_eq!(got, Err(CodecError::BadHeader), "{}", what(how.clone()));
+                        }
                         assert_decodes_alike(codec, &bad, base, &what(how));
                     }
                 }
@@ -1022,13 +1010,12 @@ mod tests {
     fn forced_mode_controls_dispatch() {
         set_forced(ForceMode::Scalar);
         assert_eq!(active_path(), KernelPath::Scalar);
-        set_forced(ForceMode::Simd);
+        set_forced(ForceMode::Auto);
         if avx2_available() {
             assert_eq!(active_path(), KernelPath::Avx2);
         } else {
             assert_eq!(active_path(), KernelPath::Scalar);
         }
-        set_forced(ForceMode::Auto);
     }
 
     #[test]

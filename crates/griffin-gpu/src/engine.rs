@@ -29,18 +29,6 @@ use crate::transfer::DevicePostings;
 
 const BLOCK_DIM: u32 = 256;
 
-/// Which intersection kernel to use for a pairwise step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GpuStrategy {
-    /// Load-balanced MergePath over fully decompressed lists.
-    MergePath,
-    /// Parallel binary search over skip pointers with selective block
-    /// decompression.
-    BinarySearch,
-    /// Pick by length ratio (Griffin-GPU's §3.1.2 behaviour).
-    Auto,
-}
-
 /// The query's running state on the device: surviving docIDs and their
 /// accumulated partial BM25 scores.
 pub struct DeviceIntermediate {
@@ -376,7 +364,8 @@ impl Kernel for TfGatherKernel {
     }
 }
 
-/// `Auto` switches MergePath → binary search at this long/short ratio: the block size (§3.2).
+/// [`GpuEngine::intersect_step`] switches from MergePath to binary search
+/// at this long/short ratio: the block size (§3.2).
 const BINARY_RATIO_THRESHOLD: usize = 128;
 
 /// The Griffin-GPU engine.
@@ -400,7 +389,7 @@ pub struct GpuEngine<'g> {
     /// The prefetch half of [`DeviceCacheStats`].
     prefetch_issued: Cell<u64>,
     prefetch_consumed: Cell<u64>,
-    /// Whether [`GpuEngine::process_query`] runs with copy/compute
+    /// Whether [`GpuEngine::windowed`] opens an async window: copy/compute
     /// overlap (async streams + list prefetch). On by default; results
     /// are bit-exact either way, only the modeled latency changes.
     overlap: Cell<bool>,
@@ -476,10 +465,28 @@ impl<'g> GpuEngine<'g> {
     }
 
     /// Enables or disables copy/compute overlap in
-    /// [`GpuEngine::process_query`] (and prefetch acceptance). Results
-    /// are identical either way; see [`griffin_gpu_sim::stream`].
+    /// [`GpuEngine::windowed`]. Results are identical either way; see
+    /// [`griffin_gpu_sim::stream`].
     pub fn set_overlap(&self, on: bool) {
         self.overlap.set(on);
+    }
+
+    /// Runs `f` in an async window on the device when overlap is on: each
+    /// list ships on the copy stream while the previous operation's
+    /// kernels run on the compute stream (and prefetches are accepted).
+    /// A window the caller already opened is left open; one this call
+    /// opened is closed again. Every whole-query entry point runs its
+    /// device work through here.
+    pub fn windowed<R>(&self, f: impl FnOnce() -> R) -> R {
+        let open = self.overlap.get() && !self.gpu.async_enabled();
+        if open {
+            self.gpu.set_async(true);
+        }
+        let out = f();
+        if open {
+            self.gpu.set_async(false);
+        }
+        out
     }
 
     /// Snapshot of the list-cache and prefetch counters. `bytes_resident`
@@ -696,23 +703,22 @@ impl<'g> GpuEngine<'g> {
         })
     }
 
-    /// One pairwise intersection step. Borrows the old intermediate so a
-    /// fault mid-step leaves it intact (the caller can re-materialize it
-    /// on the CPU); on success the caller frees the old intermediate.
+    /// One pairwise intersection step: MergePath below a long/short
+    /// length ratio of `BINARY_RATIO_THRESHOLD`, parallel binary search
+    /// over the skip pointers at or above it (§3.1.2). Borrows the old
+    /// intermediate so a fault mid-step leaves it intact (the caller can
+    /// re-materialize it on the CPU); on success the caller frees the old
+    /// intermediate.
     pub fn intersect_step(
         &self,
         inter: &DeviceIntermediate,
         postings: &DevicePostings,
         block_len: usize,
-        strategy: GpuStrategy,
     ) -> Result<DeviceIntermediate, GpuError> {
         let gpu = self.gpu;
         let long_len = postings.len();
         let ratio = long_len.checked_div(inter.len).unwrap_or(usize::MAX);
-        let merge_path = match strategy {
-            GpuStrategy::Auto => ratio < BINARY_RATIO_THRESHOLD,
-            s => s == GpuStrategy::MergePath,
-        };
+        let merge_path = ratio < BINARY_RATIO_THRESHOLD;
         let mut scope = Scope::new(gpu);
         if inter.len == 0 || long_len == 0 {
             let (docids, scores) = (scope.alloc(0)?, scope.alloc(0)?);
@@ -722,7 +728,7 @@ impl<'g> GpuEngine<'g> {
                 len: 0,
             });
         }
-        // The strategies differ in how the matches are found, and in where
+        // The two kernels differ in how the matches are found, and in where
         // a match's tf comes from: MergePath decompresses the whole long
         // list (comparable lengths: every block is needed anyway), tfs
         // included; binary search touches few blocks and gathers the
@@ -834,21 +840,16 @@ impl<'g> GpuEngine<'g> {
         k: usize,
     ) -> Result<GpuQueryOutput, GpuError> {
         let gpu = self.gpu;
-        let was_async = gpu.async_enabled();
-        if self.overlap.get() {
-            gpu.set_async(true);
-        }
         let start = gpu.now();
-        let host = self.eval_chain(index, terms, None);
-        // Close the window: leftover prefetches are returned to the
-        // cache's custody and all scheduled work retires on the clock, so
-        // `time` covers everything this query issued.
-        self.drain_prefetch();
-        gpu.sync();
-        if !was_async {
-            gpu.set_async(false);
-        }
-        let host = host?;
+        let host = self.windowed(|| {
+            let host = self.eval_chain(index, terms, None);
+            // Close the window: leftover prefetches are returned to the
+            // cache's custody and all scheduled work retires on the
+            // clock, so `time` covers everything this query issued.
+            self.drain_prefetch();
+            gpu.sync();
+            host
+        })?;
         let time = gpu.now() - start;
         let mut rank_work = WorkCounters::default();
         let topk = topk::top_k(&host.docids, &host.scores, k, &mut rank_work);
@@ -939,12 +940,7 @@ impl<'g> GpuEngine<'g> {
                 break;
             }
             let postings = list(i)?;
-            let next = self.intersect_step(
-                &inter,
-                postings.postings(),
-                index.block_len(),
-                GpuStrategy::Auto,
-            );
+            let next = self.intersect_step(&inter, postings.postings(), index.block_len());
             self.release_list(postings);
             let next = next?;
             scope.free(inter.docids);
@@ -1021,9 +1017,10 @@ mod tests {
     use super::*;
     use griffin_codec::Codec;
     use griffin_cpu::CpuEngine;
-    use griffin_gpu_sim::DeviceConfig;
+    use griffin_gpu_sim::{DeviceConfig, DeviceEvent};
     use griffin_index::InvertedIndex;
     use griffin_sim_conformance::{check, Cases, Draw};
+    use std::sync::{Arc, Mutex};
 
     fn synthetic_index(lists: &[Vec<u32>], num_docs: u32) -> InvertedIndex {
         InvertedIndex::from_docid_lists(lists, num_docs, Codec::EliasFano, 128)
@@ -1058,32 +1055,59 @@ mod tests {
         assert!(gpu_out.time.as_nanos() > 0);
     }
 
+    /// What `f` returns, and the kernels it launched on `gpu`, in order.
+    fn launched<T>(gpu: &Gpu, f: impl FnOnce() -> T) -> (T, Vec<&'static str>) {
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&names);
+        gpu.set_observer(Some(Arc::new(move |e: &DeviceEvent<'_>| {
+            if let DeviceEvent::KernelLaunch { name, .. } = e {
+                seen.lock().unwrap().push(*name);
+            }
+        })));
+        let out = f();
+        gpu.set_observer(None);
+        let names = names.lock().unwrap().clone();
+        (out, names)
+    }
+
     #[test]
     fn strategies_produce_identical_intermediates() {
-        let short: Vec<u32> = (0..100u32).map(|i| i * 211 + 7).collect();
+        // 400 against 20 000 is 50×, under the 128× switch, so the step
+        // runs MergePath; 100 against it is 200×, so it searches the skip
+        // pointers. Each kernel must reproduce the CPU step's bits.
         let long: Vec<u32> = (0..20_000u32).map(|i| i * 2 + 1).collect();
-        let idx = synthetic_index(&[short, long], 50_000);
+        let near: Vec<u32> = (0..400u32).map(|i| i * 47 + 7).collect();
+        let far: Vec<u32> = (0..100u32).map(|i| i * 211 + 7).collect();
+        let idx = synthetic_index(&[long, near, far], 50_000);
+        let cpu = CpuEngine::new();
 
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let engine = GpuEngine::new(&gpu, idx.meta());
         let t0 = engine.upload(&idx, term(&idx, 0)).unwrap();
-        let t1 = engine.upload(&idx, term(&idx, 1)).unwrap();
-
-        let mut results = Vec::new();
-        for strategy in [GpuStrategy::MergePath, GpuStrategy::BinarySearch] {
-            let inter = engine.init_intermediate(&t0).unwrap();
-            let next = engine
-                .intersect_step(&inter, &t1, idx.block_len(), strategy)
-                .unwrap();
+        for (short, kernel, other) in [
+            (1, "mergepath.merge", "gpu_binary.skip_search"),
+            (2, "gpu_binary.skip_search", "mergepath.merge"),
+        ] {
+            let s = engine.upload(&idx, term(&idx, short)).unwrap();
+            let inter = engine.init_intermediate(&s).unwrap();
+            let (next, kernels) = launched(&gpu, || {
+                engine.intersect_step(&inter, &t0, idx.block_len()).unwrap()
+            });
+            assert!(kernels.contains(&kernel), "{kernels:?}");
+            assert!(!kernels.contains(&other), "{kernels:?}");
             inter.free(&gpu);
-            results.push(engine.download(&next).unwrap());
+            let got = engine.download(&next).unwrap();
             next.free(&gpu);
+            engine.release(s);
+
+            let mut w = WorkCounters::default();
+            let host = cpu.init_intermediate(&idx, term(&idx, short), &mut w);
+            let want = cpu.intersect_step(&idx, &host, term(&idx, 0), &mut w);
+            assert!(!want.is_empty(), "test needs a non-empty intersection");
+            assert_eq!(got.docids, want.docids);
+            let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.scores), bits(&want.scores));
         }
-        assert_eq!(results[0], results[1]);
-        assert!(
-            !results[0].is_empty(),
-            "test needs a non-empty intersection"
-        );
     }
 
     #[test]

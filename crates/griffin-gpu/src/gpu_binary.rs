@@ -1,5 +1,6 @@
 //! Parallel binary-search intersection over skip pointers (paper §3.1.2):
-//! Griffin-GPU's strategy when the two lists' lengths differ widely.
+//! what `GpuEngine::intersect_step` runs when the two lists' lengths
+//! differ widely (128× or more).
 //!
 //! "Griffin-GPU first does binary search over the skip pointers instead of
 //! the long list to identify blocks that may contain the elements in the

@@ -36,8 +36,6 @@ pub mod radix_sort;
 pub mod scan;
 pub mod transfer;
 
-pub use engine::{
-    DeviceCacheStats, DeviceIntermediate, GpuEngine, GpuQueryOutput, GpuStrategy, HullLedger,
-};
+pub use engine::{DeviceCacheStats, DeviceIntermediate, GpuEngine, GpuQueryOutput, HullLedger};
 pub use error::GpuError;
 pub use transfer::{DeviceEfList, DevicePostings};

@@ -515,7 +515,7 @@ pub fn decode_postings(
 mod tests {
     use super::*;
     use crate::GpuError;
-    use griffin_codec::{BlockedList, Codec, DEFAULT_BLOCK_LEN};
+    use griffin_codec::{BlockedList, Codec, CodecError, DEFAULT_BLOCK_LEN};
     use griffin_gpu_sim::{DeviceConfig, DeviceEvent, FaultKind, FaultPlan, LaunchCounters};
     use griffin_index::{CompressedPostingList, Posting};
     use griffin_sim_conformance::{check, devices, Case, Draw};
@@ -898,10 +898,13 @@ mod tests {
 
     /// Every truncation and single-bit flip of the last block of seeded EF
     /// lists, their skips intact, is refused at upload as corrupt, with
-    /// nothing left on the device, or decodes, on every path alike, to what
-    /// the codec's reader returns. Mutation that fails it: the upload
+    /// nothing left on the device and the codec's reader refusing the
+    /// block with the same error, or decodes, on every path alike, to what
+    /// the codec's reader returns. Mutations that fail it: the upload
     /// checking only that the block parses (a flipped high bit then panics
-    /// in the lanes or decodes to other docIDs).
+    /// in the lanes or decodes to other docIDs), and
+    /// `EfBlockRef::check_streams` accepting more ones than elements (the
+    /// CPU then decodes a block the upload refuses).
     #[test]
     fn a_corrupt_block_is_refused_or_decodes_as_the_codec_reads_it() {
         let mut draw = Draw::new(0xEF_B10C);
@@ -929,7 +932,16 @@ mod tests {
             for (what, l) in bad {
                 let gpu = Gpu::new(DeviceConfig::test_tiny());
                 match DeviceEfList::upload(&gpu, &l) {
-                    Err(GpuError::Corrupt(_)) => assert_eq!(gpu.mem_in_use(), 0, "{what}"),
+                    Err(GpuError::Corrupt(e)) => {
+                        assert_eq!(gpu.mem_in_use(), 0, "{what}");
+                        let host = l
+                            .words
+                            .get(start..start + len)
+                            .ok_or(CodecError::Truncated)
+                            .and_then(EfBlockRef::parse)
+                            .and_then(|b| b.decode_into(0, &mut Vec::new()));
+                        assert_eq!(host, Err(e), "{what}");
+                    }
                     Err(e) => panic!("{what}: {e}"),
                     Ok(dev) => {
                         let mut want = Vec::new();

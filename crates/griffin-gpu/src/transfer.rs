@@ -122,11 +122,9 @@ impl EfListImage {
                 .get(skip.word_start as usize..(skip.word_start + skip.word_len) as usize)
                 .ok_or(CodecError::Truncated)?;
             let blk = EfBlockRef::parse(words)?;
-            // The lanes place one element per high bit set.
+            // The lanes place one element per high bit set, and the
+            // streams hold exactly `count` of them.
             blk.check_streams()?;
-            if blk.hb_words.iter().map(|w| w.count_ones()).sum::<u32>() != blk.count {
-                return Err(CodecError::BadHeader);
-            }
             img.block_word_start.push(img.words.len() as u32);
             img.block_elem_start.push(skip.elem_start - elem_base);
             img.block_base.push(list.block_base(i));

@@ -19,19 +19,19 @@
 //! scores buffer right after allocating it instead of at the return — a
 //! fault in the accumulate launch then leaves it allocated
 //! (`intersect_step/merge_path` at its last index,
-//! `intersect_step/binary_search` at its last three). One in the allocator
+//! `intersect_step/binary_search` at its last two). One in the allocator
 //! that fails the last: `Pool::free` putting an upload's buffer on a free
 //! list as if it were scratch — the list image a faulted upload rolls back
 //! is then trimmed at a size it was never obtained at.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use griffin_codec::Codec;
 use griffin_gpu::mergepath::MergePathConfig;
 use griffin_gpu::{
     bucket_select, mergepath, para_ef, radix_sort, DeviceIntermediate, DevicePostings, GpuEngine,
-    GpuError, GpuStrategy,
+    GpuError,
 };
 use griffin_gpu_sim::{
     DeviceBuffer, DeviceConfig, DeviceEvent, FaultKind, FaultPlan, Gpu, TransferDir,
@@ -70,6 +70,21 @@ fn count_ops<T>(gpu: &Gpu, f: impl FnOnce() -> T) -> (T, u64) {
     gpu.set_observer(None);
     let ops = gpu.stats().allocs - allocs + events.load(Ordering::Relaxed);
     (out, ops)
+}
+
+/// The kernels `f` launches on a clean device, in order.
+fn launched<T>(gpu: &Gpu, f: impl FnOnce() -> T) -> Vec<&'static str> {
+    let names = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&names);
+    gpu.set_observer(Some(Arc::new(move |e: &DeviceEvent<'_>| {
+        if let DeviceEvent::KernelLaunch { name, .. } = e {
+            seen.lock().unwrap().push(*name);
+        }
+    })));
+    f();
+    gpu.set_observer(None);
+    let names = names.lock().unwrap().clone();
+    names
 }
 
 fn read(gpu: &Gpu, bufs: &[&DeviceBuffer<u32>]) -> Vec<Vec<u32>> {
@@ -234,21 +249,34 @@ fn init_intermediate_at_every_fault_position() {
 fn intersect_step_at_every_fault_position_under_both_strategies() {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let engine = engine(&gpu);
-    let short = postings(&gpu, 400, 21, 0);
     let long = postings(&gpu, 9_000, 3, 0);
-    let inter = engine.init_intermediate(&short).unwrap();
-    let mut inputs = buffers(&long).to_vec();
-    let scores = inter.scores.cast::<u32>();
-    inputs.extend([&inter.docids, &scores]);
-    for (name, strategy) in [
-        ("intersect_step/merge_path", GpuStrategy::MergePath),
-        ("intersect_step/binary_search", GpuStrategy::BinarySearch),
+    // 400 against 9 000 is 22×, under the step's 128× switch to binary
+    // search; 60 against it is 150×.
+    let near = postings(&gpu, 400, 21, 0);
+    let far = postings(&gpu, 60, 441, 0);
+    let near_inter = engine.init_intermediate(&near).unwrap();
+    let far_inter = engine.init_intermediate(&far).unwrap();
+    for (name, inter, kernel) in [
+        ("intersect_step/merge_path", &near_inter, "mergepath.merge"),
+        (
+            "intersect_step/binary_search",
+            &far_inter,
+            "gpu_binary.skip_search",
+        ),
     ] {
+        let mut inputs = buffers(&long).to_vec();
+        let scores = inter.scores.cast::<u32>();
+        inputs.extend([&inter.docids, &scores]);
+        let kernels = launched(&gpu, || {
+            let next = engine.intersect_step(inter, &long, BLOCK_LEN).unwrap();
+            next.free(&gpu);
+        });
+        assert!(kernels.contains(&kernel), "{name}: {kernels:?}");
         sweep(
             name,
             &gpu,
             &inputs,
-            || engine.intersect_step(&inter, &long, BLOCK_LEN, strategy),
+            || engine.intersect_step(inter, &long, BLOCK_LEN),
             |next| {
                 let out = drain(&gpu, next);
                 assert!(!out.0.is_empty(), "{name}: the sweep needs matches");
@@ -258,16 +286,21 @@ fn intersect_step_at_every_fault_position_under_both_strategies() {
     }
     // A side with nothing in it takes the two-allocation early exit.
     let nothing = postings(&gpu, 0, 1, 0);
+    let mut inputs = buffers(&long).to_vec();
+    let scores = near_inter.scores.cast::<u32>();
+    inputs.extend([&near_inter.docids, &scores]);
     sweep(
         "intersect_step/empty",
         &gpu,
         &inputs,
-        || engine.intersect_step(&inter, &nothing, BLOCK_LEN, GpuStrategy::Auto),
+        || engine.intersect_step(&near_inter, &nothing, BLOCK_LEN),
         |next| drain(&gpu, next),
     );
     nothing.free(&gpu);
-    inter.free(&gpu);
-    short.free(&gpu);
+    near_inter.free(&gpu);
+    far_inter.free(&gpu);
+    near.free(&gpu);
+    far.free(&gpu);
     long.free(&gpu);
     engine.shutdown();
     assert_eq!(gpu.mem_in_use(), 0);

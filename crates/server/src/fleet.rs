@@ -439,11 +439,7 @@ impl<'g> Fleet<'g> {
             }
             parts.push(std::mem::take(&mut a.topk));
             if let Some(p) = a.pruning.take() {
-                let agg = pruning.get_or_insert_with(PruneStats::default);
-                agg.tf_blocks_total += p.tf_blocks_total;
-                agg.tf_blocks_decoded += p.tf_blocks_decoded;
-                agg.candidates += p.candidates;
-                agg.verified += p.verified;
+                pruning.get_or_insert_with(PruneStats::default).add(&p);
             }
         }
         let topk = merge_topk(&parts, req.k);
@@ -617,28 +613,16 @@ impl<'g> Fleet<'g> {
                 .counter_add("griffin_fleet_hedge_cancelled_ns_total", saved.as_nanos());
         }
 
-        let latency = win_finish - issue;
-        self.shard_latency[s].record(latency.as_nanos());
-        self.hedge_latency.record(latency.as_nanos());
-        self.telemetry.with(|r| {
-            let name = format!("griffin_fleet_shard_latency_ns{{shard=\"{s}\"}}");
-            r.registry.observe_duration(&name, latency);
-        });
-        ShardAnswer {
-            topk: win_out.topk,
-            pruning: win_out.pruning,
-            finish: Some(win_finish),
-            gpu_abandoned: win_out.gpu_abandoned,
-            status: ShardStatus {
-                shard: s,
-                replica: Some(win_r),
-                outcome: ShardOutcome::Answered,
-                latency,
-                hedged,
-                hedge_won,
-                gpu_faults: win_out.gpu_faults,
-            },
-        }
+        let status = ShardStatus {
+            shard: s,
+            replica: Some(win_r),
+            outcome: ShardOutcome::Answered,
+            latency: win_finish - issue,
+            hedged,
+            hedge_won,
+            gpu_faults: win_out.gpu_faults,
+        };
+        self.answered(status, win_finish, win_out)
     }
 
     /// The all-breakers-open path: run the query CPU-only on the least
@@ -663,7 +647,27 @@ impl<'g> Fleet<'g> {
         self.stats.degraded_cpu += 1;
         self.telemetry
             .counter_add("griffin_fleet_degraded_cpu_total", 1);
-        let latency = finish - issue;
+        let status = ShardStatus {
+            shard: s,
+            replica: Some(r),
+            outcome: ShardOutcome::AnsweredCpuOnly,
+            latency: finish - issue,
+            hedged: false,
+            hedge_won: false,
+            gpu_faults: out.gpu_faults,
+        };
+        self.answered(status, finish, out)
+    }
+
+    /// Records a shard's answer latency and wraps `out`, the run that
+    /// answered it at `finish`, as the shard's answer.
+    fn answered(
+        &mut self,
+        status: ShardStatus,
+        finish: VirtualNanos,
+        out: GriffinOutput,
+    ) -> ShardAnswer {
+        let (s, latency) = (status.shard, status.latency);
         self.shard_latency[s].record(latency.as_nanos());
         self.hedge_latency.record(latency.as_nanos());
         self.telemetry.with(|r| {
@@ -675,15 +679,7 @@ impl<'g> Fleet<'g> {
             pruning: out.pruning,
             finish: Some(finish),
             gpu_abandoned: out.gpu_abandoned,
-            status: ShardStatus {
-                shard: s,
-                replica: Some(r),
-                outcome: ShardOutcome::AnsweredCpuOnly,
-                latency,
-                hedged: false,
-                hedge_won: false,
-                gpu_faults: out.gpu_faults,
-            },
+            status,
         }
     }
 

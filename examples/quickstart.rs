@@ -46,7 +46,7 @@ fn main() {
         .collect();
 
     for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
-        let out = griffin.process_query(&index, &query, 5, mode);
+        let out = griffin.run(&index, &QueryRequest::new(query.to_vec()).k(5).mode(mode));
         println!("\n== {mode:?} ({}) ==", out.time);
         for (rank, (docid, score)) in out.topk.iter().enumerate() {
             println!(

@@ -47,12 +47,15 @@ fn main() {
         arrival += VirtualNanos::from_nanos_f64(-2_000_000.0 * (1.0 - rng.gen::<f64>()).ln());
         arrivals.push(arrival);
 
-        let cpu_out = griffin.process_query(&index, q, 10, ExecMode::CpuOnly);
+        let cpu_out = griffin.run(
+            &index,
+            &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly),
+        );
         cpu_jobs.push(job(vec![StageReq::new(Resource::Cpu, cpu_out.time)]));
 
         // The trace → stage bridge: GPU kernels and PCIe migrations
         // occupy the GPU lane, everything else a CPU core.
-        let hybrid_out = griffin.process_query(&index, q, 10, ExecMode::Hybrid);
+        let hybrid_out = griffin.run(&index, &QueryRequest::new(q.to_vec()));
         hybrid_jobs.push(job(stages_of(&hybrid_out)));
     }
 

@@ -46,7 +46,7 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let out = griffin.process_query(&index, q, 10, mode);
+            let out = griffin.run(&index, &QueryRequest::new(q.to_vec()).mode(mode));
             bucket[i].record(out.time);
         }
     }

@@ -407,7 +407,6 @@ fn zipf_hit_count_is_monotone_in_result_cache_size() {
 /// offset, or searches it differently from a decoded block.
 #[test]
 fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
-    use griffin_suite::griffin_cpu::engine::Strategy;
     use griffin_suite::griffin_cpu::WorkCounters;
 
     let fx = fixture();
@@ -430,11 +429,16 @@ fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
     let run_once = || {
         let mut w = WorkCounters::default();
         let provenance = cpu.docid_chain(&fx.index, &order, &mut w).elem_idx;
-        let steps = [Strategy::Auto, Strategy::SkipBinary].map(|strategy| {
+        let steps = [false, true].map(|all_skip| {
             let mut w = WorkCounters::default();
             let mut inter = cpu.init_intermediate(&fx.index, order[0], &mut w);
             for &t in &order[1..] {
-                inter = cpu.intersect_step(&fx.index, &inter, t, strategy, &mut w);
+                inter = if all_skip {
+                    let blocks = 0..fx.index.list(t).docs.num_blocks();
+                    cpu.intersect_step_range(&fx.index, &inter, t, blocks, &mut w)
+                } else {
+                    cpu.intersect_step(&fx.index, &inter, t, &mut w)
+                };
             }
             let bits: Vec<u32> = inter.scores.iter().map(|s| s.to_bits()).collect();
             let search = [w.merge_steps, w.probes, w.skip_probes, w.scored, w.emitted];

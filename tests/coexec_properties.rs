@@ -77,7 +77,7 @@ fn run_hybrid(
     let outs = fx
         .queries
         .iter()
-        .map(|q| griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid))
+        .map(|q| griffin.run(&fx.index, &QueryRequest::new(q.to_vec())))
         .collect();
     griffin.gpu.shutdown();
     assert_eq!(gpu.mem_in_use(), 0, "split must not leak device memory");
@@ -163,7 +163,7 @@ fn adaptive_balancer_is_bit_exact_with_unsplit() {
         "co-execution defaults on"
     );
     for (q, expect) in fx.queries.iter().zip(&baseline) {
-        let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
+        let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()));
         assert_eq!(out.topk, expect.topk, "adaptive split changed results");
         assert_lane_accounting(&out, "adaptive");
     }
@@ -199,7 +199,12 @@ fn device_loss_mid_split_degrades_but_never_fails() {
     let truth: Vec<Vec<u32>> = fx
         .queries
         .iter()
-        .map(|q| ids(&griffin.process_query(&fx.index, q, 10, ExecMode::CpuOnly)))
+        .map(|q| {
+            ids(&griffin.run(
+                &fx.index,
+                &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly),
+            ))
+        })
         .collect();
     griffin.gpu.shutdown();
 
@@ -215,7 +220,7 @@ fn device_loss_mid_split_degrades_but_never_fails() {
         griffin.scheduler.split = Some(SplitConfig::forced(0.5));
         let mut saw_fault = false;
         for (q, expect) in fx.queries.iter().zip(&truth) {
-            let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
+            let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()));
             assert_eq!(&ids(&out), expect, "lost_at={lost_at}");
             assert_lane_accounting(&out, &format!("lost_at={lost_at}"));
             saw_fault |= out.gpu_faults > 0;
@@ -257,7 +262,7 @@ fn splits_surface_in_metrics_and_the_device_timeline() {
     griffin.scheduler.split = Some(SplitConfig::forced(0.5));
     let mut split_steps = 0usize;
     for q in &fx.queries {
-        let out = griffin.process_query(&fx.index, q, 10, ExecMode::Hybrid);
+        let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()));
         split_steps += out
             .steps
             .iter()

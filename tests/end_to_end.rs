@@ -43,9 +43,9 @@ fn all_modes_agree_on_text_corpus() {
         vec!["query", "latency"],
     ] {
         let q = query(&idx, &words);
-        let cpu = griffin.process_query(&idx, &q, 10, ExecMode::CpuOnly);
-        let gpu_only = griffin.process_query(&idx, &q, 10, ExecMode::GpuOnly);
-        let hybrid = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+        let cpu = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
+        let gpu_only = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::GpuOnly));
+        let hybrid = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
         let ids = |o: &GriffinOutput| o.topk.iter().map(|&(d, _)| d).collect::<Vec<_>>();
         assert_eq!(ids(&cpu), ids(&gpu_only), "{words:?}");
         assert_eq!(ids(&cpu), ids(&hybrid), "{words:?}");
@@ -61,7 +61,7 @@ fn results_are_actually_conjunctive() {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
     let q = query(&idx, &["gpu", "query"]);
-    let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+    let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
     assert!(!out.topk.is_empty());
     // Verify each hit contains every term by checking the posting lists.
     for &(docid, _) in &out.topk {
@@ -82,7 +82,7 @@ fn ranking_is_descending_and_respects_k() {
     let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
     let q = query(&idx, &["the", "query"]);
     for k in [1usize, 2, 5, 100] {
-        let out = griffin.process_query(&idx, &q, k, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()).k(k));
         assert!(out.topk.len() <= k);
         for w in out.topk.windows(2) {
             assert!(w[0].1 >= w[1].1, "scores must be non-increasing");
@@ -110,8 +110,8 @@ fn synthetic_workload_pipeline_runs_end_to_end() {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
     for q in &queries {
-        let cpu = griffin.process_query(&idx, q, 10, ExecMode::CpuOnly);
-        let hyb = griffin.process_query(&idx, q, 10, ExecMode::Hybrid);
+        let cpu = griffin.run(&idx, &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly));
+        let hyb = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
         let ids = |o: &GriffinOutput| o.topk.iter().map(|&(d, _)| d).collect::<Vec<_>>();
         assert_eq!(ids(&cpu), ids(&hyb));
         assert!(cpu.time.as_nanos() > 0);
@@ -127,7 +127,7 @@ fn serving_simulation_consumes_hybrid_traces() {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
     let q = query(&idx, &["gpu", "query"]);
-    let out = griffin.process_query(&idx, &q, 10, ExecMode::Hybrid);
+    let out = griffin.run(&idx, &QueryRequest::new(q.to_vec()));
 
     let job = PlannedQuery {
         stages: stages_of(&out),

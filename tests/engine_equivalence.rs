@@ -1,84 +1,122 @@
 //! Property-based cross-engine equivalence: for arbitrary synthetic
-//! indexes and queries, the CPU engine, the GPU engine, every forced
-//! intersection strategy, and the hybrid scheduler must produce identical
+//! indexes and queries, the CPU engine, the GPU engine, every CPU
+//! intersection algorithm, and the hybrid scheduler must produce identical
 //! results — the core safety property of a system that migrates a live
 //! query between processors.
 
-use griffin::{ExecMode, Griffin};
+use griffin::{ExecMode, Griffin, GriffinOutput, QueryRequest};
 use griffin_codec::Codec;
-use griffin_cpu::engine::Strategy as CpuStrategy;
-use griffin_cpu::{CpuEngine, WorkCounters};
+use griffin_cpu::{decode, intersect, CpuEngine, WorkCounters};
 use griffin_gpu_sim::{DeviceConfig, Gpu};
-use griffin_index::{InvertedIndex, TermId};
+use griffin_index::{
+    CompressedPostingList, CorpusMeta, Dictionary, InvertedIndex, Posting, TermId,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: 2–4 posting lists of varied lengths over a shared docID
-/// space, guaranteed some overlap by seeding from a common pool.
-fn index_and_query() -> impl Strategy<Value = (Vec<Vec<u32>>, usize)> {
+/// space, guaranteed some overlap by seeding from a common pool, plus a
+/// seed for their tfs and a k.
+fn index_and_query() -> impl Strategy<Value = (Vec<Vec<u32>>, u64, usize)> {
     (
         vec(0u32..40_000, 200..800), // shared pool
         vec(vec(0u32..40_000, 50..2_000), 2..4),
+        any::<u64>(),
         any::<usize>(),
     )
-        .prop_map(|(pool, mut lists, k)| {
+        .prop_map(|(pool, mut lists, tf_seed, k)| {
             for l in &mut lists {
                 // Mix in the shared pool so intersections are non-trivial.
                 l.extend(pool.iter().step_by(3));
                 l.sort_unstable();
                 l.dedup();
             }
-            (lists, k % 20 + 1)
+            (lists, tf_seed, k % 20 + 1)
         })
+}
+
+/// The lists as terms `t0`, `t1`, … with a tf drawn from 1..1 000 per
+/// posting, so a tf read from the wrong element changes a score's bits.
+fn index_of(lists: &[Vec<u32>], tf_seed: u64) -> InvertedIndex {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(tf_seed);
+    let mut dictionary = Dictionary::new();
+    let compressed = lists
+        .iter()
+        .enumerate()
+        .map(|(i, ids)| {
+            dictionary.intern(&format!("t{i}"));
+            let postings: Vec<Posting> = ids
+                .iter()
+                .map(|&docid| Posting {
+                    docid,
+                    tf: rng.gen_range(1..1_000),
+                })
+                .collect();
+            CompressedPostingList::compress(&postings, Codec::EliasFano, 128)
+        })
+        .collect();
+    let meta = CorpusMeta::uniform(50_000, 300);
+    InvertedIndex::new(dictionary, compressed, meta, Codec::EliasFano, 128)
+}
+
+fn terms_of(idx: &InvertedIndex, n: usize) -> Vec<TermId> {
+    (0..n)
+        .map(|i| idx.lookup(&format!("t{i}")).expect("term"))
+        .collect()
+}
+
+/// `(docid, score bits)` of a top-k.
+fn bits(o: &GriffinOutput) -> Vec<(u32, u32)> {
+    o.topk.iter().map(|&(d, s)| (d, s.to_bits())).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn cpu_gpu_hybrid_return_identical_topk((lists, k) in index_and_query()) {
-        let idx = InvertedIndex::from_docid_lists(&lists, 50_000, Codec::EliasFano, 128);
-        let terms: Vec<TermId> = (0..lists.len())
-            .map(|i| idx.lookup(&format!("t{i}")).expect("term"))
-            .collect();
+    fn cpu_gpu_hybrid_return_identical_topk((lists, tf_seed, k) in index_and_query()) {
+        let idx = index_of(&lists, tf_seed);
+        let terms = terms_of(&idx, lists.len());
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
 
-        let cpu = griffin.process_query(&idx, &terms, k, ExecMode::CpuOnly);
-        let gpu_only = griffin.process_query(&idx, &terms, k, ExecMode::GpuOnly);
-        let hybrid = griffin.process_query(&idx, &terms, k, ExecMode::Hybrid);
+        let req = QueryRequest::new(terms).k(k);
+        let cpu = griffin.run(&idx, &req.clone().mode(ExecMode::CpuOnly));
+        let gpu_only = griffin.run(&idx, &req.clone().mode(ExecMode::GpuOnly));
+        let hybrid = griffin.run(&idx, &req);
 
-        let ids = |o: &griffin::GriffinOutput| o.topk.iter().map(|&(d, _)| d).collect::<Vec<_>>();
-        prop_assert_eq!(ids(&cpu), ids(&gpu_only));
-        prop_assert_eq!(ids(&cpu), ids(&hybrid));
-        for ((_, a), (_, b)) in cpu.topk.iter().zip(&gpu_only.topk) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
+        prop_assert_eq!(bits(&cpu), bits(&gpu_only));
+        prop_assert_eq!(bits(&cpu), bits(&hybrid));
     }
 
+    /// The step's own choice, the skip walk over every block, merge and
+    /// plain binary search all find the same matches.
     #[test]
-    fn cpu_strategies_agree((lists, _k) in index_and_query()) {
-        let idx = InvertedIndex::from_docid_lists(&lists, 50_000, Codec::EliasFano, 128);
+    fn cpu_strategies_agree((lists, tf_seed, _k) in index_and_query()) {
+        let idx = index_of(&lists, tf_seed);
         let engine = CpuEngine::new();
         let t0 = idx.lookup("t0").expect("t0");
         let t1 = idx.lookup("t1").expect("t1");
         let mut w = WorkCounters::default();
         let inter = engine.init_intermediate(&idx, t0, &mut w);
-        let mut results = Vec::new();
-        for s in [CpuStrategy::Merge, CpuStrategy::SkipBinary, CpuStrategy::PureBinary] {
-            let mut w = WorkCounters::default();
-            results.push(engine.intersect_step(&idx, &inter, t1, s, &mut w));
-        }
-        prop_assert_eq!(&results[0], &results[1]);
-        prop_assert_eq!(&results[0], &results[2]);
+        let docs = &idx.list(t1).docs;
+        let step = engine.intersect_step(&idx, &inter, t1, &mut w);
+        let skip = engine.intersect_step_range(&idx, &inter, t1, 0..docs.num_blocks(), &mut w);
+        prop_assert_eq!(&step, &skip);
+        let long = decode::decode_list(docs, &mut w);
+        let merge = intersect::merge_intersect(&inter.docids, &long, &mut w);
+        let binary = intersect::binary_intersect_decoded(&inter.docids, &long, &mut w);
+        let walk = intersect::skip_intersect(&inter.docids, docs, 0..docs.num_blocks(), None, &mut w);
+        prop_assert_eq!(&step.docids, &merge.docids);
+        prop_assert_eq!(&binary, &merge);
+        prop_assert_eq!(&walk, &merge);
     }
 
     #[test]
-    fn intersection_result_is_exactly_the_set_intersection((lists, _k) in index_and_query()) {
-        let idx = InvertedIndex::from_docid_lists(&lists, 50_000, Codec::EliasFano, 128);
-        let terms: Vec<TermId> = (0..lists.len())
-            .map(|i| idx.lookup(&format!("t{i}")).expect("term"))
-            .collect();
+    fn intersection_result_is_exactly_the_set_intersection((lists, tf_seed, _k) in index_and_query()) {
+        let idx = index_of(&lists, tf_seed);
+        let terms = terms_of(&idx, lists.len());
         let engine = CpuEngine::new();
         // k large enough to return the entire intersection.
         let out = engine.process_query(&idx, &terms, 1_000_000);

@@ -63,7 +63,7 @@ fn run_all(fx: &Fixture, overlap: bool, plan: Option<FaultPlan>) -> Vec<GriffinO
         .iter()
         .flat_map(|q| {
             [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid]
-                .map(|mode| griffin.process_query(&fx.index, q, 10, mode))
+                .map(|mode| griffin.run(&fx.index, &QueryRequest::new(q.to_vec()).mode(mode)))
         })
         .collect();
     griffin.gpu.shutdown();
@@ -164,7 +164,7 @@ fn exported_stream_timelines_never_overlap_within_an_engine() {
     griffin.set_telemetry(telemetry.clone());
     for q in &fx.queries {
         for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
-            griffin.process_query(&fx.index, q, 10, mode);
+            griffin.run(&fx.index, &QueryRequest::new(q.to_vec()).mode(mode));
         }
     }
     let timeline = telemetry.device_timeline().expect("telemetry is enabled");

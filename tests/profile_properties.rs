@@ -72,7 +72,7 @@ fn assert_exact_attribution(
 
     let mut expected = Vec::new();
     for q in &fx.queries {
-        let out = griffin.process_query(&fx.index, q, 10, mode);
+        let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()).mode(mode));
         let tq = telemetry.recorder().expect("enabled").current_query();
         expected.push((tq, out.time));
     }

@@ -50,7 +50,7 @@ fn assert_decode_paths_agree(list: &BlockedList, what: &str) {
         let mut w = WorkCounters::default();
         (decode::decode_list(list, &mut w), w)
     });
-    let (simd_out, wv) = with_path(ForceMode::Simd, || {
+    let (simd_out, wv) = with_path(ForceMode::Auto, || {
         let mut w = WorkCounters::default();
         (decode::decode_list(list, &mut w), w)
     });
@@ -137,7 +137,7 @@ fn skip_intersection_identical_results_and_counters() {
             })
         };
         let a = run(ForceMode::Scalar);
-        let b = run(ForceMode::Simd);
+        let b = run(ForceMode::Auto);
         assert_eq!(a, b, "{codec:?}: skip intersection diverged across paths");
     }
 }
@@ -171,7 +171,7 @@ fn pruned_query_bit_identical_across_paths() {
             })
         };
         let (topk_s, time_s, w_s, stats_s) = run(ForceMode::Scalar);
-        let (topk_v, time_v, w_v, stats_v) = run(ForceMode::Simd);
+        let (topk_v, time_v, w_v, stats_v) = run(ForceMode::Auto);
         // Scores must match to the bit, not the epsilon: the SIMD bound
         // fold must preserve the exact f32 fold order.
         let bits = |topk: &[(u32, f32)]| {
@@ -206,7 +206,7 @@ proptest! {
             let scalar = with_path(ForceMode::Scalar, || {
                 decode::decode_list(&list, &mut WorkCounters::default())
             });
-            let simd_out = with_path(ForceMode::Simd, || {
+            let simd_out = with_path(ForceMode::Auto, || {
                 decode::decode_list(&list, &mut WorkCounters::default())
             });
             prop_assert_eq!(&scalar, &ids, "{:?}: decode is not the identity", codec);

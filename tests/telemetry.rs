@@ -11,7 +11,7 @@
 //!   relative-error bound for arbitrary samples.
 
 use griffin::serving::{Resource, StageReq};
-use griffin::{ExecMode, Griffin};
+use griffin::{ExecMode, Griffin, QueryRequest};
 use griffin_codec::Codec;
 use griffin_gpu_sim::{DeviceConfig, Gpu, VirtualNanos};
 use griffin_index::{InvertedIndex, TermId};
@@ -66,8 +66,8 @@ proptest! {
         traced.set_telemetry(Telemetry::enabled());
 
         for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
-            let a = plain.process_query(&idx, &terms, k, mode);
-            let b = traced.process_query(&idx, &terms, k, mode);
+            let a = plain.run(&idx, &QueryRequest::new(terms.to_vec()).k(k).mode(mode));
+            let b = traced.run(&idx, &QueryRequest::new(terms.to_vec()).k(k).mode(mode));
             prop_assert_eq!(&a.topk, &b.topk, "top-k diverged in {:?}", mode);
             prop_assert_eq!(a.time, b.time, "total time diverged in {:?}", mode);
             prop_assert_eq!(a.steps.len(), b.steps.len());
@@ -103,7 +103,7 @@ proptest! {
         let (idx, terms) = build(&lists);
         let gpu = Gpu::new(DeviceConfig::test_tiny());
         let griffin = Griffin::new(&gpu, idx.meta(), idx.block_len());
-        let out = griffin.process_query(&idx, &terms, k, ExecMode::Hybrid);
+        let out = griffin.run(&idx, &QueryRequest::new(terms.to_vec()).k(k));
         let step_sum: VirtualNanos = out.steps.iter().map(|s| s.time).sum();
         prop_assert_eq!(step_sum, out.time);
         prop_assert!(!out.steps.is_empty());
