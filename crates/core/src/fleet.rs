@@ -7,6 +7,7 @@
 //! ([`merge_topk`]), and the coverage annotations a partial answer
 //! carries in [`crate::GriffinOutput::fleet`].
 
+use griffin_cpu::topk::rank_order;
 use griffin_gpu_sim::VirtualNanos;
 use griffin_index::{partition, InvertedIndex, ShardPlan};
 
@@ -49,14 +50,12 @@ impl ShardedIndex {
 
 /// Merges per-shard top-k lists into the global top-k.
 ///
-/// Uses the engine's own comparator — score descending via `total_cmp`,
-/// ties broken by ascending docID — so for disjoint shards (every doc in
-/// exactly one shard) the merged prefix is bit-identical to the
-/// unsharded engine's `top_k`, NaN poisoning included.
+/// Sorts in the engine's own [`rank_order`], so for disjoint shards
+/// (every doc in exactly one shard) the merged prefix is bit-identical to
+/// the unsharded engine's `top_k`, NaN poisoning included.
 pub fn merge_topk(parts: &[Vec<(u32, f32)>], k: usize) -> Vec<(u32, f32)> {
     let mut all: Vec<(u32, f32)> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-    let cmp = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    all.sort_unstable_by(cmp);
+    all.sort_unstable_by(rank_order);
     all.truncate(k);
     all
 }

@@ -223,10 +223,9 @@ impl SplitBalancer {
 pub struct Scheduler {
     /// GPU/CPU crossover ratio (paper default: the block size, 128).
     pub ratio_threshold: usize,
-    /// Hysteresis: borderline ops stay on the processor holding the data.
-    pub placement_aware: bool,
-    /// Multiplier applied to the threshold when the data is already
-    /// device-resident (only with `placement_aware`).
+    /// Hysteresis: the threshold's multiplier when the data is already
+    /// device-resident, so borderline ops stay on the processor holding
+    /// it. 1.0 turns it off.
     pub hysteresis: f64,
     /// Operations whose long list is shorter than this always run on the
     /// CPU: tiny kernels cannot amortize launch/allocation/PCIe overheads
@@ -261,7 +260,6 @@ impl Scheduler {
     pub fn for_block_len(block_len: usize) -> Scheduler {
         Scheduler {
             ratio_threshold: block_len,
-            placement_aware: true,
             hysteresis: 2.0,
             min_gpu_work: 8_192,
             split: None,
@@ -269,12 +267,11 @@ impl Scheduler {
         }
     }
 
-    /// A paper-faithful static scheduler (no placement awareness), for the
-    /// ablation study.
+    /// A paper-faithful static scheduler (no hysteresis, no work floor),
+    /// for the ablation study.
     pub fn paper_static(block_len: usize) -> Scheduler {
         Scheduler {
             ratio_threshold: block_len,
-            placement_aware: false,
             hysteresis: 1.0,
             min_gpu_work: 0,
             split: None,
@@ -299,26 +296,20 @@ impl Scheduler {
         }
     }
 
-    /// Decides where the next pairwise intersection should run.
+    /// Decides where the next pairwise intersection should run, with the
+    /// full [`DecisionTrace`] record (inputs, ratio, effective threshold,
+    /// hysteresis) for telemetry.
     ///
     /// * `short_len` — current intermediate length (or the shortest list
     ///   for the first operation);
     /// * `long_len` — the next list's length;
     /// * `current` — where the intermediate currently lives.
     ///
-    /// Returns the processor that must end up holding the intermediate;
-    /// a [`Decision::Split`] maps to [`Proc::Cpu`] (host-resident lanes).
-    /// Use [`Scheduler::decide_traced`] for the full decision.
-    pub fn decide(&self, short_len: usize, long_len: usize, current: Proc) -> Proc {
-        self.decide_traced(short_len, long_len, current)
-            .chosen
-            .proc()
-    }
-
-    /// [`Scheduler::decide`], returning the full [`DecisionTrace`] record
-    /// (inputs, ratio, effective threshold, hysteresis) for telemetry.
+    /// `chosen.proc()` is the processor that must end up holding the
+    /// intermediate; a [`Decision::Split`] maps to [`Proc::Cpu`]
+    /// (host-resident lanes).
     pub fn decide_traced(&self, short_len: usize, long_len: usize, current: Proc) -> DecisionTrace {
-        let hysteresis_applied = self.placement_aware && current == Proc::Gpu;
+        let hysteresis_applied = current == Proc::Gpu && self.hysteresis != 1.0;
         let mut threshold = self.ratio_threshold as f64;
         if hysteresis_applied {
             threshold *= self.hysteresis;
@@ -500,31 +491,55 @@ mod tests {
     #[test]
     fn low_ratio_goes_to_gpu() {
         let s = Scheduler::for_block_len(128);
-        assert_eq!(s.decide(10_000, 100_000, Proc::Cpu), Proc::Gpu); // ratio 10
-        assert_eq!(s.decide(10_000, 1_000_000, Proc::Cpu), Proc::Gpu); // ratio 100
+        assert_eq!(
+            s.decide_traced(10_000, 100_000, Proc::Cpu).chosen.proc(),
+            Proc::Gpu
+        ); // ratio 10
+        assert_eq!(
+            s.decide_traced(10_000, 1_000_000, Proc::Cpu).chosen.proc(),
+            Proc::Gpu
+        ); // ratio 100
     }
 
     #[test]
     fn high_ratio_goes_to_cpu() {
         let s = Scheduler::for_block_len(128);
-        assert_eq!(s.decide(1_000, 1_000_000, Proc::Cpu), Proc::Cpu); // ratio 1000
-        assert_eq!(s.decide(1_000, 128_000, Proc::Cpu), Proc::Cpu); // exactly 128
+        assert_eq!(
+            s.decide_traced(1_000, 1_000_000, Proc::Cpu).chosen.proc(),
+            Proc::Cpu
+        ); // ratio 1000
+        assert_eq!(
+            s.decide_traced(1_000, 128_000, Proc::Cpu).chosen.proc(),
+            Proc::Cpu
+        ); // exactly 128
     }
 
     #[test]
     fn hysteresis_keeps_borderline_ops_on_gpu() {
         let s = Scheduler::for_block_len(128);
         // Ratio 150: above 128 but below 256.
-        assert_eq!(s.decide(1_000, 150_000, Proc::Gpu), Proc::Gpu);
-        assert_eq!(s.decide(1_000, 150_000, Proc::Cpu), Proc::Cpu);
+        assert_eq!(
+            s.decide_traced(1_000, 150_000, Proc::Gpu).chosen.proc(),
+            Proc::Gpu
+        );
+        assert_eq!(
+            s.decide_traced(1_000, 150_000, Proc::Cpu).chosen.proc(),
+            Proc::Cpu
+        );
         // Far above the threshold migrates regardless.
-        assert_eq!(s.decide(1_000, 500_000, Proc::Gpu), Proc::Cpu);
+        assert_eq!(
+            s.decide_traced(1_000, 500_000, Proc::Gpu).chosen.proc(),
+            Proc::Cpu
+        );
     }
 
     #[test]
     fn static_scheduler_ignores_placement() {
         let s = Scheduler::paper_static(128);
-        assert_eq!(s.decide(1_000, 150_000, Proc::Gpu), Proc::Cpu);
+        assert_eq!(
+            s.decide_traced(1_000, 150_000, Proc::Gpu).chosen.proc(),
+            Proc::Cpu
+        );
     }
 
     #[test]
@@ -532,8 +547,14 @@ mod tests {
         let s64 = Scheduler::paper_static(64);
         let s256 = Scheduler::paper_static(256);
         // Ratio 100: above 64's threshold, below 256's.
-        assert_eq!(s64.decide(1_000, 100_000, Proc::Cpu), Proc::Cpu);
-        assert_eq!(s256.decide(1_000, 100_000, Proc::Cpu), Proc::Gpu);
+        assert_eq!(
+            s64.decide_traced(1_000, 100_000, Proc::Cpu).chosen.proc(),
+            Proc::Cpu
+        );
+        assert_eq!(
+            s256.decide_traced(1_000, 100_000, Proc::Cpu).chosen.proc(),
+            Proc::Gpu
+        );
     }
 
     #[test]
@@ -550,18 +571,24 @@ mod tests {
         let s = Scheduler::for_block_len(128);
         // Ratio 2 would favour the GPU, but 100-element lists cannot
         // amortize launch overheads.
-        assert_eq!(s.decide(50, 100, Proc::Cpu), Proc::Cpu);
-        assert_eq!(s.decide(50, 100, Proc::Gpu), Proc::Cpu);
+        assert_eq!(s.decide_traced(50, 100, Proc::Cpu).chosen.proc(), Proc::Cpu);
+        assert_eq!(s.decide_traced(50, 100, Proc::Gpu).chosen.proc(), Proc::Cpu);
         // The paper-static ablation has no floor.
         let p = Scheduler::paper_static(128);
-        assert_eq!(p.decide(50, 100, Proc::Cpu), Proc::Gpu);
+        assert_eq!(p.decide_traced(50, 100, Proc::Cpu).chosen.proc(), Proc::Gpu);
     }
 
     #[test]
     fn empty_intermediate_stays_put() {
         let s = Scheduler::for_block_len(128);
-        assert_eq!(s.decide(0, 1_000_000, Proc::Gpu), Proc::Gpu);
-        assert_eq!(s.decide(0, 1_000_000, Proc::Cpu), Proc::Cpu);
+        assert_eq!(
+            s.decide_traced(0, 1_000_000, Proc::Gpu).chosen.proc(),
+            Proc::Gpu
+        );
+        assert_eq!(
+            s.decide_traced(0, 1_000_000, Proc::Cpu).chosen.proc(),
+            Proc::Cpu
+        );
     }
 
     /// The engine's scheduler on the paper's device: pipelined model,

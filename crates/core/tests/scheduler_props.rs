@@ -17,15 +17,15 @@ proptest! {
         let s = Scheduler::for_block_len(128);
         let long = long.max(s.min_gpu_work);
         for current in [Proc::Cpu, Proc::Gpu] {
-            if s.decide(short, long, current) == Proc::Cpu {
+            if s.decide_traced(short, long, current).chosen.proc() == Proc::Cpu {
                 let bigger = long.saturating_add(longer);
-                prop_assert_eq!(s.decide(short, bigger, current), Proc::Cpu,
+                prop_assert_eq!(s.decide_traced(short, bigger, current).chosen.proc(), Proc::Cpu,
                     "short={} long={} bigger={} current={:?}", short, long, bigger, current);
             }
         }
         // Below the floor the answer is always CPU.
         if s.min_gpu_work > 1 {
-            prop_assert_eq!(s.decide(short, s.min_gpu_work - 1, Proc::Gpu), Proc::Cpu);
+            prop_assert_eq!(s.decide_traced(short, s.min_gpu_work - 1, Proc::Gpu).chosen.proc(), Proc::Cpu);
         }
     }
 
@@ -36,13 +36,12 @@ proptest! {
                                          long in 1usize..100_000_000) {
         let aware = Scheduler::for_block_len(128);
         let static_ = Scheduler {
-            placement_aware: false,
             hysteresis: 1.0,
             ..aware.clone()
         };
         for current in [Proc::Cpu, Proc::Gpu] {
-            let a = aware.decide(short, long, current);
-            let s = static_.decide(short, long, current);
+            let a = aware.decide_traced(short, long, current).chosen.proc();
+            let s = static_.decide_traced(short, long, current).chosen.proc();
             if a != s {
                 // Disagreements must be the aware scheduler *staying put*.
                 prop_assert_eq!(a, current);

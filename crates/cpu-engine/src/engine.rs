@@ -506,7 +506,6 @@ impl CpuEngine {
         });
         w.topk_scanned += n as u64; // the ordering pass
 
-        let cmp = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
         let mut heap: Vec<(u32, f32)> = Vec::with_capacity(k);
         let mut tf_cache: HashMap<(usize, usize), Vec<u32>> = HashMap::new();
         for &ci in &order {
@@ -550,11 +549,11 @@ impl CpuEngine {
             w.scored += nterms as u64;
             let cand = (d, score);
             if heap.len() < k {
-                let pos = heap.partition_point(|e| cmp(e, &cand) == std::cmp::Ordering::Less);
+                let pos = heap.partition_point(|e| topk::rank_order(e, &cand).is_lt());
                 heap.insert(pos, cand);
-            } else if cmp(&cand, &heap[k - 1]) == std::cmp::Ordering::Less {
+            } else if topk::rank_order(&cand, &heap[k - 1]).is_lt() {
                 heap.pop();
-                let pos = heap.partition_point(|e| cmp(e, &cand) == std::cmp::Ordering::Less);
+                let pos = heap.partition_point(|e| topk::rank_order(e, &cand).is_lt());
                 heap.insert(pos, cand);
             }
         }

@@ -1,11 +1,21 @@
 //! Top-k selection: the `partial_sort`-style CPU ranking the paper found
 //! fastest for the final (small) result lists (§3.1.3, Fig. 7).
 
+use std::cmp::Ordering;
+
 use crate::cost::WorkCounters;
 
-/// Selects the `k` highest-scoring documents, ties broken by ascending
-/// docID for determinism. Equivalent to C++ `std::partial_sort`:
-/// select-nth then sort the prefix.
+/// The rank order of every result list: score descending by `total_cmp`
+/// (so NaN has a fixed place), ties by ascending docID. `Less` ranks
+/// first.
+#[inline]
+pub fn rank_order(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Selects the `k` highest-scoring documents in [`rank_order`].
+/// Equivalent to C++ `std::partial_sort`: select-nth then sort the
+/// prefix.
 pub fn top_k(docids: &[u32], scores: &[f32], k: usize, w: &mut WorkCounters) -> Vec<(u32, f32)> {
     assert_eq!(docids.len(), scores.len());
     let n = docids.len();
@@ -15,12 +25,11 @@ pub fn top_k(docids: &[u32], scores: &[f32], k: usize, w: &mut WorkCounters) -> 
     if k == 0 {
         return Vec::new();
     }
-    let cmp = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
     if k < n {
-        items.select_nth_unstable_by(k - 1, cmp);
+        items.select_nth_unstable_by(k - 1, rank_order);
         items.truncate(k);
     }
-    items.sort_unstable_by(cmp);
+    items.sort_unstable_by(rank_order);
     w.emitted += k as u64;
     items
 }

@@ -33,7 +33,8 @@ pub enum TraceEvent {
         ratio: f64,
         /// The threshold actually compared against (after hysteresis).
         effective_threshold: f64,
-        /// Whether placement-aware hysteresis inflated the threshold.
+        /// Whether placement-aware hysteresis inflated the threshold (a
+        /// multiplier other than 1.0 was applied).
         hysteresis_applied: bool,
         /// "cpu", "gpu", or "split" (co-execution on both).
         chosen: &'static str,

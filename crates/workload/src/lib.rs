@@ -26,7 +26,9 @@ pub mod ratio;
 pub mod stats;
 pub mod zipf;
 
-pub use corpus::{build_list_index, build_text_index, CorpusSpec, ListIndexSpec};
+pub use corpus::{
+    build_list_index, build_text_index, Corpus, CorpusSpec, ListIndexSpec, RawPosting,
+};
 pub use lists::{gen_correlated_lists, gen_docid_list, sample_list_len, GapProfile};
 pub use queries::{MixedQuerySpec, QueryLogSpec, QueryShape};
 pub use ratio::{gen_ratio_pair, gen_ratio_pair_opts, PairShape, RatioGroup, RATIO_GROUPS};

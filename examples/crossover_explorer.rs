@@ -66,7 +66,10 @@ fn main() {
         });
 
         let faster = if gpu_time <= cpu_time { "GPU" } else { "CPU" };
-        let decision = match scheduler.decide(short.len(), long.len(), Proc::Cpu) {
+        let chosen = scheduler
+            .decide_traced(short.len(), long.len(), Proc::Cpu)
+            .chosen;
+        let decision = match chosen.proc() {
             Proc::Gpu => "-> GPU",
             Proc::Cpu => "-> CPU",
         };

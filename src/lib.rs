@@ -8,7 +8,11 @@
 //! * [`griffin_cpu`] / [`griffin_gpu`] — the two execution engines;
 //! * [`griffin_index`] / [`griffin_codec`] — index and compression;
 //! * [`griffin_gpu_sim`] — the simulated device;
-//! * [`griffin_workload`] — synthetic corpora, queries, statistics.
+//! * [`griffin_workload`] — synthetic corpora, queries, statistics;
+//! * [`oracle`] — the naive reference the integration suites check every
+//!   answer against.
+
+pub mod oracle;
 
 pub use griffin;
 pub use griffin_codec;

@@ -21,9 +21,6 @@
 //!    share agrees, op by op, with a `Vec` kept in recency order: same
 //!    answers, same victims in the same order, same stats; and the tiers'
 //!    counts over `exp_cache`'s Zipf stream match a golden to the digit.
-//!
-//! Set `GRIFFIN_FAULT_SEED` to vary the workload and fault schedule
-//! (the CI `cache-invariants` job sweeps a fixed set of seeds).
 
 use griffin_server::{AdmissionConfig, GriffinServer, Outcome, OverloadPolicy, ServerConfig};
 use std::rc::Rc;
@@ -34,61 +31,19 @@ use griffin_suite::griffin::{
 use griffin_suite::griffin_cpu::{CacheStats, Lru};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
 use griffin_suite::griffin_workload::Zipf;
+use griffin_suite::oracle::{self, Workload};
 use griffin_suite::prelude::*;
 
-fn fault_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE)
-}
-
-struct Fixture {
-    index: InvertedIndex,
-    queries: Vec<Vec<TermId>>,
-}
-
-/// Workload derived from the fault seed, so the CI seed sweep varies
-/// the inputs as well as the fault schedule. Every posting has a drawn tf,
-/// so a tf read from the wrong element changes a score's bits.
-fn fixture() -> Fixture {
-    use griffin_suite::griffin_index::{CompressedPostingList, CorpusMeta, Dictionary, Posting};
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0xCAC4E);
-    let spec = ListIndexSpec {
-        num_terms: 20,
-        num_docs: 400_000,
-        max_list_len: 80_000,
-        ..Default::default()
-    };
-    let (_, docids) = build_list_index(&spec, &mut rng);
-    let mut dictionary = Dictionary::new();
-    let mut list = |(i, ids): (usize, &Vec<u32>)| {
-        dictionary.intern(&format!("t{i}"));
-        let draw = |&docid| Posting {
-            docid,
-            tf: rng.gen_range(1..1_000),
-        };
-        let postings: Vec<Posting> = ids.iter().map(draw).collect();
-        CompressedPostingList::compress(&postings, spec.codec, spec.block_len)
-    };
-    let lists = docids.iter().enumerate().map(&mut list).collect();
-    let meta = CorpusMeta::uniform(spec.num_docs, 300);
-    let index = InvertedIndex::new(dictionary, lists, meta, spec.codec, spec.block_len);
-    let queries = QueryLogSpec {
-        num_queries: 8,
-        ..Default::default()
-    }
-    .generate(&index, &mut rng);
-    Fixture { index, queries }
+fn workload() -> Workload {
+    oracle::workload(400_000, 80_000, 8, oracle::seed() ^ 0xCAC4E)
 }
 
 /// Each query three times over: caches must not change the answer of a
 /// repeat, and warm tiers get something to hit.
-fn repeated_requests(fx: &Fixture) -> Vec<QueryRequest> {
+fn repeated_requests(wl: &Workload) -> Vec<QueryRequest> {
     let mut reqs = Vec::new();
     for _ in 0..3 {
-        for q in &fx.queries {
+        for q in &wl.queries {
             reqs.push(QueryRequest::new(q.clone()).k(10));
         }
     }
@@ -116,8 +71,9 @@ const ALL_ON: Tiers = Tiers {
     device_bytes: None,
 };
 
+/// Runs `reqs` in order, each answer checked against the oracle.
 fn run_requests(
-    fx: &Fixture,
+    wl: &Workload,
     reqs: &[QueryRequest],
     tiers: Tiers,
     split: Option<SplitConfig>,
@@ -125,7 +81,7 @@ fn run_requests(
 ) -> (Vec<GriffinOutput>, VirtualNanos) {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     gpu.set_fault_plan(plan);
-    let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     if let Some((entries, bytes)) = tiers.result {
         griffin.set_result_cache(entries, bytes);
     }
@@ -136,45 +92,37 @@ fn run_requests(
     if let Some(s) = split {
         griffin.scheduler.split = Some(s);
     }
-    let outs: Vec<GriffinOutput> = reqs.iter().map(|r| griffin.run(&fx.index, r)).collect();
+    let outs: Vec<GriffinOutput> = reqs
+        .iter()
+        .map(|r| {
+            let out = griffin.run(&wl.corpus.index, r);
+            oracle::assert_answer(&wl.corpus, r, &out, &format!("split {split:?}"));
+            out
+        })
+        .collect();
     let clock = gpu.now();
     griffin.gpu.shutdown();
     assert_eq!(gpu.mem_in_use(), 0, "caching must not leak device memory");
     (outs, clock)
 }
 
-fn ids(out: &GriffinOutput) -> Vec<u32> {
-    out.topk.iter().map(|&(d, _)| d).collect()
-}
-
 // ---------------------------------------------------------------- pin 1
 
 #[test]
 fn caches_off_with_noop_plans_and_forced_splits_stays_bit_exact() {
-    let fx = fixture();
-    let reqs = repeated_requests(&fx);
-    let seed = fault_seed();
-
-    let mut bits_baseline: Option<Vec<Vec<u32>>> = None;
+    let wl = workload();
+    let reqs = repeated_requests(&wl);
     for split in [None, Some(SplitConfig::forced(0.5))] {
-        let (bare, clock_bare) = run_requests(&fx, &reqs, ALL_OFF, split, None);
-        let plan = FaultPlan::seeded(seed);
+        let (bare, clock_bare) = run_requests(&wl, &reqs, ALL_OFF, split, None);
+        let plan = FaultPlan::seeded(oracle::seed());
         assert!(plan.is_noop(), "a freshly seeded plan must inject nothing");
-        let (armed, clock_armed) = run_requests(&fx, &reqs, ALL_OFF, split, Some(plan));
+        let (armed, clock_armed) = run_requests(&wl, &reqs, ALL_OFF, split, Some(plan));
 
         assert_eq!(clock_bare, clock_armed, "virtual clocks must agree");
         for (a, b) in bare.iter().zip(&armed) {
-            assert_eq!(a.topk, b.topk);
             assert_eq!(a.time, b.time);
             assert_eq!(a.steps, b.steps);
             assert!(!a.result_cache_hit && !b.result_cache_hit, "tier is off");
-        }
-        // Across split configurations only the bits are pinned (a split
-        // legitimately reshapes the step timings).
-        let bits: Vec<Vec<u32>> = bare.iter().map(ids).collect();
-        match &bits_baseline {
-            None => bits_baseline = Some(bits),
-            Some(expect) => assert_eq!(&bits, expect, "forced split changed result bits"),
         }
     }
 }
@@ -183,15 +131,11 @@ fn caches_off_with_noop_plans_and_forced_splits_stays_bit_exact() {
 
 #[test]
 fn caches_on_keep_bits_identical_and_total_time_no_worse() {
-    let fx = fixture();
-    let reqs = repeated_requests(&fx);
+    let wl = workload();
+    let reqs = repeated_requests(&wl);
 
-    let (off, _) = run_requests(&fx, &reqs, ALL_OFF, None, None);
-    let (on, _) = run_requests(&fx, &reqs, ALL_ON, None, None);
-
-    for (a, b) in off.iter().zip(&on) {
-        assert_eq!(a.topk, b.topk, "a cache tier changed result bits");
-    }
+    let (off, _) = run_requests(&wl, &reqs, ALL_OFF, None, None);
+    let (on, _) = run_requests(&wl, &reqs, ALL_ON, None, None);
     let total = |outs: &[GriffinOutput]| -> VirtualNanos { outs.iter().map(|o| o.time).sum() };
     assert!(
         total(&on) <= total(&off),
@@ -215,21 +159,22 @@ fn caches_on_keep_bits_identical_and_total_time_no_worse() {
 
 #[test]
 fn no_tier_ever_exceeds_its_byte_budget() {
-    let fx = fixture();
-    let reqs = repeated_requests(&fx);
+    let wl = workload();
+    let reqs = repeated_requests(&wl);
     // Deliberately tight budgets so every tier is forced to evict.
     const RES_BYTES: u64 = 512;
     const HOST_BYTES: u64 = 64 * 1024;
     const DEV_BYTES: u64 = 128 * 1024;
 
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     griffin.set_result_cache(64, RES_BYTES);
     griffin.cpu.set_host_cache_budget(HOST_BYTES);
     griffin.gpu.set_cache_budget(DEV_BYTES);
 
     for (i, req) in reqs.iter().enumerate() {
-        griffin.run(&fx.index, req);
+        let out = griffin.run(&wl.corpus.index, req);
+        oracle::assert_answer(&wl.corpus, req, &out, &format!("query {i}"));
         let res = griffin.result_cache_stats().expect("tier enabled");
         assert!(
             res.bytes_resident <= RES_BYTES,
@@ -260,17 +205,17 @@ fn no_tier_ever_exceeds_its_byte_budget() {
 
 #[test]
 fn concurrent_identical_queries_coalesce_in_the_serving_sim() {
-    let fx = fixture();
+    let wl = workload();
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let engine = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let engine = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     engine.set_result_cache(64, 1 << 20);
 
     // Five copies of one query land in the same instant: one leader
     // runs, four coalesce onto it instead of stampeding.
-    let req = QueryRequest::new(fx.queries[0].clone()).k(10);
+    let req = QueryRequest::new(wl.queries[0].clone()).k(10);
     let requests: Vec<QueryRequest> = (0..5).map(|_| req.clone()).collect();
     let server = GriffinServer::new(ServerConfig::default());
-    let planned = server.plan(&engine, &fx.index, &requests);
+    let planned = server.plan(&engine, &wl.corpus.index, &requests);
     assert!(
         planned.iter().all(|p| p.coalesce_key.is_some()),
         "result cache on => every plan carries a single-flight key"
@@ -296,16 +241,16 @@ fn concurrent_identical_queries_coalesce_in_the_serving_sim() {
 
 #[test]
 fn stale_serve_is_flagged_and_only_fires_under_the_policy() {
-    let fx = fixture();
+    let wl = workload();
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let engine = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let engine = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     engine.set_result_cache(64, 1 << 20);
 
     // Plan order seeds the cache: A runs first, so the *second* A is
     // planned with a cached answer available. B differs from A, keeping
     // the single-flight key from short-circuiting the overload below.
-    let a = QueryRequest::new(fx.queries[0].clone()).k(10);
-    let b = fx
+    let a = QueryRequest::new(wl.queries[0].clone()).k(10);
+    let b = wl
         .queries
         .iter()
         .skip(1)
@@ -325,7 +270,7 @@ fn stale_serve_is_flagged_and_only_fires_under_the_policy() {
     };
 
     let server = GriffinServer::new(serve_stale_config(true));
-    let planned = server.plan(&engine, &fx.index, &requests);
+    let planned = server.plan(&engine, &wl.corpus.index, &requests);
     assert_eq!(
         planned[0].stale_available, None,
         "nothing cached before A ran"
@@ -364,15 +309,15 @@ fn stale_serve_is_flagged_and_only_fires_under_the_policy() {
 #[test]
 fn zipf_hit_count_is_monotone_in_result_cache_size() {
     use rand::SeedableRng;
-    let fx = fixture();
+    let wl = workload();
     // A Zipf-weighted stream over a pool of 8 distinct queries: the
     // head queries recur heavily, the tail rarely.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0x21bf);
-    let zipf = Zipf::new(fx.queries.len() as u64, 1.1);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(oracle::seed() ^ 0x21bf);
+    let zipf = Zipf::new(wl.queries.len() as u64, 1.1);
     let stream: Vec<QueryRequest> = (0..120)
         .map(|_| {
             let rank = zipf.sample(&mut rng) as usize - 1;
-            QueryRequest::new(fx.queries[rank].clone()).k(10)
+            QueryRequest::new(wl.queries[rank].clone()).k(10)
         })
         .collect();
 
@@ -381,10 +326,11 @@ fn zipf_hit_count_is_monotone_in_result_cache_size() {
     let mut last_hits = 0u64;
     for entries in [1usize, 2, 4, 8] {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+        let griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
         griffin.set_result_cache(entries, 1 << 20);
         for req in &stream {
-            griffin.run(&fx.index, req);
+            let out = griffin.run(&wl.corpus.index, req);
+            oracle::assert_answer(&wl.corpus, req, &out, &format!("{entries} entries"));
         }
         let stats = griffin.result_cache_stats().expect("tier enabled");
         assert!(
@@ -409,35 +355,36 @@ fn zipf_hit_count_is_monotone_in_result_cache_size() {
 fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
     use griffin_suite::griffin_cpu::WorkCounters;
 
-    let fx = fixture();
+    let wl = workload();
+    let index = &wl.corpus.index;
     let cpu = CpuEngine::new();
     // The longest query gives the most intersect steps to mix over.
-    let query = fx
+    let query = wl
         .queries
         .iter()
         .max_by_key(|q| q.len())
         .expect("non-empty log")
         .clone();
     assert!(query.len() >= 2, "need a multi-term query");
-    let order = cpu.plan(&fx.index, &query);
+    let order = cpu.plan(index, &query);
 
     // Each step by the engine's own choice, then every step by skip
     // search, which reads a cached list through the one skip walk; and
     // the docID-only chain, whose provenance is where each match sits in
-    // each list. The fixture's tfs are drawn, so a tf gathered from the
+    // each list. The workload's tfs are drawn, so a tf gathered from the
     // wrong element shows in the score bits too.
     let run_once = || {
         let mut w = WorkCounters::default();
-        let provenance = cpu.docid_chain(&fx.index, &order, &mut w).elem_idx;
+        let provenance = cpu.docid_chain(index, &order, &mut w).elem_idx;
         let steps = [false, true].map(|all_skip| {
             let mut w = WorkCounters::default();
-            let mut inter = cpu.init_intermediate(&fx.index, order[0], &mut w);
+            let mut inter = cpu.init_intermediate(index, order[0], &mut w);
             for &t in &order[1..] {
                 inter = if all_skip {
-                    let blocks = 0..fx.index.list(t).docs.num_blocks();
-                    cpu.intersect_step_range(&fx.index, &inter, t, blocks, &mut w)
+                    let blocks = 0..index.list(t).docs.num_blocks();
+                    cpu.intersect_step_range(index, &inter, t, blocks, &mut w)
                 } else {
-                    cpu.intersect_step(&fx.index, &inter, t, &mut w)
+                    cpu.intersect_step(index, &inter, t, &mut w)
                 };
             }
             let bits: Vec<u32> = inter.scores.iter().map(|s| s.to_bits()).collect();
@@ -447,14 +394,20 @@ fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
         (provenance, steps)
     };
 
-    // Pass 1 with the host tier off: every list is decoded.
+    // Pass 1 with the host tier off: every list is decoded. Both chains
+    // hold the oracle's every match, and passes 2 and 3 must equal it.
     let cold = run_once();
     assert!(cold.1[1].1[1] > 0, "no skip search probed a block");
+    let matches = oracle::eval(&wl.corpus, &QueryRequest::new(query.clone()).query);
+    let want: (Vec<u32>, Vec<u32>) = matches.iter().map(|&(d, s)| (d, s.to_bits())).unzip();
+    for (chain, _) in &cold.1 {
+        assert_eq!(chain, &want, "a cold chain is not the oracle's");
+    }
 
     // Pass 2: every list host-cached — decode is skipped entirely.
     cpu.set_host_cache_budget(1 << 26);
     for &t in &order {
-        assert!(cpu.warm_host_cache(&fx.index, t));
+        assert!(cpu.warm_host_cache(index, t));
     }
     let warm = run_once();
     assert_eq!(cold, warm, "host-cache hits changed the intersection");
@@ -462,7 +415,7 @@ fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
     // Pass 3: mixed — only the longest list is cached at first; the rest
     // decode (and merges offer theirs to the tier).
     cpu.clear_host_cache();
-    assert!(cpu.warm_host_cache(&fx.index, order[order.len() - 1]));
+    assert!(cpu.warm_host_cache(index, order[order.len() - 1]));
     let mixed = run_once();
     assert_eq!(cold, mixed, "a mixed cached/uncached pass changed bits");
 }
@@ -624,7 +577,7 @@ impl<K: std::hash::Hash + Eq + Clone + std::fmt::Debug, V> Lockstep<K, V> {
 #[test]
 fn lru_agrees_with_a_naive_model_on_seeded_op_sequences() {
     use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0x1A0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(oracle::seed() ^ 0x1A0);
     // The model's view of the pins: the keys of the values held outside.
     let pinned_by = |held: &[Rc<u32>]| {
         let keys: Vec<u32> = held.iter().map(|p| **p).collect();

@@ -3,6 +3,7 @@
 
 use griffin_codec::pfordelta::PforBlock;
 use griffin_codec::{varint, BlockedList, Codec, CodecError, EfBlock};
+use griffin_suite::oracle;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -139,13 +140,6 @@ fn assert_vbyte_readers_agree(bytes: &[u8], pos: usize, n: usize, what: &str) {
     }
 }
 
-fn vbyte_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xB17E)
-}
-
 /// Values of every VByte width, drawn from the seed: mostly one byte,
 /// as term frequencies are.
 fn vbyte_values(rng: &mut StdRng, n: usize) -> Vec<u32> {
@@ -165,7 +159,7 @@ fn vbyte_values(rng: &mut StdRng, n: usize) -> Vec<u32> {
 /// continuation bit flipped. Set `GRIFFIN_FAULT_SEED` to draw others.
 #[test]
 fn vbyte_fast_reader_matches_the_byte_reader() {
-    let mut rng = StdRng::seed_from_u64(vbyte_seed());
+    let mut rng = StdRng::seed_from_u64(oracle::seed());
     // One-byte runs at every alignment, after a lead of any bytes.
     for lead in 0..12 {
         for run in [0usize, 1, 7, 8, 9, 16, 17, 31] {

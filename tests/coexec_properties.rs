@@ -4,7 +4,7 @@
 //!
 //! 1. **Splitting is invisible** — for *every* forced GPU fraction
 //!    (including the degenerate 0.0 and 1.0) and for the adaptive
-//!    balancer, a co-executed query returns bit-exact top-k against the
+//!    balancer, a co-executed query returns the same top-k bits as the
 //!    unsplit hybrid, with or without an armed-but-no-op fault plan.
 //! 2. **A split costs the slower lane** — every `SplitIntersect` step's
 //!    duration is exactly `max(cpu_lane, gpu_lane)`, never the serial
@@ -12,51 +12,17 @@
 //! 3. **A fault mid-split degrades, never fails** — losing the device
 //!    inside a split's GPU lane still yields the exact answer, with the
 //!    wasted lane and the recovery re-run both accounted.
-//!
-//! Set `GRIFFIN_FAULT_SEED` to vary the workload and fault schedule (the
-//! CI `coexec-invariants` job sweeps a fixed set of seeds).
 
 use griffin_suite::griffin::{SplitConfig, StepOp};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
+use griffin_suite::oracle::{self, Workload};
 use griffin_suite::prelude::*;
 use griffin_telemetry::Telemetry;
 
 const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
-fn fault_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE)
-}
-
-struct Fixture {
-    index: InvertedIndex,
-    queries: Vec<Vec<TermId>>,
-}
-
-/// Workload derived from the fault seed, so the CI seed sweep varies the
-/// inputs as well as the fault schedule.
-fn fixture() -> Fixture {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0x5EED_C0DE);
-    let spec = ListIndexSpec {
-        num_terms: 20,
-        num_docs: 500_000,
-        max_list_len: 100_000,
-        ..Default::default()
-    };
-    let (index, _) = build_list_index(&spec, &mut rng);
-    let queries = QueryLogSpec {
-        num_queries: 10,
-        ..Default::default()
-    }
-    .generate(&index, &mut rng);
-    Fixture { index, queries }
-}
-
-fn ids(out: &GriffinOutput) -> Vec<u32> {
-    out.topk.iter().map(|&(d, _)| d).collect()
+fn workload() -> Workload {
+    oracle::workload(500_000, 100_000, 10, oracle::seed() ^ 0x5EED_C0DE)
 }
 
 fn step_sum(out: &GriffinOutput) -> VirtualNanos {
@@ -64,20 +30,26 @@ fn step_sum(out: &GriffinOutput) -> VirtualNanos {
 }
 
 /// Runs every query in Hybrid mode under the given split configuration
-/// (`None` disables co-execution entirely), checking for leaks.
+/// (`None` disables co-execution entirely), checking each answer
+/// against the oracle and the device for leaks.
 fn run_hybrid(
-    fx: &Fixture,
+    wl: &Workload,
     split: Option<SplitConfig>,
     plan: Option<FaultPlan>,
 ) -> Vec<GriffinOutput> {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     gpu.set_fault_plan(plan);
-    let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     griffin.scheduler.split = split;
-    let outs = fx
+    let outs = wl
         .queries
         .iter()
-        .map(|q| griffin.run(&fx.index, &QueryRequest::new(q.to_vec())))
+        .map(|q| {
+            let req = QueryRequest::new(q.clone());
+            let out = griffin.run(&wl.corpus.index, &req);
+            oracle::assert_answer(&wl.corpus, &req, &out, &format!("split {split:?}"));
+            out
+        })
         .collect();
     griffin.gpu.shutdown();
     assert_eq!(gpu.mem_in_use(), 0, "split must not leak device memory");
@@ -108,9 +80,8 @@ fn assert_lane_accounting(out: &GriffinOutput, ctx: &str) {
 
 #[test]
 fn every_forced_fraction_is_bit_exact_with_unsplit() {
-    let fx = fixture();
-    let baseline = run_hybrid(&fx, None, None);
-    for (out, q) in baseline.iter().zip(&fx.queries) {
+    let wl = workload();
+    for (out, q) in run_hybrid(&wl, None, None).iter().zip(&wl.queries) {
         assert!(
             !out.steps
                 .iter()
@@ -121,13 +92,9 @@ fn every_forced_fraction_is_bit_exact_with_unsplit() {
 
     let mut interior_split_seen = false;
     for f in FRACTIONS {
-        let outs = run_hybrid(&fx, Some(SplitConfig::forced(f)), None);
-        for (a, b) in outs.iter().zip(&baseline) {
-            assert_eq!(a.topk, b.topk, "fraction {f} changed results");
-            assert_eq!(a.gpu_faults, 0);
-            assert_lane_accounting(a, &format!("fraction {f}"));
-        }
-        for out in &outs {
+        for out in run_hybrid(&wl, Some(SplitConfig::forced(f)), None) {
+            assert_eq!(out.gpu_faults, 0);
+            assert_lane_accounting(&out, &format!("fraction {f}"));
             for s in &out.steps {
                 if let StepOp::SplitIntersect {
                     cpu_lane, gpu_lane, ..
@@ -152,19 +119,19 @@ fn every_forced_fraction_is_bit_exact_with_unsplit() {
 
 #[test]
 fn adaptive_balancer_is_bit_exact_with_unsplit() {
-    let fx = fixture();
-    let baseline = run_hybrid(&fx, None, None);
+    let wl = workload();
     // The default engine: solver-chosen fractions refined by the
     // balancer's measured-imbalance feedback between operations.
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     assert!(
         griffin.scheduler.split.is_some(),
         "co-execution defaults on"
     );
-    for (q, expect) in fx.queries.iter().zip(&baseline) {
-        let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()));
-        assert_eq!(out.topk, expect.topk, "adaptive split changed results");
+    for q in &wl.queries {
+        let req = QueryRequest::new(q.clone());
+        let out = griffin.run(&wl.corpus.index, &req);
+        oracle::assert_answer(&wl.corpus, &req, &out, "adaptive split");
         assert_lane_accounting(&out, "adaptive");
     }
     griffin.gpu.shutdown();
@@ -173,14 +140,13 @@ fn adaptive_balancer_is_bit_exact_with_unsplit() {
 
 #[test]
 fn armed_noop_fault_plan_is_bit_exact_under_splits() {
-    let fx = fixture();
-    let plan = FaultPlan::seeded(fault_seed());
+    let wl = workload();
+    let plan = FaultPlan::seeded(oracle::seed());
     assert!(plan.is_noop(), "a freshly seeded plan must inject nothing");
     for f in FRACTIONS {
-        let bare = run_hybrid(&fx, Some(SplitConfig::forced(f)), None);
-        let armed = run_hybrid(&fx, Some(SplitConfig::forced(f)), Some(plan.clone()));
+        let bare = run_hybrid(&wl, Some(SplitConfig::forced(f)), None);
+        let armed = run_hybrid(&wl, Some(SplitConfig::forced(f)), Some(plan.clone()));
         for (a, b) in bare.iter().zip(&armed) {
-            assert_eq!(a.topk, b.topk, "fraction {f}: armed plan changed results");
             assert_eq!(a.time, b.time, "fraction {f}: armed plan changed timing");
             assert_eq!(a.steps, b.steps, "fraction {f}: armed plan changed steps");
             assert_eq!(b.gpu_faults, 0);
@@ -190,24 +156,7 @@ fn armed_noop_fault_plan_is_bit_exact_under_splits() {
 
 #[test]
 fn device_loss_mid_split_degrades_but_never_fails() {
-    let fx = fixture();
-    let seed = fault_seed();
-
-    // CPU-only ground truth on a healthy device.
-    let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    let truth: Vec<Vec<u32>> = fx
-        .queries
-        .iter()
-        .map(|q| {
-            ids(&griffin.run(
-                &fx.index,
-                &QueryRequest::new(q.to_vec()).mode(ExecMode::CpuOnly),
-            ))
-        })
-        .collect();
-    griffin.gpu.shutdown();
-
+    let wl = workload();
     // Force aggressive splitting, then lose the device at a spread of
     // operation indices so the loss lands inside split GPU lanes. (The
     // query set issues some 190 fallible operations: scratch the device's
@@ -215,14 +164,18 @@ fn device_loss_mid_split_degrades_but_never_fails() {
     let mut saw_split_fault = false;
     for lost_at in [0u64, 1, 3, 7, 15, 40, 99, 160] {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.set_fault_plan(Some(FaultPlan::seeded(seed).lose_device_at(lost_at)));
-        let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+        gpu.set_fault_plan(Some(
+            FaultPlan::seeded(oracle::seed()).lose_device_at(lost_at),
+        ));
+        let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
         griffin.scheduler.split = Some(SplitConfig::forced(0.5));
         let mut saw_fault = false;
-        for (q, expect) in fx.queries.iter().zip(&truth) {
-            let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()));
-            assert_eq!(&ids(&out), expect, "lost_at={lost_at}");
-            assert_lane_accounting(&out, &format!("lost_at={lost_at}"));
+        for q in &wl.queries {
+            let req = QueryRequest::new(q.clone());
+            let out = griffin.run(&wl.corpus.index, &req);
+            let ctx = format!("lost_at={lost_at}");
+            oracle::assert_answer(&wl.corpus, &req, &out, &ctx);
+            assert_lane_accounting(&out, &ctx);
             saw_fault |= out.gpu_faults > 0;
             // A fault inside a split leaves both the split step (its
             // gpu_lane recording the wasted attempts) and a recovery
@@ -253,16 +206,16 @@ fn device_loss_mid_split_degrades_but_never_fails() {
 
 #[test]
 fn splits_surface_in_metrics_and_the_device_timeline() {
-    let fx = fixture();
+    let wl = workload();
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let telemetry = Telemetry::enabled();
     gpu.set_observer(telemetry.device_observer(gpu.config().warp_size));
-    let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     griffin.set_telemetry(telemetry.clone());
     griffin.scheduler.split = Some(SplitConfig::forced(0.5));
     let mut split_steps = 0usize;
-    for q in &fx.queries {
-        let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()));
+    for q in &wl.queries {
+        let out = griffin.run(&wl.corpus.index, &QueryRequest::new(q.clone()));
         split_steps += out
             .steps
             .iter()

@@ -5,7 +5,7 @@
 //! 1. **Sharding is invisible** — for every (shards, replicas, k, mode)
 //!    combination, including forced co-execution splits and
 //!    armed-but-no-op fault plans on every device, the merged top-k is
-//!    bit-identical to the unsharded engine's answer.
+//!    bit-identical to the unsharded answer.
 //! 2. **One replica is expendable** — killing any single replica before
 //!    any query leaves every answer exact at coverage 1.0; failover is
 //!    a latency event, never a results event.
@@ -15,58 +15,29 @@
 //! 4. **Budget exhaustion degrades, never errors** — shrinking the
 //!    retry budget under deadline pressure only moves coverage, with
 //!    every shard still explicitly accounted in every answer.
-//!
-//! Set `GRIFFIN_FAULT_SEED` to explore other deterministic fault
-//! schedules (the CI chaos job sweeps a fixed set of seeds).
 
 use griffin_server::{
     ArrivingQuery, Fleet, FleetConfig, FleetDevices, HedgeConfig, RetryBudgetConfig,
 };
 use griffin_suite::griffin::{FleetInfo, QueryRequest, ShardOutcome, ShardedIndex, SplitConfig};
 use griffin_suite::griffin_gpu_sim::FaultPlan;
+use griffin_suite::oracle::{self, Workload};
 use griffin_suite::prelude::*;
 
-fn fault_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xF1EE7)
+fn workload(num_docs: u32, max_list_len: usize, num_queries: usize) -> Workload {
+    oracle::workload(num_docs, max_list_len, num_queries, 11)
 }
 
-struct Fixture {
-    index: InvertedIndex,
-    queries: Vec<Vec<TermId>>,
-}
-
-fn fixture(num_docs: u32, max_list_len: usize, num_queries: usize) -> Fixture {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let spec = ListIndexSpec {
-        num_terms: 20,
-        num_docs,
-        max_list_len,
-        ..Default::default()
-    };
-    let (index, _) = build_list_index(&spec, &mut rng);
-    let queries = QueryLogSpec {
-        num_queries,
-        ..Default::default()
-    }
-    .generate(&index, &mut rng);
-    Fixture { index, queries }
-}
-
-fn requests(fx: &Fixture, k: usize, mode: ExecMode) -> Vec<QueryRequest> {
-    fx.queries
+/// Each query as a request, with the oracle's answer to it.
+fn requests(wl: &Workload, k: usize, mode: ExecMode) -> Vec<(QueryRequest, Vec<(u32, u32)>)> {
+    wl.queries
         .iter()
-        .map(|q| QueryRequest::new(q.clone()).k(k).mode(mode))
+        .map(|q| {
+            let req = QueryRequest::new(q.clone()).k(k).mode(mode);
+            let want = oracle::expect(&wl.corpus, &req);
+            (req, want)
+        })
         .collect()
-}
-
-fn unsharded_answers(fx: &Fixture, reqs: &[QueryRequest]) -> Vec<Vec<(u32, f32)>> {
-    let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let engine = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
-    reqs.iter().map(|r| engine.run(&fx.index, r).topk).collect()
 }
 
 fn assert_accounting(fleet: &Fleet<'_>, ctx: &str) {
@@ -95,10 +66,10 @@ fn assert_statuses_complete(info: &FleetInfo, shards: usize, ctx: &str) {
 
 #[test]
 fn merged_topk_is_bit_exact_across_the_grid() {
-    let fx = fixture(200_000, 40_000, 10);
-    let seed = fault_seed();
+    let wl = workload(200_000, 40_000, 10);
+    let seed = oracle::seed();
     for &shards in &[1usize, 2, 3, 5] {
-        let sharded = ShardedIndex::build(&fx.index, shards);
+        let sharded = ShardedIndex::build(&wl.corpus.index, shards);
         for &replicas in &[1usize, 2] {
             for &(k, mode) in &[
                 (1usize, ExecMode::Hybrid),
@@ -114,12 +85,11 @@ fn merged_topk_is_bit_exact_across_the_grid() {
                     gpu.set_fault_plan(Some(plan));
                 }
                 let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
-                let reqs = requests(&fx, k, mode);
-                let expected = unsharded_answers(&fx, &reqs);
-                for (req, want) in reqs.iter().zip(&expected) {
-                    let out = fleet.run_query(req);
+                for (req, want) in requests(&wl, k, mode) {
+                    let out = fleet.run_query(&req);
                     assert_eq!(
-                        &out.topk, want,
+                        oracle::bits(&out.topk),
+                        want,
                         "fleet answer diverged (shards={shards} replicas={replicas} k={k} mode={mode:?})"
                     );
                     let info = out.fleet.expect("fleet answers carry coverage");
@@ -134,17 +104,20 @@ fn merged_topk_is_bit_exact_across_the_grid() {
 
 #[test]
 fn forced_splits_do_not_perturb_the_merge() {
-    let fx = fixture(400_000, 80_000, 8);
-    let sharded = ShardedIndex::build(&fx.index, 3);
-    let reqs = requests(&fx, 10, ExecMode::Hybrid);
-    let expected = unsharded_answers(&fx, &reqs);
+    let wl = workload(400_000, 80_000, 8);
+    let sharded = ShardedIndex::build(&wl.corpus.index, 3);
+    let reqs = requests(&wl, 10, ExecMode::Hybrid);
     for &fraction in &[0.0, 0.35, 1.0] {
         let devices = FleetDevices::new(3, 2, &DeviceConfig::test_tiny());
         let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
         fleet.tune(|g| g.scheduler.split = Some(SplitConfig::forced(fraction)));
-        for (req, want) in reqs.iter().zip(&expected) {
+        for (req, want) in &reqs {
             let out = fleet.run_query(req);
-            assert_eq!(&out.topk, want, "split fraction {fraction} changed results");
+            assert_eq!(
+                &oracle::bits(&out.topk),
+                want,
+                "split fraction {fraction} changed results"
+            );
             assert_eq!(out.fleet.expect("coverage").coverage, 1.0);
         }
         assert_accounting(&fleet, "forced splits");
@@ -157,12 +130,11 @@ fn forced_splits_do_not_perturb_the_merge() {
 
 #[test]
 fn killing_any_single_replica_changes_no_docids() {
-    let fx = fixture(200_000, 40_000, 6);
+    let wl = workload(200_000, 40_000, 6);
     let shards = 3;
     let replicas = 2;
-    let sharded = ShardedIndex::build(&fx.index, shards);
-    let reqs = requests(&fx, 10, ExecMode::Hybrid);
-    let expected = unsharded_answers(&fx, &reqs);
+    let sharded = ShardedIndex::build(&wl.corpus.index, shards);
+    let reqs = requests(&wl, 10, ExecMode::Hybrid);
 
     // Kill each (shard, replica) in turn at each query index: the
     // survivor must carry the shard with no visible change.
@@ -171,13 +143,14 @@ fn killing_any_single_replica_changes_no_docids() {
             for kill_at in 0..reqs.len() {
                 let devices = FleetDevices::new(shards, replicas, &DeviceConfig::test_tiny());
                 let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
-                for (i, (req, want)) in reqs.iter().zip(&expected).enumerate() {
+                for (i, (req, want)) in reqs.iter().enumerate() {
                     if i == kill_at {
                         fleet.kill_replica(victim_s, victim_r);
                     }
                     let out = fleet.run_query(req);
                     assert_eq!(
-                        &out.topk, want,
+                        &oracle::bits(&out.topk),
+                        want,
                         "kill ({victim_s},{victim_r}) at query {kill_at} changed results"
                     );
                     let info = out.fleet.expect("coverage");
@@ -199,10 +172,10 @@ fn killing_any_single_replica_changes_no_docids() {
 
 #[test]
 fn hedge_accounting_never_double_counts_device_time() {
-    let fx = fixture(400_000, 80_000, 64);
-    let sharded = ShardedIndex::build(&fx.index, 2);
-    let seed = fault_seed();
-    let arrivals: Vec<ArrivingQuery> = fx
+    let wl = workload(400_000, 80_000, 64);
+    let sharded = ShardedIndex::build(&wl.corpus.index, 2);
+    let seed = oracle::seed();
+    let arrivals: Vec<ArrivingQuery> = wl
         .queries
         .iter()
         .enumerate()
@@ -238,9 +211,10 @@ fn hedge_accounting_never_double_counts_device_time() {
         let report = fleet.serve(&arrivals);
         let stats = *fleet.stats();
         assert_accounting(&fleet, "hedge regime");
-        for q in &report.queries {
+        for (q, a) in report.queries.iter().zip(&arrivals) {
             let info = q.output.fleet.as_ref().expect("coverage");
             assert_eq!(info.coverage, 1.0, "hedging never drops a shard");
+            oracle::assert_answer(&wl.corpus, &a.request, &q.output, "hedge regime");
         }
         stats
     };
@@ -265,10 +239,10 @@ fn hedge_accounting_never_double_counts_device_time() {
 
 #[test]
 fn retry_budget_exhaustion_degrades_coverage_not_correctness() {
-    let fx = fixture(400_000, 80_000, 48);
+    let wl = workload(400_000, 80_000, 48);
     let shards = 2;
-    let sharded = ShardedIndex::build(&fx.index, shards);
-    let seed = fault_seed();
+    let sharded = ShardedIndex::build(&wl.corpus.index, shards);
+    let seed = oracle::seed();
     let request = |q: &Vec<TermId>| QueryRequest::new(q.clone()).k(10).mode(ExecMode::GpuOnly);
 
     // Deadline and spacing follow the fixture's own unloaded answer times
@@ -285,13 +259,13 @@ fn retry_budget_exhaustion_degrades_coverage_not_correctness() {
     let unloaded: Vec<VirtualNanos> = {
         let devices = FleetDevices::new(shards, 2, &DeviceConfig::test_tiny());
         let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
-        let times = fx.queries.iter().map(|q| fleet.run_query(&request(q)).time);
+        let times = wl.queries.iter().map(|q| fleet.run_query(&request(q)).time);
         times.collect()
     };
     let mean = unloaded.iter().copied().sum::<VirtualNanos>() / unloaded.len() as u64;
     let slowest = unloaded.iter().copied().max().expect("queries");
     let (spacing, deadline) = (mean / 2, slowest * 4);
-    let arrivals: Vec<ArrivingQuery> = fx
+    let arrivals: Vec<ArrivingQuery> = wl
         .queries
         .iter()
         .enumerate()

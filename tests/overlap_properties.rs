@@ -2,8 +2,8 @@
 //!
 //! Three pins:
 //!
-//! 1. **Overlap is pure scheduling** — the pipeline on vs off is
-//!    bit-exact (identical top-k and intersection traces) in every
+//! 1. **Overlap is pure scheduling** — the pipeline on and off return
+//!    the same top-k bits and intersection traces in every
 //!    execution mode, including with an armed-but-no-op fault plan.
 //! 2. **The clock is a critical path** — a pipelined query is never
 //!    slower than its serial twin, and never faster than its busiest
@@ -12,60 +12,32 @@
 //! 3. **Streams serialize their own work** — the exported per-stream
 //!    device timeline never overlaps two kernels on the compute engine
 //!    (and never overlaps two transfers on the copy engine).
-//!
-//! Set `GRIFFIN_FAULT_SEED` to vary the workload and fault schedule (the
-//! CI `overlap-invariants` job sweeps a fixed set of seeds).
 
 use griffin_suite::griffin::StepOp;
 use griffin_suite::griffin_gpu_sim::{FaultPlan, StreamKind};
+use griffin_suite::oracle::{self, Workload};
 use griffin_suite::prelude::*;
 use griffin_telemetry::Telemetry;
 
-fn fault_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE)
+fn workload() -> Workload {
+    oracle::workload(500_000, 100_000, 10, oracle::seed() ^ 0x9E37_79B9)
 }
 
-struct Fixture {
-    index: InvertedIndex,
-    queries: Vec<Vec<TermId>>,
-}
-
-/// Workload derived from the fault seed, so the CI seed sweep varies the
-/// inputs as well as the fault schedule.
-fn fixture() -> Fixture {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0x9E37_79B9);
-    let spec = ListIndexSpec {
-        num_terms: 20,
-        num_docs: 500_000,
-        max_list_len: 100_000,
-        ..Default::default()
-    };
-    let (index, _) = build_list_index(&spec, &mut rng);
-    let queries = QueryLogSpec {
-        num_queries: 10,
-        ..Default::default()
-    }
-    .generate(&index, &mut rng);
-    Fixture { index, queries }
-}
-
-fn run_all(fx: &Fixture, overlap: bool, plan: Option<FaultPlan>) -> Vec<GriffinOutput> {
+/// Every query in every mode, each answer checked against the oracle.
+fn run_all(wl: &Workload, overlap: bool, plan: Option<FaultPlan>) -> Vec<GriffinOutput> {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     gpu.set_fault_plan(plan);
-    let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     griffin.set_overlap(overlap);
-    let outs = fx
-        .queries
-        .iter()
-        .flat_map(|q| {
-            [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid]
-                .map(|mode| griffin.run(&fx.index, &QueryRequest::new(q.to_vec()).mode(mode)))
-        })
-        .collect();
+    let mut outs = Vec::new();
+    for q in &wl.queries {
+        for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
+            let req = QueryRequest::new(q.clone()).mode(mode);
+            let out = griffin.run(&wl.corpus.index, &req);
+            oracle::assert_answer(&wl.corpus, &req, &out, &format!("overlap {overlap}"));
+            outs.push(out);
+        }
+    }
     griffin.gpu.shutdown();
     assert_eq!(gpu.mem_in_use(), 0, "overlap must not leak device memory");
     outs
@@ -73,15 +45,14 @@ fn run_all(fx: &Fixture, overlap: bool, plan: Option<FaultPlan>) -> Vec<GriffinO
 
 #[test]
 fn overlap_on_and_off_are_bit_exact() {
-    let fx = fixture();
-    for plan in [None, Some(FaultPlan::seeded(fault_seed()))] {
+    let wl = workload();
+    for plan in [None, Some(FaultPlan::seeded(oracle::seed()))] {
         if let Some(p) = &plan {
             assert!(p.is_noop(), "a freshly seeded plan must inject nothing");
         }
-        let on = run_all(&fx, true, plan.clone());
-        let off = run_all(&fx, false, plan);
+        let on = run_all(&wl, true, plan.clone());
+        let off = run_all(&wl, false, plan);
         for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.topk, b.topk, "overlap changed results");
             assert_eq!(a.gpu_faults, 0);
             assert_eq!(b.gpu_faults, 0);
             // The traces agree on every functional quantity. Placement
@@ -106,27 +77,29 @@ fn overlap_on_and_off_are_bit_exact() {
 
 #[test]
 fn pipelined_time_is_bounded_by_serial_sum_and_busiest_engine() {
-    let fx = fixture();
+    let wl = workload();
     let gpu_serial = Gpu::new(DeviceConfig::test_tiny());
     let gpu_over = Gpu::new(DeviceConfig::test_tiny());
     let telemetry = Telemetry::enabled();
     gpu_over.set_observer(telemetry.device_observer(gpu_over.config().warp_size));
-    let eng_serial = GpuEngine::new(&gpu_serial, fx.index.meta());
-    let eng_over = GpuEngine::new(&gpu_over, fx.index.meta());
+    let eng_serial = GpuEngine::new(&gpu_serial, wl.corpus.index.meta());
+    let eng_over = GpuEngine::new(&gpu_over, wl.corpus.index.meta());
     eng_serial.set_overlap(false);
 
-    for q in &fx.queries {
+    for q in &wl.queries {
         let before: Vec<_> = telemetry
             .device_timeline()
             .expect("telemetry is enabled")
             .spans;
         let a = eng_serial
-            .process_query(&fx.index, q, 10)
+            .process_query(&wl.corpus.index, q, 10)
             .expect("healthy device");
         let b = eng_over
-            .process_query(&fx.index, q, 10)
+            .process_query(&wl.corpus.index, q, 10)
             .expect("healthy device");
-        assert_eq!(a.topk, b.topk);
+        let want = oracle::expect(&wl.corpus, &QueryRequest::new(q.clone()));
+        assert_eq!(oracle::bits(&a.topk), want, "serial {q:?}");
+        assert_eq!(oracle::bits(&b.topk), want, "pipelined {q:?}");
         assert!(
             b.time <= a.time,
             "pipelined {} > serial {} for {q:?}",
@@ -157,14 +130,14 @@ fn pipelined_time_is_bounded_by_serial_sum_and_busiest_engine() {
 
 #[test]
 fn exported_stream_timelines_never_overlap_within_an_engine() {
-    let fx = fixture();
+    let wl = workload();
     let gpu = Gpu::new(DeviceConfig::test_tiny());
     let telemetry = Telemetry::enabled();
-    let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     griffin.set_telemetry(telemetry.clone());
-    for q in &fx.queries {
+    for q in &wl.queries {
         for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
-            griffin.run(&fx.index, &QueryRequest::new(q.to_vec()).mode(mode));
+            griffin.run(&wl.corpus.index, &QueryRequest::new(q.clone()).mode(mode));
         }
     }
     let timeline = telemetry.device_timeline().expect("telemetry is enabled");

@@ -10,51 +10,25 @@
 //!   and its retained/evicted accounting stays consistent;
 //! * **Burn rate is monotone** — making strictly more events bad can
 //!   never lower the SLO monitor's burn rate over any window.
-//!
-//! Set `GRIFFIN_FAULT_SEED` to vary the workloads and fault schedules.
 
 use griffin_suite::griffin::SplitConfig;
 use griffin_suite::griffin_gpu_sim::FaultPlan;
+use griffin_suite::oracle::{self, Workload};
 use griffin_suite::prelude::*;
 use griffin_telemetry::Telemetry;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-fn fault_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xF0CA)
+fn workload() -> Workload {
+    oracle::workload(500_000, 100_000, 10, oracle::seed() ^ 0x9E3779B9)
 }
 
-struct Fixture {
-    index: InvertedIndex,
-    queries: Vec<Vec<TermId>>,
-}
-
-fn fixture() -> Fixture {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(fault_seed() ^ 0x9E3779B9);
-    let spec = ListIndexSpec {
-        num_terms: 20,
-        num_docs: 500_000,
-        max_list_len: 100_000,
-        ..Default::default()
-    };
-    let (index, _) = build_list_index(&spec, &mut rng);
-    let queries = QueryLogSpec {
-        num_queries: 10,
-        ..Default::default()
-    }
-    .generate(&index, &mut rng);
-    Fixture { index, queries }
-}
-
-/// Runs every fixture query in `mode` with telemetry (trace recorder +
-/// device observer) attached, then checks each query's attribution tree
-/// sums exactly to the engine-reported total.
+/// Runs every workload query in `mode` with telemetry (trace recorder +
+/// device observer) attached, checks each answer against the oracle,
+/// then checks each query's attribution tree sums exactly to the
+/// engine-reported total.
 fn assert_exact_attribution(
-    fx: &Fixture,
+    wl: &Workload,
     mode: ExecMode,
     split: Option<SplitConfig>,
     plan: Option<FaultPlan>,
@@ -64,15 +38,17 @@ fn assert_exact_attribution(
     gpu.set_fault_plan(plan);
     let telemetry = Telemetry::enabled();
     gpu.set_observer(telemetry.device_observer(gpu.config().warp_size));
-    let mut griffin = Griffin::new(&gpu, fx.index.meta(), fx.index.block_len());
+    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     griffin.set_telemetry(telemetry.clone());
     if let Some(s) = split {
         griffin.scheduler.split = Some(s);
     }
 
     let mut expected = Vec::new();
-    for q in &fx.queries {
-        let out = griffin.run(&fx.index, &QueryRequest::new(q.to_vec()).mode(mode));
+    for q in &wl.queries {
+        let req = QueryRequest::new(q.clone()).mode(mode);
+        let out = griffin.run(&wl.corpus.index, &req);
+        oracle::assert_answer(&wl.corpus, &req, &out, ctx);
         let tq = telemetry.recorder().expect("enabled").current_query();
         expected.push((tq, out.time));
     }
@@ -114,18 +90,18 @@ fn assert_exact_attribution(
 
 #[test]
 fn attribution_exact_in_every_mode() {
-    let fx = fixture();
+    let wl = workload();
     for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
-        assert_exact_attribution(&fx, mode, None, None, &format!("{mode:?}"));
+        assert_exact_attribution(&wl, mode, None, None, &format!("{mode:?}"));
     }
 }
 
 #[test]
 fn attribution_exact_under_forced_splits() {
-    let fx = fixture();
+    let wl = workload();
     for fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
         assert_exact_attribution(
-            &fx,
+            &wl,
             ExecMode::Hybrid,
             Some(SplitConfig::forced(fraction)),
             None,
@@ -136,8 +112,8 @@ fn attribution_exact_under_forced_splits() {
 
 #[test]
 fn attribution_exact_under_faults() {
-    let fx = fixture();
-    let seed = fault_seed();
+    let wl = workload();
+    let seed = oracle::seed();
     for (plan, ctx) in [
         (
             FaultPlan::seeded(seed).with_fault_rate(0.05),
@@ -147,7 +123,7 @@ fn attribution_exact_under_faults() {
     ] {
         for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
             assert_exact_attribution(
-                &fx,
+                &wl,
                 mode,
                 None,
                 Some(plan.clone()),
@@ -155,7 +131,7 @@ fn attribution_exact_under_faults() {
             );
         }
         assert_exact_attribution(
-            &fx,
+            &wl,
             ExecMode::Hybrid,
             Some(SplitConfig::forced(0.5)),
             Some(plan.clone()),

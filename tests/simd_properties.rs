@@ -5,15 +5,17 @@
 //! query), same last-ulp top-k score bits under block-max pruning.
 //!
 //! The forced-path knob is process-global, so every test serializes on
-//! one mutex and restores `ForceMode::Auto` on exit. Set
-//! `GRIFFIN_FAULT_SEED` to explore other deterministic workloads.
+//! one mutex and restores `ForceMode::Auto` on exit.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use griffin_codec::{BlockedList, Codec};
 use griffin_cpu::simd::{self, ForceMode};
 use griffin_cpu::{decode, intersect, CpuEngine, WorkCounters};
-use griffin_index::{InvertedIndex, TermId};
+use griffin_index::TermId;
+use griffin_suite::griffin::QueryRequest;
+use griffin_suite::griffin_workload::Corpus;
+use griffin_suite::oracle;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,13 +28,6 @@ fn forced_path_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-fn fault_seed() -> u64 {
-    std::env::var("GRIFFIN_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xD15EA5E)
 }
 
 /// Runs `op` under the given forced path, restoring `Auto` afterwards.
@@ -65,7 +60,7 @@ const BLOCK_LENS: [usize; 6] = [1, 7, 8, 33, 128, 200];
 #[test]
 fn decode_bit_exact_across_block_lengths_and_codecs() {
     let _g = forced_path_lock();
-    let mut rng = StdRng::seed_from_u64(fault_seed());
+    let mut rng = StdRng::seed_from_u64(oracle::seed());
     for &block_len in &BLOCK_LENS {
         for len in [1usize, 2, 7, 31, 127, 128, 129, 500, 1000] {
             let mut ids: Vec<u32> = (0..len as u32)
@@ -111,7 +106,7 @@ fn decode_bit_exact_on_singletons_and_max_width_deltas() {
 #[test]
 fn skip_intersection_identical_results_and_counters() {
     let _g = forced_path_lock();
-    let mut rng = StdRng::seed_from_u64(fault_seed() ^ 0x5EED);
+    let mut rng = StdRng::seed_from_u64(oracle::seed() ^ 0x5EED);
     let mut long: Vec<u32> = (0..50_000u32)
         .map(|_| rng.gen_range(0..1_000_000))
         .collect();
@@ -145,7 +140,7 @@ fn skip_intersection_identical_results_and_counters() {
 #[test]
 fn pruned_query_bit_identical_across_paths() {
     let _g = forced_path_lock();
-    let mut rng = StdRng::seed_from_u64(fault_seed() ^ 0xB10C);
+    let mut rng = StdRng::seed_from_u64(oracle::seed() ^ 0xB10C);
     let pool: Vec<u32> = (0..3_000).map(|_| rng.gen_range(0..60_000)).collect();
     let lists: Vec<Vec<u32>> = (0..3)
         .map(|_| {
@@ -159,31 +154,22 @@ fn pruned_query_bit_identical_across_paths() {
         })
         .collect();
     for codec in [Codec::PforDelta, Codec::EliasFano] {
-        let idx = InvertedIndex::from_docid_lists(&lists, 70_000, codec, 128);
-        let terms: Vec<TermId> = (0..lists.len())
-            .map(|i| idx.lookup(&format!("t{i}")).expect("term interned"))
-            .collect();
+        let corpus = Corpus::draw(&lists, 70_000, codec, 128, &mut rng);
+        let terms: Vec<TermId> = (0..lists.len() as u32).map(TermId).collect();
         let engine = CpuEngine::new();
         let run = |mode| {
             with_path(mode, || {
-                let out = engine.process_query_pruned(&idx, &terms, 10);
-                (out.topk, out.time, out.counters, out.stats)
+                let out = engine.process_query_pruned(&corpus.index, &terms, 10);
+                (oracle::bits(&out.topk), out.time, out.counters, out.stats)
             })
         };
         let (topk_s, time_s, w_s, stats_s) = run(ForceMode::Scalar);
         let (topk_v, time_v, w_v, stats_v) = run(ForceMode::Auto);
         // Scores must match to the bit, not the epsilon: the SIMD bound
         // fold must preserve the exact f32 fold order.
-        let bits = |topk: &[(u32, f32)]| {
-            topk.iter()
-                .map(|&(d, s)| (d, s.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            bits(&topk_s),
-            bits(&topk_v),
-            "{codec:?}: pruned top-k diverged"
-        );
+        let want = oracle::expect(&corpus, &QueryRequest::new(terms.clone()));
+        assert_eq!(topk_s, want, "{codec:?}: scalar pruned top-k");
+        assert_eq!(topk_v, want, "{codec:?}: dispatched pruned top-k");
         assert_eq!(w_s, w_v, "{codec:?}: pruned counters diverged");
         assert_eq!(time_s, time_v, "{codec:?}: virtual time diverged");
         assert_eq!(stats_s, stats_v, "{codec:?}: prune stats diverged");
