@@ -9,7 +9,7 @@ use griffin_gpu_sim::{Gpu, Scope, StreamKind, VirtualNanos};
 use griffin_index::{CorpusMeta, InvertedIndex, TermId};
 use griffin_telemetry::{Telemetry, TraceEvent};
 
-use crate::plan::{PlanNode, Planner};
+use crate::plan::{self, PlanNode};
 use crate::query::Query;
 use crate::request::{QueryError, QueryRequest};
 use crate::rescache::{CachedResult, ResultCache, RESULT_CACHE_LOOKUP};
@@ -784,16 +784,12 @@ impl<'g> Griffin<'g> {
             if let Some(hit) = self.result_cache_lookup(req) {
                 return hit;
             }
-            let planner = Planner {
-                index,
-                scheduler: &self.scheduler,
-            };
-            let plan = planner.plan(&req.query);
+            let root = plan::lower(index, &req.query);
             let mut run = Run {
                 coarse: req.mode == ExecMode::CpuOnly,
                 ..Run::default()
             };
-            let topk = match &plan.root {
+            let topk = match &root {
                 // Nothing runs: zero time and zero steps in every mode.
                 PlanNode::Empty => Vec::new(),
                 root => self.rank(index, root, req, &mut run),
@@ -831,7 +827,7 @@ impl<'g> Griffin<'g> {
         run: &mut Run,
     ) -> Vec<(u32, f32)> {
         let topk = match root {
-            PlanNode::Chain { terms, .. } if req.pruned => self.rank_pruned(index, terms, req, run),
+            PlanNode::Chain { terms } if req.pruned => self.rank_pruned(index, terms, req, run),
             _ => {
                 let host = self.eval(index, root, req.mode, run);
                 let topk =
@@ -920,14 +916,14 @@ impl<'g> Griffin<'g> {
     ) -> Intermediate {
         match node {
             PlanNode::Empty => Intermediate::default(),
-            PlanNode::Chain { terms, .. } => self.chain(index, terms, mode, run),
-            PlanNode::Phrase { terms, .. } => {
+            PlanNode::Chain { terms } => self.chain(index, terms, mode, run),
+            PlanNode::Phrase { terms } => {
                 let inter = self.chain(index, terms, mode, run);
                 let out = setops::phrase_filter(index, terms, &inter, &mut run.host);
                 self.host_step(run, StepOp::PhraseCheck, out.len());
                 out
             }
-            PlanNode::Intersect { children, .. } => {
+            PlanNode::Intersect { children } => {
                 let mut acc = self.eval(index, &children[0], mode, run);
                 for c in &children[1..] {
                     if acc.is_empty() {
@@ -939,7 +935,7 @@ impl<'g> Griffin<'g> {
                 }
                 acc
             }
-            PlanNode::Union { children, .. } => {
+            PlanNode::Union { children } => {
                 let mut acc = self.eval(index, &children[0], mode, run);
                 for c in &children[1..] {
                     let part = self.eval(index, c, mode, run);
@@ -948,7 +944,7 @@ impl<'g> Griffin<'g> {
                 }
                 acc
             }
-            PlanNode::Difference { left, right, .. } => {
+            PlanNode::Difference { left, right } => {
                 let l = self.eval(index, left, mode, run);
                 if l.is_empty() {
                     return l;
@@ -1233,7 +1229,7 @@ impl<'g> Griffin<'g> {
     /// returns the intermediate host-resident (salvaging any device
     /// residency at the end, like final ranking always did).
     fn hybrid_chain(&self, index: &InvertedIndex, terms: &[TermId], run: &mut Run) -> Intermediate {
-        let planned = self.cpu.plan(index, terms);
+        let planned = index.chain_order(terms);
         let Some((&first, rest)) = planned.split_first() else {
             return Intermediate::default();
         };

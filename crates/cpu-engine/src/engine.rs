@@ -97,8 +97,8 @@ pub struct PrunedOutput {
 /// gather term frequencies and block bounds without re-searching.
 #[derive(Debug, Clone, Default)]
 pub struct ChainResult {
-    /// The df-ordered terms the chain ran over (the plan order — exact
-    /// scores must fold contributions in this order to match the
+    /// The terms the chain ran over, in [`InvertedIndex::chain_order`]
+    /// (exact scores must fold contributions in this order to match the
     /// incremental pipeline bit-for-bit).
     pub planned: Vec<TermId>,
     /// Surviving docIDs, ascending.
@@ -110,9 +110,9 @@ pub struct ChainResult {
     pub tf_blocks_total: u64,
 }
 
-/// The CPU query engine. Scores with the index's own BM25 parameters
-/// ([`InvertedIndex::bm25`]), the ones its block-max bounds were baked
-/// under, so pruning stays sound.
+/// The CPU query engine. Scores each term with the index's own scorer
+/// ([`InvertedIndex::scorer`]), the one its block-max bounds were baked
+/// with, so pruning stays sound.
 #[derive(Debug, Clone, Default)]
 pub struct CpuEngine {
     pub model: CpuCostModel,
@@ -210,19 +210,6 @@ impl CpuEngine {
         self.cache_decoded(term, decode::decode_list(list, w))
     }
 
-    /// Orders the query's terms by ascending document frequency (SvS starts
-    /// with the two rarest terms). Unknown terms yield `None` (empty result).
-    ///
-    /// Uses [`InvertedIndex::scoring_df`], not the local list length: the
-    /// plan order fixes the f32 fold order of the scores, so a shard view
-    /// must sort by the same global dfs as the unsharded index or its
-    /// last-ulp score bits drift.
-    pub fn plan(&self, index: &InvertedIndex, terms: &[TermId]) -> Vec<TermId> {
-        let mut ts = terms.to_vec();
-        ts.sort_by_key(|&t| index.scoring_df(t));
-        ts
-    }
-
     /// Decompresses the first (shortest) list into an [`Intermediate`] with
     /// the term's BM25 contributions as initial scores.
     pub fn init_intermediate(
@@ -242,13 +229,11 @@ impl CpuEngine {
             w.varint_elements += tfs.len() as u64;
             (ids, tfs)
         };
-        let bm25 = index.bm25();
-        let idf = bm25.idf(index.num_docs(), index.scoring_df(term) as u32);
-        let meta = index.meta();
+        let (scorer, meta) = (index.scorer(term), index.meta());
         let scores: Vec<f32> = docids
             .iter()
             .zip(&tfs)
-            .map(|(&d, &tf)| bm25.contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len))
+            .map(|(&d, &tf)| scorer.contribution(tf, meta.doc_len(d)))
             .collect();
         w.scored += docids.len() as u64;
         Intermediate { docids, scores }
@@ -341,17 +326,14 @@ impl CpuEngine {
     ) -> Intermediate {
         let list = index.list(term);
         let tfs = intersect::gather_tfs(list, &matches.b_idx, w);
-        let bm25 = index.bm25();
-        let idf = bm25.idf(index.num_docs(), index.scoring_df(term) as u32);
-        let meta = index.meta();
+        let (scorer, meta) = (index.scorer(term), index.meta());
         let scores: Vec<f32> = matches
             .docids
             .iter()
             .zip(matches.a_idx.iter())
             .zip(&tfs)
             .map(|((&d, &ai), &tf)| {
-                inter.scores[ai as usize]
-                    + bm25.contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len)
+                inter.scores[ai as usize] + scorer.contribution(tf, meta.doc_len(d))
             })
             .collect();
         w.scored += matches.docids.len() as u64;
@@ -370,7 +352,7 @@ impl CpuEngine {
         terms: &[TermId],
         w: &mut WorkCounters,
     ) -> Intermediate {
-        let planned = self.plan(index, terms);
+        let planned = index.chain_order(terms);
         let Some((&first, rest)) = planned.split_first() else {
             return Intermediate::default();
         };
@@ -395,7 +377,7 @@ impl CpuEngine {
         terms: &[TermId],
         w: &mut WorkCounters,
     ) -> ChainResult {
-        let planned = self.plan(index, terms);
+        let planned = index.chain_order(terms);
         let Some((&first, rest)) = planned.split_first() else {
             return ChainResult::default();
         };
@@ -474,12 +456,7 @@ impl CpuEngine {
 
         let nterms = chain.planned.len();
         let meta = index.meta();
-        let bm25 = index.bm25();
-        let idfs: Vec<f32> = chain
-            .planned
-            .iter()
-            .map(|&t| bm25.idf(index.num_docs(), index.scoring_df(t) as u32))
-            .collect();
+        let scorers: Vec<_> = chain.planned.iter().map(|&t| index.scorer(t)).collect();
         // Optimistic bound per candidate: its blocks' upper bounds folded
         // in the same left-associated plan order as the exact scorer.
         // f32 addition is monotone, so exact <= bound holds bit-for-bit.
@@ -538,8 +515,7 @@ impl CpuEngine {
                     }
                 };
                 let tf = tfs[gi - blk * bl];
-                let contribution =
-                    bm25.contribution(idfs[t], tf, meta.doc_len(d), meta.avg_doc_len);
+                let contribution = scorers[t].contribution(tf, meta.doc_len(d));
                 score = if t == 0 {
                     contribution
                 } else {
@@ -887,15 +863,5 @@ mod tests {
         let mut expect: Vec<(u32, f32)> = inter.docids.into_iter().zip(inter.scores).collect();
         expect.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         assert_eq!(out.topk, expect);
-    }
-
-    #[test]
-    fn plan_orders_by_document_frequency() {
-        let idx = small_index();
-        let engine = CpuEngine::new();
-        let q = tids(&idx, &["austria", "travel", "ppopp"]);
-        let planned = engine.plan(&idx, &q);
-        let dfs: Vec<usize> = planned.iter().map(|&t| idx.doc_freq(t)).collect();
-        assert!(dfs.windows(2).all(|w| w[0] <= w[1]));
     }
 }

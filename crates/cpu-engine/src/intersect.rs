@@ -681,11 +681,17 @@ mod tests {
             paths.push(KernelPath::Avx2);
         }
         for path in paths {
-            assert_eq!(
-                match_walk_on(&a.docids, &b.docids, path),
-                m,
-                "{what}: {path:?} walk"
-            );
+            // Also from unaligned starts: each side behind 1 to 7 junk
+            // words, so no vector load can assume a 32-byte boundary.
+            for off in 0..8 {
+                let pad = |v: &[u32]| [&vec![u32::MAX; off][..], v].concat();
+                let (pa, pb) = (pad(&a.docids), pad(&b.docids));
+                assert_eq!(
+                    match_walk_on(&pa[off..], &pb[off..], path),
+                    m,
+                    "{what}: {path:?} walk, offset {off}"
+                );
+            }
         }
 
         let mut w = wc();

@@ -23,7 +23,6 @@ pub mod decode;
 pub mod engine;
 pub mod intersect;
 pub mod lru;
-pub mod rank;
 pub mod setops;
 pub mod simd;
 pub mod topk;
@@ -32,5 +31,4 @@ pub use cost::{CpuConfig, CpuCostModel, WorkCounters};
 pub use engine::{ChainResult, CpuEngine, Intermediate, PruneStats, PrunedOutput, QueryOutput};
 pub use intersect::Matches;
 pub use lru::{CacheStats, Lru};
-pub use rank::Bm25;
 pub use simd::{ForceMode, KernelPath};

@@ -720,6 +720,15 @@ mod tests {
         p
     }
 
+    /// `v` behind `off` junk words: `&padded(v, off)[off..]` is `v` at a
+    /// start `4 * off` bytes past an allocation's, so offsets 1 to 7 put
+    /// it off every 32-byte boundary a vector load could assume.
+    fn padded<T: Copy>(v: &[T], off: usize, junk: T) -> Vec<T> {
+        let mut out = vec![junk; off];
+        out.extend_from_slice(v);
+        out
+    }
+
     #[test]
     fn unpack_matches_reference_for_every_width() {
         let mut rng = 7u64;
@@ -734,11 +743,16 @@ mod tests {
                     wtr.write_bits(v, b);
                 }
                 let words = wtr.finish();
-                for path in both_paths() {
+                for (path, off) in both_paths()
+                    .into_iter()
+                    .flat_map(|p| (0..8).map(move |o| (p, o)))
+                {
+                    let words = padded(&words, off, u32::MAX);
                     let mut out = vec![42u32]; // pre-existing content survives
-                    unpack_bits_into(&words, count, b, &mut out, path);
+                    unpack_bits_into(&words[off..], count, b, &mut out, path);
                     assert_eq!(out[0], 42);
-                    assert_eq!(&out[1..], &values[..], "b={b} count={count} {path:?}");
+                    let what = format!("b={b} count={count} {path:?} offset {off}");
+                    assert_eq!(&out[1..], &values[..], "{what}");
                 }
             }
         }
@@ -761,9 +775,13 @@ mod tests {
                 let mut expect = gaps.clone();
                 dgap::prefix_sum_in_place(&mut expect, base);
                 for path in both_paths() {
-                    let mut got = gaps.clone();
-                    prefix_sum(&mut got, base, path);
-                    assert_eq!(got, expect, "n={n} base={base} {path:?}");
+                    for off in 0..8 {
+                        let mut got = padded(&gaps, off, 7);
+                        prefix_sum(&mut got[off..], base, path);
+                        let what = format!("n={n} base={base} {path:?} offset {off}");
+                        assert_eq!(got[..off], vec![7; off], "{what}: wrote before the start");
+                        assert_eq!(got[off..], expect, "{what}");
+                    }
                 }
             }
         }
@@ -952,11 +970,16 @@ mod tests {
             for &t in &targets {
                 let mut p_scalar = 0u64;
                 let scalar = find_in_sorted_block_with(&hay, t, &mut p_scalar, KernelPath::Scalar);
-                if avx2_available() {
+                if !avx2_available() {
+                    continue;
+                }
+                for off in 0..8 {
+                    let hay = padded(&hay, off, u32::MAX);
                     let mut p_simd = 0u64;
-                    let simd = find_in_sorted_block_with(&hay, t, &mut p_simd, KernelPath::Avx2);
-                    assert_eq!(simd, scalar, "n={n} t={t}");
-                    assert_eq!(p_simd, p_scalar, "probe parity n={n} t={t}");
+                    let simd =
+                        find_in_sorted_block_with(&hay[off..], t, &mut p_simd, KernelPath::Avx2);
+                    assert_eq!(simd, scalar, "n={n} t={t} offset {off}");
+                    assert_eq!(p_simd, p_scalar, "probe parity n={n} t={t} offset {off}");
                 }
             }
         }
@@ -985,20 +1008,31 @@ mod tests {
                         first,
                         KernelPath::Scalar,
                     );
-                    if avx2_available() {
-                        let mut got = vec![0.5f32; n];
+                    if !avx2_available() {
+                        continue;
+                    }
+                    for off in 0..8 {
+                        let mut got = padded(&vec![0.5f32; n], off, -1.0);
+                        let elem_idx = padded(&elem_idx, off, u32::MAX);
                         fold_term_bounds_with(
-                            &mut got,
-                            &elem_idx,
+                            &mut got[off..],
+                            &elem_idx[off..],
                             block_len,
                             &block_ubs,
                             first,
                             KernelPath::Avx2,
                         );
+                        let what =
+                            format!("block_len={block_len} n={n} first={first} offset {off}");
                         assert_eq!(
-                            got.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                            got[..off],
+                            vec![-1.0; off],
+                            "{what}: wrote before the start"
+                        );
+                        assert_eq!(
+                            got[off..].iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                             expect.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                            "block_len={block_len} n={n} first={first}"
+                            "{what}"
                         );
                     }
                 }

@@ -12,13 +12,12 @@ use std::ops::{Deref, Range};
 use std::rc::Rc;
 
 use griffin_cpu::cost::WorkCounters;
-use griffin_cpu::rank::Bm25;
 use griffin_cpu::{topk, CacheStats, Intermediate, Lru};
 use griffin_gpu_sim::{
     BlockMem, DeviceBuffer, Gpu, Kernel, LaunchConfig, Op, Scope, StreamEvent, StreamKind,
     ThreadCtx, VirtualNanos,
 };
-use griffin_index::{CorpusMeta, InvertedIndex, TermId};
+use griffin_index::{Bm25, CorpusMeta, InvertedIndex, TermId};
 
 use crate::error::GpuError;
 use crate::gpu_binary;
@@ -124,56 +123,41 @@ impl ChainList {
     }
 }
 
-/// BM25 parameters in kernel-friendly form.
-#[derive(Clone, Copy)]
-struct ScoreParams {
-    idf: f32,
-    k1: f32,
-    b: f32,
-    avg_doc_len: f32,
-}
-
-impl ScoreParams {
-    /// The BM25 term contribution, in exactly the operation order of
-    /// `griffin_cpu::rank::Bm25::contribution` so CPU and GPU scores are
-    /// bit-identical: the one definition the lanes and the native twins
-    /// share.
-    #[inline]
-    fn contribution(self, tf: u32, doc_len: f32) -> f32 {
-        let tf = tf as f32;
-        let norm = if self.avg_doc_len > 0.0 {
-            self.k1 * (1.0 - self.b + self.b * doc_len / self.avg_doc_len)
-        } else {
-            self.k1
-        };
-        self.idf * (tf * (self.k1 + 1.0)) / (tf + norm)
-    }
-
-    /// What [`doc_len_of`] loads, from the launch-time words.
-    #[inline]
-    fn doc_len(self, doc_lens: Option<&[u32]>, docid: u32) -> f32 {
-        match doc_lens.and_then(|lens| lens.get(docid as usize)) {
-            Some(&len) => len as f32,
-            None => self.avg_doc_len,
-        }
-    }
-}
-
 /// Initial scoring: `scores[i] = contribution(tf[i], doc_len(docids[i]))`.
 struct ScoreInitKernel {
     docids: DeviceBuffer<u32>,
     tfs: DeviceBuffer<u32>,
     scores: DeviceBuffer<f32>,
     doc_lens: Option<DeviceBuffer<u32>>,
-    p: ScoreParams,
+    p: Bm25,
     n: usize,
 }
 
-/// A lane's BM25 term contribution, charged.
+/// A lane's BM25 term contribution to document `d`, charged: the
+/// document's length loads from the table where the table holds `d`.
+/// Scores through the index's [`Bm25::contribution`], the CPU steps'
+/// own, so both processors build the same score bits.
 #[inline]
-fn contribution(t: &mut ThreadCtx<'_>, p: ScoreParams, tf: u32, doc_len: f32) -> f32 {
+fn contribution(
+    t: &mut ThreadCtx<'_>,
+    p: Bm25,
+    doc_lens: &Option<DeviceBuffer<u32>>,
+    d: u32,
+    tf: u32,
+) -> f32 {
+    let len = match doc_lens {
+        Some(buf) if (d as usize) < buf.len() => Some(t.ld(buf, d as usize)),
+        _ => None,
+    };
     t.op(Op::Mul, 6);
-    p.contribution(tf, doc_len)
+    p.contribution(tf, len)
+}
+
+/// What a lane's [`contribution`] loads for document `d`, from the
+/// launch-time words of the length table.
+#[inline]
+fn doc_len(lens: Option<&[u32]>, d: u32) -> Option<u32> {
+    lens.and_then(|lens| lens.get(d as usize)).copied()
 }
 
 /// The elements block `block` of a one-thread-per-element launch over `n`
@@ -181,19 +165,6 @@ fn contribution(t: &mut ThreadCtx<'_>, p: ScoreParams, tf: u32, doc_len: f32) ->
 fn rows(block: u32, block_dim: u32, n: usize) -> Range<usize> {
     let first = block as usize * block_dim as usize;
     first.min(n)..(first + block_dim as usize).min(n)
-}
-
-#[inline]
-fn doc_len_of(
-    t: &mut ThreadCtx<'_>,
-    doc_lens: &Option<DeviceBuffer<u32>>,
-    docid: u32,
-    avg: f32,
-) -> f32 {
-    match doc_lens {
-        Some(buf) if (docid as usize) < buf.len() => t.ld(buf, docid as usize) as f32,
-        _ => avg,
-    }
 }
 
 impl Kernel for ScoreInitKernel {
@@ -207,8 +178,7 @@ impl Kernel for ScoreInitKernel {
         if t.branch(i < self.n) {
             let d = t.ld(&self.docids, i);
             let tf = t.ld(&self.tfs, i);
-            let dl = doc_len_of(t, &self.doc_lens, d, self.p.avg_doc_len);
-            let s = contribution(t, self.p, tf, dl);
+            let s = contribution(t, self.p, &self.doc_lens, d, tf);
             t.st(&self.scores, i, s);
         }
     }
@@ -228,10 +198,12 @@ impl Kernel for ScoreInitKernel {
         }
         let lens = self.doc_lens.as_ref().map(|lens| mem.words(lens));
         native::with_scratch(|[scores, ..]| {
-            scores.extend(docids.iter().zip(tfs).map(|(&d, &tf)| {
-                let dl = self.p.doc_len(lens, d);
-                self.p.contribution(tf, dl).to_bits()
-            }));
+            scores.extend(
+                docids
+                    .iter()
+                    .zip(tfs)
+                    .map(|(&d, &tf)| self.p.contribution(tf, doc_len(lens, d)).to_bits()),
+            );
             mem.st_run(&self.scores.cast(), rows.start, scores);
         });
         true
@@ -250,7 +222,7 @@ struct ScoreAccumKernel {
     b_idx: Option<DeviceBuffer<u32>>,
     out_scores: DeviceBuffer<f32>,
     doc_lens: Option<DeviceBuffer<u32>>,
-    p: ScoreParams,
+    p: Bm25,
     n: usize,
 }
 
@@ -273,8 +245,7 @@ impl Kernel for ScoreAccumKernel {
                 }
                 None => t.ld(&self.tfs, i),
             };
-            let dl = doc_len_of(t, &self.doc_lens, d, self.p.avg_doc_len);
-            let s = old + contribution(t, self.p, tf, dl);
+            let s = old + contribution(t, self.p, &self.doc_lens, d, tf);
             t.alu(1);
             t.st(&self.out_scores, i, s);
         }
@@ -308,8 +279,8 @@ impl Kernel for ScoreAccumKernel {
                 let (Some(&old), Some(&tf)) = (old.get(ai as usize), tfs.get(tf_at)) else {
                     return false;
                 };
-                let dl = self.p.doc_len(lens, d);
-                scores.push((f32::from_bits(old) + self.p.contribution(tf, dl)).to_bits());
+                let c = self.p.contribution(tf, doc_len(lens, d));
+                scores.push((f32::from_bits(old) + c).to_bits());
             }
             mem.st_run(&self.out_scores.cast(), rows.start, scores);
             true
@@ -432,7 +403,8 @@ impl Deref for DeviceCacheStats {
 }
 
 impl<'g> GpuEngine<'g> {
-    /// Creates an engine for a uniform-length corpus (synthetic workloads).
+    /// Creates an engine over `meta`'s corpus; its document-length table,
+    /// when it has one, ships to the device here.
     ///
     /// Setup-time transfers are outside the per-query fault-recovery
     /// policy: install fault plans (via [`Gpu::set_fault_plan`]) *after*
@@ -530,15 +502,10 @@ impl<'g> GpuEngine<'g> {
         }
     }
 
-    fn params(&self, doc_freq: u32) -> ScoreParams {
-        // Every index's own parameters (`InvertedIndex::bm25`): bit-exact with the CPU engine.
-        let bm25 = Bm25::default();
-        ScoreParams {
-            idf: bm25.idf(self.num_docs, doc_freq),
-            k1: bm25.k1,
-            b: bm25.b,
-            avg_doc_len: self.avg_doc_len,
-        }
+    /// The scorer of a list with scoring df `doc_freq`: what
+    /// [`InvertedIndex::scorer`] gives the CPU steps for its term.
+    fn scorer(&self, doc_freq: u32) -> Bm25 {
+        Bm25::new(self.num_docs, doc_freq, self.avg_doc_len)
     }
 
     /// Returns the term's device-resident posting list, shipping it over
@@ -690,7 +657,7 @@ impl<'g> GpuEngine<'g> {
                     tfs,
                     scores: scores.clone(),
                     doc_lens: self.doc_lens.clone(),
-                    p: self.params(postings.df),
+                    p: self.scorer(postings.df),
                     n,
                 },
                 LaunchConfig::cover(n, BLOCK_DIM),
@@ -785,7 +752,7 @@ impl<'g> GpuEngine<'g> {
                     // idf from the list's document frequency —
                     // `postings.df`, not the resident element count, which
                     // is smaller for a range upload.
-                    p: self.params(postings.df),
+                    p: self.scorer(postings.df),
                     n,
                 },
                 LaunchConfig::cover(n, BLOCK_DIM),
@@ -887,10 +854,7 @@ impl<'g> GpuEngine<'g> {
         terms: &[TermId],
         hull: Option<&mut HullLedger>,
     ) -> Result<Intermediate, GpuError> {
-        let mut planned = terms.to_vec();
-        // scoring_df, not the local list length: the sort fixes the f32
-        // score fold order, which must match across shard views.
-        planned.sort_by_key(|&t| index.scoring_df(t));
+        let planned = index.chain_order(terms);
         if planned.is_empty() {
             return Ok(Intermediate::default());
         }
@@ -1287,12 +1251,10 @@ mod tests {
         assert_eq!(gpu.mem_in_use(), 0, "all device buffers must be freed");
     }
 
-    const P: ScoreParams = ScoreParams {
-        idf: 2.7,
-        k1: 1.2,
-        b: 0.75,
-        avg_doc_len: 250.5,
-    };
+    /// A scorer with idf about 2.66 over an average length of 250.5.
+    fn p() -> Bm25 {
+        Bm25::new(1_000_000, 70_000, 250.5)
+    }
 
     /// Drawn scoring inputs at lengths that are not multiples of the
     /// 256-thread block: docIDs, tfs, doc lengths, old score bits, match
@@ -1337,7 +1299,7 @@ mod tests {
                 tfs,
                 scores,
                 doc_lens,
-                p: P,
+                p: p(),
                 n,
             };
             (kernel, LaunchConfig::cover(n, BLOCK_DIM), outputs)
@@ -1371,7 +1333,7 @@ mod tests {
                 b_idx: long.then_some(b_idx),
                 out_scores,
                 doc_lens: lens.then_some(doc_lens),
-                p: P,
+                p: p(),
                 n,
             };
             (kernel, LaunchConfig::cover(n, BLOCK_DIM), outputs)

@@ -147,8 +147,8 @@ mod tests {
         b.add_text("a b c");
         b.add_text("a");
         let idx = b.build();
-        assert_eq!(idx.meta().doc_len(0), 3.0);
-        assert_eq!(idx.meta().doc_len(1), 1.0);
+        assert_eq!(idx.meta().doc_len(0), Some(3));
+        assert_eq!(idx.meta().doc_len(1), Some(1));
         assert_eq!(idx.meta().avg_doc_len, 2.0);
     }
 }

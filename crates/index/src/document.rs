@@ -42,13 +42,12 @@ impl CorpusMeta {
         }
     }
 
-    /// Length of document `d` (uniform corpora return the average).
+    /// Document `d`'s entry in the length table: `None` for a uniform
+    /// corpus or a docID past the table, which BM25 scores as average
+    /// ([`crate::Bm25::contribution`]).
     #[inline]
-    pub fn doc_len(&self, d: DocId) -> f32 {
-        match self.doc_lens.get(d as usize) {
-            Some(&l) => l as f32,
-            None => self.avg_doc_len,
-        }
+    pub fn doc_len(&self, d: DocId) -> Option<u32> {
+        self.doc_lens.get(d as usize).copied()
     }
 }
 
@@ -61,14 +60,15 @@ mod tests {
         let m = CorpusMeta::from_doc_lens(vec![10, 20, 30]);
         assert_eq!(m.num_docs, 3);
         assert_eq!(m.avg_doc_len, 20.0);
-        assert_eq!(m.doc_len(1), 20.0);
+        assert_eq!(m.doc_len(1), Some(20));
     }
 
     #[test]
-    fn uniform_corpus_returns_average_for_everything() {
+    fn uniform_corpus_has_no_length_table() {
         let m = CorpusMeta::uniform(1_000_000, 250);
-        assert_eq!(m.doc_len(0), 250.0);
-        assert_eq!(m.doc_len(999_999), 250.0);
+        assert_eq!(m.avg_doc_len, 250.0);
+        assert_eq!(m.doc_len(0), None);
+        assert_eq!(m.doc_len(999_999), None);
     }
 
     #[test]

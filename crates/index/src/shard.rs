@@ -214,13 +214,12 @@ mod tests {
         let plan = ShardPlan::even(index.num_docs(), 4);
         let shards = partition(&index, &plan);
         let term = index.lookup("t0").unwrap();
-        let bm = index.bm25();
-        let idf = bm.idf(index.num_docs(), index.doc_freq(term) as u32);
+        let bm = index.scorer(term);
         for shard in &shards {
             let (ids, tfs) = shard.list(term).decompress();
             let ubs = shard.block_ubs(term);
             for (i, (&d, &tf)) in ids.iter().zip(&tfs).enumerate() {
-                let c = bm.contribution(idf, tf, index.meta().doc_len(d), index.meta().avg_doc_len);
+                let c = bm.contribution(tf, index.meta().doc_len(d));
                 assert!(c <= ubs[i / shard.block_len()], "shard bound must hold");
             }
         }

@@ -12,9 +12,9 @@ use crate::rank::Bm25;
 ///
 /// Construction additionally bakes *block-max* metadata: for every
 /// posting-list block, the largest BM25 contribution any posting in the
-/// block can produce (under the recorded [`Bm25`] parameters). Top-k
-/// pruning compares these upper bounds against the current heap floor to
-/// skip blocks that cannot change the result.
+/// block can produce, under the term's own [`InvertedIndex::scorer`].
+/// Top-k pruning compares these upper bounds against the current heap
+/// floor to skip blocks that cannot change the result.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     dictionary: Dictionary,
@@ -25,8 +25,6 @@ pub struct InvertedIndex {
     /// Per term, per docID block: max BM25 contribution of any posting in
     /// the block (aligned with `lists[t].docs.skips`).
     block_ubs: Vec<Vec<f32>>,
-    /// The parameters the upper bounds were computed under.
-    bm25: Bm25,
     /// For a shard view (see [`crate::shard`]): the *whole corpus*
     /// document frequency of each term. BM25's idf — and the df-sorted
     /// plan order it implies — must see global statistics on every
@@ -64,18 +62,17 @@ impl InvertedIndex {
         if let Some(dfs) = &scoring_dfs {
             assert_eq!(dfs.len(), lists.len(), "one scoring df per term");
         }
-        let bm25 = Bm25::default();
-        let block_ubs = compute_block_ubs(&lists, &meta, &bm25, scoring_dfs.as_deref());
-        InvertedIndex {
+        let mut index = InvertedIndex {
             dictionary,
             lists,
             meta,
             codec,
             block_len,
-            block_ubs,
-            bm25,
+            block_ubs: Vec::new(),
             scoring_dfs,
-        }
+        };
+        index.block_ubs = index.compute_block_ubs();
+        index
     }
 
     /// Builds an index directly from generated docID lists (synthetic
@@ -140,6 +137,28 @@ impl InvertedIndex {
         }
     }
 
+    /// `term`'s BM25 scorer: its idf from [`InvertedIndex::scoring_df`],
+    /// so a shard view scores exactly as the whole index does.
+    pub fn scorer(&self, term: TermId) -> Bm25 {
+        Bm25::new(
+            self.meta.num_docs,
+            self.scoring_df(term) as u32,
+            self.meta.avg_doc_len,
+        )
+    }
+
+    /// The order a conjunction of `terms` runs in, and so the order its
+    /// BM25 contributions add up in: ascending [`InvertedIndex::scoring_df`],
+    /// stable (ties keep the caller's order). f32 addition is not
+    /// associative, so this order is part of every score bit: the
+    /// planner and every chain executor take it from here, and a shard
+    /// view orders by the same whole-corpus dfs as the unsharded index.
+    pub fn chain_order(&self, terms: &[TermId]) -> Vec<TermId> {
+        let mut order = terms.to_vec();
+        order.sort_by_key(|&t| self.scoring_df(t));
+        order
+    }
+
     /// Whether this index is a docID-range shard view of a larger corpus.
     pub fn is_shard_view(&self) -> bool {
         self.scoring_dfs.is_some()
@@ -171,52 +190,38 @@ impl InvertedIndex {
         &self.block_ubs[term.0 as usize]
     }
 
-    /// The BM25 parameters the block upper bounds were computed under.
-    /// Engines must only prune when they score with equal parameters.
-    pub fn bm25(&self) -> &Bm25 {
-        &self.bm25
-    }
-
     /// Total compressed size of all posting lists, in bits.
     pub fn size_bits(&self) -> u64 {
         self.lists.iter().map(|l| l.size_bits() as u64).sum()
     }
-}
 
-/// One decompression pass per list: the exact max contribution per block.
-/// Uses the same [`Bm25::contribution`] code path the engines score with,
-/// so `exact_score <= partial + ub[block]` holds bit-for-bit (f32 max of
-/// the very values the engine will compute).
-fn compute_block_ubs(
-    lists: &[CompressedPostingList],
-    meta: &CorpusMeta,
-    bm25: &Bm25,
-    scoring_dfs: Option<&[u32]>,
-) -> Vec<Vec<f32>> {
-    let mut docids: Vec<u32> = Vec::new();
-    let mut tfs: Vec<u32> = Vec::new();
-    lists
-        .iter()
-        .enumerate()
-        .map(|(t, list)| {
-            let df = scoring_dfs.map_or(list.len() as u32, |dfs| dfs[t]);
-            let idf = bm25.idf(meta.num_docs, df);
-            (0..list.num_blocks())
-                .map(|b| {
-                    docids.clear();
-                    tfs.clear();
-                    list.decode_block_into(b, &mut docids, &mut tfs);
-                    docids
-                        .iter()
-                        .zip(&tfs)
-                        .map(|(&d, &tf)| {
-                            bm25.contribution(idf, tf, meta.doc_len(d), meta.avg_doc_len)
-                        })
-                        .fold(f32::NEG_INFINITY, f32::max)
-                })
-                .collect()
-        })
-        .collect()
+    /// One decompression pass per list: the exact max contribution per
+    /// block. Scores with [`InvertedIndex::scorer`], as the engines do,
+    /// so `exact_score <= partial + ub[block]` holds bit-for-bit (f32 max
+    /// of the very values the engine will compute).
+    fn compute_block_ubs(&self) -> Vec<Vec<f32>> {
+        let mut docids: Vec<u32> = Vec::new();
+        let mut tfs: Vec<u32> = Vec::new();
+        self.lists
+            .iter()
+            .enumerate()
+            .map(|(t, list)| {
+                let scorer = self.scorer(TermId(t as u32));
+                (0..list.num_blocks())
+                    .map(|b| {
+                        docids.clear();
+                        tfs.clear();
+                        list.decode_block_into(b, &mut docids, &mut tfs);
+                        docids
+                            .iter()
+                            .zip(&tfs)
+                            .map(|(&d, &tf)| scorer.contribution(tf, self.meta.doc_len(d)))
+                            .fold(f32::NEG_INFINITY, f32::max)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -253,16 +258,37 @@ mod tests {
         let list = idx.list(t0);
         let ubs = idx.block_ubs(t0);
         assert_eq!(ubs.len(), list.num_blocks());
-        let bm = idx.bm25();
-        let idf = bm.idf(idx.num_docs(), list.len() as u32);
+        let bm = idx.scorer(t0);
         let (docids, tfs) = list.decompress();
         for (i, (&d, &tf)) in docids.iter().zip(&tfs).enumerate() {
-            let c = bm.contribution(idf, tf, idx.meta().doc_len(d), idx.meta().avg_doc_len);
+            let c = bm.contribution(tf, idx.meta().doc_len(d));
             let block = i / idx.block_len();
             assert!(c <= ubs[block], "posting {i} exceeds its block bound");
         }
         // Uniform tf + uniform doc length → the bound is tight.
         assert!(ubs.iter().all(|&u| u > 0.0 && u.is_finite()));
+    }
+
+    #[test]
+    fn chain_order_is_by_scoring_df_and_stable() {
+        // List lengths 3, 1, 3, 2.
+        let lists = [vec![1u32, 2, 3], vec![4], vec![5, 6, 7], vec![8, 9]];
+        let idx = InvertedIndex::from_docid_lists(&lists, 100, Codec::EliasFano, 128);
+        let t: Vec<TermId> = (0..4).map(TermId).collect();
+        let order = idx.chain_order(&t);
+        assert_eq!(order, [t[1], t[3], t[0], t[2]]);
+        // Ties keep the caller's order.
+        assert_eq!(idx.chain_order(&[t[2], t[0]]), [t[2], t[0]]);
+        // A shard view orders by the whole-corpus dfs it was given.
+        let shard = InvertedIndex::with_scoring_dfs(
+            idx.dictionary().clone(),
+            idx.lists.clone(),
+            idx.meta().clone(),
+            Codec::EliasFano,
+            128,
+            Some(vec![9, 8, 7, 6]),
+        );
+        assert_eq!(shard.chain_order(&t), [t[3], t[2], t[1], t[0]]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ proptest! {
         // Corpus metadata.
         prop_assert_eq!(idx.num_docs() as usize, docs.len());
         for (docid, words) in docs.iter().enumerate() {
-            prop_assert_eq!(idx.meta().doc_len(docid as u32), words.len() as f32);
+            prop_assert_eq!(idx.meta().doc_len(docid as u32), Some(words.len() as u32));
         }
     }
 

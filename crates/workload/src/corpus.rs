@@ -177,32 +177,36 @@ pub struct Corpus {
 
 impl Corpus {
     /// [`build_list_index`]'s lists (same shape, same draws), built by
-    /// [`Corpus::draw`] with the tfs drawn from a copy of `rng`: `rng`
-    /// ends where `build_list_index` leaves it, so what the caller draws
-    /// next (a query log) does not move when the tf drawing changes.
+    /// [`Corpus::draw`] with the tfs and document lengths drawn from a
+    /// copy of `rng`: `rng` ends where `build_list_index` leaves it, so
+    /// what the caller draws next (a query log) does not move when that
+    /// drawing changes.
     pub fn from_spec<R: Rng + Clone>(spec: &ListIndexSpec, rng: &mut R) -> Corpus {
         let lists = gen_index_lists(spec, rng);
-        let mut tf_rng = rng.clone();
+        let mut draw_rng = rng.clone();
         Corpus::draw(
             &lists,
             spec.num_docs,
             spec.codec,
             spec.block_len,
-            &mut tf_rng,
+            &mut draw_rng,
         )
     }
 
     /// Builds an index over `lists` the way
-    /// [`InvertedIndex::from_docid_lists`] does (list `i` is term `t{i}`,
-    /// documents of uniform length 300), except that every posting draws
-    /// its tf and its positions: a tf from 1 to 1 000, heavy-tailed (half
-    /// are 1, P(tf >= k) = 1/k, so about one in 130 takes two VByte
+    /// [`InvertedIndex::from_docid_lists`] does (list `i` is term `t{i}`),
+    /// except that every posting draws its tf and its positions, and
+    /// every document its length. A tf runs from 1 to 1 000, heavy-tailed
+    /// (half are 1, P(tf >= k) = 1/k, so about one in 130 takes two VByte
     /// bytes), so a tf read from the wrong element or decoded from the
-    /// wrong bytes changes a score's bits; and that many positions
-    /// `i + n·j` (`n`
-    /// lists), the `j` ascending in steps of 1 or 2 from 0 or 1. Only
-    /// consecutive terms can form a phrase, and `"t3 t4"` matches in
-    /// about two thirds of the documents holding both.
+    /// wrong bytes changes a score's bits; a posting has that many
+    /// positions `i + n·j` (`n` lists), the `j` ascending in steps of 1
+    /// or 2 from 0 or 1. Only consecutive terms can form a phrase, and
+    /// `"t3 t4"` matches in about two thirds of the documents holding
+    /// both. Each of the `num_docs` documents then draws a length from 1
+    /// to 600, so a length read for the wrong document changes a score's
+    /// bits too; the tfs come first, so they are the ones the same `rng`
+    /// gave before lengths were drawn.
     pub fn draw<R: Rng + ?Sized>(
         lists: &[Vec<u32>],
         num_docs: u32,
@@ -251,7 +255,8 @@ impl Corpus {
                 raw
             })
             .collect();
-        let meta = CorpusMeta::uniform(num_docs, 300);
+        let doc_lens = (0..num_docs).map(|_| rng.gen_range(1..=600)).collect();
+        let meta = CorpusMeta::from_doc_lens(doc_lens);
         let index = InvertedIndex::new(dictionary, compressed, meta, codec, block_len);
         Corpus { index, postings }
     }

@@ -26,7 +26,7 @@ pub use griffin_workload;
 pub mod prelude {
     pub use griffin::{ExecMode, Griffin, GriffinOutput, Proc, QueryRequest, Scheduler};
     pub use griffin_codec::{BlockedList, Codec, DEFAULT_BLOCK_LEN};
-    pub use griffin_cpu::{Bm25, CpuEngine};
+    pub use griffin_cpu::CpuEngine;
     pub use griffin_gpu::GpuEngine;
     pub use griffin_gpu_sim::{DeviceConfig, Gpu, VirtualNanos};
     pub use griffin_index::{IndexBuilder, InvertedIndex, TermId};

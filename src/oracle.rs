@@ -25,7 +25,7 @@
 
 use griffin::{GriffinOutput, Query, QueryRequest};
 use griffin_codec::Codec;
-use griffin_index::{IndexBuilder, TermId};
+use griffin_index::{Bm25, IndexBuilder, TermId};
 use griffin_workload::{Corpus, ListIndexSpec, QueryLogSpec, RawPosting};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -209,7 +209,7 @@ fn chain(corpus: &Corpus, terms: &[TermId]) -> Vec<(u32, f32)> {
     let mut order = terms.to_vec();
     order.sort_by_key(|t| corpus.postings[t.0 as usize].len());
     let index = &corpus.index;
-    let (bm25, meta) = (index.bm25(), index.meta());
+    let meta = index.meta();
     let mut out = Vec::new();
     'doc: for first in &corpus.postings[order[0].0 as usize] {
         let d = first.docid;
@@ -219,8 +219,8 @@ fn chain(corpus: &Corpus, terms: &[TermId]) -> Vec<(u32, f32)> {
                 continue 'doc;
             };
             let df = corpus.postings[t.0 as usize].len() as u32;
-            let idf = bm25.idf(index.num_docs(), df);
-            let c = bm25.contribution(idf, pos.len() as u32, meta.doc_len(d), meta.avg_doc_len);
+            let bm25 = Bm25::new(index.num_docs(), df, meta.avg_doc_len);
+            let c = bm25.contribution(pos.len() as u32, meta.doc_len(d));
             score = if i == 0 { c } else { score + c };
         }
         out.push((d, score));

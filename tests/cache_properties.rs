@@ -80,8 +80,8 @@ fn run_requests(
     plan: Option<FaultPlan>,
 ) -> (Vec<GriffinOutput>, VirtualNanos) {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_fault_plan(plan);
     let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+    gpu.set_fault_plan(plan);
     if let Some((entries, bytes)) = tiers.result {
         griffin.set_result_cache(entries, bytes);
     }
@@ -366,7 +366,7 @@ fn mixed_cached_uncached_terms_keep_bits_and_search_work() {
         .expect("non-empty log")
         .clone();
     assert!(query.len() >= 2, "need a multi-term query");
-    let order = cpu.plan(index, &query);
+    let order = index.chain_order(&query);
 
     // Each step by the engine's own choice, then every step by skip
     // search, which reads a cached list through the one skip walk; and

@@ -38,8 +38,8 @@ fn run_hybrid(
     plan: Option<FaultPlan>,
 ) -> Vec<GriffinOutput> {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_fault_plan(plan);
     let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+    gpu.set_fault_plan(plan);
     griffin.scheduler.split = split;
     let outs = wl
         .queries
@@ -164,10 +164,10 @@ fn device_loss_mid_split_degrades_but_never_fails() {
     let mut saw_split_fault = false;
     for lost_at in [0u64, 1, 3, 7, 15, 40, 99, 160] {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
         gpu.set_fault_plan(Some(
             FaultPlan::seeded(oracle::seed()).lose_device_at(lost_at),
         ));
-        let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
         griffin.scheduler.split = Some(SplitConfig::forced(0.5));
         let mut saw_fault = false;
         for q in &wl.queries {

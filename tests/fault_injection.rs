@@ -38,10 +38,18 @@ fn workload() -> (Workload, Vec<QueryRequest>) {
     (wl, requests)
 }
 
-/// Runs every request in GpuOnly and Hybrid mode on `gpu` and checks
-/// each answer against the oracle and its step accounting.
-fn run_checked(gpu: &Gpu, wl: &Workload, requests: &[QueryRequest], ctx: &str) -> bool {
+/// Runs every request in GpuOnly and Hybrid mode on `gpu` under `plan`,
+/// armed once the engine is built, and checks each answer against the
+/// oracle and its step accounting.
+fn run_checked(
+    gpu: &Gpu,
+    plan: Option<FaultPlan>,
+    wl: &Workload,
+    requests: &[QueryRequest],
+    ctx: &str,
+) -> bool {
     let griffin = Griffin::new(gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+    gpu.set_fault_plan(plan);
     let mut saw_fault = false;
     for r in requests {
         for mode in [ExecMode::GpuOnly, ExecMode::Hybrid] {
@@ -81,8 +89,8 @@ fn armed_noop_plan_is_bit_exact_with_no_plan() {
     let (wl, requests) = workload();
     let run_all = |plan: Option<FaultPlan>| -> (Vec<GriffinOutput>, VirtualNanos) {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.set_fault_plan(plan);
         let griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+        gpu.set_fault_plan(plan);
         let mut outs = Vec::new();
         for r in &requests {
             for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
@@ -120,10 +128,9 @@ fn sticky_device_loss_at_any_index_degrades_but_never_fails() {
     // exact step accounting.
     for lost_at in (0u64..600).step_by(37) {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.set_fault_plan(Some(
-            FaultPlan::seeded(oracle::seed()).lose_device_at(lost_at),
-        ));
-        let saw_fault = run_checked(&gpu, &wl, &requests, &format!("lost_at={lost_at}"));
+        let plan = FaultPlan::seeded(oracle::seed()).lose_device_at(lost_at);
+        let ctx = format!("lost_at={lost_at}");
+        let saw_fault = run_checked(&gpu, Some(plan), &wl, &requests, &ctx);
         assert!(saw_fault, "device loss at {lost_at} must surface as faults");
     }
 }
@@ -133,10 +140,8 @@ fn random_fault_storm_preserves_answers_and_accounting() {
     let (wl, requests) = workload();
     for rate in [0.001, 0.01, 0.2] {
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.set_fault_plan(Some(
-            FaultPlan::seeded(oracle::seed()).with_fault_rate(rate),
-        ));
-        run_checked(&gpu, &wl, &requests, &format!("rate={rate}"));
+        let plan = FaultPlan::seeded(oracle::seed()).with_fault_rate(rate);
+        run_checked(&gpu, Some(plan), &wl, &requests, &format!("rate={rate}"));
     }
 }
 
@@ -155,8 +160,8 @@ fn a_device_tracing_one_warp_in_16_keeps_answers_and_accounting() {
             trace_sample_stride: 16,
             ..DeviceConfig::test_tiny()
         });
-        gpu.set_fault_plan(plan.clone());
-        run_checked(&gpu, &wl, &requests, &format!("plan={plan:?}"));
+        let ctx = format!("plan={plan:?}");
+        run_checked(&gpu, plan, &wl, &requests, &ctx);
     }
 }
 
@@ -164,8 +169,8 @@ fn a_device_tracing_one_warp_in_16_keeps_answers_and_accounting() {
 fn fault_recovery_steps_appear_exactly_when_faults_escalate() {
     let (wl, requests) = workload();
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_fault_plan(Some(FaultPlan::seeded(oracle::seed()).lose_device_at(3)));
     let griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+    gpu.set_fault_plan(Some(FaultPlan::seeded(oracle::seed()).lose_device_at(3)));
     let out = griffin.run(&wl.corpus.index, &requests[2]);
     oracle::assert_answer(&wl.corpus, &requests[2], &out, "lost_at=3");
     assert!(

@@ -78,13 +78,13 @@ fn merged_topk_is_bit_exact_across_the_grid() {
                 (100, ExecMode::GpuOnly),
             ] {
                 let devices = FleetDevices::new(shards, replicas, &DeviceConfig::test_tiny());
+                let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
                 for gpu in devices.iter() {
                     // Armed but no-op: the RNG is consulted, nothing fires.
                     let plan = FaultPlan::seeded(seed);
                     assert!(plan.is_noop());
                     gpu.set_fault_plan(Some(plan));
                 }
-                let mut fleet = Fleet::new(&devices, &sharded, FleetConfig::default());
                 for (req, want) in requests(&wl, k, mode) {
                     let out = fleet.run_query(&req);
                     assert_eq!(
@@ -187,13 +187,6 @@ fn hedge_accounting_never_double_counts_device_time() {
 
     let run = |hedge_enabled: bool| {
         let devices = FleetDevices::new(2, 2, &DeviceConfig::test_tiny());
-        for s in 0..2 {
-            // Replica 0 of each shard is the straggler: fault recovery
-            // inflates its service times so hedges have something to win.
-            devices
-                .device(s, 0)
-                .set_fault_plan(Some(FaultPlan::seeded(seed).with_fault_rate(0.4)));
-        }
         let config = FleetConfig {
             hedge: HedgeConfig {
                 enabled: hedge_enabled,
@@ -208,6 +201,13 @@ fn hedge_accounting_never_double_counts_device_time() {
             ..FleetConfig::default()
         };
         let mut fleet = Fleet::new(&devices, &sharded, config);
+        for s in 0..2 {
+            // Replica 0 of each shard is the straggler: fault recovery
+            // inflates its service times so hedges have something to win.
+            devices
+                .device(s, 0)
+                .set_fault_plan(Some(FaultPlan::seeded(seed).with_fault_rate(0.4)));
+        }
         let report = fleet.serve(&arrivals);
         let stats = *fleet.stats();
         assert_accounting(&fleet, "hedge regime");
@@ -277,11 +277,6 @@ fn retry_budget_exhaustion_degrades_coverage_not_correctness() {
 
     let coverage_for = |per_query: u32, burst: f64| {
         let devices = FleetDevices::new(shards, 2, &DeviceConfig::test_tiny());
-        for s in 0..shards {
-            devices
-                .device(s, 0)
-                .set_fault_plan(Some(FaultPlan::seeded(seed).with_fault_rate(0.5)));
-        }
         let config = FleetConfig {
             hedge: HedgeConfig {
                 min_samples: 8,
@@ -295,6 +290,11 @@ fn retry_budget_exhaustion_degrades_coverage_not_correctness() {
             ..FleetConfig::default()
         };
         let mut fleet = Fleet::new(&devices, &sharded, config);
+        for s in 0..shards {
+            devices
+                .device(s, 0)
+                .set_fault_plan(Some(FaultPlan::seeded(seed).with_fault_rate(0.5)));
+        }
         let report = fleet.serve(&arrivals);
         assert_eq!(report.queries.len(), arrivals.len(), "every query answered");
         for q in &report.queries {

@@ -26,8 +26,8 @@ fn workload() -> Workload {
 /// Every query in every mode, each answer checked against the oracle.
 fn run_all(wl: &Workload, overlap: bool, plan: Option<FaultPlan>) -> Vec<GriffinOutput> {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_fault_plan(plan);
     let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+    gpu.set_fault_plan(plan);
     griffin.set_overlap(overlap);
     let mut outs = Vec::new();
     for q in &wl.queries {

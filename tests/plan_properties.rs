@@ -168,8 +168,8 @@ proptest! {
 
         for fraction in [0.25, 0.75] {
             let gpu = Gpu::new(DeviceConfig::test_tiny());
-            gpu.set_fault_plan(Some(plan.clone()));
             let mut griffin = Griffin::new(&gpu, c.index.meta(), c.index.block_len());
+            gpu.set_fault_plan(Some(plan.clone()));
             griffin.scheduler.split = Some(SplitConfig::forced(fraction));
             let req = QueryRequest::from_query(q.clone()).k(10).mode(ExecMode::Hybrid);
             let out = griffin.run(&c.index, &req);

@@ -35,10 +35,10 @@ fn assert_exact_attribution(
     ctx: &str,
 ) {
     let gpu = Gpu::new(DeviceConfig::test_tiny());
-    gpu.set_fault_plan(plan);
     let telemetry = Telemetry::enabled();
     gpu.set_observer(telemetry.device_observer(gpu.config().warp_size));
     let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+    gpu.set_fault_plan(plan);
     griffin.set_telemetry(telemetry.clone());
     if let Some(s) = split {
         griffin.scheduler.split = Some(s);
