@@ -214,7 +214,7 @@ fn main() {
     // The solver's job is the interior. The engine's defaults still price
     // a decoder with a serial floor; they are the scheduler's to change,
     // not this sweep's.
-    let default = CostModel::from_device(&k20(), true);
+    let default = CostModel::from_device(&k20());
     let (step, lane) = {
         let gpu = Gpu::new(k20());
         let mut griffin = Griffin::new(&gpu, index.meta(), index.block_len());

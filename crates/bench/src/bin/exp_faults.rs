@@ -26,7 +26,7 @@ use griffin_bench::setup::{k20, scaled};
 use griffin_bench::Artifacts;
 use griffin_gpu_sim::{FaultPlan, Gpu, VirtualNanos};
 use griffin_index::{InvertedIndex, TermId};
-use griffin_server::{BreakerConfig, GriffinServer, ServerConfig};
+use griffin_server::{GriffinServer, ServerConfig};
 use griffin_telemetry::Telemetry;
 use griffin_workload::{build_list_index, percentile, ListIndexSpec, QueryLogSpec};
 use rand::rngs::StdRng;
@@ -60,16 +60,15 @@ fn run_regime(
     truth: &[Vec<u32>],
 ) -> RegimeResult {
     let gpu = Gpu::new(k20());
-    gpu.set_fault_plan(plan);
     let telemetry = Telemetry::enabled();
     let mut griffin = Griffin::new(&gpu, index.meta(), index.block_len());
+    gpu.set_fault_plan(plan);
     griffin.set_telemetry(telemetry.clone());
     griffin.scheduler.min_gpu_work = 64 * 1024;
     griffin.scheduler.ratio_threshold = 16;
     griffin.scheduler.hysteresis = 1.0;
 
-    let mut server = GriffinServer::new(ServerConfig::default());
-    server.set_breaker(BreakerConfig::default());
+    let server = GriffinServer::new(ServerConfig::default());
     let requests: Vec<QueryRequest> = queries
         .iter()
         .map(|q| QueryRequest::new(q.clone()).k(10).mode(ExecMode::Hybrid))

@@ -287,12 +287,12 @@ fn main() {
             &mut StdRng::seed_from_u64(7),
         );
         let devices = FleetDevices::new(SHARDS, REPLICAS, &k20());
+        let mut fleet = Fleet::new(&devices, &sharded, fleet_config());
         for (i, gpu) in devices.iter().enumerate() {
             gpu.set_fault_plan(Some(
                 FaultPlan::seeded(seed.wrapping_add(i as u64)).with_fault_rate(0.01),
             ));
         }
-        let mut fleet = Fleet::new(&devices, &sharded, fleet_config());
         tune(&mut fleet);
         let report = fleet.serve(&trace);
         let r = summarize("1% faults", &report, &truth, &fleet);
@@ -403,11 +403,6 @@ fn main() {
     let straggler = |hedge: bool| -> (RegimeResult, f64) {
         let trace = arrivals(&mid_reqs, mid_gap, &mut StdRng::seed_from_u64(7));
         let devices = FleetDevices::new(SHARDS, REPLICAS, &k20());
-        for (i, gpu) in devices.iter().enumerate() {
-            gpu.set_fault_plan(Some(
-                FaultPlan::seeded(seed.wrapping_add(i as u64)).with_fault_rate(2e-4),
-            ));
-        }
         let mut config = fleet_config();
         config.breaker.failure_threshold = 1.1;
         config.hedge = HedgeConfig {
@@ -419,6 +414,11 @@ fn main() {
         config.budget.burst = 16.0;
         config.budget.refill_per_query = 1.0;
         let mut fleet = Fleet::new(&devices, &sharded, config);
+        for (i, gpu) in devices.iter().enumerate() {
+            gpu.set_fault_plan(Some(
+                FaultPlan::seeded(seed.wrapping_add(i as u64)).with_fault_rate(2e-4),
+            ));
+        }
         tune(&mut fleet);
         fleet.tune(|g| {
             g.recovery.initial_backoff = VirtualNanos::from_micros(16_000);

@@ -22,7 +22,7 @@ use griffin_bench::setup::{full_scale, k20, scaled};
 use griffin_bench::Artifacts;
 use griffin_codec::Codec;
 use griffin_gpu::GpuEngine;
-use griffin_gpu_sim::{Gpu, VirtualNanos};
+use griffin_gpu_sim::{DeviceConfig, Gpu, VirtualNanos};
 use griffin_index::{InvertedIndex, TermId};
 use griffin_workload::{build_list_index, gen_correlated_lists, ListIndexSpec, QueryLogSpec};
 use rand::rngs::StdRng;
@@ -34,8 +34,7 @@ fn main() {
     let telemetry = artifacts.telemetry();
 
     // ---- 1. Modeled per-step breakdown. ------------------------------
-    let model_serial = CostModel::from_device(&k20(), false);
-    let model_pipe = CostModel::from_device(&k20(), true);
+    let model = CostModel::from_device(&k20());
     let mut t1 = Table::new(
         "Overlap: modeled GPU intersect-step breakdown (Tesla K20, virtual ms)",
         &[
@@ -49,11 +48,11 @@ fn main() {
         ],
     );
     for n in [16_384usize, 65_536, 262_144, 1_048_576, 4_194_304] {
-        let transfer = model_serial.transfer_ns(n);
-        let compute = model_serial.compute_ns(n);
-        let serial = model_serial.gpu_step_serial_ns(n);
+        let transfer = model.transfer_ns(n);
+        let compute = model.compute_ns(n);
+        let serial = model.gpu_step_serial_ns(n);
         let fixed = serial - transfer - compute;
-        let pipe = model_pipe.gpu_step_pipelined_ns(n);
+        let pipe = model.gpu_step_pipelined_ns(n);
         let v = VirtualNanos::from_nanos_f64;
         t1.row(&[
             n.to_string(),
@@ -93,11 +92,10 @@ fn main() {
     let lists = gen_correlated_lists(&mut rng, &lens, num_docs);
     let index = InvertedIndex::from_docid_lists(&lists, num_docs, Codec::EliasFano, 128);
 
-    let dev_serial = Gpu::new(k20());
+    let dev_serial = Gpu::new(serial_k20());
     let dev_over = Gpu::new(k20());
     let eng_serial = GpuEngine::new(&dev_serial, index.meta());
     let eng_over = GpuEngine::new(&dev_over, index.meta());
-    eng_serial.set_overlap(false);
 
     let mut t2 = Table::new(
         "Overlap: cold GPU-only queries, pipeline off vs on (virtual ms)",
@@ -159,11 +157,10 @@ fn main() {
     .generate(&zipf_index, &mut rng);
 
     // Separate devices so both passes see identical (cold) cache state.
-    let dev_off = Gpu::new(k20());
+    let dev_off = Gpu::new(serial_k20());
     let dev_on = Gpu::new(k20());
-    let mut g_off = Griffin::new(&dev_off, zipf_index.meta(), zipf_index.block_len());
+    let g_off = Griffin::new(&dev_off, zipf_index.meta(), zipf_index.block_len());
     let mut g_on = Griffin::new(&dev_on, zipf_index.meta(), zipf_index.block_len());
-    g_off.set_overlap(false);
     g_on.set_telemetry(telemetry.clone());
     let mut total_off = VirtualNanos::ZERO;
     let mut total_on = VirtualNanos::ZERO;
@@ -213,4 +210,13 @@ fn main() {
     artifacts.write_snapshot("exp_overlap");
     artifacts.write_metrics(&telemetry);
     artifacts.write_trace(&telemetry);
+}
+
+/// The K20 with no copy engine: each list ships before the kernels that
+/// read it, as in the paper's prototype.
+fn serial_k20() -> DeviceConfig {
+    DeviceConfig {
+        copy_engines: 0,
+        ..k20()
+    }
 }

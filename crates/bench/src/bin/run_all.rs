@@ -259,7 +259,7 @@ fn merge_snapshot(exps: &[&str], frag_dir: &std::path::Path, smoke: bool) -> Sna
         cost_model: Default::default(),
         experiments: Default::default(),
     };
-    let cm = CostModel::from_device(&k20(), true);
+    let cm = CostModel::from_device(&k20());
     snap.cost_model.insert("fixed_ns".into(), cm.fixed_ns);
     snap.cost_model
         .insert("serial_decode_ns".into(), cm.serial_decode_ns);

@@ -11,7 +11,9 @@
 //! compute` to `fixed + max(transfer, compute)` and the profitable-work
 //! crossover moves down.
 //!
-//! [`CostModel`] captures both estimates from a [`DeviceConfig`]. A
+//! [`CostModel`] captures both estimates from a [`DeviceConfig`] and
+//! prices a step the way that device runs it: pipelined when it has a
+//! copy engine ([`DeviceConfig::copy_engines`] ≥ 1), serial otherwise. A
 //! scheduler holds one ([`crate::Scheduler::model`], built by
 //! [`crate::Scheduler::for_device`]) and every model-based rule reads
 //! that one: the floor is its smallest profitable long-list length, the
@@ -181,13 +183,15 @@ pub struct CostModel {
     /// with the short list, which is what makes the CPU competitive at
     /// high length ratios.
     pub cpu_skip_ns_per_probe: f64,
-    /// Whether transfers pipeline behind the previous step's compute.
+    /// Whether transfers pipeline behind the previous step's compute:
+    /// the device has a copy engine.
     pub overlap: bool,
 }
 
 impl CostModel {
-    /// Derives the model from a device configuration.
-    pub fn from_device(cfg: &DeviceConfig, overlap: bool) -> CostModel {
+    /// Derives the model from a device configuration, pipelined on a
+    /// device with a copy engine and serial on one without.
+    pub fn from_device(cfg: &DeviceConfig) -> CostModel {
         let ns_per_cycle = cfg.ns_per_cycle();
         CostModel {
             fixed_ns: DeviceStepCounts {
@@ -209,7 +213,7 @@ impl CostModel {
             cpu_ns_per_elem: 12.0,
             cpu_decode_ns_per_elem: 4.0,
             cpu_skip_ns_per_probe: 100.0,
-            overlap,
+            overlap: cfg.copy_engines > 0,
         }
     }
 
@@ -437,11 +441,20 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// `cfg`'s model on a device with no copy engine.
+    fn serial_model(cfg: &DeviceConfig) -> CostModel {
+        CostModel::from_device(&DeviceConfig {
+            copy_engines: 0,
+            ..cfg.clone()
+        })
+    }
+
     #[test]
     fn pipelined_step_is_never_slower_than_serial() {
         for cfg in [DeviceConfig::tesla_k20(), DeviceConfig::test_tiny()] {
-            let serial = CostModel::from_device(&cfg, false);
-            let pipelined = CostModel::from_device(&cfg, true);
+            let serial = serial_model(&cfg);
+            let pipelined = CostModel::from_device(&cfg);
+            assert!(pipelined.overlap && !serial.overlap);
             for len in [0usize, 100, 10_000, 1_000_000] {
                 assert!(pipelined.gpu_step_ns(len) <= serial.gpu_step_ns(len));
             }
@@ -451,8 +464,8 @@ mod tests {
     #[test]
     fn overlap_lowers_the_profitable_work_floor() {
         let cfg = DeviceConfig::tesla_k20();
-        let serial = CostModel::from_device(&cfg, false);
-        let pipelined = CostModel::from_device(&cfg, true);
+        let serial = serial_model(&cfg);
+        let pipelined = CostModel::from_device(&cfg);
         assert!(
             pipelined.min_profitable_long_len() <= serial.min_profitable_long_len(),
             "hiding transfers must not raise the crossover"
@@ -462,7 +475,7 @@ mod tests {
     #[test]
     fn split_fraction_balances_the_lanes() {
         let cfg = DeviceConfig::tesla_k20();
-        let m = CostModel::from_device(&cfg, true);
+        let m = CostModel::from_device(&cfg);
         // Well above the profitable floor, at the crossover ratio, the
         // split should be interior and the two lanes should land within
         // a few percent of each other at the solved fraction.
@@ -483,7 +496,7 @@ mod tests {
     #[test]
     fn split_fraction_degenerates_sensibly() {
         let cfg = DeviceConfig::tesla_k20();
-        let m = CostModel::from_device(&cfg, true);
+        let m = CostModel::from_device(&cfg);
         assert_eq!(m.split_fraction(4, 0), 0.0);
         // Tiny lists cannot amortize the fixed device overheads at all.
         assert_eq!(m.split_fraction(4, 16), 0.0);
@@ -500,7 +513,7 @@ mod tests {
     #[test]
     fn skip_regime_shrinks_the_device_share_at_high_ratios() {
         let cfg = DeviceConfig::tesla_k20();
-        let m = CostModel::from_device(&cfg, true);
+        let m = CostModel::from_device(&cfg);
         let long_len = 1 << 20;
         // The shorter the probe side, the cheaper the host's skip
         // search, and the less long-list the device deserves.
@@ -517,8 +530,7 @@ mod tests {
     #[test]
     fn resident_costs_never_exceed_cold_costs() {
         for cfg in [DeviceConfig::tesla_k20(), DeviceConfig::test_tiny()] {
-            for overlap in [false, true] {
-                let m = CostModel::from_device(&cfg, overlap);
+            for m in [serial_model(&cfg), CostModel::from_device(&cfg)] {
                 for len in [0usize, 100, 10_000, 1 << 20] {
                     assert!(m.cpu_step_host_resident_ns(len) <= m.cpu_step_ns(len));
                     assert!(m.gpu_step_device_resident_ns(len) <= m.gpu_step_ns(len));
@@ -535,7 +547,7 @@ mod tests {
     #[test]
     fn host_residency_shrinks_the_device_share() {
         let cfg = DeviceConfig::tesla_k20();
-        let m = CostModel::from_device(&cfg, true);
+        let m = CostModel::from_device(&cfg);
         let long_len = 4 * m.min_profitable_long_len();
         for short_len in [long_len / 16, long_len / 64, long_len / 256] {
             let cold = m.split_fraction(short_len, long_len);
@@ -548,14 +560,14 @@ mod tests {
         }
     }
 
-    /// FNV-1a over the bits of every split fraction on a grid: both
-    /// overlap modes; CPU lanes from 1/16× to 4096× the default speed (so
-    /// interior, zero and snapped answers all occur); long lengths 2^12 …
-    /// 2^22; short lists at ratios 4 … 1024.
+    /// FNV-1a over the bits of every split fraction on a grid: serial and
+    /// pipelined (no copy engine, then `cfg`'s own); CPU lanes from 1/16×
+    /// to 4096× the default speed (so interior, zero and snapped answers
+    /// all occur); long lengths 2^12 … 2^22; short lists at ratios
+    /// 4 … 1024.
     fn split_grid_digest(cfg: &DeviceConfig, host_resident: bool) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for overlap in [false, true] {
-            let base = CostModel::from_device(cfg, overlap);
+        for base in [serial_model(cfg), CostModel::from_device(cfg)] {
             for k in [1.0 / 16.0, 1.0, 16.0, 256.0, 4096.0] {
                 let m = base
                     .with_cpu_ns_per_elem(base.cpu_ns_per_elem * k)
@@ -591,7 +603,7 @@ mod tests {
     #[test]
     fn crossover_is_finite_and_clamped() {
         let cfg = DeviceConfig::test_tiny();
-        let m = CostModel::from_device(&cfg, true);
+        let m = CostModel::from_device(&cfg);
         let floor = m.min_profitable_long_len();
         assert!((256..=1 << 22).contains(&floor));
         // A CPU so fast the GPU never wins hits the upper clamp.

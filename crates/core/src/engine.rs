@@ -233,16 +233,18 @@ pub struct Griffin<'g> {
 }
 
 impl<'g> Griffin<'g> {
-    /// A hybrid engine on `device` with copy/compute overlap on and the
-    /// scheduler of [`Scheduler::for_device`]: the device's pipelined
-    /// cost model, the work floor derived from it, and CPU+GPU
-    /// co-execution on. Co-execution is the scheduler's `split` field;
-    /// `None` turns it off.
+    /// A hybrid engine on `device` with the scheduler of
+    /// [`Scheduler::for_device`]: the device's cost model, the work floor
+    /// derived from it, and CPU+GPU co-execution on. Co-execution is the
+    /// scheduler's `split` field; `None` turns it off. Whether GPU work
+    /// overlaps copies with compute is the device's own fact
+    /// ([`griffin_gpu_sim::DeviceConfig::copy_engines`]): the engine
+    /// runs and prices its device lane that way.
     pub fn new(device: &'g Gpu, meta: &CorpusMeta, block_len: usize) -> Griffin<'g> {
         Griffin {
             cpu: CpuEngine::new(),
             gpu: GpuEngine::new(device, meta),
-            scheduler: Scheduler::for_device(block_len, device.config(), true),
+            scheduler: Scheduler::for_device(block_len, device.config()),
             recovery: RecoveryPolicy::default(),
             device,
             telemetry: Telemetry::disabled(),
@@ -250,27 +252,6 @@ impl<'g> Griffin<'g> {
             result_cache: RefCell::default(),
             index_epoch: Cell::new(0),
         }
-    }
-
-    /// Enables or disables copy/compute overlap for this engine's GPU
-    /// work. With overlap on (the default), GPU-touching queries run in
-    /// an async window — each list ships over PCIe while the previous
-    /// operation's kernels execute; off, they run serially. Either way
-    /// the scheduler's cost model is rebuilt for the mode (pipelined or
-    /// serial, see [`crate::CostModel`]) and its work floor re-derived
-    /// from it, so the floor, the split solver and the residency override
-    /// all price the device lane the way the engine now runs it. The rest
-    /// of the scheduler is left as it was. Results are bit-exact either
-    /// way.
-    pub fn set_overlap(&mut self, on: bool) {
-        self.gpu.set_overlap(on);
-        let Scheduler {
-            min_gpu_work,
-            model,
-            ..
-        } = Scheduler::for_device(self.scheduler.ratio_threshold, self.device.config(), on);
-        self.scheduler.min_gpu_work = min_gpu_work;
-        self.scheduler.model = model;
     }
 
     /// Attach a telemetry session. Every subsequent query records its
@@ -765,14 +746,14 @@ impl<'g> Griffin<'g> {
     /// `deadline` is carried for the serving layer; the engine itself
     /// always runs the query to completion.
     pub fn run(&self, index: &InvertedIndex, req: &QueryRequest) -> GriffinOutput {
-        // GPU-touching modes run in the GPU engine's async window so
-        // transfers and kernels pipeline across the device's copy and
-        // compute streams. Every measured span ends at a synchronization
-        // point, so step durations still sum exactly to the total.
+        // GPU-touching modes run in the device's async window so
+        // transfers and kernels pipeline across its copy and compute
+        // streams. Every measured span ends at a synchronization point,
+        // so step durations still sum exactly to the total.
         if req.mode == ExecMode::CpuOnly {
             return self.run_inner(index, req);
         }
-        self.gpu.windowed(|| self.run_inner(index, req))
+        self.device.windowed(|| self.run_inner(index, req))
     }
 
     /// Every request takes the same route: result cache, planner, one

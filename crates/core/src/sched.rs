@@ -234,8 +234,8 @@ pub struct Scheduler {
     /// crossover study itself only measures lists of 1M–2M elements.
     /// [`Scheduler::for_device`] sets it to the model's
     /// [`CostModel::min_profitable_long_len`] (65 536 on the K20
-    /// profile, overlap on or off); the model-less constructors hand-set
-    /// it. That model still prices 10 `cudaMalloc`s and a serial decode
+    /// profile, with or without a copy engine); the model-less
+    /// constructors hand-set it. That model still prices 10 `cudaMalloc`s and a serial decode
     /// floor; a step on a device whose allocator is warm makes 2 and has
     /// none, so the floor is several times too high. It is held until
     /// placement moves in its own change.
@@ -281,13 +281,14 @@ impl Scheduler {
 
     /// The scheduler [`crate::Griffin`] runs: [`Scheduler::for_block_len`]'s
     /// ratio rule and hysteresis, plus the device's cost model — serial
-    /// or pipelined as `overlap` says — with the work floor derived from
-    /// it and co-execution on the default band. With overlap the
-    /// per-step transfer hides behind compute, so smaller operations can
-    /// become profitable on the device; the ratio threshold itself
-    /// encodes the block-skipping argument, which overlap does not change.
-    pub fn for_device(block_len: usize, cfg: &DeviceConfig, overlap: bool) -> Scheduler {
-        let model = CostModel::from_device(cfg, overlap);
+    /// or pipelined as its copy engines say ([`CostModel::from_device`])
+    /// — with the work floor derived from it and co-execution on the
+    /// default band. With overlap the per-step transfer hides behind
+    /// compute, so smaller operations can become profitable on the
+    /// device; the ratio threshold itself encodes the block-skipping
+    /// argument, which overlap does not change.
+    pub fn for_device(block_len: usize, cfg: &DeviceConfig) -> Scheduler {
+        let model = CostModel::from_device(cfg);
         Scheduler {
             min_gpu_work: model.min_profitable_long_len(),
             split: Some(SplitConfig::default()),
@@ -594,7 +595,7 @@ mod tests {
     /// The engine's scheduler on the paper's device: pipelined model,
     /// derived floor, co-execution on.
     fn k20_scheduler() -> Scheduler {
-        Scheduler::for_device(128, &DeviceConfig::tesla_k20(), true)
+        Scheduler::for_device(128, &DeviceConfig::tesla_k20())
     }
 
     #[test]

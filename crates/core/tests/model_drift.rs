@@ -83,7 +83,7 @@ fn a_real_device_step_against_the_models_hand_set_counts() {
     // the step asks for and are now an over-count of the 2 cudaMallocs a
     // warm step makes (its uploads: the 16 scratch requests are pool hits
     // at 0.5 us each), and 7 transfers over-state the 4 it ships.
-    let model = CostModel::from_device(&cfg, true);
+    let model = CostModel::from_device(&cfg);
     assert_eq!(
         (model.fixed_ns, cold.fixed_ns(&cfg), warm.fixed_ns(&cfg)),
         (238_000.0, 248_500.0, 106_000.0)

@@ -1,11 +1,11 @@
 //! One cost model per scheduler. On a fresh engine — the paper's device
-//! and the tiny test device, overlap on and off — the work floor, the
-//! split solver and the residency override all read `scheduler.model`,
-//! and that model is the device's own for the engine's overlap mode.
+//! and the tiny test device, each with no copy engine and with its own
+//! count — the work floor, the split solver and the residency override
+//! all read `scheduler.model`, and that model is the device's own.
 //!
-//! Restoring the hand-set 8 192 floor on `set_overlap(false)` fails the
-//! floor assertion; solving splits or pricing residency with a second
-//! model built for the other overlap mode fails the sweep.
+//! Restoring the hand-set 8 192 floor on a serial device fails the floor
+//! assertion; solving splits or pricing residency with a second model
+//! built for the other overlap mode fails the sweep.
 
 use griffin::{CostModel, Decision, Griffin, Proc, Residency};
 use griffin_codec::Codec;
@@ -55,15 +55,19 @@ fn the_floor_the_split_and_the_residency_flip_read_one_model() {
         host_cached: false,
         device_cached: true,
     };
-    for cfg in [DeviceConfig::tesla_k20(), DeviceConfig::test_tiny()] {
-        for overlap in [true, false] {
-            let ctx = format!("{} overlap={overlap}", cfg.name);
+    for base in [DeviceConfig::tesla_k20(), DeviceConfig::test_tiny()] {
+        for copy_engines in [base.copy_engines, 0] {
+            let cfg = DeviceConfig {
+                copy_engines,
+                ..base.clone()
+            };
+            let ctx = format!("{} copy_engines={copy_engines}", cfg.name);
             let gpu = Gpu::new(cfg.clone());
-            let mut engine = Griffin::new(&gpu, index.meta(), index.block_len());
-            engine.set_overlap(overlap);
+            let engine = Griffin::new(&gpu, index.meta(), index.block_len());
             let s = &engine.scheduler;
             let model = s.model.expect("an engine's scheduler has a model");
-            assert_eq!(model, CostModel::from_device(&cfg, overlap), "{ctx}");
+            assert_eq!(model, CostModel::from_device(&cfg), "{ctx}");
+            assert_eq!(model.overlap, copy_engines > 0, "{ctx}");
             assert_eq!(s.min_gpu_work, model.min_profitable_long_len(), "{ctx}");
 
             let (mut splits, mut flips) = (0, 0);

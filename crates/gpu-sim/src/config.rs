@@ -4,8 +4,6 @@
 //! evaluation (Section 4.1): 13 SMX units × 192 CUDA cores at 706 MHz, 5 GB
 //! of GDDR5 at 208 GB/s, attached over 16-lane PCIe 2.0 (8 GB/s).
 
-use crate::fault::FaultPlan;
-
 /// PCIe link model: a fixed per-transfer latency plus a bandwidth term.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieConfig {
@@ -111,10 +109,12 @@ pub struct DeviceConfig {
     /// allocator's free list (a lock and a list pop in user space, no
     /// driver call), in nanoseconds.
     pub pool_hit_overhead_ns: u64,
-    /// Independent DMA (copy) engines. The K20 has two (one per
+    /// Independent DMA (copy) engines (CUDA's `asyncEngineCount`). `0`
+    /// is a serial device: [`crate::Gpu::windowed`] opens no async window
+    /// and the cost model prices every step as transfer-then-compute. `1`
+    /// or more lets copies overlap compute. The K20 has two (one per
     /// direction); the simulator models one copy timeline because `dtoh`
-    /// is host-blocking (see [`crate::stream`]), so this is informational
-    /// for cost models and reports.
+    /// is host-blocking (see [`crate::stream`]).
     pub copy_engines: u32,
     /// PCIe link to the host.
     pub pcie: PcieConfig,
@@ -123,11 +123,6 @@ pub struct DeviceConfig {
     /// Track performance counters on roughly one warp in `sample_stride`
     /// (1 = trace every warp). Functional execution is always exact.
     pub trace_sample_stride: u32,
-    /// Optional deterministic fault-injection schedule (see
-    /// [`crate::fault`]). `None` — and any plan where
-    /// [`FaultPlan::is_noop`] holds — leaves the device bit-identical to a
-    /// fault-free build.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl DeviceConfig {
@@ -153,7 +148,6 @@ impl DeviceConfig {
             pcie: PcieConfig::default(),
             costs: CostParams::default(),
             trace_sample_stride: 1,
-            fault_plan: None,
         }
     }
 
@@ -183,7 +177,6 @@ impl DeviceConfig {
             },
             costs: CostParams::default(),
             trace_sample_stride: 1,
-            fault_plan: None,
         }
     }
 

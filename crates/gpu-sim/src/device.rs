@@ -62,8 +62,7 @@ pub struct Gpu {
 
 impl Gpu {
     pub fn new(cfg: DeviceConfig) -> Self {
-        let plan = cfg.fault_plan.clone();
-        let gpu = Gpu {
+        Gpu {
             cfg,
             pool: Mutex::new(Pool::default()),
             clock_ns: AtomicU64::new(0),
@@ -75,14 +74,14 @@ impl Gpu {
             fault_armed: AtomicBool::new(false),
             faults: Mutex::new(None),
             streams: Mutex::new(StreamTable::default()),
-        };
-        gpu.set_fault_plan(plan);
-        gpu
+        }
     }
 
     /// Installs (or, with `None`, removes) a fault-injection plan, resetting
     /// the operation counter and any sticky device-lost state — the
-    /// simulated equivalent of swapping in a healthy device.
+    /// simulated equivalent of swapping in a healthy device. This is the
+    /// only way to arm faults, so a plan never sees the uploads that build
+    /// an engine on the device.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
         self.ops.store(0, Ordering::Relaxed);
         let mut slot = self.faults.lock().unwrap_or_else(|p| p.into_inner());
@@ -228,6 +227,25 @@ impl Gpu {
         self.streams.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// Runs `f` in an async window when the device has a copy engine
+    /// ([`DeviceConfig::copy_engines`] ≥ 1): each list can ship on the
+    /// copy stream while earlier kernels run on the compute stream. A
+    /// window already open is left open; one this call opened is closed
+    /// again, which synchronizes. On a device with no copy engine `f`
+    /// runs serially. Results are bit-exact either way; see
+    /// [`crate::stream`].
+    pub fn windowed<R>(&self, f: impl FnOnce() -> R) -> R {
+        let open = self.cfg.copy_engines > 0 && !self.async_enabled();
+        if open {
+            self.set_async(true);
+        }
+        let out = f();
+        if open {
+            self.set_async(false);
+        }
+        out
+    }
+
     /// Enables or disables asynchronous (stream) scheduling.
     ///
     /// Enabling seeds both stream frontiers from the current clock;
@@ -235,7 +253,7 @@ impl Gpu {
     /// retire frontier) so no scheduled work is ever silently dropped.
     /// Both directions are idempotent. See [`crate::stream`] for the
     /// timing and functional semantics.
-    pub fn set_async(&self, enabled: bool) {
+    pub(crate) fn set_async(&self, enabled: bool) {
         let mut st = self.lock_streams();
         if st.enabled == enabled {
             return;
@@ -973,19 +991,18 @@ mod tests {
     #[test]
     fn armed_noop_plan_is_bit_exact() {
         let plain = Gpu::new(DeviceConfig::test_tiny());
-        let mut cfg = DeviceConfig::test_tiny();
-        cfg.fault_plan = Some(crate::fault::FaultPlan::seeded(1234));
-        let armed = Gpu::new(cfg);
+        let armed = Gpu::new(DeviceConfig::test_tiny());
+        armed.set_fault_plan(Some(crate::fault::FaultPlan::seeded(1234)));
         assert_eq!(run_sequence(&plain), run_sequence(&armed));
     }
 
     #[test]
     fn injected_kernel_fault_charges_time_and_hides_stores() {
-        let mut cfg = DeviceConfig::test_tiny();
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
         // Ops: 0 = htod, 1 = alloc, 2 = launch.
-        cfg.fault_plan =
-            Some(crate::fault::FaultPlan::seeded(0).fail_at(2, FaultKind::KernelLaunchFailed));
-        let gpu = Gpu::new(cfg);
+        gpu.set_fault_plan(Some(
+            crate::fault::FaultPlan::seeded(0).fail_at(2, FaultKind::KernelLaunchFailed),
+        ));
         let src = gpu.htod(&(0u32..500).collect::<Vec<_>>()).unwrap();
         let dst = gpu.alloc::<u32>(500).unwrap();
         let t0 = gpu.now();
@@ -1022,14 +1039,13 @@ mod tests {
 
     #[test]
     fn failed_transfer_charges_the_attempt() {
-        let mut cfg = DeviceConfig::test_tiny();
-        cfg.fault_plan = Some(crate::fault::FaultPlan::seeded(0).fail_at(
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        gpu.set_fault_plan(Some(crate::fault::FaultPlan::seeded(0).fail_at(
             0,
             FaultKind::TransferError {
                 dir: TransferDir::HtoD,
             },
-        ));
-        let gpu = Gpu::new(cfg);
+        )));
         let data = vec![0u32; 1 << 20];
         let t0 = gpu.now();
         let err = gpu.htod(&data).unwrap_err();
@@ -1043,9 +1059,8 @@ mod tests {
 
     #[test]
     fn device_loss_is_sticky_until_plan_reset() {
-        let mut cfg = DeviceConfig::test_tiny();
-        cfg.fault_plan = Some(crate::fault::FaultPlan::seeded(0).lose_device_at(1));
-        let gpu = Gpu::new(cfg);
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        gpu.set_fault_plan(Some(crate::fault::FaultPlan::seeded(0).lose_device_at(1)));
         let buf = gpu.htod(&[1u32, 2, 3]).unwrap(); // op 0: fine
         let err = gpu.dtoh(&buf).unwrap_err(); // op 1: lost
         assert_eq!(err, DeviceError::DeviceLost { op_index: 1 });
@@ -1065,10 +1080,10 @@ mod tests {
     #[test]
     fn probabilistic_faults_are_reproducible() {
         let run = |seed: u64| -> Vec<bool> {
-            let mut cfg = DeviceConfig::test_tiny();
-            cfg.fault_plan =
-                Some(crate::fault::FaultPlan::seeded(seed).with_transfer_fault_rate(0.3));
-            let gpu = Gpu::new(cfg);
+            let gpu = Gpu::new(DeviceConfig::test_tiny());
+            gpu.set_fault_plan(Some(
+                crate::fault::FaultPlan::seeded(seed).with_transfer_fault_rate(0.3),
+            ));
             (0..64).map(|_| gpu.htod(&[1u32, 2]).is_err()).collect()
         };
         assert_eq!(run(5), run(5));
@@ -1170,17 +1185,28 @@ mod tests {
         let serial = Gpu::new(DeviceConfig::test_tiny());
         let (out_serial, t_serial) = run_sequence(&serial);
 
-        let gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.set_async(true);
-        let (out_async, _) = run_sequence(&gpu);
-        gpu.set_async(false); // syncs: clock covers all scheduled work
-        let t_async = gpu.now().as_nanos();
-
+        // Closing the window syncs: the clock covers all scheduled work.
+        let windowed = |copy_engines: u32| {
+            let gpu = Gpu::new(DeviceConfig {
+                copy_engines,
+                ..DeviceConfig::test_tiny()
+            });
+            let (out, opened) = gpu.windowed(|| (run_sequence(&gpu).0, gpu.async_enabled()));
+            assert!(!gpu.async_enabled(), "the window it opened is closed");
+            (out, opened, gpu.now().as_nanos())
+        };
+        let (out_async, opened, t_async) = windowed(1);
+        assert!(opened, "a device with a copy engine opens a window");
         assert_eq!(out_serial, out_async, "results must not depend on overlap");
         assert!(
             t_async <= t_serial,
             "critical path ({t_async}) cannot exceed the serial sum ({t_serial})"
         );
+
+        // No copy engine: no window, and exactly the serial run.
+        let (out_none, opened, t_none) = windowed(0);
+        assert!(!opened, "a device with no copy engine runs serially");
+        assert_eq!((out_none, t_none), (out_serial, t_serial));
     }
 
     #[test]
@@ -1232,15 +1258,14 @@ mod tests {
     #[test]
     fn fault_during_async_work_charges_at_a_sync_point() {
         use crate::stream::StreamKind;
-        let mut cfg = DeviceConfig::test_tiny();
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
         // Ops: 0 = htod, 1 = htod (faulted).
-        cfg.fault_plan = Some(crate::fault::FaultPlan::seeded(0).fail_at(
+        gpu.set_fault_plan(Some(crate::fault::FaultPlan::seeded(0).fail_at(
             1,
             FaultKind::TransferError {
                 dir: TransferDir::HtoD,
             },
-        ));
-        let gpu = Gpu::new(cfg);
+        )));
         gpu.set_async(true);
         let big = vec![0u32; 1 << 20];
         let first = gpu.htod(&big).unwrap();

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the simulated device.
 //!
-//! A [`FaultPlan`] — attached to [`crate::DeviceConfig`] or installed at
-//! runtime with [`crate::Gpu::set_fault_plan`] — makes device operations
+//! A [`FaultPlan`] — armed on a built device with
+//! [`crate::Gpu::set_fault_plan`] — makes device operations
 //! fail on a seeded, reproducible schedule. Faults can be pinned to exact
 //! operation indices (`fail_at`) or drawn per-class from a seeded RNG
 //! (`*_fault_rate`); [`FaultPlan::lose_device_at`] drops the device off the
@@ -19,7 +19,7 @@
 //! ## Faults under asynchronous streams
 //!
 //! Fault decisions are made at *issue* time in program order, so an op's
-//! index is the same whether overlap ([`crate::Gpu::set_async`]) is on or
+//! index is the same whether overlap ([`crate::Gpu::windowed`]) is on or
 //! off — a chaos schedule reproduces identically in both modes. Error
 //! *surfacing* is a synchronization point (as with a real driver): the
 //! clock first advances over all in-flight stream work, then the failed

@@ -59,9 +59,8 @@
 //!
 //! Allocations, transfers, and launches are fallible — they return
 //! [`DeviceError`] on memory exhaustion and on faults injected by a
-//! seeded, deterministic [`FaultPlan`] installed on
-//! [`DeviceConfig::fault_plan`] (or swapped at runtime with
-//! [`Gpu::set_fault_plan`]). A failed attempt still advances the virtual
+//! seeded, deterministic [`FaultPlan`] armed on a built device with
+//! [`Gpu::set_fault_plan`]. A failed attempt still advances the virtual
 //! clock by its modelled cost, so recovery policies pay realistic retry
 //! latency. With no plan installed the fallible paths cost one relaxed
 //! atomic load and behave bit-identically to a fault-free build. See

@@ -12,8 +12,12 @@
 //! ## Timing semantics
 //!
 //! The device keeps one `busy_until` frontier per [`StreamKind`] alongside
-//! the host-visible clock ([`crate::Gpu::now`]). While async mode is
-//! enabled ([`crate::Gpu::set_async`]):
+//! the host-visible clock ([`crate::Gpu::now`]). Whether it may overlap
+//! at all is a fact of the device: [`crate::Gpu::windowed`] opens an
+//! async window only on a device with a copy engine
+//! ([`crate::config::DeviceConfig::copy_engines`] ≥ 1, CUDA's
+//! `asyncEngineCount`); with none, everything runs serially. Inside a
+//! window:
 //!
 //! * an operation issued on stream `s` *starts* at
 //!   `max(busy_until[s], host clock, waited events)` and occupies the

@@ -360,10 +360,6 @@ pub struct GpuEngine<'g> {
     /// The prefetch half of [`DeviceCacheStats`].
     prefetch_issued: Cell<u64>,
     prefetch_consumed: Cell<u64>,
-    /// Whether [`GpuEngine::windowed`] opens an async window: copy/compute
-    /// overlap (async streams + list prefetch). On by default; results
-    /// are bit-exact either way, only the modeled latency changes.
-    overlap: Cell<bool>,
     /// Lists whose upload has been issued on the copy stream but not yet
     /// consumed by an intersection. The LRU cache is the landing buffer
     /// (a prefetched list is cached like any other upload); this slot
@@ -431,34 +427,8 @@ impl<'g> GpuEngine<'g> {
             ),
             prefetch_issued: Cell::new(0),
             prefetch_consumed: Cell::new(0),
-            overlap: Cell::new(true),
             prefetched: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Enables or disables copy/compute overlap in
-    /// [`GpuEngine::windowed`]. Results are identical either way; see
-    /// [`griffin_gpu_sim::stream`].
-    pub fn set_overlap(&self, on: bool) {
-        self.overlap.set(on);
-    }
-
-    /// Runs `f` in an async window on the device when overlap is on: each
-    /// list ships on the copy stream while the previous operation's
-    /// kernels run on the compute stream (and prefetches are accepted).
-    /// A window the caller already opened is left open; one this call
-    /// opened is closed again. Every whole-query entry point runs its
-    /// device work through here.
-    pub fn windowed<R>(&self, f: impl FnOnce() -> R) -> R {
-        let open = self.overlap.get() && !self.gpu.async_enabled();
-        if open {
-            self.gpu.set_async(true);
-        }
-        let out = f();
-        if open {
-            self.gpu.set_async(false);
-        }
-        out
     }
 
     /// Snapshot of the list-cache and prefetch counters. `bytes_resident`
@@ -795,11 +765,11 @@ impl<'g> GpuEngine<'g> {
     /// evaluation): all intersections on the device, final ranking on the
     /// CPU via `partial_sort` (the Fig. 7 winner).
     ///
-    /// With overlap enabled (the default) this opens an async window on
-    /// the device: each term's list ships on the copy stream while the
-    /// previous term's decode + intersection run on the compute stream,
-    /// so `time` reflects the pipeline's critical path rather than the
-    /// serial sum. Results are bit-exact with overlap disabled.
+    /// On a device with a copy engine this runs in an async window
+    /// ([`Gpu::windowed`]): each term's list ships on the copy stream
+    /// while the previous term's decode + intersection run on the compute
+    /// stream, so `time` reflects the pipeline's critical path rather than
+    /// the serial sum. Results are bit-exact on a serial device.
     pub fn process_query(
         &self,
         index: &InvertedIndex,
@@ -808,7 +778,7 @@ impl<'g> GpuEngine<'g> {
     ) -> Result<GpuQueryOutput, GpuError> {
         let gpu = self.gpu;
         let start = gpu.now();
-        let host = self.windowed(|| {
+        let host = gpu.windowed(|| {
             let host = self.eval_chain(index, terms, None);
             // Close the window: leftover prefetches are returned to the
             // cache's custody and all scheduled work retires on the
@@ -1122,11 +1092,14 @@ mod tests {
         let run = |pruned: bool| {
             let gpu = Gpu::new(DeviceConfig::test_tiny());
             let engine = GpuEngine::new(&gpu, idx.meta());
-            gpu.set_async(true); // the caller's window: prefetches are live
             let mut ledger = HullLedger::default();
             let hull = pruned.then_some(&mut ledger);
-            let out = engine.eval_chain(&idx, &terms, hull).unwrap();
-            engine.drain_prefetch();
+            // The caller's window: prefetches are live.
+            let out = gpu.windowed(|| {
+                let out = engine.eval_chain(&idx, &terms, hull).unwrap();
+                engine.drain_prefetch();
+                out
+            });
             let (stats, shipped) = (engine.cache_stats(), gpu.stats().htod_bytes);
             engine.shutdown();
             assert_eq!(gpu.mem_in_use(), 0, "pruned: {pruned}");
@@ -1185,18 +1158,20 @@ mod tests {
         let idx = synthetic_index(&lists, 120_000);
         let terms = vec![term(&idx, 0), term(&idx, 1), term(&idx, 2)];
 
-        let run = |overlap: bool| {
-            let gpu = Gpu::new(DeviceConfig::test_tiny());
+        let run = |copy_engines: u32| {
+            let gpu = Gpu::new(DeviceConfig {
+                copy_engines,
+                ..DeviceConfig::test_tiny()
+            });
             let engine = GpuEngine::new(&gpu, idx.meta());
-            engine.set_overlap(overlap);
             let out = engine.process_query(&idx, &terms, 20).unwrap();
             let stats = engine.cache_stats();
             engine.shutdown();
             assert_eq!(gpu.mem_in_use(), 0);
             (out, stats)
         };
-        let (serial, _) = run(false);
-        let (pipelined, stats) = run(true);
+        let (serial, serial_stats) = run(0);
+        let (pipelined, stats) = run(1);
 
         assert_eq!(serial.topk, pipelined.topk, "overlap must be bit-exact");
         assert!(
@@ -1208,6 +1183,10 @@ mod tests {
         assert_eq!(stats.prefetch_issued, 2);
         assert_eq!(stats.prefetch_consumed, 2);
         assert_eq!(stats.misses, 3);
+        assert_eq!(
+            serial_stats.prefetch_issued, 0,
+            "a serial device prefetches nothing"
+        );
     }
 
     #[test]

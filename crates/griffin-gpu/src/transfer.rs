@@ -423,14 +423,13 @@ mod tests {
         let ids = docids(2000);
         let list = CompressedPostingList::from_docids(&ids, Codec::EliasFano, DEFAULT_BLOCK_LEN);
         // Fail the second packed DMA (op 1: the tf upload).
-        let mut cfg = DeviceConfig::test_tiny();
-        cfg.fault_plan = Some(FaultPlan::seeded(0).fail_at(
+        let gpu = Gpu::new(DeviceConfig::test_tiny());
+        gpu.set_fault_plan(Some(FaultPlan::seeded(0).fail_at(
             1,
             FaultKind::TransferError {
                 dir: TransferDir::HtoD,
             },
-        ));
-        let gpu = Gpu::new(cfg);
+        )));
         let err = DevicePostings::upload(&gpu, &list, list.len() as u32).unwrap_err();
         assert!(matches!(err, GpuError::Device(_)));
         assert_eq!(

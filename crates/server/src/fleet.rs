@@ -127,8 +127,8 @@ pub struct FleetConfig {
 /// The fleet's devices: one simulated GPU per (shard, replica) pair,
 /// shard-major. Owned separately from [`Fleet`] because each engine
 /// borrows its device for the fleet's lifetime; build this first, then
-/// attach fault plans to individual devices before constructing the
-/// fleet.
+/// the fleet, then arm fault plans on individual devices
+/// ([`Gpu::set_fault_plan`]), so no plan sees an engine's setup.
 pub struct FleetDevices {
     devices: Vec<Gpu>,
     replicas: usize,

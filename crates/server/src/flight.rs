@@ -21,11 +21,12 @@
 
 use std::collections::VecDeque;
 
-use griffin::serving::{Resource, StageReq};
+use griffin::serving::StageReq;
 use griffin_gpu_sim::VirtualNanos;
 use griffin_telemetry::{Cause, Histogram, QueryProfile, Verdict};
 
 use crate::admission::Outcome;
+use crate::bridge::resource_totals;
 
 /// Flight-recorder tuning.
 #[derive(Debug, Clone, Copy)]
@@ -162,14 +163,7 @@ pub fn verdict_from_stages(
     queue_wait: VirtualNanos,
     latency: VirtualNanos,
 ) -> Verdict {
-    let mut cpu = VirtualNanos::ZERO;
-    let mut gpu = VirtualNanos::ZERO;
-    for s in stages {
-        match s.resource {
-            Resource::Cpu => cpu += s.duration,
-            Resource::Gpu => gpu += s.duration,
-        }
-    }
+    let (cpu, gpu) = resource_totals(stages);
     let buckets = [
         (Cause::Queueing, queue_wait),
         (Cause::GpuCompute, gpu),
@@ -190,6 +184,7 @@ pub fn verdict_from_stages(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use griffin::serving::Resource;
 
     fn ns(v: u64) -> VirtualNanos {
         VirtualNanos::from_nanos(v)

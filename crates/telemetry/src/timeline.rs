@@ -99,31 +99,6 @@ impl Timeline {
             .collect()
     }
 
-    /// Number of stages waiting (ready but not yet started) as a step
-    /// function over time: `(t, depth)` points at every change.
-    pub fn queue_depth_curve(&self) -> Vec<(VirtualNanos, usize)> {
-        let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(self.spans.len() * 2);
-        for s in &self.spans {
-            if s.start > s.ready {
-                deltas.push((s.ready.as_nanos(), 1));
-                deltas.push((s.start.as_nanos(), -1));
-            }
-        }
-        deltas.sort_unstable();
-        let mut curve = Vec::new();
-        let mut depth = 0i64;
-        for (t, d) in deltas {
-            depth += d;
-            match curve.last_mut() {
-                Some((last_t, last_d)) if *last_t == VirtualNanos::from_nanos(t) => {
-                    *last_d = depth as usize;
-                }
-                _ => curve.push((VirtualNanos::from_nanos(t), depth as usize)),
-            }
-        }
-        curve
-    }
-
     /// Mean queue wait across all spans.
     pub fn mean_queue_wait(&self) -> VirtualNanos {
         if self.spans.is_empty() {
@@ -232,8 +207,6 @@ mod tests {
         // waits until t=100.
         tl.push(span(0, 0, 0, 0, 100));
         tl.push(span(0, 1, 0, 100, 200));
-        let curve = tl.queue_depth_curve();
-        assert_eq!(curve, vec![(ns(0), 1), (ns(100), 0)]);
         assert_eq!(tl.mean_queue_wait(), ns(50));
     }
 

@@ -23,18 +23,27 @@ fn workload() -> Workload {
     oracle::workload(500_000, 100_000, 10, oracle::seed() ^ 0x9E37_79B9)
 }
 
+/// The tiny test device with `copy_engines` DMA engines; `0` is a serial
+/// device.
+fn tiny(copy_engines: u32) -> DeviceConfig {
+    DeviceConfig {
+        copy_engines,
+        ..DeviceConfig::test_tiny()
+    }
+}
+
 /// Every query in every mode, each answer checked against the oracle.
-fn run_all(wl: &Workload, overlap: bool, plan: Option<FaultPlan>) -> Vec<GriffinOutput> {
-    let gpu = Gpu::new(DeviceConfig::test_tiny());
-    let mut griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
+fn run_all(wl: &Workload, copy_engines: u32, plan: Option<FaultPlan>) -> Vec<GriffinOutput> {
+    let gpu = Gpu::new(tiny(copy_engines));
+    let griffin = Griffin::new(&gpu, wl.corpus.index.meta(), wl.corpus.index.block_len());
     gpu.set_fault_plan(plan);
-    griffin.set_overlap(overlap);
     let mut outs = Vec::new();
     for q in &wl.queries {
         for mode in [ExecMode::CpuOnly, ExecMode::GpuOnly, ExecMode::Hybrid] {
             let req = QueryRequest::new(q.clone()).mode(mode);
             let out = griffin.run(&wl.corpus.index, &req);
-            oracle::assert_answer(&wl.corpus, &req, &out, &format!("overlap {overlap}"));
+            let ctx = format!("copy_engines {copy_engines}");
+            oracle::assert_answer(&wl.corpus, &req, &out, &ctx);
             outs.push(out);
         }
     }
@@ -50,8 +59,8 @@ fn overlap_on_and_off_are_bit_exact() {
         if let Some(p) = &plan {
             assert!(p.is_noop(), "a freshly seeded plan must inject nothing");
         }
-        let on = run_all(&wl, true, plan.clone());
-        let off = run_all(&wl, false, plan);
+        let on = run_all(&wl, 1, plan.clone());
+        let off = run_all(&wl, 0, plan);
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.gpu_faults, 0);
             assert_eq!(b.gpu_faults, 0);
@@ -78,13 +87,12 @@ fn overlap_on_and_off_are_bit_exact() {
 #[test]
 fn pipelined_time_is_bounded_by_serial_sum_and_busiest_engine() {
     let wl = workload();
-    let gpu_serial = Gpu::new(DeviceConfig::test_tiny());
-    let gpu_over = Gpu::new(DeviceConfig::test_tiny());
+    let gpu_serial = Gpu::new(tiny(0));
+    let gpu_over = Gpu::new(tiny(1));
     let telemetry = Telemetry::enabled();
     gpu_over.set_observer(telemetry.device_observer(gpu_over.config().warp_size));
     let eng_serial = GpuEngine::new(&gpu_serial, wl.corpus.index.meta());
     let eng_over = GpuEngine::new(&gpu_over, wl.corpus.index.meta());
-    eng_serial.set_overlap(false);
 
     for q in &wl.queries {
         let before: Vec<_> = telemetry
