@@ -235,10 +235,10 @@ pub struct Scheduler {
     /// [`Scheduler::for_device`] sets it to the model's
     /// [`CostModel::min_profitable_long_len`] (65 536 on the K20
     /// profile, with or without a copy engine); the model-less
-    /// constructors hand-set it. That model still prices 10 `cudaMalloc`s and a serial decode
-    /// floor; a step on a device whose allocator is warm makes 2 and has
-    /// none, so the floor is several times too high. It is held until
-    /// placement moves in its own change.
+    /// constructors hand-set it. That model still prices 10 `cudaMalloc`s
+    /// and a serial decode floor; a step on a device whose allocator is
+    /// warm makes 2 and has none, so the floor is several times too high.
+    /// It is held until placement moves in its own change.
     pub min_gpu_work: usize,
     /// Co-execution: `Some` lets borderline operations split across both
     /// processors ([`Decision::Split`]); `None` restores the pure

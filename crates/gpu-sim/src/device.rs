@@ -229,43 +229,26 @@ impl Gpu {
 
     /// Runs `f` in an async window when the device has a copy engine
     /// ([`DeviceConfig::copy_engines`] ≥ 1): each list can ship on the
-    /// copy stream while earlier kernels run on the compute stream. A
-    /// window already open is left open; one this call opened is closed
-    /// again, which synchronizes. On a device with no copy engine `f`
-    /// runs serially. Results are bit-exact either way; see
+    /// copy stream while earlier kernels run on the compute stream. This
+    /// is the only way to open a window. Opening seeds both stream
+    /// frontiers from the clock; closing synchronizes (the clock advances
+    /// to the last retire frontier), so no scheduled work is dropped. A
+    /// window already open is left open, and on a device with no copy
+    /// engine `f` runs serially. Results are bit-exact either way; see
     /// [`crate::stream`].
     pub fn windowed<R>(&self, f: impl FnOnce() -> R) -> R {
-        let open = self.cfg.copy_engines > 0 && !self.async_enabled();
-        if open {
-            self.set_async(true);
+        if self.cfg.copy_engines == 0 || self.async_enabled() {
+            return f();
         }
-        let out = f();
-        if open {
-            self.set_async(false);
-        }
-        out
-    }
-
-    /// Enables or disables asynchronous (stream) scheduling.
-    ///
-    /// Enabling seeds both stream frontiers from the current clock;
-    /// disabling first synchronizes (the clock advances to the last
-    /// retire frontier) so no scheduled work is ever silently dropped.
-    /// Both directions are idempotent. See [`crate::stream`] for the
-    /// timing and functional semantics.
-    pub(crate) fn set_async(&self, enabled: bool) {
         let mut st = self.lock_streams();
-        if st.enabled == enabled {
-            return;
-        }
-        if enabled {
-            let now = self.clock_ns.load(Ordering::Relaxed);
-            st.busy_until = [now; crate::stream::NUM_STREAMS];
-        } else {
-            let f = st.frontier();
-            self.clock_ns.fetch_max(f, Ordering::Relaxed);
-        }
-        st.enabled = enabled;
+        st.busy_until = [self.clock_ns.load(Ordering::Relaxed); crate::stream::NUM_STREAMS];
+        st.enabled = true;
+        drop(st);
+        let out = f();
+        let mut st = self.lock_streams();
+        self.clock_ns.fetch_max(st.frontier(), Ordering::Relaxed);
+        st.enabled = false;
+        out
     }
 
     /// Whether asynchronous (stream) scheduling is currently enabled.
@@ -1213,46 +1196,47 @@ mod tests {
     fn stream_wait_orders_dependent_work_and_copies_overlap_compute() {
         use crate::stream::StreamKind;
         let gpu = Gpu::new(DeviceConfig::test_tiny());
-        gpu.set_async(true);
-        let n = 200_000;
-        let data: Vec<u32> = (0..n as u32).collect();
-        let src = gpu.htod(&data).unwrap();
-        let up = gpu.record_event(StreamKind::Copy);
-        let dst = gpu.alloc::<u32>(n).unwrap();
-        gpu.stream_wait(StreamKind::Compute, up);
-        gpu.launch(
-            &AddOne {
-                src,
-                dst: dst.clone(),
-                n,
-            },
-            LaunchConfig::cover(n, 128),
-        )
-        .unwrap();
-        let kernel_done = gpu.record_event(StreamKind::Compute);
-        assert!(
-            kernel_done.ready_at() >= up.ready_at(),
-            "a kernel that waits on an upload cannot retire before it"
-        );
-        // A second (small) upload issued while the kernel runs finishes
-        // under it: that is the copy/compute overlap the model exists for.
-        let src2 = gpu.htod(&[1u32, 2, 3, 4]).unwrap();
-        let up2 = gpu.record_event(StreamKind::Copy);
-        assert!(
-            up2.ready_at() < kernel_done.ready_at(),
-            "the copy engine must be free while the compute engine is busy"
-        );
-        gpu.sync();
-        assert_eq!(
-            gpu.now(),
-            kernel_done.ready_at().max(up2.ready_at()),
-            "sync advances the clock to the last stream frontier"
-        );
-        // dtoh is host-blocking and sees the kernel's stores.
-        let out = gpu.dtoh(&dst).unwrap();
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-        gpu.free(dst);
-        gpu.free(src2);
+        gpu.windowed(|| {
+            let n = 200_000;
+            let data: Vec<u32> = (0..n as u32).collect();
+            let src = gpu.htod(&data).unwrap();
+            let up = gpu.record_event(StreamKind::Copy);
+            let dst = gpu.alloc::<u32>(n).unwrap();
+            gpu.stream_wait(StreamKind::Compute, up);
+            gpu.launch(
+                &AddOne {
+                    src,
+                    dst: dst.clone(),
+                    n,
+                },
+                LaunchConfig::cover(n, 128),
+            )
+            .unwrap();
+            let kernel_done = gpu.record_event(StreamKind::Compute);
+            assert!(
+                kernel_done.ready_at() >= up.ready_at(),
+                "a kernel that waits on an upload cannot retire before it"
+            );
+            // A second (small) upload issued while the kernel runs finishes
+            // under it: that is the copy/compute overlap the model exists for.
+            let src2 = gpu.htod(&[1u32, 2, 3, 4]).unwrap();
+            let up2 = gpu.record_event(StreamKind::Copy);
+            assert!(
+                up2.ready_at() < kernel_done.ready_at(),
+                "the copy engine must be free while the compute engine is busy"
+            );
+            gpu.sync();
+            assert_eq!(
+                gpu.now(),
+                kernel_done.ready_at().max(up2.ready_at()),
+                "sync advances the clock to the last stream frontier"
+            );
+            // dtoh is host-blocking and sees the kernel's stores.
+            let out = gpu.dtoh(&dst).unwrap();
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+            gpu.free(dst);
+            gpu.free(src2);
+        });
     }
 
     #[test]
@@ -1266,22 +1250,22 @@ mod tests {
                 dir: TransferDir::HtoD,
             },
         )));
-        gpu.set_async(true);
-        let big = vec![0u32; 1 << 20];
-        let first = gpu.htod(&big).unwrap();
-        let scheduled = gpu.stream_busy_until(StreamKind::Copy);
-        assert!(
-            gpu.now() < scheduled,
-            "the first upload is still in flight on the copy stream"
-        );
-        let t0 = gpu.now();
-        let err = gpu.htod(&[1u32, 2]).unwrap_err();
-        assert!(matches!(err, DeviceError::TransferError { .. }));
-        // The error joined the streams first, then charged the attempt:
-        // everything scheduled so far is inside the measured clock.
-        assert!(gpu.now() >= scheduled, "error surfacing synchronizes");
-        assert!(gpu.now() > t0, "the failed attempt still costs time");
-        gpu.free(first);
-        gpu.set_async(false);
+        gpu.windowed(|| {
+            let big = vec![0u32; 1 << 20];
+            let first = gpu.htod(&big).unwrap();
+            let scheduled = gpu.stream_busy_until(StreamKind::Copy);
+            assert!(
+                gpu.now() < scheduled,
+                "the first upload is still in flight on the copy stream"
+            );
+            let t0 = gpu.now();
+            let err = gpu.htod(&[1u32, 2]).unwrap_err();
+            assert!(matches!(err, DeviceError::TransferError { .. }));
+            // The error joined the streams first, then charged the attempt:
+            // everything scheduled so far is inside the measured clock.
+            assert!(gpu.now() >= scheduled, "error surfacing synchronizes");
+            assert!(gpu.now() > t0, "the failed attempt still costs time");
+            gpu.free(first);
+        });
     }
 }
